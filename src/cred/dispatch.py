@@ -3,10 +3,20 @@
 Builds, per period: a single system-wide power balance, committed-generator
 limits, wind dispatch with droop headroom on both sides of the reference,
 optional storage energy recursion, and, for each critical (eigenvalue,
-area) pair, the piecewise eigenvalue-shift constraint encoded with interval
-indicator binaries, big-M rows, and exact product envelopes.  Attack gains
-are fixed to their robust values; droop gains are decision variables that
+area) pair, the piecewise eigenvalue-shift constraint.  Attack gains are
+fixed to their robust values; droop gains are decision variables that
 enter through the net gain k = robust_gain - K_droop.
+
+The piecewise constraint uses the disaggregated multiple-choice encoding
+(Vielma, Ahmed & Nemhauser, Oper. Res. 58(2), 2010): each segment m of a
+pair gets one binary z_m and one continuous copy u_m of the net gain, with
+
+    k = sum_m u_m,   sum_m z_m = 1,   phi_m z_m <= u_m <= hi_m z_m,
+
+where hi_m = phi_{m+1} - strict_margin, or the robust gain on the last
+segment.  Each eigenvalue's row sums slope_m u_m + offset_m z_m over the
+segments of all its pairs and bounds it by -(strict + settle) - Re(base).
+The encoding is locally ideal and needs no big-M constant.
 
 Solutions are certified a posteriori by an exact eigenvalue check of every
 period's closed loop.
@@ -26,7 +36,7 @@ from .errors import (
     ValidationFailure,
 )
 from .grid import AttackProfile, DroopSchedule, build_state_space
-from .linearize import SegmentTable, evaluate_piecewise
+from .linearize import evaluate_piecewise
 from .milp import LinearProgram, MixedIntegerProgram, solve_milp
 from .stability import StabilityVerdict, eigen_decompose, is_stable
 
@@ -151,17 +161,16 @@ class DispatchScenario:
 class StabilityConstraintSet:
     """Piecewise tables plus robust gains that parameterize the stability rows.
 
-    strict_margin softens the strict inequalities of the indicator encoding;
-    settle_margin additionally shifts the stability boundary left of the
-    imaginary axis.  big_m=None sizes the constant per pair as
-    2*(|range| + robust gain + droop cap).
+    strict_margin closes each segment's half-open interval [phi_m, phi_{m+1})
+    at phi_{m+1} - strict_margin and keeps the eigenvalue estimate strictly
+    left of the stability boundary; settle_margin additionally shifts that
+    boundary left of the imaginary axis.
     """
 
     tables: tuple
     robust_gains: np.ndarray
     strict_margin: float = 1e-6
     settle_margin: float = 0.0
-    big_m: float | None = None
 
     def __post_init__(self):
         gains = np.asarray(self.robust_gains, dtype=float)
@@ -241,13 +250,6 @@ class _Vars:
         return self.index[family][key]
 
 
-def _pair_big_m(stab: StabilityConstraintSet, table: SegmentTable, kc_cap: float) -> float:
-    if stab.big_m is not None:
-        return stab.big_m
-    gain = float(stab.robust_gains[table.area])
-    return 2.0 * (abs(table.range_end) + gain + kc_cap)
-
-
 def build_cred_milp(
     scn: DispatchScenario,
     stab: StabilityConstraintSet | None,
@@ -317,13 +319,9 @@ def build_cred_milp(
             if gains[a] <= 0.0:
                 continue
             v.add("knet", (t, i, a), 0.0, float(gains[a]))
-            n_seg = len(tab.points)
-            for m_id in range(n_seg):
-                last = m_id == n_seg - 1
-                binaries.append(v.add("z1", (t, i, a, m_id), 1.0 if m_id == 0 else 0.0, 1.0))
-                binaries.append(v.add("z2", (t, i, a, m_id), 1.0 if last else 0.0, 1.0))
+            for m_id in range(len(tab.points)):
                 binaries.append(v.add("z", (t, i, a, m_id), 0.0, 1.0))
-                v.add("w", (t, i, a, m_id), 0.0, float(gains[a]))
+                v.add("u", (t, i, a, m_id), 0.0, float(gains[a]))
 
     for t in periods:
         # system-wide power balance: generation + net storage + shed = demand
@@ -369,44 +367,29 @@ def build_cred_milp(
                 continue
             knet = v.get("knet", (t, i, a))
             add_row({knet: 1.0, v.get("kc", (t, a)): 1.0}, "=", float(gains[a]))
-            cap = float(gains[a])
-            big_m = _pair_big_m(stab, tab, cap)
-            eps = stab.strict_margin
-            n_seg = len(tab.points)
+            # segment m holds knet in [phi_m, phi_{m+1} - strict_margin], the
+            # last one up to the robust gain; u_m carries knet when z_m = 1
+            knet_sum = {knet: -1.0}
             z_sum = {}
-            for m_id, point in enumerate(tab.points):
-                z1 = v.get("z1", (t, i, a, m_id))
-                z2 = v.get("z2", (t, i, a, m_id))
-                z = v.get("z", (t, i, a, m_id))
-                w = v.get("w", (t, i, a, m_id))
-                phi = point.abscissa
-                # z1 = 1 iff knet >= phi_m
-                add_row({knet: 1.0, z1: -big_m}, ">=", phi - big_m)
-                add_row({knet: 1.0, z1: -big_m}, "<=", phi - eps)
-                # z2 = 1 iff knet < phi_{m+1}; the last segment reaches range_end
-                if m_id + 1 < n_seg:
-                    nxt = tab.points[m_id + 1].abscissa
-                    add_row({knet: 1.0, z2: big_m}, "<=", nxt - eps + big_m)
-                    add_row({knet: 1.0, z2: big_m}, ">=", nxt)
-                    # the same threshold seen from both sides: complementary
-                    # indicators (valid equality; tightens the relaxation)
-                    add_row({z2: 1.0, v.get("z1", (t, i, a, m_id + 1)): 1.0}, "=", 1.0)
-                add_row({z: 1.0, z1: -1.0, z2: -1.0}, "=", -1.0)
-                # exact envelope of w = knet * z for knet in [0, cap]
-                add_row({w: 1.0, z: -cap}, "<=", 0.0)
-                add_row({w: 1.0, knet: -1.0}, "<=", 0.0)
-                add_row({w: 1.0, knet: -1.0, z: -cap}, ">=", -cap)
-                z_sum[z] = 1.0
-            add_row(z_sum, "=", 1.0)
-
             row = eig_rows.setdefault(i, {})
+            n_seg = len(tab.points)
             for m_id, point in enumerate(tab.points):
                 z = v.get("z", (t, i, a, m_id))
-                w = v.get("w", (t, i, a, m_id))
+                u = v.get("u", (t, i, a, m_id))
+                if m_id + 1 < n_seg:
+                    upper = tab.points[m_id + 1].abscissa - stab.strict_margin
+                else:
+                    upper = float(gains[a])
+                add_row({u: 1.0, z: -point.abscissa}, ">=", 0.0)
+                add_row({u: 1.0, z: -upper}, "<=", 0.0)
+                knet_sum[u] = 1.0
+                z_sum[z] = 1.0
                 slope_re = point.slope.real
                 offset = (point.eigenvalue - tab.base_eigenvalue).real - slope_re * point.abscissa
-                row[w] = row.get(w, 0.0) + slope_re
-                row[z] = row.get(z, 0.0) + offset
+                row[u] = slope_re
+                row[z] = offset
+            add_row(knet_sum, "=", 0.0)
+            add_row(z_sum, "=", 1.0)
 
         for i, row in sorted(eig_rows.items()):
             base_re = None

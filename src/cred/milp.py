@@ -30,7 +30,11 @@ RELATIONS = ("<=", "=", ">=")
 
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-7
-_INT_TOL = 1e-6
+#: a binary accepted at z = _INT_TOL can still admit _INT_TOL * coefficient of
+#: a continuous variable it gates; keep that far below the dispatch's 1e-6
+#: strict margin for gains in the tens
+_INT_TOL = 1e-9
+_ZERO_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +191,8 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> SolveResult:
     """Two-phase dense simplex with Bland's rule.
 
     Returns an optimal basic solution, an infeasible/unbounded status, or
-    iteration_limit if the pivot budget is exhausted.
+    iteration_limit if the pivot budget is exhausted.  Optimal values lie
+    within their bounds exactly.
     """
     n = lp.n_vars
     m = lp.n_rows
@@ -307,7 +312,10 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> SolveResult:
 
     u = np.zeros(total_cols)
     u[basis] = tableau[:, -1]
-    x = shift + proj @ u[:n_std]
+    # pivot round-off leaves basic values like +-1e-15 at their bound; callers
+    # read values as exact (a droop of -1e-15 is rejected downstream)
+    u[np.abs(u) < _ZERO_TOL] = 0.0
+    x = np.clip(shift + proj @ u[:n_std], lp.bounds[:, 0], lp.bounds[:, 1])
     obj = float(lp.objective @ x)
     x.setflags(write=False)
     return SolveResult("optimal", values=x, objective_value=obj, iterations=iterations)

@@ -395,7 +395,9 @@ def _apply_axis(doc: dict, axis: str, value: float) -> dict:
 
 
 def sweep_study(cfg: WorkflowConfig, axis: str, grid, scenario_doc: dict | None = None) -> list:
-    """Run the workflow across a parameter grid; failures are recorded rows.
+    """Run the workflow across a parameter grid; a CredError becomes a row.
+
+    Any other exception is a programming bug and propagates.
 
     Cost increments are reported averaged over the horizon's periods.
     """
@@ -424,7 +426,7 @@ def sweep_study(cfg: WorkflowConfig, axis: str, grid, scenario_doc: dict | None 
                 SweepRow(axis, value, rep.cost_increment / t_len, rep.cost_increment,
                          shed, rep.branch_taken)
             )
-        except Exception as exc:  # record and continue
+        except CredError as exc:  # record and continue
             rows.append(SweepRow(axis, value, None, None, None, None, error=str(exc)))
     if cfg.output_dir is not None:
         out = Path(cfg.output_dir)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cred.dispatch import (
     DispatchScenario,
@@ -14,8 +16,13 @@ from cred.dispatch import (
 )
 from cred.errors import CoverageError, InfeasibleError, NumericalError, ValidationFailure
 from cred.grid import AttackProfile, DroopSchedule, build_state_space
-from cred.linearize import build_segment_table
-from cred.milp import solve_milp
+from cred.linearize import (
+    LinearizationPoint,
+    SegmentTable,
+    build_segment_table,
+    evaluate_piecewise,
+)
+from cred.milp import MixedIntegerProgram, solve_milp
 from cred.stability import eigen_decompose, is_stable
 from cred.uncertainty import AttackEstimate, ConfidenceSpec, robust_gain
 
@@ -109,8 +116,6 @@ class TestToyInstance:
         by_pair = {}
         for (t, i, a, m), v in sol.binaries.items():
             by_pair.setdefault((t, i, a), []).append((m, v))
-        from cred.linearize import evaluate_piecewise
-
         shift_by_eig = {}
         for (t, i, a), entries in by_pair.items():
             active = [m for m, v in entries if v > 0.5]
@@ -121,7 +126,7 @@ class TestToyInstance:
             lo = pts[m].abscissa
             hi = pts[m + 1].abscissa if m + 1 < len(pts) else tab.range_end
             assert lo - 1e-9 <= k <= hi + 1e-9
-            # the big-M encoding reproduces the reference piecewise shift
+            # the segment encoding reproduces the reference piecewise shift
             encoded = pts[m].slope.real * (k - pts[m].abscissa) \
                 + (pts[m].eigenvalue - tab.base_eigenvalue).real
             assert encoded == pytest.approx(evaluate_piecewise(tab, k).real, abs=1e-9)
@@ -163,6 +168,48 @@ class TestToyInstance:
             assert np.all(sol.wind_power[t] + swing
                           <= scn.wind_available[t] + 1e-9)
             assert np.all(sol.wind_power[t] - swing >= -1e-9)
+
+
+class TestEncoding:
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 10_000))
+    def test_eigen_row_matches_piecewise(self, one_area_model, seed):
+        """With knet pinned, the eigen row reads the reference piecewise shift."""
+        rng = np.random.RandomState(seed)
+        gain, eps = 3.0, 1e-6
+        n_seg = int(rng.randint(1, 7))
+        gaps = rng.uniform(0.1, 1.0, n_seg)
+        phis = gain * np.concatenate([[0.0], np.cumsum(gaps)[:-1]]) / gaps.sum()
+        # far-left base eigenvalue: the eigen row holds at every pinned knet
+        base = complex(-50.0, 3.0)
+        points = tuple(
+            LinearizationPoint(
+                float(phi),
+                base if m == 0 else base + complex(*rng.normal(0.0, 2.0, 2)),
+                complex(*rng.normal(0.0, 2.0, 2)),
+            )
+            for m, phi in enumerate(phis)
+        )
+        tab = SegmentTable(0, 0, points, gain, base, 0.02, gain / 200.0,
+                           np.zeros(0), np.zeros(0))
+        stab = StabilityConstraintSet((tab,), [gain], strict_margin=eps)
+        prob = build_cred_milp(toy_scenario(one_area_model), stab)
+        mip, lp = prob.program, prob.program.base
+        assert sorted(prob.index["z"]) == [(0, 0, 0, m) for m in range(n_seg)]
+        assert mip.binary_vars == tuple(sorted(prob.index["z"].values()))
+        # the eigen rows close each period's block
+        assert lp.relations[-1] == "<="
+        eig_row = lp.lhs[-1]
+        knet = prob.index["knet"][(0, 0, 0)]
+        uppers = list(phis[1:]) + [gain]
+        inside = [rng.uniform(lo, hi - 2.0 * eps) for lo, hi in zip(phis, uppers)]
+        for k in [*phis, *inside, gain]:
+            pinned = MixedIntegerProgram(lp.with_bounds({knet: (k, k)}), mip.binary_vars)
+            res = solve_milp(pinned)
+            assert res.optimal
+            expected = evaluate_piecewise(tab, k).real
+            assert eig_row @ res.values == pytest.approx(expected, abs=1e-9)
 
 
 class TestPrecheck:

@@ -93,6 +93,8 @@ class TestSolveLp:
             assert mine.optimal and ref.status == 0
             assert mine.objective_value == pytest.approx(ref.fun, abs=1e-7)
             assert np.all(lp.lhs @ mine.values <= lp.rhs + 1e-7)
+            assert np.all(lp.bounds[:, 0] <= mine.values)
+            assert np.all(mine.values <= lp.bounds[:, 1])
 
     def test_strong_duality_spot_check(self, rng):
         # primal: min c x, A x >= b, 0 <= x; dual: max b y, A^T y <= c, y >= 0
@@ -147,6 +149,8 @@ class TestSolveMilp:
                 assert mine.objective_value == pytest.approx(obj, abs=1e-6)
                 vals = mine.values[list(mip.binary_vars)]
                 assert np.max(np.abs(vals - np.round(vals))) <= 1e-6
+                assert np.all(bounds[:, 0] <= mine.values)
+                assert np.all(mine.values <= bounds[:, 1])
 
     def test_infeasible_instance(self):
         lp = LinearProgram([1.0], [[1.0]], (">=",), [2.0], [[0.0, 1.0]])

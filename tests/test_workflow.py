@@ -206,6 +206,15 @@ class TestSweeps:
         assert rows[0].error is None and rows[2].error is None
         assert rows[1].error is not None
 
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr("cred.workflow.run_workflow", broken)
+        with pytest.raises(TypeError):
+            sweep_study(WorkflowConfig(mode="worst_case"), "vulnerable_fraction", [0.3],
+                        scenario_doc=single_area_toy())
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(ScenarioError):
             sweep_study(WorkflowConfig(), "frequency", [1.0],
