@@ -24,14 +24,14 @@ from .linearize import build_segment_table, select_critical_pairs
 from .scenario import load_samples, load_scenario
 from .simulate import classify_trajectory, simulate
 from .stability import eigen_decompose, sensitivity
-from .uncertainty import (
-    ConfidenceSpec,
-    apply_budget_clamp,
-    moments_from_samples,
-    robust_gain,
-    worst_case_gain,
+from .workflow import (
+    SWEEP_AXES,
+    WorkflowConfig,
+    resolve_gains,
+    run_workflow,
+    sweep_study,
+    write_csv,
 )
-from .workflow import SWEEP_AXES, WorkflowConfig, run_workflow, sweep_study, write_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -44,7 +44,6 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--samples", default=None, help="detection-sample JSON file")
     parser.add_argument("--eta", type=float, default=0.95, help="confidence level in (0,1)")
-    parser.add_argument("--seed", type=int, default=None, help="seed for sample synthesis")
     parser.add_argument("--worst-case", action="store_true",
                         help="use budget-saturating attack gains")
     parser.add_argument("--eps-lim", type=float, default=0.02,
@@ -71,19 +70,7 @@ def _config_from_args(args) -> WorkflowConfig:
         eps_phi=args.eps_phi,
         eps_strict=args.eps_strict,
         settle_margin=args.settle_margin,
-        seed=args.seed,
     )
-
-
-def _gains_for(args, bundle) -> np.ndarray:
-    """Robust gains from samples when given, else the worst-case budget."""
-    if args.samples and not args.worst_case:
-        samples = load_samples(args.samples, bundle.base_power)
-        est = moments_from_samples(samples, bundle.model.areas)
-        gains = robust_gain(est, ConfidenceSpec(args.eta))
-        return apply_budget_clamp(bundle.model, bundle.attack_areas, gains,
-                                  bundle.static_attack)
-    return worst_case_gain(bundle.model, bundle.attack_areas, bundle.static_attack)
 
 
 def cmd_analyze(args) -> int:
@@ -111,7 +98,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_linearize(args) -> int:
     bundle = load_scenario(args.scenario)
-    gains = _gains_for(args, bundle)
+    samples = load_samples(args.samples, bundle.base_power) if args.samples else None
+    gains = resolve_gains(_config_from_args(args), bundle, samples)
     active = tuple(int(a) for a in np.flatnonzero(gains > 0))
     if not active:
         raise ScenarioError("no attacked area with a positive gain to sweep")
@@ -148,7 +136,8 @@ def cmd_simulate(args) -> int:
     n = bundle.model.areas
     gains = np.zeros(n)
     if args.worst_case or args.samples:
-        gains = _gains_for(args, bundle)
+        samples = load_samples(args.samples, bundle.base_power) if args.samples else None
+        gains = resolve_gains(_config_from_args(args), bundle, samples)
     droop_gain = np.zeros(n)
     if args.kc:
         droop_gain = np.array([float(x) for x in args.kc.split(",")]) / bundle.base_power

@@ -44,7 +44,8 @@ from .uncertainty import (
     worst_case_gain,
 )
 
-__all__ = ["WorkflowConfig", "WorkflowReport", "run_workflow", "sweep_study", "SWEEP_AXES"]
+__all__ = ["WorkflowConfig", "WorkflowReport", "resolve_gains", "run_workflow", "sweep_study",
+           "SWEEP_AXES"]
 
 MODES = ("auto", "worst_case", "mean_only")
 SWEEP_AXES = ("vulnerable_fraction", "wind_capacity", "eta")
@@ -77,7 +78,6 @@ class WorkflowConfig:
     eps_strict: float = 1e-6
     settle_margin: float = 0.05
     screening_margin: float = 0.5
-    seed: int | None = None
 
     def __post_init__(self):
         if self.detection_threshold < 0:
@@ -122,7 +122,8 @@ class WorkflowReport:
         }
 
 
-def _resolve_gains(cfg: WorkflowConfig, bundle: ScenarioBundle, samples: dict | None) -> np.ndarray:
+def resolve_gains(cfg: WorkflowConfig, bundle: ScenarioBundle, samples: dict | None) -> np.ndarray:
+    """Robust attack gains (p.u./Hz) for cfg.mode; auto without samples is worst case."""
     model = bundle.model
     areas = bundle.attack_areas
     static = bundle.static_attack
@@ -220,7 +221,7 @@ def run_workflow(cfg: WorkflowConfig, bundle: ScenarioBundle | None = None) -> W
         return finish("no_attack", baseline, np.zeros(scn.model.areas))
 
     with _stage("gain-estimation"):
-        gains = _resolve_gains(cfg, bundle, samples)
+        gains = resolve_gains(cfg, bundle, samples)
 
     with _stage("precheck"):
         pre = stability_precheck(scn, DroopSchedule.none(scn.model.areas), gains)

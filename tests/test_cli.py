@@ -3,8 +3,11 @@ import json
 
 import pytest
 
+from cred import cli
 from cred.cli import main
+from cred.grid import build_state_space
 from cred.systems import single_area_toy, synthesize_samples
+from cred.workflow import WorkflowConfig, run_workflow
 
 
 @pytest.fixture
@@ -62,6 +65,51 @@ class TestSimulate:
                      "--worst-case", "--kc", "3.0", "--t-end", "40"])
         assert code == 0
         assert "decaying" in capsys.readouterr().out
+
+    def test_rerun_writes_identical_trajectory(self, toy_path, tmp_path):
+        blobs = []
+        for name in ("r1", "r2"):
+            out = tmp_path / name
+            assert main(["simulate", "--scenario", str(toy_path), "--out", str(out),
+                         "--worst-case", "--kc", "3.0", "--t-end", "40"]) == 0
+            blobs.append((out / "trajectory.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+
+
+class TestGainResolution:
+    @pytest.mark.parametrize("flags, mode", [
+        (["--samples"], "auto"),
+        (["--worst-case"], "worst_case"),
+        (["--samples", "--worst-case"], "worst_case"),
+    ])
+    def test_linearize_and_simulate_use_workflow_gains(self, toy_path, tmp_path, monkeypatch,
+                                                       flags, mode):
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps(synthesize_samples(2.5, 0.1, 0, seed=1)))
+        with_samples = "--samples" in flags
+        args = ["--scenario", str(toy_path)] + (["--samples", str(samples)] if with_samples else [])
+        if "--worst-case" in flags:
+            args.append("--worst-case")
+        expected = run_workflow(WorkflowConfig(
+            scenario_path=str(toy_path),
+            samples_path=str(samples) if with_samples else None,
+            mode=mode,
+        )).robust_gains
+
+        out = tmp_path / "lin"
+        assert main(["linearize", "--out", str(out)] + args) == 0
+        audit = read_csv(out / "linearize_audit.csv")
+        assert max(float(r[2]) for r in audit[1:]) == pytest.approx(expected[0], rel=1e-12)
+
+        seen = []
+
+        def spy(model, attack, droop):
+            seen.append(attack.dyn_gain.tolist())
+            return build_state_space(model, attack, droop)
+
+        monkeypatch.setattr(cli, "build_state_space", spy)
+        assert main(["simulate", "--out", str(tmp_path / "sim"), "--t-end", "10"] + args) == 0
+        assert seen == [expected]
 
 
 class TestWorkflow:

@@ -1,13 +1,42 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cred.errors import ClassificationError, ConfigurationError
 from cred.grid import AttackProfile, DroopSchedule, build_state_space
-from cred.simulate import Trajectory, classify_trajectory, simulate
+from cred.simulate import (
+    BLOCK,
+    DIVERGENCE_NORM,
+    Trajectory,
+    classify_trajectory,
+    simulate,
+)
 from cred.stability import eigen_decompose, is_stable
 
 from oracles import random_system_model
+
+
+def _closed_form(ss, step, k_switch, n_steps, dt):
+    """x_eq + expm(S (t - t_step)) (x0 - x_eq) on the grid, x0 up to the step.
+
+    Also returns each sample's error scale: its size plus that of x0 - x_eq.
+    """
+    n = ss.n_areas
+    kick = np.concatenate([np.zeros(n), step / np.diag(ss.descriptor_a)[n:]])
+    x0 = np.linalg.solve(ss.state_matrix, -ss.forcing)
+    x_eq = np.linalg.solve(ss.state_matrix, -(ss.forcing + kick))
+    out = np.tile(x0, (n_steps + 1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(k_switch + 1, n_steps + 1):
+            out[k] = x_eq + sla.expm(ss.state_matrix * ((k - k_switch) * dt)) @ (x0 - x_eq)
+        scale = np.abs(out).max(axis=1) + np.abs(x0 - x_eq).max()
+    return out, scale
+
+
+def _rel_error(states, ref, scale):
+    return float((np.abs(states - ref[: len(states)]).max(axis=1) / scale[: len(states)]).max())
 
 
 def _ss(model, gain=0.0, droop=0.0):
@@ -59,20 +88,48 @@ class TestSimulate:
         slope = np.polyfit(t[peaks], np.log(e[peaks]), 1)[0]
         assert slope == pytest.approx(0.5, rel=0.05)
 
-    def test_rk4_convergence_against_matrix_exponential(self, one_area_model):
-        ss = _ss(one_area_model)
-        step = np.array([1.0])
-        t_end = 5.0
+    def test_samples_match_closed_form(self, one_area_model):
+        three_area = random_system_model(np.random.RandomState(7), n_areas=3)
+        for model in (one_area_model, three_area):
+            ss = _ss(model)
+            step = 0.05 * np.asarray(model.secure_load)
+            traj = simulate(ss, step, t_step=1.0, t_end=8.0, dt=0.01)
+            ref, scale = _closed_form(ss, step, k_switch=100, n_steps=800, dt=0.01)
+            assert not traj.diverged
+            assert traj.states.shape == ref.shape
+            assert np.array_equal(traj.states[:101], ref[:101])
+            assert _rel_error(traj.states, ref, scale) <= 1e-10
 
-        def end_state(dt):
-            return simulate(ss, step, t_step=0.0, t_end=t_end, dt=dt).states[-1]
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.one_of(st.sampled_from([BLOCK, 2 * BLOCK]), st.integers(1, 3 * BLOCK)),
+    )
+    def test_block_propagation_matches_closed_form(self, seed, n_post):
+        # stable and growing loops; steps up to 1e8 p.u. so that some
+        # responses cross the divergence bound, in the first block or later
+        rng = np.random.RandomState(seed)
+        model = random_system_model(rng)
+        worst = model.vulnerable_load[0] / (2.0 * model.omega_max)
+        ss = _ss(model, gain=rng.uniform(0.0, 3.0) * (model.gov_proportional[0] + worst))
+        step = 10.0 ** rng.uniform(0.0, 8.0) * rng.uniform(-1.0, 1.0, size=model.areas)
+        t_step = rng.uniform(0.0, 2.0)
+        dt_frac = rng.uniform(0.1, 1.0)
+        lam_max = float(np.abs(np.linalg.eigvals(ss.state_matrix)).max())
+        dt = dt_frac / (10.0 * lam_max)
+        k_switch = int(np.ceil(t_step / dt - 1e-12))
+        n_steps = k_switch + n_post
+        ref, scale = _closed_form(ss, step, k_switch, n_steps, dt)
+        peak = np.abs(ref).max(axis=1)
+        over = np.flatnonzero(peak[1:] > DIVERGENCE_NORM)
+        last = int(over[0]) + 1 if over.size else n_steps
+        # a sample within rounding of the bound could fall either side
+        assume(np.all(np.abs(peak[: last + 1] / DIVERGENCE_NORM - 1.0) > 1e-8))
 
-        x_eq = np.linalg.solve(ss.state_matrix, -(ss.forcing + np.array([0.0, -1.0])))
-        x0 = np.linalg.solve(ss.state_matrix, -ss.forcing)
-        exact = x_eq + sla.expm(ss.state_matrix * t_end) @ (x0 - x_eq)
-        err_coarse = np.linalg.norm(end_state(0.02) - exact)
-        err_fine = np.linalg.norm(end_state(0.01) - exact)
-        assert err_coarse / err_fine >= 8.0
+        traj = simulate(ss, step, t_step=t_step, t_end=n_steps * dt, dt=dt)
+        assert traj.diverged == bool(over.size)
+        assert len(traj.times) == last + 1
+        assert _rel_error(traj.states, ref, scale) <= 1e-10
 
     def test_resolution_guard(self, one_area_model):
         ss = _ss(one_area_model)
