@@ -42,8 +42,6 @@ from .grid import (
     StateSpace,
     SystemModel,
     build_state_space,
-    check_attack_budget,
-    check_droop_capacity,
 )
 from .linearize import (
     LinearizationPoint,
@@ -57,7 +55,6 @@ from .milp import (
     LinearProgram,
     MixedIntegerProgram,
     SolveResult,
-    dump_lp_text,
     solve_lp,
     solve_milp,
 )
@@ -67,7 +64,6 @@ from .stability import (
     SensitivityRecord,
     StabilityVerdict,
     eigen_decompose,
-    estimate_eigenvalue_first_order,
     is_stable,
     sensitivity,
 )

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Subcommands: analyze, linearize, dispatch, simulate, workflow, sweep.
-Exit codes: 0 success, 2 validation failure, 3 infeasible, 4 input error.
+Subcommands: analyze, linearize, simulate, workflow, sweep.
+Exit codes: 0 success, 2 validation failure, 3 infeasible, 4 input error
+(a command-line usage error included).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .scenario import load_samples, load_scenario
 from .simulate import classify_trajectory, simulate
 from .stability import eigen_decompose, sensitivity
 from .workflow import (
+    MODES,
     SWEEP_AXES,
     WorkflowConfig,
     resolve_gains,
@@ -39,38 +41,67 @@ EXIT_INFEASIBLE = 3
 EXIT_INPUT = 4
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
+def _float_list(text: str) -> list:
+    """argparse type: comma-separated numbers, at least one."""
+    try:
+        values = [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError("must list at least one value")
+    return values
+
+
+def _io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", required=True, help="scenario JSON file")
     parser.add_argument("--out", default="out", help="output directory")
+
+
+def _gain_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--samples", default=None, help="detection-sample JSON file")
     parser.add_argument("--eta", type=float, default=0.95, help="confidence level in (0,1)")
-    parser.add_argument("--worst-case", action="store_true",
-                        help="use budget-saturating attack gains")
+    parser.add_argument("--mode", choices=MODES, default="auto",
+                        help="attack knowledge; auto is worst case without --samples")
+
+
+def _table_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eps-lim", type=float, default=0.02,
                         help="linearization error limit on Re(lambda)")
     parser.add_argument("--eps-phi", type=float, default=None,
                         help="sweep grid step (default |range|/200)")
+
+
+def _workflow_flags(parser: argparse.ArgumentParser) -> None:
+    _io_flags(parser)
+    _gain_flags(parser)
+    _table_flags(parser)
     parser.add_argument("--eps-strict", type=float, default=1e-6,
                         help="softening of strict inequalities")
     parser.add_argument("--settle-margin", type=float, default=0.05,
                         help="extra left shift of the stability boundary")
+    parser.add_argument("--r", type=float, default=1.0, help="detection score")
+    parser.add_argument("--r0", type=float, default=0.0, help="detection threshold")
+
+
+#: parsed flag -> WorkflowConfig field, for the flags a subcommand has
+_CONFIG_FIELDS = {
+    "scenario": "scenario_path",
+    "samples": "samples_path",
+    "r": "detection_score",
+    "r0": "detection_threshold",
+    "eta": "eta",
+    "mode": "mode",
+    "out": "output_dir",
+    "eps_lim": "eps_lim",
+    "eps_phi": "eps_phi",
+    "eps_strict": "eps_strict",
+    "settle_margin": "settle_margin",
+}
 
 
 def _config_from_args(args) -> WorkflowConfig:
-    mode = "worst_case" if args.worst_case else getattr(args, "mode", "auto")
-    return WorkflowConfig(
-        scenario_path=args.scenario,
-        samples_path=args.samples,
-        detection_score=getattr(args, "r", 1.0),
-        detection_threshold=getattr(args, "r0", 0.0),
-        eta=args.eta,
-        mode=mode,
-        output_dir=args.out,
-        eps_lim=args.eps_lim,
-        eps_phi=args.eps_phi,
-        eps_strict=args.eps_strict,
-        settle_margin=args.settle_margin,
-    )
+    given = vars(args)
+    return WorkflowConfig(**{f: given[a] for a, f in _CONFIG_FIELDS.items() if a in given})
 
 
 def cmd_analyze(args) -> int:
@@ -123,24 +154,16 @@ def cmd_linearize(args) -> int:
     return EXIT_OK
 
 
-def cmd_dispatch(args) -> int:
-    cfg = _config_from_args(args)
-    rep = run_workflow(cfg)
-    print(f"branch: {rep.branch_taken}  cost: {rep.final_cost:.2f}  "
-          f"increment: {rep.cost_increment:.2f}")
-    return EXIT_OK
-
-
 def cmd_simulate(args) -> int:
     bundle = load_scenario(args.scenario)
     n = bundle.model.areas
     gains = np.zeros(n)
-    if args.worst_case or args.samples:
+    if args.mode != "auto" or args.samples:
         samples = load_samples(args.samples, bundle.base_power) if args.samples else None
         gains = resolve_gains(_config_from_args(args), bundle, samples)
     droop_gain = np.zeros(n)
-    if args.kc:
-        droop_gain = np.array([float(x) for x in args.kc.split(",")]) / bundle.base_power
+    if args.kc is not None:
+        droop_gain = np.array(args.kc) / bundle.base_power
         if droop_gain.shape != (n,):
             raise ScenarioError(f"--kc must list {n} comma-separated MW/Hz values")
     active = tuple(int(a) for a in np.flatnonzero(gains > 0))
@@ -190,10 +213,7 @@ def cmd_workflow(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    grid = [float(x) for x in args.grid.split(",") if x.strip()]
-    if not grid:
-        raise ScenarioError("--grid must list at least one value")
-    rows = sweep_study(cfg, args.axis, grid)
+    rows = sweep_study(cfg, args.axis, args.grid)
     for r in rows:
         if r.error:
             print(f"{r.axis}={r.value:g}: FAILED ({r.error})")
@@ -212,23 +232,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="eigenvalues and sensitivities of the base system")
-    _common(p)
+    _io_flags(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("linearize", help="build piecewise eigenvalue tables")
-    _common(p)
+    _io_flags(p)
+    _gain_flags(p)
+    _table_flags(p)
     p.set_defaults(func=cmd_linearize)
 
-    p = sub.add_parser("dispatch", help="solve the stability-constrained dispatch")
-    _common(p)
-    p.add_argument("--mode", choices=("auto", "worst_case", "mean_only"), default="auto")
-    p.add_argument("--r", type=float, default=1.0, help="detection score")
-    p.add_argument("--r0", type=float, default=0.0, help="detection threshold")
-    p.set_defaults(func=cmd_dispatch)
-
     p = sub.add_parser("simulate", help="time-domain step response")
-    _common(p)
-    p.add_argument("--kc", default=None, help="per-area droop gains, MW/Hz, comma separated")
+    _io_flags(p)
+    _gain_flags(p)
+    p.add_argument("--kc", type=_float_list, default=None,
+                   help="per-area droop gains, MW/Hz, comma separated")
     p.add_argument("--t-step", type=float, default=1.0)
     p.add_argument("--t-end", type=float, default=40.0)
     p.add_argument("--dt", type=float, default=None)
@@ -237,27 +254,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("workflow", help="detection-to-certificate pipeline")
-    _common(p)
-    p.add_argument("--mode", choices=("auto", "worst_case", "mean_only"), default="auto")
-    p.add_argument("--r", type=float, default=1.0, help="detection score")
-    p.add_argument("--r0", type=float, default=0.0, help="detection threshold")
+    _workflow_flags(p)
     p.set_defaults(func=cmd_workflow)
 
     p = sub.add_parser("sweep", help="repeat the workflow across a parameter grid")
-    _common(p)
-    p.add_argument("--mode", choices=("auto", "worst_case", "mean_only"), default="auto")
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--r0", type=float, default=0.0)
-    p.add_argument("--axis", choices=SWEEP_AXES, required=True)
-    p.add_argument("--grid", required=True, help="comma-separated grid values")
+    _workflow_flags(p)
     p.set_defaults(func=cmd_sweep)
+    p.add_argument("--axis", choices=SWEEP_AXES, required=True)
+    p.add_argument("--grid", type=_float_list, required=True, help="comma-separated grid values")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: -h exits 0, a usage error 2
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
     except ValidationFailure as exc:

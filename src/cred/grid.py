@@ -24,8 +24,6 @@ __all__ = [
     "DroopSchedule",
     "StateSpace",
     "build_state_space",
-    "check_attack_budget",
-    "check_droop_capacity",
 ]
 
 
@@ -111,7 +109,7 @@ class AttackProfile:
     """Dynamic gain (p.u./Hz) and static step (p.u.) of a load-altering attack.
 
     The compromised-load budget on the dynamic gain is *not* enforced here;
-    it is a separate verdict computed by :func:`check_attack_budget`.
+    :func:`cred.uncertainty.worst_case_gain` computes it.
     """
 
     dyn_gain: np.ndarray
@@ -214,25 +212,3 @@ def build_state_space(model: SystemModel, attack: AttackProfile, droop: DroopSch
     for arr in (descriptor, feedback, state, forcing):
         arr.setflags(write=False)
     return StateSpace(descriptor, feedback, state, forcing)
-
-
-def check_attack_budget(model: SystemModel, attack: AttackProfile) -> np.ndarray:
-    """Per-area verdict: the dynamic gain fits the compromised-load budget.
-
-    Area n passes iff K_attack * omega_max <= (vulnerable_load - static)/2.
-    """
-    lhs = attack.dyn_gain * model.omega_max
-    rhs = (model.vulnerable_load - attack.static_component) / 2.0
-    return lhs <= rhs
-
-
-def check_droop_capacity(model: SystemModel, droop: DroopSchedule) -> np.ndarray:
-    """Per-area verdict: droop response fits inside the IBR capacity band.
-
-    Area n passes iff ref + K_droop*omega_max <= capacity and
-    ref - K_droop*omega_max >= 0 (both bounds inclusive).
-    """
-    swing = droop.droop_gain * model.omega_max
-    upper_ok = droop.power_ref + swing <= model.ibr_max_power
-    lower_ok = droop.power_ref - swing >= 0.0
-    return upper_ok & lower_ok

@@ -23,7 +23,6 @@ __all__ = [
     "SolveResult",
     "solve_lp",
     "solve_milp",
-    "dump_lp_text",
 ]
 
 RELATIONS = ("<=", "=", ">=")
@@ -376,24 +375,3 @@ def solve_milp(mip: MixedIntegerProgram, node_cap: int = 200_000) -> SolveResult
     if incumbent is None:
         return SolveResult("infeasible", node_count=nodes)
     return SolveResult("optimal", values=incumbent, objective_value=incumbent_obj, node_count=nodes)
-
-
-def dump_lp_text(problem, name: str = "instance") -> str:
-    """Plain-text dump of an LP/MIP for cross-checking with external solvers.
-
-    Format: one MINIMIZE line of objective coefficients, one line per row
-    as `coeffs.. REL rhs`, one BOUNDS line per variable, and a BINARIES
-    line listing binary indices (possibly empty).
-    """
-    if isinstance(problem, MixedIntegerProgram):
-        lp, binaries = problem.base, problem.binary_vars
-    else:
-        lp, binaries = problem, ()
-    lines = [f"PROBLEM {name}", "MINIMIZE " + " ".join(f"{v:.17g}" for v in lp.objective)]
-    for r in range(lp.n_rows):
-        row = " ".join(f"{v:.17g}" for v in lp.lhs[r])
-        lines.append(f"ROW {row} {lp.relations[r]} {lp.rhs[r]:.17g}")
-    for j in range(lp.n_vars):
-        lines.append(f"BOUND {j} {lp.bounds[j, 0]:.17g} {lp.bounds[j, 1]:.17g}")
-    lines.append("BINARIES " + " ".join(str(j) for j in binaries))
-    return "\n".join(lines) + "\n"

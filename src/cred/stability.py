@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ContractError, DegenerateEigenvalueError, NumericalError
-from .grid import AttackProfile, DroopSchedule, StateSpace
+from .grid import StateSpace
 
 __all__ = [
     "EigenSolution",
@@ -24,7 +24,6 @@ __all__ = [
     "eigen_decompose",
     "sensitivity",
     "is_stable",
-    "estimate_eigenvalue_first_order",
 ]
 
 #: eigenvalues closer together than this are treated as repeated
@@ -59,12 +58,11 @@ class EigenSolution:
 
 @dataclass(frozen=True)
 class SensitivityRecord:
-    """First-order derivative of one eigenvalue w.r.t. the area-n gains."""
+    """First-order derivative of one eigenvalue w.r.t. the area-n attack gain."""
 
     eigen_index: int
     area: int
     d_lambda_dKL: complex
-    d_lambda_dKC: complex
 
 
 @dataclass(frozen=True)
@@ -134,7 +132,7 @@ def sensitivity(ss: StateSpace, eig: EigenSolution, i: int, n: int) -> Sensitivi
         )
     k = n_areas + n
     d_kl = -(eig.left_vectors[k, i] * eig.right_vectors[k, i])
-    return SensitivityRecord(i, n, complex(d_kl), complex(-d_kl))
+    return SensitivityRecord(i, n, complex(d_kl))
 
 
 def is_stable(eig: EigenSolution, margin: float = 0.0) -> StabilityVerdict:
@@ -160,29 +158,3 @@ def is_stable(eig: EigenSolution, margin: float = 0.0) -> StabilityVerdict:
         excluded=excluded,
         zero_mode_flagged=bool(excluded),
     )
-
-
-def estimate_eigenvalue_first_order(
-    eig: EigenSolution,
-    records,
-    attack: AttackProfile,
-    droop: DroopSchedule,
-) -> np.ndarray:
-    """First-order spectrum estimate under the given attack and droop gains.
-
-    Every (eigenvalue, active area) pair must have a sensitivity record;
-    areas with zero attack and droop gain need none.
-    """
-    recmap = {}
-    for rec in records:
-        recmap[(rec.eigen_index, rec.area)] = rec
-    active = np.flatnonzero((attack.dyn_gain != 0.0) | (droop.droop_gain != 0.0))
-    out = np.array(eig.eigenvalues, dtype=complex)
-    for i in range(len(eig)):
-        for n in active:
-            rec = recmap.get((i, int(n)))
-            if rec is None:
-                raise ContractError(f"missing sensitivity record for eigenvalue {i}, area {n}")
-            out[i] += rec.d_lambda_dKL * attack.dyn_gain[n]
-            out[i] += rec.d_lambda_dKC * droop.droop_gain[n]
-    return out

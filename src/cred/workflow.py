@@ -33,9 +33,10 @@ from .dispatch import (
     validate_solution,
 )
 from .errors import CredError, InfeasibleError, ScenarioError, ValidationFailure
-from .grid import DroopSchedule
+from .grid import AttackProfile, DroopSchedule, build_state_space
 from .linearize import build_segment_table, select_critical_pairs
 from .scenario import ScenarioBundle, load_samples, load_scenario, scenario_from_dict
+from .stability import eigen_decompose
 from .uncertainty import (
     ConfidenceSpec,
     apply_budget_clamp,
@@ -77,7 +78,6 @@ class WorkflowConfig:
     eps_phi: float | None = None  # default: |range| / 200
     eps_strict: float = 1e-6
     settle_margin: float = 0.05
-    screening_margin: float = 0.5
 
     def __post_init__(self):
         if self.detection_threshold < 0:
@@ -143,8 +143,6 @@ def _build_tables(scn: DispatchScenario, pairs, gains, eps_lim: float, eps_phi: 
     tables = []
     for i, n in pairs:
         gain = float(gains[n])
-        if gain <= 0.0:
-            continue
         step = eps_phi if eps_phi is not None else gain / 200.0
         tables.append(build_segment_table(scn.model, i, n, gain, eps_lim, step))
     return tuple(tables)
@@ -176,13 +174,6 @@ def _certificate_dict(cert) -> dict:
         "estimate_discrepancy": cert.estimate_discrepancy,
         "passed": cert.passed,
     }
-
-
-def _solve_with_shed_fallback(scn, stab):
-    try:
-        return solve_cred(scn, stab, allow_shed=False), "cred_applied"
-    except InfeasibleError:
-        return solve_cred(scn, stab, allow_shed=True), "cred_infeasible_shed"
 
 
 def run_workflow(cfg: WorkflowConfig, bundle: ScenarioBundle | None = None) -> WorkflowReport:
@@ -231,16 +222,12 @@ def run_workflow(cfg: WorkflowConfig, bundle: ScenarioBundle | None = None) -> W
 
     active = tuple(int(a) for a in np.flatnonzero(gains > 0))
     with _stage("screening"):
-        pairs = select_critical_pairs(scn.model, active, gains, cfg.screening_margin)
+        pairs = select_critical_pairs(scn.model, active, gains)
     if not pairs:
         # screening missed a crossing that the exact precheck saw; fall back
         # to sweeping every non-conjugate base eigenvalue of attacked areas
-        from .grid import AttackProfile, build_state_space
-        from .stability import eigen_decompose
-
-        ss0 = build_state_space(scn.model, AttackProfile.none(scn.model.areas),
-                                DroopSchedule.none(scn.model.areas))
-        eig0 = eigen_decompose(ss0)
+        eig0 = eigen_decompose(build_state_space(
+            scn.model, AttackProfile.none(scn.model.areas), DroopSchedule.none(scn.model.areas)))
         pairs = tuple(
             (i, n)
             for n in active
@@ -248,26 +235,26 @@ def run_workflow(cfg: WorkflowConfig, bundle: ScenarioBundle | None = None) -> W
             if eig0.eigenvalues[i].imag >= -1e-12
         )
 
-    with _stage("tables"):
-        tables = _build_tables(scn, pairs, gains, cfg.eps_lim, cfg.eps_phi)
-    stab = StabilityConstraintSet(
-        tables, gains, strict_margin=cfg.eps_strict, settle_margin=cfg.settle_margin
-    )
-    with _stage("dispatch"):
-        sol, branch = _solve_with_shed_fallback(scn, stab)
-    try:
-        with _stage("validation"):
-            cert = validate_solution(scn, sol, gains, stab)
-    except ValidationFailure:
+    def attempt(eps_lim):
+        """Tables, then the dispatch (shedding only if needed), then the certificate."""
         with _stage("tables"):
-            tables = _build_tables(scn, pairs, gains, cfg.eps_lim / 2.0, cfg.eps_phi)
+            tables = _build_tables(scn, pairs, gains, eps_lim, cfg.eps_phi)
         stab = StabilityConstraintSet(
             tables, gains, strict_margin=cfg.eps_strict, settle_margin=cfg.settle_margin
         )
         with _stage("dispatch"):
-            sol, branch = _solve_with_shed_fallback(scn, stab)
+            try:
+                sol, branch = solve_cred(scn, stab, allow_shed=False), "cred_applied"
+            except InfeasibleError:
+                sol, branch = solve_cred(scn, stab, allow_shed=True), "cred_infeasible_shed"
         with _stage("validation"):
             cert = validate_solution(scn, sol, gains, stab)
+        return tables, sol, branch, cert
+
+    try:
+        tables, sol, branch, cert = attempt(cfg.eps_lim)
+    except ValidationFailure:
+        tables, sol, branch, cert = attempt(cfg.eps_lim / 2.0)
 
     sol.stability_certificate = cert
     return finish(

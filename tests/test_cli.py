@@ -1,5 +1,7 @@
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -54,7 +56,7 @@ class TestSimulate:
     def test_trajectory_csv_and_labels(self, toy_path, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["simulate", "--scenario", str(toy_path), "--out", str(out),
-                     "--worst-case", "--t-end", "40"])
+                     "--mode", "worst_case", "--t-end", "40"])
         assert code == 0
         printed = capsys.readouterr().out
         assert "growing" in printed
@@ -62,7 +64,7 @@ class TestSimulate:
         assert rows[0] == ["t", "omega_0", "delta_0"]
 
         code = main(["simulate", "--scenario", str(toy_path), "--out", str(out),
-                     "--worst-case", "--kc", "3.0", "--t-end", "40"])
+                     "--mode", "worst_case", "--kc", "3.0", "--t-end", "40"])
         assert code == 0
         assert "decaying" in capsys.readouterr().out
 
@@ -71,7 +73,7 @@ class TestSimulate:
         for name in ("r1", "r2"):
             out = tmp_path / name
             assert main(["simulate", "--scenario", str(toy_path), "--out", str(out),
-                         "--worst-case", "--kc", "3.0", "--t-end", "40"]) == 0
+                         "--mode", "worst_case", "--kc", "3.0", "--t-end", "40"]) == 0
             blobs.append((out / "trajectory.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
@@ -79,8 +81,8 @@ class TestSimulate:
 class TestGainResolution:
     @pytest.mark.parametrize("flags, mode", [
         (["--samples"], "auto"),
-        (["--worst-case"], "worst_case"),
-        (["--samples", "--worst-case"], "worst_case"),
+        (["--mode"], "worst_case"),
+        (["--samples", "--mode"], "worst_case"),
     ])
     def test_linearize_and_simulate_use_workflow_gains(self, toy_path, tmp_path, monkeypatch,
                                                        flags, mode):
@@ -88,8 +90,8 @@ class TestGainResolution:
         samples.write_text(json.dumps(synthesize_samples(2.5, 0.1, 0, seed=1)))
         with_samples = "--samples" in flags
         args = ["--scenario", str(toy_path)] + (["--samples", str(samples)] if with_samples else [])
-        if "--worst-case" in flags:
-            args.append("--worst-case")
+        if "--mode" in flags:
+            args += ["--mode", mode]
         expected = run_workflow(WorkflowConfig(
             scenario_path=str(toy_path),
             samples_path=str(samples) if with_samples else None,
@@ -116,7 +118,7 @@ class TestWorkflow:
     def test_end_to_end_artifacts(self, toy_path, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["workflow", "--scenario", str(toy_path), "--out", str(out),
-                     "--worst-case"])
+                     "--mode", "worst_case"])
         assert code == 0
         stdout = capsys.readouterr().out
         assert "branch: cred_applied" in stdout
@@ -130,7 +132,7 @@ class TestWorkflow:
         for name in ("r1", "r2"):
             out = tmp_path / name
             main(["workflow", "--scenario", str(toy_path), "--out", str(out),
-                  "--worst-case"])
+                  "--mode", "worst_case"])
             blobs.append((out / "report.json").read_bytes()
                          + (out / "solution.json").read_bytes()
                          + (out / "summary.csv").read_bytes())
@@ -146,12 +148,10 @@ class TestWorkflow:
         report = json.loads((out / "report.json").read_text())
         assert 2.5 < report["robust_gains_pu_per_hz"][0] < 3.0
 
-
-class TestDispatchCommand:
     def test_prints_summary(self, toy_path, tmp_path, capsys):
         out = tmp_path / "out"
-        code = main(["dispatch", "--scenario", str(toy_path), "--out", str(out),
-                     "--worst-case"])
+        code = main(["workflow", "--scenario", str(toy_path), "--out", str(out),
+                     "--mode", "worst_case"])
         assert code == 0
         assert "increment" in capsys.readouterr().out
 
@@ -162,7 +162,7 @@ class TestSweepCommand:
         doc.write_text(json.dumps(single_area_toy()))
         out = tmp_path / "out"
         code = main(["sweep", "--scenario", str(doc), "--out", str(out),
-                     "--worst-case", "--axis", "vulnerable_fraction",
+                     "--mode", "worst_case", "--axis", "vulnerable_fraction",
                      "--grid", "0.1,0.3"])
         assert code == 0
         rows = read_csv(out / "sweep.csv")
@@ -171,6 +171,21 @@ class TestSweepCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["workflow", "--out", "out"],
+        ["dispatch", "--scenario", "toy.json"],
+        ["workflow", "--scenario", "toy.json", "--worst-case"],
+        ["sweep", "--scenario", "toy.json", "--axis", "eta", "--grid", "0.1,x"],
+        ["simulate", "--scenario", "toy.json", "--kc", "1,x"],
+    ])
+    def test_usage_error_is_input_error(self, argv, capsys):
+        assert main(argv) == 4
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["workflow", "-h"]) == 0
+        assert "--mode" in capsys.readouterr().out
+
     def test_missing_scenario_is_input_error(self, tmp_path):
         assert main(["analyze", "--scenario", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 4
@@ -189,7 +204,7 @@ class TestExitCodes:
         path = tmp_path / "doomed.json"
         path.write_text(json.dumps(doc))
         code = main(["workflow", "--scenario", str(path), "--out",
-                     str(tmp_path / "out"), "--worst-case"])
+                     str(tmp_path / "out"), "--mode", "worst_case"])
         assert code == 3
 
     def test_validation_failure_is_exit_two(self, tmp_path):
@@ -200,6 +215,20 @@ class TestExitCodes:
         path = tmp_path / "desk.json"
         path.write_text(json.dumps(three_area_system()))
         code = main(["workflow", "--scenario", str(path), "--out",
-                     str(tmp_path / "out"), "--worst-case",
+                     str(tmp_path / "out"), "--mode", "worst_case",
                      "--eps-lim", "0.5", "--settle-margin", "0"])
         assert code == 2
+
+
+class TestReadme:
+    def test_command_lines_parse(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line, comments=True)
+                    for line in block.replace("\\\n", " ").splitlines()]
+        commands = [c for c in commands if c and c[0] == "cred"]
+        assert {c[1] for c in commands} == {"analyze", "linearize", "simulate", "workflow",
+                                           "sweep"}
+        parser = cli.build_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])

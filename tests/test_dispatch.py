@@ -1,8 +1,14 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import Bounds, LinearConstraint, milp
 
+from cred import dispatch
 from cred.dispatch import (
     DispatchScenario,
     GeneratorSpec,
@@ -23,8 +29,11 @@ from cred.linearize import (
     evaluate_piecewise,
 )
 from cred.milp import MixedIntegerProgram, solve_milp
+from cred.scenario import scenario_from_dict
 from cred.stability import eigen_decompose, is_stable
+from cred.systems import three_area_system, three_area_with_storage
 from cred.uncertainty import AttackEstimate, ConfidenceSpec, robust_gain
+from cred.workflow import WorkflowConfig, run_workflow
 
 from oracles import enumerate_milp
 
@@ -440,3 +449,57 @@ class TestStorage:
         mono = solve_milp(build_cred_milp(scn, stab).program)
         assert mono.optimal
         assert mono.objective_value == pytest.approx(stitched.total_cost, abs=1e-6)
+
+
+def solve_with_highs(program: MixedIntegerProgram):
+    """(status, objective) of the instance under HiGHS with a zero MIP gap."""
+    lp = program.base
+    rel = np.array(lp.relations)
+    lo = np.where(rel == "<=", -np.inf, lp.rhs)
+    hi = np.where(rel == ">=", np.inf, lp.rhs)
+    integrality = np.zeros(lp.n_vars)
+    integrality[list(program.binary_vars)] = 1
+    res = milp(lp.objective,
+               constraints=[LinearConstraint(lp.lhs, lo, hi)] if lp.n_rows else [],
+               integrality=integrality,
+               bounds=Bounds(lp.bounds[:, 0], lp.bounds[:, 1]),
+               options={"mip_rel_gap": 0})
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, res.message)
+    return status, res.fun
+
+
+class TestSecondSolver:
+    """The in-tree B&B and HiGHS agree on the MIPs the workflow solves."""
+
+    @pytest.mark.parametrize("doc, allow_shed", [
+        (three_area_system(), False),
+        (three_area_system(vulnerable_fraction=0.5), True),
+        (three_area_with_storage(), False),
+    ], ids=["desk_worst_case", "desk_vf0.5_shed", "storage_T4"])
+    def test_matches_highs(self, monkeypatch, doc, allow_shed):
+        built = []
+
+        def recording(scn, stab, allow_shed=False, periods=None):
+            problem = build_cred_milp(scn, stab, allow_shed=allow_shed, periods=periods)
+            if stab is not None:
+                built.append((allow_shed, periods, problem.program))
+            return problem
+
+        monkeypatch.setattr(dispatch, "build_cred_milp", recording)
+        bundle = scenario_from_dict(doc)
+        run_workflow(WorkflowConfig(mode="worst_case"), bundle=bundle)
+        t_len = bundle.dispatch.n_periods
+        expected = [None] if bundle.dispatch.storage else [[t] for t in range(t_len)]
+        assert [periods for shed, periods, _ in built if shed == allow_shed] == expected
+        for _, _, program in built:
+            mine = solve_milp(program)
+            status, objective = solve_with_highs(program)
+            assert mine.status == status
+            if status == "optimal":
+                assert mine.objective_value == pytest.approx(objective, rel=1e-6)
+
+    def test_package_does_not_load_scipy_optimize(self):
+        # HiGHS stays a test-only oracle: loading it costs every run's start-up
+        src = str(Path(dispatch.__file__).parent.parent)
+        probe = "import sys, cred.cli; sys.exit('scipy.optimize' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", probe], cwd=src).returncode == 0

@@ -10,8 +10,6 @@ from cred.grid import (
     DroopSchedule,
     SystemModel,
     build_state_space,
-    check_attack_budget,
-    check_droop_capacity,
 )
 
 from oracles import random_system_model
@@ -127,42 +125,3 @@ class TestBuildStateSpace:
         clean = build_state_space(model, AttackProfile.none(n), DroopSchedule.none(n))
         assert np.array_equal(cancel.state_matrix, clean.state_matrix)
         assert np.array_equal(cancel.feedback_b, clean.feedback_b)
-
-
-class TestAttackBudget:
-    def test_simple_budget(self, one_area_model):
-        # vulnerable 3 at omega_max 0.5: passes up to gain 3
-        assert check_attack_budget(one_area_model, AttackProfile([3.0], [0.0], (0,))).all()
-        assert not check_attack_budget(one_area_model, AttackProfile([3.1], [0.0], (0,))).all()
-
-    def test_zero_attack_always_passes(self, one_area_model):
-        assert check_attack_budget(one_area_model, AttackProfile.none(1)).all()
-
-    def test_thirty_percent_of_five_gw(self):
-        # 30% of a 5 GW area at omega_max 0.5 Hz caps the gain at 1.5 GW/Hz
-        model = SystemModel(
-            areas=1, inertia_sg=[5.0], inertia_ibr=[0.0], damping=[0.0],
-            gov_integral=[5.0], gov_proportional=[2.0], susceptance=[[0.0]],
-            secure_load=[3.5], vulnerable_load=[1.5], ibr_max_power=[0.0],
-            omega_max=0.5,
-        )
-        assert check_attack_budget(model, AttackProfile([1.5], [0.0], (0,))).all()
-        assert not check_attack_budget(model, AttackProfile([1.5000001], [0.0], (0,))).all()
-
-    def test_static_component_shrinks_budget(self, one_area_model):
-        attack = AttackProfile([2.6], [0.5], (0,))
-        # (3 - 0.5)/2 = 1.25 >= 2.6*0.5 = 1.3 fails
-        assert not check_attack_budget(one_area_model, attack).all()
-
-
-class TestDroopCapacity:
-    def test_inside_band(self, one_area_model):
-        # capacity 4: ref 2 with swing 0.5 stays in [0, 4]
-        assert check_droop_capacity(one_area_model, DroopSchedule([1.0], [2.0])).all()
-
-    def test_lower_bound_violated(self, one_area_model):
-        assert not check_droop_capacity(one_area_model, DroopSchedule([1.0], [0.2])).all()
-
-    def test_boundary_inclusive(self, one_area_model):
-        # ref + swing exactly at capacity: 3.5 + 0.5 = 4.0 passes
-        assert check_droop_capacity(one_area_model, DroopSchedule([1.0], [3.5])).all()

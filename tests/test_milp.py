@@ -8,7 +8,6 @@ from cred.errors import BuildError
 from cred.milp import (
     LinearProgram,
     MixedIntegerProgram,
-    dump_lp_text,
     solve_lp,
     solve_milp,
 )
@@ -184,15 +183,3 @@ class TestSolveMilp:
         lp = LinearProgram([1.0], np.zeros((0, 1)), (), [], [[0.0, 2.0]])
         with pytest.raises(BuildError):
             MixedIntegerProgram(lp, (0,))
-
-
-class TestDump:
-    def test_round_trip_readable(self):
-        lp = LinearProgram([1.0, -2.0], [[1.0, 1.0]], ("<=",), [1.5],
-                           [[0.0, 1.0], [0.0, 1.0]])
-        text = dump_lp_text(MixedIntegerProgram(lp, (1,)), name="toy")
-        lines = text.strip().splitlines()
-        assert lines[0] == "PROBLEM toy"
-        assert lines[1].startswith("MINIMIZE 1 -2")
-        assert lines[2] == "ROW 1 1 <= 1.5"
-        assert lines[-1] == "BINARIES 1"

@@ -3,14 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cred.errors import ContractError, DegenerateEigenvalueError
+from cred.errors import DegenerateEigenvalueError
 from cred.grid import AttackProfile, DroopSchedule, StateSpace, build_state_space
-from cred.stability import (
-    eigen_decompose,
-    estimate_eigenvalue_first_order,
-    is_stable,
-    sensitivity,
-)
+from cred.stability import eigen_decompose, is_stable, sensitivity
 
 from oracles import eigenvalues_by_char_poly, fd_eigen_sensitivity, random_system_model
 
@@ -71,11 +66,6 @@ class TestSensitivity:
         rec = sensitivity(one_area_ss, eig, 1, 0)
         # implicit differentiation of lam^2 + (2-k) lam + 5 at k=0, lam=-1+2j
         assert abs(rec.d_lambda_dKL - (0.5 + 0.25j)) <= 1e-10
-
-    def test_droop_derivative_is_exact_negation(self, one_area_ss):
-        eig = eigen_decompose(one_area_ss)
-        rec = sensitivity(one_area_ss, eig, 1, 0)
-        assert rec.d_lambda_dKC == -rec.d_lambda_dKL
 
     def test_matches_finite_differences(self, rng):
         checked = 0
@@ -159,35 +149,3 @@ class TestIsStable:
         n = model.areas
         ss = build_state_space(model, AttackProfile.none(n), DroopSchedule.none(n))
         assert is_stable(eigen_decompose(ss)).stable
-
-
-class TestFirstOrderEstimate:
-    def test_single_attack_shift(self, one_area_ss):
-        eig = eigen_decompose(one_area_ss)
-        recs = [sensitivity(one_area_ss, eig, i, 0) for i in range(2)]
-        est = estimate_eigenvalue_first_order(
-            eig, recs, AttackProfile([1.0], [0.0], (0,)), DroopSchedule.none(1)
-        )
-        assert abs(est[1] - (-0.5 + 2.25j)) <= 1e-10
-
-    def test_equal_gains_cancel(self, one_area_ss):
-        eig = eigen_decompose(one_area_ss)
-        recs = [sensitivity(one_area_ss, eig, i, 0) for i in range(2)]
-        est = estimate_eigenvalue_first_order(
-            eig, recs, AttackProfile([1.0], [0.0], (0,)), DroopSchedule([1.0], [0.0])
-        )
-        assert np.allclose(est, eig.eigenvalues, atol=1e-12)
-
-    def test_zero_gains_identity(self, one_area_ss):
-        eig = eigen_decompose(one_area_ss)
-        est = estimate_eigenvalue_first_order(
-            eig, [], AttackProfile.none(1), DroopSchedule.none(1)
-        )
-        assert np.array_equal(est, eig.eigenvalues)
-
-    def test_missing_record_rejected(self, one_area_ss):
-        eig = eigen_decompose(one_area_ss)
-        with pytest.raises(ContractError):
-            estimate_eigenvalue_first_order(
-                eig, [], AttackProfile([1.0], [0.0], (0,)), DroopSchedule.none(1)
-            )

@@ -7,6 +7,7 @@ from cred.errors import ScenarioError
 from cred.grid import AttackProfile, DroopSchedule, build_state_space
 from cred.scenario import scenario_from_dict
 from cred.simulate import classify_trajectory, simulate
+from cred.stability import eigen_decompose
 from cred.systems import single_area_toy, synthesize_samples, three_area_no_wind
 from cred.workflow import WorkflowConfig, run_workflow, sweep_study
 
@@ -120,6 +121,25 @@ class TestBranches:
         assert rep.solution.droop[0, 0] == 0.0
         assert rep.solution.droop[0, 1] > single.solution.droop[0, 1]
         assert rep.cost_increment > single.cost_increment
+        assert max(rep.certificate["max_real_per_period"]) < 0.0
+
+
+class TestScreeningFallback:
+    def test_empty_screening_sweeps_every_base_mode(self, monkeypatch):
+        import cred.workflow as wf
+        from cred.systems import three_area_system
+
+        monkeypatch.setattr(wf, "select_critical_pairs", lambda *args, **kwargs: ())
+        doc = three_area_system()
+        rep = run_toy(doc)
+        model = scenario_from_dict(doc).model
+        eig = eigen_decompose(build_state_space(model, AttackProfile.none(3),
+                                                DroopSchedule.none(3)))
+        upper = [i for i, lam in enumerate(eig.eigenvalues) if lam.imag >= -1e-12]
+        assert len(upper) < len(eig)
+        assert rep.pairs == [(i, n) for n in doc["attack"]["areas"] for i in upper]
+        assert rep.branch_taken == "cred_applied"
+        assert rep.certificate["passed"] is True
         assert max(rep.certificate["max_real_per_period"]) < 0.0
 
 
