@@ -7,6 +7,10 @@ anchored at the latest linearization point drifts from the true eigenvalue
 by more than eps_lim in real part, the offending grid point becomes a fresh
 anchor with its own eigenvalue and sensitivity.  The resulting table bounds
 the real-part approximation error on every visited grid point by eps_lim.
+
+Grid points differ from the base loop in one diagonal entry of the state
+matrix, so their spectra come from one stacked eigensolve per block of
+BLOCK points; only an anchor takes a full state space and decomposition.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .errors import (
     ConfigurationError,
     CoverageError,
     DegenerateEigenvalueError,
+    NumericalError,
     TrackingError,
 )
 from .grid import AttackProfile, DroopSchedule, StateSpace, SystemModel, build_state_space
@@ -32,6 +37,9 @@ __all__ = [
     "evaluate_piecewise",
     "select_critical_pairs",
 ]
+
+#: grid points per stacked eigensolve; bounds the stack's memory at fine steps
+BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -92,6 +100,31 @@ def _tracking_gate(step: float, slope: complex) -> float:
     return 10.0 * step * abs(slope) + 0.1
 
 
+def _grid_spectra(model: SystemModel, ss0: StateSpace, eigen_index: int, area: int, grid):
+    """Spectrum at each grid gain, from one stacked eigvals call per block.
+
+    Each grid loop is ss0 with its area-row damping entry rewritten as
+    build_state_space computes it, -(1/M) * (K_p + D + (-k)); x + (-k) and
+    x - k are the same IEEE operation, so the matrices are bit-identical to
+    net_gain_state_space(model, area, k).state_matrix.
+    """
+    row = model.areas + area
+    minv = 1.0 / model.total_inertia[area]
+    base_damp = model.gov_proportional[area] + model.damping[area]
+    for start in range(0, len(grid), BLOCK):
+        ks = grid[start:start + BLOCK]
+        stack = np.repeat(ss0.state_matrix[None], len(ks), axis=0)
+        stack[:, row, row] = -minv * (base_damp - ks)
+        try:
+            spectra = np.linalg.eigvals(stack)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"grid eigensolve failed for pair ({eigen_index}, {area}) on abscissas "
+                f"[{ks[0]:g}, {ks[-1]:g}]: {exc}"
+            ) from exc
+        yield from spectra
+
+
 def build_segment_table(
     model: SystemModel,
     eigen_index: int,
@@ -104,7 +137,9 @@ def build_segment_table(
 
     range_end may have either sign; eps_phi is the (positive) grid step.
     The base system (net gain zero) must be stable and the tracked
-    eigenvalue simple wherever a sensitivity is taken.
+    eigenvalue simple wherever a sensitivity is taken.  Grid spectra share
+    one stacked eigensolve per BLOCK points; each new anchor still builds
+    its state space and takes a full eigen decomposition.
     """
     if eps_lim <= 0.0:
         raise ConfigurationError("eps_lim must be > 0")
@@ -129,18 +164,16 @@ def build_segment_table(
 
     direction = 1.0 if range_end > 0 else -1.0
     n_steps = int(np.floor(abs(range_end) / eps_phi + 1e-9))
-    grid = [direction * eps_phi * j for j in range(1, n_steps + 1)]
-    if not grid or abs(grid[-1]) < abs(range_end) - 1e-12:
-        grid.append(range_end)
+    grid = direction * eps_phi * np.arange(1, n_steps + 1, dtype=float)
+    if abs(grid[-1]) < abs(range_end) - 1e-12:
+        grid = np.append(grid, range_end)
 
     points = [LinearizationPoint(0.0, base_lambda, base_slope)]
     prev_lambda = base_lambda
     audit_abscissas = []
     audit_errors = []
 
-    for k in grid:
-        ss_k = net_gain_state_space(model, area, k)
-        spectrum = np.linalg.eigvals(ss_k.state_matrix)
+    for k, spectrum in zip(grid.tolist(), _grid_spectra(model, ss0, eigen_index, area, grid)):
         j = int(np.argmin(np.abs(spectrum - prev_lambda)))
         lam_true = complex(spectrum[j])
         gate = _tracking_gate(eps_phi, points[-1].slope)
@@ -154,6 +187,7 @@ def build_segment_table(
         estimate = anchor.eigenvalue + anchor.slope * (k - anchor.abscissa)
         err = abs(lam_true.real - estimate.real)
         if err > eps_lim:
+            ss_k = net_gain_state_space(model, area, k)
             eig_k = eigen_decompose(ss_k)
             idx = int(np.argmin(np.abs(eig_k.eigenvalues - lam_true)))
             try:

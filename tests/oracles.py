@@ -3,8 +3,9 @@
 Nothing here imports the code paths it checks: eigenvalues come from the
 characteristic polynomial (Faddeev-LeVerrier coefficients chased with a
 Durand-Kerner root finder), sensitivities from central finite differences
-of a fresh decomposition, and MILP optima from exhaustive enumeration of
-the binary assignments.
+of a fresh decomposition, segment-table sweeps from a fresh state space and
+eigensolve at every grid point, and MILP optima from exhaustive enumeration
+of the binary assignments.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ import itertools
 
 import numpy as np
 
-from cred.linearize import net_gain_state_space
+from cred.errors import ConfigurationError, TrackingError
+from cred.linearize import LinearizationPoint, net_gain_state_space
 from cred.milp import MixedIntegerProgram, solve_lp
+from cred.stability import eigen_decompose, is_stable, sensitivity
 
 
 def char_poly_coefficients(a: np.ndarray) -> np.ndarray:
@@ -66,6 +69,53 @@ def fd_eigen_sensitivity(model, base_lambda: complex, area: int, h: float = 1e-5
         spectrum = np.linalg.eigvals(ss.state_matrix)
         values.append(spectrum[np.argmin(np.abs(spectrum - base_lambda))])
     return (values[0] - values[1]) / (2.0 * h)
+
+
+def sweep_segment_table_pointwise(model, eigen_index: int, area: int, range_end: float,
+                                  eps_lim: float, eps_phi: float):
+    """Reference sweep: one net_gain_state_space and eigvals per grid point.
+
+    Same grid, tracking gate and anchoring rule as build_segment_table;
+    returns (points, grid_abscissas, grid_errors).  A repeated eigenvalue
+    at an anchor raises DegenerateEigenvalueError from sensitivity.
+    """
+    ss0 = net_gain_state_space(model, area, 0.0)
+    eig0 = eigen_decompose(ss0)
+    if not is_stable(eig0):
+        raise ConfigurationError("base system is unstable")
+    base_lambda = complex(eig0.eigenvalues[eigen_index])
+    points = [LinearizationPoint(0.0, base_lambda,
+                                 sensitivity(ss0, eig0, eigen_index, area).d_lambda_dKL)]
+
+    direction = 1.0 if range_end > 0 else -1.0
+    n_steps = int(np.floor(abs(range_end) / eps_phi + 1e-9))
+    grid = [direction * eps_phi * j for j in range(1, n_steps + 1)]
+    if not grid or abs(grid[-1]) < abs(range_end) - 1e-12:
+        grid.append(range_end)
+
+    prev_lambda = base_lambda
+    abscissas, errors = [], []
+    for k in grid:
+        ss_k = net_gain_state_space(model, area, k)
+        spectrum = np.linalg.eigvals(ss_k.state_matrix)
+        lam_true = complex(spectrum[np.argmin(np.abs(spectrum - prev_lambda))])
+        gate = 10.0 * eps_phi * abs(points[-1].slope) + 0.1
+        if abs(lam_true - prev_lambda) > gate:
+            raise TrackingError(f"eigenvalue jump at abscissa {k:g}")
+        anchor = points[-1]
+        estimate = anchor.eigenvalue + anchor.slope * (k - anchor.abscissa)
+        err = abs(lam_true.real - estimate.real)
+        if err > eps_lim:
+            eig_k = eigen_decompose(ss_k)
+            idx = int(np.argmin(np.abs(eig_k.eigenvalues - lam_true)))
+            lam_true = complex(eig_k.eigenvalues[idx])
+            points.append(LinearizationPoint(
+                float(k), lam_true, sensitivity(ss_k, eig_k, idx, area).d_lambda_dKL))
+            err = 0.0
+        abscissas.append(float(k))
+        errors.append(err)
+        prev_lambda = lam_true
+    return tuple(points), np.array(abscissas), np.array(errors)
 
 
 def enumerate_milp(mip: MixedIntegerProgram):

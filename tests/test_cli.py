@@ -8,7 +8,7 @@ import pytest
 from cred import cli
 from cred.cli import main
 from cred.grid import build_state_space
-from cred.systems import single_area_toy, synthesize_samples
+from cred.systems import single_area_toy, synthesize_samples, three_area_system
 from cred.workflow import WorkflowConfig, run_workflow
 
 
@@ -50,6 +50,18 @@ class TestLinearize:
         audit = read_csv(out / "linearize_audit.csv")
         errors = [float(r[3]) for r in audit[1:]]
         assert max(errors) <= 0.02
+
+    def test_rerun_writes_identical_tables(self, tmp_path):
+        desk = tmp_path / "desk.json"
+        desk.write_text(json.dumps(three_area_system()))
+        blobs = []
+        for name in ("r1", "r2"):
+            out = tmp_path / name
+            assert main(["linearize", "--scenario", str(desk), "--out", str(out),
+                         "--mode", "worst_case"]) == 0
+            blobs.append([(out / f).read_bytes() for f in ("segments.csv", "linearize_audit.csv")])
+        assert len(blobs[0][1].splitlines()) > 200  # header plus a full grid per pair
+        assert blobs[0] == blobs[1]
 
 
 class TestSimulate:

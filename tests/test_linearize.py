@@ -1,14 +1,28 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import random_system_model, sweep_segment_table_pointwise
 
-from cred.errors import ConfigurationError, CoverageError
+from cred import linearize
+from cred.errors import (
+    ConfigurationError,
+    CoverageError,
+    CredError,
+    NumericalError,
+    TrackingError,
+)
 from cred.grid import SystemModel
 from cred.linearize import (
+    BLOCK,
     build_segment_table,
     evaluate_piecewise,
     net_gain_state_space,
     select_critical_pairs,
 )
+from cred.workflow import WorkflowConfig, run_workflow
 
 
 @pytest.fixture
@@ -106,6 +120,105 @@ class TestBuildSegmentTable:
         with pytest.raises(ConfigurationError):
             build_segment_table(one_area_model, 1, 0, range_end=4.0,
                                 eps_lim=0.0, eps_phi=0.05)
+
+
+def assert_matches_pointwise(model, eigen_index, area, range_end, eps_lim, eps_phi):
+    """The table equals the per-point reference sweep, or both raise the same type."""
+    try:
+        points, abscissas, errors = sweep_segment_table_pointwise(
+            model, eigen_index, area, range_end, eps_lim, eps_phi)
+    except CredError as exc:
+        with pytest.raises(type(exc)):
+            build_segment_table(model, eigen_index, area, range_end, eps_lim, eps_phi)
+        return None
+    tab = build_segment_table(model, eigen_index, area, range_end, eps_lim, eps_phi)
+    assert tab.points == points
+    assert np.array_equal(tab.grid_abscissas, abscissas)
+    assert np.array_equal(tab.grid_errors, errors)
+    return tab
+
+
+class TestStackedSweep:
+    """Grid spectra from stacked eigensolves equal a fresh solve per point."""
+
+    @settings(max_examples=60)
+    @given(data=st.data(), seed=st.integers(0, 2**31 - 1), n_areas=st.integers(1, 3),
+           magnitude=st.floats(0.5, 20.0), negative=st.booleans(),
+           steps=st.integers(4, 300), divides=st.booleans(),
+           eps_lim=st.floats(1e-4, 0.1))
+    def test_matches_pointwise_sweep(self, data, seed, n_areas, magnitude, negative,
+                                     steps, divides, eps_lim):
+        model = random_system_model(np.random.RandomState(seed), n_areas)
+        eigen_index = data.draw(st.integers(0, 2 * n_areas - 1), label="eigen_index")
+        area = data.draw(st.integers(0, n_areas - 1), label="area")
+        eps_phi = magnitude / (steps if divides else steps + 0.37)
+        assert_matches_pointwise(model, eigen_index, area, -magnitude if negative else magnitude,
+                                 eps_lim, eps_phi)
+
+    @pytest.mark.parametrize("seed, n_areas, eigen_index, area, range_end, eps_lim, steps", [
+        (1917413219, 3, 1, 2, -17.5, 0.1, 167),
+        (73165354, 2, 2, 0, 40.0, 0.09, 30),
+    ])
+    def test_tracking_failure_matches_pointwise(self, seed, n_areas, eigen_index, area,
+                                                range_end, eps_lim, steps):
+        model = random_system_model(np.random.RandomState(seed), n_areas)
+        eps_phi = abs(range_end) / steps
+        with pytest.raises(TrackingError):
+            sweep_segment_table_pointwise(model, eigen_index, area, range_end, eps_lim, eps_phi)
+        assert_matches_pointwise(model, eigen_index, area, range_end, eps_lim, eps_phi) is None
+
+    def test_grid_spanning_several_blocks(self, curved_two_area):
+        tab = assert_matches_pointwise(curved_two_area, 0, 1, 8.0, 1e-4, 8.0 / 600)
+        assert len(tab.grid_abscissas) > 2 * BLOCK
+        blocks = {int(np.flatnonzero(tab.grid_abscissas == p.abscissa)[0]) // BLOCK
+                  for p in tab.points[1:]}
+        assert blocks == {0, 1, 2}
+
+    @pytest.mark.parametrize("steps", [200, 600])
+    def test_state_spaces_only_at_anchors(self, desk_bundle, monkeypatch, steps):
+        rep = run_workflow(WorkflowConfig(mode="worst_case"), bundle=desk_bundle)
+        assert rep.pairs
+        built, solves = [], []
+        original_state_space, original_eigvals = net_gain_state_space, np.linalg.eigvals
+
+        def counting_state_space(model, area, k):
+            built.append(k)
+            return original_state_space(model, area, k)
+
+        def counting_eigvals(a):
+            solves.append(a.shape[0])
+            return original_eigvals(a)
+
+        monkeypatch.setattr(linearize, "net_gain_state_space", counting_state_space)
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        for i, n in rep.pairs:
+            gain = rep.robust_gains[n]
+            built.clear()
+            solves.clear()
+            tab = build_segment_table(desk_bundle.model, i, n, gain, 0.02, gain / steps)
+            # the base loop plus one state space per added anchor
+            assert built == [p.abscissa for p in tab.points]
+            grid = len(tab.grid_abscissas)
+            assert len(solves) == math.ceil(grid / BLOCK)
+            assert sum(solves) == grid
+
+    def test_solver_failure_is_typed(self, curved_two_area, monkeypatch):
+        original, calls = np.linalg.eigvals, []
+
+        def failing_second_block(a):
+            calls.append(a)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing_second_block)
+        step = 8.0 / 600
+        with pytest.raises(NumericalError) as info:
+            build_segment_table(curved_two_area, 0, 1, 8.0, 0.02, step)
+        message = str(info.value)
+        assert "pair (0, 1)" in message
+        assert f"[{step * (BLOCK + 1):g}, {step * 2 * BLOCK:g}]" in message
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestEvaluatePiecewise:
