@@ -2,7 +2,8 @@
 """Write the desk-scale study scenarios and detection-sample files.
 
 Produces the single-area toy, the three-area system (with and without wind,
-plus a storage variant), and one sample file per estimation case.
+plus a storage variant over four periods and over a day), and one sample
+file per estimation case.
 """
 
 import argparse
@@ -14,6 +15,7 @@ from cred.systems import (
     single_area_toy,
     synthesize_samples,
     three_area_no_wind,
+    three_area_storage_day,
     three_area_system,
     three_area_with_storage,
 )
@@ -33,6 +35,7 @@ def main() -> None:
         "desk_mid_wind.json": three_area_system(),
         "desk_no_wind.json": three_area_no_wind(),
         "desk_storage.json": three_area_with_storage(),
+        "desk_storage_day.json": three_area_storage_day(),
     }
     for name, doc in docs.items():
         (out / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

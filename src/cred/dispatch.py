@@ -1,4 +1,4 @@
-"""Stability-constrained economic dispatch as a mixed-integer program.
+"""Stability-constrained economic dispatch: an LP for one attacked area, a MIP for several.
 
 Builds, per period: a single system-wide power balance, committed-generator
 limits, wind dispatch with droop headroom on both sides of the reference,
@@ -7,16 +7,25 @@ area) pair, the piecewise eigenvalue-shift constraint.  Attack gains are
 fixed to their robust values; droop gains are decision variables that
 enter through the net gain k = robust_gain - K_droop.
 
-The piecewise constraint uses the disaggregated multiple-choice encoding
-(Vielma, Ahmed & Nemhauser, Oper. Res. 58(2), 2010): each segment m of a
-pair gets one binary z_m and one continuous copy u_m of the net gain, with
+Segment m of a pair holds k in [phi_m, hi_m], where hi_m = phi_{m+1} -
+strict_margin, or the robust gain on the last segment, and adds
+slope_m k + offset_m to its eigenvalue's row, which is bounded by
+-(strict + settle) - Re(base).
+
+When several areas are attacked, the piecewise constraint uses the
+disaggregated multiple-choice encoding (Vielma, Ahmed & Nemhauser, Oper.
+Res. 58(2), 2010): each segment m of a pair gets one binary z_m and one
+continuous copy u_m of the net gain, with
 
     k = sum_m u_m,   sum_m z_m = 1,   phi_m z_m <= u_m <= hi_m z_m,
 
-where hi_m = phi_{m+1} - strict_margin, or the robust gain on the last
-segment.  Each eigenvalue's row sums slope_m u_m + offset_m z_m over the
-segments of all its pairs and bounds it by -(strict + settle) - Re(base).
-The encoding is locally ideal and needs no big-M constant.
+and each eigenvalue's row sums slope_m u_m + offset_m z_m over the
+segments of all its pairs.  The encoding is locally ideal and needs no
+big-M constant.
+
+When one area is attacked, every row is a function of that area's scalar
+net gain alone, and the dispatch is a plain LP with the droop pinned to an
+exact floor (StabilityConstraintSet.net_gain_ceiling, build_cred_milp).
 
 Solutions are certified a posteriori by an exact eigenvalue check of every
 period's closed loop.
@@ -191,16 +200,92 @@ class StabilityConstraintSet:
             out[key] = tab
         return dict(sorted(out.items()))
 
+    def live_tables(self) -> dict:
+        """Tables of areas with a positive robust gain; only these get stability rows."""
+        return {pair: tab for pair, tab in self.tables_by_pair().items()
+                if self.robust_gains[pair[1]] > 0.0}
+
+    def segments(self, tab) -> list:
+        """(phi_m, hi_m, slope_m, offset_m) of each segment of one table."""
+        gain = float(self.robust_gains[tab.area])
+        pts = tab.points
+        out = []
+        for m, point in enumerate(pts):
+            hi = pts[m + 1].abscissa - self.strict_margin if m + 1 < len(pts) else gain
+            slope = point.slope.real
+            offset = (point.eigenvalue - tab.base_eigenvalue).real - slope * point.abscissa
+            out.append((point.abscissa, hi, slope, offset))
+        return out
+
+    def row_bounds(self) -> dict:
+        """Right-hand side -(strict + settle) - Re(base) of each eigenvalue's row."""
+        out = {}
+        for (i, _), tab in self.tables_by_pair().items():
+            out.setdefault(i, -(self.strict_margin + self.settle_margin) - tab.base_eigenvalue.real)
+        return out
+
+    def net_gain_ceiling(self) -> tuple:
+        """Largest net gain meeting every stability row of a one-area attack.
+
+        With one attacked area every eigenvalue's row is a function of one
+        scalar, that area's net gain k in [0, gain].  Segment m of a pair
+        admits [phi_m, min(hi_m, gain)] cut by slope_m k + offset_m <= bound,
+        so each pair admits a finite union of closed intervals, and the
+        largest k in all of them is a right endpoint of one interval.
+        Returns that k and, per pair, the segment holding it.  Raises
+        InfeasibleError when no k meets every row.
+        """
+        tables = self.live_tables()
+        areas = {a for _, a in tables}
+        if len(areas) != 1:
+            raise BuildError("the net-gain ceiling needs tables in exactly one attacked area")
+        (area,) = areas
+        gain = float(self.robust_gains[area])
+        bounds = self.row_bounds()
+        spans = {}
+        for (i, a), tab in tables.items():
+            spans[(i, a)] = []
+            for m, (phi, hi, slope, offset) in enumerate(self.segments(tab)):
+                lo, up = phi, min(hi, gain)
+                cap = bounds[i] - offset
+                if slope > 0.0:
+                    up = min(up, cap / slope)
+                elif slope < 0.0:
+                    lo = max(lo, cap / slope)
+                elif cap < 0.0:
+                    continue
+                if lo <= up:
+                    spans[(i, a)].append((lo, up, m))
+        for k in sorted({up for pair_spans in spans.values() for _, up, _ in pair_spans},
+                        reverse=True):
+            held = {}
+            for pair, pair_spans in spans.items():
+                m = next((m for lo, up, m in pair_spans if lo <= k <= up), None)
+                if m is None:
+                    break
+                held[pair] = m
+            else:
+                return k, held
+        raise InfeasibleError(
+            f"dispatch infeasible: no net gain in [0, {gain:g}] of area {area} meets "
+            "every stability row"
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class CredMilp:
-    """Assembled instance plus the variable index needed to read solutions."""
+    """Assembled instance plus the variable index needed to read solutions.
+
+    fixed_binaries holds the segment indicators the one-area floor decided
+    before the solve, keyed (t, i, a, m); it is empty for a MIP.
+    """
 
     program: MixedIntegerProgram
     index: dict
     periods: tuple
     scenario: DispatchScenario
     stability: StabilityConstraintSet | None
+    fixed_binaries: dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +296,6 @@ class StabilityCertificate:
     worst_period: int
     worst_eigenvalues: np.ndarray
     estimate_discrepancy: float | None
-    passed: bool
 
 
 @dataclass(eq=False)
@@ -256,12 +340,25 @@ def build_cred_milp(
     allow_shed: bool = False,
     periods=None,
 ) -> CredMilp:
-    """Assemble the dispatch MIP over the given periods (default: all).
+    """Assemble the dispatch over the given periods (default: all).
 
     With stab=None (or no tables) the instance is the plain economic
     dispatch: droop and reserve are pinned to zero and no binaries appear.
     Every table must cover [0, robust_gain] of its area, otherwise the
     build fails with a coverage error.
+
+    When tables with a positive gain exist in exactly one area a, the
+    instance is an LP with kc[t, a] pinned to gain - k_max, where k_max is
+    the net-gain ceiling of the tables, and without the stability rows.
+    This is the MIP's optimum: kc enters only through pres = omega*kc,
+    pw + pres <= avail and pw >= pres, and the objective has no droop
+    term, so raising kc only shrinks the feasible set and the optimal cost
+    is nondecreasing in every kc[t, a].  The smallest kc the rows of a
+    single area admit is gain - k_max, so it is optimal, and the LP is
+    infeasible exactly when the MIP is.  The build raises BuildError if
+    any other row or the objective touches kc or pres, and InfeasibleError
+    if no net gain meets the rows.  Two or more attacked areas keep the
+    MIP.
     """
     n = scn.model.areas
     if periods is None:
@@ -289,6 +386,20 @@ def build_cred_milp(
                 f"but robust gain is {gains[a]:g}"
             )
     covered_areas = {a for (_, a) in tables}
+    live = stab.live_tables() if stab is not None else {}
+    live_areas = {a for _, a in live}
+    floor_area, fixed_binaries = None, {}
+    if len(live_areas) == 1:
+        (floor_area,) = live_areas
+        knet_max, held = stab.net_gain_ceiling()
+        floor_kc = float(gains[floor_area]) - knet_max
+        fixed_binaries = {
+            (t, i, a, m_id): float(m_id == held[(i, a)])
+            for t in periods for (i, a), tab in live.items() for m_id in range(len(tab.points))
+        }
+        live = {}  # no stability rows, no binaries
+    segments = {pair: stab.segments(tab) for pair, tab in live.items()}
+    row_bounds = stab.row_bounds() if live else {}
 
     omega = scn.model.omega_max
     v = _Vars()
@@ -307,17 +418,17 @@ def build_cred_milp(
             avail = float(scn.wind_available[t, a])
             v.add("pw", (t, a), 0.0, avail)
             v.add("pres", (t, a), 0.0, avail)
-            kc_cap = float(gains[a]) if a in covered_areas else 0.0
-            v.add("kc", (t, a), 0.0, kc_cap)
+            if a == floor_area:
+                v.add("kc", (t, a), floor_kc, floor_kc)
+            else:
+                v.add("kc", (t, a), 0.0, float(gains[a]) if a in covered_areas else 0.0)
             shed_cap = float(scn.demand[t, a]) if allow_shed else 0.0
             v.add("ps", (t, a), 0.0, shed_cap)
         for s_id, stor in enumerate(scn.storage):
             v.add("pch", (t, s_id), 0.0, stor.power_limit)
             v.add("pdis", (t, s_id), 0.0, stor.power_limit)
             v.add("soc", (t, s_id), stor.soc_min, stor.soc_max)
-        for (i, a), tab in tables.items():
-            if gains[a] <= 0.0:
-                continue
+        for (i, a), tab in live.items():
             v.add("knet", (t, i, a), 0.0, float(gains[a]))
             for m_id in range(len(tab.points)):
                 binaries.append(v.add("z", (t, i, a, m_id), 0.0, 1.0))
@@ -362,43 +473,27 @@ def build_cred_milp(
                 add_row({v.get("soc", (t, s_id)): 1.0}, "=", stor.soc_initial)
 
         eig_rows = {}
-        for (i, a), tab in tables.items():
-            if gains[a] <= 0.0:
-                continue
+        for (i, a), segs in segments.items():
             knet = v.get("knet", (t, i, a))
             add_row({knet: 1.0, v.get("kc", (t, a)): 1.0}, "=", float(gains[a]))
-            # segment m holds knet in [phi_m, phi_{m+1} - strict_margin], the
-            # last one up to the robust gain; u_m carries knet when z_m = 1
+            # u_m carries knet when z_m = 1
             knet_sum = {knet: -1.0}
             z_sum = {}
             row = eig_rows.setdefault(i, {})
-            n_seg = len(tab.points)
-            for m_id, point in enumerate(tab.points):
+            for m_id, (phi, upper, slope, offset) in enumerate(segs):
                 z = v.get("z", (t, i, a, m_id))
                 u = v.get("u", (t, i, a, m_id))
-                if m_id + 1 < n_seg:
-                    upper = tab.points[m_id + 1].abscissa - stab.strict_margin
-                else:
-                    upper = float(gains[a])
-                add_row({u: 1.0, z: -point.abscissa}, ">=", 0.0)
+                add_row({u: 1.0, z: -phi}, ">=", 0.0)
                 add_row({u: 1.0, z: -upper}, "<=", 0.0)
                 knet_sum[u] = 1.0
                 z_sum[z] = 1.0
-                slope_re = point.slope.real
-                offset = (point.eigenvalue - tab.base_eigenvalue).real - slope_re * point.abscissa
-                row[u] = slope_re
+                row[u] = slope
                 row[z] = offset
             add_row(knet_sum, "=", 0.0)
             add_row(z_sum, "=", 1.0)
 
         for i, row in sorted(eig_rows.items()):
-            base_re = None
-            for (ii, a), tab in tables.items():
-                if ii == i:
-                    base_re = tab.base_eigenvalue.real
-                    break
-            rhs = -(stab.strict_margin + stab.settle_margin) - base_re
-            add_row(dict(row), "<=", rhs)
+            add_row(dict(row), "<=", row_bounds[i])
 
         for g_id, gen in enumerate(scn.generators):
             obj[v.get("pg", (t, g_id))] = gen.marginal_cost * scn.base_power * DELTA_T
@@ -419,13 +514,46 @@ def build_cred_milp(
         rhs_v[r] = rhs
     bounds = np.array(v.bounds, dtype=float)
     lp = LinearProgram(c, lhs, tuple(rel), rhs_v, bounds)
+    if floor_area is not None:
+        _check_droop_monotone(lp, v.index, omega)
     mip = MixedIntegerProgram(lp, tuple(binaries))
-    return CredMilp(mip, v.index, periods, scn, stab)
+    return CredMilp(mip, v.index, periods, scn, stab, fixed_binaries)
+
+
+def _check_droop_monotone(lp: LinearProgram, index: dict, omega: float) -> None:
+    """Raise BuildError unless kc and pres enter only their three droop rows.
+
+    Pinning kc to its floor is exact only while raising kc can only shrink
+    the feasible set: no objective term, and no row other than
+    pres - omega*kc = 0, pw + pres <= avail and pw - pres >= 0, may touch
+    kc or pres.
+    """
+    keys = sorted(index["kc"])
+    own = np.array([[index[f][key] for f in ("pw", "pres", "kc")] for key in keys])
+    droop = own[:, 1:].ravel()
+    rows = np.flatnonzero(lp.lhs[:, droop].any(axis=1))
+    coeffs = lp.lhs[np.ix_(rows, own.ravel())].reshape(len(rows), len(keys), 3)
+    # each (t, a) owns one row of each relation, with these coefficients on (pw, pres, kc)
+    shapes = {"<=": (0, (1.0, 1.0, 0.0)), "=": (1, (0.0, 1.0, -omega)), ">=": (2, (1.0, -1.0, 0.0))}
+    slot = np.array([shapes[lp.relations[r]][0] for r in rows], dtype=int)
+    group = coeffs.any(axis=2).argmax(axis=1)
+    expected = np.zeros_like(coeffs)
+    expected[np.arange(len(rows)), group] = [shapes[lp.relations[r]][1] for r in rows]
+    once = np.bincount(3 * group + slot, minlength=3 * len(keys)) == 1
+    if lp.objective[droop].any() or np.delete(lp.lhs[rows], own.ravel(), axis=1).any() \
+            or not np.array_equal(coeffs, expected) or not once.all():
+        raise BuildError(
+            "droop enters the objective or a row other than its reserve link and headroom "
+            "rows; the one-area floor LP needs the cost to be nondecreasing in kc"
+        )
 
 
 def _extract(problem: CredMilp, values: np.ndarray, out: DispatchSolution):
     scn = problem.scenario
     idx = problem.index
+    out.binaries.update(problem.fixed_binaries)
+    for key, j in idx.get("z", {}).items():
+        out.binaries[key] = float(values[j])
     for t in problem.periods:
         for g_id in range(len(scn.generators)):
             out.sg_power[t, g_id] = values[idx["pg"][(t, g_id)]]
@@ -438,8 +566,6 @@ def _extract(problem: CredMilp, values: np.ndarray, out: DispatchSolution):
             out.storage_charge[t, s_id] = values[idx["pch"][(t, s_id)]]
             out.storage_discharge[t, s_id] = values[idx["pdis"][(t, s_id)]]
             out.storage_soc[t, s_id] = values[idx["soc"][(t, s_id)]]
-        for key, j in idx.get("z", {}).items():
-            out.binaries[key] = float(values[j])
         cost = 0.0
         for g_id, gen in enumerate(scn.generators):
             cost += gen.marginal_cost * scn.base_power * DELTA_T * out.sg_power[t, g_id]
@@ -561,7 +687,6 @@ def validate_solution(
         worst_period=int(worst_t),
         worst_eigenvalues=worst_eigs,
         estimate_discrepancy=discrepancy,
-        passed=True,
     )
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "three_area_system",
     "three_area_no_wind",
     "three_area_with_storage",
+    "three_area_storage_day",
     "synthesize_samples",
     "TABLE_GAIN_CASES",
 ]
@@ -181,6 +182,16 @@ def three_area_with_storage() -> dict:
         }
     ]
     return copy.deepcopy(doc)
+
+
+def three_area_storage_day() -> dict:
+    """Storage variant over a day: the four desk periods repeated six times (T=24)."""
+    doc = three_area_with_storage()
+    dispatch = doc["dispatch"]
+    dispatch["periods"] = [copy.deepcopy(p) for _ in range(6) for p in dispatch["periods"]]
+    for gen in dispatch["generators"]:
+        gen["committed"] = gen["committed"] * 6
+    return doc
 
 
 def synthesize_samples(mean_mw_per_hz: float, std_mw_per_hz: float, area: int,

@@ -172,7 +172,6 @@ def _certificate_dict(cert) -> dict:
         "worst_period": cert.worst_period,
         "worst_eigenvalues": [[float(z.real), float(z.imag)] for z in cert.worst_eigenvalues],
         "estimate_discrepancy": cert.estimate_discrepancy,
-        "passed": cert.passed,
     }
 
 

@@ -284,7 +284,6 @@ def test_criterion_9_certificate_soundness():
         desk = scenario_from_dict(three_area_system())
         accepted.append(run_workflow(WorkflowConfig(mode="worst_case"), bundle=desk))
         for rep in accepted:
-            assert rep.certificate["passed"] is True
             assert max(rep.certificate["max_real_per_period"]) < 0.0
 
         bundle = scenario_from_dict(single_area_toy())

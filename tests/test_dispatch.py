@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -20,7 +20,13 @@ from cred.dispatch import (
     stability_precheck,
     validate_solution,
 )
-from cred.errors import CoverageError, InfeasibleError, NumericalError, ValidationFailure
+from cred.errors import (
+    BuildError,
+    CoverageError,
+    InfeasibleError,
+    NumericalError,
+    ValidationFailure,
+)
 from cred.grid import AttackProfile, DroopSchedule, build_state_space
 from cred.linearize import (
     LinearizationPoint,
@@ -28,7 +34,7 @@ from cred.linearize import (
     build_segment_table,
     evaluate_piecewise,
 )
-from cred.milp import MixedIntegerProgram, solve_milp
+from cred.milp import LinearProgram, MixedIntegerProgram, solve_milp
 from cred.scenario import scenario_from_dict
 from cred.stability import eigen_decompose, is_stable
 from cred.systems import three_area_system, three_area_with_storage
@@ -56,6 +62,56 @@ def toy_stability(one_area_model, gain=3.0, eps_strict=1e-6, settle=0.0,
                               eps_lim=eps_lim, eps_phi=gain / 200.0)
     return StabilityConstraintSet((tab,), robust_gains=[gain],
                                   strict_margin=eps_strict, settle_margin=settle)
+
+
+def two_area_toy(p_max=12.0):
+    """The toy dispatch plus an attacked second area without wind or demand.
+
+    Stability sets whose second-area tables never bind turn the toy's
+    one-area LP into the disaggregated MIP with the same optimum.
+    """
+    from cred.grid import SystemModel
+
+    model = SystemModel(
+        areas=2, inertia_sg=[1.0, 1.0], inertia_ibr=[0.0, 0.0], damping=[0.0, 0.0],
+        gov_integral=[5.0, 5.0], gov_proportional=[2.0, 2.0],
+        susceptance=[[0.0, 1.0], [1.0, 0.0]], secure_load=[7.0, 0.0],
+        vulnerable_load=[3.0, 0.0], ibr_max_power=[4.0, 0.0], omega_max=0.5,
+    )
+    return DispatchScenario(
+        model=model,
+        demand=[[10.0, 0.0]],
+        wind_available=[[4.0, 0.0]],
+        generators=(GeneratorSpec(0, 10.0, 0.0, p_max, (1,)),),
+        shed_cost=1000.0,
+        base_power=1.0,
+        attack_areas=(0, 1),
+    )
+
+
+def idle_table(tab, area=1):
+    """One flat segment on the same eigenvalue: adds nothing to its row."""
+    return SegmentTable(tab.eigen_index, area,
+                        (LinearizationPoint(0.0, tab.base_eigenvalue, 0j),),
+                        tab.range_end, tab.base_eigenvalue, 0.02, tab.step,
+                        np.zeros(0), np.zeros(0))
+
+
+def random_table(rng, eigen_index, base, gain=3.0):
+    """Synthetic table over [0, gain]: 1-6 segments, random slopes and offsets."""
+    n_seg = int(rng.randint(1, 7))
+    gaps = rng.uniform(0.1, 1.0, n_seg)
+    phis = gain * np.concatenate([[0.0], np.cumsum(gaps)[:-1]]) / gaps.sum()
+    points = tuple(
+        LinearizationPoint(
+            float(phi),
+            base if m == 0 else base + complex(*rng.normal(0.0, 2.0, 2)),
+            complex(*rng.normal(0.0, 2.0, 2)),
+        )
+        for m, phi in enumerate(phis)
+    )
+    return SegmentTable(eigen_index, 0, points, gain, base, 0.02, gain / 200.0,
+                        np.zeros(0), np.zeros(0))
 
 
 class TestToyInstance:
@@ -121,6 +177,7 @@ class TestToyInstance:
         assert any(len(t.points) >= 2 for t in tabs)
         stab = StabilityConstraintSet(tabs, robust_gains=[0.0, gain])
         sol = solve_cred(scn, stab)
+        assert sol.binaries
         k = gain - sol.droop[0, 1]
         by_pair = {}
         for (t, i, a, m), v in sol.binaries.items():
@@ -180,32 +237,21 @@ class TestToyInstance:
 
 
 class TestEncoding:
-    @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
-    def test_eigen_row_matches_piecewise(self, one_area_model, seed):
-        """With knet pinned, the eigen row reads the reference piecewise shift."""
+    def test_eigen_row_matches_piecewise(self, seed):
+        """With knet pinned, the eigen row of the MIP reads the reference piecewise shift."""
         rng = np.random.RandomState(seed)
         gain, eps = 3.0, 1e-6
-        n_seg = int(rng.randint(1, 7))
-        gaps = rng.uniform(0.1, 1.0, n_seg)
-        phis = gain * np.concatenate([[0.0], np.cumsum(gaps)[:-1]]) / gaps.sum()
         # far-left base eigenvalue: the eigen row holds at every pinned knet
-        base = complex(-50.0, 3.0)
-        points = tuple(
-            LinearizationPoint(
-                float(phi),
-                base if m == 0 else base + complex(*rng.normal(0.0, 2.0, 2)),
-                complex(*rng.normal(0.0, 2.0, 2)),
-            )
-            for m, phi in enumerate(phis)
-        )
-        tab = SegmentTable(0, 0, points, gain, base, 0.02, gain / 200.0,
-                           np.zeros(0), np.zeros(0))
-        stab = StabilityConstraintSet((tab,), [gain], strict_margin=eps)
-        prob = build_cred_milp(toy_scenario(one_area_model), stab)
+        tab = random_table(rng, 0, complex(-50.0, 3.0), gain)
+        n_seg = len(tab.points)
+        phis = tab.abscissas
+        # a second attacked area keeps the disaggregated MIP; its table adds nothing
+        stab = StabilityConstraintSet((tab, idle_table(tab)), [gain, gain], strict_margin=eps)
+        prob = build_cred_milp(two_area_toy(), stab)
         mip, lp = prob.program, prob.program.base
-        assert sorted(prob.index["z"]) == [(0, 0, 0, m) for m in range(n_seg)]
+        assert sorted(prob.index["z"]) == [(0, 0, 0, m) for m in range(n_seg)] + [(0, 0, 1, 0)]
         assert mip.binary_vars == tuple(sorted(prob.index["z"].values()))
         # the eigen rows close each period's block
         assert lp.relations[-1] == "<="
@@ -219,6 +265,64 @@ class TestEncoding:
             assert res.optimal
             expected = evaluate_piecewise(tab, k).real
             assert eig_row @ res.values == pytest.approx(expected, abs=1e-9)
+
+
+class TestDroopFloor:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.booleans())
+    def test_floor_lp_matches_mip(self, seed, allow_shed):
+        """A one-area attack solves as the LP at the droop floor with the MIP's optimum."""
+        rng = np.random.RandomState(seed)
+        gain = 3.0
+        base = complex(rng.uniform(-1.5, 0.1), 2.0)
+        tabs = tuple(random_table(rng, i, base, gain) for i in range(rng.randint(1, 4)))
+        settle = float(rng.uniform(0.0, 0.3))
+        # below about 6.5 the thermal fleet cannot replace deloaded wind
+        scn = two_area_toy(p_max=float(rng.uniform(5.5, 9.0)))
+        one = StabilityConstraintSet(tabs, [gain, 0.0], settle_margin=settle)
+        two = StabilityConstraintSet(tabs + tuple(idle_table(t) for t in tabs), [gain, gain],
+                                     settle_margin=settle)
+        mip = build_cred_milp(scn, two, allow_shed=allow_shed)
+        assert mip.program.binary_vars
+        ref = solve_milp(mip.program)
+        try:
+            sol = solve_cred(scn, one, allow_shed=allow_shed)
+        except InfeasibleError:
+            assert ref.status == "infeasible"
+            return
+        assert ref.status == "optimal"
+        assert not build_cred_milp(scn, one).program.binary_vars
+        assert sol.node_count == 1
+        assert sol.total_cost == pytest.approx(ref.objective_value, rel=1e-9)
+        # the floor is the least droop the MIP admits, and the rows hold there
+        kc = sol.droop[0, 0]
+        assert kc <= ref.values[mip.index["kc"][(0, 0)]] + 1e-9
+        k = gain - kc
+        bound = -(one.strict_margin + one.settle_margin) - base.real
+        for tab in tabs:
+            (m,) = [m for (_, i, _, m), z in sol.binaries.items() if i == tab.eigen_index and z]
+            lo, hi, _, _ = one.segments(tab)[m]
+            assert lo - 1e-9 <= k <= hi + 1e-9
+            assert evaluate_piecewise(tab, k).real <= bound + 1e-9
+
+    def test_guard_rejects_droop_outside_its_rows(self, one_area_model):
+        prob = build_cred_milp(toy_scenario(one_area_model), toy_stability(one_area_model))
+        lp, idx = prob.program.base, prob.index
+        assert not prob.program.binary_vars
+        kc, pres = idx["kc"][(0, 0)], idx["pres"][(0, 0)]
+        omega = one_area_model.omega_max
+        droop_cost = lp.objective.copy()
+        droop_cost[kc] = 1.0
+        extra = np.zeros(lp.n_vars)
+        extra[pres] = 1.0
+        tampered = (
+            LinearProgram(droop_cost, lp.lhs, lp.relations, lp.rhs, lp.bounds),
+            LinearProgram(lp.objective, np.vstack([lp.lhs, extra]), lp.relations + ("<=",),
+                          np.append(lp.rhs, 1.0), lp.bounds),
+        )
+        for bad in tampered:
+            with pytest.raises(BuildError, match="nondecreasing in kc"):
+                dispatch._check_droop_monotone(bad, idx, omega)
 
 
 class TestPrecheck:
@@ -251,7 +355,6 @@ class TestValidate:
         stab = toy_stability(one_area_model)
         sol = solve_cred(scn, stab)
         cert = validate_solution(scn, sol, [3.0], stab)
-        assert cert.passed
         assert np.all(cert.max_real < -stab.strict_margin / 2.0)
         assert cert.estimate_discrepancy <= 0.02
 
@@ -468,14 +571,24 @@ def solve_with_highs(program: MixedIntegerProgram):
     return status, res.fun
 
 
+def two_area_desk():
+    """The desk with area 1 attacked too; no wind there, so its attack is not damped locally."""
+    doc = three_area_system()
+    doc["areas"][0]["vulnerable_load"] = 600.0
+    doc["areas"][0]["secure_load"] = 3200.0
+    doc["attack"]["areas"] = [0, 1]
+    return doc
+
+
 class TestSecondSolver:
-    """The in-tree B&B and HiGHS agree on the MIPs the workflow solves."""
+    """The in-tree solver and HiGHS agree on the programs the workflow solves."""
 
     @pytest.mark.parametrize("doc, allow_shed", [
         (three_area_system(), False),
         (three_area_system(vulnerable_fraction=0.5), True),
         (three_area_with_storage(), False),
-    ], ids=["desk_worst_case", "desk_vf0.5_shed", "storage_T4"])
+        (two_area_desk(), False),
+    ], ids=["desk_worst_case", "desk_vf0.5_shed", "storage_T4", "desk_two_area"])
     def test_matches_highs(self, monkeypatch, doc, allow_shed):
         built = []
 
@@ -491,6 +604,9 @@ class TestSecondSolver:
         t_len = bundle.dispatch.n_periods
         expected = [None] if bundle.dispatch.storage else [[t] for t in range(t_len)]
         assert [periods for shed, periods, _ in built if shed == allow_shed] == expected
+        # one attacked area solves as an LP, two keep the MIP
+        multi_area = len(bundle.attack_areas) > 1
+        assert all(bool(program.binary_vars) == multi_area for _, _, program in built)
         for _, _, program in built:
             mine = solve_milp(program)
             status, objective = solve_with_highs(program)
