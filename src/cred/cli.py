@@ -178,11 +178,7 @@ def cmd_simulate(args) -> int:
     load = bundle.model.secure_load[area] + bundle.model.vulnerable_load[area]
     step[area] = (args.step_mw / bundle.base_power) if args.step_mw else 0.01 * load
 
-    dt = args.dt
-    if dt is None:
-        lam_max = float(np.abs(np.linalg.eigvals(ss.state_matrix)).max())
-        dt = min(0.02, 1.0 / (12.0 * lam_max)) if lam_max > 0 else 0.02
-    traj = simulate(ss, step, t_step=args.t_step, t_end=args.t_end, dt=dt)
+    traj = simulate(ss, step, t_step=args.t_step, t_end=args.t_end, dt=args.dt)
     out = Path(args.out)
     header = ["t"] + [f"omega_{a}" for a in range(n)] + [f"delta_{a}" for a in range(n)]
     rows = [

@@ -580,7 +580,10 @@ def solve_cred(
 ) -> DispatchSolution:
     """Solve the dispatch, decomposing per period when storage permits.
 
-    Raises InfeasibleError when any period admits no feasible point and
+    Every period's instance has the same matrix, so period t + 1's solve
+    starts from period t's optimal basis; solve_lp uses that basis only if
+    it is still a feasible basis and starts cold otherwise.  Raises
+    InfeasibleError when any period admits no feasible point and
     NumericalError when the solver hits its budget.
     """
     t_len, n = scn.n_periods, scn.model.areas
@@ -602,9 +605,10 @@ def solve_cred(
         chunks = [None]  # monolithic
     else:
         chunks = [[t] for t in range(t_len)]
+    basis = None
     for chunk in chunks:
         problem = build_cred_milp(scn, stab, allow_shed=allow_shed, periods=chunk)
-        res = solve_milp(problem.program)
+        res = solve_milp(problem.program, basis=basis)
         if res.status == "infeasible":
             where = "horizon" if chunk is None else f"period {chunk[0]}"
             raise InfeasibleError(f"dispatch infeasible in {where}"
@@ -613,6 +617,7 @@ def solve_cred(
             raise NumericalError(f"dispatch solve ended with status {res.status}")
         _extract(problem, res.values, sol)
         sol.node_count += res.node_count or 0
+        basis = res.basis
     sol.total_cost = float(sol.per_period_cost.sum())
     return sol
 
@@ -651,7 +656,9 @@ def validate_solution(
 
     Rebuilds each period's closed loop with the solved droop gains and the
     robust attack gains and demands a strictly negative spectral abscissa.
-    Raises ValidationFailure naming the first offending period/eigenvalue.
+    The power reference enters only the forcing, so periods with equal
+    state matrices share one eigendecomposition.  Raises ValidationFailure
+    naming the first offending period/eigenvalue.
     """
     gains = np.asarray(gains, dtype=float)
     t_len = scn.n_periods
@@ -659,10 +666,14 @@ def validate_solution(
     worst_t, worst_eigs = 0, None
     discrepancy = None
     tables = stab.tables_by_pair() if stab is not None else {}
+    spectra = {}
     for t in range(t_len):
         droop = DroopSchedule(sol.droop[t], sol.wind_power[t])
         ss = build_state_space(scn.model, _attack_from_gains(scn, gains), droop)
-        eig = eigen_decompose(ss)
+        key = ss.state_matrix.tobytes()
+        if key not in spectra:
+            spectra[key] = eigen_decompose(ss)
+        eig = spectra[key]
         verdict = is_stable(eig)
         max_real[t] = verdict.max_real
         if worst_eigs is None or verdict.max_real > max_real[worst_t]:

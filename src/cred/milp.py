@@ -1,11 +1,12 @@
-"""Dense two-phase simplex and best-bound branch-and-bound over binaries.
+"""Bounded-variable primal simplex and best-bound branch-and-bound over binaries.
 
 Sized for desk-scale dispatch instances (tens of variables, hundreds of
-rows).  The simplex prices with Dantzig's rule and falls back to Bland's
-rule after a degenerate stall, so it cannot cycle; the node heap of the
-branch-and-bound is ordered by (bound, insertion counter) so results and
-node counts are reproducible.  An external solver can be substituted
-behind the same solve_lp/solve_milp contract.
+rows).  Bounds enter the simplex's ratio test, not its tableau, so LPs
+with one matrix share one column set and a basis can seed the next solve.
+Pricing falls back from Dantzig's to Bland's rule after a degenerate
+stall, so it cannot cycle; the branch-and-bound's node heap is ordered by
+(bound, insertion counter), so results and node counts are reproducible.
+An external solver can be substituted behind the same solve_lp/solve_milp contract.
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ __all__ = [
 RELATIONS = ("<=", "=", ">=")
 
 _PIVOT_TOL = 1e-9
-_FEAS_TOL = 1e-7
 #: a binary accepted at z = _INT_TOL can still admit _INT_TOL * coefficient of
 #: a continuous variable it gates; keep that far below the dispatch's 1e-6
 #: strict margin for gains in the tens
 _INT_TOL = 1e-9
 _ZERO_TOL = 1e-12
+#: bounds of the slack s in lhs x + s = rhs, per relation
+_SLACK_BOUNDS = {"<=": (0.0, np.inf), "=": (0.0, 0.0), ">=": (-np.inf, 0.0)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,6 +118,9 @@ class SolveResult:
     objective_value: float | None = None
     node_count: int | None = None
     iterations: int = 0
+    #: optimal basis (the root LP's for a MIP), a hint for an LP with the same matrix:
+    #: each row's basic column and the columns at their upper bound
+    basis: tuple | None = None
 
     @property
     def optimal(self) -> bool:
@@ -138,221 +143,210 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 _STALL_LIMIT = 40
 
 
-def _run_simplex(tableau, basis, cost, n_cols, max_iter, allowed):
-    """Minimize cost over the tableau in place. Returns reduced-cost row.
+def _simplex(tab, basis, x, lo, hi, cost, budget):
+    """Minimize cost @ x from a primal feasible basis, in place.
 
-    allowed marks columns eligible to enter the basis.  Pricing uses
-    Dantzig's rule until a degenerate stall, then falls back to Bland's
-    rule permanently so cycling cannot occur.  Raises _IterationLimit when
-    the pivot budget is exhausted; returns None when the problem is
-    unbounded in some entering column.
+    tab is B^-1 times the columns, basis[r] the column basic in row r, x
+    every column's value (nonbasic ones at a finite bound, or 0 if free).
+    A step pivots, or moves the entering column to its other bound when
+    its own range is the tightest ratio (a bound flip).  Returns
+    (unbounded, steps); raises _IterationLimit past budget steps.
     """
-    m = tableau.shape[0]
-    z = cost.astype(float).copy()
-    for r in range(m):
-        cb = cost[basis[r]]
-        if cb != 0.0:
-            z -= cb * tableau[r, :]
-    it = 0
-    stall = 0
+    nonbasic = np.ones(tab.shape[1], dtype=bool)
+    nonbasic[basis] = False
+    steps = stall = 0
     bland = False
     while True:
-        reduced = np.where(allowed, z[:n_cols], np.inf)
-        if bland:
-            candidates = np.flatnonzero(reduced < -_PIVOT_TOL)
-            if candidates.size == 0:
-                return z, it
-            e = int(candidates[0])  # smallest eligible index
-        else:
-            e = int(np.argmin(reduced))
-            if reduced[e] >= -_PIVOT_TOL:
-                return z, it
-        col = tableau[:, e]
-        rows = np.flatnonzero(col > _PIVOT_TOL)
-        if rows.size == 0:
-            return None, it  # unbounded direction
-        ratios = tableau[rows, -1] / col[rows]
-        best = ratios.min()
-        ties = rows[np.flatnonzero(ratios <= best + 1e-12)]
-        leave = int(ties[np.argmin(basis[ties])])  # smallest basic index on ties
-        _pivot(tableau, basis, leave, e)
-        z -= z[e] * tableau[leave, :]
-        it += 1
-        if not bland:
-            stall = stall + 1 if best <= 1e-12 else 0
-            if stall > _STALL_LIMIT:
-                bland = True
-        if it > max_iter:
+        d = cost - cost[basis] @ tab
+        # a nonbasic column improves by moving off its bound against d's sign
+        score = np.where(nonbasic & np.where(d < 0.0, x < hi, x > lo), np.abs(d), 0.0)
+        e = int(np.argmax(score))
+        if score[e] <= _PIVOT_TOL:
+            return False, steps
+        if steps == budget:
             raise _IterationLimit()
+        steps += 1
+        if bland:
+            e = int(np.flatnonzero(score > _PIVOT_TOL)[0])
+        sign = 1.0 if d[e] < 0.0 else -1.0
+        alpha = sign * tab[:, e]  # basic values move by -theta * alpha
+        xb, lb, ub = x[basis], lo[basis], hi[basis]
+        ratio = np.full(alpha.size, np.inf)
+        dec, inc = alpha > _PIVOT_TOL, alpha < -_PIVOT_TOL
+        ratio[dec] = (xb[dec] - lb[dec]) / alpha[dec]
+        ratio[inc] = (xb[inc] - ub[inc]) / alpha[inc]
+        ratio = np.maximum(ratio, 0.0)  # round-off can leave xb just past a bound
+        best = ratio.min(initial=np.inf)
+        theta, leave = hi[e] - lo[e], -1
+        if best < theta:
+            ties = np.flatnonzero(ratio <= best + 1e-12)
+            leave = int(ties[np.argmin(basis[ties])])  # smallest basic index on ties
+            theta = best
+        elif np.isinf(theta):
+            return True, steps
+        x[basis] = xb - theta * alpha
+        if leave >= 0:
+            x[e] += sign * theta
+            out = basis[leave]
+            x[out] = lb[leave] if alpha[leave] > 0.0 else ub[leave]
+            _pivot(tab, basis, leave, e)
+            nonbasic[e], nonbasic[out] = False, True
+        else:
+            x[e] = hi[e] if sign > 0.0 else lo[e]
+        if not bland:
+            stall = stall + 1 if theta <= 1e-12 else 0
+            bland = stall > _STALL_LIMIT
 
 
-def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> SolveResult:
-    """Two-phase dense simplex with Bland's rule.
+def _phase_one(a, b, lo, hi, x, budget):
+    """Slack basis plus one artificial per row its slack cannot meet; minimize their sum.
 
-    Returns an optimal basic solution, an infeasible/unbounded status, or
-    iteration_limit if the pivot budget is exhausted.  Optimal values lie
-    within their bounds exactly.
+    Returns ((tab, basis, x), steps), or (None, steps) if the LP is infeasible.
     """
-    n = lp.n_vars
-    m = lp.n_rows
+    m, n_cols = a.shape
+    n = n_cols - m
+    resid = b - a[:, :n] @ x[:n]
+    x[n:] = np.clip(resid, lo[n:], hi[n:])
+    gap = resid - x[n:]
+    art = np.flatnonzero(gap)
+    k = art.size
+    basis = np.arange(n, n_cols)
+    basis[art] = n_cols + np.arange(k)
+    # B = diag(+-1): the tableau is the columns with the artificials' rows signed
+    tab = np.hstack([a * np.where(gap < 0.0, -1.0, 1.0)[:, None], np.eye(m)[:, art]])
+    x = np.concatenate([x, np.abs(gap[art])])
+    cost = np.concatenate([np.zeros(n_cols), np.ones(k)])
+    unbounded, steps = _simplex(tab, basis, x, np.concatenate([lo, np.zeros(k)]),
+                                np.concatenate([hi, np.full(k, np.inf)]), cost, budget)
+    if unbounded:
+        raise BuildError("phase-1 objective unbounded; inconsistent tableau")
+    if x[n_cols:].sum() > 1e-8 * max(1.0, np.abs(resid).max(initial=0.0)):
+        return None, steps
+    # pivot artificials left basic at zero out on their row's largest entry:
+    # the row is y [A | I] with y a row of B^-1, nonzero off the other basics
+    for r in np.flatnonzero(basis >= n_cols):
+        nonbasic = np.ones(n_cols, dtype=bool)
+        nonbasic[basis[basis < n_cols]] = False
+        _pivot(tab, basis, r, int(np.argmax(np.where(nonbasic, np.abs(tab[r, :n_cols]), -1.0))))
+    tab, x = tab[:, :n_cols].copy(), x[:n_cols]
+    _basic_values(tab, basis, x, a, b)
+    return (tab, basis, x), steps
 
-    # shift/reflect/split variables onto u >= 0
-    shift = np.zeros(n)
-    extra_caps = []  # (std col, cap) for doubly bounded vars
-    n_std = 0
-    mapping = []  # per variable: tuple of (std col, sign)
-    for j in range(n):
-        lo, hi = lp.bounds[j]
-        if lo == hi:
-            mapping.append(())
-            shift[j] = lo
-            continue
-        if np.isfinite(lo):
-            mapping.append(((n_std, 1.0),))
-            shift[j] = lo
-            if np.isfinite(hi):
-                extra_caps.append((n_std, hi - lo))
-            n_std += 1
-        elif np.isfinite(hi):
-            mapping.append(((n_std, -1.0),))
-            shift[j] = hi
-            n_std += 1
-        else:
-            mapping.append(((n_std, 1.0), (n_std + 1, -1.0)))
-            n_std += 2
 
-    proj = np.zeros((n, n_std))
-    for j, terms in enumerate(mapping):
-        for col, sign in terms:
-            proj[j, col] = sign
+def _warm_start(a, b, lo, hi, x, hint):
+    """(tab, basis, x) from a basis hint, or None unless it is a feasible basis here.
 
-    a_u = lp.lhs @ proj
-    b_u = lp.rhs - lp.lhs @ shift
-    c_u = lp.objective @ proj
-    obj_const = float(lp.objective @ shift)
-
-    rows = [(a_u[r], lp.relations[r], b_u[r]) for r in range(m)]
-    for col, cap in extra_caps:
-        unit = np.zeros(n_std)
-        unit[col] = 1.0
-        rows.append((unit, "<=", cap))
-
-    m_all = len(rows)
-    n_slack = sum(1 for _, rel, _ in rows if rel != "=")
-    a_full = np.zeros((m_all, n_std + n_slack))
-    b_full = np.zeros(m_all)
-    slack_of = np.full(m_all, -1, dtype=int)
-    s = 0
-    for r, (arow, rel, rhs) in enumerate(rows):
-        a_full[r, :n_std] = arow
-        b_full[r] = rhs
-        if rel != "=":
-            a_full[r, n_std + s] = 1.0 if rel == "<=" else -1.0
-            slack_of[r] = n_std + s
-            s += 1
-    neg = b_full < 0.0
-    a_full[neg] *= -1.0
-    b_full[neg] *= -1.0
-
-    n_cols = n_std + n_slack
-    # rows whose slack survives with +1 start basic; the rest get artificials
-    basis = np.full(m_all, -1, dtype=int)
-    art_rows = []
-    for r in range(m_all):
-        if slack_of[r] >= 0 and a_full[r, slack_of[r]] > 0.0:
-            basis[r] = slack_of[r]
-        else:
-            art_rows.append(r)
-    n_art = len(art_rows)
-    art_block = np.zeros((m_all, n_art))
-    for k, r in enumerate(art_rows):
-        art_block[r, k] = 1.0
-        basis[r] = n_cols + k
-    tableau = np.hstack([a_full, art_block, b_full[:, None]])
-    if max_iter is None:
-        max_iter = 2000 + 200 * (m_all + n_cols)
-
-    total_cols = n_cols + n_art
-    allowed = np.ones(total_cols, dtype=bool)
-
-    iterations = 0
+    Nonbasic columns the hint lists at their upper bound start there if
+    it is finite; basic ones get B^-1 (b - N x_N).  A hint that does not
+    fit, a singular or nearly singular basis matrix, or a basic value
+    outside its bounds is rejected.
+    """
+    m, n_cols = a.shape
+    rows, upper = (np.asarray(h, dtype=int) for h in hint)
+    both = np.concatenate([rows, upper])
+    if rows.shape != (m,) or m == 0 or not np.all((both >= 0) & (both < n_cols)):
+        return None
+    x[upper] = np.where(np.isfinite(hi[upper]), hi[upper], x[upper])
+    bmat = a[:, rows]
     try:
-        if n_art:
-            phase1_cost = np.zeros(total_cols + 1)
-            phase1_cost[n_cols:total_cols] = 1.0
-            z1, it1 = _run_simplex(tableau, basis, phase1_cost, total_cols, max_iter, allowed)
-            iterations += it1
-            if z1 is None:
-                raise BuildError("phase-1 objective unbounded; inconsistent tableau")
-            phase1_obj = -float(z1[-1])
-            scale = max(1.0, float(np.abs(b_full).max()) if m_all else 1.0)
-            if phase1_obj > 1e-8 * scale:
-                return SolveResult("infeasible", iterations=iterations)
+        tab = np.linalg.solve(bmat, a)
+    except np.linalg.LinAlgError:
+        return None
+    # max|B^-1| max|B| (the slack block of tab is B^-1) is B's condition
+    # number within a factor m
+    if np.abs(tab[:, n_cols - m:]).max() * np.abs(bmat).max() > 1e12:
+        return None
+    basis = rows.copy()
+    _basic_values(tab, basis, x, a, b)
+    if np.any(x[basis] < lo[basis] - _PIVOT_TOL) or np.any(x[basis] > hi[basis] + _PIVOT_TOL):
+        return None
+    return tab, basis, x
 
-            # drive artificial variables out of the basis
-            for r in range(m_all):
-                if basis[r] >= n_cols:
-                    pivots = np.flatnonzero(np.abs(tableau[r, :n_cols]) > _PIVOT_TOL)
-                    if pivots.size:
-                        _pivot(tableau, basis, r, int(pivots[0]))
-                    else:
-                        tableau[r, :] = 0.0  # redundant row
 
-        phase2_cost = np.zeros(total_cols + 1)
-        phase2_cost[:n_std] = c_u
-        allowed = np.zeros(total_cols, dtype=bool)
-        allowed[:n_cols] = True
-        z2, it2 = _run_simplex(tableau, basis, phase2_cost, total_cols, max_iter, allowed)
-        iterations += it2
-        if z2 is None:
-            return SolveResult("unbounded", iterations=iterations)
+def _basic_values(tab, basis, x, a, b) -> None:
+    """Set x's basic entries to B^-1 (b - N x_N); tab's slack block is B^-1."""
+    x[basis] = 0.0
+    x[basis] = tab[:, a.shape[1] - a.shape[0]:] @ (b - a @ x)
+
+
+def solve_lp(lp: LinearProgram, max_iter: int | None = None, basis=None) -> SolveResult:
+    """Bounded-variable primal simplex (Chvatal, Linear Programming, 1983, ch. 8).
+
+    Columns are the variables and one slack per row, lhs x + s = rhs, with
+    s in [0, inf) for <=, (-inf, 0] for >= and [0, 0] for =; a nonbasic
+    column sits at its lower bound, else its upper, else 0.  basis, a
+    SolveResult.basis of an LP with the same matrix, replaces phase 1 if
+    its basis matrix is nonsingular and its basic values lie within their
+    bounds here; otherwise the solve starts cold.  Returns an optimal basic
+    solution (values within their bounds exactly), infeasible, unbounded,
+    or iteration_limit when more than max_iter steps (pivots and bound
+    flips) are needed.
+    """
+    n, m = lp.n_vars, lp.n_rows
+    a = np.hstack([lp.lhs, np.eye(m)])
+    slack = np.array([_SLACK_BOUNDS[r] for r in lp.relations]).reshape(m, 2)
+    lo = np.concatenate([lp.bounds[:, 0], slack[:, 0]])
+    hi = np.concatenate([lp.bounds[:, 1], slack[:, 1]])
+    x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    if max_iter is None:
+        max_iter = 2000 + 200 * (m + a.shape[1])
+    start = None if basis is None else _warm_start(a, lp.rhs, lo, hi, x.copy(), basis)
+    steps = 0
+    try:
+        if start is None:
+            start, steps = _phase_one(a, lp.rhs, lo, hi, x, max_iter)
+            if start is None:
+                return SolveResult("infeasible", iterations=steps)
+        tab, rows, x = start
+        cost = np.concatenate([lp.objective, np.zeros(m)])
+        unbounded, more = _simplex(tab, rows, x, lo, hi, cost, max_iter - steps)
     except _IterationLimit:
-        return SolveResult("iteration_limit", iterations=iterations + max_iter)
+        return SolveResult("iteration_limit", iterations=max_iter)
+    if unbounded:
+        return SolveResult("unbounded", iterations=steps + more)
 
-    u = np.zeros(total_cols)
-    u[basis] = tableau[:, -1]
-    # pivot round-off leaves basic values like +-1e-15 at their bound; callers
+    _basic_values(tab, rows, x, a, lp.rhs)
+    # round-off leaves basic values like +-1e-15 off their bound; callers
     # read values as exact (a droop of -1e-15 is rejected downstream)
-    u[np.abs(u) < _ZERO_TOL] = 0.0
-    x = np.clip(shift + proj @ u[:n_std], lp.bounds[:, 0], lp.bounds[:, 1])
-    obj = float(lp.objective @ x)
-    x.setflags(write=False)
-    return SolveResult("optimal", values=x, objective_value=obj, iterations=iterations)
+    for bound in (lo, hi):
+        near = np.abs(x - bound) < _ZERO_TOL
+        x[near] = bound[near]
+    x = np.clip(x, lo, hi)
+    values = x[:n]
+    values.setflags(write=False)
+    return SolveResult("optimal", values=values, objective_value=float(lp.objective @ values),
+                       iterations=steps + more, basis=(rows, np.flatnonzero(x == hi)))
 
 
-def solve_milp(mip: MixedIntegerProgram, node_cap: int = 200_000) -> SolveResult:
+def solve_milp(mip: MixedIntegerProgram, node_cap: int = 200_000, basis=None) -> SolveResult:
     """Best-bound branch-and-bound on the binary variables.
 
     Branches on the most fractional binary; pruning keeps any solution
     within 1e-9 of the incumbent, so the reported optimum is exact to well
-    below the 1e-6 contract.
+    below the 1e-6 contract.  basis is the root LP's hint (see solve_lp);
+    every other node starts cold.
     """
     counter = 0
-    heap = []
-    heapq.heappush(heap, (-np.inf, counter, {}))
+    heap = [(-np.inf, counter, {})]
     incumbent = None
     incumbent_obj = np.inf
     nodes = 0
     binaries = mip.binary_vars
+    root_basis = None
 
     while heap:
         bound, _, fixes = heapq.heappop(heap)
         if bound >= incumbent_obj - 1e-9:
             continue
         if nodes >= node_cap:
-            return SolveResult(
-                "iteration_limit",
-                values=incumbent,
-                objective_value=None if incumbent is None else incumbent_obj,
-                node_count=nodes,
-            )
+            break
         lp = mip.base.with_bounds(fixes) if fixes else mip.base
-        res = solve_lp(lp)
+        res = solve_lp(lp, basis=None if nodes else basis)
+        if not nodes:
+            root_basis = res.basis
         nodes += 1
         if res.status == "iteration_limit":
-            return SolveResult("iteration_limit", values=incumbent,
-                               objective_value=None if incumbent is None else incumbent_obj,
-                               node_count=nodes)
+            break
         if res.status == "unbounded":
             return SolveResult("unbounded", node_count=nodes)
         if res.status == "infeasible":
@@ -371,7 +365,11 @@ def solve_milp(mip: MixedIntegerProgram, node_cap: int = 200_000) -> SolveResult
             child[j] = (fixed, fixed)
             counter += 1
             heapq.heappush(heap, (res.objective_value, counter, child))
-
-    if incumbent is None:
-        return SolveResult("infeasible", node_count=nodes)
-    return SolveResult("optimal", values=incumbent, objective_value=incumbent_obj, node_count=nodes)
+    else:
+        if incumbent is None:
+            return SolveResult("infeasible", node_count=nodes)
+        return SolveResult("optimal", values=incumbent, objective_value=incumbent_obj,
+                           node_count=nodes, basis=root_basis)
+    return SolveResult("iteration_limit", values=incumbent,
+                       objective_value=None if incumbent is None else incumbent_obj,
+                       node_count=nodes)

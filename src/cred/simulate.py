@@ -65,14 +65,15 @@ def simulate(
     disturbance: np.ndarray,
     t_step: float = 1.0,
     t_end: float = 30.0,
-    dt: float = 0.01,
+    dt: float | None = 0.01,
 ) -> Trajectory:
     """Step response of the closed loop, sampled every dt up to t_end.
 
     disturbance is the per-area load step (p.u.), applied to the forcing
     from the first grid time at or after t_step.  dt must resolve the
     fastest mode, dt <= 1/(10 max|lambda|), so that classify_trajectory
-    sees every oscillation peak.
+    sees every oscillation peak; dt=None picks min(0.02, 1/(12
+    max|lambda|)) from the same eigensolve.
     """
     n = ss.n_areas
     disturbance = np.asarray(disturbance, dtype=float)
@@ -81,6 +82,8 @@ def simulate(
     if t_end <= t_step:
         raise ConfigurationError("t_end must exceed t_step")
     lam_max = float(np.abs(np.linalg.eigvals(ss.state_matrix)).max())
+    if dt is None:
+        dt = min(0.02, 1.0 / (12.0 * lam_max)) if lam_max > 0.0 else 0.02
     if lam_max > 0.0 and dt > 1.0 / (10.0 * lam_max):
         raise ConfigurationError(
             f"dt={dt:g} too coarse for fastest mode |lambda|={lam_max:g}; "

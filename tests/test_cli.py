@@ -3,6 +3,7 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cred import cli
@@ -79,6 +80,19 @@ class TestSimulate:
                      "--mode", "worst_case", "--kc", "3.0", "--t-end", "40"])
         assert code == 0
         assert "decaying" in capsys.readouterr().out
+
+    def test_one_eigensolve_without_dt(self, toy_path, tmp_path, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            calls.append(a)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        assert main(["simulate", "--scenario", str(toy_path), "--out", str(tmp_path),
+                     "--mode", "worst_case", "--t-end", "40"]) == 0
+        assert len(calls) == 1
 
     def test_rerun_writes_identical_trajectory(self, toy_path, tmp_path):
         blobs = []

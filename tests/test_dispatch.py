@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from cred import dispatch
+from cred import dispatch, workflow
 from cred.dispatch import (
     DispatchScenario,
     GeneratorSpec,
@@ -376,6 +377,29 @@ class TestValidate:
         base_margin = is_stable(eigen_decompose(base)).max_real
         assert cert.max_real[0] == base_margin
 
+    def test_one_eigensolve_per_distinct_state_matrix(self, monkeypatch):
+        bundle = scenario_from_dict(three_area_system())
+        rep = run_workflow(WorkflowConfig(mode="worst_case"), bundle=bundle)
+        scn, sol, gains = bundle.dispatch, rep.solution, rep.robust_gains
+        assert np.all(sol.droop == sol.droop[0])  # the one-area floor pins every period
+        calls = []
+
+        def counting(ss):
+            calls.append(ss)
+            return eigen_decompose(ss)
+
+        monkeypatch.setattr(dispatch, "eigen_decompose", counting)
+        shared = validate_solution(scn, sol, gains)
+        assert len(calls) == 1
+        assert np.all(shared.max_real == is_stable(eigen_decompose(calls[0])).max_real)
+        # distinct droop rows get their own spectrum, equal to a per-period solve
+        sol.droop = sol.droop * np.linspace(1.0, 1.3, scn.n_periods)[:, None]
+        calls.clear()
+        cert = validate_solution(scn, sol, gains)
+        assert len(calls) == scn.n_periods
+        for t, ss in enumerate(calls):
+            assert cert.max_real[t] == is_stable(eigen_decompose(ss)).max_real
+
 
 class TestCostIncrement:
     def test_identity(self, one_area_model):
@@ -619,3 +643,75 @@ class TestSecondSolver:
         src = str(Path(dispatch.__file__).parent.parent)
         probe = "import sys, cred.cli; sys.exit('scipy.optimize' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", probe], cwd=src).returncode == 0
+
+
+def cold_per_period(scn, stab, allow_shed):
+    """Each instance solve_cred builds, solved without a basis hint.
+
+    Returns (problem, result) per period, or one pair for a storage horizon.
+    """
+    chunks = [None] if scn.storage else [[t] for t in range(scn.n_periods)]
+    out = []
+    for chunk in chunks:
+        problem = build_cred_milp(scn, stab, allow_shed=allow_shed, periods=chunk)
+        out.append((problem, solve_milp(problem.program)))
+    return out
+
+
+#: solution array of each variable family of the dispatch instance
+FAMILIES = {"pg": "sg_power", "pw": "wind_power", "pres": "wind_reserve", "kc": "droop",
+            "ps": "shed", "pch": "storage_charge", "pdis": "storage_discharge",
+            "soc": "storage_soc"}
+
+
+class TestWarmStart:
+    """solve_cred hands each period's basis to the next; the answers are the cold ones."""
+
+    @staticmethod
+    def samples_case1(tmp_path):
+        from cred.systems import TABLE_GAIN_CASES, synthesize_samples
+
+        info = TABLE_GAIN_CASES["case1"]
+        path = tmp_path / "samples_case1.json"
+        path.write_text(json.dumps(synthesize_samples(
+            info["mean"] * 1000.0, info["std"] * 1000.0, area=1, count=1000, seed=0)))
+        return str(path)
+
+    @pytest.mark.parametrize("case", ["desk_worst_case", "desk_samples_case1", "toy",
+                                      "desk_two_area", "storage_day"])
+    def test_matches_per_period_cold_solves(self, monkeypatch, tmp_path, case):
+        from cred.systems import single_area_toy, three_area_storage_day
+
+        doc = {"desk_worst_case": three_area_system, "desk_samples_case1": three_area_system,
+               "toy": single_area_toy, "desk_two_area": two_area_desk,
+               "storage_day": three_area_storage_day}[case]()
+        cfg = (WorkflowConfig(samples_path=self.samples_case1(tmp_path))
+               if case == "desk_samples_case1" else WorkflowConfig(mode="worst_case"))
+        checked = []
+        warm_solve = workflow.solve_cred
+
+        def compared(scn, stab, allow_shed=False):
+            cold = cold_per_period(scn, stab, allow_shed)
+            try:
+                sol = warm_solve(scn, stab, allow_shed=allow_shed)
+            except InfeasibleError:
+                assert any(res.status == "infeasible" for _, res in cold)
+                checked.append("infeasible")
+                raise
+            for problem, res in cold:
+                assert res.status == "optimal"
+                periods = list(problem.periods)
+                assert sol.per_period_cost[periods].sum() == pytest.approx(
+                    res.objective_value, rel=1e-9, abs=1e-9)
+                for family, attr in FAMILIES.items():
+                    for key, j in problem.index.get(family, {}).items():
+                        assert getattr(sol, attr)[key] == pytest.approx(res.values[j], abs=1e-9)
+                for key, j in problem.index.get("z", {}).items():
+                    assert sol.binaries[key] == pytest.approx(res.values[j], abs=1e-9)
+            checked.append("optimal")
+            return sol
+
+        monkeypatch.setattr(workflow, "solve_cred", compared)
+        rep = run_workflow(cfg, bundle=scenario_from_dict(doc))
+        assert rep.branch_taken in ("cred_applied", "cred_infeasible_shed")
+        assert checked.count("optimal") == 2  # the baseline and the stability dispatch

@@ -6,6 +6,7 @@ from scipy.optimize import linprog as scipy_linprog
 
 from cred.errors import BuildError
 from cred.milp import (
+    RELATIONS,
     LinearProgram,
     MixedIntegerProgram,
     solve_lp,
@@ -74,8 +75,32 @@ class TestSolveLp:
         assert solve_lp(lp).status == "unbounded"
 
     def test_iteration_limit_reported(self, rng):
+        # max_iter caps simplex steps (pivots and bound flips) exactly
         lp = random_feasible_lp(rng)
-        assert solve_lp(lp, max_iter=1).status == "iteration_limit"
+        res = solve_lp(lp)
+        assert res.optimal and res.iterations >= 2
+        assert solve_lp(lp, max_iter=res.iterations).optimal
+        short = solve_lp(lp, max_iter=res.iterations - 1)
+        assert short.status == "iteration_limit" and short.values is None
+
+    def test_lower_infinite_nonbasic_starts_at_upper_bound(self):
+        # x0 in (-inf, 1.5] and the >= slack in (-inf, 0] must both start at
+        # their finite upper bound, or the first point is not a vertex;
+        # min -x0 + 2 x1 over x0 + x1 >= 1 is 2 - 3 x0, so x0 ends at 1.5
+        lp = LinearProgram([-1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], (">=", "<="), [1.0, 3.0],
+                           [[-INF, 1.5], [-INF, INF]])
+        res = solve_lp(lp)
+        assert res.optimal
+        assert res.values[0] == 1.5
+        assert res.values[1] == pytest.approx(-0.5, abs=1e-12)
+        assert res.objective_value == pytest.approx(-2.5, abs=1e-12)
+
+    def test_optimal_basis_restarts_without_steps(self, rng):
+        lp = random_feasible_lp(rng)
+        res = solve_lp(lp)
+        again = solve_lp(lp, max_iter=0, basis=res.basis)
+        assert again.optimal and again.iterations == 0
+        assert np.allclose(again.values, res.values, rtol=0.0, atol=1e-9)
 
     def test_nan_rejected(self):
         with pytest.raises(BuildError):
@@ -156,12 +181,32 @@ class TestSolveMilp:
         assert solve_milp(MixedIntegerProgram(lp, (0,))).status == "infeasible"
 
     def test_node_cap_reports_limit(self, rng):
-        n = 14
+        # node_cap caps the LPs solved exactly; this instance is infeasible
+        # (sum of binaries = n/2 + 0.3), so only a full search proves it
+        n = 8
         a = np.ones((1, n))
         lp = LinearProgram(rng.uniform(0.9, 1.1, n), a, ("=",), [n / 2 + 0.3],
                            np.column_stack([np.zeros(n), np.ones(n)]))
-        res = solve_milp(MixedIntegerProgram(lp, tuple(range(n))), node_cap=3)
-        assert res.status == "iteration_limit"
+        mip = MixedIntegerProgram(lp, tuple(range(n)))
+        full = solve_milp(mip)
+        assert full.status == "infeasible" and full.node_count > 3
+        assert solve_milp(mip, node_cap=full.node_count).status == "infeasible"
+        capped = solve_milp(mip, node_cap=full.node_count - 1)
+        assert capped.status == "iteration_limit" and capped.node_count == full.node_count - 1
+
+    def test_root_basis_hint_keeps_the_search(self, rng):
+        for _ in range(10):
+            n = 8
+            a = rng.uniform(-1.0, 1.0, size=(4, n))
+            b = a @ rng.randint(0, 2, n) + 0.25
+            lp = LinearProgram(rng.uniform(-1, 1, n), a, ("<=",) * 4, b,
+                               np.column_stack([np.zeros(n), np.ones(n)]))
+            mip = MixedIntegerProgram(lp, tuple(range(n)))
+            cold = solve_milp(mip)
+            warm = solve_milp(mip, basis=solve_lp(lp).basis)
+            assert warm.status == cold.status == "optimal"
+            assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9, abs=1e-9)
+            assert warm.basis is not None
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000))
@@ -183,3 +228,129 @@ class TestSolveMilp:
         lp = LinearProgram([1.0], np.zeros((0, 1)), (), [], [[0.0, 2.0]])
         with pytest.raises(BuildError):
             MixedIntegerProgram(lp, (0,))
+
+
+#: variable kinds of the random LPs: (lower, upper) relative to a point x0
+KINDS = ("free", "fixed", "lower", "upper", "boxed")
+
+
+@st.composite
+def mixed_lps(draw):
+    """LP with every relation and bound kind, zero rows included, feasible at x0.
+
+    Returns (lp, infeasible): with infeasible, a row pair a x <= b, a x >= b + 1
+    is appended.
+    """
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 6))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.RandomState(seed)
+    kinds = [KINDS[k] for k in rng.randint(0, len(KINDS), n)]
+    x0 = rng.uniform(-3.0, 3.0, n)
+    lo = np.array([{"free": -INF, "upper": -INF}.get(k, x - rng.uniform(0.0, 2.0) * (k != "fixed"))
+                   for k, x in zip(kinds, x0)])
+    hi = np.array([{"free": INF, "lower": INF}.get(k, x + rng.uniform(0.0, 2.0) * (k != "fixed"))
+                   for k, x in zip(kinds, x0)])
+    a = np.round(rng.uniform(-2.0, 2.0, (m, n)), 1)
+    a[rng.uniform(size=m) < 0.2] = 0.0  # zero rows
+    rels = tuple(RELATIONS[k] for k in rng.randint(0, 3, m))
+    gap = rng.uniform(0.0, 1.0, m) * (rng.uniform(size=m) < 0.7)  # some rows tight at x0
+    sign = np.array([{"<=": 1.0, "=": 0.0, ">=": -1.0}[r] for r in rels])
+    b = a @ x0 + sign * gap
+    c = np.round(rng.uniform(-2.0, 2.0, n), 1)
+    infeasible = draw(st.booleans()) and draw(st.booleans())
+    if infeasible:
+        row = rng.uniform(-1.0, 1.0, n)
+        a = np.vstack([a, row, row])
+        rels = rels + ("<=", ">=")
+        b = np.concatenate([b, [row @ x0, row @ x0 + 1.0]])
+    return LinearProgram(c, a, rels, b, np.column_stack([lo, hi])), infeasible
+
+
+def highs(lp: LinearProgram):
+    rel = np.array(lp.relations, dtype=object)
+    ub = rel != "="
+    a_ub = np.where((rel[ub] == ">=")[:, None], -lp.lhs[ub], lp.lhs[ub])
+    b_ub = np.where(rel[ub] == ">=", -lp.rhs[ub], lp.rhs[ub])
+    eq = rel == "="
+    return scipy_linprog(
+        lp.objective,
+        A_ub=a_ub if ub.any() else None, b_ub=b_ub if ub.any() else None,
+        A_eq=lp.lhs[eq] if eq.any() else None, b_eq=lp.rhs[eq] if eq.any() else None,
+        bounds=[(None if np.isinf(l) else l, None if np.isinf(h) else h) for l, h in lp.bounds],
+        method="highs",
+    )
+
+
+def assert_feasible(lp: LinearProgram, x: np.ndarray, tol: float = 1e-7):
+    assert np.all(lp.bounds[:, 0] <= x) and np.all(x <= lp.bounds[:, 1])
+    act = lp.lhs @ x
+    for r, rel in enumerate(lp.relations):
+        if rel != ">=":
+            assert act[r] <= lp.rhs[r] + tol
+        if rel != "<=":
+            assert act[r] >= lp.rhs[r] - tol
+
+
+class TestBoundedSimplex:
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_lps())
+    def test_matches_highs(self, drawn):
+        lp, infeasible = drawn
+        mine = solve_lp(lp)
+        ref = highs(lp)
+        expected = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        assert mine.status == expected
+        assert (expected == "infeasible") == infeasible
+        if expected == "optimal":
+            assert mine.objective_value == pytest.approx(ref.fun, rel=1e-9, abs=1e-7)
+            assert_feasible(lp, mine.values)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_lps(), st.integers(0, 2**31 - 1))
+    def test_warm_matches_cold_after_perturbation(self, drawn, seed):
+        lp, _ = drawn
+        first = solve_lp(lp)
+        if not first.optimal:
+            return
+        rng = np.random.RandomState(seed)
+        shift = rng.uniform(-0.5, 0.5, lp.n_vars) * (rng.uniform(size=lp.n_vars) < 0.5)
+        lo = lp.bounds[:, 0] + shift
+        hi = np.maximum(lp.bounds[:, 1] + shift * rng.uniform(0.0, 2.0, lp.n_vars), lo)
+        rhs = lp.rhs + rng.uniform(-0.5, 0.5, lp.n_rows) * (rng.uniform(size=lp.n_rows) < 0.5)
+        moved = LinearProgram(lp.objective, lp.lhs, lp.relations, rhs, np.column_stack([lo, hi]))
+        cold = solve_lp(moved)
+        warm = solve_lp(moved, basis=first.basis)
+        assert warm.status == cold.status
+        if cold.optimal:
+            assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9, abs=1e-9)
+            assert_feasible(moved, warm.values)
+
+    @pytest.mark.parametrize("tilt", [0.0, 1e-13])
+    def test_singular_hint_starts_cold(self, tilt):
+        # columns 0 and 1 are parallel (tilt 0) or nearly so (condition
+        # about 1e14), where the hinted basic values x1 = 4 / tilt and
+        # x0 = 3 + x1 lie within their bounds; a repeated column too
+        lp = LinearProgram([1.0, 1.0, 0.5], [[1.0, -1.0, 0.0], [2.0, -2.0 - tilt, 1.0]],
+                           ("=", ">="), [3.0, 1.0], [[0.0, INF], [0.0, INF], [-1.0, 1.0]])
+        cold = solve_lp(lp)
+        for rows in ([0, 1], [0, 0]):
+            hinted = solve_lp(lp, basis=(np.array(rows), np.array([], dtype=int)))
+            assert hinted.status == cold.status == "optimal"
+            assert hinted.iterations == cold.iterations
+            assert np.array_equal(hinted.values, cold.values)
+
+    def test_infeasible_hint_starts_cold(self):
+        lp = LinearProgram([1.0, 1.0], [[1.0, 1.0]], (">=",), [3.0],
+                           [[0.0, 2.0], [0.0, 2.0]])
+        cold = solve_lp(lp)
+        # x0 basic with x1 at its upper bound gives x0 = 1 (feasible): starts warm
+        warm = solve_lp(lp, basis=(np.array([0]), np.array([1])))
+        assert warm.optimal and warm.objective_value == pytest.approx(3.0)
+        # the slack basic with both at zero gives s = 3 > 0 for a >= row
+        hinted = solve_lp(lp, basis=(np.array([2]), np.array([], dtype=int)))
+        assert hinted.iterations == cold.iterations
+        assert np.array_equal(hinted.values, cold.values)
+        # a hint of the wrong shape is ignored too
+        wrong = solve_lp(lp, basis=(np.array([0, 1]), np.array([], dtype=int)))
+        assert np.array_equal(wrong.values, cold.values)

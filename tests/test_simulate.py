@@ -136,6 +136,26 @@ class TestSimulate:
         with pytest.raises(ConfigurationError):
             simulate(ss, np.array([1.0]), t_step=1.0, t_end=10.0, dt=0.1)
 
+    @pytest.mark.parametrize("gain", [0.0, 40.0])
+    def test_dt_none_picks_dt_from_one_eigensolve(self, one_area_model, monkeypatch, gain):
+        ss = _ss(one_area_model, gain=gain)
+        lam_max = float(np.abs(np.linalg.eigvals(ss.state_matrix)).max())
+        dt = min(0.02, 1.0 / (12.0 * lam_max))
+        assert (dt < 0.02) == (gain > 0.0)  # both branches of the min
+        explicit = simulate(ss, np.array([1.0]), t_step=1.0, t_end=10.0, dt=dt)
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            calls.append(a)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        chosen = simulate(ss, np.array([1.0]), t_step=1.0, t_end=10.0, dt=None)
+        assert len(calls) == 1
+        assert np.array_equal(chosen.times, explicit.times)
+        assert np.array_equal(chosen.states, explicit.states)
+
     def test_bad_horizon(self, one_area_model):
         ss = _ss(one_area_model)
         with pytest.raises(ConfigurationError):
