@@ -290,12 +290,19 @@ class CredMilp:
 
 @dataclass(frozen=True, eq=False)
 class StabilityCertificate:
-    """Exact-spectrum check of a solved dispatch, one entry per period."""
+    """Exact-spectrum check of a solved dispatch, one entry per period.
+
+    The check passes on Re < 0.  settle_shortfall is how far the worst
+    period's spectral abscissa falls short of the -settle_margin the
+    stability rows aimed at (0 when it reaches it); piecewise tables within
+    eps_lim of the exact loci can leave a shortfall up to eps_lim.
+    """
 
     max_real: np.ndarray  # (T,)
     worst_period: int
     worst_eigenvalues: np.ndarray
     estimate_discrepancy: float | None
+    settle_shortfall: float
 
 
 @dataclass(eq=False)
@@ -312,6 +319,8 @@ class DispatchSolution:
     per_period_cost: np.ndarray  # currency
     total_cost: float
     node_count: int
+    #: simplex steps over every LP the solve ran (B&B nodes included)
+    simplex_iterations: int = 0
     stability_certificate: StabilityCertificate | None = None
 
     @property
@@ -359,6 +368,10 @@ def build_cred_milp(
     any other row or the objective touches kc or pres, and InfeasibleError
     if no net gain meets the rows.  Two or more attacked areas keep the
     MIP.
+
+    Columns and rows are laid out period after period.  Without storage
+    every period's block has the same columns, rows, coefficients and
+    costs; only its right-hand sides and bounds depend on the period.
     """
     n = scn.model.areas
     if periods is None:
@@ -573,6 +586,30 @@ def _extract(problem: CredMilp, values: np.ndarray, out: DispatchSolution):
         out.per_period_cost[t] = cost
 
 
+def _period_programs(problem: CredMilp) -> list:
+    """(columns, program) per period of a horizon without storage.
+
+    build_cred_milp lays the horizon out period after period, and without
+    storage every period has the same columns, rows, coefficients and
+    costs, so period t is block t of the rows and of the columns.  Every
+    period's program shares block 0's objective, matrix and relations and
+    takes its own right-hand sides and bounds.
+    """
+    mip = problem.program
+    lp = mip.base
+    t_len = len(problem.periods)
+    m, n = lp.n_rows // t_len, lp.n_vars // t_len
+    first = LinearProgram(lp.objective[:n], lp.lhs[:m, :n], lp.relations[:m], lp.rhs[:m],
+                          lp.bounds[:n])
+    binaries = tuple(j for j in mip.binary_vars if j < n)
+    out = []
+    for t in range(t_len):
+        cols = slice(t * n, (t + 1) * n)
+        program = first.with_data(lp.rhs[t * m:(t + 1) * m], lp.bounds[cols]) if t else first
+        out.append((cols, MixedIntegerProgram(program, binaries)))
+    return out
+
+
 def solve_cred(
     scn: DispatchScenario,
     stab: StabilityConstraintSet | None,
@@ -580,11 +617,14 @@ def solve_cred(
 ) -> DispatchSolution:
     """Solve the dispatch, decomposing per period when storage permits.
 
-    Every period's instance has the same matrix, so period t + 1's solve
-    starts from period t's optimal basis; solve_lp uses that basis only if
-    it is still a feasible basis and starts cold otherwise.  Raises
-    InfeasibleError when any period admits no feasible point and
-    NumericalError when the solver hits its budget.
+    The horizon is built once.  Without storage its periods decouple, and
+    each period's program is its block of that build (_period_programs):
+    one matrix and objective, with the period's right-hand sides and
+    bounds.  Period t + 1's solve starts from period t's optimal basis,
+    which stays dual feasible, so it needs only dual simplex steps.  With
+    storage the horizon is one program.  Raises InfeasibleError when any
+    period admits no feasible point and NumericalError when the solver
+    hits its budget.
     """
     t_len, n = scn.n_periods, scn.model.areas
     sol = DispatchSolution(
@@ -601,23 +641,26 @@ def solve_cred(
         total_cost=0.0,
         node_count=0,
     )
+    problem = build_cred_milp(scn, stab, allow_shed=allow_shed)
     if scn.storage:
-        chunks = [None]  # monolithic
+        blocks = [(slice(None), problem.program)]
     else:
-        chunks = [[t] for t in range(t_len)]
+        blocks = _period_programs(problem)
+    values = np.zeros(problem.program.base.n_vars)
     basis = None
-    for chunk in chunks:
-        problem = build_cred_milp(scn, stab, allow_shed=allow_shed, periods=chunk)
-        res = solve_milp(problem.program, basis=basis)
+    for t, (cols, program) in enumerate(blocks):
+        res = solve_milp(program, basis=basis)
         if res.status == "infeasible":
-            where = "horizon" if chunk is None else f"period {chunk[0]}"
+            where = "horizon" if scn.storage else f"period {t}"
             raise InfeasibleError(f"dispatch infeasible in {where}"
                                   + ("" if allow_shed else " (shedding disabled)"))
         if not res.optimal:
             raise NumericalError(f"dispatch solve ended with status {res.status}")
-        _extract(problem, res.values, sol)
+        values[cols] = res.values
         sol.node_count += res.node_count or 0
+        sol.simplex_iterations += res.iterations
         basis = res.basis
+    _extract(problem, values, sol)
     sol.total_cost = float(sol.per_period_cost.sum())
     return sol
 
@@ -657,8 +700,10 @@ def validate_solution(
     Rebuilds each period's closed loop with the solved droop gains and the
     robust attack gains and demands a strictly negative spectral abscissa.
     The power reference enters only the forcing, so periods with equal
-    state matrices share one eigendecomposition.  Raises ValidationFailure
-    naming the first offending period/eigenvalue.
+    state matrices share one eigendecomposition.  estimate_discrepancy is
+    the largest real-part gap between a table's estimate and the exact
+    eigenvalue nearest to it in the complex plane.  Raises
+    ValidationFailure naming the first offending period/eigenvalue.
     """
     gains = np.asarray(gains, dtype=float)
     t_len = scn.n_periods
@@ -687,17 +732,19 @@ def validate_solution(
         for (i, a), tab in tables.items():
             k = gains[a] - sol.droop[t, a]
             try:
-                est = (tab.base_eigenvalue + evaluate_piecewise(tab, k)).real
+                est = tab.base_eigenvalue + evaluate_piecewise(tab, k)
             except CoverageError:
                 continue
-            exact = eig.eigenvalues.real[np.argmin(np.abs(eig.eigenvalues.real - est))]
-            gap = abs(est - exact)
+            exact = eig.eigenvalues[np.argmin(np.abs(eig.eigenvalues - est))]
+            gap = abs(est.real - exact.real)
             discrepancy = gap if discrepancy is None else max(discrepancy, gap)
+    settle = stab.settle_margin if stab is not None else 0.0
     return StabilityCertificate(
         max_real=max_real,
         worst_period=int(worst_t),
         worst_eigenvalues=worst_eigs,
         estimate_discrepancy=discrepancy,
+        settle_shortfall=max(0.0, float(max_real.max()) + settle),
     )
 
 

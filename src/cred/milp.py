@@ -1,12 +1,14 @@
-"""Bounded-variable primal simplex and best-bound branch-and-bound over binaries.
+"""Bounded-variable dual and primal simplex, and best-bound branch-and-bound over binaries.
 
 Sized for desk-scale dispatch instances (tens of variables, hundreds of
-rows).  Bounds enter the simplex's ratio test, not its tableau, so LPs
-with one matrix share one column set and a basis can seed the next solve.
-Pricing falls back from Dantzig's to Bland's rule after a degenerate
-stall, so it cannot cycle; the branch-and-bound's node heap is ordered by
-(bound, insertion counter), so results and node counts are reproducible.
-An external solver can be substituted behind the same solve_lp/solve_milp contract.
+rows).  Bounds enter the ratio tests, not the tableau, so LPs with one
+matrix share one column set and a basis can seed the next solve.  An LP
+whose costs a basis prices (the hint, else the slack basis) is solved by
+the dual simplex; any other by the two-phase primal simplex.  Both fall
+back to Bland's rule after a degenerate stall, so neither cycles; the
+branch-and-bound's node heap is ordered by (bound, insertion counter), so
+results and node counts are reproducible.  An external solver can be
+substituted behind the same solve_lp/solve_milp contract.
 """
 
 from __future__ import annotations
@@ -85,6 +87,19 @@ class LinearProgram:
     def n_rows(self) -> int:
         return len(self.relations)
 
+    def with_data(self, rhs, bounds) -> "LinearProgram":
+        """This LP's objective, matrix and relations with other right-hand sides and bounds.
+
+        rhs and bounds are taken as they are, without the checks of a new
+        LP: pass read-only arrays from a validated LinearProgram, such as
+        the rows and columns of one block of a larger one.
+        """
+        if np.shape(rhs) != self.rhs.shape or np.shape(bounds) != self.bounds.shape:
+            raise BuildError("new right-hand sides or bounds do not fit the LP")
+        out = object.__new__(LinearProgram)
+        out.__dict__.update(vars(self), rhs=rhs, bounds=bounds)
+        return out
+
     def with_bounds(self, overrides) -> "LinearProgram":
         """New LP with per-variable (lo, hi) overrides applied."""
         bounds = self.bounds.copy()
@@ -132,10 +147,18 @@ class _IterationLimit(Exception):
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Gauss-Jordan step on (row, col), updating only the rows it changes.
+
+    A row whose pivot-column entry is zero would change by an exact zero,
+    so skipping it gives the dense update bit for bit; dispatch tableaux
+    are mostly zero, and a day-long horizon's pivot touches a few dozen of
+    its 289 rows.
+    """
     tableau[row] /= tableau[row, col]
     colvals = tableau[:, col].copy()
     colvals[row] = 0.0
-    tableau -= np.outer(colvals, tableau[row])
+    rows = np.flatnonzero(colvals)
+    tableau[rows] -= np.outer(colvals[rows], tableau[row])
     basis[row] = col
 
 
@@ -233,20 +256,68 @@ def _phase_one(a, b, lo, hi, x, budget):
     return (tab, basis, x), steps
 
 
-def _warm_start(a, b, lo, hi, x, hint):
-    """(tab, basis, x) from a basis hint, or None unless it is a feasible basis here.
+def _dual_simplex(tab, basis, x, lo, hi, d, budget):
+    """Restore primal feasibility from a dual feasible basis, in place.
 
-    Nonbasic columns the hint lists at their upper bound start there if
-    it is finite; basic ones get B^-1 (b - N x_N).  A hint that does not
-    fit, a singular or nearly singular basis matrix, or a basic value
-    outside its bounds is rejected.
+    d holds every column's reduced cost, with each nonbasic column at the
+    bound its sign prefers (lower for d > 0, upper for d < 0).  A step
+    takes the basic value farthest outside its bounds out to that bound;
+    the entering column is the one whose reduced cost reaches zero first
+    as the row's dual moves (the ratio test on reduced costs, ties to the
+    largest pivot), so every reduced cost keeps its sign.  d, x and tab are
+    updated per step, never recomputed.  Returns (feasible, steps):
+    feasible is False when the leaving row has no entering column, a dual
+    ray that proves the LP infeasible.  Raises _IterationLimit past budget
+    steps.
     """
+    nonbasic = np.ones(tab.shape[1], dtype=bool)
+    nonbasic[basis] = False
+    steps = stall = 0
+    bland = False
+    while True:
+        xb = x[basis]
+        short = np.maximum(lo[basis] - xb, xb - hi[basis])
+        if short.max(initial=0.0) <= _PIVOT_TOL:
+            return True, steps
+        r = int(np.argmax(short))
+        if steps == budget:
+            raise _IterationLimit()
+        steps += 1
+        if bland:  # smallest basic index among the infeasible rows
+            bad = np.flatnonzero(short > _PIVOT_TOL)
+            r = int(bad[np.argmin(basis[bad])])
+        target = lo[basis[r]] if xb[r] < lo[basis[r]] else hi[basis[r]]
+        alpha = tab[r]
+        # x_r = beta_r - alpha @ x_N moves toward target when column j moves
+        # against sign((xb[r] - target) * alpha_j) and its bounds allow that
+        up = (xb[r] - target) * alpha > 0.0  # j must increase
+        free = np.where(up, x < hi, x > lo)
+        eligible = nonbasic & free & (np.abs(alpha) > _PIVOT_TOL)
+        if not eligible.any():
+            return False, steps
+        ratio = np.full(alpha.size, np.inf)
+        ratio[eligible] = np.abs(d[eligible]) / np.abs(alpha[eligible])
+        best = ratio.min()
+        ties = np.flatnonzero(ratio <= best + 1e-12)
+        e = int(ties[0] if bland else ties[np.argmax(np.abs(alpha[ties]))])
+        theta_d = d[e] / alpha[e]
+        theta_p = (xb[r] - target) / alpha[e]
+        d -= theta_d * alpha
+        d[e] = 0.0
+        x[basis] = xb - theta_p * tab[:, e]
+        x[e] += theta_p
+        out = basis[r]
+        x[out] = target
+        _pivot(tab, basis, r, e)
+        nonbasic[e], nonbasic[out] = False, True
+        if not bland:
+            stall = stall + 1 if abs(theta_d) <= 1e-12 else 0
+            bland = stall > _STALL_LIMIT
+
+
+def _factor(a, rows):
+    """B^-1 times the columns for the basic columns rows, or None if B is (nearly) singular."""
     m, n_cols = a.shape
-    rows, upper = (np.asarray(h, dtype=int) for h in hint)
-    both = np.concatenate([rows, upper])
-    if rows.shape != (m,) or m == 0 or not np.all((both >= 0) & (both < n_cols)):
-        return None
-    x[upper] = np.where(np.isfinite(hi[upper]), hi[upper], x[upper])
     bmat = a[:, rows]
     try:
         tab = np.linalg.solve(bmat, a)
@@ -256,11 +327,42 @@ def _warm_start(a, b, lo, hi, x, hint):
     # number within a factor m
     if np.abs(tab[:, n_cols - m:]).max() * np.abs(bmat).max() > 1e12:
         return None
-    basis = rows.copy()
-    _basic_values(tab, basis, x, a, b)
-    if np.any(x[basis] < lo[basis] - _PIVOT_TOL) or np.any(x[basis] > hi[basis] + _PIVOT_TOL):
-        return None
-    return tab, basis, x
+    return tab
+
+
+def _dual_start(a, b, lo, hi, cost, x, hint):
+    """(tab, basis, x, d) of a dual feasible basis, or None if neither candidate is one.
+
+    The candidates are the hint, if it fits and its basis matrix is
+    nonsingular, then the slack basis.  Nonbasic columns go to the bound
+    their reduced cost d prefers; those with a negligible one stay at
+    their bound in x, or at the upper bound if the hint lists them there.
+    A basis is dual feasible when every preferred bound is finite.  Basic
+    columns get B^-1 (b - N x_N).
+    """
+    m, n_cols = a.shape
+    candidates = []
+    if hint is not None:
+        rows, upper = (np.asarray(h, dtype=int) for h in hint)
+        both = np.concatenate([rows, upper])
+        if rows.shape == (m,) and m > 0 and np.all((both >= 0) & (both < n_cols)):
+            tab = _factor(a, rows)
+            if tab is not None:
+                candidates.append((rows.copy(), upper[np.isfinite(hi[upper])], tab))
+    candidates.append((np.arange(n_cols - m, n_cols), [], a.copy()))
+    for basis, upper, tab in candidates:
+        d = cost - cost[basis] @ tab
+        d[basis] = 0.0
+        above, below = d > _PIVOT_TOL, d < -_PIVOT_TOL
+        if np.any(above & np.isinf(lo)) or np.any(below & np.isinf(hi)):
+            continue
+        x = x.copy()
+        x[upper] = hi[upper]
+        x[above] = lo[above]
+        x[below] = hi[below]
+        _basic_values(tab, basis, x, a, b)
+        return tab, basis, x, d
+    return None
 
 
 def _basic_values(tab, basis, x, a, b) -> None:
@@ -270,40 +372,54 @@ def _basic_values(tab, basis, x, a, b) -> None:
 
 
 def solve_lp(lp: LinearProgram, max_iter: int | None = None, basis=None) -> SolveResult:
-    """Bounded-variable primal simplex (Chvatal, Linear Programming, 1983, ch. 8).
+    """Bounded-variable simplex (Chvatal, Linear Programming, 1983, ch. 8 and 10).
 
     Columns are the variables and one slack per row, lhs x + s = rhs, with
-    s in [0, inf) for <=, (-inf, 0] for >= and [0, 0] for =; a nonbasic
-    column sits at its lower bound, else its upper, else 0.  basis, a
-    SolveResult.basis of an LP with the same matrix, replaces phase 1 if
-    its basis matrix is nonsingular and its basic values lie within their
-    bounds here; otherwise the solve starts cold.  Returns an optimal basic
-    solution (values within their bounds exactly), infeasible, unbounded,
-    or iteration_limit when more than max_iter steps (pivots and bound
-    flips) are needed.
+    s in [0, inf) for <=, (-inf, 0] for >= and [0, 0] for =.  The solve
+    has two starts:
+
+    1. The dual simplex (Koberstein, The Dual Simplex Method, 2005) from a
+       dual feasible basis: basis, a SolveResult.basis of an LP with the
+       same matrix and objective, if its basis matrix is nonsingular, else
+       the slack basis, which is dual feasible whenever every costed
+       variable is bounded in its cost's direction.  An optimal hint ends
+       after no step; a hint made primal infeasible by new right-hand
+       sides or bounds needs only dual steps.
+    2. Otherwise the two-phase primal simplex from the slack basis plus
+       artificials.
+
+    Returns an optimal basic solution (values within their bounds
+    exactly), infeasible, unbounded, or iteration_limit when more than
+    max_iter steps (pivots and bound flips of either start) are needed.
     """
     n, m = lp.n_vars, lp.n_rows
     a = np.hstack([lp.lhs, np.eye(m)])
     slack = np.array([_SLACK_BOUNDS[r] for r in lp.relations]).reshape(m, 2)
     lo = np.concatenate([lp.bounds[:, 0], slack[:, 0]])
     hi = np.concatenate([lp.bounds[:, 1], slack[:, 1]])
+    cost = np.concatenate([lp.objective, np.zeros(m)])
     x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
     if max_iter is None:
         max_iter = 2000 + 200 * (m + a.shape[1])
-    start = None if basis is None else _warm_start(a, lp.rhs, lo, hi, x.copy(), basis)
-    steps = 0
+    start = _dual_start(a, lp.rhs, lo, hi, cost, x, basis)
+    unbounded = False
     try:
-        if start is None:
+        if start is not None:
+            tab, rows, x, d = start
+            feasible, steps = _dual_simplex(tab, rows, x, lo, hi, d, max_iter)
+        else:
             start, steps = _phase_one(a, lp.rhs, lo, hi, x, max_iter)
-            if start is None:
-                return SolveResult("infeasible", iterations=steps)
-        tab, rows, x = start
-        cost = np.concatenate([lp.objective, np.zeros(m)])
-        unbounded, more = _simplex(tab, rows, x, lo, hi, cost, max_iter - steps)
+            feasible = start is not None
+            if feasible:
+                tab, rows, x = start
+                unbounded, more = _simplex(tab, rows, x, lo, hi, cost, max_iter - steps)
+                steps += more
     except _IterationLimit:
         return SolveResult("iteration_limit", iterations=max_iter)
+    if not feasible:
+        return SolveResult("infeasible", iterations=steps)
     if unbounded:
-        return SolveResult("unbounded", iterations=steps + more)
+        return SolveResult("unbounded", iterations=steps)
 
     _basic_values(tab, rows, x, a, lp.rhs)
     # round-off leaves basic values like +-1e-15 off their bound; callers
@@ -315,7 +431,7 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None, basis=None) -> Solv
     values = x[:n]
     values.setflags(write=False)
     return SolveResult("optimal", values=values, objective_value=float(lp.objective @ values),
-                       iterations=steps + more, basis=(rows, np.flatnonzero(x == hi)))
+                       iterations=steps, basis=(rows, np.flatnonzero(x == hi)))
 
 
 def solve_milp(mip: MixedIntegerProgram, node_cap: int = 200_000, basis=None) -> SolveResult:
@@ -324,13 +440,14 @@ def solve_milp(mip: MixedIntegerProgram, node_cap: int = 200_000, basis=None) ->
     Branches on the most fractional binary; pruning keeps any solution
     within 1e-9 of the incumbent, so the reported optimum is exact to well
     below the 1e-6 contract.  basis is the root LP's hint (see solve_lp);
-    every other node starts cold.
+    every other node starts from the slack basis.  iterations sums the
+    simplex steps of every node.
     """
     counter = 0
     heap = [(-np.inf, counter, {})]
     incumbent = None
     incumbent_obj = np.inf
-    nodes = 0
+    nodes = iterations = 0
     binaries = mip.binary_vars
     root_basis = None
 
@@ -345,10 +462,11 @@ def solve_milp(mip: MixedIntegerProgram, node_cap: int = 200_000, basis=None) ->
         if not nodes:
             root_basis = res.basis
         nodes += 1
+        iterations += res.iterations
         if res.status == "iteration_limit":
             break
         if res.status == "unbounded":
-            return SolveResult("unbounded", node_count=nodes)
+            return SolveResult("unbounded", node_count=nodes, iterations=iterations)
         if res.status == "infeasible":
             continue
         if res.objective_value >= incumbent_obj - 1e-9:
@@ -367,9 +485,9 @@ def solve_milp(mip: MixedIntegerProgram, node_cap: int = 200_000, basis=None) ->
             heapq.heappush(heap, (res.objective_value, counter, child))
     else:
         if incumbent is None:
-            return SolveResult("infeasible", node_count=nodes)
+            return SolveResult("infeasible", node_count=nodes, iterations=iterations)
         return SolveResult("optimal", values=incumbent, objective_value=incumbent_obj,
-                           node_count=nodes, basis=root_basis)
+                           node_count=nodes, iterations=iterations, basis=root_basis)
     return SolveResult("iteration_limit", values=incumbent,
                        objective_value=None if incumbent is None else incumbent_obj,
-                       node_count=nodes)
+                       node_count=nodes, iterations=iterations)

@@ -148,12 +148,16 @@ def classify_trajectory(traj: Trajectory, area: int | None = None) -> str:
     """
     if traj.diverged:
         return "growing"
-    mask = traj.times >= traj.step_time
-    omega = traj.omega[mask] - traj.equilibrium_post[traj.n_areas:]
-    times = traj.times[mask]
+    # the grid is uniform, so the post-step samples are a suffix; views and
+    # per-area extremes keep the full state history from being copied
+    first = int(np.searchsorted(traj.times, traj.step_time))
+    omega = traj.omega[first:]
+    eq = traj.equilibrium_post[traj.n_areas:]
+    times = traj.times[first:]
     if area is None:
-        area = int(np.argmax(np.abs(omega).max(axis=0)))
-    signal = np.abs(omega[:, area])
+        swing = np.maximum(omega.max(axis=0) - eq, eq - omega.min(axis=0))
+        area = int(np.argmax(swing))
+    signal = np.abs(omega[:, area] - eq[area])
     floor = max(signal.max() * 1e-9, 1e-300)
 
     interior = signal[1:-1]

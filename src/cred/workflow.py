@@ -172,6 +172,7 @@ def _certificate_dict(cert) -> dict:
         "worst_period": cert.worst_period,
         "worst_eigenvalues": [[float(z.real), float(z.imag)] for z in cert.worst_eigenvalues],
         "estimate_discrepancy": cert.estimate_discrepancy,
+        "settle_shortfall": cert.settle_shortfall,
     }
 
 
@@ -310,6 +311,7 @@ def _solution_dict(scn: DispatchScenario, sol: DispatchSolution) -> dict:
         "storage_soc": sol.storage_soc.tolist(),
         "binaries": {f"{t},{i},{a},{m}": v for (t, i, a, m), v in sorted(sol.binaries.items())},
         "node_count": sol.node_count,
+        "simplex_iterations": sol.simplex_iterations,
         "stability_certificate": None
         if sol.stability_certificate is None
         else _certificate_dict(sol.stability_certificate),

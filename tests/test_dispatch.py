@@ -377,6 +377,37 @@ class TestValidate:
         base_margin = is_stable(eigen_decompose(base)).max_real
         assert cert.max_real[0] == base_margin
 
+    def test_discrepancy_matches_in_the_complex_plane(self):
+        # an estimate beside exact eigenvalue a with the real part of another
+        # eigenvalue b: the exact value nearest to it is a, so the gap is
+        # |Re a - Re b|, where matching by real part alone finds b and zero
+        bundle = scenario_from_dict(three_area_system())
+        rep = run_workflow(WorkflowConfig(mode="worst_case"), bundle=bundle)
+        scn, sol, gains = bundle.dispatch, rep.solution, np.array(rep.robust_gains)
+        eigs = validate_solution(scn, sol, gains).worst_eigenvalues
+        a, b = next((a, b) for a in eigs for b in eigs if b.real != a.real
+                    and eigs[np.argmin(np.abs(eigs - complex(b.real, a.imag)))] == a)
+        est = complex(b.real, a.imag)
+        area = int(np.argmax(gains))
+        tab = SegmentTable(0, area, (LinearizationPoint(0.0, est, 0j),), float(gains[area]),
+                           est, 0.02, 0.01, np.zeros(0), np.zeros(0))
+        cert = validate_solution(scn, sol, gains, StabilityConstraintSet((tab,), gains))
+        assert cert.estimate_discrepancy == pytest.approx(abs(a.real - b.real), rel=1e-12)
+        assert cert.estimate_discrepancy > 1e-3
+
+    def test_settle_shortfall(self, one_area_model):
+        scn = toy_scenario(one_area_model)
+        for settle in (0.0, 0.5):
+            stab = toy_stability(one_area_model, settle=settle)
+            cert = validate_solution(scn, solve_cred(scn, stab), [3.0], stab)
+            assert cert.settle_shortfall == max(0.0, cert.max_real.max() + settle)
+        # the toy's base margin is 1 and its eps_lim 0.02, so a 0.5 target is met
+        assert cert.settle_shortfall == 0.0
+        loose = toy_stability(one_area_model, settle=0.5)
+        sol = solve_cred(scn, loose)
+        sol.droop = sol.droop * 0.9
+        assert validate_solution(scn, sol, [3.0], loose).settle_shortfall > 0.0
+
     def test_one_eigensolve_per_distinct_state_matrix(self, monkeypatch):
         bundle = scenario_from_dict(three_area_system())
         rep = run_workflow(WorkflowConfig(mode="worst_case"), bundle=bundle)
@@ -604,6 +635,34 @@ def two_area_desk():
     return doc
 
 
+def record_solves(monkeypatch):
+    """Every dispatch the workflow solves, with the programs it solves.
+
+    Returns a list that fills with (scn, stab, allow_shed, builds, programs)
+    per solve_cred call: builds counts its build_cred_milp calls, programs
+    lists what it hands to solve_milp.
+    """
+    calls = []
+    solve, build, milp_solve = workflow.solve_cred, dispatch.build_cred_milp, dispatch.solve_milp
+
+    def solving(scn, stab, allow_shed=False):
+        calls.append((scn, stab, allow_shed, [], []))
+        return solve(scn, stab, allow_shed=allow_shed)
+
+    def building(*args, **kwargs):
+        calls[-1][3].append(1)
+        return build(*args, **kwargs)
+
+    def milp_solving(program, **kwargs):
+        calls[-1][4].append(program)
+        return milp_solve(program, **kwargs)
+
+    monkeypatch.setattr(workflow, "solve_cred", solving)
+    monkeypatch.setattr(dispatch, "build_cred_milp", building)
+    monkeypatch.setattr(dispatch, "solve_milp", milp_solving)
+    return calls
+
+
 class TestSecondSolver:
     """The in-tree solver and HiGHS agree on the programs the workflow solves."""
 
@@ -614,24 +673,19 @@ class TestSecondSolver:
         (two_area_desk(), False),
     ], ids=["desk_worst_case", "desk_vf0.5_shed", "storage_T4", "desk_two_area"])
     def test_matches_highs(self, monkeypatch, doc, allow_shed):
-        built = []
-
-        def recording(scn, stab, allow_shed=False, periods=None):
-            problem = build_cred_milp(scn, stab, allow_shed=allow_shed, periods=periods)
-            if stab is not None:
-                built.append((allow_shed, periods, problem.program))
-            return problem
-
-        monkeypatch.setattr(dispatch, "build_cred_milp", recording)
+        calls = record_solves(monkeypatch)
         bundle = scenario_from_dict(doc)
         run_workflow(WorkflowConfig(mode="worst_case"), bundle=bundle)
         t_len = bundle.dispatch.n_periods
-        expected = [None] if bundle.dispatch.storage else [[t] for t in range(t_len)]
-        assert [periods for shed, periods, _ in built if shed == allow_shed] == expected
+        calls = [call for call in calls if call[1] is not None]  # the stability dispatches
+        # the final one solves every period, or the horizon once with storage
+        solved = [programs for _, _, shed, _, programs in calls if shed == allow_shed]
+        assert [len(programs) for programs in solved] == [1 if bundle.dispatch.storage else t_len]
+        programs = [program for *_, programs in calls for program in programs]
         # one attacked area solves as an LP, two keep the MIP
         multi_area = len(bundle.attack_areas) > 1
-        assert all(bool(program.binary_vars) == multi_area for _, _, program in built)
-        for _, _, program in built:
+        assert all(bool(program.binary_vars) == multi_area for program in programs)
+        for program in programs:
             mine = solve_milp(program)
             status, objective = solve_with_highs(program)
             assert mine.status == status
@@ -715,3 +769,46 @@ class TestWarmStart:
         rep = run_workflow(cfg, bundle=scenario_from_dict(doc))
         assert rep.branch_taken in ("cred_applied", "cred_infeasible_shed")
         assert checked.count("optimal") == 2  # the baseline and the stability dispatch
+
+
+def same_program(got: MixedIntegerProgram, fresh: MixedIntegerProgram) -> bool:
+    """Equal binaries, objective, matrix, relations, right-hand sides and bounds, bit for bit."""
+    a, b = got.base, fresh.base
+    return (got.binary_vars == fresh.binary_vars and a.relations == b.relations
+            and all(np.array_equal(getattr(a, f), getattr(b, f))
+                    for f in ("objective", "lhs", "rhs", "bounds")))
+
+
+class TestPeriodPrograms:
+    """solve_cred builds the horizon once and solves each period's block of it."""
+
+    @pytest.mark.parametrize("case", ["desk_worst_case", "desk_vf0.5_shed", "toy",
+                                      "desk_two_area"])
+    def test_equal_fresh_single_period_builds(self, monkeypatch, case):
+        from cred.systems import single_area_toy
+
+        doc = {"desk_worst_case": three_area_system,
+               "desk_vf0.5_shed": lambda: three_area_system(vulnerable_fraction=0.5),
+               "toy": single_area_toy, "desk_two_area": two_area_desk}[case]()
+        calls = record_solves(monkeypatch)
+        rep = run_workflow(WorkflowConfig(mode="worst_case"), bundle=scenario_from_dict(doc))
+        assert rep.branch_taken == ("cred_infeasible_shed" if case == "desk_vf0.5_shed"
+                                    else "cred_applied")
+        assert calls
+        for scn, stab, allow_shed, builds, programs in calls:
+            assert len(builds) == 1
+            assert programs
+            for t, program in enumerate(programs):
+                fresh = build_cred_milp(scn, stab, allow_shed=allow_shed, periods=[t])
+                assert same_program(program, fresh.program)
+            # later periods share the first period's matrix and objective
+            assert all(p.base.lhs is programs[0].base.lhs for p in programs)
+            assert all(p.base.objective is programs[0].base.objective for p in programs)
+
+    def test_desk_worst_case_needs_fewer_simplex_steps(self):
+        # the stability dispatch of this run took 7 simplex steps when every
+        # period's LP was rebuilt and only primal feasible hints were taken
+        rep = run_workflow(WorkflowConfig(mode="worst_case"),
+                           bundle=scenario_from_dict(three_area_system()))
+        assert rep.branch_taken == "cred_applied"
+        assert 0 < rep.solution.simplex_iterations < 7

@@ -28,6 +28,19 @@ def random_feasible_lp(rng, m=10, n=20):
     return LinearProgram(c, a, ("<=",) * m, b, bounds)
 
 
+def primal_start_lp(rng, m=6, n=8):
+    """min -sum x over x >= 0, positive <= rows and a >= row cutting off x = 0.
+
+    The negative costs on variables without an upper bound make every
+    slack basis dual infeasible, so the solve is the primal two-phase one.
+    """
+    a = rng.uniform(0.1, 2.0, size=(m, n))
+    b = rng.uniform(5.0, 10.0, size=m)
+    lhs = np.vstack([a, np.ones(n)])
+    bounds = np.column_stack([np.zeros(n), np.full(n, INF)])
+    return LinearProgram(-np.ones(n), lhs, ("<=",) * m + (">=",), np.append(b, 1.0), bounds)
+
+
 class TestSolveLp:
     def test_single_lower_bound(self):
         lp = LinearProgram([1.0], [[1.0]], (">=",), [1.0], [[0.0, 10.0]])
@@ -75,13 +88,16 @@ class TestSolveLp:
         assert solve_lp(lp).status == "unbounded"
 
     def test_iteration_limit_reported(self, rng):
-        # max_iter caps simplex steps (pivots and bound flips) exactly
-        lp = random_feasible_lp(rng)
-        res = solve_lp(lp)
-        assert res.optimal and res.iterations >= 2
-        assert solve_lp(lp, max_iter=res.iterations).optimal
-        short = solve_lp(lp, max_iter=res.iterations - 1)
-        assert short.status == "iteration_limit" and short.values is None
+        # max_iter caps the steps of either start exactly: the dual simplex
+        # from the slack basis of a boxed LP, and the primal two-phase
+        # solve (phase 1 and phase 2 steps together) of an LP whose cost
+        # pushes unbounded-above variables up, which no slack basis prices
+        for lp in (random_feasible_lp(rng), primal_start_lp(rng)):
+            res = solve_lp(lp)
+            assert res.optimal and res.iterations >= 2
+            assert solve_lp(lp, max_iter=res.iterations).optimal
+            short = solve_lp(lp, max_iter=res.iterations - 1)
+            assert short.status == "iteration_limit" and short.values is None
 
     def test_lower_infinite_nonbasic_starts_at_upper_bound(self):
         # x0 in (-inf, 1.5] and the >= slack in (-inf, 0] must both start at
@@ -292,6 +308,15 @@ def assert_feasible(lp: LinearProgram, x: np.ndarray, tol: float = 1e-7):
             assert act[r] >= lp.rhs[r] - tol
 
 
+def shifted(lp: LinearProgram, rng) -> LinearProgram:
+    """lp with about half its right-hand sides and bounds moved by up to 0.5."""
+    shift = rng.uniform(-0.5, 0.5, lp.n_vars) * (rng.uniform(size=lp.n_vars) < 0.5)
+    lo = lp.bounds[:, 0] + shift
+    hi = np.maximum(lp.bounds[:, 1] + shift * rng.uniform(0.0, 2.0, lp.n_vars), lo)
+    rhs = lp.rhs + rng.uniform(-0.5, 0.5, lp.n_rows) * (rng.uniform(size=lp.n_rows) < 0.5)
+    return LinearProgram(lp.objective, lp.lhs, lp.relations, rhs, np.column_stack([lo, hi]))
+
+
 class TestBoundedSimplex:
     @settings(max_examples=150, deadline=None)
     @given(mixed_lps())
@@ -309,48 +334,111 @@ class TestBoundedSimplex:
     @settings(max_examples=150, deadline=None)
     @given(mixed_lps(), st.integers(0, 2**31 - 1))
     def test_warm_matches_cold_after_perturbation(self, drawn, seed):
+        # a re-solve from the optimal basis after new right-hand sides and
+        # bounds (dual steps where that basis is now primal infeasible)
         lp, _ = drawn
         first = solve_lp(lp)
         if not first.optimal:
             return
-        rng = np.random.RandomState(seed)
-        shift = rng.uniform(-0.5, 0.5, lp.n_vars) * (rng.uniform(size=lp.n_vars) < 0.5)
-        lo = lp.bounds[:, 0] + shift
-        hi = np.maximum(lp.bounds[:, 1] + shift * rng.uniform(0.0, 2.0, lp.n_vars), lo)
-        rhs = lp.rhs + rng.uniform(-0.5, 0.5, lp.n_rows) * (rng.uniform(size=lp.n_rows) < 0.5)
-        moved = LinearProgram(lp.objective, lp.lhs, lp.relations, rhs, np.column_stack([lo, hi]))
+        moved = shifted(lp, np.random.RandomState(seed))
         cold = solve_lp(moved)
         warm = solve_lp(moved, basis=first.basis)
-        assert warm.status == cold.status
+        ref = highs(moved)
+        assert warm.status == cold.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
         if cold.optimal:
             assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9, abs=1e-9)
+            assert warm.objective_value == pytest.approx(ref.fun, rel=1e-9, abs=1e-7)
             assert_feasible(moved, warm.values)
 
     @pytest.mark.parametrize("tilt", [0.0, 1e-13])
     def test_singular_hint_starts_cold(self, tilt):
         # columns 0 and 1 are parallel (tilt 0) or nearly so (condition
         # about 1e14), where the hinted basic values x1 = 4 / tilt and
-        # x0 = 3 + x1 lie within their bounds; a repeated column too
-        lp = LinearProgram([1.0, 1.0, 0.5], [[1.0, -1.0, 0.0], [2.0, -2.0 - tilt, 1.0]],
-                           ("=", ">="), [3.0, 1.0], [[0.0, INF], [0.0, INF], [-1.0, 1.0]])
-        cold = solve_lp(lp)
-        for rows in ([0, 1], [0, 0]):
-            hinted = solve_lp(lp, basis=(np.array(rows), np.array([], dtype=int)))
-            assert hinted.status == cold.status == "optimal"
-            assert hinted.iterations == cold.iterations
-            assert np.array_equal(hinted.values, cold.values)
+        # x0 = 3 + x1 lie within their bounds; a repeated column too.  Such
+        # a hint is dropped, and the solve is the unhinted one: the dual
+        # simplex from the slack basis for costs the slack basis prices
+        # (c0 = 1), else the primal two-phase solve (c0 = -1 on x0 >= 0)
+        for c0 in (1.0, -1.0):
+            lp = LinearProgram([c0, 1.0, 0.5], [[1.0, -1.0, 0.0], [2.0, -2.0 - tilt, 1.0]],
+                               ("=", ">="), [3.0, 1.0], [[0.0, INF], [0.0, INF], [-1.0, 1.0]])
+            cold = solve_lp(lp)
+            assert cold.optimal and cold.iterations > 0
+            assert cold.objective_value == pytest.approx(3.0 * c0 - 0.5, abs=1e-12)
+            for rows in ([0, 1], [0, 0]):
+                hinted = solve_lp(lp, basis=(np.array(rows), np.array([], dtype=int)))
+                assert hinted.status == cold.status == "optimal"
+                assert hinted.iterations == cold.iterations
+                assert np.array_equal(hinted.values, cold.values)
 
-    def test_infeasible_hint_starts_cold(self):
-        lp = LinearProgram([1.0, 1.0], [[1.0, 1.0]], (">=",), [3.0],
+    def test_infeasible_hint_takes_dual_steps(self):
+        # min x0 + 2 x1 over x0 + x1 >= 3, both in [0, 2]: x1 = 1 basic, x0 at 2
+        lp = LinearProgram([1.0, 2.0], [[1.0, 1.0]], (">=",), [3.0],
                            [[0.0, 2.0], [0.0, 2.0]])
+        hint = (np.array([1]), np.array([0]))
+        res = solve_lp(lp, max_iter=0, basis=hint)
+        assert res.optimal and res.objective_value == pytest.approx(4.0)
+        # demand 1.5 gives that basis x1 = -0.5: primal infeasible, but its
+        # reduced costs (x0: -1, slack: -2) still price it; one dual step
+        # takes x1 out at 0 and x0 in, at 1.5
+        moved = LinearProgram(lp.objective, lp.lhs, lp.relations, [1.5], lp.bounds)
+        warm = solve_lp(moved, basis=hint)
+        assert warm.optimal and warm.iterations == 1
+        assert np.array_equal(warm.values, [1.5, 0.0])
+        # demand 4.5 gives x1 = 2.5: the row cannot rise further, a dual ray
+        moved = LinearProgram(lp.objective, lp.lhs, lp.relations, [4.5], lp.bounds)
+        assert solve_lp(moved, basis=hint).status == solve_lp(moved).status == "infeasible"
+        # a hint of the wrong shape is ignored
         cold = solve_lp(lp)
-        # x0 basic with x1 at its upper bound gives x0 = 1 (feasible): starts warm
-        warm = solve_lp(lp, basis=(np.array([0]), np.array([1])))
-        assert warm.optimal and warm.objective_value == pytest.approx(3.0)
-        # the slack basic with both at zero gives s = 3 > 0 for a >= row
-        hinted = solve_lp(lp, basis=(np.array([2]), np.array([], dtype=int)))
-        assert hinted.iterations == cold.iterations
-        assert np.array_equal(hinted.values, cold.values)
-        # a hint of the wrong shape is ignored too
         wrong = solve_lp(lp, basis=(np.array([0, 1]), np.array([], dtype=int)))
         assert np.array_equal(wrong.values, cold.values)
+        assert wrong.iterations == cold.iterations
+
+
+def priced_by_slack_basis(lp: LinearProgram) -> LinearProgram:
+    """lp with the cost dropped from every variable unbounded in its cost's direction.
+
+    Then the slack basis is dual feasible, and solve_lp takes the dual simplex.
+    """
+    c = lp.objective.copy()
+    c[(c > 0) & np.isinf(lp.bounds[:, 0])] = 0.0
+    c[(c < 0) & np.isinf(lp.bounds[:, 1])] = 0.0
+    return LinearProgram(c, lp.lhs, lp.relations, lp.rhs, lp.bounds)
+
+
+class TestDualSimplex:
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_lps(), st.integers(0, 2**31 - 1))
+    def test_dual_ray_agrees_with_highs(self, drawn, seed):
+        # every LP here starts the dual simplex from the slack basis, and a
+        # re-solve from its optimal basis after a shift starts from that
+        # basis; an infeasible verdict is a row without an entering column
+        lp = priced_by_slack_basis(drawn[0])
+        moved = shifted(lp, np.random.RandomState(seed))
+        first = solve_lp(lp)
+        for mine, ref_lp in ((first, lp), (solve_lp(moved, basis=first.basis), moved)):
+            ref = highs(ref_lp)
+            assert mine.status == {0: "optimal", 2: "infeasible"}[ref.status]
+            if mine.optimal:
+                assert mine.objective_value == pytest.approx(ref.fun, rel=1e-9, abs=1e-7)
+
+    def test_shifted_hints_take_fewer_steps(self):
+        # a period-to-period re-solve: the old optimal basis, made primal
+        # infeasible by new right-hand sides and bounds, is repaired by
+        # dual steps in fewer steps than a solve without it
+        rng = np.random.RandomState(7)
+        warm_steps = cold_steps = repaired = 0
+        for _ in range(60):
+            lp = random_feasible_lp(rng)
+            moved = shifted(lp, rng)
+            first = solve_lp(lp)
+            warm, cold = solve_lp(moved, basis=first.basis), solve_lp(moved)
+            assert warm.status == cold.status
+            if not cold.optimal:
+                continue
+            assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9, abs=1e-9)
+            warm_steps += warm.iterations
+            cold_steps += cold.iterations
+            if solve_lp(moved, max_iter=0, basis=first.basis).status == "iteration_limit":
+                repaired += 1
+        assert repaired >= 10
+        assert warm_steps < cold_steps / 4

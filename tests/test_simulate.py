@@ -203,6 +203,64 @@ class TestClassify:
         with pytest.raises(ClassificationError):
             classify_trajectory(traj)
 
+    def test_matches_masked_copy(self, rng):
+        # the classifier as written over a masked copy of the state history
+        def masked(traj, area):
+            mask = traj.times >= traj.step_time
+            omega = traj.omega[mask] - traj.equilibrium_post[traj.n_areas:]
+            if area is None:
+                area = int(np.argmax(np.abs(omega).max(axis=0)))
+            signal = np.abs(omega[:, area])
+            interior = signal[1:-1]
+            peaks = np.flatnonzero((interior > signal[:-2]) & (interior >= signal[2:])
+                                   & (interior > max(signal.max() * 1e-9, 1e-300))) + 1
+            if peaks.size < 4:
+                return "error"
+            return float(np.polyfit(traj.times[mask][peaks], np.log(signal[peaks]), 1)[0])
+
+        fits = []
+        real_polyfit = np.polyfit
+
+        def recording_polyfit(x, y, deg):
+            coef = real_polyfit(x, y, deg)
+            fits.append(float(coef[0]))
+            return coef
+
+        compared = 0
+        for _ in range(20):
+            model = random_system_model(rng)
+            ss = _ss(model, gain=rng.uniform(0.0, 2.0 * model.gov_proportional[0]))
+            traj = simulate(ss, 0.01 * model.secure_load, t_step=rng.uniform(0.5, 2.0),
+                            t_end=20.0, dt=None)
+            if traj.diverged:  # labelled without a fit
+                continue
+            for area in [None, *range(model.areas)]:
+                fits.clear()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(np, "polyfit", recording_polyfit)
+                    try:
+                        classify_trajectory(traj, area)
+                    except ClassificationError:
+                        fits.append("error")
+                assert fits == [masked(traj, area)]
+                compared += fits != ["error"]
+        assert compared >= 20
+
+    def test_copies_no_state_history(self, desk_bundle):
+        import tracemalloc
+
+        model = desk_bundle.model
+        traj = simulate(_ss(model), 0.01 * np.asarray(model.secure_load), t_step=1.0,
+                        t_end=600.0, dt=0.01)
+        tracemalloc.start()
+        try:
+            assert classify_trajectory(traj) == "decaying"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one of the six state columns is copied, never the whole history
+        assert peak < 0.75 * traj.states.nbytes
+
     def test_agrees_with_eigen_verdict(self, rng):
         agreed = 0
         attempts = 0

@@ -201,13 +201,16 @@ class TestArtifacts:
 
     def test_report_contents(self, tmp_path):
         out = tmp_path / "run"
-        run_toy(output_dir=str(out))
+        rep = run_toy(output_dir=str(out))
         report = json.loads((out / "report.json").read_text())
         assert report["branch_taken"] == "cred_applied"
         assert report["robust_gains_pu_per_hz"] == [3.0]
-        assert max(report["certificate"]["max_real_per_period"]) < 0.0
+        cert = report["certificate"]
+        assert max(cert["max_real_per_period"]) < 0.0
+        assert cert["settle_shortfall"] == max(0.0, max(cert["max_real_per_period"]) + 0.05)
         solution = json.loads((out / "solution.json").read_text())
         assert solution["wind_power_mw"][0][0] == pytest.approx(4.0 - 0.550001, abs=1e-6)
+        assert solution["simplex_iterations"] == rep.solution.simplex_iterations > 0
         summary = (out / "summary.csv").read_text().splitlines()
         assert summary[0].startswith("period,cost")
         assert len(summary) == 2
