@@ -45,11 +45,13 @@ from .grid import (
 )
 from .linearize import (
     LinearizationPoint,
+    LocusSweep,
     SegmentTable,
     build_segment_table,
     evaluate_piecewise,
     net_gain_state_space,
     select_critical_pairs,
+    sweep_loci,
 )
 from .milp import (
     LinearProgram,

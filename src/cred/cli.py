@@ -21,7 +21,7 @@ from .errors import (
     ValidationFailure,
 )
 from .grid import AttackProfile, DroopSchedule, build_state_space
-from .linearize import build_segment_table, select_critical_pairs
+from .linearize import build_segment_table, select_critical_pairs, sweep_loci
 from .scenario import load_samples, load_scenario
 from .simulate import classify_trajectory, simulate
 from .stability import eigen_decompose, sensitivity
@@ -130,15 +130,16 @@ def cmd_analyze(args) -> int:
 def cmd_linearize(args) -> int:
     bundle = load_scenario(args.scenario)
     samples = load_samples(args.samples, bundle.base_power) if args.samples else None
-    gains = resolve_gains(_config_from_args(args), bundle, samples)
+    cfg = _config_from_args(args)
+    gains = resolve_gains(cfg, bundle, samples)
     active = tuple(int(a) for a in np.flatnonzero(gains > 0))
     if not active:
         raise ScenarioError("no attacked area with a positive gain to sweep")
-    pairs = select_critical_pairs(bundle.model, active, gains)
+    sweeps = {a: sweep_loci(bundle.model, a, float(gains[a]), cfg.eps_phi) for a in active}
+    pairs = select_critical_pairs(tuple(sweeps.values()), cfg.settle_margin)
     seg_rows, audit_rows = [], []
     for i, a in pairs:
-        step = args.eps_phi if args.eps_phi is not None else float(gains[a]) / 200.0
-        tab = build_segment_table(bundle.model, i, a, float(gains[a]), args.eps_lim, step)
+        tab = build_segment_table(sweeps[a], i, cfg.eps_lim)
         for p in tab.points:
             seg_rows.append([i, a, p.abscissa, p.eigenvalue.real, p.eigenvalue.imag,
                              p.slope.real, p.slope.imag])

@@ -1,16 +1,16 @@
-"""Adaptive multi-point linearization of eigenvalue loci along a net-gain sweep.
+"""Exact eigenvalue loci along a net-gain sweep, screened and linearized.
 
 The abscissa is the net destabilizing gain k = K_attack - K_droop in one
-area.  Starting from k = 0, the locus of one tracked eigenvalue is swept on
-a fixed grid toward a signed range end; whenever the first-order estimate
-anchored at the latest linearization point drifts from the true eigenvalue
-by more than eps_lim in real part, the offending grid point becomes a fresh
-anchor with its own eigenvalue and sensitivity.  The resulting table bounds
-the real-part approximation error on every visited grid point by eps_lim.
-
-Grid points differ from the base loop in one diagonal entry of the state
-matrix, so their spectra come from one stacked eigensolve per block of
-BLOCK points; only an anchor takes a full state space and decomposition.
+area.  sweep_loci tracks every base eigenvalue by nearest match on a fixed
+grid from k = 0 toward a signed range end; grid points differ from the base
+loop in one diagonal entry of the state matrix, so their spectra come from
+one stacked eigensolve per block of BLOCK points.  One sweep per attacked
+area feeds select_critical_pairs, which keeps the pairs whose loci reach
+the settling boundary, and build_segment_table: whenever the first-order
+estimate anchored at the latest linearization point drifts from the swept
+eigenvalue by more than eps_lim in real part, that grid point becomes a
+fresh anchor with its own full decomposition and sensitivity, so the table
+bounds the real-part error on every grid point by eps_lim.
 """
 
 from __future__ import annotations
@@ -27,12 +27,14 @@ from .errors import (
     TrackingError,
 )
 from .grid import AttackProfile, DroopSchedule, StateSpace, SystemModel, build_state_space
-from .stability import eigen_decompose, is_stable, sensitivity
+from .stability import EigenSolution, eigen_decompose, is_stable, sensitivity
 
 __all__ = [
     "LinearizationPoint",
+    "LocusSweep",
     "SegmentTable",
     "net_gain_state_space",
+    "sweep_loci",
     "build_segment_table",
     "evaluate_piecewise",
     "select_critical_pairs",
@@ -47,6 +49,26 @@ class LinearizationPoint:
     abscissa: float
     eigenvalue: complex
     slope: complex
+
+
+@dataclass(frozen=True, eq=False)
+class LocusSweep:
+    """Every base eigenvalue tracked along one area's net-gain grid.
+
+    loci[g, i] is where nearest-match tracking has taken base eigenvalue i
+    (base_eig.eigenvalues[i]) at grid[g]; the last grid point is always
+    range_end, whose full spectrum is end_spectrum.
+    """
+
+    model: SystemModel
+    area: int
+    range_end: float
+    step: float
+    base: StateSpace
+    base_eig: EigenSolution
+    grid: np.ndarray
+    loci: np.ndarray
+    end_spectrum: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,21 +118,43 @@ def net_gain_state_space(model: SystemModel, area: int, k: float) -> StateSpace:
     )
 
 
-def _tracking_gate(step: float, slope: complex) -> float:
-    return 10.0 * step * abs(slope) + 0.1
+def sweep_loci(model: SystemModel, area: int, range_end: float,
+               eps_phi: float | None = None) -> LocusSweep:
+    """Track every base eigenvalue by nearest match from net gain 0 to range_end.
 
-
-def _grid_spectra(model: SystemModel, ss0: StateSpace, eigen_index: int, area: int, grid):
-    """Spectrum at each grid gain, from one stacked eigvals call per block.
-
-    Each grid loop is ss0 with its area-row damping entry rewritten as
-    build_state_space computes it, -(1/M) * (K_p + D + (-k)); x + (-k) and
-    x - k are the same IEEE operation, so the matrices are bit-identical to
-    net_gain_state_space(model, area, k).state_matrix.
+    range_end may have either sign; eps_phi is the (positive) grid step,
+    |range_end|/200 by default.  The base system (net gain zero) must be
+    stable.
     """
+    if range_end == 0.0:
+        raise ConfigurationError("range_end must be nonzero")
+    if eps_phi is None:
+        eps_phi = abs(range_end) / 200.0
+    if eps_phi <= 0.0:
+        raise ConfigurationError("eps_phi must be > 0")
+    if eps_phi > abs(range_end) / 4.0:
+        raise ConfigurationError("eps_phi must be at most |range_end|/4")
+
+    ss0 = net_gain_state_space(model, area, 0.0)
+    eig0 = eigen_decompose(ss0)
+    if not is_stable(eig0):
+        raise ConfigurationError("base system is unstable; cannot anchor the sweep at 0")
+
+    direction = 1.0 if range_end > 0 else -1.0
+    n_steps = int(np.floor(abs(range_end) / eps_phi + 1e-9))
+    grid = direction * eps_phi * np.arange(1, n_steps + 1, dtype=float)
+    if abs(grid[-1]) < abs(range_end) - 1e-12:
+        grid = np.append(grid, range_end)
+
+    # each grid loop is ss0 with its area-row damping entry rewritten as
+    # build_state_space computes it, -(1/M) * (K_p + D + (-k)); x + (-k) and
+    # x - k are the same IEEE operation, so the matrices are bit-identical to
+    # net_gain_state_space(model, area, k).state_matrix
     row = model.areas + area
     minv = 1.0 / model.total_inertia[area]
     base_damp = model.gov_proportional[area] + model.damping[area]
+    tracked = eig0.eigenvalues
+    loci = np.empty((len(grid), len(tracked)), dtype=complex)
     for start in range(0, len(grid), BLOCK):
         ks = grid[start:start + BLOCK]
         stack = np.repeat(ss0.state_matrix[None], len(ks), axis=0)
@@ -119,102 +163,85 @@ def _grid_spectra(model: SystemModel, ss0: StateSpace, eigen_index: int, area: i
             spectra = np.linalg.eigvals(stack)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
-                f"grid eigensolve failed for pair ({eigen_index}, {area}) on abscissas "
+                f"grid eigensolve failed for area {area} on abscissas "
                 f"[{ks[0]:g}, {ks[-1]:g}]: {exc}"
             ) from exc
-        yield from spectra
+        for g, spectrum in enumerate(spectra, start):
+            tracked = spectrum[np.argmin(np.abs(spectrum - tracked[:, None]), axis=1)]
+            loci[g] = tracked
+    for arr in (grid, loci, spectrum):
+        arr.setflags(write=False)
+    return LocusSweep(model, int(area), float(range_end), float(eps_phi), ss0, eig0,
+                      grid, loci, spectrum)
 
 
-def build_segment_table(
-    model: SystemModel,
-    eigen_index: int,
-    area: int,
-    range_end: float,
-    eps_lim: float,
-    eps_phi: float,
-) -> SegmentTable:
-    """Sweep the net gain from 0 toward range_end and collect anchors.
+def build_segment_table(sweep: LocusSweep, eigen_index: int, eps_lim: float) -> SegmentTable:
+    """Anchor the swept locus of base eigenvalue eigen_index to within eps_lim.
 
-    range_end may have either sign; eps_phi is the (positive) grid step.
-    The base system (net gain zero) must be stable and the tracked
-    eigenvalue simple wherever a sensitivity is taken.  Grid spectra share
-    one stacked eigensolve per BLOCK points; each new anchor still builds
-    its state space and takes a full eigen decomposition.
+    Each anchor's first-order estimate holds up to the first grid point
+    where it misses the locus by more than eps_lim in real part, which
+    becomes the next anchor.  The eigenvalue must be simple at every anchor,
+    and no locus step may exceed the continuity gate of the anchor in force.
     """
     if eps_lim <= 0.0:
         raise ConfigurationError("eps_lim must be > 0")
-    if eps_phi <= 0.0:
-        raise ConfigurationError("eps_phi must be > 0")
-    if range_end == 0.0:
-        raise ConfigurationError("range_end must be nonzero")
-    if eps_phi > abs(range_end) / 4.0:
-        raise ConfigurationError("eps_phi must be at most |range_end|/4")
-
-    ss0 = net_gain_state_space(model, area, 0.0)
-    eig0 = eigen_decompose(ss0)
-    if not is_stable(eig0):
-        raise ConfigurationError("base system is unstable; cannot anchor the sweep at 0")
+    eig0 = sweep.base_eig
     if not 0 <= eigen_index < len(eig0):
         raise ConfigurationError(f"eigen index {eigen_index} out of range")
+    area, grid = sweep.area, sweep.grid
     base_lambda = complex(eig0.eigenvalues[eigen_index])
     try:
-        base_slope = sensitivity(ss0, eig0, eigen_index, area).d_lambda_dKL
+        base_slope = sensitivity(sweep.base, eig0, eigen_index, area).d_lambda_dKL
     except DegenerateEigenvalueError as exc:
         raise DegenerateEigenvalueError(f"at abscissa 0: {exc}") from exc
 
-    direction = 1.0 if range_end > 0 else -1.0
-    n_steps = int(np.floor(abs(range_end) / eps_phi + 1e-9))
-    grid = direction * eps_phi * np.arange(1, n_steps + 1, dtype=float)
-    if abs(grid[-1]) < abs(range_end) - 1e-12:
-        grid = np.append(grid, range_end)
-
+    locus = sweep.loci[:, eigen_index]
     points = [LinearizationPoint(0.0, base_lambda, base_slope)]
-    prev_lambda = base_lambda
-    audit_abscissas = []
-    audit_errors = []
-
-    for k, spectrum in zip(grid.tolist(), _grid_spectra(model, ss0, eigen_index, area, grid)):
-        j = int(np.argmin(np.abs(spectrum - prev_lambda)))
-        lam_true = complex(spectrum[j])
-        gate = _tracking_gate(eps_phi, points[-1].slope)
-        if abs(lam_true - prev_lambda) > gate:
+    errors = np.empty(len(grid))
+    start, prev_lambda = 0, base_lambda
+    while start < len(grid):
+        anchor = points[-1]
+        estimate = anchor.eigenvalue.real + anchor.slope.real * (grid[start:] - anchor.abscissa)
+        err = np.abs(locus.real[start:] - estimate)
+        over = np.flatnonzero(err > eps_lim)
+        stop = start + int(over[0]) if over.size else len(grid)
+        # the anchor's gate guards every step up to and including the next anchor
+        checked = locus[start:stop + 1]
+        jumps = np.abs(checked - np.concatenate(([prev_lambda], checked[:-1])))
+        gate = 10.0 * sweep.step * abs(anchor.slope) + 0.1
+        bad = np.flatnonzero(jumps > gate)
+        if bad.size:
             raise TrackingError(
-                f"eigenvalue jump {abs(lam_true - prev_lambda):.3e} at abscissa {k:g} "
+                f"eigenvalue jump {jumps[bad[0]]:.3e} at abscissa {grid[start + bad[0]]:g} "
                 f"exceeds continuity gate {gate:.3e}"
             )
+        errors[start:stop] = err[:stop - start]
+        if stop == len(grid):
+            break
+        k = float(grid[stop])
+        ss_k = net_gain_state_space(sweep.model, area, k)
+        eig_k = eigen_decompose(ss_k)
+        idx = int(np.argmin(np.abs(eig_k.eigenvalues - locus[stop])))
+        try:
+            slope = sensitivity(ss_k, eig_k, idx, area).d_lambda_dKL
+        except DegenerateEigenvalueError as exc:
+            raise DegenerateEigenvalueError(f"at abscissa {k:g}: {exc}") from exc
+        prev_lambda = complex(eig_k.eigenvalues[idx])
+        points.append(LinearizationPoint(k, prev_lambda, slope))
+        errors[stop] = 0.0
+        start = stop + 1
 
-        anchor = points[-1]
-        estimate = anchor.eigenvalue + anchor.slope * (k - anchor.abscissa)
-        err = abs(lam_true.real - estimate.real)
-        if err > eps_lim:
-            ss_k = net_gain_state_space(model, area, k)
-            eig_k = eigen_decompose(ss_k)
-            idx = int(np.argmin(np.abs(eig_k.eigenvalues - lam_true)))
-            try:
-                slope = sensitivity(ss_k, eig_k, idx, area).d_lambda_dKL
-            except DegenerateEigenvalueError as exc:
-                raise DegenerateEigenvalueError(f"at abscissa {k:g}: {exc}") from exc
-            lam_true = complex(eig_k.eigenvalues[idx])
-            points.append(LinearizationPoint(float(k), lam_true, slope))
-            err = 0.0
-        audit_abscissas.append(float(k))
-        audit_errors.append(err)
-        prev_lambda = lam_true
-
-    grid_abscissas = np.array(audit_abscissas)
-    grid_errors = np.array(audit_errors)
-    grid_abscissas.setflags(write=False)
-    grid_errors.setflags(write=False)
+    errors.setflags(write=False)
     return SegmentTable(
         eigen_index=int(eigen_index),
         area=int(area),
         points=tuple(points),
-        range_end=float(range_end),
+        range_end=sweep.range_end,
         base_eigenvalue=base_lambda,
         tolerance=float(eps_lim),
-        step=float(eps_phi),
-        grid_abscissas=grid_abscissas,
-        grid_errors=grid_errors,
+        step=sweep.step,
+        grid_abscissas=grid,
+        grid_errors=errors,
     )
 
 
@@ -241,46 +268,28 @@ def evaluate_piecewise(table: SegmentTable, k_lc: float) -> complex:
     return chosen.slope * (k_lc - chosen.abscissa) + (chosen.eigenvalue - table.base_eigenvalue)
 
 
-def select_critical_pairs(
-    model: SystemModel,
-    attack_areas,
-    range_end,
-    screening_margin: float = 0.5,
-) -> tuple:
-    """Pick the (eigenvalue, area) pairs whose locus could cross the axis.
+def select_critical_pairs(sweeps, settle_margin: float) -> tuple:
+    """Pick the (eigenvalue, area) pairs whose exact loci reach -settle_margin.
 
-    range_end maps each attacked area to its signed sweep end.  An
-    eigenvalue is critical when the summed worst-case first-order real
-    shift across all attacked areas reaches -Re(lambda0) - screening_margin
-    (simultaneous attacks superpose, so areas are judged jointly); every
-    area contributing a positive shift to a critical eigenvalue yields a
-    pair.  Only one member of each conjugate pair survives (the one with
-    nonnegative imaginary part); eigenvalues whose sensitivity is undefined
-    at the base point are kept conservatively.
+    sweeps holds one LocusSweep per attacked area.  Simultaneous attacks
+    superpose: eigenvalue i (of nonnegative imaginary part) is critical when
+    its base real part plus every area's positive rise of its locus real
+    part reaches -settle_margin, and each area with a positive rise is a
+    pair.  A sweep whose end spectrum reaches -settle_margin on no such
+    locus has lost a branch (nearest match stops being one-to-one where a
+    complex pair splits on the real axis) and raises TrackingError.
     """
-    ss0 = build_state_space(model, AttackProfile.none(model.areas), DroopSchedule.none(model.areas))
-    eig0 = eigen_decompose(ss0)
-    if not is_stable(eig0):
-        raise ConfigurationError("base system must be stable before screening")
-    areas = sorted(int(a) for a in attack_areas)
-    pairs = []
-    for i in range(len(eig0)):
-        if eig0.eigenvalues[i].imag < -1e-12:
-            continue  # conjugate partner carries the same information
-        shifts = {}
-        degenerate = False
-        for n in areas:
-            end = float(range_end[n]) if not np.isscalar(range_end) else float(range_end)
-            if end == 0.0:
-                continue
-            try:
-                sens = sensitivity(ss0, eig0, i, n)
-            except DegenerateEigenvalueError:
-                degenerate = True
-                shifts[n] = np.inf
-                continue
-            shifts[n] = sens.d_lambda_dKL.real * end
-        total = sum(max(s, 0.0) for s in shifts.values())
-        if degenerate or total >= -eig0.eigenvalues[i].real - screening_margin:
-            pairs.extend((i, n) for n, s in shifts.items() if s > 0.0)
-    return tuple(sorted(pairs))
+    base = sweeps[0].base_eig.eigenvalues
+    upper = np.flatnonzero(base.imag >= -1e-12)
+    worst = np.array([s.loci[:, upper].real.max(axis=0) for s in sweeps])
+    for s, reach in zip(sweeps, worst):
+        end_max = float(s.end_spectrum.real.max())
+        if end_max >= -settle_margin and reach.max() < -settle_margin:
+            raise TrackingError(
+                f"area {s.area}: an eigenvalue with real part {end_max:.6g} at abscissa "
+                f"{s.range_end:g} lies on no tracked locus that reaches -{settle_margin:g}"
+            )
+    rise = worst - base[upper].real
+    critical = base[upper].real + np.maximum(rise, 0.0).sum(axis=0) >= -settle_margin
+    keep = (rise > 0.0) & critical
+    return tuple(sorted((int(upper[m]), sweeps[a].area) for a, m in zip(*np.nonzero(keep))))

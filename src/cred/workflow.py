@@ -5,11 +5,12 @@ detection score does not clear its threshold, nothing else happens.
 Otherwise robust attack gains are formed (worst case, estimated mean, or
 the distributionally robust combination), the current operating point gets
 an exact eigenvalue precheck, and only an unstable verdict triggers the
-stability-constrained redispatch: critical pairs are screened, piecewise
-tables built to cover the robust gains, the MIP solved (retrying with load
-shedding if needed), and the result certified by exact eigenvalue checks.
-One automatic table rebuild at half the error limit absorbs borderline
-approximation failures.
+stability-constrained redispatch: one exact eigenvalue-locus sweep per
+attacked area screens the critical pairs and feeds their piecewise tables,
+the MIP is solved (retrying with load shedding if needed), and the result
+certified by exact eigenvalue checks.  One automatic table rebuild at half
+the error limit, from the same sweeps, absorbs borderline approximation
+failures.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ from .dispatch import (
     validate_solution,
 )
 from .errors import CredError, InfeasibleError, ScenarioError, ValidationFailure
-from .grid import AttackProfile, DroopSchedule, build_state_space
-from .linearize import build_segment_table, select_critical_pairs
+from .grid import DroopSchedule
+from .linearize import build_segment_table, select_critical_pairs, sweep_loci
 from .scenario import ScenarioBundle, load_samples, load_scenario, scenario_from_dict
-from .stability import eigen_decompose
 from .uncertainty import (
     ConfidenceSpec,
     apply_budget_clamp,
@@ -97,6 +97,7 @@ class WorkflowReport:
     eta: float
     precheck_max_real: float | None = None
     pairs: list = field(default_factory=list)
+    pair_worst_real: list = field(default_factory=list)
     tables: list = field(default_factory=list)
     per_period: list = field(default_factory=list)
     certificate: dict | None = None
@@ -115,6 +116,7 @@ class WorkflowReport:
             "eta": self.eta,
             "precheck_max_real": self.precheck_max_real,
             "critical_pairs": [list(p) for p in self.pairs],
+            "critical_pair_worst_real": self.pair_worst_real,
             "tables": self.tables,
             "per_period": self.per_period,
             "certificate": self.certificate,
@@ -137,15 +139,6 @@ def resolve_gains(cfg: WorkflowConfig, bundle: ScenarioBundle, samples: dict | N
     else:
         gains = robust_gain(est, ConfidenceSpec(cfg.eta))
     return apply_budget_clamp(model, areas, gains, static)
-
-
-def _build_tables(scn: DispatchScenario, pairs, gains, eps_lim: float, eps_phi: float | None):
-    tables = []
-    for i, n in pairs:
-        gain = float(gains[n])
-        step = eps_phi if eps_phi is not None else gain / 200.0
-        tables.append(build_segment_table(scn.model, i, n, gain, eps_lim, step))
-    return tuple(tables)
 
 
 def _per_period_rows(scn: DispatchScenario, sol: DispatchSolution) -> list:
@@ -222,23 +215,13 @@ def run_workflow(cfg: WorkflowConfig, bundle: ScenarioBundle | None = None) -> W
 
     active = tuple(int(a) for a in np.flatnonzero(gains > 0))
     with _stage("screening"):
-        pairs = select_critical_pairs(scn.model, active, gains)
-    if not pairs:
-        # screening missed a crossing that the exact precheck saw; fall back
-        # to sweeping every non-conjugate base eigenvalue of attacked areas
-        eig0 = eigen_decompose(build_state_space(
-            scn.model, AttackProfile.none(scn.model.areas), DroopSchedule.none(scn.model.areas)))
-        pairs = tuple(
-            (i, n)
-            for n in active
-            for i in range(len(eig0))
-            if eig0.eigenvalues[i].imag >= -1e-12
-        )
+        sweeps = {a: sweep_loci(scn.model, a, float(gains[a]), cfg.eps_phi) for a in active}
+        pairs = select_critical_pairs(tuple(sweeps.values()), cfg.settle_margin)
 
     def attempt(eps_lim):
         """Tables, then the dispatch (shedding only if needed), then the certificate."""
         with _stage("tables"):
-            tables = _build_tables(scn, pairs, gains, eps_lim, cfg.eps_phi)
+            tables = tuple(build_segment_table(sweeps[a], i, eps_lim) for i, a in pairs)
         stab = StabilityConstraintSet(
             tables, gains, strict_margin=cfg.eps_strict, settle_margin=cfg.settle_margin
         )
@@ -263,6 +246,7 @@ def run_workflow(cfg: WorkflowConfig, bundle: ScenarioBundle | None = None) -> W
         gains,
         precheck_max_real=pre.verdict.max_real,
         pairs=list(pairs),
+        pair_worst_real=[float(sweeps[a].loci[:, i].real.max()) for i, a in pairs],
         tables=[
             {
                 "eigen_index": tab.eigen_index,

@@ -3,9 +3,10 @@
 Nothing here imports the code paths it checks: eigenvalues come from the
 characteristic polynomial (Faddeev-LeVerrier coefficients chased with a
 Durand-Kerner root finder), sensitivities from central finite differences
-of a fresh decomposition, segment-table sweeps from a fresh state space and
-eigensolve at every grid point, and MILP optima from exhaustive enumeration
-of the binary assignments.
+of a fresh decomposition, segment-table sweeps, eigenvalue loci and the
+critical-pair screen from a fresh state space and eigensolve at every grid
+point, and MILP optima from exhaustive enumeration of the binary
+assignments.
 """
 
 from __future__ import annotations
@@ -116,6 +117,47 @@ def sweep_segment_table_pointwise(model, eigen_index: int, area: int, range_end:
         errors.append(err)
         prev_lambda = lam_true
     return tuple(points), np.array(abscissas), np.array(errors)
+
+
+def exact_locus_pointwise(model, eigen_index: int, area: int, range_end: float,
+                          eps_phi: float) -> np.ndarray:
+    """Nearest-match locus of one base eigenvalue, with one eigensolve per grid point.
+
+    Same grid as build_segment_table; returns the tracked eigenvalue at
+    every grid point.
+    """
+    base = eigen_decompose(net_gain_state_space(model, area, 0.0)).eigenvalues
+    n_steps = int(np.floor(abs(range_end) / eps_phi + 1e-9))
+    grid = [np.sign(range_end) * eps_phi * j for j in range(1, n_steps + 1)]
+    if abs(grid[-1]) < abs(range_end) - 1e-12:
+        grid.append(range_end)
+    lam = complex(base[eigen_index])
+    locus = []
+    for k in grid:
+        spectrum = np.linalg.eigvals(net_gain_state_space(model, area, k).state_matrix)
+        lam = complex(spectrum[np.argmin(np.abs(spectrum - lam))])
+        locus.append(lam)
+    return np.array(locus)
+
+
+def critical_pairs_pointwise(model, range_end: dict, settle_margin: float) -> tuple:
+    """Reference screen: pairs whose per-point exact loci reach -settle_margin.
+
+    range_end maps each attacked area to its sweep end (grid step
+    |end|/200).  Eigenvalue i (nonnegative imaginary part) is critical when
+    its base real part plus every area's positive rise of the locus real
+    part reaches -settle_margin; each area with a positive rise is a pair.
+    """
+    base = eigen_decompose(net_gain_state_space(model, 0, 0.0)).eigenvalues
+    pairs = []
+    for i, lam in enumerate(base):
+        if lam.imag < -1e-12:
+            continue
+        rise = {a: exact_locus_pointwise(model, i, a, end, abs(end) / 200.0).real.max() - lam.real
+                for a, end in range_end.items()}
+        if lam.real + sum(max(r, 0.0) for r in rise.values()) >= -settle_margin:
+            pairs.extend((i, a) for a, r in rise.items() if r > 0.0)
+    return tuple(sorted(pairs))
 
 
 def enumerate_milp(mip: MixedIntegerProgram):

@@ -22,7 +22,12 @@ from cred.dispatch import (
 )
 from cred.errors import ValidationFailure
 from cred.grid import AttackProfile, DroopSchedule, SystemModel, build_state_space
-from cred.linearize import build_segment_table, evaluate_piecewise, net_gain_state_space
+from cred.linearize import (
+    build_segment_table,
+    evaluate_piecewise,
+    net_gain_state_space,
+    sweep_loci,
+)
 from cred.milp import solve_milp
 from cred.scenario import scenario_from_dict
 from cred.simulate import classify_trajectory, simulate
@@ -133,8 +138,7 @@ def test_criterion_3_recursive_linearization_guarantee():
             secure_load=[2.0, 2.0], vulnerable_load=[1.0, 2.0],
             ibr_max_power=[0.0, 3.0], omega_max=0.25,
         )
-        tab = build_segment_table(curved, 0, 1, range_end=8.0, eps_lim=0.02,
-                                  eps_phi=0.04)
+        tab = build_segment_table(sweep_loci(curved, 1, 8.0, 0.04), 0, 0.02)
         assert len(tab.points) >= 2
         # independent re-sweep of the construction grid
         lam_prev = tab.base_eigenvalue
@@ -145,8 +149,7 @@ def test_criterion_3_recursive_linearization_guarantee():
             assert abs(lam_true.real - est.real) <= 0.02 + 1e-9
             lam_prev = lam_true
 
-        linear = build_segment_table(one_area(), 1, 0, range_end=4.0,
-                                     eps_lim=0.02, eps_phi=0.05)
+        linear = build_segment_table(sweep_loci(one_area(), 0, 4.0, 0.05), 1, 0.02)
         assert len(linear.points) == 1
 
 
@@ -162,7 +165,7 @@ def test_criterion_4_milp_exactness():
     with criterion(4, "branch-and-bound equals exhaustive enumeration", 60.0):
         model = one_area()
         scn = _toy_scenario(model)
-        tab = build_segment_table(model, 1, 0, 3.0, 0.02, 3.0 / 200.0)
+        tab = build_segment_table(sweep_loci(model, 0, 3.0, 3.0 / 200.0), 1, 0.02)
         stab = StabilityConstraintSet((tab,), robust_gains=[3.0], strict_margin=1e-6)
         instances = [build_cred_milp(scn, stab)]
         instances.append(build_cred_milp(_toy_scenario(model, p_max=6.2), stab,
@@ -181,7 +184,7 @@ def test_criterion_4_milp_exactness():
                         GeneratorSpec(1, 40.0, 0.0, 3.0, (1,))),
             shed_cost=1000.0, base_power=1.0, attack_areas=(1,),
         )
-        tabs2 = tuple(build_segment_table(curved, i, 1, 6.0, 0.02, 0.04)
+        tabs2 = tuple(build_segment_table(sweep_loci(curved, 1, 6.0, 0.04), i, 0.02)
                       for i in (0, 2))
         instances.append(build_cred_milp(
             scn2, StabilityConstraintSet(tabs2, robust_gains=[0.0, 6.0])))

@@ -24,6 +24,7 @@ from cred.dispatch import (
 from cred.errors import (
     BuildError,
     CoverageError,
+    CredError,
     InfeasibleError,
     NumericalError,
     ValidationFailure,
@@ -34,6 +35,7 @@ from cred.linearize import (
     SegmentTable,
     build_segment_table,
     evaluate_piecewise,
+    sweep_loci,
 )
 from cred.milp import LinearProgram, MixedIntegerProgram, solve_milp
 from cred.scenario import scenario_from_dict
@@ -59,8 +61,7 @@ def toy_scenario(one_area_model, p_max=12.0, shed_cost=1000.0):
 
 def toy_stability(one_area_model, gain=3.0, eps_strict=1e-6, settle=0.0,
                   eps_lim=0.02):
-    tab = build_segment_table(one_area_model, 1, 0, range_end=gain,
-                              eps_lim=eps_lim, eps_phi=gain / 200.0)
+    tab = build_segment_table(sweep_loci(one_area_model, 0, gain, gain / 200.0), 1, eps_lim)
     return StabilityConstraintSet((tab,), robust_gains=[gain],
                                   strict_margin=eps_strict, settle_margin=settle)
 
@@ -173,7 +174,7 @@ class TestToyInstance:
         )
         gain = 6.0
         tabs = tuple(
-            build_segment_table(model, i, 1, gain, 0.02, 0.04) for i in (0, 2)
+            build_segment_table(sweep_loci(model, 1, gain, 0.04), i, 0.02) for i in (0, 2)
         )
         assert any(len(t.points) >= 2 for t in tabs)
         stab = StabilityConstraintSet(tabs, robust_gains=[0.0, gain])
@@ -218,8 +219,7 @@ class TestToyInstance:
 
     def test_coverage_error_when_table_short(self, one_area_model):
         scn = toy_scenario(one_area_model)
-        tab = build_segment_table(one_area_model, 1, 0, range_end=2.0,
-                                  eps_lim=0.02, eps_phi=0.01)
+        tab = build_segment_table(sweep_loci(one_area_model, 0, 2.0, 0.01), 1, 0.02)
         stab = StabilityConstraintSet((tab,), robust_gains=[3.0])
         with pytest.raises(CoverageError):
             build_cred_milp(scn, stab)
@@ -460,7 +460,7 @@ class TestDeskMonotonicity:
         costs = []
         for gain in (10.0, 14.0, 18.0, 22.0, 25.0):
             gains = np.array([0.0, gain, 0.0])
-            tab = build_segment_table(scn.model, 5, 1, gain, 0.02, gain / 200.0)
+            tab = build_segment_table(sweep_loci(scn.model, 1, gain, gain / 200.0), 5, 0.02)
             stab = StabilityConstraintSet((tab,), gains, settle_margin=0.05)
             costs.append(solve_cred(scn, stab).total_cost)
         assert all(b >= a - 1e-6 for a, b in zip(costs, costs[1:]))
@@ -474,10 +474,10 @@ class TestRobustSubstitution:
         gains = robust_gain(est, ConfidenceSpec(0.9))
         collapsed = robust_gain(AttackEstimate(gains, [0.0], [100]), ConfidenceSpec(0.5))
         assert np.array_equal(gains, collapsed)
-        tab1 = build_segment_table(one_area_model, 1, 0, float(gains[0]), 0.02,
-                                   float(gains[0]) / 200.0)
-        tab2 = build_segment_table(one_area_model, 1, 0, float(collapsed[0]), 0.02,
-                                   float(collapsed[0]) / 200.0)
+        tab1 = build_segment_table(
+            sweep_loci(one_area_model, 0, float(gains[0]), float(gains[0]) / 200.0), 1, 0.02)
+        tab2 = build_segment_table(
+            sweep_loci(one_area_model, 0, float(collapsed[0]), float(collapsed[0]) / 200.0), 1, 0.02)
         p1 = build_cred_milp(scn, StabilityConstraintSet((tab1,), gains))
         p2 = build_cred_milp(scn, StabilityConstraintSet((tab2,), collapsed))
         assert np.array_equal(p1.program.base.lhs, p2.program.base.lhs)
@@ -508,7 +508,7 @@ class TestRandomizedInstances:
 
         solved = 0
         attempts = 0
-        while solved < 12 and attempts < 60:
+        while solved < 12 and attempts < 120:
             attempts += 1
             model = random_system_model(rng)
             n = model.areas
@@ -520,16 +520,14 @@ class TestRandomizedInstances:
             gains[area] = gain
             if gain <= 0.1:
                 continue
-            pairs = select_critical_pairs(model, (area,), gains, 0.5)
+            sweep = sweep_loci(model, area, gain, gain / 100.0)
+            try:
+                pairs = select_critical_pairs((sweep,), 0.05)
+                tabs = tuple(build_segment_table(sweep, i, 0.02) for i, _ in pairs)
+            except CredError:
+                continue  # degenerate or tracking breakdown: not this draw
             if not pairs:
                 continue
-            try:
-                tabs = tuple(
-                    build_segment_table(model, i, a, gain, 0.02, gain / 100.0)
-                    for i, a in pairs
-                )
-            except Exception:
-                continue  # degenerate or tracking breakdown: not this draw
             demand = model.secure_load + model.vulnerable_load
             avail = np.minimum(model.ibr_max_power, demand * 0.4)
             scn = DispatchScenario(

@@ -1,10 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import random_system_model, sweep_segment_table_pointwise
+from oracles import (
+    critical_pairs_pointwise,
+    exact_locus_pointwise,
+    random_system_model,
+    sweep_segment_table_pointwise,
+)
 
 from cred import linearize
 from cred.errors import (
@@ -21,7 +27,9 @@ from cred.linearize import (
     evaluate_piecewise,
     net_gain_state_space,
     select_critical_pairs,
+    sweep_loci,
 )
+from cred.stability import eigen_decompose
 from cred.workflow import WorkflowConfig, run_workflow
 
 
@@ -59,8 +67,7 @@ def resweep_max_error(model, table):
 class TestBuildSegmentTable:
     def test_exactly_linear_single_point(self, one_area_model):
         # Re(lambda) = -(2 - k)/2 while the pair stays complex: one anchor
-        tab = build_segment_table(one_area_model, 1, 0, range_end=4.0,
-                                  eps_lim=0.05, eps_phi=0.05)
+        tab = build_segment_table(sweep_loci(one_area_model, 0, 4.0, 0.05), 1, 0.05)
         assert len(tab.points) == 1
         assert tab.points[0].abscissa == 0.0
         assert tab.points[0].slope.real == pytest.approx(0.5, abs=1e-10)
@@ -68,20 +75,17 @@ class TestBuildSegmentTable:
 
     def test_vanishing_tolerance_anchors_every_step(self, curved_two_area):
         # any genuine curvature beats a near-zero tolerance at each step
-        tab = build_segment_table(curved_two_area, 0, 1, range_end=8.0,
-                                  eps_lim=1e-13, eps_phi=0.1)
+        tab = build_segment_table(sweep_loci(curved_two_area, 1, 8.0, 0.1), 0, 1e-13)
         assert len(tab.points) == int(np.ceil(8.0 / 0.1)) + 1
 
     def test_curved_case_multiple_points_bounded_error(self, curved_two_area):
-        tab = build_segment_table(curved_two_area, 0, 1, range_end=8.0,
-                                  eps_lim=0.02, eps_phi=0.04)
+        tab = build_segment_table(sweep_loci(curved_two_area, 1, 8.0, 0.04), 0, 0.02)
         assert len(tab.points) >= 2
         assert tab.max_error <= 0.02
         assert resweep_max_error(curved_two_area, tab) <= 0.02 + 1e-9
 
     def test_base_point_matches_base_system(self, curved_two_area, one_area_ss):
-        tab = build_segment_table(curved_two_area, 2, 1, range_end=6.0,
-                                  eps_lim=0.02, eps_phi=0.03)
+        tab = build_segment_table(sweep_loci(curved_two_area, 1, 6.0, 0.03), 2, 0.02)
         from cred.stability import eigen_decompose
 
         eig0 = eigen_decompose(net_gain_state_space(curved_two_area, 1, 0.0))
@@ -89,23 +93,20 @@ class TestBuildSegmentTable:
         assert tab.base_eigenvalue == eig0.eigenvalues[2]
 
     def test_abscissas_strictly_monotone(self, curved_two_area):
-        tab = build_segment_table(curved_two_area, 0, 1, range_end=8.0,
-                                  eps_lim=0.005, eps_phi=0.04)
+        tab = build_segment_table(sweep_loci(curved_two_area, 1, 8.0, 0.04), 0, 0.005)
         phis = tab.abscissas
         assert np.all(np.diff(phis) > 0)
 
     def test_refinement_monotonicity(self, curved_two_area):
         counts = []
         for eps in (0.04, 0.02, 0.01, 0.005):
-            tab = build_segment_table(curved_two_area, 0, 1, range_end=8.0,
-                                      eps_lim=eps, eps_phi=0.04)
+            tab = build_segment_table(sweep_loci(curved_two_area, 1, 8.0, 0.04), 0, eps)
             counts.append(len(tab.points))
         assert counts == sorted(counts)
 
     def test_negative_direction_sweep(self, curved_two_area):
         # droop direction: pure damping gain, sweep is still audited
-        tab = build_segment_table(curved_two_area, 0, 1, range_end=-6.0,
-                                  eps_lim=0.02, eps_phi=0.03)
+        tab = build_segment_table(sweep_loci(curved_two_area, 1, -6.0, 0.03), 0, 0.02)
         assert tab.points[0].abscissa == 0.0
         assert np.all(np.diff(tab.abscissas) < 0)
         assert tab.max_error <= 0.02
@@ -113,13 +114,11 @@ class TestBuildSegmentTable:
 
     def test_step_too_coarse_rejected(self, one_area_model):
         with pytest.raises(ConfigurationError):
-            build_segment_table(one_area_model, 1, 0, range_end=4.0,
-                                eps_lim=0.05, eps_phi=1.5)
+            build_segment_table(sweep_loci(one_area_model, 0, 4.0, 1.5), 1, 0.05)
 
     def test_bad_tolerance_rejected(self, one_area_model):
         with pytest.raises(ConfigurationError):
-            build_segment_table(one_area_model, 1, 0, range_end=4.0,
-                                eps_lim=0.0, eps_phi=0.05)
+            build_segment_table(sweep_loci(one_area_model, 0, 4.0, 0.05), 1, 0.0)
 
 
 def assert_matches_pointwise(model, eigen_index, area, range_end, eps_lim, eps_phi):
@@ -129,9 +128,9 @@ def assert_matches_pointwise(model, eigen_index, area, range_end, eps_lim, eps_p
             model, eigen_index, area, range_end, eps_lim, eps_phi)
     except CredError as exc:
         with pytest.raises(type(exc)):
-            build_segment_table(model, eigen_index, area, range_end, eps_lim, eps_phi)
+            build_segment_table(sweep_loci(model, area, range_end, eps_phi), eigen_index, eps_lim)
         return None
-    tab = build_segment_table(model, eigen_index, area, range_end, eps_lim, eps_phi)
+    tab = build_segment_table(sweep_loci(model, area, range_end, eps_phi), eigen_index, eps_lim)
     assert tab.points == points
     assert np.array_equal(tab.grid_abscissas, abscissas)
     assert np.array_equal(tab.grid_errors, errors)
@@ -195,7 +194,8 @@ class TestStackedSweep:
             gain = rep.robust_gains[n]
             built.clear()
             solves.clear()
-            tab = build_segment_table(desk_bundle.model, i, n, gain, 0.02, gain / steps)
+            tab = build_segment_table(sweep_loci(desk_bundle.model, n, gain, gain / steps), i,
+                                      0.02)
             # the base loop plus one state space per added anchor
             assert built == [p.abscissa for p in tab.points]
             grid = len(tab.grid_abscissas)
@@ -214,97 +214,145 @@ class TestStackedSweep:
         monkeypatch.setattr(np.linalg, "eigvals", failing_second_block)
         step = 8.0 / 600
         with pytest.raises(NumericalError) as info:
-            build_segment_table(curved_two_area, 0, 1, 8.0, 0.02, step)
+            build_segment_table(sweep_loci(curved_two_area, 1, 8.0, step), 0, 0.02)
         message = str(info.value)
-        assert "pair (0, 1)" in message
+        assert "area 1" in message
         assert f"[{step * (BLOCK + 1):g}, {step * 2 * BLOCK:g}]" in message
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestEvaluatePiecewise:
     def test_single_point_shift(self, one_area_model):
-        tab = build_segment_table(one_area_model, 1, 0, range_end=4.0,
-                                  eps_lim=0.05, eps_phi=0.05)
+        tab = build_segment_table(sweep_loci(one_area_model, 0, 4.0, 0.05), 1, 0.05)
         shift = evaluate_piecewise(tab, 2.0)
         assert abs(shift - (1.0 + 0.5j)) <= 1e-9
 
     def test_zero_gain_zero_shift(self, curved_two_area):
-        tab = build_segment_table(curved_two_area, 0, 1, range_end=8.0,
-                                  eps_lim=0.02, eps_phi=0.04)
+        tab = build_segment_table(sweep_loci(curved_two_area, 1, 8.0, 0.04), 0, 0.02)
         assert evaluate_piecewise(tab, 0.0) == 0.0
 
     def test_boundary_belongs_to_its_anchor(self, curved_two_area):
-        tab = build_segment_table(curved_two_area, 0, 1, range_end=8.0,
-                                  eps_lim=0.02, eps_phi=0.04)
+        tab = build_segment_table(sweep_loci(curved_two_area, 1, 8.0, 0.04), 0, 0.02)
         assert len(tab.points) >= 2
         second = tab.points[1]
         shift = evaluate_piecewise(tab, second.abscissa)
         assert shift == second.eigenvalue - tab.base_eigenvalue
 
     def test_anchor_consistency_everywhere(self, curved_two_area):
-        tab = build_segment_table(curved_two_area, 0, 1, range_end=8.0,
-                                  eps_lim=0.005, eps_phi=0.04)
+        tab = build_segment_table(sweep_loci(curved_two_area, 1, 8.0, 0.04), 0, 0.005)
         for p in tab.points:
             assert evaluate_piecewise(tab, p.abscissa) == p.eigenvalue - tab.base_eigenvalue
 
     def test_single_point_equals_first_order_estimate(self, one_area_model):
-        tab = build_segment_table(one_area_model, 1, 0, range_end=4.0,
-                                  eps_lim=0.05, eps_phi=0.05)
+        tab = build_segment_table(sweep_loci(one_area_model, 0, 4.0, 0.05), 1, 0.05)
         for k in (0.0, 0.7, 1.3, 3.9):
             assert evaluate_piecewise(tab, k) == tab.points[0].slope * k
 
     def test_outside_range_rejected(self, one_area_model):
-        tab = build_segment_table(one_area_model, 1, 0, range_end=4.0,
-                                  eps_lim=0.05, eps_phi=0.05)
+        tab = build_segment_table(sweep_loci(one_area_model, 0, 4.0, 0.05), 1, 0.05)
         with pytest.raises(CoverageError):
             evaluate_piecewise(tab, 4.5)
         with pytest.raises(CoverageError):
             evaluate_piecewise(tab, -0.5)
 
 
+def screen(model, range_end: dict, settle_margin: float) -> tuple:
+    sweeps = tuple(sweep_loci(model, a, end) for a, end in range_end.items())
+    return select_critical_pairs(sweeps, settle_margin)
+
+
+@pytest.fixture
+def symmetric_two_area():
+    return SystemModel(
+        areas=2, inertia_sg=[2.0, 2.0], inertia_ibr=[0.0, 0.0],
+        damping=[0.0, 0.0], gov_integral=[6.0, 6.0],
+        gov_proportional=[2.0, 2.0], susceptance=[[0.0, 2.0], [2.0, 0.0]],
+        secure_load=[2.0, 2.0], vulnerable_load=[2.0, 2.0],
+        ibr_max_power=[1.0, 1.0], omega_max=0.25,
+    )
+
+
+def far_left_model():
+    return SystemModel(
+        areas=1, inertia_sg=[0.1], inertia_ibr=[0.0], damping=[0.0],
+        gov_integral=[2500.0], gov_proportional=[10.0], susceptance=[[0.0]],
+        secure_load=[1.0], vulnerable_load=[0.5], ibr_max_power=[0.0],
+        omega_max=0.5,
+    )
+
+
 class TestSelectCriticalPairs:
+    """The screen keeps exactly the pairs whose exact loci reach -settle_margin."""
+
     def test_one_area_selected_with_conjugate_dropped(self, one_area_model):
-        pairs = select_critical_pairs(one_area_model, (0,), {0: 4.0}, screening_margin=0.0)
-        # shift 0.5*4 = 2 exceeds -Re(lambda0) = 1: kept, only the +2j member
-        assert pairs == ((1, 0),)
+        # Re(lambda) = -(2 - k)/2 reaches 1 at k = 4: only the +2j member is kept
+        pairs = screen(one_area_model, {0: 4.0}, 0.0)
+        assert pairs == ((1, 0),) == critical_pairs_pointwise(one_area_model, {0: 4.0}, 0.0)
+        # the locus ends at Re 1, below the 1.5 it would need to come close enough
+        assert screen(one_area_model, {0: 1.0}, 0.0) == ()
 
     def test_unattacked_area_yields_no_pairs(self, curved_two_area):
-        pairs = select_critical_pairs(curved_two_area, (1,), {1: 6.0})
+        pairs = screen(curved_two_area, {1: 6.0}, 0.05)
+        assert pairs
         assert all(n == 1 for _, n in pairs)
+        assert pairs == critical_pairs_pointwise(curved_two_area, {1: 6.0}, 0.05)
 
-    def test_joint_shift_across_areas_selects_both(self):
-        from cred.grid import AttackProfile, DroopSchedule, build_state_space
-        from cred.stability import eigen_decompose, sensitivity
-
-        model = SystemModel(
-            areas=2, inertia_sg=[2.0, 2.0], inertia_ibr=[0.0, 0.0],
-            damping=[0.0, 0.0], gov_integral=[6.0, 6.0],
-            gov_proportional=[2.0, 2.0], susceptance=[[0.0, 2.0], [2.0, 0.0]],
-            secure_load=[2.0, 2.0], vulnerable_load=[2.0, 2.0],
-            ibr_max_power=[1.0, 1.0], omega_max=0.25,
-        )
-        ss0 = build_state_space(model, AttackProfile.none(2), DroopSchedule.none(2))
-        eig0 = eigen_decompose(ss0)
-        i = next(j for j in range(4) if eig0.eigenvalues[j].imag > 1e-9)
+    def test_joint_shift_across_areas_selects_both(self, symmetric_two_area):
+        model = symmetric_two_area
+        eig0 = eigen_decompose(net_gain_state_space(model, 0, 0.0))
+        i = int(np.argmax(eig0.eigenvalues.imag))  # the mode whose locus bends least
         dist = -eig0.eigenvalues[i].real
-        # size each range so one area alone shifts 0.7 of the way to the
-        # axis: only the superposed shift crosses
+        # size each range so one area alone lifts the exact locus 0.7 of the
+        # way to the axis (bisection on the rise): only the superposed rise
+        # reaches it
         ranges = {}
         for n in (0, 1):
-            slope = sensitivity(ss0, eig0, i, n).d_lambda_dKL.real
-            assert slope > 0.0
-            ranges[n] = 0.7 * dist / slope
-        pairs = select_critical_pairs(model, (0, 1), ranges, screening_margin=0.0)
+            lo, hi = 0.1, 16.0
+            for _ in range(20):
+                mid = 0.5 * (lo + hi)
+                rise = exact_locus_pointwise(model, i, n, mid, mid / 200.0).real.max() + dist
+                lo, hi = (mid, hi) if rise < 0.7 * dist else (lo, mid)
+            ranges[n] = lo
+            assert screen(model, {n: lo}, 0.0) == ()
+        pairs = screen(model, ranges, 0.0)
         assert (i, 0) in pairs and (i, 1) in pairs
+        assert pairs == critical_pairs_pointwise(model, ranges, 0.0)
 
     def test_far_left_mode_excluded(self):
-        model = SystemModel(
-            areas=1, inertia_sg=[0.1], inertia_ibr=[0.0], damping=[0.0],
-            gov_integral=[2500.0], gov_proportional=[10.0], susceptance=[[0.0]],
-            secure_load=[1.0], vulnerable_load=[0.5], ibr_max_power=[0.0],
-            omega_max=0.5,
-        )
-        # Re(lambda0) = -50, sensitivity Re = 1/(2*0.1) = 5, range 0.4: max
-        # shift 2 cannot reach 50
-        pairs = select_critical_pairs(model, (0,), {0: 0.4}, screening_margin=0.0)
-        assert pairs == ()
+        # Re(lambda0) = -50 with a rise of about 2 over the range 0.4
+        model = far_left_model()
+        assert screen(model, {0: 0.4}, 0.0) == () == critical_pairs_pointwise(model, {0: 0.4}, 0.0)
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**31 - 1), n_areas=st.integers(1, 3), data=st.data(),
+           margin=st.floats(0.0, 0.5))
+    def test_matches_pointwise_loci(self, seed, n_areas, data, margin):
+        model = random_system_model(np.random.RandomState(seed), n_areas)
+        areas = data.draw(st.sets(st.integers(0, n_areas - 1), min_size=1), label="areas")
+        ends = {a: data.draw(st.floats(0.5, 20.0), label=f"end {a}") for a in sorted(areas)}
+        try:
+            pairs = screen(model, ends, margin)
+        except TrackingError:
+            return  # a lost branch; its contract is tested below
+        assert pairs == critical_pairs_pointwise(model, ends, margin)
+
+    def test_lost_branch_raises(self, one_area_model):
+        sweep = sweep_loci(one_area_model, 0, 4.0)
+        # every locus stuck at its base value: the end spectrum's Re 1 lies on none
+        stuck = dataclasses.replace(sweep, loci=np.broadcast_to(
+            sweep.base_eig.eigenvalues, sweep.loci.shape))
+        with pytest.raises(TrackingError, match=r"area 0: .* at abscissa 4\b"):
+            select_critical_pairs((stuck,), 0.05)
+        assert select_critical_pairs((sweep,), 0.05) == ((1, 0),)
+        # an end spectrum left of -settle_margin needs no locus to reach it
+        assert select_critical_pairs((sweep_loci(one_area_model, 0, 1.0),), 0.05) == ()
+
+    def test_sweep_tracks_every_base_eigenvalue(self, curved_two_area):
+        sweep = sweep_loci(curved_two_area, 1, 6.0)
+        assert sweep.step == 6.0 / 200.0
+        assert sweep.grid[-1] == 6.0 and len(sweep.grid) == 200
+        for i in range(len(sweep.base_eig)):
+            assert np.array_equal(sweep.loci[:, i],
+                                  exact_locus_pointwise(curved_two_area, i, 1, 6.0, sweep.step))
+        assert np.array_equal(np.sort_complex(sweep.end_spectrum), np.sort_complex(
+            np.linalg.eigvals(net_gain_state_space(curved_two_area, 1, 6.0).state_matrix)))

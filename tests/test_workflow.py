@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,56 +138,105 @@ class TestBranches:
         assert max(rep.certificate["max_real_per_period"]) < 0.0
 
 
-class TestScreeningFallback:
-    def test_empty_screening_sweeps_every_base_mode(self, monkeypatch):
-        import cred.workflow as wf
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+class TestScreening:
+    """One exact sweep per attacked area decides the pairs the tables cover."""
+
+    def test_pairs_are_the_exact_loci_crossings(self):
         from cred.systems import three_area_system
 
-        monkeypatch.setattr(wf, "select_critical_pairs", lambda *args, **kwargs: ())
+        from oracles import critical_pairs_pointwise, exact_locus_pointwise
+
         doc = three_area_system()
         rep = run_toy(doc)
         model = scenario_from_dict(doc).model
-        eig = eigen_decompose(build_state_space(model, AttackProfile.none(3),
-                                                DroopSchedule.none(3)))
-        upper = [i for i, lam in enumerate(eig.eigenvalues) if lam.imag >= -1e-12]
-        assert len(upper) < len(eig)
-        assert rep.pairs == [(i, n) for n in doc["attack"]["areas"] for i in upper]
+        ranges = {n: rep.robust_gains[n] for n in doc["attack"]["areas"]}
+        assert rep.pairs == list(critical_pairs_pointwise(model, ranges, 0.05)) == [(5, 1)]
+        assert rep.pair_worst_real == [
+            exact_locus_pointwise(model, i, n, ranges[n], ranges[n] / 200.0).real.max()
+            for i, n in rep.pairs
+        ]
+        assert rep.pair_worst_real[0] >= -0.05
+
+    def test_two_area_desk_keeps_one_mode_per_area(self):
+        from cred.systems import three_area_system
+
+        doc = three_area_system()
+        doc["areas"][0]["vulnerable_load"] = 600.0
+        doc["areas"][0]["secure_load"] = 3200.0
+        doc["attack"]["areas"] = [0, 1]
+        rep = run_toy(doc)
+        assert rep.pairs == [(5, 0), (5, 1)]
+        assert rep.branch_taken == "cred_applied"
+        assert rep.final_cost == pytest.approx(1051862.342492, rel=1e-9)
+        assert max(rep.certificate["max_real_per_period"]) < 0.0
+
+    def test_ring_crossing_missed_by_first_order_is_certified(self):
+        # the first-order screen kept the wrong mode here and every retry
+        # ended in ValidationFailure
+        rep = run_toy(json.loads((FIXTURES / "ring_seed0_op2.json").read_text()))
         assert rep.branch_taken == "cred_applied"
         assert max(rep.certificate["max_real_per_period"]) < 0.0
 
+    def test_ring_lost_branch_is_a_screening_error(self, monkeypatch):
+        import cred.workflow as wf
+        from cred.errors import TrackingError
+
+        built = []
+        monkeypatch.setattr(wf, "build_segment_table", lambda *args: built.append(args))
+        doc = json.loads((FIXTURES / "ring_seed0_op16.json").read_text())
+        with pytest.raises(TrackingError, match=r"^\[screening\] area 19: .* at abscissa"):
+            run_toy(doc)
+        assert built == []
+
 
 class TestValidationRetry:
-    def _counting_build(self, monkeypatch):
+    def _counting(self, monkeypatch):
+        """Table tolerances in call order, and stacked eigensolves before each table."""
         import cred.workflow as wf
 
-        calls = []
-        original = wf._build_tables
+        tolerances, stacked, solves = [], [], []
+        original_table, original_eigvals = wf.build_segment_table, np.linalg.eigvals
 
-        def counting(scn, pairs, gains, eps_lim, eps_phi):
-            calls.append(eps_lim)
-            return original(scn, pairs, gains, eps_lim, eps_phi)
+        def counting_table(sweep, eigen_index, eps_lim):
+            tolerances.append(eps_lim)
+            stacked.append(len(solves))
+            return original_table(sweep, eigen_index, eps_lim)
 
-        monkeypatch.setattr(wf, "_build_tables", counting)
-        return calls
+        def counting_eigvals(a):
+            if a.ndim == 3:
+                solves.append(a.shape[0])
+            return original_eigvals(a)
+
+        monkeypatch.setattr(wf, "build_segment_table", counting_table)
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        return tolerances, stacked, solves
 
     def test_retry_at_half_tolerance_recovers(self, monkeypatch):
         from cred.systems import three_area_system
 
-        calls = self._counting_build(monkeypatch)
+        tolerances, stacked, solves = self._counting(monkeypatch)
         # eps 0.1 solves to a point the exact check rejects; 0.05 survives
         rep = run_toy(three_area_system(), settle_margin=0.02, eps_lim=0.1)
-        assert calls == [0.1, 0.05]
+        assert tolerances == [0.1, 0.05]
         assert rep.branch_taken == "cred_applied"
         assert max(rep.certificate["max_real_per_period"]) < 0.0
+        # the retry rebuilds its table from the first attempt's sweep
+        assert stacked == [1, 1]
+        assert len(solves) == 1
 
     def test_single_retry_then_surfaces_failure(self, monkeypatch):
         from cred.errors import ValidationFailure
         from cred.systems import three_area_system
 
-        calls = self._counting_build(monkeypatch)
+        tolerances, stacked, solves = self._counting(monkeypatch)
         with pytest.raises(ValidationFailure):
             run_toy(three_area_system(), settle_margin=0.0, eps_lim=0.5)
-        assert calls == [0.5, 0.25]
+        assert tolerances == [0.5, 0.25]
+        assert stacked == [1, 1]
+        assert len(solves) == 1
 
 
 class TestArtifacts:
