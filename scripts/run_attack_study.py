@@ -32,18 +32,18 @@ def main() -> None:
 
     rows = [["case", "mode", "gain_pu_per_hz", "increment"]]
     rows.append(["base", "worst_case", worst.robust_gains[1], worst.cost_increment])
-    tmp = Path(tempfile.mkdtemp())
-    for case in ("case1", "case2", "case3"):
-        info = TABLE_GAIN_CASES[case]
-        spath = tmp / f"{case}.json"
-        spath.write_text(json.dumps(synthesize_samples(
-            info["mean"] * 1000.0, info["std"] * 1000.0, 1, seed=args.seed)))
-        for mode, label in (("auto", "robust"), ("mean_only", "mean")):
-            cfg = WorkflowConfig(samples_path=str(spath), mode=mode, eta=args.eta)
-            rep = run_workflow(cfg, bundle=scenario_from_dict(doc))
-            rows.append([case, label, rep.robust_gains[1], rep.cost_increment])
-            print(f"{case} {label:>6}: increment {rep.cost_increment:,.0f} "
-                  f"(gain {rep.robust_gains[1]:.2f} p.u./Hz, {rep.branch_taken})")
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in ("case1", "case2", "case3"):
+            info = TABLE_GAIN_CASES[case]
+            spath = Path(tmp) / f"{case}.json"
+            spath.write_text(json.dumps(synthesize_samples(
+                info["mean"] * 1000.0, info["std"] * 1000.0, 1, seed=args.seed)))
+            for mode, label in (("auto", "robust"), ("mean_only", "mean")):
+                cfg = WorkflowConfig(samples_path=str(spath), mode=mode, eta=args.eta)
+                rep = run_workflow(cfg, bundle=scenario_from_dict(doc))
+                rows.append([case, label, rep.robust_gains[1], rep.cost_increment])
+                print(f"{case} {label:>6}: increment {rep.cost_increment:,.0f} "
+                      f"(gain {rep.robust_gains[1]:.2f} p.u./Hz, {rep.branch_taken})")
 
     out = Path(args.out)
     write_csv(out / "attack_study.csv", rows[0], rows[1:])

@@ -1,14 +1,15 @@
-"""Bounded-variable dual and primal simplex, and best-bound branch-and-bound over binaries.
+"""Bounded-variable dual simplex, and best-bound branch-and-bound over binaries.
 
 Sized for desk-scale dispatch instances (tens of variables, hundreds of
 rows).  Bounds enter the ratio tests, not the tableau, so LPs with one
-matrix share one column set and a basis can seed the next solve.  An LP
-whose costs a basis prices (the hint, else the slack basis) is solved by
-the dual simplex; any other by the two-phase primal simplex.  Both fall
-back to Bland's rule after a degenerate stall, so neither cycles; the
-branch-and-bound's node heap is ordered by (bound, insertion counter), so
-results and node counts are reproducible.  An external solver can be
-substituted behind the same solve_lp/solve_milp contract.
+matrix share one column set and a basis can seed the next solve.  A
+LinearProgram's objective is bounded below on its variable bounds, so the
+slack basis prices every LP and the dual simplex alone solves it: no LP is
+unbounded.  The dual simplex falls back to Bland's rule after a degenerate
+stall, so it does not cycle; the branch-and-bound's node heap is ordered
+by (bound, insertion counter), so results and node counts are
+reproducible.  An external solver can be substituted behind the same
+solve_lp/solve_milp contract.
 """
 
 from __future__ import annotations
@@ -40,6 +41,20 @@ _ZERO_TOL = 1e-12
 _SLACK_BOUNDS = {"<=": (0.0, np.inf), "=": (0.0, 0.0), ">=": (-np.inf, 0.0)}
 
 
+def _check_bounded_below(objective: np.ndarray, bounds: np.ndarray) -> None:
+    """Raise BuildError unless every costed variable is bounded in its cost's direction.
+
+    Then objective @ x is bounded below on the bounds alone, the slack
+    basis is dual feasible, and by weak duality the LP is not unbounded.
+    """
+    loose = ((objective > 0.0) & np.isinf(bounds[:, 0])) | ((objective < 0.0) & np.isinf(bounds[:, 1]))
+    if loose.any():
+        raise BuildError(
+            f"objective unbounded below: variables {np.flatnonzero(loose).tolist()} "
+            "have no finite bound in their cost's direction"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
     """min objective @ x subject to lhs x (<=,=,>=) rhs and box bounds."""
@@ -48,7 +63,9 @@ class LinearProgram:
     lhs: np.ndarray
     relations: tuple
     rhs: np.ndarray
-    bounds: np.ndarray  # (n, 2), +-inf allowed
+    #: (n, 2), +-inf allowed, but a variable with a positive (negative) cost
+    #: needs a finite lower (upper) bound; zero-cost variables may be free
+    bounds: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
@@ -71,6 +88,7 @@ class LinearProgram:
                 raise BuildError(f"unknown relation {r!r}")
         if np.any(bounds[:, 0] > bounds[:, 1]):
             raise BuildError("variable with lower bound above upper bound")
+        _check_bounded_below(c, bounds)
         for arr in (c, a, b, bounds):
             arr.setflags(write=False)
         object.__setattr__(self, "objective", c)
@@ -90,12 +108,14 @@ class LinearProgram:
     def with_data(self, rhs, bounds) -> "LinearProgram":
         """This LP's objective, matrix and relations with other right-hand sides and bounds.
 
-        rhs and bounds are taken as they are, without the checks of a new
-        LP: pass read-only arrays from a validated LinearProgram, such as
-        the rows and columns of one block of a larger one.
+        rhs and bounds are taken as they are, without the other checks of a
+        new LP: pass read-only arrays from a validated LinearProgram, such as
+        the rows and columns of one block of a larger one.  The objective
+        must still be bounded below on the new bounds (BuildError if not).
         """
         if np.shape(rhs) != self.rhs.shape or np.shape(bounds) != self.bounds.shape:
             raise BuildError("new right-hand sides or bounds do not fit the LP")
+        _check_bounded_below(self.objective, bounds)
         out = object.__new__(LinearProgram)
         out.__dict__.update(vars(self), rhs=rhs, bounds=bounds)
         return out
@@ -128,7 +148,7 @@ class MixedIntegerProgram:
 
 @dataclass
 class SolveResult:
-    status: str  # optimal | infeasible | unbounded | iteration_limit
+    status: str  # optimal | infeasible | iteration_limit
     values: np.ndarray | None = None
     objective_value: float | None = None
     node_count: int | None = None
@@ -164,96 +184,6 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 #: consecutive non-improving pivots tolerated before switching to Bland's rule
 _STALL_LIMIT = 40
-
-
-def _simplex(tab, basis, x, lo, hi, cost, budget):
-    """Minimize cost @ x from a primal feasible basis, in place.
-
-    tab is B^-1 times the columns, basis[r] the column basic in row r, x
-    every column's value (nonbasic ones at a finite bound, or 0 if free).
-    A step pivots, or moves the entering column to its other bound when
-    its own range is the tightest ratio (a bound flip).  Returns
-    (unbounded, steps); raises _IterationLimit past budget steps.
-    """
-    nonbasic = np.ones(tab.shape[1], dtype=bool)
-    nonbasic[basis] = False
-    steps = stall = 0
-    bland = False
-    while True:
-        d = cost - cost[basis] @ tab
-        # a nonbasic column improves by moving off its bound against d's sign
-        score = np.where(nonbasic & np.where(d < 0.0, x < hi, x > lo), np.abs(d), 0.0)
-        e = int(np.argmax(score))
-        if score[e] <= _PIVOT_TOL:
-            return False, steps
-        if steps == budget:
-            raise _IterationLimit()
-        steps += 1
-        if bland:
-            e = int(np.flatnonzero(score > _PIVOT_TOL)[0])
-        sign = 1.0 if d[e] < 0.0 else -1.0
-        alpha = sign * tab[:, e]  # basic values move by -theta * alpha
-        xb, lb, ub = x[basis], lo[basis], hi[basis]
-        ratio = np.full(alpha.size, np.inf)
-        dec, inc = alpha > _PIVOT_TOL, alpha < -_PIVOT_TOL
-        ratio[dec] = (xb[dec] - lb[dec]) / alpha[dec]
-        ratio[inc] = (xb[inc] - ub[inc]) / alpha[inc]
-        ratio = np.maximum(ratio, 0.0)  # round-off can leave xb just past a bound
-        best = ratio.min(initial=np.inf)
-        theta, leave = hi[e] - lo[e], -1
-        if best < theta:
-            ties = np.flatnonzero(ratio <= best + 1e-12)
-            leave = int(ties[np.argmin(basis[ties])])  # smallest basic index on ties
-            theta = best
-        elif np.isinf(theta):
-            return True, steps
-        x[basis] = xb - theta * alpha
-        if leave >= 0:
-            x[e] += sign * theta
-            out = basis[leave]
-            x[out] = lb[leave] if alpha[leave] > 0.0 else ub[leave]
-            _pivot(tab, basis, leave, e)
-            nonbasic[e], nonbasic[out] = False, True
-        else:
-            x[e] = hi[e] if sign > 0.0 else lo[e]
-        if not bland:
-            stall = stall + 1 if theta <= 1e-12 else 0
-            bland = stall > _STALL_LIMIT
-
-
-def _phase_one(a, b, lo, hi, x, budget):
-    """Slack basis plus one artificial per row its slack cannot meet; minimize their sum.
-
-    Returns ((tab, basis, x), steps), or (None, steps) if the LP is infeasible.
-    """
-    m, n_cols = a.shape
-    n = n_cols - m
-    resid = b - a[:, :n] @ x[:n]
-    x[n:] = np.clip(resid, lo[n:], hi[n:])
-    gap = resid - x[n:]
-    art = np.flatnonzero(gap)
-    k = art.size
-    basis = np.arange(n, n_cols)
-    basis[art] = n_cols + np.arange(k)
-    # B = diag(+-1): the tableau is the columns with the artificials' rows signed
-    tab = np.hstack([a * np.where(gap < 0.0, -1.0, 1.0)[:, None], np.eye(m)[:, art]])
-    x = np.concatenate([x, np.abs(gap[art])])
-    cost = np.concatenate([np.zeros(n_cols), np.ones(k)])
-    unbounded, steps = _simplex(tab, basis, x, np.concatenate([lo, np.zeros(k)]),
-                                np.concatenate([hi, np.full(k, np.inf)]), cost, budget)
-    if unbounded:
-        raise BuildError("phase-1 objective unbounded; inconsistent tableau")
-    if x[n_cols:].sum() > 1e-8 * max(1.0, np.abs(resid).max(initial=0.0)):
-        return None, steps
-    # pivot artificials left basic at zero out on their row's largest entry:
-    # the row is y [A | I] with y a row of B^-1, nonzero off the other basics
-    for r in np.flatnonzero(basis >= n_cols):
-        nonbasic = np.ones(n_cols, dtype=bool)
-        nonbasic[basis[basis < n_cols]] = False
-        _pivot(tab, basis, r, int(np.argmax(np.where(nonbasic, np.abs(tab[r, :n_cols]), -1.0))))
-    tab, x = tab[:, :n_cols].copy(), x[:n_cols]
-    _basic_values(tab, basis, x, a, b)
-    return (tab, basis, x), steps
 
 
 def _dual_simplex(tab, basis, x, lo, hi, d, budget):
@@ -331,14 +261,16 @@ def _factor(a, rows):
 
 
 def _dual_start(a, b, lo, hi, cost, x, hint):
-    """(tab, basis, x, d) of a dual feasible basis, or None if neither candidate is one.
+    """(tab, basis, x, d) of a dual feasible basis.
 
     The candidates are the hint, if it fits and its basis matrix is
     nonsingular, then the slack basis.  Nonbasic columns go to the bound
     their reduced cost d prefers; those with a negligible one stay at
     their bound in x, or at the upper bound if the hint lists them there.
-    A basis is dual feasible when every preferred bound is finite.  Basic
-    columns get B^-1 (b - N x_N).
+    A basis is dual feasible when every preferred bound is finite: the
+    hint's may not be, the slack basis's always is (its reduced costs are
+    the costs, bounded in their direction by the LinearProgram contract).
+    Basic columns get B^-1 (b - N x_N).
     """
     m, n_cols = a.shape
     candidates = []
@@ -354,15 +286,14 @@ def _dual_start(a, b, lo, hi, cost, x, hint):
         d = cost - cost[basis] @ tab
         d[basis] = 0.0
         above, below = d > _PIVOT_TOL, d < -_PIVOT_TOL
-        if np.any(above & np.isinf(lo)) or np.any(below & np.isinf(hi)):
-            continue
-        x = x.copy()
-        x[upper] = hi[upper]
-        x[above] = lo[above]
-        x[below] = hi[below]
-        _basic_values(tab, basis, x, a, b)
-        return tab, basis, x, d
-    return None
+        if not (np.any(above & np.isinf(lo)) or np.any(below & np.isinf(hi))):
+            break
+    x = x.copy()
+    x[upper] = hi[upper]
+    x[above] = lo[above]
+    x[below] = hi[below]
+    _basic_values(tab, basis, x, a, b)
+    return tab, basis, x, d
 
 
 def _basic_values(tab, basis, x, a, b) -> None:
@@ -372,25 +303,21 @@ def _basic_values(tab, basis, x, a, b) -> None:
 
 
 def solve_lp(lp: LinearProgram, max_iter: int | None = None, basis=None) -> SolveResult:
-    """Bounded-variable simplex (Chvatal, Linear Programming, 1983, ch. 8 and 10).
+    """Bounded-variable dual simplex (Chvatal, Linear Programming, 1983, ch. 10).
 
     Columns are the variables and one slack per row, lhs x + s = rhs, with
     s in [0, inf) for <=, (-inf, 0] for >= and [0, 0] for =.  The solve
-    has two starts:
-
-    1. The dual simplex (Koberstein, The Dual Simplex Method, 2005) from a
-       dual feasible basis: basis, a SolveResult.basis of an LP with the
-       same matrix and objective, if its basis matrix is nonsingular, else
-       the slack basis, which is dual feasible whenever every costed
-       variable is bounded in its cost's direction.  An optimal hint ends
-       after no step; a hint made primal infeasible by new right-hand
-       sides or bounds needs only dual steps.
-    2. Otherwise the two-phase primal simplex from the slack basis plus
-       artificials.
+    has one start, the dual simplex (Koberstein, The Dual Simplex Method,
+    2005) from a dual feasible basis: basis, a SolveResult.basis of an LP
+    with the same matrix and objective, if its basis matrix is nonsingular
+    and prices the costs, else the slack basis, which prices every
+    LinearProgram because each costed variable is bounded in its cost's
+    direction.  An optimal hint ends after no step; a hint made primal
+    infeasible by new right-hand sides or bounds needs only dual steps.
 
     Returns an optimal basic solution (values within their bounds
-    exactly), infeasible, unbounded, or iteration_limit when more than
-    max_iter steps (pivots and bound flips of either start) are needed.
+    exactly), infeasible (a dual ray), or iteration_limit when more than
+    max_iter dual steps are needed.
     """
     n, m = lp.n_vars, lp.n_rows
     a = np.hstack([lp.lhs, np.eye(m)])
@@ -401,25 +328,13 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None, basis=None) -> Solv
     x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
     if max_iter is None:
         max_iter = 2000 + 200 * (m + a.shape[1])
-    start = _dual_start(a, lp.rhs, lo, hi, cost, x, basis)
-    unbounded = False
+    tab, rows, x, d = _dual_start(a, lp.rhs, lo, hi, cost, x, basis)
     try:
-        if start is not None:
-            tab, rows, x, d = start
-            feasible, steps = _dual_simplex(tab, rows, x, lo, hi, d, max_iter)
-        else:
-            start, steps = _phase_one(a, lp.rhs, lo, hi, x, max_iter)
-            feasible = start is not None
-            if feasible:
-                tab, rows, x = start
-                unbounded, more = _simplex(tab, rows, x, lo, hi, cost, max_iter - steps)
-                steps += more
+        feasible, steps = _dual_simplex(tab, rows, x, lo, hi, d, max_iter)
     except _IterationLimit:
         return SolveResult("iteration_limit", iterations=max_iter)
     if not feasible:
         return SolveResult("infeasible", iterations=steps)
-    if unbounded:
-        return SolveResult("unbounded", iterations=steps)
 
     _basic_values(tab, rows, x, a, lp.rhs)
     # round-off leaves basic values like +-1e-15 off their bound; callers
@@ -465,8 +380,6 @@ def solve_milp(mip: MixedIntegerProgram, node_cap: int = 200_000, basis=None) ->
         iterations += res.iterations
         if res.status == "iteration_limit":
             break
-        if res.status == "unbounded":
-            return SolveResult("unbounded", node_count=nodes, iterations=iterations)
         if res.status == "infeasible":
             continue
         if res.objective_value >= incumbent_obj - 1e-9:

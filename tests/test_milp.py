@@ -28,19 +28,6 @@ def random_feasible_lp(rng, m=10, n=20):
     return LinearProgram(c, a, ("<=",) * m, b, bounds)
 
 
-def primal_start_lp(rng, m=6, n=8):
-    """min -sum x over x >= 0, positive <= rows and a >= row cutting off x = 0.
-
-    The negative costs on variables without an upper bound make every
-    slack basis dual infeasible, so the solve is the primal two-phase one.
-    """
-    a = rng.uniform(0.1, 2.0, size=(m, n))
-    b = rng.uniform(5.0, 10.0, size=m)
-    lhs = np.vstack([a, np.ones(n)])
-    bounds = np.column_stack([np.zeros(n), np.full(n, INF)])
-    return LinearProgram(-np.ones(n), lhs, ("<=",) * m + (">=",), np.append(b, 1.0), bounds)
-
-
 class TestSolveLp:
     def test_single_lower_bound(self):
         lp = LinearProgram([1.0], [[1.0]], (">=",), [1.0], [[0.0, 10.0]])
@@ -51,7 +38,7 @@ class TestSolveLp:
 
     def test_simplex_edge(self):
         lp = LinearProgram([-1.0, -1.0], [[1.0, 1.0]], ("<=",), [1.0],
-                           [[0.0, INF], [0.0, INF]])
+                           [[0.0, 2.0], [0.0, 2.0]])
         res = solve_lp(lp)
         assert res.objective_value == pytest.approx(-1.0, abs=1e-9)
 
@@ -63,9 +50,16 @@ class TestSolveLp:
         assert res.values[0] == pytest.approx(3.0, abs=1e-9)
 
     def test_free_variable(self):
-        lp = LinearProgram([1.0], [[1.0]], (">=",), [-5.0], [[-INF, INF]])
+        # min x1 over x1 >= x0 + 2 and x1 >= -x0 with x0 free and costless:
+        # x0 must enter the basis, at -1
+        lp = LinearProgram([0.0, 1.0], [[-1.0, 1.0], [1.0, 1.0]], (">=", ">="), [2.0, 0.0],
+                           [[-INF, INF], [0.0, INF]])
         res = solve_lp(lp)
-        assert res.objective_value == pytest.approx(-5.0, abs=1e-9)
+        ref = highs(lp)
+        assert res.optimal and ref.status == 0
+        assert res.objective_value == pytest.approx(ref.fun, abs=1e-9)
+        assert np.allclose(res.values, ref.x, rtol=0.0, atol=1e-9)
+        assert res.values[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_reflected_variable(self):
         lp = LinearProgram([-1.0], np.zeros((0, 1)), (), [], [[-INF, 4.0]])
@@ -83,28 +77,38 @@ class TestSolveLp:
         lp = LinearProgram([0.0], [[1.0]], (">=",), [5.0], [[0.0, 1.0]])
         assert solve_lp(lp).status == "infeasible"
 
-    def test_unbounded(self):
-        lp = LinearProgram([-1.0], np.zeros((0, 1)), (), [], [[0.0, INF]])
-        assert solve_lp(lp).status == "unbounded"
+    def test_objective_unbounded_below_rejected(self):
+        # a costed variable needs a finite bound in its cost's direction
+        with pytest.raises(BuildError):
+            LinearProgram([1.0], np.zeros((0, 1)), (), [], [[-INF, 4.0]])
+        with pytest.raises(BuildError):
+            LinearProgram([-1.0], np.zeros((0, 1)), (), [], [[0.0, INF]])
+        free = LinearProgram([0.0, 1.0], [[1.0, 1.0]], (">=",), [1.0], [[-INF, INF], [0.0, INF]])
+        assert solve_lp(free).optimal
+        # with_data checks the new bounds too
+        lp = LinearProgram([-1.0, 1.0], np.zeros((0, 2)), (), [], [[0.0, 1.0], [0.0, 1.0]])
+        for opened in ([[0.0, INF], [0.0, 1.0]], [[0.0, 1.0], [-INF, 1.0]]):
+            with pytest.raises(BuildError):
+                lp.with_data(lp.rhs, np.array(opened))
+        closed = lp.with_data(lp.rhs, np.array([[-INF, 2.0], [0.0, INF]]))
+        assert solve_lp(closed).objective_value == -2.0
 
     def test_iteration_limit_reported(self, rng):
-        # max_iter caps the steps of either start exactly: the dual simplex
-        # from the slack basis of a boxed LP, and the primal two-phase
-        # solve (phase 1 and phase 2 steps together) of an LP whose cost
-        # pushes unbounded-above variables up, which no slack basis prices
-        for lp in (random_feasible_lp(rng), primal_start_lp(rng)):
-            res = solve_lp(lp)
-            assert res.optimal and res.iterations >= 2
-            assert solve_lp(lp, max_iter=res.iterations).optimal
-            short = solve_lp(lp, max_iter=res.iterations - 1)
-            assert short.status == "iteration_limit" and short.values is None
+        # max_iter caps the dual simplex's steps exactly
+        lp = random_feasible_lp(rng)
+        res = solve_lp(lp)
+        assert res.optimal and res.iterations >= 2
+        assert solve_lp(lp, max_iter=res.iterations).optimal
+        short = solve_lp(lp, max_iter=res.iterations - 1)
+        assert short.status == "iteration_limit" and short.values is None
 
     def test_lower_infinite_nonbasic_starts_at_upper_bound(self):
         # x0 in (-inf, 1.5] and the >= slack in (-inf, 0] must both start at
         # their finite upper bound, or the first point is not a vertex;
         # min -x0 + 2 x1 over x0 + x1 >= 1 is 2 - 3 x0, so x0 ends at 1.5
+        # (x1's lower bound -10 stays inactive)
         lp = LinearProgram([-1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], (">=", "<="), [1.0, 3.0],
-                           [[-INF, 1.5], [-INF, INF]])
+                           [[-INF, 1.5], [-10.0, INF]])
         res = solve_lp(lp)
         assert res.optimal
         assert res.values[0] == 1.5
@@ -137,7 +141,8 @@ class TestSolveLp:
             assert np.all(mine.values <= lp.bounds[:, 1])
 
     def test_strong_duality_spot_check(self, rng):
-        # primal: min c x, A x >= b, 0 <= x; dual: max b y, A^T y <= c, y >= 0
+        # primal: min c x, A x >= b, 0 <= x; dual: max b y, A^T y <= c, y >= 0,
+        # with y <= 100 added, which A^T y <= c implies (a >= 0.2, c <= 3)
         m, n = 6, 9
         a = rng.uniform(0.2, 2.0, size=(m, n))
         b = rng.uniform(0.5, 2.0, size=m)
@@ -145,10 +150,11 @@ class TestSolveLp:
         primal = LinearProgram(c, a, (">=",) * m, b,
                                np.column_stack([np.zeros(n), np.full(n, INF)]))
         dual = LinearProgram(-b, a.T, ("<=",) * n, c,
-                             np.column_stack([np.zeros(m), np.full(m, INF)]))
+                             np.column_stack([np.zeros(m), np.full(m, 100.0)]))
         p = solve_lp(primal)
         d = solve_lp(dual)
         assert p.optimal and d.optimal
+        assert d.values.max() < 100.0
         # any feasible dual bound stays below the primal optimum
         assert p.objective_value >= -d.objective_value - 1e-7
         assert p.objective_value == pytest.approx(-d.objective_value, abs=1e-6)
@@ -250,12 +256,21 @@ class TestSolveMilp:
 KINDS = ("free", "fixed", "lower", "upper", "boxed")
 
 
+def priced_by_slack_basis(c: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """c with the cost dropped from every variable unbounded in its cost's direction."""
+    c = c.copy()
+    c[(c > 0) & np.isinf(bounds[:, 0])] = 0.0
+    c[(c < 0) & np.isinf(bounds[:, 1])] = 0.0
+    return c
+
+
 @st.composite
 def mixed_lps(draw):
     """LP with every relation and bound kind, zero rows included, feasible at x0.
 
-    Returns (lp, infeasible): with infeasible, a row pair a x <= b, a x >= b + 1
-    is appended.
+    Raw costs open in their direction are rejected (BuildError) and then
+    dropped, so the slack basis prices the LP.  Returns (lp, infeasible):
+    with infeasible, a row pair a x <= b, a x >= b + 1 is appended.
     """
     n = draw(st.integers(1, 6))
     m = draw(st.integers(0, 6))
@@ -280,7 +295,12 @@ def mixed_lps(draw):
         a = np.vstack([a, row, row])
         rels = rels + ("<=", ">=")
         b = np.concatenate([b, [row @ x0, row @ x0 + 1.0]])
-    return LinearProgram(c, a, rels, b, np.column_stack([lo, hi])), infeasible
+    bounds = np.column_stack([lo, hi])
+    priced = priced_by_slack_basis(c, bounds)
+    if not np.array_equal(priced, c):
+        with pytest.raises(BuildError):
+            LinearProgram(c, a, rels, b, bounds)
+    return LinearProgram(priced, a, rels, b, bounds), infeasible
 
 
 def highs(lp: LinearProgram):
@@ -324,7 +344,7 @@ class TestBoundedSimplex:
         lp, infeasible = drawn
         mine = solve_lp(lp)
         ref = highs(lp)
-        expected = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        expected = {0: "optimal", 2: "infeasible"}[ref.status]
         assert mine.status == expected
         assert (expected == "infeasible") == infeasible
         if expected == "optimal":
@@ -344,7 +364,7 @@ class TestBoundedSimplex:
         cold = solve_lp(moved)
         warm = solve_lp(moved, basis=first.basis)
         ref = highs(moved)
-        assert warm.status == cold.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        assert warm.status == cold.status == {0: "optimal", 2: "infeasible"}[ref.status]
         if cold.optimal:
             assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9, abs=1e-9)
             assert warm.objective_value == pytest.approx(ref.fun, rel=1e-9, abs=1e-7)
@@ -356,19 +376,17 @@ class TestBoundedSimplex:
         # about 1e14), where the hinted basic values x1 = 4 / tilt and
         # x0 = 3 + x1 lie within their bounds; a repeated column too.  Such
         # a hint is dropped, and the solve is the unhinted one: the dual
-        # simplex from the slack basis for costs the slack basis prices
-        # (c0 = 1), else the primal two-phase solve (c0 = -1 on x0 >= 0)
-        for c0 in (1.0, -1.0):
-            lp = LinearProgram([c0, 1.0, 0.5], [[1.0, -1.0, 0.0], [2.0, -2.0 - tilt, 1.0]],
-                               ("=", ">="), [3.0, 1.0], [[0.0, INF], [0.0, INF], [-1.0, 1.0]])
-            cold = solve_lp(lp)
-            assert cold.optimal and cold.iterations > 0
-            assert cold.objective_value == pytest.approx(3.0 * c0 - 0.5, abs=1e-12)
-            for rows in ([0, 1], [0, 0]):
-                hinted = solve_lp(lp, basis=(np.array(rows), np.array([], dtype=int)))
-                assert hinted.status == cold.status == "optimal"
-                assert hinted.iterations == cold.iterations
-                assert np.array_equal(hinted.values, cold.values)
+        # simplex from the slack basis
+        lp = LinearProgram([1.0, 1.0, 0.5], [[1.0, -1.0, 0.0], [2.0, -2.0 - tilt, 1.0]],
+                           ("=", ">="), [3.0, 1.0], [[0.0, INF], [0.0, INF], [-1.0, 1.0]])
+        cold = solve_lp(lp)
+        assert cold.optimal and cold.iterations > 0
+        assert cold.objective_value == pytest.approx(2.5, abs=1e-12)
+        for rows in ([0, 1], [0, 0]):
+            hinted = solve_lp(lp, basis=(np.array(rows), np.array([], dtype=int)))
+            assert hinted.status == cold.status == "optimal"
+            assert hinted.iterations == cold.iterations
+            assert np.array_equal(hinted.values, cold.values)
 
     def test_infeasible_hint_takes_dual_steps(self):
         # min x0 + 2 x1 over x0 + x1 >= 3, both in [0, 2]: x1 = 1 basic, x0 at 2
@@ -394,33 +412,7 @@ class TestBoundedSimplex:
         assert wrong.iterations == cold.iterations
 
 
-def priced_by_slack_basis(lp: LinearProgram) -> LinearProgram:
-    """lp with the cost dropped from every variable unbounded in its cost's direction.
-
-    Then the slack basis is dual feasible, and solve_lp takes the dual simplex.
-    """
-    c = lp.objective.copy()
-    c[(c > 0) & np.isinf(lp.bounds[:, 0])] = 0.0
-    c[(c < 0) & np.isinf(lp.bounds[:, 1])] = 0.0
-    return LinearProgram(c, lp.lhs, lp.relations, lp.rhs, lp.bounds)
-
-
 class TestDualSimplex:
-    @settings(max_examples=200, deadline=None)
-    @given(mixed_lps(), st.integers(0, 2**31 - 1))
-    def test_dual_ray_agrees_with_highs(self, drawn, seed):
-        # every LP here starts the dual simplex from the slack basis, and a
-        # re-solve from its optimal basis after a shift starts from that
-        # basis; an infeasible verdict is a row without an entering column
-        lp = priced_by_slack_basis(drawn[0])
-        moved = shifted(lp, np.random.RandomState(seed))
-        first = solve_lp(lp)
-        for mine, ref_lp in ((first, lp), (solve_lp(moved, basis=first.basis), moved)):
-            ref = highs(ref_lp)
-            assert mine.status == {0: "optimal", 2: "infeasible"}[ref.status]
-            if mine.optimal:
-                assert mine.objective_value == pytest.approx(ref.fun, rel=1e-9, abs=1e-7)
-
     def test_shifted_hints_take_fewer_steps(self):
         # a period-to-period re-solve: the old optimal basis, made primal
         # infeasible by new right-hand sides and bounds, is repaired by
