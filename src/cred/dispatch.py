@@ -1,4 +1,4 @@
-"""Stability-constrained economic dispatch: an LP for one attacked area, a MIP for several.
+"""Stability-constrained economic dispatch: merit order for one attacked area, a MIP for several.
 
 Builds, per period: a single system-wide power balance, committed-generator
 limits, wind dispatch with droop headroom on both sides of the reference,
@@ -24,8 +24,11 @@ segments of all its pairs.  The encoding is locally ideal and needs no
 big-M constant.
 
 When one area is attacked, every row is a function of that area's scalar
-net gain alone, and the dispatch is a plain LP with the droop pinned to an
-exact floor (StabilityConstraintSet.net_gain_ceiling, build_cred_milp).
+net gain alone, and the droop is pinned to an exact floor
+(StabilityConstraintSet.net_gain_ceiling, _droop_floor).  Without storage
+every period, the baseline's too, is then an economic dispatch with one
+balance row, solved by merit order with no program built (_merit_order);
+with storage the horizon is one LP.
 
 Solutions are certified a posteriori by an exact eigenvalue check of every
 period's closed loop.
@@ -79,6 +82,8 @@ class GeneratorSpec:
     committed: tuple  # per-period 0/1
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.marginal_cost, self.p_min, self.p_max])):
+            raise BuildError(f"generator in area {self.area}: cost and limits must be finite")
         if self.p_min < 0 or self.p_max < self.p_min:
             raise BuildError(f"generator in area {self.area}: need 0 <= p_min <= p_max")
         object.__setattr__(self, "committed", tuple(int(bool(u)) for u in self.committed))
@@ -97,6 +102,10 @@ class StorageSpec:
     soc_initial: float = 0.5
 
     def __post_init__(self):
+        fields = (self.soc_min, self.soc_max, self.efficiency, self.power_limit, self.energy,
+                  self.soc_initial)
+        if not np.all(np.isfinite(fields)):
+            raise BuildError(f"storage in area {self.area}: every field must be finite")
         if not (0.0 <= self.soc_min < self.soc_max <= 1.0):
             raise BuildError("storage needs 0 <= soc_min < soc_max <= 1")
         if not (0.0 < self.efficiency <= 1.0):
@@ -130,6 +139,9 @@ class DispatchScenario:
             raise BuildError(f"demand must be (T, {n})")
         if wind.shape != dem.shape:
             raise BuildError("wind_available must match demand shape")
+        if not (np.all(np.isfinite(dem)) and np.all(np.isfinite(wind))
+                and np.isfinite(self.shed_cost) and np.isfinite(self.base_power)):
+            raise BuildError("demand, wind availability, shed_cost and base_power must be finite")
         if np.any(dem < 0) or np.any(wind < -1e-12):
             raise BuildError("demand and wind availability must be >= 0")
         if np.any(wind > self.model.ibr_max_power[None, :] + 1e-9):
@@ -183,6 +195,9 @@ class StabilityConstraintSet:
 
     def __post_init__(self):
         gains = np.asarray(self.robust_gains, dtype=float)
+        if not (np.all(np.isfinite(gains)) and np.isfinite(self.strict_margin)
+                and np.isfinite(self.settle_margin)):
+            raise BuildError("robust gains and margins must be finite")
         if np.any(gains < 0):
             raise BuildError("robust gains must be >= 0")
         if self.strict_margin <= 0 or self.settle_margin < 0:
@@ -318,8 +333,10 @@ class DispatchSolution:
     binaries: dict
     per_period_cost: np.ndarray  # currency
     total_cost: float
+    #: B&B nodes over every program the solve ran; 0 on the merit-order path
     node_count: int
-    #: simplex steps over every LP the solve ran (B&B nodes included)
+    #: simplex steps over every LP the solve ran (B&B nodes included); 0 on
+    #: the merit-order path
     simplex_iterations: int = 0
     stability_certificate: StabilityCertificate | None = None
 
@@ -351,22 +368,14 @@ def build_cred_milp(
 ) -> CredMilp:
     """Assemble the dispatch over the given periods (default: all).
 
-    With stab=None (or no tables) the instance is the plain economic
-    dispatch: droop and reserve are pinned to zero and no binaries appear.
-    Every table must cover [0, robust_gain] of its area, otherwise the
-    build fails with a coverage error.
-
-    When tables with a positive gain exist in exactly one area a, the
-    instance is an LP with kc[t, a] pinned to gain - k_max, where k_max is
-    the net-gain ceiling of the tables, and without the stability rows.
-    This is the MIP's optimum: kc enters only through pres = omega*kc,
-    pw + pres <= avail and pw >= pres, and the objective has no droop
-    term, so raising kc only shrinks the feasible set and the optimal cost
-    is nondecreasing in every kc[t, a].  The smallest kc the rows of a
-    single area admit is gain - k_max, so it is optimal, and the LP is
-    infeasible exactly when the MIP is.  The build raises BuildError if
-    any other row or the objective touches kc or pres, and InfeasibleError
-    if no net gain meets the rows.  Two or more attacked areas keep the
+    _droop_floor checks that the tables cover the robust gains.  With
+    stab=None (or no tables) the instance is the plain economic dispatch:
+    droop and reserve are pinned to zero and no binaries appear.  With
+    tables of a positive gain in one area only, the droop is pinned to
+    _droop_floor's exact floor (optimal by the argument in _merit_order)
+    and the instance is an LP without stability rows.  A pinned build
+    raises BuildError if any row other than the droop's own, or the
+    objective, touches kc or pres.  Two or more attacked areas keep the
     MIP.
 
     Columns and rows are laid out period after period.  Without storage
@@ -384,33 +393,15 @@ def build_cred_milp(
     if scn.storage and len(periods) != scn.n_periods:
         raise BuildError("storage couples periods; build the monolithic instance")
 
-    tables = stab.tables_by_pair() if stab is not None else {}
-    gains = stab.robust_gains if stab is not None else np.zeros(n)
-    if gains.shape != (n,):
-        raise BuildError(f"robust_gains must have shape ({n},)")
-    for (i, a), tab in tables.items():
-        if tab.range_end < 0:
-            raise CoverageError(
-                f"table for pair ({i},{a}) sweeps negative gains; dispatch needs [0, gain]"
-            )
-        if gains[a] > tab.range_end + 1e-12:
-            raise CoverageError(
-                f"table for pair ({i},{a}) covers [0, {tab.range_end:g}] "
-                f"but robust gain is {gains[a]:g}"
-            )
-    covered_areas = {a for (_, a) in tables}
-    live = stab.live_tables() if stab is not None else {}
-    live_areas = {a for _, a in live}
-    floor_area, fixed_binaries = None, {}
-    if len(live_areas) == 1:
-        (floor_area,) = live_areas
-        knet_max, held = stab.net_gain_ceiling()
-        floor_kc = float(gains[floor_area]) - knet_max
-        fixed_binaries = {
-            (t, i, a, m_id): float(m_id == held[(i, a)])
-            for t in periods for (i, a), tab in live.items() for m_id in range(len(tab.points))
-        }
+    pinned, fixed_binaries = _droop_floor(scn, stab, periods)
+    if pinned is None:
+        gains = stab.robust_gains
+        live = stab.live_tables()
+        covered_areas = {a for (_, a) in stab.tables_by_pair()}
+        kc_bounds = [(0.0, float(gains[a]) if a in covered_areas else 0.0) for a in range(n)]
+    else:
         live = {}  # no stability rows, no binaries
+        kc_bounds = [(k, k) for k in pinned]
     segments = {pair: stab.segments(tab) for pair, tab in live.items()}
     row_bounds = stab.row_bounds() if live else {}
 
@@ -431,10 +422,7 @@ def build_cred_milp(
             avail = float(scn.wind_available[t, a])
             v.add("pw", (t, a), 0.0, avail)
             v.add("pres", (t, a), 0.0, avail)
-            if a == floor_area:
-                v.add("kc", (t, a), floor_kc, floor_kc)
-            else:
-                v.add("kc", (t, a), 0.0, float(gains[a]) if a in covered_areas else 0.0)
+            v.add("kc", (t, a), *kc_bounds[a])
             shed_cap = float(scn.demand[t, a]) if allow_shed else 0.0
             v.add("ps", (t, a), 0.0, shed_cap)
         for s_id, stor in enumerate(scn.storage):
@@ -527,17 +515,64 @@ def build_cred_milp(
         rhs_v[r] = rhs
     bounds = np.array(v.bounds, dtype=float)
     lp = LinearProgram(c, lhs, tuple(rel), rhs_v, bounds)
-    if floor_area is not None:
+    if pinned is not None:
         _check_droop_monotone(lp, v.index, omega)
     mip = MixedIntegerProgram(lp, tuple(binaries))
     return CredMilp(mip, v.index, periods, scn, stab, fixed_binaries)
 
 
+def _droop_floor(scn: DispatchScenario, stab: StabilityConstraintSet | None,
+                 periods) -> tuple:
+    """(kc, fixed_binaries): the droop per area, pinned, and the segments it holds.
+
+    Every table must cover [0, robust_gain] of its area (CoverageError
+    otherwise).  With tables of a positive gain in at most one area, kc is
+    that area's floor gain - k_max, where k_max is the net-gain ceiling of
+    its tables (StabilityConstraintSet.net_gain_ceiling, InfeasibleError
+    if no net gain meets the rows), and zero in every other area; see
+    _merit_order for why the floor is the MIP's optimum.  fixed_binaries
+    then holds the indicator of every segment, 1 for the one holding
+    k_max, keyed (t, i, a, m) over periods.  With two or more such areas
+    the droop is a decision of the MIP: kc is None and fixed_binaries
+    empty.
+    """
+    n = scn.model.areas
+    tables = stab.tables_by_pair() if stab is not None else {}
+    gains = stab.robust_gains if stab is not None else np.zeros(n)
+    if gains.shape != (n,):
+        raise BuildError(f"robust_gains must have shape ({n},)")
+    for (i, a), tab in tables.items():
+        if tab.range_end < 0:
+            raise CoverageError(
+                f"table for pair ({i},{a}) sweeps negative gains; dispatch needs [0, gain]"
+            )
+        if gains[a] > tab.range_end + 1e-12:
+            raise CoverageError(
+                f"table for pair ({i},{a}) covers [0, {tab.range_end:g}] "
+                f"but robust gain is {gains[a]:g}"
+            )
+    live = stab.live_tables() if stab is not None else {}
+    live_areas = {a for _, a in live}
+    kc = np.zeros(n)
+    if len(live_areas) > 1:
+        return None, {}
+    if not live_areas:
+        return kc, {}
+    (area,) = live_areas
+    knet_max, held = stab.net_gain_ceiling()
+    kc[area] = float(gains[area]) - knet_max
+    fixed_binaries = {
+        (t, i, a, m_id): float(m_id == held[(i, a)])
+        for t in periods for (i, a), tab in live.items() for m_id in range(len(tab.points))
+    }
+    return kc, fixed_binaries
+
+
 def _check_droop_monotone(lp: LinearProgram, index: dict, omega: float) -> None:
     """Raise BuildError unless kc and pres enter only their three droop rows.
 
-    Pinning kc to its floor is exact only while raising kc can only shrink
-    the feasible set: no objective term, and no row other than
+    Pinning kc is exact only while raising kc can only shrink the feasible
+    set (_merit_order): no objective term, and no row other than
     pres - omega*kc = 0, pw + pres <= avail and pw - pres >= 0, may touch
     kc or pres.
     """
@@ -579,11 +614,104 @@ def _extract(problem: CredMilp, values: np.ndarray, out: DispatchSolution):
             out.storage_charge[t, s_id] = values[idx["pch"][(t, s_id)]]
             out.storage_discharge[t, s_id] = values[idx["pdis"][(t, s_id)]]
             out.storage_soc[t, s_id] = values[idx["soc"][(t, s_id)]]
-        cost = 0.0
-        for g_id, gen in enumerate(scn.generators):
-            cost += gen.marginal_cost * scn.base_power * DELTA_T * out.sg_power[t, g_id]
-        cost += scn.shed_cost * scn.base_power * DELTA_T * out.shed[t].sum()
-        out.per_period_cost[t] = cost
+        out.per_period_cost[t] = _period_cost(scn, out, t)
+
+
+def _period_cost(scn: DispatchScenario, sol: DispatchSolution, t: int) -> float:
+    cost = 0.0
+    for g_id, gen in enumerate(scn.generators):
+        cost += gen.marginal_cost * scn.base_power * DELTA_T * sol.sg_power[t, g_id]
+    cost += scn.shed_cost * scn.base_power * DELTA_T * sol.shed[t].sum()
+    return cost
+
+
+#: primal feasibility tolerance of the merit order, the dual simplex's (milp._PIVOT_TOL)
+_FEAS_TOL = 1e-9
+
+
+def _merit_order(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool,
+                 sol: DispatchSolution) -> None:
+    """Dispatch each period of a storage-free horizon by merit order, the droop pinned to kc.
+
+    Why a pinned droop is the MIP's optimum: kc enters only through
+    pres = omega*kc, pw + pres <= avail and pw >= pres, and the objective
+    has no droop term, so raising kc only shrinks the feasible set and the
+    optimal cost is nondecreasing in every kc[t, a].  With tables of a
+    positive gain in one area a only, the smallest kc their rows admit is
+    gain - k_max (_droop_floor), so it is optimal, and the dispatch is
+    infeasible exactly when the MIP is.  Every other area's droop is
+    bounded by a zero gain.
+
+    With kc fixed, wind is a free resource in [pres, avail - pres] per
+    area, and a period is the linear-cost economic dispatch (equal
+    incremental cost; Wood & Wollenberg, Power Generation, Operation, and
+    Control, ch. 3): one balance row, the online floor
+    sum pg >= min_online_fraction * demand, and bounded units.  Every unit
+    starts at its lower bound; generators are raised, cheapest first,
+    until the floor is met; the rest of the demand is filled in one merit
+    order keyed (objective coefficient, wind < generator < shed, index).
+    A prefix of the generators in cost order is optimal for any
+    generation total, so the floor's share is part of an optimum, and the
+    merit order fills the residual demand optimally.  On equal costs the
+    order above picks one of the optima; the simplex may pick another.
+    Values sit exactly on their bounds, except one marginal unit per
+    phase.
+
+    Raises InfeasibleError for the first period where 2*pres > avail in
+    an area, the lower bounds (after the floor) exceed demand, or the
+    units cannot meet the floor or the demand, each beyond _FEAS_TOL.
+    """
+    gens, n = scn.generators, scn.model.areas
+    gen_cost = [gen.marginal_cost * scn.base_power * DELTA_T for gen in gens]
+    shed_cost = scn.shed_cost * scn.base_power * DELTA_T
+    merit = sorted([(0.0, 0, a) for a in range(n)]
+                   + [(cost, 1, g_id) for g_id, cost in enumerate(gen_cost)]
+                   + [(shed_cost, 2, a) for a in range(n)])
+    cheapest = sorted(range(len(gens)), key=lambda g_id: (gen_cost[g_id], g_id))
+    online = scn.min_online_fraction if gens else 0.0
+    pres = scn.model.omega_max * kc
+    wind_lo = pres.tolist()
+    for t in range(scn.n_periods):
+        demand = float(scn.demand[t].sum())
+        avail = scn.wind_available[t]
+        if np.any(2.0 * pres - avail > _FEAS_TOL):
+            raise _infeasible(f"period {t}", allow_shed)
+        lo = (wind_lo, [gen.p_min * gen.committed[t] for gen in gens], [0.0] * n)
+        hi = (np.maximum(avail - pres, pres).tolist(),
+              [gen.p_max * gen.committed[t] for gen in gens],
+              scn.demand[t].tolist() if allow_shed else [0.0] * n)
+        x = tuple(list(part) for part in lo)
+        need = online * demand - sum(x[1])
+        for g_id in cheapest:
+            if need <= 0.0:
+                break
+            need = _top_up(x[1], hi[1], g_id, need)
+        rest = demand - (sum(x[0]) + sum(x[1]))
+        for _, kind, j in merit:
+            if rest <= 0.0:
+                break
+            rest = _top_up(x[kind], hi[kind], j, rest)
+        if need > _FEAS_TOL or abs(rest) > _FEAS_TOL:
+            raise _infeasible(f"period {t}", allow_shed)
+        sol.wind_power[t], sol.sg_power[t], sol.shed[t] = x
+        sol.wind_reserve[t] = pres
+        sol.droop[t] = kc
+        sol.per_period_cost[t] = _period_cost(scn, sol, t)
+
+
+def _top_up(x: list, hi: list, j: int, amount: float) -> float:
+    """Raise x[j] by amount, at most to hi[j]; return the amount left over."""
+    room = hi[j] - x[j]
+    if room <= amount:
+        x[j] = hi[j]
+        return amount - room
+    x[j] += amount
+    return 0.0
+
+
+def _infeasible(where: str, allow_shed: bool) -> InfeasibleError:
+    return InfeasibleError(f"dispatch infeasible in {where}"
+                           + ("" if allow_shed else " (shedding disabled)"))
 
 
 def _period_programs(problem: CredMilp) -> list:
@@ -615,16 +743,20 @@ def solve_cred(
     stab: StabilityConstraintSet | None,
     allow_shed: bool = False,
 ) -> DispatchSolution:
-    """Solve the dispatch, decomposing per period when storage permits.
+    """Solve the dispatch: by merit order, or by building it and running the simplex.
 
-    The horizon is built once.  Without storage its periods decouple, and
-    each period's program is its block of that build (_period_programs):
-    one matrix and objective, with the period's right-hand sides and
-    bounds.  Period t + 1's solve starts from period t's optimal basis,
-    which stays dual feasible, so it needs only dual simplex steps.  With
-    storage the horizon is one program.  Raises InfeasibleError when any
-    period admits no feasible point and NumericalError when the solver
-    hits its budget.
+    Without storage the periods decouple.  When, in addition, tables of a
+    positive gain exist in at most one area (stab=None included), the
+    droop is pinned (_droop_floor) and each period is dispatched by merit
+    order (_merit_order): nothing is built, and node_count and
+    simplex_iterations read 0.  Otherwise the horizon is built once.  With
+    storage it is one program.  With two or more attacked areas each
+    period's program is its block of that build (_period_programs): one
+    matrix and objective, with the period's right-hand sides and bounds;
+    period t + 1's solve starts from period t's optimal basis, which stays
+    dual feasible, so it needs only dual simplex steps.  Raises
+    InfeasibleError when any period admits no feasible point and
+    NumericalError when the solver hits its budget.
     """
     t_len, n = scn.n_periods, scn.model.areas
     sol = DispatchSolution(
@@ -641,6 +773,13 @@ def solve_cred(
         total_cost=0.0,
         node_count=0,
     )
+    if not scn.storage:
+        kc, fixed_binaries = _droop_floor(scn, stab, range(t_len))
+        if kc is not None:
+            _merit_order(scn, kc, allow_shed, sol)
+            sol.binaries.update(fixed_binaries)
+            sol.total_cost = float(sol.per_period_cost.sum())
+            return sol
     problem = build_cred_milp(scn, stab, allow_shed=allow_shed)
     if scn.storage:
         blocks = [(slice(None), problem.program)]
@@ -651,9 +790,7 @@ def solve_cred(
     for t, (cols, program) in enumerate(blocks):
         res = solve_milp(program, basis=basis)
         if res.status == "infeasible":
-            where = "horizon" if scn.storage else f"period {t}"
-            raise InfeasibleError(f"dispatch infeasible in {where}"
-                                  + ("" if allow_shed else " (shedding disabled)"))
+            raise _infeasible("horizon" if scn.storage else f"period {t}", allow_shed)
         if not res.optimal:
             raise NumericalError(f"dispatch solve ended with status {res.status}")
         values[cols] = res.values

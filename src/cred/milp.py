@@ -41,12 +41,15 @@ _ZERO_TOL = 1e-12
 _SLACK_BOUNDS = {"<=": (0.0, np.inf), "=": (0.0, 0.0), ">=": (-np.inf, 0.0)}
 
 
-def _check_bounded_below(objective: np.ndarray, bounds: np.ndarray) -> None:
-    """Raise BuildError unless every costed variable is bounded in its cost's direction.
+def _check_bounds(objective: np.ndarray, bounds: np.ndarray) -> None:
+    """Raise BuildError unless every bound admits a value and costs are bounded below.
 
-    Then objective @ x is bounded below on the bounds alone, the slack
+    A lower bound of +inf or an upper bound of -inf admits no real value.
+    Otherwise objective @ x is bounded below on the bounds alone, the slack
     basis is dual feasible, and by weak duality the LP is not unbounded.
     """
+    if np.any(bounds[:, 0] == np.inf) or np.any(bounds[:, 1] == -np.inf):
+        raise BuildError("variable bound admits no finite value ([inf, inf] or [-inf, -inf])")
     loose = ((objective > 0.0) & np.isinf(bounds[:, 0])) | ((objective < 0.0) & np.isinf(bounds[:, 1]))
     if loose.any():
         raise BuildError(
@@ -63,8 +66,9 @@ class LinearProgram:
     lhs: np.ndarray
     relations: tuple
     rhs: np.ndarray
-    #: (n, 2), +-inf allowed, but a variable with a positive (negative) cost
-    #: needs a finite lower (upper) bound; zero-cost variables may be free
+    #: (n, 2), a lower bound of -inf and an upper bound of +inf allowed, but a
+    #: variable with a positive (negative) cost needs a finite lower (upper)
+    #: bound; zero-cost variables may be free
     bounds: np.ndarray
 
     def __post_init__(self):
@@ -88,7 +92,7 @@ class LinearProgram:
                 raise BuildError(f"unknown relation {r!r}")
         if np.any(bounds[:, 0] > bounds[:, 1]):
             raise BuildError("variable with lower bound above upper bound")
-        _check_bounded_below(c, bounds)
+        _check_bounds(c, bounds)
         for arr in (c, a, b, bounds):
             arr.setflags(write=False)
         object.__setattr__(self, "objective", c)
@@ -110,12 +114,13 @@ class LinearProgram:
 
         rhs and bounds are taken as they are, without the other checks of a
         new LP: pass read-only arrays from a validated LinearProgram, such as
-        the rows and columns of one block of a larger one.  The objective
-        must still be bounded below on the new bounds (BuildError if not).
+        the rows and columns of one block of a larger one.  The new bounds
+        must still admit a value and bound the objective below (BuildError
+        if not).
         """
         if np.shape(rhs) != self.rhs.shape or np.shape(bounds) != self.bounds.shape:
             raise BuildError("new right-hand sides or bounds do not fit the LP")
-        _check_bounded_below(self.objective, bounds)
+        _check_bounds(self.objective, bounds)
         out = object.__new__(LinearProgram)
         out.__dict__.update(vars(self), rhs=rhs, bounds=bounds)
         return out

@@ -293,7 +293,7 @@ class TestDroopFloor:
             return
         assert ref.status == "optimal"
         assert not build_cred_milp(scn, one).program.binary_vars
-        assert sol.node_count == 1
+        assert sol.node_count == sol.simplex_iterations == 0  # merit order, no simplex
         assert sol.total_cost == pytest.approx(ref.objective_value, rel=1e-9)
         # the floor is the least droop the MIP admits, and the rows hold there
         kc = sol.droop[0, 0]
@@ -324,6 +324,142 @@ class TestDroopFloor:
         for bad in tampered:
             with pytest.raises(BuildError, match="nondecreasing in kc"):
                 dispatch._check_droop_monotone(bad, idx, omega)
+
+
+def dispatch_model(n, omega_max=0.5):
+    """n areas in a chain of unit lines; a dispatch reads only areas, omega_max and IBR capacity."""
+    from cred.grid import SystemModel
+
+    lines = np.zeros((n, n))
+    for a in range(n - 1):
+        lines[a, a + 1] = lines[a + 1, a] = 1.0
+    return SystemModel(
+        areas=n, inertia_sg=[1.0] * n, inertia_ibr=[0.0] * n, damping=[0.0] * n,
+        gov_integral=[5.0] * n, gov_proportional=[2.0] * n, susceptance=lines,
+        secure_load=[7.0] * n, vulnerable_load=[3.0] * n, ibr_max_power=[10.0] * n,
+        omega_max=omega_max,
+    )
+
+
+def ceiling_table(area, gain, knet_max, strict=1e-6):
+    """One flat segment over [0, gain] whose row admits net gains up to knet_max.
+
+    The row reads slope * k <= 1 - strict with base eigenvalue -1 + 2j, so
+    the droop floor is gain - knet_max, to round-off.
+    """
+    base = complex(-1.0, 2.0)
+    slope = (1.0 - strict) / knet_max
+    return SegmentTable(0, area, (LinearizationPoint(0.0, base, complex(slope, 0.0)),), gain,
+                        base, 0.02, gain / 200.0, np.zeros(0), np.zeros(0))
+
+
+def tied_moves(scn, sol, t, allow_shed):
+    """Whether two units with one cost could trade output: one below its upper bound, one above its lower.
+
+    Every alternative optimum of a period moves such a pair (their reduced
+    costs are both zero), so without one the optimum is unique.
+    """
+    pres = sol.wind_reserve[t]
+    units = [(0.0, sol.wind_power[t, a], pres[a], scn.wind_available[t, a] - pres[a])
+             for a in range(scn.model.areas)]
+    units += [(gen.marginal_cost * scn.base_power, sol.sg_power[t, g_id],
+               gen.p_min * gen.committed[t], gen.p_max * gen.committed[t])
+              for g_id, gen in enumerate(scn.generators)]
+    units += [(scn.shed_cost * scn.base_power, sol.shed[t, a], 0.0,
+               scn.demand[t, a] if allow_shed else 0.0) for a in range(scn.model.areas)]
+    return any(ci == cj and xi < hi_i - 1e-9 and xj > lo_j + 1e-9
+               for i, (ci, xi, _, hi_i) in enumerate(units)
+               for j, (cj, xj, lo_j, _) in enumerate(units) if i != j)
+
+
+class TestMeritOrder:
+    """The merit-order dispatch against each period's LP, solved in-tree and by HiGHS."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10_000), attacked=st.booleans(), ties=st.booleans(),
+           online=st.sampled_from([0.0, 0.3, 0.7]), cheap_shed=st.booleans(),
+           allow_shed=st.booleans())
+    def test_matches_period_lps(self, seed, attacked, ties, online, cheap_shed, allow_shed):
+        rng = np.random.RandomState(seed)
+        n, t_len = int(rng.randint(1, 4)), int(rng.randint(1, 4))
+        costs = [10.0, 20.0] if ties else list(rng.uniform(5.0, 80.0, 4))
+        gens = tuple(
+            GeneratorSpec(int(rng.randint(n)), float(rng.choice(costs)),
+                          p_min, p_min + float(rng.uniform(0.0, 8.0)),
+                          tuple(int(u) for u in rng.rand(t_len) < 0.8))
+            for p_min in rng.choice([0.0, 0.0, 0.5, 2.0], int(rng.randint(1, 5)))
+        )
+        # demand can sit below must-run output plus the wind reserve
+        demand = rng.uniform(0.0, 6.0, (t_len, n)) * (rng.rand(t_len, n) < 0.9)
+        wind = rng.uniform(0.0, 4.0, (t_len, n)) * (rng.rand(t_len, n) < 0.7)
+        wind[:, 0] = rng.uniform(0.5, 4.0, t_len)  # the attacked area's
+        scn = DispatchScenario(
+            model=dispatch_model(n), demand=demand, wind_available=wind, generators=gens,
+            shed_cost=float(rng.uniform(5.0, 40.0) if cheap_shed else 1000.0),
+            base_power=float(rng.choice([1.0, 100.0])), min_online_fraction=online,
+            attack_areas=(0,) if attacked else (),
+        )
+        stab = None
+        if attacked:
+            # pres = 0.5 * kc reaches 1.25, beyond half of some wind draws
+            gain = 3.0
+            tabs = [ceiling_table(0, gain, gain - float(rng.uniform(0.0, 2.5)))]
+            if n > 1:  # a covered area without gain keeps its droop at zero
+                tabs.append(ceiling_table(1, gain, gain / 2.0))
+            stab = StabilityConstraintSet(tuple(tabs), [gain] + [0.0] * (n - 1))
+        try:
+            sol, failure = solve_cred(scn, stab, allow_shed=allow_shed), None
+        except InfeasibleError as exc:
+            sol, failure = None, str(exc)
+        for t in range(t_len):
+            problem = build_cred_milp(scn, stab, allow_shed=allow_shed, periods=[t])
+            ref = solve_milp(problem.program)
+            status, objective = solve_with_highs(problem.program)
+            assert ref.status == status
+            if status == "infeasible":
+                # the merit order names the first infeasible period
+                assert failure == f"dispatch infeasible in period {t}" + (
+                    "" if allow_shed else " (shedding disabled)")
+                return
+            if sol is None:
+                continue  # a later period is infeasible
+            assert sol.node_count == sol.simplex_iterations == 0
+            for value in (ref.objective_value, objective):
+                assert sol.per_period_cost[t] == pytest.approx(value, rel=1e-9, abs=1e-9)
+            assert {key: sol.binaries[key] for key in problem.fixed_binaries} \
+                == problem.fixed_binaries
+            if tied_moves(scn, sol, t, allow_shed):
+                continue  # an alternative optimum; the simplex may pick another
+            for family, attr in FAMILIES.items():
+                for key, j in problem.index.get(family, {}).items():
+                    assert getattr(sol, attr)[key] == pytest.approx(ref.values[j], abs=1e-9)
+        assert sol is not None
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinite input fails when its spec is built, before any dispatch path."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", [
+        "marginal_cost", "p_min", "p_max", "demand", "wind_available", "shed_cost", "base_power",
+        "soc_min", "soc_max", "efficiency", "power_limit", "energy", "soc_initial",
+        "robust_gains", "strict_margin", "settle_margin",
+    ])
+    def test_rejected_at_construction(self, one_area_model, field, value):
+        gen = dict(area=0, marginal_cost=10.0, p_min=0.0, p_max=12.0, committed=(1,))
+        stor = dict(area=0, soc_min=0.1, soc_max=0.9, efficiency=0.9, power_limit=3.0,
+                    energy=6.0, soc_initial=0.5)
+        scn = dict(model=one_area_model, demand=[[10.0]], wind_available=[[4.0]],
+                   shed_cost=1000.0, base_power=1.0)
+        stab = dict(tables=(), robust_gains=[3.0], strict_margin=1e-6, settle_margin=0.0)
+        for spec in (gen, stor, scn, stab):
+            if field in spec:
+                spec[field] = {"demand": [[value]], "wind_available": [[value]],
+                               "robust_gains": [value]}.get(field, value)
+        with pytest.raises(BuildError):
+            DispatchScenario(generators=(GeneratorSpec(**gen),), storage=(StorageSpec(**stor),),
+                             **scn)
+            StabilityConstraintSet(**stab)
 
 
 class TestPrecheck:
@@ -636,16 +772,18 @@ def two_area_desk():
 def record_solves(monkeypatch):
     """Every dispatch the workflow solves, with the programs it solves.
 
-    Returns a list that fills with (scn, stab, allow_shed, builds, programs)
-    per solve_cred call: builds counts its build_cred_milp calls, programs
-    lists what it hands to solve_milp.
+    Returns a list that fills with [scn, stab, allow_shed, builds, programs,
+    sol] per solve_cred call: builds counts its build_cred_milp calls,
+    programs lists what it hands to solve_milp, and sol is its solution, or
+    None when it raised InfeasibleError.
     """
     calls = []
     solve, build, milp_solve = workflow.solve_cred, dispatch.build_cred_milp, dispatch.solve_milp
 
     def solving(scn, stab, allow_shed=False):
-        calls.append((scn, stab, allow_shed, [], []))
-        return solve(scn, stab, allow_shed=allow_shed)
+        calls.append([scn, stab, allow_shed, [], [], None])
+        calls[-1][5] = solve(scn, stab, allow_shed=allow_shed)
+        return calls[-1][5]
 
     def building(*args, **kwargs):
         calls[-1][3].append(1)
@@ -661,8 +799,27 @@ def record_solves(monkeypatch):
     return calls
 
 
+def merit_order_path(scn, stab) -> bool:
+    """Whether solve_cred dispatches by merit order: no storage, at most one area with live tables."""
+    live = stab.live_tables() if stab is not None else {}
+    return not scn.storage and len({a for _, a in live}) <= 1
+
+
+def assert_periods_match_highs(scn, stab, allow_shed, sol):
+    """Each period's cost equals HiGHS's on that period's build; sol None means infeasible."""
+    verdicts = [solve_with_highs(build_cred_milp(scn, stab, allow_shed=allow_shed,
+                                                 periods=[t]).program)
+                for t in range(scn.n_periods)]
+    if sol is None:
+        assert any(status == "infeasible" for status, _ in verdicts)
+        return
+    for t, (status, objective) in enumerate(verdicts):
+        assert status == "optimal"
+        assert sol.per_period_cost[t] == pytest.approx(objective, rel=1e-9, abs=1e-9)
+
+
 class TestSecondSolver:
-    """The in-tree solver and HiGHS agree on the programs the workflow solves."""
+    """The in-tree solver and HiGHS agree on the dispatches the workflow solves."""
 
     @pytest.mark.parametrize("doc, allow_shed", [
         (three_area_system(), False),
@@ -675,11 +832,18 @@ class TestSecondSolver:
         bundle = scenario_from_dict(doc)
         run_workflow(WorkflowConfig(mode="worst_case"), bundle=bundle)
         t_len = bundle.dispatch.n_periods
+        if not bundle.dispatch.storage and len(bundle.attack_areas) == 1:
+            # merit order on every dispatch: nothing built, nothing handed to the simplex
+            for scn, stab, shed, builds, programs, sol in calls:
+                assert merit_order_path(scn, stab)
+                assert not builds and not programs
+                assert_periods_match_highs(scn, stab, shed, sol)
+            return
         calls = [call for call in calls if call[1] is not None]  # the stability dispatches
         # the final one solves every period, or the horizon once with storage
-        solved = [programs for _, _, shed, _, programs in calls if shed == allow_shed]
+        solved = [programs for _, _, shed, _, programs, _ in calls if shed == allow_shed]
         assert [len(programs) for programs in solved] == [1 if bundle.dispatch.storage else t_len]
-        programs = [program for *_, programs in calls for program in programs]
+        programs = [program for *_, programs, _ in calls for program in programs]
         # one attacked area solves as an LP, two keep the MIP
         multi_area = len(bundle.attack_areas) > 1
         assert all(bool(program.binary_vars) == multi_area for program in programs)
@@ -778,7 +942,10 @@ def same_program(got: MixedIntegerProgram, fresh: MixedIntegerProgram) -> bool:
 
 
 class TestPeriodPrograms:
-    """solve_cred builds the horizon once and solves each period's block of it."""
+    """solve_cred builds a multi-area horizon once and solves each period's block of it.
+
+    Every other storage-free dispatch is by merit order and builds nothing.
+    """
 
     @pytest.mark.parametrize("case", ["desk_worst_case", "desk_vf0.5_shed", "toy",
                                       "desk_two_area"])
@@ -793,7 +960,12 @@ class TestPeriodPrograms:
         assert rep.branch_taken == ("cred_infeasible_shed" if case == "desk_vf0.5_shed"
                                     else "cred_applied")
         assert calls
-        for scn, stab, allow_shed, builds, programs in calls:
+        for scn, stab, allow_shed, builds, programs, sol in calls:
+            if merit_order_path(scn, stab):
+                assert not builds and not programs
+                assert_periods_match_highs(scn, stab, allow_shed, sol)
+                continue
+            assert case == "desk_two_area"
             assert len(builds) == 1
             assert programs
             for t, program in enumerate(programs):
@@ -803,10 +975,15 @@ class TestPeriodPrograms:
             assert all(p.base.lhs is programs[0].base.lhs for p in programs)
             assert all(p.base.objective is programs[0].base.objective for p in programs)
 
-    def test_desk_worst_case_needs_fewer_simplex_steps(self):
-        # the stability dispatch of this run took 7 simplex steps when every
-        # period's LP was rebuilt and only primal feasible hints were taken
+    def test_desk_two_area_needs_fewer_simplex_steps(self, monkeypatch):
+        # each period's solve starts from the previous period's basis
+        calls = record_solves(monkeypatch)
         rep = run_workflow(WorkflowConfig(mode="worst_case"),
-                           bundle=scenario_from_dict(three_area_system()))
+                           bundle=scenario_from_dict(two_area_desk()))
         assert rep.branch_taken == "cred_applied"
-        assert 0 < rep.solution.simplex_iterations < 7
+        warm = cold = 0
+        for scn, stab, allow_shed, _, programs, sol in calls:
+            if programs:
+                warm += sol.simplex_iterations
+                cold += sum(res.iterations for _, res in cold_per_period(scn, stab, allow_shed))
+        assert 0 < warm < cold

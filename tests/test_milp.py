@@ -93,6 +93,15 @@ class TestSolveLp:
         closed = lp.with_data(lp.rhs, np.array([[-INF, 2.0], [0.0, INF]]))
         assert solve_lp(closed).objective_value == -2.0
 
+    @pytest.mark.parametrize("bound", [[INF, INF], [-INF, -INF]])
+    def test_bound_without_a_finite_value_rejected(self, bound):
+        # x = inf would "satisfy" x <= 1 once the ratio tests see only infinities
+        with pytest.raises(BuildError, match="no finite value"):
+            LinearProgram([0.0], [[1.0]], ("<=",), [1.0], [bound])
+        lp = LinearProgram([0.0], [[1.0]], ("<=",), [1.0], [[0.0, 1.0]])
+        with pytest.raises(BuildError, match="no finite value"):
+            lp.with_data(lp.rhs, np.array([bound]))
+
     def test_iteration_limit_reported(self, rng):
         # max_iter caps the dual simplex's steps exactly
         lp = random_feasible_lp(rng)
