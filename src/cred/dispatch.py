@@ -837,10 +837,10 @@ def validate_solution(
     Rebuilds each period's closed loop with the solved droop gains and the
     robust attack gains and demands a strictly negative spectral abscissa.
     The power reference enters only the forcing, so periods with equal
-    state matrices share one eigendecomposition.  estimate_discrepancy is
-    the largest real-part gap between a table's estimate and the exact
-    eigenvalue nearest to it in the complex plane.  Raises
-    ValidationFailure naming the first offending period/eigenvalue.
+    state matrices share one eigendecomposition and verdict.
+    estimate_discrepancy is the largest real-part gap between a table's
+    estimate and the exact eigenvalue nearest to it in the complex plane.
+    Raises ValidationFailure naming the first offending period/eigenvalue.
     """
     gains = np.asarray(gains, dtype=float)
     t_len = scn.n_periods
@@ -848,15 +848,16 @@ def validate_solution(
     worst_t, worst_eigs = 0, None
     discrepancy = None
     tables = stab.tables_by_pair() if stab is not None else {}
+    attack = _attack_from_gains(scn, gains)
     spectra = {}
     for t in range(t_len):
         droop = DroopSchedule(sol.droop[t], sol.wind_power[t])
-        ss = build_state_space(scn.model, _attack_from_gains(scn, gains), droop)
+        ss = build_state_space(scn.model, attack, droop)
         key = ss.state_matrix.tobytes()
         if key not in spectra:
-            spectra[key] = eigen_decompose(ss)
-        eig = spectra[key]
-        verdict = is_stable(eig)
+            eig = eigen_decompose(ss)
+            spectra[key] = eig, is_stable(eig)
+        eig, verdict = spectra[key]
         max_real[t] = verdict.max_real
         if worst_eigs is None or verdict.max_real > max_real[worst_t]:
             worst_t, worst_eigs = t, np.array(eig.eigenvalues)

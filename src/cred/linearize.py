@@ -4,7 +4,11 @@ The abscissa is the net destabilizing gain k = K_attack - K_droop in one
 area.  sweep_loci tracks every base eigenvalue by nearest match on a fixed
 grid from k = 0 toward a signed range end; grid points differ from the base
 loop in one diagonal entry of the state matrix, so their spectra come from
-one stacked eigensolve per block of BLOCK points.  One sweep per attacked
+one stacked eigensolve per block of BLOCK points.  Nearest match from one
+grid point to the next is a neighbour map of spectrum positions, computed
+for TRACK grid points per array op; a prefix scan composes the maps, so the
+loci are read off the spectra by index, bit-equal to a point-by-point
+tracking loop (also where a map is not one-to-one).  One sweep per attacked
 area feeds select_critical_pairs, which keeps the pairs whose loci reach
 the settling boundary, and build_segment_table: whenever the first-order
 estimate anchored at the latest linearization point drifts from the swept
@@ -42,6 +46,10 @@ __all__ = [
 
 #: grid points per stacked eigensolve; bounds the stack's memory at fine steps
 BLOCK = 256
+
+#: grid points per nearest-match array op; its distance temporaries take 24
+#: bytes per matrix entry to the stack's 8, so they stay below a block's stack
+TRACK = 64
 
 
 @dataclass(frozen=True)
@@ -124,7 +132,11 @@ def sweep_loci(model: SystemModel, area: int, range_end: float,
 
     range_end may have either sign; eps_phi is the (positive) grid step,
     |range_end|/200 by default.  The base system (net gain zero) must be
-    stable.
+    stable.  Grid point g maps spectrum position p of point g-1 (of the
+    base for g = 0) to the nearest position of its own spectrum, the first
+    one on a tie; loci[g] is spectra[g] at the composition of maps 0..g.
+    Two loci share a position once a map is not one-to-one, as where a
+    conjugate pair splits on the real axis.
     """
     if range_end == 0.0:
         raise ConfigurationError("range_end must be nonzero")
@@ -153,26 +165,41 @@ def sweep_loci(model: SystemModel, area: int, range_end: float,
     row = model.areas + area
     minv = 1.0 / model.total_inertia[area]
     base_damp = model.gov_proportional[area] + model.damping[area]
-    tracked = eig0.eigenvalues
-    loci = np.empty((len(grid), len(tracked)), dtype=complex)
+    spectra = np.empty((len(grid), len(eig0)), dtype=complex)
     for start in range(0, len(grid), BLOCK):
         ks = grid[start:start + BLOCK]
         stack = np.repeat(ss0.state_matrix[None], len(ks), axis=0)
         stack[:, row, row] = -minv * (base_damp - ks)
         try:
-            spectra = np.linalg.eigvals(stack)
+            block = np.linalg.eigvals(stack)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"grid eigensolve failed for area {area} on abscissas "
                 f"[{ks[0]:g}, {ks[-1]:g}]: {exc}"
             ) from exc
-        for g, spectrum in enumerate(spectra, start):
-            tracked = spectrum[np.argmin(np.abs(spectrum - tracked[:, None]), axis=1)]
-            loci[g] = tracked
-    for arr in (grid, loci, spectrum):
+        spectra[start:start + len(ks)] = block
+    del stack  # the tracking temporaries reuse its memory
+    # nearest match takes the locus at before[g, p] to spectra[g, maps[g, p]]
+    before = np.concatenate((eig0.eigenvalues[None], spectra[:-1]))
+    maps = np.empty(spectra.shape, dtype=np.intp)
+    for start in range(0, len(grid), TRACK):
+        stop = start + TRACK
+        maps[start:stop] = np.argmin(
+            np.abs(spectra[start:stop, None, :] - before[start:stop, :, None]), axis=2)
+    # pos[g] = maps[g] o ... o maps[0], by a prefix scan of compositions:
+    # after the step of width d, pos[g] composes maps[g-2d+1..g]
+    rows = np.arange(len(grid))[:, None]
+    pos, d = maps, 1
+    while d < len(pos):
+        pos[d:] = pos[rows[d:], pos[:-d]]
+        d *= 2
+    loci = spectra[rows, pos]
+    # eigvals returns a real block when every eigenvalue in it is real
+    end_spectrum = block[-1]
+    for arr in (grid, loci, end_spectrum):
         arr.setflags(write=False)
     return LocusSweep(model, int(area), float(range_end), float(eps_phi), ss0, eig0,
-                      grid, loci, spectrum)
+                      grid, loci, end_spectrum)
 
 
 def build_segment_table(sweep: LocusSweep, eigen_index: int, eps_lim: float) -> SegmentTable:

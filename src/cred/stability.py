@@ -9,6 +9,7 @@ with central finite differences of the spectrum.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,18 +78,57 @@ class StabilityVerdict:
         return self.stable
 
 
+_GEEV, _GEEV_LWORK = sla.get_lapack_funcs(("geev", "geev_lwork"), dtype=np.float64)
+
+
+@functools.cache
+def _geev_lwork(n: int) -> int:
+    """The workspace scipy.linalg.eig passes dgeev for an n x n matrix."""
+    work, info = _GEEV_LWORK(n, compute_vl=1, compute_vr=1)
+    if info != 0:
+        raise NumericalError(f"dgeev workspace query failed with info={info}")
+    return int(work.real)
+
+
+def _complex_vectors(wi: np.ndarray, *vectors: np.ndarray) -> tuple:
+    """Complex eigenvectors from dgeev's real storage, as scipy.linalg.eig forms them.
+
+    dgeev stores a conjugate pair (positive imaginary part wi first) as the
+    real and imaginary parts in two adjacent columns, so the flagged
+    columns are never adjacent and one vectorized pass equals scipy's
+    column loop.
+    """
+    first = wi > 0
+    first[:-1] |= wi[1:] < 0
+    idx = np.flatnonzero(first)
+    out = []
+    for v in vectors:
+        c = v.astype(complex)
+        c.imag[:, idx] = v[:, idx + 1]
+        c[:, idx + 1] = c[:, idx].conj()
+        out.append(c)
+    return tuple(out)
+
+
 def eigen_decompose(ss: StateSpace) -> EigenSolution:
-    """Spectrum and left/right vectors of the closed-loop state matrix."""
+    """Spectrum and left/right vectors of the closed-loop state matrix.
+
+    One LAPACK dgeev call with the arguments scipy.linalg.eig passes it, so
+    the spectrum and vectors are bit for bit those of sla.eig(s, left=True).
+    """
     s = ss.state_matrix
     if not np.all(np.isfinite(s)):
         raise NumericalError("state matrix contains non-finite entries")
-    try:
-        values, vl, vr = sla.eig(s, left=True, right=True)
-    except np.linalg.LinAlgError as exc:
+    wr, wi, vl, vr, info = _GEEV(s, lwork=_geev_lwork(s.shape[0]), compute_vl=1,
+                                 compute_vr=1, overwrite_a=0)
+    if info != 0:
         raise NumericalError(f"eigen solver did not converge on a {s.shape[0]}x"
-                             f"{s.shape[1]} state matrix: {exc}") from exc
+                             f"{s.shape[1]} state matrix: dgeev info={info}")
+    values = wr + 1j * wi  # scipy.linalg.eig's expression, signed zeros included
+    if wi.any():
+        vl, vr = _complex_vectors(wi, vl, vr)
 
-    # scipy's vl satisfies vl^H S = diag(w) vl^H, so conj(vl) are the
+    # dgeev's vl satisfies vl^H S = diag(w) vl^H, so conj(vl) are the
     # transpose-sense left vectors of S.
     w_left = vl.conj()
     norms = np.einsum("ij,ij->j", w_left, vr)

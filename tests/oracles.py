@@ -2,7 +2,8 @@
 
 Nothing here imports the code paths it checks: eigenvalues come from the
 characteristic polynomial (Faddeev-LeVerrier coefficients chased with a
-Durand-Kerner root finder), sensitivities from central finite differences
+Durand-Kerner root finder), full decompositions from scipy.linalg.eig,
+sensitivities from central finite differences
 of a fresh decomposition, segment-table sweeps, eigenvalue loci and the
 critical-pair screen from a fresh state space and eigensolve at every grid
 point, and MILP optima from exhaustive enumeration of the binary
@@ -14,8 +15,9 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.linalg as sla
 
-from cred.errors import ConfigurationError, TrackingError
+from cred.errors import ConfigurationError, NumericalError, TrackingError
 from cred.linearize import LinearizationPoint, net_gain_state_space
 from cred.milp import MixedIntegerProgram, solve_lp
 from cred.stability import eigen_decompose, is_stable, sensitivity
@@ -60,6 +62,25 @@ def durand_kerner(coeffs: np.ndarray, tol: float = 1e-13, max_iter: int = 500) -
 def eigenvalues_by_char_poly(a: np.ndarray) -> np.ndarray:
     roots = durand_kerner(char_poly_coefficients(a))
     return roots[np.lexsort((roots.imag, roots.real))]
+
+
+def eigen_decompose_scipy(ss):
+    """eigen_decompose through scipy.linalg.eig: (values, right, left) vectors.
+
+    Same normalization y^T E z = 1 and (real, imag) sort as the library.
+    """
+    s = ss.state_matrix
+    if not np.all(np.isfinite(s)):
+        raise NumericalError("state matrix contains non-finite entries")
+    try:
+        values, vl, vr = sla.eig(s, left=True, right=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigen solver did not converge: {exc}") from exc
+    w_left = vl.conj()
+    norms = np.einsum("ij,ij->j", w_left, vr)
+    y = np.linalg.solve(ss.descriptor_a, w_left) / norms
+    order = np.lexsort((values.imag, values.real))
+    return values[order], vr[:, order], y[:, order]
 
 
 def fd_eigen_sensitivity(model, base_lambda: complex, area: int, h: float = 1e-5) -> complex:

@@ -356,3 +356,34 @@ class TestSelectCriticalPairs:
                                   exact_locus_pointwise(curved_two_area, i, 1, 6.0, sweep.step))
         assert np.array_equal(np.sort_complex(sweep.end_spectrum), np.sort_complex(
             np.linalg.eigvals(net_gain_state_space(curved_two_area, 1, 6.0).state_matrix)))
+
+
+class TestSplitPairTracking:
+    """Where a conjugate pair splits on the real axis, nearest match is not one-to-one.
+
+    On the desk loop, mode 5 and its conjugate (mode 4) meet the real axis
+    near net gain 26.8 in area 1; past that point both follow the slower
+    real branch and the faster one lies on no locus.
+    """
+
+    @pytest.mark.parametrize("steps", [200, 600])
+    def test_loci_equal_pointwise_tracking(self, desk_bundle, steps):
+        model = desk_bundle.model
+        sweep = sweep_loci(model, 1, 30.0, 30.0 / steps)
+        if steps == 600:
+            assert len(sweep.grid) > 2 * BLOCK
+        merged, previous = [], sweep.base_eig.eigenvalues
+        for g, k in enumerate(sweep.grid):
+            spectrum = np.linalg.eigvals(net_gain_state_space(model, 1, k).state_matrix)
+            step_map = np.argmin(np.abs(spectrum - previous[:, None]), axis=1)
+            if len(np.unique(step_map)) < len(step_map):
+                merged.append(g)
+            previous = spectrum
+        assert merged
+        assert 26.5 < sweep.grid[merged[0]] < 27.0
+        assert sweep.loci[-1, 4] == sweep.loci[-1, 5]
+        assert sweep.loci[-1, 5].imag == 0.0
+        assert sweep.end_spectrum.real.max() > sweep.loci[-1].real.max()
+        for i in range(len(sweep.base_eig)):
+            assert np.array_equal(sweep.loci[:, i],
+                                  exact_locus_pointwise(model, i, 1, 30.0, sweep.step))

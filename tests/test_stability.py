@@ -3,11 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cred.errors import DegenerateEigenvalueError
+from cred import stability
+from cred.errors import DegenerateEigenvalueError, NumericalError
 from cred.grid import AttackProfile, DroopSchedule, StateSpace, build_state_space
 from cred.stability import eigen_decompose, is_stable, sensitivity
 
-from oracles import eigenvalues_by_char_poly, fd_eigen_sensitivity, random_system_model
+from oracles import (
+    eigen_decompose_scipy,
+    eigenvalues_by_char_poly,
+    fd_eigen_sensitivity,
+    random_system_model,
+)
 
 
 def _hand_state_space(s: np.ndarray) -> StateSpace:
@@ -58,6 +64,67 @@ class TestEigenDecompose:
         eig = eigen_decompose(one_area_ss)
         key = list(zip(eig.eigenvalues.real, eig.eigenvalues.imag))
         assert key == sorted(key)
+
+
+class TestDirectGeev:
+    """The direct dgeev call reproduces scipy.linalg.eig's decomposition bit for bit."""
+
+    @staticmethod
+    def assert_matches_scipy(ss):
+        eig = eigen_decompose(ss)
+        oracle = eigen_decompose_scipy(ss)
+        for ours, theirs in zip((eig.eigenvalues, eig.right_vectors, eig.left_vectors), oracle):
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
+            assert ours.tobytes() == theirs.tobytes()  # signed zeros included
+        return eig
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**31 - 1), n_areas=st.integers(1, 3),
+           attack=st.floats(0.0, 40.0), droop=st.floats(0.0, 40.0))
+    def test_matches_scipy_eig(self, data, seed, n_areas, attack, droop):
+        rng = np.random.RandomState(seed)
+        model = random_system_model(rng, n_areas)
+        area = data.draw(st.integers(0, n_areas - 1), label="area")
+        gain = np.zeros(n_areas)
+        gain[area] = attack
+        ss = build_state_space(model, AttackProfile(gain, np.zeros(n_areas), (area,)),
+                               DroopSchedule(droop * rng.uniform(size=n_areas), np.zeros(n_areas)))
+        self.assert_matches_scipy(ss)
+
+    @pytest.mark.parametrize("droop, real", [(4.0, True), (0.5, False)])
+    def test_real_and_complex_spectra(self, one_area_model, droop, real):
+        # lambda^2 + (2 + droop) lambda + 5: a real pair once droop > 2 sqrt(5) - 2
+        ss = build_state_space(one_area_model, AttackProfile.none(1),
+                               DroopSchedule([droop], [0.0]))
+        eig = self.assert_matches_scipy(ss)
+        assert bool(np.all(eig.eigenvalues.imag == 0.0)) == real
+        assert (eig.right_vectors.dtype == np.float64) == real
+
+    @pytest.mark.parametrize("corner", [0.0, -0.0])
+    def test_signed_zero_origin_mode(self, corner):
+        # dgeev returns the origin mode as -0.0 for a -0.0 corner; scipy's
+        # wr + 1j * wi turns it into +0.0
+        eig = self.assert_matches_scipy(_hand_state_space(np.array([[corner, 1.0], [0.0, -2.0]])))
+        origin = eig.eigenvalues[1]
+        assert origin == 0.0 and not np.signbit(origin.real)
+
+    def test_desk_loop(self, desk_bundle):
+        n = desk_bundle.model.areas
+        ss = build_state_space(desk_bundle.model, AttackProfile.none(n), DroopSchedule.none(n))
+        eig = self.assert_matches_scipy(ss)
+        assert np.all(eig.eigenvalues.imag != 0.0)
+
+    def test_non_convergence_is_typed(self, one_area_ss, monkeypatch):
+        geev = stability._GEEV
+
+        def not_converged(*args, **kwargs):
+            *out, _ = geev(*args, **kwargs)
+            return (*out, 2)
+
+        monkeypatch.setattr(stability, "_GEEV", not_converged)
+        with pytest.raises(NumericalError, match="did not converge on a 2x2 state matrix"):
+            eigen_decompose(one_area_ss)
 
 
 class TestSensitivity:

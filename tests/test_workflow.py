@@ -192,6 +192,47 @@ class TestScreening:
         assert built == []
 
 
+class TestCertificateWork:
+    def test_one_decomposition_and_verdict_per_distinct_loop(self, monkeypatch):
+        import cred.dispatch as dispatch
+        import cred.workflow as wf
+        from cred.systems import three_area_system
+
+        runs, active = [], []
+        original = {name: getattr(dispatch, name)
+                    for name in ("build_state_space", "eigen_decompose", "is_stable")}
+
+        def counting(name):
+            def wrapper(*args, **kwargs):
+                result = original[name](*args, **kwargs)
+                if active:
+                    runs[-1][name].append(result)
+                return result
+            return wrapper
+
+        def validating(*args, **kwargs):
+            runs.append({name: [] for name in original})
+            active.append(True)
+            try:
+                return validate(*args, **kwargs)
+            finally:
+                active.clear()
+
+        for name in original:
+            monkeypatch.setattr(dispatch, name, counting(name))
+        validate = wf.validate_solution
+        monkeypatch.setattr(wf, "validate_solution", validating)
+        rep = run_toy(three_area_system())
+        assert rep.branch_taken == "cred_applied"
+        assert runs
+        for run in runs:
+            loops = {ss.state_matrix.tobytes() for ss in run["build_state_space"]}
+            assert len(run["build_state_space"]) == 4  # one loop per period
+            assert len(run["eigen_decompose"]) == len(run["is_stable"]) == len(loops)
+        # the periods differ only in their power references, so they share one loop
+        assert len(loops) == 1
+
+
 class TestValidationRetry:
     def _counting(self, monkeypatch):
         """Table tolerances in call order, and stacked eigensolves before each table."""
