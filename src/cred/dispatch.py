@@ -377,10 +377,6 @@ def build_cred_milp(
     raises BuildError if any row other than the droop's own, or the
     objective, touches kc or pres.  Two or more attacked areas keep the
     MIP.
-
-    Columns and rows are laid out period after period.  Without storage
-    every period's block has the same columns, rows, coefficients and
-    costs; only its right-hand sides and bounds depend on the period.
     """
     n = scn.model.areas
     if periods is None:
@@ -714,30 +710,6 @@ def _infeasible(where: str, allow_shed: bool) -> InfeasibleError:
                            + ("" if allow_shed else " (shedding disabled)"))
 
 
-def _period_programs(problem: CredMilp) -> list:
-    """(columns, program) per period of a horizon without storage.
-
-    build_cred_milp lays the horizon out period after period, and without
-    storage every period has the same columns, rows, coefficients and
-    costs, so period t is block t of the rows and of the columns.  Every
-    period's program shares block 0's objective, matrix and relations and
-    takes its own right-hand sides and bounds.
-    """
-    mip = problem.program
-    lp = mip.base
-    t_len = len(problem.periods)
-    m, n = lp.n_rows // t_len, lp.n_vars // t_len
-    first = LinearProgram(lp.objective[:n], lp.lhs[:m, :n], lp.relations[:m], lp.rhs[:m],
-                          lp.bounds[:n])
-    binaries = tuple(j for j in mip.binary_vars if j < n)
-    out = []
-    for t in range(t_len):
-        cols = slice(t * n, (t + 1) * n)
-        program = first.with_data(lp.rhs[t * m:(t + 1) * m], lp.bounds[cols]) if t else first
-        out.append((cols, MixedIntegerProgram(program, binaries)))
-    return out
-
-
 def solve_cred(
     scn: DispatchScenario,
     stab: StabilityConstraintSet | None,
@@ -749,14 +721,11 @@ def solve_cred(
     positive gain exist in at most one area (stab=None included), the
     droop is pinned (_droop_floor) and each period is dispatched by merit
     order (_merit_order): nothing is built, and node_count and
-    simplex_iterations read 0.  Otherwise the horizon is built once.  With
-    storage it is one program.  With two or more attacked areas each
-    period's program is its block of that build (_period_programs): one
-    matrix and objective, with the period's right-hand sides and bounds;
-    period t + 1's solve starts from period t's optimal basis, which stays
-    dual feasible, so it needs only dual simplex steps.  Raises
-    InfeasibleError when any period admits no feasible point and
-    NumericalError when the solver hits its budget.
+    simplex_iterations read 0.  Otherwise, with storage, the horizon is
+    built and solved as one program, and with two or more attacked areas
+    each period is built and solved on its own.  Raises InfeasibleError
+    when any period admits no feasible point and NumericalError when the
+    solver hits its budget.
     """
     t_len, n = scn.n_periods, scn.model.areas
     sol = DispatchSolution(
@@ -780,24 +749,16 @@ def solve_cred(
             sol.binaries.update(fixed_binaries)
             sol.total_cost = float(sol.per_period_cost.sum())
             return sol
-    problem = build_cred_milp(scn, stab, allow_shed=allow_shed)
-    if scn.storage:
-        blocks = [(slice(None), problem.program)]
-    else:
-        blocks = _period_programs(problem)
-    values = np.zeros(problem.program.base.n_vars)
-    basis = None
-    for t, (cols, program) in enumerate(blocks):
-        res = solve_milp(program, basis=basis)
+    for chunk in [None] if scn.storage else [[t] for t in range(t_len)]:
+        problem = build_cred_milp(scn, stab, allow_shed=allow_shed, periods=chunk)
+        res = solve_milp(problem.program)
         if res.status == "infeasible":
-            raise _infeasible("horizon" if scn.storage else f"period {t}", allow_shed)
+            raise _infeasible("horizon" if chunk is None else f"period {chunk[0]}", allow_shed)
         if not res.optimal:
             raise NumericalError(f"dispatch solve ended with status {res.status}")
-        values[cols] = res.values
         sol.node_count += res.node_count or 0
         sol.simplex_iterations += res.iterations
-        basis = res.basis
-    _extract(problem, values, sol)
+        _extract(problem, res.values, sol)
     sol.total_cost = float(sol.per_period_cost.sum())
     return sol
 

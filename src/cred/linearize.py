@@ -142,7 +142,7 @@ def sweep_loci(model: SystemModel, area: int, range_end: float,
         raise ConfigurationError("range_end must be nonzero")
     if eps_phi is None:
         eps_phi = abs(range_end) / 200.0
-    if eps_phi <= 0.0:
+    if not eps_phi > 0.0:  # NaN too
         raise ConfigurationError("eps_phi must be > 0")
     if eps_phi > abs(range_end) / 4.0:
         raise ConfigurationError("eps_phi must be at most |range_end|/4")
@@ -210,7 +210,7 @@ def build_segment_table(sweep: LocusSweep, eigen_index: int, eps_lim: float) -> 
     becomes the next anchor.  The eigenvalue must be simple at every anchor,
     and no locus step may exceed the continuity gate of the anchor in force.
     """
-    if eps_lim <= 0.0:
+    if not eps_lim > 0.0:  # NaN too
         raise ConfigurationError("eps_lim must be > 0")
     eig0 = sweep.base_eig
     if not 0 <= eigen_index < len(eig0):

@@ -1,10 +1,9 @@
 """Bounded-variable dual simplex, and best-bound branch-and-bound over binaries.
 
 Sized for desk-scale dispatch instances (tens of variables, hundreds of
-rows).  Bounds enter the ratio tests, not the tableau, so LPs with one
-matrix share one column set and a basis can seed the next solve.  A
-LinearProgram's objective is bounded below on its variable bounds, so the
-slack basis prices every LP and the dual simplex alone solves it: no LP is
+rows).  Bounds enter the ratio tests, not the tableau.  A LinearProgram's
+objective is bounded below on its variable bounds, so the slack basis
+prices every LP and the dual simplex from it alone solves it: no LP is
 unbounded.  The dual simplex falls back to Bland's rule after a degenerate
 stall, so it does not cycle; the branch-and-bound's node heap is ordered
 by (bound, insertion counter), so results and node counts are
@@ -41,23 +40,6 @@ _ZERO_TOL = 1e-12
 _SLACK_BOUNDS = {"<=": (0.0, np.inf), "=": (0.0, 0.0), ">=": (-np.inf, 0.0)}
 
 
-def _check_bounds(objective: np.ndarray, bounds: np.ndarray) -> None:
-    """Raise BuildError unless every bound admits a value and costs are bounded below.
-
-    A lower bound of +inf or an upper bound of -inf admits no real value.
-    Otherwise objective @ x is bounded below on the bounds alone, the slack
-    basis is dual feasible, and by weak duality the LP is not unbounded.
-    """
-    if np.any(bounds[:, 0] == np.inf) or np.any(bounds[:, 1] == -np.inf):
-        raise BuildError("variable bound admits no finite value ([inf, inf] or [-inf, -inf])")
-    loose = ((objective > 0.0) & np.isinf(bounds[:, 0])) | ((objective < 0.0) & np.isinf(bounds[:, 1]))
-    if loose.any():
-        raise BuildError(
-            f"objective unbounded below: variables {np.flatnonzero(loose).tolist()} "
-            "have no finite bound in their cost's direction"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
     """min objective @ x subject to lhs x (<=,=,>=) rhs and box bounds."""
@@ -84,15 +66,28 @@ class LinearProgram:
             raise BuildError(
                 f"inconsistent LP dimensions: c{c.shape}, A{a.shape}, b{b.shape}, bounds{bounds.shape}"
             )
-        if np.any(np.isnan(c)) or np.any(np.isnan(a)) or np.any(np.isnan(b)) or np.any(np.isnan(bounds)):
-            raise BuildError("LP contains NaN coefficients")
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise BuildError("LP objective, matrix or right-hand sides not finite")
+        if np.any(np.isnan(bounds)):
+            raise BuildError("LP bounds contain NaN")
         rels = tuple(self.relations)
         for r in rels:
             if r not in RELATIONS:
                 raise BuildError(f"unknown relation {r!r}")
         if np.any(bounds[:, 0] > bounds[:, 1]):
             raise BuildError("variable with lower bound above upper bound")
-        _check_bounds(c, bounds)
+        # a lower bound of +inf or an upper bound of -inf admits no real value
+        if np.any(bounds[:, 0] == np.inf) or np.any(bounds[:, 1] == -np.inf):
+            raise BuildError("variable bound admits no finite value ([inf, inf] or [-inf, -inf])")
+        # with a finite bound in each cost's direction, objective @ x is
+        # bounded below on the bounds alone, the slack basis is dual
+        # feasible, and by weak duality the LP is not unbounded
+        loose = ((c > 0.0) & np.isinf(bounds[:, 0])) | ((c < 0.0) & np.isinf(bounds[:, 1]))
+        if loose.any():
+            raise BuildError(
+                f"objective unbounded below: variables {np.flatnonzero(loose).tolist()} "
+                "have no finite bound in their cost's direction"
+            )
         for arr in (c, a, b, bounds):
             arr.setflags(write=False)
         object.__setattr__(self, "objective", c)
@@ -108,22 +103,6 @@ class LinearProgram:
     @property
     def n_rows(self) -> int:
         return len(self.relations)
-
-    def with_data(self, rhs, bounds) -> "LinearProgram":
-        """This LP's objective, matrix and relations with other right-hand sides and bounds.
-
-        rhs and bounds are taken as they are, without the other checks of a
-        new LP: pass read-only arrays from a validated LinearProgram, such as
-        the rows and columns of one block of a larger one.  The new bounds
-        must still admit a value and bound the objective below (BuildError
-        if not).
-        """
-        if np.shape(rhs) != self.rhs.shape or np.shape(bounds) != self.bounds.shape:
-            raise BuildError("new right-hand sides or bounds do not fit the LP")
-        _check_bounds(self.objective, bounds)
-        out = object.__new__(LinearProgram)
-        out.__dict__.update(vars(self), rhs=rhs, bounds=bounds)
-        return out
 
     def with_bounds(self, overrides) -> "LinearProgram":
         """New LP with per-variable (lo, hi) overrides applied."""
@@ -158,9 +137,6 @@ class SolveResult:
     objective_value: float | None = None
     node_count: int | None = None
     iterations: int = 0
-    #: optimal basis (the root LP's for a MIP), a hint for an LP with the same matrix:
-    #: each row's basic column and the columns at their upper bound
-    basis: tuple | None = None
 
     @property
     def optimal(self) -> bool:
@@ -250,75 +226,22 @@ def _dual_simplex(tab, basis, x, lo, hi, d, budget):
             bland = stall > _STALL_LIMIT
 
 
-def _factor(a, rows):
-    """B^-1 times the columns for the basic columns rows, or None if B is (nearly) singular."""
-    m, n_cols = a.shape
-    bmat = a[:, rows]
-    try:
-        tab = np.linalg.solve(bmat, a)
-    except np.linalg.LinAlgError:
-        return None
-    # max|B^-1| max|B| (the slack block of tab is B^-1) is B's condition
-    # number within a factor m
-    if np.abs(tab[:, n_cols - m:]).max() * np.abs(bmat).max() > 1e12:
-        return None
-    return tab
-
-
-def _dual_start(a, b, lo, hi, cost, x, hint):
-    """(tab, basis, x, d) of a dual feasible basis.
-
-    The candidates are the hint, if it fits and its basis matrix is
-    nonsingular, then the slack basis.  Nonbasic columns go to the bound
-    their reduced cost d prefers; those with a negligible one stay at
-    their bound in x, or at the upper bound if the hint lists them there.
-    A basis is dual feasible when every preferred bound is finite: the
-    hint's may not be, the slack basis's always is (its reduced costs are
-    the costs, bounded in their direction by the LinearProgram contract).
-    Basic columns get B^-1 (b - N x_N).
-    """
-    m, n_cols = a.shape
-    candidates = []
-    if hint is not None:
-        rows, upper = (np.asarray(h, dtype=int) for h in hint)
-        both = np.concatenate([rows, upper])
-        if rows.shape == (m,) and m > 0 and np.all((both >= 0) & (both < n_cols)):
-            tab = _factor(a, rows)
-            if tab is not None:
-                candidates.append((rows.copy(), upper[np.isfinite(hi[upper])], tab))
-    candidates.append((np.arange(n_cols - m, n_cols), [], a.copy()))
-    for basis, upper, tab in candidates:
-        d = cost - cost[basis] @ tab
-        d[basis] = 0.0
-        above, below = d > _PIVOT_TOL, d < -_PIVOT_TOL
-        if not (np.any(above & np.isinf(lo)) or np.any(below & np.isinf(hi))):
-            break
-    x = x.copy()
-    x[upper] = hi[upper]
-    x[above] = lo[above]
-    x[below] = hi[below]
-    _basic_values(tab, basis, x, a, b)
-    return tab, basis, x, d
-
-
 def _basic_values(tab, basis, x, a, b) -> None:
     """Set x's basic entries to B^-1 (b - N x_N); tab's slack block is B^-1."""
     x[basis] = 0.0
     x[basis] = tab[:, a.shape[1] - a.shape[0]:] @ (b - a @ x)
 
 
-def solve_lp(lp: LinearProgram, max_iter: int | None = None, basis=None) -> SolveResult:
+def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> SolveResult:
     """Bounded-variable dual simplex (Chvatal, Linear Programming, 1983, ch. 10).
 
     Columns are the variables and one slack per row, lhs x + s = rhs, with
     s in [0, inf) for <=, (-inf, 0] for >= and [0, 0] for =.  The solve
     has one start, the dual simplex (Koberstein, The Dual Simplex Method,
-    2005) from a dual feasible basis: basis, a SolveResult.basis of an LP
-    with the same matrix and objective, if its basis matrix is nonsingular
-    and prices the costs, else the slack basis, which prices every
-    LinearProgram because each costed variable is bounded in its cost's
-    direction.  An optimal hint ends after no step; a hint made primal
-    infeasible by new right-hand sides or bounds needs only dual steps.
+    2005) from the slack basis.  Its reduced costs are the costs, and each
+    nonbasic column sits at the bound its cost prefers, which is finite
+    because the LinearProgram contract bounds each costed variable in its
+    cost's direction; costless columns sit at a finite bound, else at 0.
 
     Returns an optimal basic solution (values within their bounds
     exactly), infeasible (a dual ray), or iteration_limit when more than
@@ -329,11 +252,14 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None, basis=None) -> Solv
     slack = np.array([_SLACK_BOUNDS[r] for r in lp.relations]).reshape(m, 2)
     lo = np.concatenate([lp.bounds[:, 0], slack[:, 0]])
     hi = np.concatenate([lp.bounds[:, 1], slack[:, 1]])
-    cost = np.concatenate([lp.objective, np.zeros(m)])
+    d = np.concatenate([lp.objective, np.zeros(m)])
     x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    below = d < -_PIVOT_TOL
+    x[below] = hi[below]
     if max_iter is None:
         max_iter = 2000 + 200 * (m + a.shape[1])
-    tab, rows, x, d = _dual_start(a, lp.rhs, lo, hi, cost, x, basis)
+    tab, rows = a.copy(), np.arange(n, n + m)
+    _basic_values(tab, rows, x, a, lp.rhs)
     try:
         feasible, steps = _dual_simplex(tab, rows, x, lo, hi, d, max_iter)
     except _IterationLimit:
@@ -351,17 +277,16 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None, basis=None) -> Solv
     values = x[:n]
     values.setflags(write=False)
     return SolveResult("optimal", values=values, objective_value=float(lp.objective @ values),
-                       iterations=steps, basis=(rows, np.flatnonzero(x == hi)))
+                       iterations=steps)
 
 
-def solve_milp(mip: MixedIntegerProgram, node_cap: int = 200_000, basis=None) -> SolveResult:
+def solve_milp(mip: MixedIntegerProgram, node_cap: int = 200_000) -> SolveResult:
     """Best-bound branch-and-bound on the binary variables.
 
     Branches on the most fractional binary; pruning keeps any solution
     within 1e-9 of the incumbent, so the reported optimum is exact to well
-    below the 1e-6 contract.  basis is the root LP's hint (see solve_lp);
-    every other node starts from the slack basis.  iterations sums the
-    simplex steps of every node.
+    below the 1e-6 contract.  iterations sums the simplex steps of every
+    node.
     """
     counter = 0
     heap = [(-np.inf, counter, {})]
@@ -369,7 +294,6 @@ def solve_milp(mip: MixedIntegerProgram, node_cap: int = 200_000, basis=None) ->
     incumbent_obj = np.inf
     nodes = iterations = 0
     binaries = mip.binary_vars
-    root_basis = None
 
     while heap:
         bound, _, fixes = heapq.heappop(heap)
@@ -378,9 +302,7 @@ def solve_milp(mip: MixedIntegerProgram, node_cap: int = 200_000, basis=None) ->
         if nodes >= node_cap:
             break
         lp = mip.base.with_bounds(fixes) if fixes else mip.base
-        res = solve_lp(lp, basis=None if nodes else basis)
-        if not nodes:
-            root_basis = res.basis
+        res = solve_lp(lp)
         nodes += 1
         iterations += res.iterations
         if res.status == "iteration_limit":
@@ -405,7 +327,7 @@ def solve_milp(mip: MixedIntegerProgram, node_cap: int = 200_000, basis=None) ->
         if incumbent is None:
             return SolveResult("infeasible", node_count=nodes, iterations=iterations)
         return SolveResult("optimal", values=incumbent, objective_value=incumbent_obj,
-                           node_count=nodes, iterations=iterations, basis=root_basis)
+                           node_count=nodes, iterations=iterations)
     return SolveResult("iteration_limit", values=incumbent,
                        objective_value=None if incumbent is None else incumbent_obj,
                        node_count=nodes, iterations=iterations)

@@ -7,10 +7,12 @@ the distributionally robust combination), the current operating point gets
 an exact eigenvalue precheck, and only an unstable verdict triggers the
 stability-constrained redispatch: one exact eigenvalue-locus sweep per
 attacked area screens the critical pairs and feeds their piecewise tables,
-the MIP is solved (retrying with load shedding if needed), and the result
-certified by exact eigenvalue checks.  One automatic table rebuild at half
-the error limit, from the same sweeps, absorbs borderline approximation
-failures.
+the dispatch is solved (retrying with load shedding if needed), and the
+result certified by exact eigenvalue checks.  Each storage-free period is
+dispatched by merit order when at most one area is attacked, else as its
+own MIP; a storage horizon is one LP or MIP.  One automatic table rebuild
+at half the error limit, from the same sweeps, absorbs borderline
+approximation failures.
 """
 
 from __future__ import annotations
@@ -80,6 +82,8 @@ class WorkflowConfig:
     settle_margin: float = 0.05
 
     def __post_init__(self):
+        if not (np.isfinite(self.detection_score) and np.isfinite(self.detection_threshold)):
+            raise ScenarioError("detection score and threshold must be finite")
         if self.detection_threshold < 0:
             raise ScenarioError("detection threshold must be >= 0")
         if self.mode not in MODES:

@@ -221,6 +221,18 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["analyze", "--scenario", str(bad), "--out", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--eps-phi", "nan"], "eps_phi must be > 0"),
+        (["--eps-lim", "nan"], "eps_lim must be > 0"),
+        (["--r0", "nan", "--r", "0"], "must be finite"),
+    ], ids=["eps_phi", "eps_lim", "r0"])
+    def test_nan_tolerance_is_input_error(self, toy_path, tmp_path, capsys, flags, message):
+        code = main(["workflow", "--scenario", str(toy_path), "--out", str(tmp_path / "out"),
+                     "--mode", "worst_case", *flags])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and message in err
+
     def test_infeasible_is_exit_three(self, tmp_path):
         # attacked area with no wind anywhere: no droop, no way to stabilize
         doc = single_area_toy()

@@ -1,4 +1,3 @@
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -370,6 +369,12 @@ def tied_moves(scn, sol, t, allow_shed):
     return any(ci == cj and xi < hi_i - 1e-9 and xj > lo_j + 1e-9
                for i, (ci, xi, _, hi_i) in enumerate(units)
                for j, (cj, xj, lo_j, _) in enumerate(units) if i != j)
+
+
+#: solution array of each variable family of the dispatch instance
+FAMILIES = {"pg": "sg_power", "pw": "wind_power", "pres": "wind_reserve", "kc": "droop",
+            "ps": "shed", "pch": "storage_charge", "pdis": "storage_discharge",
+            "soc": "storage_soc"}
 
 
 class TestMeritOrder:
@@ -773,9 +778,9 @@ def record_solves(monkeypatch):
     """Every dispatch the workflow solves, with the programs it solves.
 
     Returns a list that fills with [scn, stab, allow_shed, builds, programs,
-    sol] per solve_cred call: builds counts its build_cred_milp calls,
-    programs lists what it hands to solve_milp, and sol is its solution, or
-    None when it raised InfeasibleError.
+    sol] per solve_cred call: builds lists what its build_cred_milp calls
+    return, programs what it hands to solve_milp, and sol is its solution,
+    or None when it raised InfeasibleError.
     """
     calls = []
     solve, build, milp_solve = workflow.solve_cred, dispatch.build_cred_milp, dispatch.solve_milp
@@ -786,12 +791,12 @@ def record_solves(monkeypatch):
         return calls[-1][5]
 
     def building(*args, **kwargs):
-        calls[-1][3].append(1)
-        return build(*args, **kwargs)
+        calls[-1][3].append(build(*args, **kwargs))
+        return calls[-1][3][-1]
 
-    def milp_solving(program, **kwargs):
+    def milp_solving(program):
         calls[-1][4].append(program)
-        return milp_solve(program, **kwargs)
+        return milp_solve(program)
 
     monkeypatch.setattr(workflow, "solve_cred", solving)
     monkeypatch.setattr(dispatch, "build_cred_milp", building)
@@ -861,88 +866,8 @@ class TestSecondSolver:
         assert subprocess.run([sys.executable, "-c", probe], cwd=src).returncode == 0
 
 
-def cold_per_period(scn, stab, allow_shed):
-    """Each instance solve_cred builds, solved without a basis hint.
-
-    Returns (problem, result) per period, or one pair for a storage horizon.
-    """
-    chunks = [None] if scn.storage else [[t] for t in range(scn.n_periods)]
-    out = []
-    for chunk in chunks:
-        problem = build_cred_milp(scn, stab, allow_shed=allow_shed, periods=chunk)
-        out.append((problem, solve_milp(problem.program)))
-    return out
-
-
-#: solution array of each variable family of the dispatch instance
-FAMILIES = {"pg": "sg_power", "pw": "wind_power", "pres": "wind_reserve", "kc": "droop",
-            "ps": "shed", "pch": "storage_charge", "pdis": "storage_discharge",
-            "soc": "storage_soc"}
-
-
-class TestWarmStart:
-    """solve_cred hands each period's basis to the next; the answers are the cold ones."""
-
-    @staticmethod
-    def samples_case1(tmp_path):
-        from cred.systems import TABLE_GAIN_CASES, synthesize_samples
-
-        info = TABLE_GAIN_CASES["case1"]
-        path = tmp_path / "samples_case1.json"
-        path.write_text(json.dumps(synthesize_samples(
-            info["mean"] * 1000.0, info["std"] * 1000.0, area=1, count=1000, seed=0)))
-        return str(path)
-
-    @pytest.mark.parametrize("case", ["desk_worst_case", "desk_samples_case1", "toy",
-                                      "desk_two_area", "storage_day"])
-    def test_matches_per_period_cold_solves(self, monkeypatch, tmp_path, case):
-        from cred.systems import single_area_toy, three_area_storage_day
-
-        doc = {"desk_worst_case": three_area_system, "desk_samples_case1": three_area_system,
-               "toy": single_area_toy, "desk_two_area": two_area_desk,
-               "storage_day": three_area_storage_day}[case]()
-        cfg = (WorkflowConfig(samples_path=self.samples_case1(tmp_path))
-               if case == "desk_samples_case1" else WorkflowConfig(mode="worst_case"))
-        checked = []
-        warm_solve = workflow.solve_cred
-
-        def compared(scn, stab, allow_shed=False):
-            cold = cold_per_period(scn, stab, allow_shed)
-            try:
-                sol = warm_solve(scn, stab, allow_shed=allow_shed)
-            except InfeasibleError:
-                assert any(res.status == "infeasible" for _, res in cold)
-                checked.append("infeasible")
-                raise
-            for problem, res in cold:
-                assert res.status == "optimal"
-                periods = list(problem.periods)
-                assert sol.per_period_cost[periods].sum() == pytest.approx(
-                    res.objective_value, rel=1e-9, abs=1e-9)
-                for family, attr in FAMILIES.items():
-                    for key, j in problem.index.get(family, {}).items():
-                        assert getattr(sol, attr)[key] == pytest.approx(res.values[j], abs=1e-9)
-                for key, j in problem.index.get("z", {}).items():
-                    assert sol.binaries[key] == pytest.approx(res.values[j], abs=1e-9)
-            checked.append("optimal")
-            return sol
-
-        monkeypatch.setattr(workflow, "solve_cred", compared)
-        rep = run_workflow(cfg, bundle=scenario_from_dict(doc))
-        assert rep.branch_taken in ("cred_applied", "cred_infeasible_shed")
-        assert checked.count("optimal") == 2  # the baseline and the stability dispatch
-
-
-def same_program(got: MixedIntegerProgram, fresh: MixedIntegerProgram) -> bool:
-    """Equal binaries, objective, matrix, relations, right-hand sides and bounds, bit for bit."""
-    a, b = got.base, fresh.base
-    return (got.binary_vars == fresh.binary_vars and a.relations == b.relations
-            and all(np.array_equal(getattr(a, f), getattr(b, f))
-                    for f in ("objective", "lhs", "rhs", "bounds")))
-
-
 class TestPeriodPrograms:
-    """solve_cred builds a multi-area horizon once and solves each period's block of it.
+    """solve_cred builds each period of a multi-area dispatch on its own.
 
     Every other storage-free dispatch is by merit order and builds nothing.
     """
@@ -961,29 +886,20 @@ class TestPeriodPrograms:
                                     else "cred_applied")
         assert calls
         for scn, stab, allow_shed, builds, programs, sol in calls:
+            assert_periods_match_highs(scn, stab, allow_shed, sol)
             if merit_order_path(scn, stab):
                 assert not builds and not programs
-                assert_periods_match_highs(scn, stab, allow_shed, sol)
                 continue
             assert case == "desk_two_area"
-            assert len(builds) == 1
-            assert programs
-            for t, program in enumerate(programs):
-                fresh = build_cred_milp(scn, stab, allow_shed=allow_shed, periods=[t])
-                assert same_program(program, fresh.program)
-            # later periods share the first period's matrix and objective
-            assert all(p.base.lhs is programs[0].base.lhs for p in programs)
-            assert all(p.base.objective is programs[0].base.objective for p in programs)
-
-    def test_desk_two_area_needs_fewer_simplex_steps(self, monkeypatch):
-        # each period's solve starts from the previous period's basis
-        calls = record_solves(monkeypatch)
-        rep = run_workflow(WorkflowConfig(mode="worst_case"),
-                           bundle=scenario_from_dict(two_area_desk()))
-        assert rep.branch_taken == "cred_applied"
-        warm = cold = 0
-        for scn, stab, allow_shed, _, programs, sol in calls:
-            if programs:
-                warm += sol.simplex_iterations
-                cold += sum(res.iterations for _, res in cold_per_period(scn, stab, allow_shed))
-        assert 0 < warm < cold
+            # T builds of one period each, each program solved as built and
+            # its optimum written to its period of the solution
+            assert [problem.periods for problem in builds] == [(t,) for t in range(scn.n_periods)]
+            assert len(programs) == len(builds)
+            for program, problem in zip(programs, builds):
+                assert program is problem.program
+                values = solve_milp(program).values
+                for family, attr in FAMILIES.items():
+                    for key, j in problem.index.get(family, {}).items():
+                        assert getattr(sol, attr)[key] == values[j]
+                for key, j in problem.index["z"].items():
+                    assert sol.binaries[key] == values[j]
