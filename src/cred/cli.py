@@ -176,6 +176,8 @@ def cmd_simulate(args) -> int:
     area = args.step_area
     if area is None:
         area = bundle.attack_areas[0] if bundle.attack_areas else 0
+    elif not 0 <= area < n:
+        raise ScenarioError(f"--step-area must name an area in [0, {n - 1}]")
     load = bundle.model.secure_load[area] + bundle.model.vulnerable_load[area]
     step[area] = (args.step_mw / bundle.base_power) if args.step_mw else 0.01 * load
 

@@ -1,21 +1,24 @@
-"""Stability-constrained economic dispatch: merit order for one attacked area, a MIP for several.
+"""Stability-constrained economic dispatch: droop first, then dispatch.
 
 Builds, per period: a single system-wide power balance, committed-generator
 limits, wind dispatch with droop headroom on both sides of the reference,
-optional storage energy recursion, and, for each critical (eigenvalue,
-area) pair, the piecewise eigenvalue-shift constraint.  Attack gains are
-fixed to their robust values; droop gains are decision variables that
-enter through the net gain k = robust_gain - K_droop.
+and optional storage energy recursion.  Attack gains are fixed to their
+robust values; the droop K enters the stability rows through the net gain
+k = robust_gain - K.  Segment m of a critical (eigenvalue, area) pair
+holds k in [phi_m, hi_m], where hi_m = phi_{m+1} - strict_margin, or the
+robust gain on the last segment, and adds slope_m k + offset_m to its
+eigenvalue's row, which is bounded by -(strict + settle) - Re(base).
 
-Segment m of a pair holds k in [phi_m, hi_m], where hi_m = phi_{m+1} -
-strict_margin, or the robust gain on the last segment, and adds
-slope_m k + offset_m to its eigenvalue's row, which is bounded by
--(strict + settle) - Re(base).
-
-When several areas are attacked, the piecewise constraint uses the
-disaggregated multiple-choice encoding (Vielma, Ahmed & Nemhauser, Oper.
-Res. 58(2), 2010): each segment m of a pair gets one binary z_m and one
-continuous copy u_m of the net gain, with
+The cost depends on the droop only through each period's total droop, and
+never falls as it grows (_merit_order), so each period's droop is chosen
+from the stability rows alone, as the largest total net gain they admit
+(_droop_floor), and the dispatch is then solved with it pinned.  With one
+attacked area that is an exact floor (StabilityConstraintSet.
+net_gain_ceiling), the same in every period.  With several, each period
+solves a small net-gain MIP in the disaggregated multiple-choice encoding
+(Vielma, Ahmed & Nemhauser, Oper. Res. 58(2), 2010): each segment m of a
+pair gets one binary z_m and one continuous copy u_m of the area's net
+gain, with
 
     k = sum_m u_m,   sum_m z_m = 1,   phi_m z_m <= u_m <= hi_m z_m,
 
@@ -23,12 +26,9 @@ and each eigenvalue's row sums slope_m u_m + offset_m z_m over the
 segments of all its pairs.  The encoding is locally ideal and needs no
 big-M constant.
 
-When one area is attacked, every row is a function of that area's scalar
-net gain alone, and the droop is pinned to an exact floor
-(StabilityConstraintSet.net_gain_ceiling, _droop_floor).  Without storage
-every period, the baseline's too, is then an economic dispatch with one
-balance row, solved by merit order with no program built (_merit_order);
-with storage the horizon is one LP.
+With the droop pinned, every storage-free period, the baseline's too, is an
+economic dispatch with one balance row, solved by merit order with no
+program built (_merit_order); with storage the horizon is one LP.
 
 Solutions are certified a posteriori by an exact eigenvalue check of every
 period's closed loop.
@@ -159,8 +159,8 @@ class DispatchScenario:
                 raise BuildError(f"storage area {s.area} out of range")
         areas = tuple(sorted(int(a) for a in self.attack_areas))
         static = np.zeros(n) if self.static_attack is None else np.asarray(self.static_attack, dtype=float)
-        if static.shape != (n,):
-            raise BuildError(f"static_attack must have shape ({n},)")
+        if static.shape != (n,) or not np.all(np.isfinite(static)):
+            raise BuildError(f"static_attack must hold {n} finite values")
         if self.shed_cost < 0 or not (0.0 <= self.min_online_fraction <= 1.0):
             raise BuildError("shed_cost must be >= 0 and min_online_fraction within [0, 1]")
         for arr in (dem, wind, static):
@@ -289,18 +289,20 @@ class StabilityConstraintSet:
 
 @dataclass(frozen=True, eq=False)
 class CredMilp:
-    """Assembled instance plus the variable index needed to read solutions.
+    """The dispatch horizon as an LP with the droop pinned, plus the variable index.
 
-    fixed_binaries holds the segment indicators the one-area floor decided
-    before the solve, keyed (t, i, a, m); it is empty for a MIP.
+    fixed_binaries holds the segment indicators of the pinned droop, keyed
+    (t, i, a, m); node_count and simplex_iterations count the net-gain MIPs
+    that chose it (_droop_floor), 0 unless two or more areas are attacked.
+    The program has no binaries.
     """
 
     program: MixedIntegerProgram
     index: dict
-    periods: tuple
     scenario: DispatchScenario
-    stability: StabilityConstraintSet | None
     fixed_binaries: dict
+    node_count: int
+    simplex_iterations: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,10 +335,11 @@ class DispatchSolution:
     binaries: dict
     per_period_cost: np.ndarray  # currency
     total_cost: float
-    #: B&B nodes over every program the solve ran; 0 on the merit-order path
+    #: B&B nodes over every program the solve ran: the net-gain MIPs of a
+    #: multi-area attack and the storage horizon's LP (one node)
     node_count: int
-    #: simplex steps over every LP the solve ran (B&B nodes included); 0 on
-    #: the merit-order path
+    #: simplex steps over those programs (B&B nodes included); both read 0 on
+    #: a storage-free dispatch of at most one attacked area
     simplex_iterations: int = 0
     stability_certificate: StabilityCertificate | None = None
 
@@ -364,53 +367,26 @@ def build_cred_milp(
     scn: DispatchScenario,
     stab: StabilityConstraintSet | None,
     allow_shed: bool = False,
-    periods=None,
 ) -> CredMilp:
-    """Assemble the dispatch over the given periods (default: all).
+    """Assemble the dispatch horizon as one LP, the droop pinned to _droop_floor's.
 
-    _droop_floor checks that the tables cover the robust gains.  With
-    stab=None (or no tables) the instance is the plain economic dispatch:
-    droop and reserve are pinned to zero and no binaries appear.  With
-    tables of a positive gain in one area only, the droop is pinned to
-    _droop_floor's exact floor (optimal by the argument in _merit_order)
-    and the instance is an LP without stability rows.  A pinned build
-    raises BuildError if any row other than the droop's own, or the
-    objective, touches kc or pres.  Two or more attacked areas keep the
-    MIP.
+    With stab=None (or no tables of a positive gain) droop and reserve are
+    pinned to zero: the plain economic dispatch.  Otherwise the droop of
+    each period and area is the one _droop_floor chose from the stability
+    rows (optimal by the argument in _merit_order), and the program has no
+    stability rows and no binaries.  Raises BuildError if wind, reserve or
+    droop enter the objective or any row other than their own droop rows
+    and, for wind, its period's balance (_check_droop_monotone).
     """
-    n = scn.model.areas
-    if periods is None:
-        periods = tuple(range(scn.n_periods))
-    else:
-        periods = tuple(int(t) for t in periods)
-        for t in periods:
-            if not 0 <= t < scn.n_periods:
-                raise BuildError(f"period {t} out of range")
-    if scn.storage and len(periods) != scn.n_periods:
-        raise BuildError("storage couples periods; build the monolithic instance")
-
-    pinned, fixed_binaries = _droop_floor(scn, stab, periods)
-    if pinned is None:
-        gains = stab.robust_gains
-        live = stab.live_tables()
-        covered_areas = {a for (_, a) in stab.tables_by_pair()}
-        kc_bounds = [(0.0, float(gains[a]) if a in covered_areas else 0.0) for a in range(n)]
-    else:
-        live = {}  # no stability rows, no binaries
-        kc_bounds = [(k, k) for k in pinned]
-    segments = {pair: stab.segments(tab) for pair, tab in live.items()}
-    row_bounds = stab.row_bounds() if live else {}
-
-    omega = scn.model.omega_max
+    kc, held, nodes, steps = _droop_floor(scn, stab)
+    n, omega = scn.model.areas, scn.model.omega_max
+    last = scn.n_periods - 1
     v = _Vars()
     rows = []  # (coeff dict, rel, rhs)
     obj = {}
+    balance = []  # balance row of each period
 
-    def add_row(coeffs: dict, rel: str, rhs: float):
-        rows.append((coeffs, rel, rhs))
-
-    binaries = []
-    for t in periods:
+    for t in range(scn.n_periods):
         for g_id, gen in enumerate(scn.generators):
             u = gen.committed[t]
             v.add("pg", (t, g_id), gen.p_min * u, gen.p_max * u)
@@ -418,20 +394,14 @@ def build_cred_milp(
             avail = float(scn.wind_available[t, a])
             v.add("pw", (t, a), 0.0, avail)
             v.add("pres", (t, a), 0.0, avail)
-            v.add("kc", (t, a), *kc_bounds[a])
+            v.add("kc", (t, a), kc[t, a], kc[t, a])
             shed_cap = float(scn.demand[t, a]) if allow_shed else 0.0
             v.add("ps", (t, a), 0.0, shed_cap)
         for s_id, stor in enumerate(scn.storage):
             v.add("pch", (t, s_id), 0.0, stor.power_limit)
             v.add("pdis", (t, s_id), 0.0, stor.power_limit)
             v.add("soc", (t, s_id), stor.soc_min, stor.soc_max)
-        for (i, a), tab in live.items():
-            v.add("knet", (t, i, a), 0.0, float(gains[a]))
-            for m_id in range(len(tab.points)):
-                binaries.append(v.add("z", (t, i, a, m_id), 0.0, 1.0))
-                v.add("u", (t, i, a, m_id), 0.0, float(gains[a]))
 
-    for t in periods:
         # system-wide power balance: generation + net storage + shed = demand
         bal = {}
         for g_id in range(len(scn.generators)):
@@ -442,17 +412,18 @@ def build_cred_milp(
         for s_id in range(len(scn.storage)):
             bal[v.get("pdis", (t, s_id))] = 1.0
             bal[v.get("pch", (t, s_id))] = -1.0
-        add_row(bal, "=", float(scn.demand[t].sum()))
+        balance.append(len(rows))
+        rows.append((bal, "=", float(scn.demand[t].sum())))
 
         if scn.min_online_fraction > 0.0 and scn.generators:
             floor = {v.get("pg", (t, g_id)): 1.0 for g_id in range(len(scn.generators))}
-            add_row(floor, ">=", scn.min_online_fraction * float(scn.demand[t].sum()))
+            rows.append((floor, ">=", scn.min_online_fraction * float(scn.demand[t].sum())))
 
         for a in range(n):
-            pw, pres, kc = v.get("pw", (t, a)), v.get("pres", (t, a)), v.get("kc", (t, a))
-            add_row({pw: 1.0, pres: 1.0}, "<=", float(scn.wind_available[t, a]))
-            add_row({pw: 1.0, pres: -1.0}, ">=", 0.0)
-            add_row({pres: 1.0, kc: -omega}, "=", 0.0)
+            pw, pres, kc_j = v.get("pw", (t, a)), v.get("pres", (t, a)), v.get("kc", (t, a))
+            rows.append(({pw: 1.0, pres: 1.0}, "<=", float(scn.wind_available[t, a])))
+            rows.append(({pw: 1.0, pres: -1.0}, ">=", 0.0))
+            rows.append(({pres: 1.0, kc_j: -omega}, "=", 0.0))
 
         for s_id, stor in enumerate(scn.storage):
             # soc_t = soc_{t-1} + (eff*pch - pdis/eff) * dt / energy
@@ -461,78 +432,90 @@ def build_cred_milp(
                 v.get("pch", (t, s_id)): -stor.efficiency * DELTA_T / stor.energy,
                 v.get("pdis", (t, s_id)): DELTA_T / (stor.efficiency * stor.energy),
             }
-            if t == periods[0]:
-                add_row(coeff, "=", stor.soc_initial)
+            if t == 0:
+                rows.append((coeff, "=", stor.soc_initial))
             else:
                 coeff[v.get("soc", (t - 1, s_id))] = -1.0
-                add_row(coeff, "=", 0.0)
-            if t == periods[-1]:
-                add_row({v.get("soc", (t, s_id)): 1.0}, "=", stor.soc_initial)
-
-        eig_rows = {}
-        for (i, a), segs in segments.items():
-            knet = v.get("knet", (t, i, a))
-            add_row({knet: 1.0, v.get("kc", (t, a)): 1.0}, "=", float(gains[a]))
-            # u_m carries knet when z_m = 1
-            knet_sum = {knet: -1.0}
-            z_sum = {}
-            row = eig_rows.setdefault(i, {})
-            for m_id, (phi, upper, slope, offset) in enumerate(segs):
-                z = v.get("z", (t, i, a, m_id))
-                u = v.get("u", (t, i, a, m_id))
-                add_row({u: 1.0, z: -phi}, ">=", 0.0)
-                add_row({u: 1.0, z: -upper}, "<=", 0.0)
-                knet_sum[u] = 1.0
-                z_sum[z] = 1.0
-                row[u] = slope
-                row[z] = offset
-            add_row(knet_sum, "=", 0.0)
-            add_row(z_sum, "=", 1.0)
-
-        for i, row in sorted(eig_rows.items()):
-            add_row(dict(row), "<=", row_bounds[i])
+                rows.append((coeff, "=", 0.0))
+            if t == last:
+                rows.append(({v.get("soc", (t, s_id)): 1.0}, "=", stor.soc_initial))
 
         for g_id, gen in enumerate(scn.generators):
             obj[v.get("pg", (t, g_id))] = gen.marginal_cost * scn.base_power * DELTA_T
         for a in range(n):
             obj[v.get("ps", (t, a))] = scn.shed_cost * scn.base_power * DELTA_T
 
-    n_vars = len(v.bounds)
-    c = np.zeros(n_vars)
+    lp = _program(v, rows, obj)
+    _check_droop_monotone(lp, v.index, balance, omega)
+    return CredMilp(MixedIntegerProgram(lp, ()), v.index, scn, held, nodes, steps)
+
+
+def _program(v: _Vars, rows: list, obj: dict) -> LinearProgram:
+    """The LinearProgram of v's variables, (coeff dict, relation, rhs) rows and objective."""
+    c = np.zeros(len(v.bounds))
     for j, val in obj.items():
         c[j] = val
-    lhs = np.zeros((len(rows), n_vars))
-    rel = []
-    rhs_v = np.zeros(len(rows))
-    for r, (coeffs, relation, rhs) in enumerate(rows):
+    lhs = np.zeros((len(rows), len(v.bounds)))
+    for r, (coeffs, _, _) in enumerate(rows):
         for j, val in coeffs.items():
             lhs[r, j] = val
-        rel.append(relation)
-        rhs_v[r] = rhs
-    bounds = np.array(v.bounds, dtype=float)
-    lp = LinearProgram(c, lhs, tuple(rel), rhs_v, bounds)
-    if pinned is not None:
-        _check_droop_monotone(lp, v.index, omega)
-    mip = MixedIntegerProgram(lp, tuple(binaries))
-    return CredMilp(mip, v.index, periods, scn, stab, fixed_binaries)
+    rhs = np.array([rhs for _, _, rhs in rows], dtype=float)
+    return LinearProgram(c, lhs, tuple(rel for _, rel, _ in rows), rhs,
+                         np.array(v.bounds, dtype=float))
 
 
-def _droop_floor(scn: DispatchScenario, stab: StabilityConstraintSet | None,
-                 periods) -> tuple:
-    """(kc, fixed_binaries): the droop per area, pinned, and the segments it holds.
+def _net_gain_mip(stab: StabilityConstraintSet) -> tuple:
+    """(mip, index): maximize the total net gain of the attacked areas over the stability rows.
 
-    Every table must cover [0, robust_gain] of its area (CoverageError
-    otherwise).  With tables of a positive gain in at most one area, kc is
-    that area's floor gain - k_max, where k_max is the net-gain ceiling of
-    its tables (StabilityConstraintSet.net_gain_ceiling, InfeasibleError
-    if no net gain meets the rows), and zero in every other area; see
-    _merit_order for why the floor is the MIP's optimum.  fixed_binaries
-    then holds the indicator of every segment, 1 for the one holding
-    k_max, keyed (t, i, a, m) over periods.  With two or more such areas
-    the droop is a decision of the MIP: kc is None and fixed_binaries
-    empty.
+    One variable k per area with live tables, in [0, robust gain], and
+    the disaggregated encoding of each live pair (module docstring); the
+    objective is -sum k.  index maps "k" to {area: column} and "z",
+    "u" to {(i, a, m): column}.
     """
-    n = scn.model.areas
+    gains = stab.robust_gains
+    live = stab.live_tables()
+    v = _Vars()
+    rows, binaries, eig_rows = [], [], {}
+    for a in sorted({a for _, a in live}):
+        v.add("k", a, 0.0, float(gains[a]))
+    for (i, a), tab in live.items():
+        # u_m carries k when z_m = 1
+        k_sum, z_sum = {v.get("k", a): -1.0}, {}
+        row = eig_rows.setdefault(i, {})
+        for m_id, (phi, upper, slope, offset) in enumerate(stab.segments(tab)):
+            z = v.add("z", (i, a, m_id), 0.0, 1.0)
+            u = v.add("u", (i, a, m_id), 0.0, float(gains[a]))
+            binaries.append(z)
+            rows.append(({u: 1.0, z: -phi}, ">=", 0.0))
+            rows.append(({u: 1.0, z: -upper}, "<=", 0.0))
+            k_sum[u] = z_sum[z] = 1.0
+            row[u], row[z] = slope, offset
+        rows.append((k_sum, "=", 0.0))
+        rows.append((z_sum, "=", 1.0))
+    bounds = stab.row_bounds()
+    rows.extend((row, "<=", bounds[i]) for i, row in sorted(eig_rows.items()))
+    objective = {j: -1.0 for j in v.index["k"].values()}
+    return MixedIntegerProgram(_program(v, rows, objective), tuple(binaries)), v.index
+
+
+def _droop_floor(scn: DispatchScenario, stab: StabilityConstraintSet | None) -> tuple:
+    """(kc, held, node_count, simplex_iterations): the least droop the stability rows admit.
+
+    kc is the droop of each period and area, shape (T, N); held the
+    indicator of every live segment, keyed (t, i, a, m), 1 for the one
+    holding the net gain; the counts sum the net-gain MIPs' B&B nodes and
+    simplex steps.  Every table must cover [0, robust_gain] of its area
+    (CoverageError otherwise).  Areas without tables of a positive gain
+    get a zero droop.  With one such area its droop is gain - k_max in
+    every period, k_max the net-gain ceiling of its tables
+    (StabilityConstraintSet.net_gain_ceiling, InfeasibleError if no net
+    gain meets the rows); the wind band is left to the dispatch.  With
+    several, each period t solves the net-gain MIP (_net_gain_mip) with
+    each area's net gain in [gain - avail[t]/(2 omega), gain], so that
+    its droop fits the wind band, and raises InfeasibleError when it has
+    no point.  See _merit_order for why this droop is optimal.
+    """
+    n, t_len = scn.model.areas, scn.n_periods
     tables = stab.tables_by_pair() if stab is not None else {}
     gains = stab.robust_gains if stab is not None else np.zeros(n)
     if gains.shape != (n,):
@@ -548,69 +531,80 @@ def _droop_floor(scn: DispatchScenario, stab: StabilityConstraintSet | None,
                 f"but robust gain is {gains[a]:g}"
             )
     live = stab.live_tables() if stab is not None else {}
-    live_areas = {a for _, a in live}
-    kc = np.zeros(n)
-    if len(live_areas) > 1:
-        return None, {}
-    if not live_areas:
-        return kc, {}
-    (area,) = live_areas
-    knet_max, held = stab.net_gain_ceiling()
-    kc[area] = float(gains[area]) - knet_max
-    fixed_binaries = {
-        (t, i, a, m_id): float(m_id == held[(i, a)])
-        for t in periods for (i, a), tab in live.items() for m_id in range(len(tab.points))
-    }
-    return kc, fixed_binaries
+    areas = sorted({a for _, a in live})
+    kc = np.zeros((t_len, n))
+    if len(areas) <= 1:
+        held = {}
+        if areas:
+            knet_max, segment = stab.net_gain_ceiling()
+            kc[:, areas[0]] = float(gains[areas[0]]) - knet_max
+            held = {(t, i, a, m_id): float(m_id == segment[(i, a)])
+                    for t in range(t_len) for (i, a), tab in live.items()
+                    for m_id in range(len(tab.points))}
+        return kc, held, 0, 0
+    mip, index = _net_gain_mip(stab)
+    cols = [index["k"][a] for a in areas]
+    band = np.clip(gains - scn.wind_available / (2.0 * scn.model.omega_max), 0.0, gains)
+    held, nodes, steps = {}, 0, 0
+    for t in range(t_len):
+        lp = mip.base.with_bounds({j: (band[t, a], gains[a]) for a, j in zip(areas, cols)})
+        res = solve_milp(MixedIntegerProgram(lp, mip.binary_vars))
+        nodes += res.node_count
+        steps += res.iterations
+        if res.status == "infeasible":
+            raise InfeasibleError(f"dispatch infeasible in period {t}: no droop within the "
+                                  "wind band meets every stability row")
+        if not res.optimal:
+            raise NumericalError(f"net-gain MIP of period {t} ended with status {res.status}")
+        kc[t, areas] = gains[areas] - res.values[cols]
+        held.update({(t, *key): float(res.values[j]) for key, j in index["z"].items()})
+    return kc, held, nodes, steps
 
 
-def _check_droop_monotone(lp: LinearProgram, index: dict, omega: float) -> None:
-    """Raise BuildError unless kc and pres enter only their three droop rows.
+def _check_droop_monotone(lp: LinearProgram, index: dict, balance: list, omega: float) -> None:
+    """Raise BuildError unless wind, reserve and droop enter only their own rows.
 
-    Pinning kc is exact only while raising kc can only shrink the feasible
-    set (_merit_order): no objective term, and no row other than
-    pres - omega*kc = 0, pw + pres <= avail and pw - pres >= 0, may touch
-    kc or pres.
+    Pinning the droop is exact only while the cost depends on it through
+    each period's total wind band alone (_merit_order): no objective term
+    on pw, pres or kc; pres and kc in no row but pres - omega*kc = 0,
+    pw + pres <= avail and pw - pres >= 0; and pw in no other row but its
+    period's balance row balance[t], with coefficient 1.
     """
     keys = sorted(index["kc"])
     own = np.array([[index[f][key] for f in ("pw", "pres", "kc")] for key in keys])
-    droop = own[:, 1:].ravel()
-    rows = np.flatnonzero(lp.lhs[:, droop].any(axis=1))
-    coeffs = lp.lhs[np.ix_(rows, own.ravel())].reshape(len(rows), len(keys), 3)
+    rows = np.flatnonzero(lp.lhs[:, own[:, 1:].ravel()].any(axis=1))
+    block = lp.lhs[:, own.ravel()].reshape(lp.n_rows, len(keys), 3)
     # each (t, a) owns one row of each relation, with these coefficients on (pw, pres, kc)
     shapes = {"<=": (0, (1.0, 1.0, 0.0)), "=": (1, (0.0, 1.0, -omega)), ">=": (2, (1.0, -1.0, 0.0))}
     slot = np.array([shapes[lp.relations[r]][0] for r in rows], dtype=int)
-    group = coeffs.any(axis=2).argmax(axis=1)
-    expected = np.zeros_like(coeffs)
-    expected[np.arange(len(rows)), group] = [shapes[lp.relations[r]][1] for r in rows]
+    group = block[rows].any(axis=2).argmax(axis=1)
+    expected = np.zeros_like(block)
+    expected[rows, group] = [shapes[lp.relations[r]][1] for r in rows]
+    expected[[balance[t] for t, _ in keys], np.arange(len(keys)), 0] = 1.0
     once = np.bincount(3 * group + slot, minlength=3 * len(keys)) == 1
-    if lp.objective[droop].any() or np.delete(lp.lhs[rows], own.ravel(), axis=1).any() \
-            or not np.array_equal(coeffs, expected) or not once.all():
+    if lp.objective[own.ravel()].any() or np.delete(lp.lhs[rows], own.ravel(), axis=1).any() \
+            or not np.array_equal(block, expected) or not once.all():
         raise BuildError(
-            "droop enters the objective or a row other than its reserve link and headroom "
-            "rows; the one-area floor LP needs the cost to be nondecreasing in kc"
+            "wind, reserve or droop enters the objective or a row other than its droop rows "
+            "and its period's balance; pinning the droop needs the cost to depend on it only "
+            "through each period's wind band"
         )
 
 
+#: solution array of each variable family of a dispatch build
+_FAMILIES = {"pg": "sg_power", "pw": "wind_power", "pres": "wind_reserve", "kc": "droop",
+             "ps": "shed", "pch": "storage_charge", "pdis": "storage_discharge",
+             "soc": "storage_soc"}
+
+
 def _extract(problem: CredMilp, values: np.ndarray, out: DispatchSolution):
-    scn = problem.scenario
-    idx = problem.index
     out.binaries.update(problem.fixed_binaries)
-    for key, j in idx.get("z", {}).items():
-        out.binaries[key] = float(values[j])
-    for t in problem.periods:
-        for g_id in range(len(scn.generators)):
-            out.sg_power[t, g_id] = values[idx["pg"][(t, g_id)]]
-        for a in range(scn.model.areas):
-            out.wind_power[t, a] = values[idx["pw"][(t, a)]]
-            out.wind_reserve[t, a] = values[idx["pres"][(t, a)]]
-            out.droop[t, a] = values[idx["kc"][(t, a)]]
-            out.shed[t, a] = values[idx["ps"][(t, a)]]
-        for s_id in range(len(scn.storage)):
-            out.storage_charge[t, s_id] = values[idx["pch"][(t, s_id)]]
-            out.storage_discharge[t, s_id] = values[idx["pdis"][(t, s_id)]]
-            out.storage_soc[t, s_id] = values[idx["soc"][(t, s_id)]]
-        out.per_period_cost[t] = _period_cost(scn, out, t)
+    for family, attr in _FAMILIES.items():
+        array = getattr(out, attr)
+        for key, j in problem.index.get(family, {}).items():
+            array[key] = values[j]
+    for t in range(problem.scenario.n_periods):
+        out.per_period_cost[t] = _period_cost(problem.scenario, out, t)
 
 
 def _period_cost(scn: DispatchScenario, sol: DispatchSolution, t: int) -> float:
@@ -627,16 +621,23 @@ _FEAS_TOL = 1e-9
 
 def _merit_order(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool,
                  sol: DispatchSolution) -> None:
-    """Dispatch each period of a storage-free horizon by merit order, the droop pinned to kc.
+    """Dispatch each period of a storage-free horizon by merit order, the droop pinned to kc (T, N).
 
-    Why a pinned droop is the MIP's optimum: kc enters only through
-    pres = omega*kc, pw + pres <= avail and pw >= pres, and the objective
-    has no droop term, so raising kc only shrinks the feasible set and the
-    optimal cost is nondecreasing in every kc[t, a].  With tables of a
-    positive gain in one area a only, the smallest kc their rows admit is
-    gain - k_max (_droop_floor), so it is optimal, and the dispatch is
-    infeasible exactly when the MIP is.  Every other area's droop is
-    bounded by a zero gain.
+    Why the pinned droop is optimal: wind costs nothing and enters only
+    its area's droop rows, pres = omega*kc, pw + pres <= avail and
+    pw >= pres, and its period's balance, with coefficient 1
+    (_check_droop_monotone guards this for every build).  While each
+    area's band 2*omega*kc[t, a] <= avail[t, a] holds, the total wind of
+    period t can therefore be anything in [omega*S_t, W_t - omega*S_t],
+    where S_t = sum_a kc[t, a] and W_t = sum_a avail[t, a]: the cost of
+    the joint dispatch-plus-stability MIP depends on the droop only
+    through S_t, with or without storage, and never falls as S_t grows.
+    The stability rows of period t constrain its droop alone, so the
+    droop with the least S_t they admit within the bands, the largest
+    total net gain (_droop_floor), is an optimum of the MIP, and the
+    dispatch is infeasible exactly when the MIP is.  With one attacked
+    area this is the floor gain - k_max; every area without tables of a
+    positive gain has a zero droop.
 
     With kc fixed, wind is a free resource in [pres, avail - pres] per
     area, and a period is the linear-cost economic dispatch (equal
@@ -665,14 +666,13 @@ def _merit_order(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool,
                    + [(shed_cost, 2, a) for a in range(n)])
     cheapest = sorted(range(len(gens)), key=lambda g_id: (gen_cost[g_id], g_id))
     online = scn.min_online_fraction if gens else 0.0
-    pres = scn.model.omega_max * kc
-    wind_lo = pres.tolist()
     for t in range(scn.n_periods):
         demand = float(scn.demand[t].sum())
         avail = scn.wind_available[t]
+        pres = scn.model.omega_max * kc[t]
         if np.any(2.0 * pres - avail > _FEAS_TOL):
             raise _infeasible(f"period {t}", allow_shed)
-        lo = (wind_lo, [gen.p_min * gen.committed[t] for gen in gens], [0.0] * n)
+        lo = (pres.tolist(), [gen.p_min * gen.committed[t] for gen in gens], [0.0] * n)
         hi = (np.maximum(avail - pres, pres).tolist(),
               [gen.p_max * gen.committed[t] for gen in gens],
               scn.demand[t].tolist() if allow_shed else [0.0] * n)
@@ -691,7 +691,7 @@ def _merit_order(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool,
             raise _infeasible(f"period {t}", allow_shed)
         sol.wind_power[t], sol.sg_power[t], sol.shed[t] = x
         sol.wind_reserve[t] = pres
-        sol.droop[t] = kc
+        sol.droop[t] = kc[t]
         sol.per_period_cost[t] = _period_cost(scn, sol, t)
 
 
@@ -715,17 +715,15 @@ def solve_cred(
     stab: StabilityConstraintSet | None,
     allow_shed: bool = False,
 ) -> DispatchSolution:
-    """Solve the dispatch: by merit order, or by building it and running the simplex.
+    """Solve the dispatch: choose the droop (_droop_floor), then dispatch with it pinned.
 
-    Without storage the periods decouple.  When, in addition, tables of a
-    positive gain exist in at most one area (stab=None included), the
-    droop is pinned (_droop_floor) and each period is dispatched by merit
-    order (_merit_order): nothing is built, and node_count and
-    simplex_iterations read 0.  Otherwise, with storage, the horizon is
-    built and solved as one program, and with two or more attacked areas
-    each period is built and solved on its own.  Raises InfeasibleError
-    when any period admits no feasible point and NumericalError when the
-    solver hits its budget.
+    Without storage the periods decouple and each is dispatched by merit
+    order (_merit_order): no dispatch program is built.  With storage the
+    horizon is built and solved as one LP.  node_count and
+    simplex_iterations sum the net-gain MIPs of a multi-area attack and
+    the storage LP, so both read 0 on a storage-free dispatch of at most
+    one attacked area.  Raises InfeasibleError when any period admits no
+    feasible point and NumericalError when the solver hits its budget.
     """
     t_len, n = scn.n_periods, scn.model.areas
     sol = DispatchSolution(
@@ -742,23 +740,20 @@ def solve_cred(
         total_cost=0.0,
         node_count=0,
     )
-    if not scn.storage:
-        kc, fixed_binaries = _droop_floor(scn, stab, range(t_len))
-        if kc is not None:
-            _merit_order(scn, kc, allow_shed, sol)
-            sol.binaries.update(fixed_binaries)
-            sol.total_cost = float(sol.per_period_cost.sum())
-            return sol
-    for chunk in [None] if scn.storage else [[t] for t in range(t_len)]:
-        problem = build_cred_milp(scn, stab, allow_shed=allow_shed, periods=chunk)
+    if scn.storage:
+        problem = build_cred_milp(scn, stab, allow_shed=allow_shed)
         res = solve_milp(problem.program)
         if res.status == "infeasible":
-            raise _infeasible("horizon" if chunk is None else f"period {chunk[0]}", allow_shed)
+            raise _infeasible("horizon", allow_shed)
         if not res.optimal:
             raise NumericalError(f"dispatch solve ended with status {res.status}")
-        sol.node_count += res.node_count or 0
-        sol.simplex_iterations += res.iterations
+        sol.node_count = problem.node_count + res.node_count
+        sol.simplex_iterations = problem.simplex_iterations + res.iterations
         _extract(problem, res.values, sol)
+    else:
+        kc, held, sol.node_count, sol.simplex_iterations = _droop_floor(scn, stab)
+        _merit_order(scn, kc, allow_shed, sol)
+        sol.binaries.update(held)
     sol.total_cost = float(sol.per_period_cost.sum())
     return sol
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BuildError
+from .errors import BuildError, NumericalError
 
 __all__ = [
     "LinearProgram",
@@ -36,6 +36,10 @@ _PIVOT_TOL = 1e-9
 #: strict margin for gains in the tens
 _INT_TOL = 1e-9
 _ZERO_TOL = 1e-12
+#: largest bound or row violation a returned optimum may carry; a larger
+#: one means the tableau drifted from B^-1 (tiny pivots, a near-singular
+#: basis), and the point is not a solution
+_RESIDUAL_TOL = 1e-7
 #: bounds of the slack s in lhs x + s = rhs, per relation
 _SLACK_BOUNDS = {"<=": (0.0, np.inf), "=": (0.0, 0.0), ">=": (-np.inf, 0.0)}
 
@@ -245,7 +249,9 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> SolveResult:
 
     Returns an optimal basic solution (values within their bounds
     exactly), infeasible (a dual ray), or iteration_limit when more than
-    max_iter dual steps are needed.
+    max_iter dual steps are needed.  Raises NumericalError when the final
+    basic values, recomputed from the tableau, leave a bound or a row
+    violated by more than _RESIDUAL_TOL.
     """
     n, m = lp.n_vars, lp.n_rows
     a = np.hstack([lp.lhs, np.eye(m)])
@@ -268,6 +274,10 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> SolveResult:
         return SolveResult("infeasible", iterations=steps)
 
     _basic_values(tab, rows, x, a, lp.rhs)
+    miss = max(np.max(lo - x), np.max(x - hi), np.max(np.abs(a @ x - lp.rhs), initial=0.0))
+    if miss > _RESIDUAL_TOL:
+        raise NumericalError(f"dual simplex ended {miss:.3g} outside a bound or row; "
+                             "the tableau drifted from the basis inverse")
     # round-off leaves basic values like +-1e-15 off their bound; callers
     # read values as exact (a droop of -1e-15 is rejected downstream)
     for bound in (lo, hi):

@@ -53,9 +53,20 @@ def _get(d: dict, key: str, where: str):
 
 
 def scenario_from_dict(raw: dict) -> ScenarioBundle:
-    """Build a scenario bundle from a parsed JSON document."""
+    """Build a scenario bundle from a parsed JSON document.
+
+    Raises ScenarioError for a malformed document: a missing key, a record
+    that is not a JSON object, or a value that is not a number.
+    """
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a JSON object")
+    try:
+        return _bundle(raw)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"malformed scenario: {exc}") from exc
+
+
+def _bundle(raw: dict) -> ScenarioBundle:
     base = float(raw.get("base_power", 1000.0))
     if base <= 0:
         raise ScenarioError("base_power must be positive")
@@ -176,11 +187,12 @@ def load_samples(path, base_power: float) -> dict:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"samples file {path} is not valid JSON: {exc}") from exc
-    if isinstance(raw, dict):
-        raw = [raw]
     out = {}
-    for rec in raw:
-        area = int(_get(rec, "area", "sample record"))
-        values = [float(x) / base_power for x in _get(rec, "samples", "sample record")]
-        out.setdefault(area, []).extend(values)
+    try:
+        for rec in [raw] if isinstance(raw, dict) else raw:
+            area = int(_get(rec, "area", "sample record"))
+            values = [float(x) / base_power for x in _get(rec, "samples", "sample record")]
+            out.setdefault(area, []).extend(values)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"samples file {path} is malformed: {exc}") from exc
     return out

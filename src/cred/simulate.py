@@ -73,9 +73,12 @@ def simulate(
     from the first grid time at or after t_step.  dt must resolve the
     fastest mode, dt <= 1/(10 max|lambda|), so that classify_trajectory
     sees every oscillation peak; dt=None picks min(0.02, 1/(12
-    max|lambda|)) from the same eigensolve.
+    max|lambda|)) from the same eigensolve.  Raises ConfigurationError
+    unless t_step and t_end are finite and dt, when given, is positive.
     """
     n = ss.n_areas
+    if not (np.isfinite(t_step) and np.isfinite(t_end) and (dt is None or dt > 0.0)):
+        raise ConfigurationError("t_step and t_end must be finite and dt must be positive")
     disturbance = np.asarray(disturbance, dtype=float)
     if disturbance.shape != (n,):
         raise ConfigurationError(f"disturbance must have shape ({n},)")

@@ -8,11 +8,12 @@ an exact eigenvalue precheck, and only an unstable verdict triggers the
 stability-constrained redispatch: one exact eigenvalue-locus sweep per
 attacked area screens the critical pairs and feeds their piecewise tables,
 the dispatch is solved (retrying with load shedding if needed), and the
-result certified by exact eigenvalue checks.  Each storage-free period is
-dispatched by merit order when at most one area is attacked, else as its
-own MIP; a storage horizon is one LP or MIP.  One automatic table rebuild
-at half the error limit, from the same sweeps, absorbs borderline
-approximation failures.
+result certified by exact eigenvalue checks.  The dispatch chooses each
+period's droop from the stability rows first (a floor on one attacked
+area, a small net-gain MIP per period on several), then dispatches each
+storage-free period by merit order, or a storage horizon as one LP.  One
+automatic table rebuild at half the error limit, from the same sweeps,
+absorbs borderline approximation failures.
 """
 
 from __future__ import annotations

@@ -6,8 +6,10 @@ Durand-Kerner root finder), full decompositions from scipy.linalg.eig,
 sensitivities from central finite differences
 of a fresh decomposition, segment-table sweeps, eigenvalue loci and the
 critical-pair screen from a fresh state space and eigensolve at every grid
-point, and MILP optima from exhaustive enumeration of the binary
-assignments.
+point, MILP optima from exhaustive enumeration of the binary assignments or
+from HiGHS (scipy.optimize.milp, test-only), and the stability-constrained
+dispatch from the joint dispatch-plus-stability MIP, in which the droop is a
+decision beside the dispatch.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ import itertools
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from cred.errors import ConfigurationError, NumericalError, TrackingError
 from cred.linearize import LinearizationPoint, net_gain_state_space
-from cred.milp import MixedIntegerProgram, solve_lp
+from cred.milp import LinearProgram, MixedIntegerProgram, solve_lp
 from cred.stability import eigen_decompose, is_stable, sensitivity
 
 
@@ -196,6 +199,142 @@ def enumerate_milp(mip: MixedIntegerProgram):
     if best_vals is None:
         return "infeasible", None, None
     return "optimal", best_obj, best_vals
+
+
+def solve_with_highs(program: MixedIntegerProgram):
+    """(status, objective, values) of the instance under HiGHS with a zero MIP gap."""
+    lp = program.base
+    rel = np.array(lp.relations)
+    lo = np.where(rel == "<=", -np.inf, lp.rhs)
+    hi = np.where(rel == ">=", np.inf, lp.rhs)
+    integrality = np.zeros(lp.n_vars)
+    integrality[list(program.binary_vars)] = 1
+    res = milp(lp.objective,
+               constraints=[LinearConstraint(lp.lhs, lo, hi)] if lp.n_rows else [],
+               integrality=integrality,
+               bounds=Bounds(lp.bounds[:, 0], lp.bounds[:, 1]),
+               options={"mip_rel_gap": 0})
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, res.message)
+    return status, res.fun, res.x
+
+
+def joint_cred_milp(scn, stab, allow_shed: bool = False, periods=None):
+    """Reference dispatch: the joint dispatch-plus-stability MIP over the given periods.
+
+    The droop kc of each (period, area) is a decision beside the dispatch,
+    in [0, gain] for an area with tables, else pinned to 0.  Per period: one
+    system-wide balance, the online floor, wind headroom pw + pres <= avail
+    and pw >= pres, the reserve link pres = omega*kc, the storage recursion
+    (every period only), and, for each (eigenvalue, area) pair of a
+    positive robust gain, the disaggregated multiple-choice encoding of its
+    piecewise shift (Vielma, Ahmed & Nemhauser, Oper. Res. 58(2), 2010):
+    knet + kc = gain, knet = sum_m u_m, sum_m z_m = 1 with z_m binary,
+    phi_m z_m <= u_m <= hi_m z_m, and each eigenvalue's row sums
+    slope_m u_m + offset_m z_m over its pairs' segments, bounded by
+    -(strict + settle) - Re(base).  Segment data are read off the tables
+    here, not through the dispatch module.
+
+    Returns (program, index): index maps a family ("pg", "pw", "pres",
+    "kc", "ps", "pch", "pdis", "soc", "knet", "z", "u") to {key: column}.
+    """
+    n, omega = scn.model.areas, scn.model.omega_max
+    periods = tuple(range(scn.n_periods)) if periods is None else tuple(periods)
+    assert not scn.storage or periods == tuple(range(scn.n_periods))
+    gains = np.asarray(stab.robust_gains if stab is not None else np.zeros(n), dtype=float)
+    tables = sorted(stab.tables if stab is not None else (),
+                    key=lambda tab: (tab.eigen_index, tab.area))
+    live = [tab for tab in tables if gains[tab.area] > 0.0]
+    covered = {tab.area for tab in tables}
+    margin = stab.strict_margin + stab.settle_margin if stab is not None else 0.0
+    bounds, index, binaries, rows, cost = [], {}, [], [], {}
+
+    def var(family, key, lo, hi):
+        index.setdefault(family, {})[key] = len(bounds)
+        bounds.append((lo, hi))
+        return len(bounds) - 1
+
+    for t in periods:
+        for g_id, gen in enumerate(scn.generators):
+            var("pg", (t, g_id), gen.p_min * gen.committed[t], gen.p_max * gen.committed[t])
+        for a in range(n):
+            avail = float(scn.wind_available[t, a])
+            var("pw", (t, a), 0.0, avail)
+            var("pres", (t, a), 0.0, avail)
+            var("kc", (t, a), 0.0, float(gains[a]) if a in covered else 0.0)
+            var("ps", (t, a), 0.0, float(scn.demand[t, a]) if allow_shed else 0.0)
+        for s_id, stor in enumerate(scn.storage):
+            var("pch", (t, s_id), 0.0, stor.power_limit)
+            var("pdis", (t, s_id), 0.0, stor.power_limit)
+            var("soc", (t, s_id), stor.soc_min, stor.soc_max)
+        for tab in live:
+            var("knet", (t, tab.eigen_index, tab.area), 0.0, float(gains[tab.area]))
+            for m in range(len(tab.points)):
+                binaries.append(var("z", (t, tab.eigen_index, tab.area, m), 0.0, 1.0))
+                var("u", (t, tab.eigen_index, tab.area, m), 0.0, float(gains[tab.area]))
+
+    for t in periods:
+        col = {family: {key[1:]: j for key, j in cols.items() if key[0] == t}
+               for family, cols in index.items()}
+        bal = {j: 1.0 for j in col["pg"].values()}
+        for a in range(n):
+            bal[col["pw"][(a,)]] = bal[col["ps"][(a,)]] = 1.0
+        for s_id in range(len(scn.storage)):
+            bal[col["pdis"][(s_id,)]], bal[col["pch"][(s_id,)]] = 1.0, -1.0
+        rows.append((bal, "=", float(scn.demand[t].sum())))
+        if scn.min_online_fraction > 0.0 and scn.generators:
+            rows.append(({j: 1.0 for j in col["pg"].values()}, ">=",
+                         scn.min_online_fraction * float(scn.demand[t].sum())))
+        for a in range(n):
+            pw, pres, kc = col["pw"][(a,)], col["pres"][(a,)], col["kc"][(a,)]
+            rows.append(({pw: 1.0, pres: 1.0}, "<=", float(scn.wind_available[t, a])))
+            rows.append(({pw: 1.0, pres: -1.0}, ">=", 0.0))
+            rows.append(({pres: 1.0, kc: -omega}, "=", 0.0))
+        for s_id, stor in enumerate(scn.storage):
+            soc = {col["soc"][(s_id,)]: 1.0,
+                   col["pch"][(s_id,)]: -stor.efficiency / stor.energy,
+                   col["pdis"][(s_id,)]: 1.0 / (stor.efficiency * stor.energy)}
+            if t == periods[0]:
+                rows.append((soc, "=", stor.soc_initial))
+            else:
+                soc[index["soc"][(t - 1, s_id)]] = -1.0
+                rows.append((soc, "=", 0.0))
+            if t == periods[-1]:
+                rows.append(({col["soc"][(s_id,)]: 1.0}, "=", stor.soc_initial))
+        eig_rows, eig_bounds = {}, {}
+        for tab in live:
+            i, a, gain = tab.eigen_index, tab.area, float(gains[tab.area])
+            knet = col["knet"][(i, a)]
+            rows.append(({knet: 1.0, col["kc"][(a,)]: 1.0}, "=", gain))
+            knet_sum, z_sum = {knet: -1.0}, {}
+            row = eig_rows.setdefault(i, {})
+            eig_bounds.setdefault(i, -margin - tab.base_eigenvalue.real)
+            pts = tab.points
+            for m, point in enumerate(pts):
+                hi = pts[m + 1].abscissa - stab.strict_margin if m + 1 < len(pts) else gain
+                slope = point.slope.real
+                offset = (point.eigenvalue - tab.base_eigenvalue).real - slope * point.abscissa
+                z, u = col["z"][(i, a, m)], col["u"][(i, a, m)]
+                rows.append(({u: 1.0, z: -point.abscissa}, ">=", 0.0))
+                rows.append(({u: 1.0, z: -hi}, "<=", 0.0))
+                knet_sum[u] = z_sum[z] = 1.0
+                row[u], row[z] = slope, offset
+            rows.append((knet_sum, "=", 0.0))
+            rows.append((z_sum, "=", 1.0))
+        for i, row in sorted(eig_rows.items()):
+            rows.append((row, "<=", eig_bounds[i]))
+        for g_id, gen in enumerate(scn.generators):
+            cost[col["pg"][(g_id,)]] = gen.marginal_cost * scn.base_power
+        for a in range(n):
+            cost[col["ps"][(a,)]] = scn.shed_cost * scn.base_power
+
+    c = np.zeros(len(bounds))
+    c[list(cost)] = list(cost.values())
+    lhs = np.zeros((len(rows), len(bounds)))
+    for r, (coeffs, _, _) in enumerate(rows):
+        lhs[r, list(coeffs)] = list(coeffs.values())
+    lp = LinearProgram(c, lhs, tuple(rel for _, rel, _ in rows),
+                       np.array([rhs for _, _, rhs in rows]), bounds)
+    return MixedIntegerProgram(lp, tuple(binaries)), index
 
 
 def random_system_model(rng: np.random.RandomState, n_areas: int | None = None):

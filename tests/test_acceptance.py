@@ -16,7 +16,6 @@ from cred.dispatch import (
     DispatchScenario,
     GeneratorSpec,
     StabilityConstraintSet,
-    build_cred_milp,
     solve_cred,
     validate_solution,
 )
@@ -41,7 +40,7 @@ from cred.systems import (
 from cred.uncertainty import AttackEstimate, ConfidenceSpec, k_eta, robust_gain
 from cred.workflow import WorkflowConfig, run_workflow, sweep_study
 
-from oracles import enumerate_milp, fd_eigen_sensitivity, random_system_model
+from oracles import enumerate_milp, fd_eigen_sensitivity, joint_cred_milp, random_system_model
 
 
 @contextmanager
@@ -167,9 +166,10 @@ def test_criterion_4_milp_exactness():
         scn = _toy_scenario(model)
         tab = build_segment_table(sweep_loci(model, 0, 3.0, 3.0 / 200.0), 1, 0.02)
         stab = StabilityConstraintSet((tab,), robust_gains=[3.0], strict_margin=1e-6)
-        instances = [build_cred_milp(scn, stab)]
-        instances.append(build_cred_milp(_toy_scenario(model, p_max=6.2), stab,
-                                         allow_shed=True))
+        # the joint dispatch-plus-stability MIP: the droop a decision beside the dispatch
+        instances = [joint_cred_milp(scn, stab)[0]]
+        instances.append(joint_cred_milp(_toy_scenario(model, p_max=6.2), stab,
+                                         allow_shed=True)[0])
 
         curved = SystemModel(
             areas=2, inertia_sg=[2.0, 4.0], inertia_ibr=[0.0, 0.0],
@@ -186,15 +186,18 @@ def test_criterion_4_milp_exactness():
         )
         tabs2 = tuple(build_segment_table(sweep_loci(curved, 1, 6.0, 0.04), i, 0.02)
                       for i in (0, 2))
-        instances.append(build_cred_milp(
-            scn2, StabilityConstraintSet(tabs2, robust_gains=[0.0, 6.0])))
+        stab2 = StabilityConstraintSet(tabs2, robust_gains=[0.0, 6.0])
+        instances.append(joint_cred_milp(scn2, stab2)[0])
 
-        for prob in instances:
-            assert len(prob.program.binary_vars) <= 20
-            mine = solve_milp(prob.program)
-            status, obj, _ = enumerate_milp(prob.program)
+        for program in instances:
+            assert 0 < len(program.binary_vars) <= 20
+            mine = solve_milp(program)
+            status, obj, _ = enumerate_milp(program)
             assert mine.status == status == "optimal"
             assert mine.objective_value == pytest.approx(obj, abs=1e-6)
+        # the droop-first dispatch reaches the curved instance's joint optimum
+        curved_obj = enumerate_milp(instances[-1])[1]
+        assert solve_cred(scn2, stab2).total_cost == pytest.approx(curved_obj, abs=1e-6)
 
         sol = solve_cred(scn, stab)
         assert sol.droop[0, 0] == pytest.approx(1.0 + 2e-6, abs=1e-6)

@@ -233,6 +233,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and message in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--dt", "0"], "dt must be positive"),
+        (["--dt", "-0.01"], "dt must be positive"),
+        (["--t-end", "nan"], "must be finite"),
+        (["--step-area", "3"], "--step-area must name an area in [0, 2]"),
+        (["--step-area", "-1"], "--step-area must name an area in [0, 2]"),
+    ], ids=["dt_zero", "dt_negative", "t_end_nan", "step_area_high", "step_area_negative"])
+    def test_bad_simulate_flag_is_input_error(self, tmp_path, capsys, flags, message):
+        desk = tmp_path / "desk.json"
+        desk.write_text(json.dumps(three_area_system()))
+        code = main(["simulate", "--scenario", str(desk), "--out", str(tmp_path / "out"),
+                     *flags])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and message in err
+
+    @pytest.mark.parametrize("case", ["non_numeric_field", "area_not_object", "nan_static"])
+    def test_malformed_scenario_field_is_input_error(self, tmp_path, capsys, case):
+        doc = single_area_toy()
+        if case == "non_numeric_field":
+            doc["areas"][0]["inertia_sg"] = "abc"
+        elif case == "area_not_object":
+            doc["areas"][0] = 5.0
+        else:
+            doc["attack"]["static"] = [float("nan")]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        # a detection score of 0 ends the run right after loading
+        code = main(["workflow", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                     "--r", "0"])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize("records", [
+        [{"area": 0, "samples": [2.5, "abc"]}],
+        [{"area": 0, "samples": [2.5, 2.6]}, 5.0],
+    ], ids=["non_numeric_sample", "record_not_object"])
+    def test_malformed_samples_are_input_error(self, toy_path, tmp_path, capsys, records):
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps(records))
+        code = main(["workflow", "--scenario", str(toy_path), "--out", str(tmp_path / "out"),
+                     "--samples", str(samples)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("input error:")
+
     def test_infeasible_is_exit_three(self, tmp_path):
         # attacked area with no wind anywhere: no droop, no way to stabilize
         doc = single_area_toy()
