@@ -1,7 +1,7 @@
 """Stability-constrained economic dispatch: droop first, then dispatch.
 
 Builds, per period: a single system-wide power balance, committed-generator
-limits, wind dispatch with droop headroom on both sides of the reference,
+limits, wind dispatch within its droop band [omega*kc, avail - omega*kc],
 and optional storage energy recursion.  Attack gains are fixed to their
 robust values; the droop K enters the stability rows through the net gain
 k = robust_gain - K.  Segment m of a critical (eigenvalue, area) pair
@@ -28,7 +28,10 @@ big-M constant.
 
 With the droop pinned, every storage-free period, the baseline's too, is an
 economic dispatch with one balance row, solved by merit order with no
-program built (_merit_order); with storage the horizon is one LP.
+program built (_merit_order); with storage the horizon is one LP.  Both
+see the droop only as the bounds of wind, which has no cost and enters no
+row but its period's balance, so the pinned droop is optimal by
+construction; the joint-MIP oracle tests check the argument end to end.
 
 Solutions are certified a posteriori by an exact eigenvalue check of every
 period's closed loop.
@@ -291,15 +294,17 @@ class StabilityConstraintSet:
 class CredMilp:
     """The dispatch horizon as an LP with the droop pinned, plus the variable index.
 
-    fixed_binaries holds the segment indicators of the pinned droop, keyed
-    (t, i, a, m); node_count and simplex_iterations count the net-gain MIPs
-    that chose it (_droop_floor), 0 unless two or more areas are attacked.
-    The program has no binaries.
+    droop is the pinned droop, shape (T, N); fixed_binaries holds its
+    segment indicators, keyed (t, i, a, m); node_count and
+    simplex_iterations count the net-gain MIPs that chose it
+    (_droop_floor), 0 unless two or more areas are attacked.  The program
+    has no binaries.
     """
 
     program: MixedIntegerProgram
     index: dict
     scenario: DispatchScenario
+    droop: np.ndarray
     fixed_binaries: dict
     node_count: int
     simplex_iterations: int
@@ -370,31 +375,30 @@ def build_cred_milp(
 ) -> CredMilp:
     """Assemble the dispatch horizon as one LP, the droop pinned to _droop_floor's.
 
-    With stab=None (or no tables of a positive gain) droop and reserve are
-    pinned to zero: the plain economic dispatch.  Otherwise the droop of
-    each period and area is the one _droop_floor chose from the stability
-    rows (optimal by the argument in _merit_order), and the program has no
-    stability rows and no binaries.  Raises BuildError if wind, reserve or
-    droop enter the objective or any row other than their own droop rows
-    and, for wind, its period's balance (_check_droop_monotone).
+    With stab=None (or no tables of a positive gain) the droop is zero:
+    the plain economic dispatch.  Otherwise the droop of each period and
+    area is the one _droop_floor chose from the stability rows.  The
+    program sees the droop only as its wind bounds (_wind_band): wind has
+    no cost and enters only its period's balance row, with coefficient 1,
+    so the pinned droop is optimal by construction (argument in
+    _merit_order).  Its rows are the balance, the online floor and the
+    storage recursion; it has no binaries.  Raises InfeasibleError naming
+    the first period whose droop does not fit its wind.
     """
     kc, held, nodes, steps = _droop_floor(scn, stab)
-    n, omega = scn.model.areas, scn.model.omega_max
+    n = scn.model.areas
     last = scn.n_periods - 1
     v = _Vars()
     rows = []  # (coeff dict, rel, rhs)
     obj = {}
-    balance = []  # balance row of each period
 
     for t in range(scn.n_periods):
+        pres, wind_hi = _wind_band(scn, kc, t, allow_shed)
         for g_id, gen in enumerate(scn.generators):
             u = gen.committed[t]
             v.add("pg", (t, g_id), gen.p_min * u, gen.p_max * u)
         for a in range(n):
-            avail = float(scn.wind_available[t, a])
-            v.add("pw", (t, a), 0.0, avail)
-            v.add("pres", (t, a), 0.0, avail)
-            v.add("kc", (t, a), kc[t, a], kc[t, a])
+            v.add("pw", (t, a), pres[a], wind_hi[a])
             shed_cap = float(scn.demand[t, a]) if allow_shed else 0.0
             v.add("ps", (t, a), 0.0, shed_cap)
         for s_id, stor in enumerate(scn.storage):
@@ -412,18 +416,11 @@ def build_cred_milp(
         for s_id in range(len(scn.storage)):
             bal[v.get("pdis", (t, s_id))] = 1.0
             bal[v.get("pch", (t, s_id))] = -1.0
-        balance.append(len(rows))
         rows.append((bal, "=", float(scn.demand[t].sum())))
 
         if scn.min_online_fraction > 0.0 and scn.generators:
             floor = {v.get("pg", (t, g_id)): 1.0 for g_id in range(len(scn.generators))}
             rows.append((floor, ">=", scn.min_online_fraction * float(scn.demand[t].sum())))
-
-        for a in range(n):
-            pw, pres, kc_j = v.get("pw", (t, a)), v.get("pres", (t, a)), v.get("kc", (t, a))
-            rows.append(({pw: 1.0, pres: 1.0}, "<=", float(scn.wind_available[t, a])))
-            rows.append(({pw: 1.0, pres: -1.0}, ">=", 0.0))
-            rows.append(({pres: 1.0, kc_j: -omega}, "=", 0.0))
 
         for s_id, stor in enumerate(scn.storage):
             # soc_t = soc_{t-1} + (eff*pch - pdis/eff) * dt / energy
@@ -445,9 +442,8 @@ def build_cred_milp(
         for a in range(n):
             obj[v.get("ps", (t, a))] = scn.shed_cost * scn.base_power * DELTA_T
 
-    lp = _program(v, rows, obj)
-    _check_droop_monotone(lp, v.index, balance, omega)
-    return CredMilp(MixedIntegerProgram(lp, ()), v.index, scn, held, nodes, steps)
+    return CredMilp(MixedIntegerProgram(_program(v, rows, obj), ()), v.index, scn, kc, held,
+                    nodes, steps)
 
 
 def _program(v: _Vars, rows: list, obj: dict) -> LinearProgram:
@@ -510,10 +506,12 @@ def _droop_floor(scn: DispatchScenario, stab: StabilityConstraintSet | None) -> 
     every period, k_max the net-gain ceiling of its tables
     (StabilityConstraintSet.net_gain_ceiling, InfeasibleError if no net
     gain meets the rows); the wind band is left to the dispatch.  With
-    several, each period t solves the net-gain MIP (_net_gain_mip) with
-    each area's net gain in [gain - avail[t]/(2 omega), gain], so that
-    its droop fits the wind band, and raises InfeasibleError when it has
-    no point.  See _merit_order for why this droop is optimal.
+    several, the net-gain MIP (_net_gain_mip) is solved with each area's
+    net gain in [gain - avail[t]/(2 omega), gain], so that its droop fits
+    the wind band, once per distinct set of these bounds: periods with
+    equal bounds share its result.  It raises InfeasibleError, naming the
+    first such period, when the MIP has no point.  See _merit_order for
+    why this droop is optimal.
     """
     n, t_len = scn.model.areas, scn.n_periods
     tables = stab.tables_by_pair() if stab is not None else {}
@@ -545,60 +543,35 @@ def _droop_floor(scn: DispatchScenario, stab: StabilityConstraintSet | None) -> 
     mip, index = _net_gain_mip(stab)
     cols = [index["k"][a] for a in areas]
     band = np.clip(gains - scn.wind_available / (2.0 * scn.model.omega_max), 0.0, gains)
-    held, nodes, steps = {}, 0, 0
+    held, nodes, steps, solved = {}, 0, 0, {}
     for t in range(t_len):
-        lp = mip.base.with_bounds({j: (band[t, a], gains[a]) for a, j in zip(areas, cols)})
-        res = solve_milp(MixedIntegerProgram(lp, mip.binary_vars))
-        nodes += res.node_count
-        steps += res.iterations
-        if res.status == "infeasible":
-            raise InfeasibleError(f"dispatch infeasible in period {t}: no droop within the "
-                                  "wind band meets every stability row")
-        if not res.optimal:
-            raise NumericalError(f"net-gain MIP of period {t} ended with status {res.status}")
-        kc[t, areas] = gains[areas] - res.values[cols]
-        held.update({(t, *key): float(res.values[j]) for key, j in index["z"].items()})
+        key = tuple(band[t, areas])
+        if key not in solved:
+            lp = mip.base.with_bounds({j: (band[t, a], gains[a]) for a, j in zip(areas, cols)})
+            res = solve_milp(MixedIntegerProgram(lp, mip.binary_vars))
+            nodes += res.node_count
+            steps += res.iterations
+            if res.status == "infeasible":
+                raise InfeasibleError(f"dispatch infeasible in period {t}: no droop within the "
+                                      "wind band meets every stability row")
+            if not res.optimal:
+                raise NumericalError(f"net-gain MIP of period {t} ended with status {res.status}")
+            solved[key] = res.values
+        values = solved[key]
+        kc[t, areas] = gains[areas] - values[cols]
+        held.update({(t, *z_key): float(values[j]) for z_key, j in index["z"].items()})
     return kc, held, nodes, steps
 
 
-def _check_droop_monotone(lp: LinearProgram, index: dict, balance: list, omega: float) -> None:
-    """Raise BuildError unless wind, reserve and droop enter only their own rows.
-
-    Pinning the droop is exact only while the cost depends on it through
-    each period's total wind band alone (_merit_order): no objective term
-    on pw, pres or kc; pres and kc in no row but pres - omega*kc = 0,
-    pw + pres <= avail and pw - pres >= 0; and pw in no other row but its
-    period's balance row balance[t], with coefficient 1.
-    """
-    keys = sorted(index["kc"])
-    own = np.array([[index[f][key] for f in ("pw", "pres", "kc")] for key in keys])
-    rows = np.flatnonzero(lp.lhs[:, own[:, 1:].ravel()].any(axis=1))
-    block = lp.lhs[:, own.ravel()].reshape(lp.n_rows, len(keys), 3)
-    # each (t, a) owns one row of each relation, with these coefficients on (pw, pres, kc)
-    shapes = {"<=": (0, (1.0, 1.0, 0.0)), "=": (1, (0.0, 1.0, -omega)), ">=": (2, (1.0, -1.0, 0.0))}
-    slot = np.array([shapes[lp.relations[r]][0] for r in rows], dtype=int)
-    group = block[rows].any(axis=2).argmax(axis=1)
-    expected = np.zeros_like(block)
-    expected[rows, group] = [shapes[lp.relations[r]][1] for r in rows]
-    expected[[balance[t] for t, _ in keys], np.arange(len(keys)), 0] = 1.0
-    once = np.bincount(3 * group + slot, minlength=3 * len(keys)) == 1
-    if lp.objective[own.ravel()].any() or np.delete(lp.lhs[rows], own.ravel(), axis=1).any() \
-            or not np.array_equal(block, expected) or not once.all():
-        raise BuildError(
-            "wind, reserve or droop enters the objective or a row other than its droop rows "
-            "and its period's balance; pinning the droop needs the cost to depend on it only "
-            "through each period's wind band"
-        )
-
-
 #: solution array of each variable family of a dispatch build
-_FAMILIES = {"pg": "sg_power", "pw": "wind_power", "pres": "wind_reserve", "kc": "droop",
-             "ps": "shed", "pch": "storage_charge", "pdis": "storage_discharge",
-             "soc": "storage_soc"}
+_FAMILIES = {"pg": "sg_power", "pw": "wind_power", "ps": "shed", "pch": "storage_charge",
+             "pdis": "storage_discharge", "soc": "storage_soc"}
 
 
 def _extract(problem: CredMilp, values: np.ndarray, out: DispatchSolution):
     out.binaries.update(problem.fixed_binaries)
+    out.droop[:] = problem.droop
+    out.wind_reserve[:] = problem.scenario.model.omega_max * problem.droop
     for family, attr in _FAMILIES.items():
         array = getattr(out, attr)
         for key, j in problem.index.get(family, {}).items():
@@ -623,12 +596,15 @@ def _merit_order(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool,
                  sol: DispatchSolution) -> None:
     """Dispatch each period of a storage-free horizon by merit order, the droop pinned to kc (T, N).
 
-    Why the pinned droop is optimal: wind costs nothing and enters only
-    its area's droop rows, pres = omega*kc, pw + pres <= avail and
-    pw >= pres, and its period's balance, with coefficient 1
-    (_check_droop_monotone guards this for every build).  While each
-    area's band 2*omega*kc[t, a] <= avail[t, a] holds, the total wind of
-    period t can therefore be anything in [omega*S_t, W_t - omega*S_t],
+    Why the pinned droop is optimal: wind costs nothing, its droop holds
+    it in the band pres <= pw <= avail - pres with pres = omega*kc, and
+    it enters no row but its period's balance, with coefficient 1.  Both
+    dispatch paths state wind this way by construction: the merit order
+    here and the storage LP (build_cred_milp) take its bounds from
+    _wind_band and give it no other term; the joint-MIP oracle tests
+    check the argument end to end.  While each area's band
+    2*omega*kc[t, a] <= avail[t, a] holds, the total wind of period t
+    can therefore be anything in [omega*S_t, W_t - omega*S_t],
     where S_t = sum_a kc[t, a] and W_t = sum_a avail[t, a]: the cost of
     the joint dispatch-plus-stability MIP depends on the droop only
     through S_t, with or without storage, and never falls as S_t grows.
@@ -655,8 +631,9 @@ def _merit_order(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool,
     phase.
 
     Raises InfeasibleError for the first period where 2*pres > avail in
-    an area, the lower bounds (after the floor) exceed demand, or the
-    units cannot meet the floor or the demand, each beyond _FEAS_TOL.
+    an area (_wind_band), the lower bounds (after the floor) exceed
+    demand, or the units cannot meet the floor or the demand, each beyond
+    _FEAS_TOL.
     """
     gens, n = scn.generators, scn.model.areas
     gen_cost = [gen.marginal_cost * scn.base_power * DELTA_T for gen in gens]
@@ -668,13 +645,9 @@ def _merit_order(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool,
     online = scn.min_online_fraction if gens else 0.0
     for t in range(scn.n_periods):
         demand = float(scn.demand[t].sum())
-        avail = scn.wind_available[t]
-        pres = scn.model.omega_max * kc[t]
-        if np.any(2.0 * pres - avail > _FEAS_TOL):
-            raise _infeasible(f"period {t}", allow_shed)
+        pres, wind_hi = _wind_band(scn, kc, t, allow_shed)
         lo = (pres.tolist(), [gen.p_min * gen.committed[t] for gen in gens], [0.0] * n)
-        hi = (np.maximum(avail - pres, pres).tolist(),
-              [gen.p_max * gen.committed[t] for gen in gens],
+        hi = (wind_hi.tolist(), [gen.p_max * gen.committed[t] for gen in gens],
               scn.demand[t].tolist() if allow_shed else [0.0] * n)
         x = tuple(list(part) for part in lo)
         need = online * demand - sum(x[1])
@@ -693,6 +666,20 @@ def _merit_order(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool,
         sol.wind_reserve[t] = pres
         sol.droop[t] = kc[t]
         sol.per_period_cost[t] = _period_cost(scn, sol, t)
+
+
+def _wind_band(scn: DispatchScenario, kc: np.ndarray, t: int, allow_shed: bool) -> tuple:
+    """(pres, hi): the wind reserve omega*kc[t] of period t and the wind ceiling avail - pres.
+
+    The wind of each area may take any value in [pres, hi].  Raises
+    InfeasibleError naming period t where 2*pres - avail > _FEAS_TOL in
+    an area; within that tolerance hi is clamped to pres.
+    """
+    avail = scn.wind_available[t]
+    pres = scn.model.omega_max * kc[t]
+    if np.any(2.0 * pres - avail > _FEAS_TOL):
+        raise _infeasible(f"period {t}", allow_shed)
+    return pres, np.maximum(avail - pres, pres)
 
 
 def _top_up(x: list, hi: list, j: int, amount: float) -> float:
@@ -719,7 +706,9 @@ def solve_cred(
 
     Without storage the periods decouple and each is dispatched by merit
     order (_merit_order): no dispatch program is built.  With storage the
-    horizon is built and solved as one LP.  node_count and
+    horizon is built and solved as one LP, the droop entering it only as
+    the wind bounds (build_cred_milp).  Either way the pinned droop is
+    optimal by construction, as _merit_order argues.  node_count and
     simplex_iterations sum the net-gain MIPs of a multi-area attack and
     the storage LP, so both read 0 on a storage-free dispatch of at most
     one attacked area.  Raises InfeasibleError when any period admits no

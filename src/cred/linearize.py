@@ -272,23 +272,30 @@ def build_segment_table(sweep: LocusSweep, eigen_index: int, eps_lim: float) -> 
     )
 
 
+#: slack of evaluate_piecewise at the range ends and below each anchor
+_ROUND_OFF = 1e-12
+
+
 def evaluate_piecewise(table: SegmentTable, k_lc: float) -> complex:
     """Estimated eigenvalue shift at net gain k_lc, relative to the base value.
 
     Selects the anchor whose interval contains k_lc (the nearest anchor on
     the zero side, with the anchor abscissa itself belonging to its own
     segment) and returns slope*(k_lc - anchor) + (anchor_eig - base_eig).
-    No extrapolation outside [0, range_end] (in the signed sense).
+    A net gain within _ROUND_OFF below an anchor, the slack allowed at
+    the range ends, counts as that anchor's: a solver's round-off on a
+    segment's first point must not jump back a segment.  No
+    extrapolation outside [0, range_end] (in the signed sense).
     """
     d = 1.0 if table.range_end > 0 else -1.0
     pos = k_lc * d
-    if pos < -1e-12 or pos > abs(table.range_end) + 1e-12:
+    if pos < -_ROUND_OFF or pos > abs(table.range_end) + _ROUND_OFF:
         raise CoverageError(
             f"net gain {k_lc:g} outside swept range [0, {table.range_end:g}]"
         )
     chosen = table.points[0]
     for p in table.points:
-        if p.abscissa * d <= pos:
+        if p.abscissa * d <= pos + _ROUND_OFF:
             chosen = p
         else:
             break

@@ -1,0 +1,58 @@
+import hashlib
+import importlib.util
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "answer_hashes.py"
+LINE = re.compile(r"^(\d+)  (\w+)  report=([0-9a-f]{64})  solution=([0-9a-f]{64})$")
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("answer_hashes", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run(*args):
+    return subprocess.run([sys.executable, str(SCRIPT), *map(str, args)],
+                          capture_output=True, text=True)
+
+
+def test_one_line_per_op_and_the_same_on_a_rerun():
+    proc = run("--workload", "storage_horizon", "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [LINE.match(line).group(1, 2) for line in lines] == [(str(j), "cred_applied")
+                                                               for j in range(5)]
+    assert run("--workload", "storage_horizon", "--seed", "0").stdout == proc.stdout
+
+
+def test_solution_hash_is_that_of_the_written_artifact(tmp_path):
+    script = load_script()
+    # a desk op with a detection-sample file
+    items = script.workloads.generate("desk_redispatch", 0)
+    paths = script.workloads.write_samples(items, tmp_path)
+    j = next(j for j, item in enumerate(items) if item.samples and item.mode != "worst_case")
+    match = LINE.match(f"{j}  {script.answer(items[j], paths[j])}")
+    assert match.group(2) == "cred_applied"
+    cfg = script.WorkflowConfig(samples_path=str(paths[j]), mode=items[j].mode,
+                                detection_score=items[j].detection_score,
+                                detection_threshold=script.workloads.DETECTION_THRESHOLD,
+                                eta=script.workloads.ETA, output_dir=str(tmp_path / "out"))
+    script.run_workflow(cfg, bundle=script.scenario_from_dict(items[j].doc))
+    written = (tmp_path / "out" / "solution.json").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == match.group(4)
+
+
+def test_an_error_is_its_type_and_text():
+    script = load_script()
+    item = script.workloads.WorkflowInput({"areas": "none"}, "worst_case", 1.0)
+    assert re.fullmatch(r"error  ScenarioError: .+", script.answer(item, None))
+
+
+def test_rejects_a_workload_without_workflow_ops():
+    proc = run("--workload", "step_response")
+    assert proc.returncode == 2 and "invalid choice" in proc.stderr

@@ -35,10 +35,10 @@ from cred.linearize import (
     evaluate_piecewise,
     sweep_loci,
 )
-from cred.milp import LinearProgram, MixedIntegerProgram, solve_lp, solve_milp
+from cred.milp import MixedIntegerProgram, solve_lp, solve_milp
 from cred.scenario import scenario_from_dict
 from cred.stability import eigen_decompose, is_stable
-from cred.systems import three_area_system, three_area_with_storage
+from cred.systems import three_area_storage_day, three_area_system, three_area_with_storage
 from cred.uncertainty import AttackEstimate, ConfidenceSpec, robust_gain
 from cred.workflow import WorkflowConfig, run_workflow
 
@@ -326,35 +326,80 @@ class TestDroopFloor:
         # segments are disjoint, so both pick the one segment of each pair holding k_max
         assert {(i, a): m for (i, a, m), j in index["z"].items() if res.values[j] > 0.5} == held
 
-    def test_guard_rejects_droop_outside_its_rows(self, one_area_model):
-        prob = build_cred_milp(toy_scenario(one_area_model), toy_stability(one_area_model))
-        lp, idx = prob.program.base, prob.index
-        assert not prob.program.binary_vars
-        kc, pres, pw = idx["kc"][(0, 0)], idx["pres"][(0, 0)], idx["pw"][(0, 0)]
-        omega = one_area_model.omega_max
-        balance = [0]  # the toy's one period balances in its first row
-        dispatch._check_droop_monotone(lp, idx, balance, omega)
+    def test_storage_lps_state_wind_by_its_band(self, monkeypatch):
+        """Every storage LP the workflow and the multi-area draws build has wind only in its band."""
+        calls = record_solves(monkeypatch)  # its builds pass through assert_wind_in_band
+        for doc in (three_area_with_storage(), three_area_storage_day()):
+            run_workflow(WorkflowConfig(mode="worst_case"), bundle=scenario_from_dict(doc))
+        builds = [problem for call in calls for problem in call[3]]
+        assert len(builds) == 4 and all(p.droop.any() for p in builds[1::2])
+        for seed in range(40):
+            scn, stab, allow_shed = multi_area_draw(seed)
+            if not scn.storage or seed in DRIFTING_DRAWS:
+                continue
+            try:
+                builds.append(build_cred_milp(scn, stab, allow_shed=allow_shed))
+            except InfeasibleError:
+                continue
+            assert_wind_in_band(builds[-1])
+        assert len(builds) > 10
 
-        def costed(j):
-            cost = lp.objective.copy()
-            cost[j] = 1.0
-            return LinearProgram(cost, lp.lhs, lp.relations, lp.rhs, lp.bounds)
+    @pytest.mark.parametrize("allow_shed", [False, True])
+    def test_storage_droop_beyond_its_wind_names_the_period(self, one_area_model, allow_shed):
+        stab = toy_stability(one_area_model)
+        scn = toy_storage(one_area_model, [4.0, 4.0, 4.0])
+        kc = dispatch._droop_floor(scn, stab)[0][0, 0]
+        assert kc > 0.0
+        # 2*omega*kc exceeds period 1's wind: its band is empty
+        scn = toy_storage(one_area_model, [4.0, 0.9 * kc, 4.0])
+        message = "dispatch infeasible in period 1" + ("" if allow_shed else " (shedding disabled)")
+        for solve in (build_cred_milp, solve_cred):
+            with pytest.raises(InfeasibleError) as info:
+                solve(scn, stab, allow_shed=allow_shed)
+            assert str(info.value) == message
+        # within the feasibility tolerance the band closes to one point
+        scn = toy_storage(one_area_model, [4.0, 2.0 * 0.5 * kc - 5e-10, 4.0])
+        problem = build_cred_milp(scn, stab, allow_shed=allow_shed)
+        assert_wind_in_band(problem)
+        lo, hi = problem.program.base.bounds[problem.index["pw"][(1, 0)]]
+        assert lo == hi == 0.5 * kc
+        assert solve_cred(scn, stab, allow_shed=allow_shed).wind_power[1, 0] == 0.5 * kc
 
-        def extra_row(j, coeff=1.0):
-            row = np.zeros(lp.n_vars)
-            row[j] = coeff
-            return LinearProgram(lp.objective, np.vstack([lp.lhs, row]), lp.relations + ("<=",),
-                                 np.append(lp.rhs, 10.0), lp.bounds)
 
-        doubled = lp.lhs.copy()
-        doubled[0, pw] = 2.0
-        tampered = (
-            costed(kc), extra_row(pres), costed(pw), extra_row(pw),
-            LinearProgram(lp.objective, doubled, lp.relations, lp.rhs, lp.bounds),
-        )
-        for bad in tampered:
-            with pytest.raises(BuildError, match="only through each period's wind band"):
-                dispatch._check_droop_monotone(bad, idx, balance, omega)
+def toy_storage(one_area_model, wind):
+    """The toy area over three periods with a battery, wind availability as given."""
+    return DispatchScenario(
+        model=one_area_model, demand=[[8.0], [12.0], [8.0]], wind_available=[[w] for w in wind],
+        generators=(GeneratorSpec(0, 30.0, 0.0, 10.0, (1, 1, 1)),), shed_cost=1000.0,
+        base_power=1.0, storage=(StorageSpec(0, 0.1, 0.9, 0.9, 3.0, 6.0, soc_initial=0.5),),
+        attack_areas=(0,))
+
+
+def assert_wind_in_band(problem):
+    """Wind in a built dispatch LP: no cost, its droop band as bounds, and no row but its balance.
+
+    The pinned droop is optimal because wind has no cost, is held only by
+    its band [omega*kc, avail - omega*kc], and enters its period's balance
+    row with coefficient 1 and no other row (dispatch._merit_order); the
+    LP has only balance, online-floor and state-of-charge rows.
+    """
+    scn, lp, index = problem.scenario, problem.program.base, problem.index
+    assert set(index) <= {"pg", "pw", "ps", "pch", "pdis", "soc"}
+    floor = bool(scn.min_online_fraction > 0.0 and scn.generators)
+    n_stor = len(scn.storage)
+    assert lp.n_rows == scn.n_periods * (1 + floor + n_stor) + n_stor
+    omega = scn.model.omega_max
+    for (t, a), j in index["pw"].items():
+        pres = omega * problem.droop[t, a]
+        assert lp.objective[j] == 0.0
+        assert tuple(lp.bounds[j]) == (pres, max(scn.wind_available[t, a] - pres, pres))
+        (r,) = np.flatnonzero(lp.lhs[:, j])
+        assert lp.lhs[r, j] == 1.0
+        assert lp.relations[r] == "=" and lp.rhs[r] == float(scn.demand[t].sum())
+        # period t's balance: its generators, wind, shed and storage, nothing else
+        own = {col for family in ("pg", "pw", "ps", "pch", "pdis")
+               for key, col in index.get(family, {}).items() if key[0] == t}
+        assert set(np.flatnonzero(lp.lhs[r])) == own
 
 
 def dispatch_model(n, omega_max=0.5):
@@ -454,10 +499,15 @@ class TestMeritOrder:
         except InfeasibleError as exc:
             sol, failure = None, str(exc)
         for t in range(t_len):
-            problem = build_cred_milp(period_scenario(scn, t), stab, allow_shed=allow_shed)
-            ref = solve_milp(problem.program)
-            status, objective, _ = solve_with_highs(problem.program)
-            assert ref.status == status
+            try:
+                problem = build_cred_milp(period_scenario(scn, t), stab, allow_shed=allow_shed)
+            except InfeasibleError:
+                status = "infeasible"  # the droop does not fit the period's wind
+            else:
+                assert_wind_in_band(problem)
+                ref = solve_milp(problem.program)
+                status, objective, _ = solve_with_highs(problem.program)
+                assert ref.status == status
             if status == "infeasible":
                 # the merit order names the first infeasible period
                 assert failure == f"dispatch infeasible in period {t}" + (
@@ -470,6 +520,8 @@ class TestMeritOrder:
                 assert sol.per_period_cost[t] == pytest.approx(value, rel=1e-9, abs=1e-9)
             assert {(t, *key[1:]): sol.binaries[(t, *key[1:])] for key in problem.fixed_binaries} \
                 == {(t, *key[1:]): z for key, z in problem.fixed_binaries.items()}
+            assert np.array_equal(sol.droop[t], problem.droop[0])
+            assert np.array_equal(sol.wind_reserve[t], scn.model.omega_max * problem.droop[0])
             if tied_moves(scn, sol, t, allow_shed):
                 continue  # an alternative optimum; the simplex may pick another
             for family, attr in dispatch._FAMILIES.items():
@@ -798,8 +850,9 @@ def record_solves(monkeypatch):
 
     Returns a list that fills with [scn, stab, allow_shed, builds, programs,
     sol] per solve_cred call: builds lists what its build_cred_milp calls
-    return, programs what it hands to solve_milp, and sol is its solution,
-    or None when it raised InfeasibleError.
+    return, each checked by assert_wind_in_band, programs what it hands to
+    solve_milp, and sol is its solution, or None when it raised
+    InfeasibleError.
     """
     calls = []
     solve, build, milp_solve = workflow.solve_cred, dispatch.build_cred_milp, dispatch.solve_milp
@@ -811,6 +864,7 @@ def record_solves(monkeypatch):
 
     def building(*args, **kwargs):
         calls[-1][3].append(build(*args, **kwargs))
+        assert_wind_in_band(calls[-1][3][-1])
         return calls[-1][3][-1]
 
     def milp_solving(program):
@@ -826,6 +880,18 @@ def record_solves(monkeypatch):
 def multi_area(stab) -> bool:
     """Whether tables of a positive gain cover two or more areas: the droop is then a net-gain MIP."""
     return stab is not None and len({a for _, a in stab.live_tables()}) > 1
+
+
+def net_gain_bands(scn, stab) -> list:
+    """Per period, the lower net-gain bound of each attacked area that fits its wind band.
+
+    _droop_floor solves one net-gain MIP per distinct entry on a
+    multi-area attack.
+    """
+    areas = sorted({a for _, a in stab.live_tables()})
+    gains = stab.robust_gains
+    band = np.clip(gains - scn.wind_available / (2.0 * scn.model.omega_max), 0.0, gains)
+    return [tuple(band[t, areas]) for t in range(scn.n_periods)]
 
 
 def assert_matches_joint_mip(scn, stab, allow_shed, sol, periods=None):
@@ -861,8 +927,9 @@ class TestSecondSolver:
             assert_matches_joint_mip(scn, stab, shed, sol)
             # a storage horizon builds one LP; a storage-free one builds nothing
             assert len(builds) == bool(scn.storage)
-            # one net-gain MIP per period on a multi-area attack, then the storage LP
-            n_mips = t_len if multi_area(stab) else 0
+            # one net-gain MIP per distinct wind band on a multi-area attack, then the storage LP
+            n_mips = len(set(net_gain_bands(scn, stab))) if multi_area(stab) else 0
+            assert n_mips <= t_len
             assert len(programs) == n_mips + bool(scn.storage)
             assert all(bool(program.binary_vars) == (k < n_mips)
                        for k, program in enumerate(programs))
@@ -886,7 +953,8 @@ class TestPeriodPrograms:
     """Each period of a storage-free dispatch equals that period's joint MIP on its own.
 
     The droop of a multi-area attack comes from one net-gain MIP per
-    period; a one-area attack's floor needs no program at all.
+    distinct wind band, shared by the periods with that band; a one-area
+    attack's floor needs no program at all.
     """
 
     @pytest.mark.parametrize("case", ["desk_worst_case", "desk_vf0.5_shed", "toy",
@@ -910,10 +978,14 @@ class TestPeriodPrograms:
                 assert not programs
                 continue
             assert case == "desk_two_area"
-            # period t's net-gain MIP sets its droop and segment indicators
-            assert len(programs) == scn.n_periods
+            # the net-gain MIP of period t's band sets its droop and segment indicators
+            bands = net_gain_bands(scn, stab)
+            assert len(programs) == len(set(bands)) < scn.n_periods
             _, index = dispatch._net_gain_mip(stab)
-            for t, program in enumerate(programs):
+            areas = sorted(index["k"])
+            for t, band in enumerate(bands):
+                (program,) = [p for p in programs
+                              if tuple(p.base.bounds[index["k"][a]][0] for a in areas) == band]
                 values = solve_milp(program).values
                 for a, j in index["k"].items():
                     assert sol.droop[t, a] == stab.robust_gains[a] - values[j]
@@ -990,13 +1062,15 @@ class TestMultiAreaDispatch:
             for t in range(scn.n_periods):
                 shift = {}
                 for (i, a), tab in stab.live_tables().items():
-                    # the held segment: exact to round-off, where evaluate_piecewise
-                    # would jump back a segment at k = phi - 1e-16
                     (m,) = [m for m in range(len(tab.points)) if sol.binaries[(t, i, a, m)] > 0.5]
                     lo, hi, slope, offset = stab.segments(tab)[m]
                     k = gains[a] - sol.droop[t, a]
                     assert lo - 1e-9 <= k <= hi + 1e-9
                     shift[i] = shift.get(i, 0.0) + slope * k + offset
+                    # the table estimate reads the held segment, also where k
+                    # lies a round-off below its anchor (seed 72: 3e-16)
+                    assert evaluate_piecewise(tab, k).real == pytest.approx(slope * k + offset,
+                                                                            abs=1e-9)
                 assert all(value <= bounds[i] + 1e-9 for i, value in shift.items())
 
 

@@ -238,6 +238,20 @@ class TestEvaluatePiecewise:
         shift = evaluate_piecewise(tab, second.abscissa)
         assert shift == second.eigenvalue - tab.base_eigenvalue
 
+    def test_round_off_below_an_anchor_belongs_to_it(self):
+        # a solver held this net gain in the second segment, 3e-16 below its anchor
+        anchor = 1.98738987455449
+        base = complex(-1.0, 2.0)
+        tab = linearize.SegmentTable(
+            0, 1, (linearize.LinearizationPoint(0.0, base, 2.0 + 0j),
+                   linearize.LinearizationPoint(anchor, base + 0.5, -1.0 + 0j)),
+            3.0, base, 0.02, 0.015, np.zeros(0), np.zeros(0))
+        k = anchor - 3e-16
+        assert k < anchor
+        assert evaluate_piecewise(tab, k) == pytest.approx(0.5, abs=1e-12)
+        # a genuine gap below the anchor stays in the first segment
+        assert evaluate_piecewise(tab, anchor - 1e-6) == pytest.approx(2.0 * (anchor - 1e-6))
+
     def test_anchor_consistency_everywhere(self, curved_two_area):
         tab = build_segment_table(sweep_loci(curved_two_area, 1, 8.0, 0.04), 0, 0.005)
         for p in tab.points:
