@@ -2,8 +2,8 @@
 
 Models multi-area grid frequency dynamics under frequency-feedback load
 attacks, derives piecewise-linear eigenvalue-stability constraints, and
-solves a mixed-integer dispatch that picks inverter droop gains and
-setpoints at minimum cost while certifying small-signal stability.
+solves the dispatch that picks inverter droop gains and setpoints at
+minimum cost under them, certifying small-signal stability.
 """
 
 from .errors import (
@@ -55,10 +55,8 @@ from .linearize import (
 )
 from .milp import (
     LinearProgram,
-    MixedIntegerProgram,
     SolveResult,
     solve_lp,
-    solve_milp,
 )
 from .simulate import Trajectory, classify_trajectory, simulate
 from .stability import (

@@ -12,19 +12,12 @@ eigenvalue's row, which is bounded by -(strict + settle) - Re(base).
 The cost depends on the droop only through each period's total droop, and
 never falls as it grows (_merit_order), so each period's droop is chosen
 from the stability rows alone, as the largest total net gain they admit
-(_droop_floor), and the dispatch is then solved with it pinned.  With one
-attacked area that is an exact floor (StabilityConstraintSet.
-net_gain_ceiling), the same in every period.  With several, each period
-solves a small net-gain MIP in the disaggregated multiple-choice encoding
-(Vielma, Ahmed & Nemhauser, Oper. Res. 58(2), 2010): each segment m of a
-pair gets one binary z_m and one continuous copy u_m of the area's net
-gain, with
-
-    k = sum_m u_m,   sum_m z_m = 1,   phi_m z_m <= u_m <= hi_m z_m,
-
-and each eigenvalue's row sums slope_m u_m + offset_m z_m over the
-segments of all its pairs.  The encoding is locally ideal and needs no
-big-M constant.
+(_droop_floor), and the dispatch is then solved with it pinned.  One exact
+search finds that net gain for one attacked area or several
+(StabilityConstraintSet.net_gain_max): the anchors of an area's tables cut
+its net gain into cells, inside each of which every pair holds one
+segment and every row is linear, and the search visits one cell per area,
+best bound first.
 
 With the droop pinned, every storage-free period, the baseline's too, is an
 economic dispatch with one balance row, solved by merit order with no
@@ -39,6 +32,8 @@ period's closed loop.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +47,7 @@ from .errors import (
 )
 from .grid import AttackProfile, DroopSchedule, build_state_space
 from .linearize import evaluate_piecewise
-from .milp import LinearProgram, MixedIntegerProgram, solve_milp
+from .milp import LinearProgram, solve_lp
 from .stability import StabilityVerdict, eigen_decompose, is_stable
 
 __all__ = [
@@ -242,52 +237,110 @@ class StabilityConstraintSet:
             out.setdefault(i, -(self.strict_margin + self.settle_margin) - tab.base_eigenvalue.real)
         return out
 
-    def net_gain_ceiling(self) -> tuple:
-        """Largest net gain meeting every stability row of a one-area attack.
+    def net_gain_max(self, lower=None):
+        """Largest total net gain of the attacked areas that meets every stability row.
 
-        With one attacked area every eigenvalue's row is a function of one
-        scalar, that area's net gain k in [0, gain].  Segment m of a pair
-        admits [phi_m, min(hi_m, gain)] cut by slope_m k + offset_m <= bound,
-        so each pair admits a finite union of closed intervals, and the
-        largest k in all of them is a right endpoint of one interval.
-        Returns that k and, per pair, the segment holding it.  Raises
-        InfeasibleError when no k meets every row.
+        The net gain k_a of each area with live tables lies in
+        [lower[a], robust gain], lower of shape (N,) and 0 by default.  The
+        anchors of all the area's pairs cut that range into cells: the cell
+        of anchor p is [max(p, lower[a]), the least top hi_m of the
+        segments the area's pairs hold at p].  Inside a cell every pair
+        holds one segment, so every eigenvalue's row is linear in the net
+        gains.  A cell is empty when two anchors lie within strict_margin,
+        or outside [lower[a], gain].  The search visits one cell per area
+        in descending order of the sum of their tops, which bounds the
+        total net gain inside them, and stops once that bound is no better
+        than the best total found, so the result is exact.  With one area a
+        cell's best point is the closed-form clip of its top by each row,
+        in plain floats; with several it is an LP in one variable per area
+        (solve_lp), whose optimum lies within the cell's bounds exactly.
+
+        Returns (knet, held, lps, steps): knet maps each live area to its
+        net gain, held each live pair to the segment holding it, and lps
+        and steps count the cell LPs solved and their simplex steps.
+        Returns None when no net gains meet every row.  Raises
+        NumericalError when a cell LP hits its iteration limit.
         """
-        tables = self.live_tables()
-        areas = {a for _, a in tables}
-        if len(areas) != 1:
-            raise BuildError("the net-gain ceiling needs tables in exactly one attacked area")
-        (area,) = areas
-        gain = float(self.robust_gains[area])
+        segs = {pair: self.segments(tab) for pair, tab in self.live_tables().items()}
+        areas = sorted({a for _, a in segs})
+        lower = np.zeros(len(self.robust_gains)) if lower is None else lower
+        cells = [self._cells(segs, a, float(lower[a])) for a in areas]
+        if not all(cells):
+            return None
         bounds = self.row_bounds()
-        spans = {}
-        for (i, a), tab in tables.items():
-            spans[(i, a)] = []
-            for m, (phi, hi, slope, offset) in enumerate(self.segments(tab)):
-                lo, up = phi, min(hi, gain)
-                cap = bounds[i] - offset
-                if slope > 0.0:
-                    up = min(up, cap / slope)
-                elif slope < 0.0:
-                    lo = max(lo, cap / slope)
-                elif cap < 0.0:
-                    continue
-                if lo <= up:
-                    spans[(i, a)].append((lo, up, m))
-        for k in sorted({up for pair_spans in spans.values() for _, up, _ in pair_spans},
-                        reverse=True):
-            held = {}
-            for pair, pair_spans in spans.items():
-                m = next((m for lo, up, m in pair_spans if lo <= k <= up), None)
-                if m is None:
-                    break
-                held[pair] = m
+        best, best_total, lps, steps = None, -np.inf, 0, 0
+        start = (0,) * len(areas)
+        heap, seen = [(-sum(c[0][0] for c in cells), start)], {start}
+        while heap:
+            neg_bound, idx = heapq.heappop(heap)
+            if -neg_bound <= best_total:
+                break
+            combo = [c[j] for c, j in zip(cells, idx)]
+            held = {pair: m for _, _, cell_held in combo for pair, m in cell_held.items()}
+            if len(areas) == 1:
+                k = _clip(combo[0][1], combo[0][0], held, segs, bounds)
+                knet = None if k is None else {areas[0]: k}
             else:
-                return k, held
-        raise InfeasibleError(
-            f"dispatch infeasible: no net gain in [0, {gain:g}] of area {area} meets "
-            "every stability row"
-        )
+                knet, cell_steps = _cell_lp(areas, combo, held, segs, bounds)
+                lps, steps = lps + 1, steps + cell_steps
+            if knet is not None and sum(knet.values()) > best_total:
+                best, best_total = (knet, held), sum(knet.values())
+            for a_id in range(len(areas)):
+                nxt = idx[:a_id] + (idx[a_id] + 1,) + idx[a_id + 1:]
+                if nxt[a_id] < len(cells[a_id]) and nxt not in seen:
+                    seen.add(nxt)
+                    heapq.heappush(heap, (-sum(c[j][0] for c, j in zip(cells, nxt)), nxt))
+        return None if best is None else (*best, lps, steps)
+
+    def _cells(self, segs: dict, area: int, lower: float) -> list:
+        """(top, lo, {pair: segment}) of each non-empty cell of one area, highest top first."""
+        gain = float(self.robust_gains[area])
+        own = {pair: pair_segs for pair, pair_segs in segs.items() if pair[1] == area}
+        anchors = {pair: [seg[0] for seg in pair_segs] for pair, pair_segs in own.items()}
+        cells = []
+        for p in sorted({phi for pair_anchors in anchors.values() for phi in pair_anchors}):
+            held = {pair: bisect_right(pair_anchors, p) - 1
+                    for pair, pair_anchors in anchors.items()}
+            if min(held.values()) < 0:
+                continue  # a pair whose first anchor lies above p
+            top = min([gain] + [own[pair][m][1] for pair, m in held.items()])
+            lo = max(p, lower)
+            if lo <= top:
+                cells.append((top, lo, held))
+        # cells are disjoint and ordered by anchor, so their tops ascend
+        return cells[::-1]
+
+
+def _clip(lo: float, up: float, held: dict, segs: dict, bounds: dict):
+    """Largest k in [lo, up] meeting each held segment's row slope k + offset <= bound, or None."""
+    for (i, a), m in held.items():
+        _, _, slope, offset = segs[(i, a)][m]
+        cap = bounds[i] - offset
+        if slope > 0.0:
+            up = min(up, cap / slope)
+        elif slope < 0.0:
+            lo = max(lo, cap / slope)
+        elif cap < 0.0:
+            return None
+    return up if lo <= up else None
+
+
+def _cell_lp(areas: list, combo: list, held: dict, segs: dict, bounds: dict) -> tuple:
+    """({area: k} or None, simplex steps): maximize sum k over one cell per area and every row."""
+    rows = {i: r for r, i in enumerate(sorted({i for i, _ in held}))}
+    cols = {a: j for j, a in enumerate(areas)}
+    lhs = np.zeros((len(rows), len(areas)))
+    rhs = np.array([bounds[i] for i in rows])
+    for (i, a), m in held.items():
+        _, _, slope, offset = segs[(i, a)][m]
+        lhs[rows[i], cols[a]] += slope
+        rhs[rows[i]] -= offset
+    lp = LinearProgram(-np.ones(len(areas)), lhs, ("<=",) * len(rows), rhs,
+                       [(lo, top) for top, lo, _ in combo])
+    res = solve_lp(lp)
+    if res.status == "iteration_limit":
+        raise NumericalError("a droop-search cell LP hit its iteration limit")
+    return (dict(zip(areas, res.values.tolist())) if res.optimal else None), res.iterations
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,13 +348,13 @@ class CredMilp:
     """The dispatch horizon as an LP with the droop pinned, plus the variable index.
 
     droop is the pinned droop, shape (T, N); fixed_binaries holds its
-    segment indicators, keyed (t, i, a, m); node_count and
-    simplex_iterations count the net-gain MIPs that chose it
-    (_droop_floor), 0 unless two or more areas are attacked.  The program
-    has no binaries.
+    segment indicators, keyed (t, i, a, m), 1.0 on the segment each pair
+    holds; node_count and simplex_iterations count the cell LPs of the
+    search that chose it and their simplex steps (_droop_floor), 0 unless
+    two or more areas are attacked.
     """
 
-    program: MixedIntegerProgram
+    program: LinearProgram
     index: dict
     scenario: DispatchScenario
     droop: np.ndarray
@@ -340,11 +393,11 @@ class DispatchSolution:
     binaries: dict
     per_period_cost: np.ndarray  # currency
     total_cost: float
-    #: B&B nodes over every program the solve ran: the net-gain MIPs of a
-    #: multi-area attack and the storage horizon's LP (one node)
+    #: LPs solved: one per cell the droop search of a multi-area attack
+    #: visits, plus one for the storage horizon's LP
     node_count: int
-    #: simplex steps over those programs (B&B nodes included); both read 0 on
-    #: a storage-free dispatch of at most one attacked area
+    #: simplex steps over those LPs; both read 0 on a storage-free dispatch
+    #: of at most one attacked area
     simplex_iterations: int = 0
     stability_certificate: StabilityCertificate | None = None
 
@@ -382,7 +435,7 @@ def build_cred_milp(
     no cost and enters only its period's balance row, with coefficient 1,
     so the pinned droop is optimal by construction (argument in
     _merit_order).  Its rows are the balance, the online floor and the
-    storage recursion; it has no binaries.  Raises InfeasibleError naming
+    storage recursion.  Raises InfeasibleError naming
     the first period whose droop does not fit its wind.
     """
     kc, held, nodes, steps = _droop_floor(scn, stab)
@@ -442,8 +495,7 @@ def build_cred_milp(
         for a in range(n):
             obj[v.get("ps", (t, a))] = scn.shed_cost * scn.base_power * DELTA_T
 
-    return CredMilp(MixedIntegerProgram(_program(v, rows, obj), ()), v.index, scn, kc, held,
-                    nodes, steps)
+    return CredMilp(_program(v, rows, obj), v.index, scn, kc, held, nodes, steps)
 
 
 def _program(v: _Vars, rows: list, obj: dict) -> LinearProgram:
@@ -460,58 +512,24 @@ def _program(v: _Vars, rows: list, obj: dict) -> LinearProgram:
                          np.array(v.bounds, dtype=float))
 
 
-def _net_gain_mip(stab: StabilityConstraintSet) -> tuple:
-    """(mip, index): maximize the total net gain of the attacked areas over the stability rows.
-
-    One variable k per area with live tables, in [0, robust gain], and
-    the disaggregated encoding of each live pair (module docstring); the
-    objective is -sum k.  index maps "k" to {area: column} and "z",
-    "u" to {(i, a, m): column}.
-    """
-    gains = stab.robust_gains
-    live = stab.live_tables()
-    v = _Vars()
-    rows, binaries, eig_rows = [], [], {}
-    for a in sorted({a for _, a in live}):
-        v.add("k", a, 0.0, float(gains[a]))
-    for (i, a), tab in live.items():
-        # u_m carries k when z_m = 1
-        k_sum, z_sum = {v.get("k", a): -1.0}, {}
-        row = eig_rows.setdefault(i, {})
-        for m_id, (phi, upper, slope, offset) in enumerate(stab.segments(tab)):
-            z = v.add("z", (i, a, m_id), 0.0, 1.0)
-            u = v.add("u", (i, a, m_id), 0.0, float(gains[a]))
-            binaries.append(z)
-            rows.append(({u: 1.0, z: -phi}, ">=", 0.0))
-            rows.append(({u: 1.0, z: -upper}, "<=", 0.0))
-            k_sum[u] = z_sum[z] = 1.0
-            row[u], row[z] = slope, offset
-        rows.append((k_sum, "=", 0.0))
-        rows.append((z_sum, "=", 1.0))
-    bounds = stab.row_bounds()
-    rows.extend((row, "<=", bounds[i]) for i, row in sorted(eig_rows.items()))
-    objective = {j: -1.0 for j in v.index["k"].values()}
-    return MixedIntegerProgram(_program(v, rows, objective), tuple(binaries)), v.index
-
-
 def _droop_floor(scn: DispatchScenario, stab: StabilityConstraintSet | None) -> tuple:
-    """(kc, held, node_count, simplex_iterations): the least droop the stability rows admit.
+    """(kc, held, lps, steps): the least droop the stability rows admit.
 
     kc is the droop of each period and area, shape (T, N); held the
     indicator of every live segment, keyed (t, i, a, m), 1 for the one
-    holding the net gain; the counts sum the net-gain MIPs' B&B nodes and
-    simplex steps.  Every table must cover [0, robust_gain] of its area
-    (CoverageError otherwise).  Areas without tables of a positive gain
-    get a zero droop.  With one such area its droop is gain - k_max in
-    every period, k_max the net-gain ceiling of its tables
-    (StabilityConstraintSet.net_gain_ceiling, InfeasibleError if no net
-    gain meets the rows); the wind band is left to the dispatch.  With
-    several, the net-gain MIP (_net_gain_mip) is solved with each area's
-    net gain in [gain - avail[t]/(2 omega), gain], so that its droop fits
-    the wind band, once per distinct set of these bounds: periods with
-    equal bounds share its result.  It raises InfeasibleError, naming the
-    first such period, when the MIP has no point.  See _merit_order for
-    why this droop is optimal.
+    holding the net gain; lps and steps count the search's cell LPs and
+    their simplex steps.  Every table must cover [0, robust_gain] of its
+    area (CoverageError otherwise).  Areas without tables of a positive
+    gain get a zero droop; the others get gain - k, k their net gains from
+    StabilityConstraintSet.net_gain_max.  With one such area the search
+    runs once, over [0, gain], and every period shares its droop; the wind
+    band is left to the dispatch, and InfeasibleError names the area when
+    no net gain meets the rows.  With several, each area's net gain is
+    held to [gain - avail[t]/(2 omega), gain], so that its droop fits the
+    wind band, and the search runs once per distinct set of these bounds:
+    periods with equal bounds share its result.  InfeasibleError then
+    names the first period whose bounds admit no point.  See _merit_order
+    for why this droop is optimal.
     """
     n, t_len = scn.model.areas, scn.n_periods
     tables = stab.tables_by_pair() if stab is not None else {}
@@ -531,36 +549,27 @@ def _droop_floor(scn: DispatchScenario, stab: StabilityConstraintSet | None) -> 
     live = stab.live_tables() if stab is not None else {}
     areas = sorted({a for _, a in live})
     kc = np.zeros((t_len, n))
-    if len(areas) <= 1:
-        held = {}
-        if areas:
-            knet_max, segment = stab.net_gain_ceiling()
-            kc[:, areas[0]] = float(gains[areas[0]]) - knet_max
-            held = {(t, i, a, m_id): float(m_id == segment[(i, a)])
-                    for t in range(t_len) for (i, a), tab in live.items()
-                    for m_id in range(len(tab.points))}
-        return kc, held, 0, 0
-    mip, index = _net_gain_mip(stab)
-    cols = [index["k"][a] for a in areas]
+    if not areas:
+        return kc, {}, 0, 0
+    held, lps, steps, solved = {}, 0, 0, {}
     band = np.clip(gains - scn.wind_available / (2.0 * scn.model.omega_max), 0.0, gains)
-    held, nodes, steps, solved = {}, 0, 0, {}
     for t in range(t_len):
-        key = tuple(band[t, areas])
+        key = tuple(band[t, areas]) if len(areas) > 1 else None
         if key not in solved:
-            lp = mip.base.with_bounds({j: (band[t, a], gains[a]) for a, j in zip(areas, cols)})
-            res = solve_milp(MixedIntegerProgram(lp, mip.binary_vars))
-            nodes += res.node_count
-            steps += res.iterations
-            if res.status == "infeasible":
-                raise InfeasibleError(f"dispatch infeasible in period {t}: no droop within the "
-                                      "wind band meets every stability row")
-            if not res.optimal:
-                raise NumericalError(f"net-gain MIP of period {t} ended with status {res.status}")
-            solved[key] = res.values
-        values = solved[key]
-        kc[t, areas] = gains[areas] - values[cols]
-        held.update({(t, *z_key): float(values[j]) for z_key, j in index["z"].items()})
-    return kc, held, nodes, steps
+            solved[key] = stab.net_gain_max(None if key is None else band[t])
+            if solved[key] is None:
+                raise InfeasibleError(
+                    f"dispatch infeasible: no net gain in [0, {gains[areas[0]]:g}] of area "
+                    f"{areas[0]} meets every stability row" if key is None else
+                    f"dispatch infeasible in period {t}: no droop within the wind band meets "
+                    "every stability row")
+            lps, steps = lps + solved[key][2], steps + solved[key][3]
+        knet, segment = solved[key][:2]
+        for a, k in knet.items():
+            kc[t, a] = gains[a] - k
+        held.update({(t, i, a, m_id): float(m_id == segment[(i, a)])
+                     for (i, a), tab in live.items() for m_id in range(len(tab.points))})
+    return kc, held, lps, steps
 
 
 #: solution array of each variable family of a dispatch build
@@ -708,11 +717,12 @@ def solve_cred(
     order (_merit_order): no dispatch program is built.  With storage the
     horizon is built and solved as one LP, the droop entering it only as
     the wind bounds (build_cred_milp).  Either way the pinned droop is
-    optimal by construction, as _merit_order argues.  node_count and
-    simplex_iterations sum the net-gain MIPs of a multi-area attack and
-    the storage LP, so both read 0 on a storage-free dispatch of at most
-    one attacked area.  Raises InfeasibleError when any period admits no
-    feasible point and NumericalError when the solver hits its budget.
+    optimal by construction, as _merit_order argues.  node_count counts
+    the LPs solved, the droop search's cell LPs of a multi-area attack and
+    the storage LP, and simplex_iterations their simplex steps, so both
+    read 0 on a storage-free dispatch of at most one attacked area.
+    Raises InfeasibleError when any period admits no feasible point and
+    NumericalError when the solver hits its budget.
     """
     t_len, n = scn.n_periods, scn.model.areas
     sol = DispatchSolution(
@@ -731,12 +741,12 @@ def solve_cred(
     )
     if scn.storage:
         problem = build_cred_milp(scn, stab, allow_shed=allow_shed)
-        res = solve_milp(problem.program)
+        res = solve_lp(problem.program)
         if res.status == "infeasible":
             raise _infeasible("horizon", allow_shed)
         if not res.optimal:
             raise NumericalError(f"dispatch solve ended with status {res.status}")
-        sol.node_count = problem.node_count + res.node_count
+        sol.node_count = problem.node_count + 1
         sol.simplex_iterations = problem.simplex_iterations + res.iterations
         _extract(problem, res.values, sol)
     else:

@@ -1,19 +1,17 @@
-"""Bounded-variable dual simplex, and best-bound branch-and-bound over binaries.
+"""Bounded-variable dual simplex.
 
-Sized for desk-scale dispatch instances (tens of variables, hundreds of
-rows).  Bounds enter the ratio tests, not the tableau.  A LinearProgram's
-objective is bounded below on its variable bounds, so the slack basis
-prices every LP and the dual simplex from it alone solves it: no LP is
-unbounded.  The dual simplex falls back to Bland's rule after a degenerate
-stall, so it does not cycle; the branch-and-bound's node heap is ordered
-by (bound, insertion counter), so results and node counts are
-reproducible.  An external solver can be substituted behind the same
-solve_lp/solve_milp contract.
+Sized for desk-scale dispatch instances: the storage horizon's LP (tens of
+variables per period) and the droop search's cell LPs (one variable per
+attacked area).  Bounds enter the ratio tests, not the tableau.  A
+LinearProgram's objective is bounded below on its variable bounds, so the
+slack basis prices every LP and the dual simplex from it alone solves it:
+no LP is unbounded.  The dual simplex falls back to Bland's rule after a
+degenerate stall, so it does not cycle, and results are reproducible.  An
+external solver can be substituted behind the same solve_lp contract.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,19 +20,13 @@ from .errors import BuildError, NumericalError
 
 __all__ = [
     "LinearProgram",
-    "MixedIntegerProgram",
     "SolveResult",
     "solve_lp",
-    "solve_milp",
 ]
 
 RELATIONS = ("<=", "=", ">=")
 
 _PIVOT_TOL = 1e-9
-#: a binary accepted at z = _INT_TOL can still admit _INT_TOL * coefficient of
-#: a continuous variable it gates; keep that far below the dispatch's 1e-6
-#: strict margin for gains in the tens
-_INT_TOL = 1e-9
 _ZERO_TOL = 1e-12
 #: largest bound or row violation a returned optimum may carry; a larger
 #: one means the tableau drifted from B^-1 (tiny pivots, a near-singular
@@ -108,38 +100,12 @@ class LinearProgram:
     def n_rows(self) -> int:
         return len(self.relations)
 
-    def with_bounds(self, overrides) -> "LinearProgram":
-        """New LP with per-variable (lo, hi) overrides applied."""
-        bounds = self.bounds.copy()
-        for j, (lo, hi) in overrides.items():
-            bounds[j] = (lo, hi)
-        return LinearProgram(self.objective, self.lhs, self.relations, self.rhs, bounds)
-
-
-@dataclass(frozen=True, eq=False)
-class MixedIntegerProgram:
-    base: LinearProgram
-    binary_vars: tuple
-
-    def __post_init__(self):
-        ids = tuple(sorted(int(j) for j in self.binary_vars))
-        if len(set(ids)) != len(ids):
-            raise BuildError("duplicate binary indices")
-        for j in ids:
-            if not 0 <= j < self.base.n_vars:
-                raise BuildError(f"binary index {j} out of range")
-            lo, hi = self.base.bounds[j]
-            if lo < -1e-9 or hi > 1.0 + 1e-9:
-                raise BuildError(f"binary variable {j} must be bounded within [0, 1]")
-        object.__setattr__(self, "binary_vars", ids)
-
 
 @dataclass
 class SolveResult:
     status: str  # optimal | infeasible | iteration_limit
     values: np.ndarray | None = None
     objective_value: float | None = None
-    node_count: int | None = None
     iterations: int = 0
 
     @property
@@ -288,56 +254,3 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> SolveResult:
     values.setflags(write=False)
     return SolveResult("optimal", values=values, objective_value=float(lp.objective @ values),
                        iterations=steps)
-
-
-def solve_milp(mip: MixedIntegerProgram, node_cap: int = 200_000) -> SolveResult:
-    """Best-bound branch-and-bound on the binary variables.
-
-    Branches on the most fractional binary; pruning keeps any solution
-    within 1e-9 of the incumbent, so the reported optimum is exact to well
-    below the 1e-6 contract.  iterations sums the simplex steps of every
-    node.
-    """
-    counter = 0
-    heap = [(-np.inf, counter, {})]
-    incumbent = None
-    incumbent_obj = np.inf
-    nodes = iterations = 0
-    binaries = mip.binary_vars
-
-    while heap:
-        bound, _, fixes = heapq.heappop(heap)
-        if bound >= incumbent_obj - 1e-9:
-            continue
-        if nodes >= node_cap:
-            break
-        lp = mip.base.with_bounds(fixes) if fixes else mip.base
-        res = solve_lp(lp)
-        nodes += 1
-        iterations += res.iterations
-        if res.status == "iteration_limit":
-            break
-        if res.status == "infeasible":
-            continue
-        if res.objective_value >= incumbent_obj - 1e-9:
-            continue
-        vals = res.values[list(binaries)] if binaries else np.zeros(0)
-        frac = np.abs(vals - np.round(vals))
-        if frac.size == 0 or frac.max() <= _INT_TOL:
-            incumbent = res.values
-            incumbent_obj = res.objective_value
-            continue
-        j = binaries[int(np.argmax(np.minimum(frac, 1.0 - frac)))]
-        for fixed in (0.0, 1.0):
-            child = dict(fixes)
-            child[j] = (fixed, fixed)
-            counter += 1
-            heapq.heappush(heap, (res.objective_value, counter, child))
-    else:
-        if incumbent is None:
-            return SolveResult("infeasible", node_count=nodes, iterations=iterations)
-        return SolveResult("optimal", values=incumbent, objective_value=incumbent_obj,
-                           node_count=nodes, iterations=iterations)
-    return SolveResult("iteration_limit", values=incumbent,
-                       objective_value=None if incumbent is None else incumbent_obj,
-                       node_count=nodes, iterations=iterations)

@@ -9,12 +9,12 @@ stability-constrained redispatch: one exact eigenvalue-locus sweep per
 attacked area screens the critical pairs and feeds their piecewise tables,
 the dispatch is solved (retrying with load shedding if needed), and the
 result certified by exact eigenvalue checks.  The dispatch chooses each
-period's droop from the stability rows first (a floor on one attacked
-area, a small net-gain MIP per distinct wind band on several), then
-dispatches each storage-free period by merit order, or a storage horizon
-as one LP.  One
-automatic table rebuild at half the error limit, from the same sweeps,
-absorbs borderline approximation failures.
+period's droop from the stability rows first (one best-first search over
+breakpoint cells: once on one attacked area, once per distinct wind band
+on several), then dispatches each storage-free period by merit order, or
+a storage horizon as one LP.  One automatic table rebuild at half the
+error limit, from the same sweeps, absorbs borderline approximation
+failures.
 """
 
 from __future__ import annotations

@@ -7,9 +7,14 @@ sensitivities from central finite differences
 of a fresh decomposition, segment-table sweeps, eigenvalue loci and the
 critical-pair screen from a fresh state space and eigensolve at every grid
 point, MILP optima from exhaustive enumeration of the binary assignments or
-from HiGHS (scipy.optimize.milp, test-only), and the stability-constrained
-dispatch from the joint dispatch-plus-stability MIP, in which the droop is a
-decision beside the dispatch.
+from HiGHS (scipy.optimize.milp, test-only), the droop search's net gains
+from the net-gain MIP, and the stability-constrained dispatch from the
+joint dispatch-plus-stability MIP, in which the droop is a decision beside
+the dispatch.  A MIP is a pair (lp, binaries): a LinearProgram and the
+indices of its binary variables, each bounded within [0, 1].  Both MIPs
+state each pair's piecewise shift in the disaggregated multiple-choice
+encoding (Vielma, Ahmed & Nemhauser, Oper. Res. 58(2), 2010), with segment
+data read off the tables here, not through the dispatch module.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from cred.errors import ConfigurationError, NumericalError, TrackingError
 from cred.linearize import LinearizationPoint, net_gain_state_space
-from cred.milp import LinearProgram, MixedIntegerProgram, solve_lp
+from cred.milp import LinearProgram, solve_lp
 from cred.stability import eigen_decompose, is_stable, sensitivity
 
 
@@ -184,16 +189,23 @@ def critical_pairs_pointwise(model, range_end: dict, settle_margin: float) -> tu
     return tuple(sorted(pairs))
 
 
-def enumerate_milp(mip: MixedIntegerProgram):
+def with_bounds(lp: LinearProgram, overrides: dict) -> LinearProgram:
+    """lp with the (lo, hi) bounds of the variables overrides names."""
+    bounds = lp.bounds.copy()
+    for j, (lo, hi) in overrides.items():
+        bounds[j] = (lo, hi)
+    return LinearProgram(lp.objective, lp.lhs, lp.relations, lp.rhs, bounds)
+
+
+def enumerate_milp(lp: LinearProgram, binaries):
     """Exhaustive optimum over all binary assignments followed by LP solves.
 
     Returns (status, objective, values); status is "optimal" or
     "infeasible".  Only usable for small binary counts.
     """
     best_obj, best_vals = np.inf, None
-    for assignment in itertools.product((0.0, 1.0), repeat=len(mip.binary_vars)):
-        fixes = {j: (v, v) for j, v in zip(mip.binary_vars, assignment)}
-        res = solve_lp(mip.base.with_bounds(fixes))
+    for assignment in itertools.product((0.0, 1.0), repeat=len(binaries)):
+        res = solve_lp(with_bounds(lp, {j: (v, v) for j, v in zip(binaries, assignment)}))
         if res.status == "optimal" and res.objective_value < best_obj - 1e-12:
             best_obj, best_vals = res.objective_value, res.values
     if best_vals is None:
@@ -201,14 +213,13 @@ def enumerate_milp(mip: MixedIntegerProgram):
     return "optimal", best_obj, best_vals
 
 
-def solve_with_highs(program: MixedIntegerProgram):
+def solve_with_highs(lp: LinearProgram, binaries=()):
     """(status, objective, values) of the instance under HiGHS with a zero MIP gap."""
-    lp = program.base
     rel = np.array(lp.relations)
     lo = np.where(rel == "<=", -np.inf, lp.rhs)
     hi = np.where(rel == ">=", np.inf, lp.rhs)
     integrality = np.zeros(lp.n_vars)
-    integrality[list(program.binary_vars)] = 1
+    integrality[list(binaries)] = 1
     res = milp(lp.objective,
                constraints=[LinearConstraint(lp.lhs, lo, hi)] if lp.n_rows else [],
                integrality=integrality,
@@ -216,6 +227,119 @@ def solve_with_highs(program: MixedIntegerProgram):
                options={"mip_rel_gap": 0})
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, res.message)
     return status, res.fun, res.x
+
+
+def _segments(tab, gain: float, strict: float) -> list:
+    """(phi_m, hi_m, slope_m, offset_m) of each segment of a table, read off its points."""
+    pts = tab.points
+    out = []
+    for m, point in enumerate(pts):
+        hi = pts[m + 1].abscissa - strict if m + 1 < len(pts) else gain
+        slope = point.slope.real
+        offset = (point.eigenvalue - tab.base_eigenvalue).real - slope * point.abscissa
+        out.append((point.abscissa, hi, slope, offset))
+    return out
+
+
+def _matrix(n_vars: int, rows: list, cost: dict, bounds) -> LinearProgram:
+    """The LinearProgram of (coeff dict, relation, rhs) rows and a cost dict."""
+    c = np.zeros(n_vars)
+    c[list(cost)] = list(cost.values())
+    lhs = np.zeros((len(rows), n_vars))
+    for r, (coeffs, _, _) in enumerate(rows):
+        lhs[r, list(coeffs)] = list(coeffs.values())
+    return LinearProgram(c, lhs, tuple(rel for _, rel, _ in rows),
+                         np.array([rhs for _, _, rhs in rows], dtype=float), bounds)
+
+
+def net_gain_milp(stab, lower=None):
+    """Reference droop search: maximize the attacked areas' total net gain over the stability rows.
+
+    One variable k_a per area with tables of a positive gain, in
+    [lower[a], gain] (lower of shape (N,), 0 by default), and per pair
+    the encoding k_a = sum_m u_m, sum_m z_m = 1 with z_m binary,
+    phi_m z_m <= u_m <= hi_m z_m; each eigenvalue's row sums
+    slope_m u_m + offset_m z_m over its pairs' segments, bounded by
+    -(strict + settle) - Re(base).  The objective is -sum k.
+
+    Returns ((lp, binaries), index): index maps "k" to {area: column} and
+    "z", "u" to {(i, a, m): column}.
+    """
+    gains = np.asarray(stab.robust_gains, dtype=float)
+    lower = np.zeros(gains.size) if lower is None else lower
+    live = sorted((tab for tab in stab.tables if gains[tab.area] > 0.0),
+                  key=lambda tab: (tab.eigen_index, tab.area))
+    margin = stab.strict_margin + stab.settle_margin
+    bounds, index, binaries, rows, eig_rows, eig_bounds = [], {}, [], [], {}, {}
+
+    def var(family, key, lo, hi):
+        index.setdefault(family, {})[key] = len(bounds)
+        bounds.append((lo, hi))
+        return len(bounds) - 1
+
+    for a in sorted({tab.area for tab in live}):
+        var("k", a, float(lower[a]), float(gains[a]))
+    for tab in live:
+        i, a, gain = tab.eigen_index, tab.area, float(gains[tab.area])
+        k_sum, z_sum = {index["k"][a]: -1.0}, {}
+        row = eig_rows.setdefault(i, {})
+        eig_bounds.setdefault(i, -margin - tab.base_eigenvalue.real)
+        for m, (phi, hi, slope, offset) in enumerate(_segments(tab, gain, stab.strict_margin)):
+            z = var("z", (i, a, m), 0.0, 1.0)
+            u = var("u", (i, a, m), 0.0, gain)
+            binaries.append(z)
+            rows.append(({u: 1.0, z: -phi}, ">=", 0.0))
+            rows.append(({u: 1.0, z: -hi}, "<=", 0.0))
+            k_sum[u] = z_sum[z] = 1.0
+            row[u], row[z] = slope, offset
+        rows.append((k_sum, "=", 0.0))
+        rows.append((z_sum, "=", 1.0))
+    rows.extend((row, "<=", eig_bounds[i]) for i, row in sorted(eig_rows.items()))
+    lp = _matrix(len(bounds), rows, {j: -1.0 for j in index["k"].values()}, bounds)
+    return (lp, tuple(binaries)), index
+
+
+def net_gain_scan(stab) -> tuple:
+    """Reference one-area search: the largest net gain in every pair's feasible set, by interval scan.
+
+    With one attacked area each eigenvalue's row is a function of its net
+    gain k in [0, gain].  Segment m of a pair admits [phi_m, min(hi_m,
+    gain)] cut by slope_m k + offset_m <= bound, so each pair admits a
+    finite union of closed intervals, and the largest k in all of them is
+    a right endpoint of one interval.  Returns (k, {pair: segment}), or
+    None when no k meets every row.
+    """
+    gains = np.asarray(stab.robust_gains, dtype=float)
+    live = [tab for tab in stab.tables if gains[tab.area] > 0.0]
+    (area,) = {tab.area for tab in live}
+    gain, margin = float(gains[area]), stab.strict_margin + stab.settle_margin
+    spans = {}
+    for tab in live:
+        pair = (tab.eigen_index, area)
+        spans[pair] = []
+        cap_base = -margin - tab.base_eigenvalue.real
+        for m, (phi, hi, slope, offset) in enumerate(_segments(tab, gain, stab.strict_margin)):
+            lo, up = phi, min(hi, gain)
+            cap = cap_base - offset
+            if slope > 0.0:
+                up = min(up, cap / slope)
+            elif slope < 0.0:
+                lo = max(lo, cap / slope)
+            elif cap < 0.0:
+                continue
+            if lo <= up:
+                spans[pair].append((lo, up, m))
+    for k in sorted({up for pair_spans in spans.values() for _, up, _ in pair_spans},
+                    reverse=True):
+        held = {}
+        for pair, pair_spans in spans.items():
+            m = next((m for lo, up, m in pair_spans if lo <= k <= up), None)
+            if m is None:
+                break
+            held[pair] = m
+        else:
+            return k, held
+    return None
 
 
 def joint_cred_milp(scn, stab, allow_shed: bool = False, periods=None):
@@ -234,8 +358,9 @@ def joint_cred_milp(scn, stab, allow_shed: bool = False, periods=None):
     -(strict + settle) - Re(base).  Segment data are read off the tables
     here, not through the dispatch module.
 
-    Returns (program, index): index maps a family ("pg", "pw", "pres",
-    "kc", "ps", "pch", "pdis", "soc", "knet", "z", "u") to {key: column}.
+    Returns ((lp, binaries), index): index maps a family ("pg", "pw",
+    "pres", "kc", "ps", "pch", "pdis", "soc", "knet", "z", "u") to
+    {key: column}.
     """
     n, omega = scn.model.areas, scn.model.omega_max
     periods = tuple(range(scn.n_periods)) if periods is None else tuple(periods)
@@ -308,13 +433,9 @@ def joint_cred_milp(scn, stab, allow_shed: bool = False, periods=None):
             knet_sum, z_sum = {knet: -1.0}, {}
             row = eig_rows.setdefault(i, {})
             eig_bounds.setdefault(i, -margin - tab.base_eigenvalue.real)
-            pts = tab.points
-            for m, point in enumerate(pts):
-                hi = pts[m + 1].abscissa - stab.strict_margin if m + 1 < len(pts) else gain
-                slope = point.slope.real
-                offset = (point.eigenvalue - tab.base_eigenvalue).real - slope * point.abscissa
+            for m, (phi, hi, slope, offset) in enumerate(_segments(tab, gain, stab.strict_margin)):
                 z, u = col["z"][(i, a, m)], col["u"][(i, a, m)]
-                rows.append(({u: 1.0, z: -point.abscissa}, ">=", 0.0))
+                rows.append(({u: 1.0, z: -phi}, ">=", 0.0))
                 rows.append(({u: 1.0, z: -hi}, "<=", 0.0))
                 knet_sum[u] = z_sum[z] = 1.0
                 row[u], row[z] = slope, offset
@@ -327,14 +448,7 @@ def joint_cred_milp(scn, stab, allow_shed: bool = False, periods=None):
         for a in range(n):
             cost[col["ps"][(a,)]] = scn.shed_cost * scn.base_power
 
-    c = np.zeros(len(bounds))
-    c[list(cost)] = list(cost.values())
-    lhs = np.zeros((len(rows), len(bounds)))
-    for r, (coeffs, _, _) in enumerate(rows):
-        lhs[r, list(coeffs)] = list(coeffs.values())
-    lp = LinearProgram(c, lhs, tuple(rel for _, rel, _ in rows),
-                       np.array([rhs for _, _, rhs in rows]), bounds)
-    return MixedIntegerProgram(lp, tuple(binaries)), index
+    return (_matrix(len(bounds), rows, cost, bounds), tuple(binaries)), index
 
 
 def random_system_model(rng: np.random.RandomState, n_areas: int | None = None):

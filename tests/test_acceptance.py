@@ -27,7 +27,6 @@ from cred.linearize import (
     net_gain_state_space,
     sweep_loci,
 )
-from cred.milp import solve_milp
 from cred.scenario import scenario_from_dict
 from cred.simulate import classify_trajectory, simulate
 from cred.stability import eigen_decompose, is_stable, sensitivity
@@ -161,15 +160,15 @@ def _toy_scenario(model, p_max=12.0):
 
 
 def test_criterion_4_milp_exactness():
-    with criterion(4, "branch-and-bound equals exhaustive enumeration", 60.0):
+    with criterion(4, "the droop search equals exhaustive enumeration", 60.0):
         model = one_area()
-        scn = _toy_scenario(model)
         tab = build_segment_table(sweep_loci(model, 0, 3.0, 3.0 / 200.0), 1, 0.02)
         stab = StabilityConstraintSet((tab,), robust_gains=[3.0], strict_margin=1e-6)
-        # the joint dispatch-plus-stability MIP: the droop a decision beside the dispatch
-        instances = [joint_cred_milp(scn, stab)[0]]
-        instances.append(joint_cred_milp(_toy_scenario(model, p_max=6.2), stab,
-                                         allow_shed=True)[0])
+        # (dispatch, stability set, allow_shed): the droop-first dispatch must reach
+        # the optimum of the joint dispatch-plus-stability MIP, where the droop is
+        # a decision beside the dispatch
+        cases = [(_toy_scenario(model), stab, False),
+                 (_toy_scenario(model, p_max=6.2), stab, True)]
 
         curved = SystemModel(
             areas=2, inertia_sg=[2.0, 4.0], inertia_ibr=[0.0, 0.0],
@@ -186,20 +185,35 @@ def test_criterion_4_milp_exactness():
         )
         tabs2 = tuple(build_segment_table(sweep_loci(curved, 1, 6.0, 0.04), i, 0.02)
                       for i in (0, 2))
-        stab2 = StabilityConstraintSet(tabs2, robust_gains=[0.0, 6.0])
-        instances.append(joint_cred_milp(scn2, stab2)[0])
+        cases.append((scn2, StabilityConstraintSet(tabs2, robust_gains=[0.0, 6.0]), False))
 
-        for program in instances:
-            assert 0 < len(program.binary_vars) <= 20
-            mine = solve_milp(program)
-            status, obj, _ = enumerate_milp(program)
-            assert mine.status == status == "optimal"
-            assert mine.objective_value == pytest.approx(obj, abs=1e-6)
-        # the droop-first dispatch reaches the curved instance's joint optimum
-        curved_obj = enumerate_milp(instances[-1])[1]
-        assert solve_cred(scn2, stab2).total_cost == pytest.approx(curved_obj, abs=1e-6)
+        # both areas attacked and windy: the search solves LPs over cells of two areas
+        windy = SystemModel(
+            areas=2, inertia_sg=[2.0, 4.0], inertia_ibr=[0.0, 0.0],
+            damping=[0.05, 0.05], gov_integral=[6.0, 5.0],
+            gov_proportional=[3.0, 2.0], susceptance=[[0.0, 2.0], [2.0, 0.0]],
+            secure_load=[2.0, 2.0], vulnerable_load=[3.0, 3.0],
+            ibr_max_power=[3.0, 3.0], omega_max=0.25,
+        )
+        scn3 = DispatchScenario(
+            model=windy, demand=[[3.0, 3.0]], wind_available=[[2.5, 2.5]],
+            generators=scn2.generators, shed_cost=1000.0, base_power=1.0, attack_areas=(0, 1),
+        )
+        gains3 = [4.0, 6.0]
+        tabs3 = tuple(build_segment_table(sweep_loci(windy, a, gains3[a], gains3[a] / 150.0),
+                                          i, 0.02) for a in (0, 1) for i in (0, 2))
+        cases.append((scn3, StabilityConstraintSet(tabs3, robust_gains=gains3), False))
 
-        sol = solve_cred(scn, stab)
+        for scn_k, stab_k, allow_shed in cases:
+            program, _ = joint_cred_milp(scn_k, stab_k, allow_shed=allow_shed)
+            assert 0 < len(program[1]) <= 20
+            status, obj, _ = enumerate_milp(*program)
+            assert status == "optimal"
+            sol = solve_cred(scn_k, stab_k, allow_shed=allow_shed)
+            assert sol.total_cost == pytest.approx(obj, abs=1e-6)
+        assert np.all(sol.droop > 0.0) and sol.node_count > 0
+
+        sol = solve_cred(cases[0][0], stab)
         assert sol.droop[0, 0] == pytest.approx(1.0 + 2e-6, abs=1e-6)
 
 

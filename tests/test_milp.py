@@ -5,15 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog as scipy_linprog
 
 from cred.errors import BuildError
-from cred.milp import (
-    RELATIONS,
-    LinearProgram,
-    MixedIntegerProgram,
-    solve_lp,
-    solve_milp,
-)
-
-from oracles import enumerate_milp
+from cred.milp import RELATIONS, LinearProgram, solve_lp
 
 INF = np.inf
 
@@ -160,84 +152,6 @@ class TestSolveLp:
         # any feasible dual bound stays below the primal optimum
         assert p.objective_value >= -d.objective_value - 1e-7
         assert p.objective_value == pytest.approx(-d.objective_value, abs=1e-6)
-
-
-class TestSolveMilp:
-    def test_cover_constraint(self):
-        lp = LinearProgram([1.0, 1.0], [[1.0, 1.0]], (">=",), [1.0],
-                           [[0.0, 1.0], [0.0, 1.0]])
-        res = solve_milp(MixedIntegerProgram(lp, (0, 1)))
-        assert res.optimal
-        assert res.objective_value == pytest.approx(1.0, abs=1e-9)
-
-    def test_integral_relaxation_single_node(self):
-        lp = LinearProgram([-1.0], [[1.0]], ("<=",), [1.0], [[0.0, 1.0]])
-        res = solve_milp(MixedIntegerProgram(lp, (0,)))
-        assert res.optimal and res.node_count == 1
-        assert res.objective_value == pytest.approx(solve_lp(lp).objective_value)
-
-    def test_matches_enumeration_on_random_instances(self, rng):
-        for _ in range(15):
-            n_bin, n_cont, m = 6, 4, 5
-            n = n_bin + n_cont
-            a = rng.uniform(-1.5, 1.5, size=(m, n))
-            x0 = np.concatenate([rng.randint(0, 2, n_bin), rng.uniform(0, 2, n_cont)])
-            b = a @ x0 + rng.uniform(0.05, 1.0, size=m)
-            c = rng.uniform(-2.0, 2.0, size=n)
-            bounds = np.column_stack(
-                [np.zeros(n), np.concatenate([np.ones(n_bin), np.full(n_cont, 3.0)])]
-            )
-            mip = MixedIntegerProgram(
-                LinearProgram(c, a, ("<=",) * m, b, bounds), tuple(range(n_bin))
-            )
-            mine = solve_milp(mip)
-            status, obj, _ = enumerate_milp(mip)
-            assert mine.status == status
-            if status == "optimal":
-                assert mine.objective_value == pytest.approx(obj, abs=1e-6)
-                vals = mine.values[list(mip.binary_vars)]
-                assert np.max(np.abs(vals - np.round(vals))) <= 1e-6
-                assert np.all(bounds[:, 0] <= mine.values)
-                assert np.all(mine.values <= bounds[:, 1])
-
-    def test_infeasible_instance(self):
-        lp = LinearProgram([1.0], [[1.0]], (">=",), [2.0], [[0.0, 1.0]])
-        assert solve_milp(MixedIntegerProgram(lp, (0,))).status == "infeasible"
-
-    def test_node_cap_reports_limit(self, rng):
-        # node_cap caps the LPs solved exactly; this instance is infeasible
-        # (sum of binaries = n/2 + 0.3), so only a full search proves it
-        n = 8
-        a = np.ones((1, n))
-        lp = LinearProgram(rng.uniform(0.9, 1.1, n), a, ("=",), [n / 2 + 0.3],
-                           np.column_stack([np.zeros(n), np.ones(n)]))
-        mip = MixedIntegerProgram(lp, tuple(range(n)))
-        full = solve_milp(mip)
-        assert full.status == "infeasible" and full.node_count > 3
-        assert solve_milp(mip, node_cap=full.node_count).status == "infeasible"
-        capped = solve_milp(mip, node_cap=full.node_count - 1)
-        assert capped.status == "iteration_limit" and capped.node_count == full.node_count - 1
-
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_deterministic_repeat(self, seed):
-        rng = np.random.RandomState(seed)
-        n = 8
-        a = rng.uniform(-1.0, 1.0, size=(4, n))
-        b = a @ rng.randint(0, 2, n) + 0.25
-        lp = LinearProgram(rng.uniform(-1, 1, n), a, ("<=",) * 4, b,
-                           np.column_stack([np.zeros(n), np.ones(n)]))
-        mip = MixedIntegerProgram(lp, tuple(range(n)))
-        r1, r2 = solve_milp(mip), solve_milp(mip)
-        assert r1.status == r2.status
-        assert r1.node_count == r2.node_count
-        if r1.optimal:
-            assert np.array_equal(r1.values, r2.values)
-
-    def test_binary_bounds_enforced(self):
-        lp = LinearProgram([1.0], np.zeros((0, 1)), (), [], [[0.0, 2.0]])
-        with pytest.raises(BuildError):
-            MixedIntegerProgram(lp, (0,))
 
 
 #: variable kinds of the random LPs: (lower, upper) relative to a point x0
