@@ -67,6 +67,8 @@ __all__ = [
 ]
 
 DELTA_T = 1.0  # hours per period
+#: cell LPs one droop search may solve before it gives up (NumericalError)
+_CELL_LP_CAP = 200_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,27 +249,33 @@ class StabilityConstraintSet:
         segments the area's pairs hold at p].  Inside a cell every pair
         holds one segment, so every eigenvalue's row is linear in the net
         gains.  A cell is empty when two anchors lie within strict_margin,
-        or outside [lower[a], gain].  The search visits one cell per area
-        in descending order of the sum of their tops, which bounds the
-        total net gain inside them, and stops once that bound is no better
-        than the best total found, so the result is exact.  With one area a
-        cell's best point is the closed-form clip of its top by each row,
-        in plain floats; with several it is an LP in one variable per area
+        or outside [lower[a], gain].  Each cell's top is then clipped by
+        every row with the other areas adding the least shift any of their
+        cells can (_tighten), which keeps every feasible point.  The search
+        visits one cell per area in descending order of the sum of their
+        tops, which bounds the total net gain inside them, and stops once
+        that bound is no better than the best total found, so the result is
+        exact.  With one area a cell's best point is its clipped top, in
+        plain floats; with several it is an LP in one variable per area
         (solve_lp), whose optimum lies within the cell's bounds exactly.
 
         Returns (knet, held, lps, steps): knet maps each live area to its
         net gain, held each live pair to the segment holding it, and lps
         and steps count the cell LPs solved and their simplex steps.
         Returns None when no net gains meet every row.  Raises
-        NumericalError when a cell LP hits its iteration limit.
+        NumericalError when a cell LP hits its iteration limit or the
+        search needs more than _CELL_LP_CAP of them.
         """
         segs = {pair: self.segments(tab) for pair, tab in self.live_tables().items()}
         areas = sorted({a for _, a in segs})
+        if not areas:
+            return {}, {}, 0, 0
         lower = np.zeros(len(self.robust_gains)) if lower is None else lower
-        cells = [self._cells(segs, a, float(lower[a])) for a in areas]
+        bounds = self.row_bounds()
+        cells = _tighten(areas, [self._cells(segs, a, float(lower[a])) for a in areas],
+                         segs, bounds)
         if not all(cells):
             return None
-        bounds = self.row_bounds()
         best, best_total, lps, steps = None, -np.inf, 0, 0
         start = (0,) * len(areas)
         heap, seen = [(-sum(c[0][0] for c in cells), start)], {start}
@@ -278,8 +286,9 @@ class StabilityConstraintSet:
             combo = [c[j] for c, j in zip(cells, idx)]
             held = {pair: m for _, _, cell_held in combo for pair, m in cell_held.items()}
             if len(areas) == 1:
-                k = _clip(combo[0][1], combo[0][0], held, segs, bounds)
-                knet = None if k is None else {areas[0]: k}
+                knet = {areas[0]: combo[0][0]}  # its clipped top meets every row
+            elif lps == _CELL_LP_CAP:
+                raise NumericalError(f"droop search needs more than {_CELL_LP_CAP} cell LPs")
             else:
                 knet, cell_steps = _cell_lp(areas, combo, held, segs, bounds)
                 lps, steps = lps + 1, steps + cell_steps
@@ -293,7 +302,7 @@ class StabilityConstraintSet:
         return None if best is None else (*best, lps, steps)
 
     def _cells(self, segs: dict, area: int, lower: float) -> list:
-        """(top, lo, {pair: segment}) of each non-empty cell of one area, highest top first."""
+        """(top, lo, {pair: segment}) of each non-empty cell of one area, by anchor."""
         gain = float(self.robust_gains[area])
         own = {pair: pair_segs for pair, pair_segs in segs.items() if pair[1] == area}
         anchors = {pair: [seg[0] for seg in pair_segs] for pair, pair_segs in own.items()}
@@ -307,8 +316,32 @@ class StabilityConstraintSet:
             lo = max(p, lower)
             if lo <= top:
                 cells.append((top, lo, held))
-        # cells are disjoint and ordered by anchor, so their tops ascend
-        return cells[::-1]
+        return cells
+
+
+def _tighten(areas: list, cells: list, segs: dict, bounds: dict) -> list:
+    """Each area's cells with their tops clipped by every row, highest top first.
+
+    The other areas add to row i at least the least shift any of their
+    cells can; a cell whose clip is empty holds no feasible point and is
+    dropped.
+    """
+    least = {}  # (i, a) -> least shift of area a on row i over its cells
+    for a, a_cells in zip(areas, cells if len(areas) > 1 else ()):
+        for top, lo, held in a_cells:
+            for (i, _), m in held.items():
+                _, _, slope, offset = segs[(i, a)][m]
+                shift = min(slope * lo, slope * top) + offset
+                least[(i, a)] = min(least.get((i, a), np.inf), shift)
+    out = []
+    for a, a_cells in zip(areas, cells):
+        room = dict(bounds)
+        for (i, other), shift in least.items():
+            if other != a:
+                room[i] -= shift
+        clipped = [(_clip(lo, top, held, segs, room), lo, held) for top, lo, held in a_cells]
+        out.append(sorted([c for c in clipped if c[0] is not None], key=lambda c: -c[0]))
+    return out
 
 
 def _clip(lo: float, up: float, held: dict, segs: dict, bounds: dict):

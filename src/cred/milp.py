@@ -100,6 +100,16 @@ class LinearProgram:
     def n_rows(self) -> int:
         return len(self.relations)
 
+    # credbench/tracing.py sizes a dispatch build by program.base and
+    # program.binary_vars: an LP is its own base and has no binaries
+    @property
+    def base(self) -> LinearProgram:
+        return self
+
+    @property
+    def binary_vars(self) -> tuple:
+        return ()
+
 
 @dataclass
 class SolveResult:
@@ -254,3 +264,14 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> SolveResult:
     values.setflags(write=False)
     return SolveResult("optimal", values=values, objective_value=float(lp.objective @ values),
                        iterations=steps)
+
+
+def solve_milp(*_args, **_kwargs):
+    """Branch-and-bound is removed; this name stays for credbench/tracing.py.
+
+    The tracer binds a probe to cred.milp.solve_milp.  Nothing calls it, so
+    the probe's span and node counter read zero; the droop search's LPs
+    show under solve_lp.
+    """
+    raise NotImplementedError("branch-and-bound is removed: the droop search "
+                              "(StabilityConstraintSet.net_gain_max) solves LPs only")

@@ -23,7 +23,7 @@ import itertools
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from cred.errors import ConfigurationError, NumericalError, TrackingError
 from cred.linearize import LinearizationPoint, net_gain_state_space
@@ -214,7 +214,14 @@ def enumerate_milp(lp: LinearProgram, binaries):
 
 
 def solve_with_highs(lp: LinearProgram, binaries=()):
-    """(status, objective, values) of the instance under HiGHS with a zero MIP gap."""
+    """(status, objective, values) of the instance under HiGHS with a zero MIP gap.
+
+    HiGHS's MIP point may break a row by its feasibility tolerance (1e-7),
+    so its optimum can beat the exact one.  With binaries, its point is
+    polished: the binaries are fixed at their integral values and the LP
+    they leave is re-solved by HiGHS at a 1e-10 feasibility tolerance,
+    whose optimum is returned.
+    """
     rel = np.array(lp.relations)
     lo = np.where(rel == "<=", -np.inf, lp.rhs)
     hi = np.where(rel == ">=", np.inf, lp.rhs)
@@ -225,6 +232,16 @@ def solve_with_highs(lp: LinearProgram, binaries=()):
                integrality=integrality,
                bounds=Bounds(lp.bounds[:, 0], lp.bounds[:, 1]),
                options={"mip_rel_gap": 0})
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, res.message)
+    if status != "optimal" or not len(binaries):
+        return status, res.fun, res.x
+    fixed = with_bounds(lp, {j: (float(round(res.x[j])),) * 2 for j in binaries})
+    ub, eq = rel != "=", rel == "="
+    sign = np.where(rel == ">=", -1.0, 1.0)[ub]
+    res = linprog(fixed.objective, A_ub=fixed.lhs[ub] * sign[:, None], b_ub=fixed.rhs[ub] * sign,
+                  A_eq=fixed.lhs[eq], b_eq=fixed.rhs[eq], bounds=fixed.bounds, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, res.message)
     return status, res.fun, res.x
 

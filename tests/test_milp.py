@@ -267,3 +267,13 @@ class TestBoundedSimplex:
         if mine.optimal:
             assert mine.objective_value == pytest.approx(ref.fun, rel=1e-9, abs=1e-7)
             assert_feasible(moved, mine.values)
+
+
+def test_names_the_benchmark_tracer_reads():
+    """credbench/tracing.py probes cred.milp.solve_milp and sizes builds by program.base."""
+    import cred.milp
+
+    lp = LinearProgram(np.ones(2), np.ones((1, 2)), ("<=",), np.ones(1), [(0.0, 1.0)] * 2)
+    assert lp.base is lp and lp.binary_vars == ()
+    with pytest.raises(NotImplementedError):
+        cred.milp.solve_milp(lp)
