@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ClassificationError, ConfigurationError
 from .grid import StateSpace
@@ -107,7 +106,8 @@ def simulate(
     states[: k + 1] = x_pre
     # rows: deviation from eq_post over the next BLOCK samples, carried
     # forward a whole block at a time by one product with Phi^BLOCK
-    phi = sla.expm(ss.state_matrix * dt)
+    from scipy.linalg import expm  # loaded on first call, off the package's import path
+    phi = expm(ss.state_matrix * dt)
     rows = np.empty((BLOCK, 2 * n))
     rows[0] = phi @ (x_pre - eq_post)
     checked = 1

@@ -5,15 +5,16 @@ makes the first-order eigenvalue derivative with respect to the attack gain
 in area n simply  -y[N+n] * z[N+n]  (the feedback matrix loses one unit of
 damping in that diagonal entry).  The sign convention is fixed by agreement
 with central finite differences of the spectrum.
+
+NumPy only: np.linalg.eig gives the spectrum and right vectors V, and the
+rows of V^-1 the left vectors, already scaled so that w_i^T v_i = 1.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ContractError, DegenerateEigenvalueError, NumericalError
 from .grid import StateSpace
@@ -78,75 +79,38 @@ class StabilityVerdict:
         return self.stable
 
 
-_GEEV, _GEEV_LWORK = sla.get_lapack_funcs(("geev", "geev_lwork"), dtype=np.float64)
-
-
-@functools.cache
-def _geev_lwork(n: int) -> int:
-    """The workspace scipy.linalg.eig passes dgeev for an n x n matrix."""
-    work, info = _GEEV_LWORK(n, compute_vl=1, compute_vr=1)
-    if info != 0:
-        raise NumericalError(f"dgeev workspace query failed with info={info}")
-    return int(work.real)
-
-
-def _complex_vectors(wi: np.ndarray, *vectors: np.ndarray) -> tuple:
-    """Complex eigenvectors from dgeev's real storage, as scipy.linalg.eig forms them.
-
-    dgeev stores a conjugate pair (positive imaginary part wi first) as the
-    real and imaginary parts in two adjacent columns, so the flagged
-    columns are never adjacent and one vectorized pass equals scipy's
-    column loop.
-    """
-    first = wi > 0
-    first[:-1] |= wi[1:] < 0
-    idx = np.flatnonzero(first)
-    out = []
-    for v in vectors:
-        c = v.astype(complex)
-        c.imag[:, idx] = v[:, idx + 1]
-        c[:, idx + 1] = c[:, idx].conj()
-        out.append(c)
-    return tuple(out)
-
-
 def eigen_decompose(ss: StateSpace) -> EigenSolution:
     """Spectrum and left/right vectors of the closed-loop state matrix.
 
-    One LAPACK dgeev call with the arguments scipy.linalg.eig passes it, so
-    the spectrum and vectors are bit for bit those of sla.eig(s, left=True).
+    The rows of V^-1 are the left vectors w of S (w_i^T S = lambda_i w_i^T)
+    with w_i^T v_i = 1; the pencil's are y = E^-1 w.  Both vector sets must
+    pass a residual check against S, and a failed LAPACK call, a singular V
+    or a failed check raises NumericalError.
     """
     s = ss.state_matrix
     if not np.all(np.isfinite(s)):
         raise NumericalError("state matrix contains non-finite entries")
-    wr, wi, vl, vr, info = _GEEV(s, lwork=_geev_lwork(s.shape[0]), compute_vl=1,
-                                 compute_vr=1, overwrite_a=0)
-    if info != 0:
-        raise NumericalError(f"eigen solver did not converge on a {s.shape[0]}x"
-                             f"{s.shape[1]} state matrix: dgeev info={info}")
-    values = wr + 1j * wi  # scipy.linalg.eig's expression, signed zeros included
-    if wi.any():
-        vl, vr = _complex_vectors(wi, vl, vr)
-
-    # dgeev's vl satisfies vl^H S = diag(w) vl^H, so conj(vl) are the
-    # transpose-sense left vectors of S.
-    w_left = vl.conj()
-    norms = np.einsum("ij,ij->j", w_left, vr)
-    if np.any(np.abs(norms) < 1e-300):
-        raise NumericalError("left/right eigenvector pair is numerically orthogonal")
-    # map to pencil left vectors y = E^-1 w and fold in the normalization,
-    # so that y^T E z = w^T z / norm = 1
-    y = np.linalg.solve(ss.descriptor_a, w_left) / norms
-
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vr = vr[:, order]
-    y = y[:, order]
+    try:
+        values, vr = np.linalg.eig(s)
+        values = values + 0j  # complex even for a real spectrum; an origin mode's -0.0 reads +0.0
+        order = np.lexsort((values.imag, values.real))
+        values, vr = values[order], vr[:, order]
+        w_left = np.linalg.inv(vr).T
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigen solver failed on a {s.shape[0]}x{s.shape[1]} "
+                             f"state matrix: {exc}") from exc
+    # map to pencil left vectors y = E^-1 w, so that y^T E z = w^T z = 1
+    y = np.linalg.solve(ss.descriptor_a, w_left)
 
     scale = max(np.linalg.norm(s, np.inf), 1.0)
     resid = np.linalg.norm(s @ vr - vr * values, axis=0)
     if np.any(resid > 1e-8 * scale):
         raise NumericalError(f"eigenpair residual {resid.max():.3e} exceeds 1e-8*|S|")
+    # w is scaled by w^T v = 1, not to unit length: judge its direction
+    resid = (np.linalg.norm(s.T @ w_left - w_left * values, axis=0)
+             / np.linalg.norm(w_left, axis=0))
+    if np.any(resid > 1e-8 * scale):
+        raise NumericalError(f"left eigenvector residual {resid.max():.3e} exceeds 1e-8*|S|")
 
     for arr in (values, vr, y):
         arr.setflags(write=False)

@@ -347,27 +347,31 @@ class SweepRow:
     error: str | None = None
 
 
-def _apply_axis(doc: dict, axis: str, value: float) -> dict:
+def _apply_axis(doc: dict, attack_areas: tuple, axis: str, value: float) -> dict:
+    """A copy of doc, a document scenario_from_dict accepts, with one axis set.
+
+    Numbers are read with float(), as the parser reads them.
+    """
     doc = copy.deepcopy(doc)
     if axis == "vulnerable_fraction":
-        areas = doc.get("attack", {}).get("areas", [])
         periods = doc.get("dispatch", {}).get("periods", [])
-        for a in areas:
+        for a in attack_areas:
+            area = doc["areas"][a]
             if periods:
-                ref = float(np.mean([p["demand"][a] for p in periods]))
+                ref = float(np.mean([float(p["demand"][a]) for p in periods]))
             else:
-                ref = doc["areas"][a]["secure_load"] + doc["areas"][a]["vulnerable_load"]
-            doc["areas"][a]["vulnerable_load"] = value * ref
-            doc["areas"][a]["secure_load"] = (1.0 - value) * ref
+                ref = float(area["secure_load"]) + float(area["vulnerable_load"])
+            area["vulnerable_load"] = value * ref
+            area["secure_load"] = (1.0 - value) * ref
     elif axis == "wind_capacity":
         for a, area in enumerate(doc["areas"]):
-            cap = area["ibr_max_power"]
+            cap = float(area["ibr_max_power"])
             if cap <= 0.0:
                 continue
             factor = value / cap
             area["ibr_max_power"] = value
             for p in doc.get("dispatch", {}).get("periods", []):
-                p["wind_available"][a] = p["wind_available"][a] * factor
+                p["wind_available"][a] = float(p["wind_available"][a]) * factor
     elif axis != "eta":
         raise ScenarioError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     return doc
@@ -386,18 +390,20 @@ def sweep_study(cfg: WorkflowConfig, axis: str, grid, scenario_doc: dict | None 
         if cfg.scenario_path is None:
             raise ScenarioError("a scenario path or document is required")
         scenario_doc = json.loads(Path(cfg.scenario_path).read_text())
+    # a malformed document raises ScenarioError here, before _apply_axis reads it
+    base = scenario_from_dict(scenario_doc)
     rows = []
     for value in grid:
         value = float(value)
         point_cfg = copy.copy(cfg)
         point_cfg.output_dir = None
-        if axis == "eta":
-            point_cfg.eta = value
-            doc = scenario_doc
-        else:
-            doc = _apply_axis(scenario_doc, axis, value)
         try:
-            bundle = scenario_from_dict(doc)
+            if axis == "eta":
+                point_cfg.eta = value
+                bundle = base
+            else:
+                bundle = scenario_from_dict(
+                    _apply_axis(scenario_doc, base.attack_areas, axis, value))
             rep = run_workflow(point_cfg, bundle=bundle)
             t_len = bundle.dispatch.n_periods
             shed = float(rep.solution.shed.sum() * bundle.base_power * 1.0)

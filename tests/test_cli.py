@@ -195,6 +195,23 @@ class TestSweepCommand:
         assert rows[0][0] == "axis"
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("axis, edit, message", [
+        ("vulnerable_fraction", lambda d: d["attack"].update(areas=[7]),
+         "attack area 7 out of range"),
+        ("vulnerable_fraction", lambda d: d["attack"].update(areas=["x"]), "malformed scenario"),
+        ("wind_capacity", lambda d: d["areas"][1].pop("ibr_max_power"),
+         "missing key 'ibr_max_power'"),
+    ], ids=["area_out_of_range", "area_not_a_number", "missing_ibr_max_power"])
+    def test_malformed_document_is_input_error(self, tmp_path, capsys, axis, edit, message):
+        doc = three_area_system()
+        edit(doc)
+        path = tmp_path / "desk.json"
+        path.write_text(json.dumps(doc))
+        code = main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                     "--mode", "worst_case", "--axis", axis, "--grid", "0.3"])
+        assert code == 4
+        assert message in capsys.readouterr().err
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [

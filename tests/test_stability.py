@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cred import stability
 from cred.errors import DegenerateEigenvalueError, NumericalError
 from cred.grid import AttackProfile, DroopSchedule, StateSpace, build_state_space
 from cred.stability import eigen_decompose, is_stable, sensitivity
@@ -67,16 +66,23 @@ class TestEigenDecompose:
 
 
 class TestDirectGeev:
-    """The direct dgeev call reproduces scipy.linalg.eig's decomposition bit for bit."""
+    """np.linalg.eig and V^-1 against scipy.linalg.eig(left=True), LAPACK dgeev's other route.
+
+    Both call dgeev on the same matrix, so the spectrum and the right
+    vectors are bit for bit equal; the left vectors come from V^-1 here and
+    from dgeev's own left vectors in the oracle, so they agree to rounding.
+    """
 
     @staticmethod
     def assert_matches_scipy(ss):
         eig = eigen_decompose(ss)
-        oracle = eigen_decompose_scipy(ss)
-        for ours, theirs in zip((eig.eigenvalues, eig.right_vectors, eig.left_vectors), oracle):
+        values, right, left = eigen_decompose_scipy(ss)
+        for ours, theirs in ((eig.eigenvalues, values), (eig.right_vectors, right)):
             assert ours.dtype == theirs.dtype
-            assert np.array_equal(ours, theirs)
             assert ours.tobytes() == theirs.tobytes()  # signed zeros included
+        assert eig.left_vectors.dtype == left.dtype
+        error = np.linalg.norm(eig.left_vectors - left, axis=0)
+        assert np.all(error <= 1e-12 * np.linalg.norm(left, axis=0))
         return eig
 
     @settings(max_examples=60, deadline=None)
@@ -103,8 +109,8 @@ class TestDirectGeev:
 
     @pytest.mark.parametrize("corner", [0.0, -0.0])
     def test_signed_zero_origin_mode(self, corner):
-        # dgeev returns the origin mode as -0.0 for a -0.0 corner; scipy's
-        # wr + 1j * wi turns it into +0.0
+        # np.linalg.eig returns the origin mode as -0.0 for a -0.0 corner;
+        # the spectrum reads it as +0.0, as scipy's wr + 1j * wi does
         eig = self.assert_matches_scipy(_hand_state_space(np.array([[corner, 1.0], [0.0, -2.0]])))
         origin = eig.eigenvalues[1]
         assert origin == 0.0 and not np.signbit(origin.real)
@@ -116,14 +122,24 @@ class TestDirectGeev:
         assert np.all(eig.eigenvalues.imag != 0.0)
 
     def test_non_convergence_is_typed(self, one_area_ss, monkeypatch):
-        geev = stability._GEEV
+        def not_converged(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        def not_converged(*args, **kwargs):
-            *out, _ = geev(*args, **kwargs)
-            return (*out, 2)
+        monkeypatch.setattr(np.linalg, "eig", not_converged)
+        with pytest.raises(NumericalError, match="eigen solver failed on a 2x2 state matrix: "
+                                                 "Eigenvalues did not converge"):
+            eigen_decompose(one_area_ss)
 
-        monkeypatch.setattr(stability, "_GEEV", not_converged)
-        with pytest.raises(NumericalError, match="did not converge on a 2x2 state matrix"):
+    def test_inaccurate_left_vectors_are_typed(self, one_area_ss, monkeypatch):
+        inv = np.linalg.inv
+
+        def corrupted(a):
+            out = inv(a)
+            out[0] += out[1]  # still w^T v = 1 on the diagonal, no longer a left vector
+            return out
+
+        monkeypatch.setattr(np.linalg, "inv", corrupted)
+        with pytest.raises(NumericalError, match="left eigenvector residual"):
             eigen_decompose(one_area_ss)
 
 

@@ -9,7 +9,8 @@ from cred.grid import AttackProfile, DroopSchedule, build_state_space
 from cred.scenario import scenario_from_dict
 from cred.simulate import classify_trajectory, simulate
 from cred.stability import eigen_decompose
-from cred.systems import single_area_toy, synthesize_samples, three_area_no_wind
+from cred.systems import (single_area_toy, synthesize_samples, three_area_no_wind,
+                          three_area_system)
 from cred.workflow import WorkflowConfig, run_workflow, sweep_study
 
 
@@ -84,8 +85,6 @@ class TestBranches:
     def test_redispatch_moves_in_expected_directions(self):
         # with the stability rows active: reserve appears, wind backs off,
         # thermal picks up the slack, cost rises
-        from cred.systems import three_area_system
-
         rep = run_toy(three_area_system())
         assert rep.branch_taken == "cred_applied"
         base, sol = rep.baseline_solution, rep.solution
@@ -333,6 +332,19 @@ class TestSweeps:
                            scenario_doc=single_area_toy())
         assert rows[0].error is None and rows[2].error is None
         assert rows[1].error is not None
+
+    @pytest.mark.parametrize("axis, value, edit", [
+        ("vulnerable_fraction", 0.3, lambda d: d["attack"].update(areas=[1.0])),
+        ("wind_capacity", 4000.0, lambda d: d["areas"][1].update(ibr_max_power="5000")),
+    ])
+    def test_numbers_read_as_the_parser_reads_them(self, axis, value, edit):
+        # the parser takes area 1.0 as 1 and "5000" as 5000.0; so does the axis
+        doc = three_area_system()
+        edit(doc)
+        cfg = WorkflowConfig(mode="worst_case")
+        rows = sweep_study(cfg, axis, [value], scenario_doc=doc)
+        assert rows == sweep_study(cfg, axis, [value], scenario_doc=three_area_system())
+        assert rows[0].error is None
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
