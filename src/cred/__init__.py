@@ -26,7 +26,6 @@ from .dispatch import (
     DispatchScenario,
     DispatchSolution,
     GeneratorSpec,
-    PrecheckReport,
     StabilityCertificate,
     StabilityConstraintSet,
     StorageSpec,
@@ -61,7 +60,6 @@ from .milp import (
 from .simulate import Trajectory, classify_trajectory, simulate
 from .stability import (
     EigenSolution,
-    SensitivityRecord,
     StabilityVerdict,
     eigen_decompose,
     is_stable,

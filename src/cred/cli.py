@@ -117,11 +117,11 @@ def cmd_analyze(args) -> int:
     for i in range(len(eig)):
         for a in areas:
             try:
-                rec = sensitivity(ss, eig, i, a)
+                d = sensitivity(ss, eig, i, a)
             except DegenerateEigenvalueError:
                 print(f"note: eigenvalue {i} repeated; sensitivity skipped", file=sys.stderr)
                 continue
-            rows.append([i, a, rec.d_lambda_dKL.real, rec.d_lambda_dKL.imag])
+            rows.append([i, a, d.real, d.imag])
     write_csv(out / "sensitivities.csv", ["eigen_index", "area", "d_re", "d_im"], rows)
     print(f"wrote {out / 'eigenvalues.csv'} and {out / 'sensitivities.csv'}")
     return EXIT_OK
@@ -179,7 +179,7 @@ def cmd_simulate(args) -> int:
     elif not 0 <= area < n:
         raise ScenarioError(f"--step-area must name an area in [0, {n - 1}]")
     load = bundle.model.secure_load[area] + bundle.model.vulnerable_load[area]
-    step[area] = (args.step_mw / bundle.base_power) if args.step_mw else 0.01 * load
+    step[area] = 0.01 * load if args.step_mw is None else args.step_mw / bundle.base_power
 
     traj = simulate(ss, step, t_step=args.t_step, t_end=args.t_end, dt=args.dt)
     out = Path(args.out)

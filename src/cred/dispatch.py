@@ -10,10 +10,10 @@ robust gain on the last segment, and adds slope_m k + offset_m to its
 eigenvalue's row, which is bounded by -(strict + settle) - Re(base).
 
 The cost depends on the droop only through each period's total droop, and
-never falls as it grows (_merit_order), so each period's droop is chosen
-from the stability rows alone, as the largest total net gain they admit
-(_droop_floor), and the dispatch is then solved with it pinned.  One exact
-search finds that net gain for one attacked area or several
+never falls as it grows (_merit_order), so solve_cred chooses each
+period's droop once, from the stability rows alone, as the largest total
+net gain they admit (_droop_floor), and then dispatches with it pinned.
+One exact search finds that net gain for one attacked area or several
 (StabilityConstraintSet.net_gain_max): the anchors of an area's tables cut
 its net gain into cells, inside each of which every pair holds one
 segment and every row is linear, and the search visits one cell per area,
@@ -21,10 +21,11 @@ best bound first.
 
 With the droop pinned, every storage-free period, the baseline's too, is an
 economic dispatch with one balance row, solved by merit order with no
-program built (_merit_order); with storage the horizon is one LP.  Both
-see the droop only as the bounds of wind, which has no cost and enters no
-row but its period's balance, so the pinned droop is optimal by
-construction; the joint-MIP oracle tests check the argument end to end.
+program built (_merit_order); with storage the horizon is one LP, which
+build_cred_milp assembles from the pinned droop.  Both see the droop only
+as the bounds of wind, which has no cost and enters no row but its
+period's balance, so the pinned droop is optimal by construction; the
+joint-MIP oracle tests check the argument end to end.
 
 Solutions are certified a posteriori by an exact eigenvalue check of every
 period's closed loop.
@@ -58,7 +59,6 @@ __all__ = [
     "CredMilp",
     "DispatchSolution",
     "StabilityCertificate",
-    "PrecheckReport",
     "build_cred_milp",
     "solve_cred",
     "stability_precheck",
@@ -378,22 +378,10 @@ def _cell_lp(areas: list, combo: list, held: dict, segs: dict, bounds: dict) -> 
 
 @dataclass(frozen=True, eq=False)
 class CredMilp:
-    """The dispatch horizon as an LP with the droop pinned, plus the variable index.
-
-    droop is the pinned droop, shape (T, N); fixed_binaries holds its
-    segment indicators, keyed (t, i, a, m), 1.0 on the segment each pair
-    holds; node_count and simplex_iterations count the cell LPs of the
-    search that chose it and their simplex steps (_droop_floor), 0 unless
-    two or more areas are attacked.
-    """
+    """The storage horizon as an LP with the droop pinned, plus the variable index."""
 
     program: LinearProgram
     index: dict
-    scenario: DispatchScenario
-    droop: np.ndarray
-    fixed_binaries: dict
-    node_count: int
-    simplex_iterations: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,10 +422,6 @@ class DispatchSolution:
     simplex_iterations: int = 0
     stability_certificate: StabilityCertificate | None = None
 
-    @property
-    def ibr_ref(self) -> np.ndarray:
-        return self.wind_power
-
 
 class _Vars:
     def __init__(self):
@@ -454,24 +438,16 @@ class _Vars:
         return self.index[family][key]
 
 
-def build_cred_milp(
-    scn: DispatchScenario,
-    stab: StabilityConstraintSet | None,
-    allow_shed: bool = False,
-) -> CredMilp:
-    """Assemble the dispatch horizon as one LP, the droop pinned to _droop_floor's.
+def build_cred_milp(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool = False) -> CredMilp:
+    """Assemble the dispatch horizon as one LP, the droop pinned to kc (T, N).
 
-    With stab=None (or no tables of a positive gain) the droop is zero:
-    the plain economic dispatch.  Otherwise the droop of each period and
-    area is the one _droop_floor chose from the stability rows.  The
-    program sees the droop only as its wind bounds (_wind_band): wind has
-    no cost and enters only its period's balance row, with coefficient 1,
-    so the pinned droop is optimal by construction (argument in
-    _merit_order).  Its rows are the balance, the online floor and the
-    storage recursion.  Raises InfeasibleError naming
-    the first period whose droop does not fit its wind.
+    The program sees the droop only as its wind bounds (_wind_band): wind
+    has no cost and enters only its period's balance row, with
+    coefficient 1, so the droop _droop_floor chose is optimal by
+    construction (argument in _merit_order).  Its rows are the balance,
+    the online floor and the storage recursion.  Raises InfeasibleError
+    naming the first period whose droop does not fit its wind.
     """
-    kc, held, nodes, steps = _droop_floor(scn, stab)
     n = scn.model.areas
     last = scn.n_periods - 1
     v = _Vars()
@@ -528,7 +504,7 @@ def build_cred_milp(
         for a in range(n):
             obj[v.get("ps", (t, a))] = scn.shed_cost * scn.base_power * DELTA_T
 
-    return CredMilp(_program(v, rows, obj), v.index, scn, kc, held, nodes, steps)
+    return CredMilp(_program(v, rows, obj), v.index)
 
 
 def _program(v: _Vars, rows: list, obj: dict) -> LinearProgram:
@@ -608,18 +584,6 @@ def _droop_floor(scn: DispatchScenario, stab: StabilityConstraintSet | None) -> 
 #: solution array of each variable family of a dispatch build
 _FAMILIES = {"pg": "sg_power", "pw": "wind_power", "ps": "shed", "pch": "storage_charge",
              "pdis": "storage_discharge", "soc": "storage_soc"}
-
-
-def _extract(problem: CredMilp, values: np.ndarray, out: DispatchSolution):
-    out.binaries.update(problem.fixed_binaries)
-    out.droop[:] = problem.droop
-    out.wind_reserve[:] = problem.scenario.model.omega_max * problem.droop
-    for family, attr in _FAMILIES.items():
-        array = getattr(out, attr)
-        for key, j in problem.index.get(family, {}).items():
-            array[key] = values[j]
-    for t in range(problem.scenario.n_periods):
-        out.per_period_cost[t] = _period_cost(problem.scenario, out, t)
 
 
 def _period_cost(scn: DispatchScenario, sol: DispatchSolution, t: int) -> float:
@@ -705,9 +669,6 @@ def _merit_order(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool,
         if need > _FEAS_TOL or abs(rest) > _FEAS_TOL:
             raise _infeasible(f"period {t}", allow_shed)
         sol.wind_power[t], sol.sg_power[t], sol.shed[t] = x
-        sol.wind_reserve[t] = pres
-        sol.droop[t] = kc[t]
-        sol.per_period_cost[t] = _period_cost(scn, sol, t)
 
 
 def _wind_band(scn: DispatchScenario, kc: np.ndarray, t: int, allow_shed: bool) -> tuple:
@@ -757,46 +718,42 @@ def solve_cred(
     Raises InfeasibleError when any period admits no feasible point and
     NumericalError when the solver hits its budget.
     """
+    kc, held, lps, steps = _droop_floor(scn, stab)
     t_len, n = scn.n_periods, scn.model.areas
     sol = DispatchSolution(
         sg_power=np.zeros((t_len, len(scn.generators))),
         wind_power=np.zeros((t_len, n)),
-        wind_reserve=np.zeros((t_len, n)),
-        droop=np.zeros((t_len, n)),
+        wind_reserve=scn.model.omega_max * kc,
+        droop=kc,
         shed=np.zeros((t_len, n)),
         storage_charge=np.zeros((t_len, len(scn.storage))),
         storage_discharge=np.zeros((t_len, len(scn.storage))),
         storage_soc=np.zeros((t_len, len(scn.storage))),
-        binaries={},
+        binaries=held,
         per_period_cost=np.zeros(t_len),
         total_cost=0.0,
-        node_count=0,
+        node_count=lps,
+        simplex_iterations=steps,
     )
     if scn.storage:
-        problem = build_cred_milp(scn, stab, allow_shed=allow_shed)
+        problem = build_cred_milp(scn, kc, allow_shed=allow_shed)
         res = solve_lp(problem.program)
         if res.status == "infeasible":
             raise _infeasible("horizon", allow_shed)
         if not res.optimal:
             raise NumericalError(f"dispatch solve ended with status {res.status}")
-        sol.node_count = problem.node_count + 1
-        sol.simplex_iterations = problem.simplex_iterations + res.iterations
-        _extract(problem, res.values, sol)
+        sol.node_count += 1
+        sol.simplex_iterations += res.iterations
+        for family, attr in _FAMILIES.items():
+            array = getattr(sol, attr)
+            for key, j in problem.index.get(family, {}).items():
+                array[key] = res.values[j]
     else:
-        kc, held, sol.node_count, sol.simplex_iterations = _droop_floor(scn, stab)
         _merit_order(scn, kc, allow_shed, sol)
-        sol.binaries.update(held)
+    for t in range(t_len):
+        sol.per_period_cost[t] = _period_cost(scn, sol, t)
     sol.total_cost = float(sol.per_period_cost.sum())
     return sol
-
-
-@dataclass(frozen=True, eq=False)
-class PrecheckReport:
-    verdict: StabilityVerdict
-    eigenvalues: np.ndarray
-
-    def __bool__(self) -> bool:
-        return self.verdict.stable
 
 
 def _attack_from_gains(scn: DispatchScenario, gains: np.ndarray) -> AttackProfile:
@@ -807,11 +764,10 @@ def _attack_from_gains(scn: DispatchScenario, gains: np.ndarray) -> AttackProfil
     return AttackProfile(gains, scn.static_attack, tuple(sorted(active)))
 
 
-def stability_precheck(scn: DispatchScenario, droop: DroopSchedule, gains) -> PrecheckReport:
-    """Eigenvalue check of the current operating point under robust gains."""
+def stability_precheck(scn: DispatchScenario, droop: DroopSchedule, gains) -> StabilityVerdict:
+    """Eigenvalue verdict on the current operating point under robust gains."""
     ss = build_state_space(scn.model, _attack_from_gains(scn, np.asarray(gains, dtype=float)), droop)
-    eig = eigen_decompose(ss)
-    return PrecheckReport(is_stable(eig), np.array(eig.eigenvalues))
+    return is_stable(eigen_decompose(ss))
 
 
 def validate_solution(
@@ -874,7 +830,7 @@ def validate_solution(
     )
 
 
-def cost_increment(scn: DispatchScenario, baseline_cost: float, cred_cost: float) -> float:
+def cost_increment(baseline_cost: float, cred_cost: float) -> float:
     """Extra cost of the stability-constrained dispatch over the baseline."""
     inc = cred_cost - baseline_cost
     tol = 1e-6 * max(1.0, abs(baseline_cost))

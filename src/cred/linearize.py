@@ -218,7 +218,7 @@ def build_segment_table(sweep: LocusSweep, eigen_index: int, eps_lim: float) -> 
     area, grid = sweep.area, sweep.grid
     base_lambda = complex(eig0.eigenvalues[eigen_index])
     try:
-        base_slope = sensitivity(sweep.base, eig0, eigen_index, area).d_lambda_dKL
+        base_slope = sensitivity(sweep.base, eig0, eigen_index, area)
     except DegenerateEigenvalueError as exc:
         raise DegenerateEigenvalueError(f"at abscissa 0: {exc}") from exc
 
@@ -250,7 +250,7 @@ def build_segment_table(sweep: LocusSweep, eigen_index: int, eps_lim: float) -> 
         eig_k = eigen_decompose(ss_k)
         idx = int(np.argmin(np.abs(eig_k.eigenvalues - locus[stop])))
         try:
-            slope = sensitivity(ss_k, eig_k, idx, area).d_lambda_dKL
+            slope = sensitivity(ss_k, eig_k, idx, area)
         except DegenerateEigenvalueError as exc:
             raise DegenerateEigenvalueError(f"at abscissa {k:g}: {exc}") from exc
         prev_lambda = complex(eig_k.eigenvalues[idx])

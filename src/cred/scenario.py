@@ -7,6 +7,7 @@ base_power in MW; everything is converted to per-unit at this boundary.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,22 +53,65 @@ def _get(d: dict, key: str, where: str):
     return d[key]
 
 
+#: the types of a JSON number
+_PLAIN = frozenset((float, int))
+
+
+def _is_number(x) -> bool:
+    """Whether x is a real number other than a boolean."""
+    return type(x) in _PLAIN or (isinstance(x, numbers.Real) and not isinstance(x, bool))
+
+
+def _number(d: dict, key: str, where: str, default=None) -> float:
+    """d[key], or default when given and key is absent, as a float; TypeError unless a number."""
+    x = _get(d, key, where) if default is None else d.get(key, default)
+    if type(x) not in _PLAIN and not _is_number(x):
+        raise TypeError(f"{where}.{key} must be a number, got {x!r}")
+    return float(x)
+
+
+def _numbers(values, where: str) -> list:
+    """values, unchanged; TypeError unless each is a number."""
+    if not set(map(type, values)) <= _PLAIN:
+        for x in values:
+            if not _is_number(x):
+                raise TypeError(f"{where} must hold numbers, got {x!r}")
+    return values
+
+
+def _index(x, where: str) -> int:
+    """x as an int; TypeError unless x is an integral number (1.0 reads as 1)."""
+    if type(x) is not int and not (_is_number(x) and float(x).is_integer()):
+        raise TypeError(f"{where} must be an integral number, got {x!r}")
+    return int(x)
+
+
+def _flags(values, where: str) -> tuple:
+    """values as a tuple; TypeError unless each is 0, 1, true or false."""
+    flags = tuple(values)
+    if not (set(map(type, flags)) <= _PLAIN | {bool} and set(flags) <= {0, 1}):
+        raise TypeError(f"{where} must hold only 0, 1, true or false, got {list(flags)!r}")
+    return flags
+
+
 def scenario_from_dict(raw: dict) -> ScenarioBundle:
     """Build a scenario bundle from a parsed JSON document.
 
     Raises ScenarioError for a malformed document: a missing key, a record
-    that is not a JSON object, or a value that is not a number.
+    that is not a JSON object, a value that is not a number (a boolean or
+    a numeric string is not) or is too large for a float, an area index
+    that is not integral, or a commitment other than 0, 1, true or false.
     """
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a JSON object")
     try:
         return _bundle(raw)
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
 
 def _bundle(raw: dict) -> ScenarioBundle:
-    base = float(raw.get("base_power", 1000.0))
+    base = _number(raw, "base_power", "scenario", 1000.0)
     if base <= 0:
         raise ScenarioError("base_power must be positive")
     areas = _get(raw, "areas", "scenario")
@@ -76,10 +120,12 @@ def _bundle(raw: dict) -> ScenarioBundle:
     n = len(areas)
     cols = {f: [] for f in _AREA_FIELDS}
     for k, area in enumerate(areas):
+        where = f"areas[{k}]"
         for f in _AREA_FIELDS:
-            cols[f].append(float(_get(area, f, f"areas[{k}]")) / base)
-    coupling = np.asarray(_get(raw, "coupling", "scenario"), dtype=float) / base
-    omega_max = float(_get(raw, "omega_max", "scenario"))
+            cols[f].append(_number(area, f, where) / base)
+    coupling = np.asarray([_numbers(row, "coupling") for row in _get(raw, "coupling", "scenario")],
+                          dtype=float) / base
+    omega_max = _number(raw, "omega_max", "scenario")
 
     try:
         model = SystemModel(
@@ -99,11 +145,12 @@ def _bundle(raw: dict) -> ScenarioBundle:
         raise ScenarioError(f"invalid physical model: {exc}") from exc
 
     attack = raw.get("attack", {})
-    attack_areas = tuple(sorted(int(a) for a in attack.get("areas", ())))
+    attack_areas = tuple(sorted(_index(a, "attack area") for a in attack.get("areas", ())))
     for a in attack_areas:
         if not 0 <= a < n:
             raise ScenarioError(f"attack area {a} out of range")
-    static = np.asarray(attack.get("static", [0.0] * n), dtype=float) / base
+    static = np.asarray(_numbers(attack.get("static", [0.0] * n), "attack static"),
+                        dtype=float) / base
     if static.shape != (n,):
         raise ScenarioError(f"attack static must list {n} values")
 
@@ -113,32 +160,37 @@ def _bundle(raw: dict) -> ScenarioBundle:
         periods = _get(d, "periods", "dispatch")
         if not periods:
             raise ScenarioError("dispatch.periods must be non-empty")
-        demand = np.asarray([_get(p, "demand", "period") for p in periods], dtype=float) / base
+        demand = np.asarray([_numbers(_get(p, "demand", "period"), "demand") for p in periods],
+                            dtype=float) / base
         wind = np.asarray(
-            [p.get("wind_available", [0.0] * n) for p in periods], dtype=float
+            [_numbers(p.get("wind_available", [0.0] * n), "wind_available") for p in periods],
+            dtype=float,
         ) / base
         gens = []
         for k, g in enumerate(_get(d, "generators", "dispatch")):
+            where = f"generators[{k}]"
             gens.append(
                 GeneratorSpec(
-                    area=int(_get(g, "area", f"generators[{k}]")),
-                    marginal_cost=float(_get(g, "marginal_cost", f"generators[{k}]")),
-                    p_min=float(_get(g, "p_min", f"generators[{k}]")) / base,
-                    p_max=float(_get(g, "p_max", f"generators[{k}]")) / base,
-                    committed=tuple(g.get("committed", [1] * len(periods))),
+                    area=_index(_get(g, "area", where), f"{where}.area"),
+                    marginal_cost=_number(g, "marginal_cost", where),
+                    p_min=_number(g, "p_min", where) / base,
+                    p_max=_number(g, "p_max", where) / base,
+                    committed=_flags(g.get("committed", [1] * len(periods)),
+                                     f"{where}.committed"),
                 )
             )
         storage = []
         for k, s in enumerate(d.get("storage", ())):
+            where = f"storage[{k}]"
             storage.append(
                 StorageSpec(
-                    area=int(_get(s, "area", f"storage[{k}]")),
-                    soc_min=float(_get(s, "soc_min", f"storage[{k}]")),
-                    soc_max=float(_get(s, "soc_max", f"storage[{k}]")),
-                    efficiency=float(_get(s, "efficiency", f"storage[{k}]")),
-                    power_limit=float(_get(s, "power_limit", f"storage[{k}]")) / base,
-                    energy=float(_get(s, "energy", f"storage[{k}]")) / base,
-                    soc_initial=float(s.get("soc_initial", 0.5)),
+                    area=_index(_get(s, "area", where), f"{where}.area"),
+                    soc_min=_number(s, "soc_min", where),
+                    soc_max=_number(s, "soc_max", where),
+                    efficiency=_number(s, "efficiency", where),
+                    power_limit=_number(s, "power_limit", where) / base,
+                    energy=_number(s, "energy", where) / base,
+                    soc_initial=_number(s, "soc_initial", where, 0.5),
                 )
             )
         try:
@@ -147,9 +199,9 @@ def _bundle(raw: dict) -> ScenarioBundle:
                 demand=demand,
                 wind_available=wind,
                 generators=tuple(gens),
-                shed_cost=float(d.get("shed_cost", 300.0)),
+                shed_cost=_number(d, "shed_cost", "dispatch", 300.0),
                 base_power=base,
-                min_online_fraction=float(d.get("min_online_fraction", 0.0)),
+                min_online_fraction=_number(d, "min_online_fraction", "dispatch", 0.0),
                 storage=tuple(storage),
                 attack_areas=attack_areas,
                 static_attack=static,
@@ -179,7 +231,11 @@ def load_scenario(path) -> ScenarioBundle:
 
 
 def load_samples(path, base_power: float) -> dict:
-    """Read detection samples: a list of {"area": n, "samples": [MW/Hz, ...]}."""
+    """Read detection samples: a list of {"area": n, "samples": [MW/Hz, ...]}.
+
+    Raises ScenarioError unless each area is an integral number and each
+    sample a number (a boolean or a numeric string is not).
+    """
     path = Path(path)
     if not path.exists():
         raise ScenarioError(f"samples file not found: {path}")
@@ -190,9 +246,10 @@ def load_samples(path, base_power: float) -> dict:
     out = {}
     try:
         for rec in [raw] if isinstance(raw, dict) else raw:
-            area = int(_get(rec, "area", "sample record"))
-            values = [float(x) / base_power for x in _get(rec, "samples", "sample record")]
+            area = _index(_get(rec, "area", "sample record"), "sample area")
+            values = [float(x) / base_power
+                      for x in _numbers(_get(rec, "samples", "sample record"), "sample")]
             out.setdefault(area, []).extend(values)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"samples file {path} is malformed: {exc}") from exc
     return out

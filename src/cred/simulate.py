@@ -73,14 +73,15 @@ def simulate(
     fastest mode, dt <= 1/(10 max|lambda|), so that classify_trajectory
     sees every oscillation peak; dt=None picks min(0.02, 1/(12
     max|lambda|)) from the same eigensolve.  Raises ConfigurationError
-    unless t_step and t_end are finite and dt, when given, is positive.
+    unless t_step, t_end and the disturbance are finite and dt, when
+    given, is positive.
     """
     n = ss.n_areas
     if not (np.isfinite(t_step) and np.isfinite(t_end) and (dt is None or dt > 0.0)):
         raise ConfigurationError("t_step and t_end must be finite and dt must be positive")
     disturbance = np.asarray(disturbance, dtype=float)
-    if disturbance.shape != (n,):
-        raise ConfigurationError(f"disturbance must have shape ({n},)")
+    if disturbance.shape != (n,) or not np.all(np.isfinite(disturbance)):
+        raise ConfigurationError(f"disturbance must hold {n} finite values")
     if t_end <= t_step:
         raise ConfigurationError("t_end must exceed t_step")
     lam_max = float(np.abs(np.linalg.eigvals(ss.state_matrix)).max())

@@ -4,7 +4,9 @@ Left eigenvectors are normalized against the descriptor, y^T E z = 1, which
 makes the first-order eigenvalue derivative with respect to the attack gain
 in area n simply  -y[N+n] * z[N+n]  (the feedback matrix loses one unit of
 damping in that diagonal entry).  The sign convention is fixed by agreement
-with central finite differences of the spectrum.
+with central finite differences of the spectrum.  sensitivity returns that
+derivative as a complex number; is_stable gives the strict Hurwitz verdict,
+Re(lambda) < 0 for every mode but a structural one at the origin.
 
 NumPy only: np.linalg.eig gives the spectrum and right vectors V, and the
 rows of V^-1 the left vectors, already scaled so that w_i^T v_i = 1.
@@ -21,7 +23,6 @@ from .grid import StateSpace
 
 __all__ = [
     "EigenSolution",
-    "SensitivityRecord",
     "StabilityVerdict",
     "eigen_decompose",
     "sensitivity",
@@ -59,21 +60,12 @@ class EigenSolution:
 
 
 @dataclass(frozen=True)
-class SensitivityRecord:
-    """First-order derivative of one eigenvalue w.r.t. the area-n attack gain."""
-
-    eigen_index: int
-    area: int
-    d_lambda_dKL: complex
-
-
-@dataclass(frozen=True)
 class StabilityVerdict:
+    """stable: max_real < 0, with the origin modes at indices excluded left out."""
+
     stable: bool
     max_real: float
-    margin: float
     excluded: tuple
-    zero_mode_flagged: bool
 
     def __bool__(self) -> bool:
         return self.stable
@@ -117,8 +109,8 @@ def eigen_decompose(ss: StateSpace) -> EigenSolution:
     return EigenSolution(values, vr, y)
 
 
-def sensitivity(ss: StateSpace, eig: EigenSolution, i: int, n: int) -> SensitivityRecord:
-    """Analytic derivative of eigenvalue i w.r.t. the attack gain in area n.
+def sensitivity(ss: StateSpace, eig: EigenSolution, i: int, n: int) -> complex:
+    """Analytic derivative d lambda_i / dK of eigenvalue i w.r.t. the attack gain in area n.
 
     Requires a simple eigenvalue; the droop-gain derivative is the exact
     negation of the attack-gain derivative.
@@ -136,17 +128,15 @@ def sensitivity(ss: StateSpace, eig: EigenSolution, i: int, n: int) -> Sensitivi
         )
     k = n_areas + n
     d_kl = -(eig.left_vectors[k, i] * eig.right_vectors[k, i])
-    return SensitivityRecord(i, n, complex(d_kl))
+    return complex(d_kl)
 
 
-def is_stable(eig: EigenSolution, margin: float = 0.0) -> StabilityVerdict:
-    """Strict Hurwitz verdict: every mode must satisfy Re(lambda) < -margin.
+def is_stable(eig: EigenSolution) -> StabilityVerdict:
+    """Strict Hurwitz verdict: every mode must satisfy Re(lambda) < 0.
 
-    A mode at the origin (|lambda| below ZERO_MODE_TOL) is treated as the
-    structural angle-reference mode, excluded from the verdict and flagged.
+    A mode at the origin (|lambda| at most ZERO_MODE_TOL) is treated as the
+    structural angle-reference mode and excluded from the verdict.
     """
-    if margin < 0.0:
-        raise ContractError("margin must be >= 0")
     lam = eig.eigenvalues
     excluded = tuple(int(j) for j in np.flatnonzero(np.abs(lam) <= ZERO_MODE_TOL))
     keep = np.ones(len(lam), dtype=bool)
@@ -155,10 +145,4 @@ def is_stable(eig: EigenSolution, margin: float = 0.0) -> StabilityVerdict:
     if not np.any(keep):
         raise NumericalError("no eigenvalues left after zero-mode exclusion")
     max_real = float(lam[keep].real.max())
-    return StabilityVerdict(
-        stable=max_real < -margin,
-        max_real=max_real,
-        margin=float(margin),
-        excluded=excluded,
-        zero_mode_flagged=bool(excluded),
-    )
+    return StabilityVerdict(stable=max_real < 0.0, max_real=max_real, excluded=excluded)

@@ -194,7 +194,7 @@ def run_workflow(cfg: WorkflowConfig, bundle: ScenarioBundle | None = None) -> W
             branch_taken=branch,
             baseline_cost=baseline.total_cost,
             final_cost=sol.total_cost,
-            cost_increment=cost_increment(scn, baseline.total_cost, sol.total_cost),
+            cost_increment=cost_increment(baseline.total_cost, sol.total_cost),
             robust_gains=[float(g) for g in gains],
             mode=cfg.mode,
             eta=cfg.eta,
@@ -215,9 +215,8 @@ def run_workflow(cfg: WorkflowConfig, bundle: ScenarioBundle | None = None) -> W
 
     with _stage("precheck"):
         pre = stability_precheck(scn, DroopSchedule.none(scn.model.areas), gains)
-    if pre.verdict.stable:
-        return finish("precheck_stable", baseline, gains,
-                      precheck_max_real=pre.verdict.max_real)
+    if pre.stable:
+        return finish("precheck_stable", baseline, gains, precheck_max_real=pre.max_real)
 
     active = tuple(int(a) for a in np.flatnonzero(gains > 0))
     with _stage("screening"):
@@ -250,7 +249,7 @@ def run_workflow(cfg: WorkflowConfig, bundle: ScenarioBundle | None = None) -> W
         branch,
         sol,
         gains,
-        precheck_max_real=pre.verdict.max_real,
+        precheck_max_real=pre.max_real,
         pairs=list(pairs),
         pair_worst_real=[float(sweeps[a].loci[:, i].real.max()) for i, a in pairs],
         tables=[
@@ -294,7 +293,7 @@ def _solution_dict(scn: DispatchScenario, sol: DispatchSolution) -> dict:
         "wind_power_mw": (sol.wind_power * base).tolist(),
         "wind_reserve_mw": (sol.wind_reserve * base).tolist(),
         "droop_pu_per_hz": sol.droop.tolist(),
-        "ibr_ref_mw": (sol.ibr_ref * base).tolist(),
+        "ibr_ref_mw": (sol.wind_power * base).tolist(),
         "shed_mw": (sol.shed * base).tolist(),
         "storage_charge_mw": (sol.storage_charge * base).tolist(),
         "storage_discharge_mw": (sol.storage_discharge * base).tolist(),
@@ -350,7 +349,7 @@ class SweepRow:
 def _apply_axis(doc: dict, attack_areas: tuple, axis: str, value: float) -> dict:
     """A copy of doc, a document scenario_from_dict accepts, with one axis set.
 
-    Numbers are read with float(), as the parser reads them.
+    The parser has checked that its values are numbers; they are read with float().
     """
     doc = copy.deepcopy(doc)
     if axis == "vulnerable_fraction":

@@ -115,7 +115,7 @@ def sweep_segment_table_pointwise(model, eigen_index: int, area: int, range_end:
         raise ConfigurationError("base system is unstable")
     base_lambda = complex(eig0.eigenvalues[eigen_index])
     points = [LinearizationPoint(0.0, base_lambda,
-                                 sensitivity(ss0, eig0, eigen_index, area).d_lambda_dKL)]
+                                 sensitivity(ss0, eig0, eigen_index, area))]
 
     direction = 1.0 if range_end > 0 else -1.0
     n_steps = int(np.floor(abs(range_end) / eps_phi + 1e-9))
@@ -140,7 +140,7 @@ def sweep_segment_table_pointwise(model, eigen_index: int, area: int, range_end:
             idx = int(np.argmin(np.abs(eig_k.eigenvalues - lam_true)))
             lam_true = complex(eig_k.eigenvalues[idx])
             points.append(LinearizationPoint(
-                float(k), lam_true, sensitivity(ss_k, eig_k, idx, area).d_lambda_dKL))
+                float(k), lam_true, sensitivity(ss_k, eig_k, idx, area)))
             err = 0.0
         abscissas.append(float(k))
         errors.append(err)

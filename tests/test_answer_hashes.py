@@ -53,6 +53,24 @@ def test_an_error_is_its_type_and_text():
     assert re.fullmatch(r"error  ScenarioError: .+", script.answer(item, None))
 
 
-def test_rejects_a_workload_without_workflow_ops():
-    proc = run("--workload", "step_response")
-    assert proc.returncode == 2 and "invalid choice" in proc.stderr
+STEP_LINE = re.compile(r"^(\d+)  (decaying|growing|marginal)  diverged=(True|False)  "
+                       r"samples=(\d+)  states=[0-9a-f]{64}$")
+
+
+def test_step_pool_one_line_per_op_and_the_same_on_a_rerun():
+    proc = run("--workload", "step_response", "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    matches = [STEP_LINE.match(line) for line in proc.stdout.splitlines()]
+    assert [int(m.group(1)) for m in matches] == list(range(100))
+    assert all(int(m.group(4)) > 1 for m in matches)
+    assert run("--workload", "step_response", "--seed", "0").stdout == proc.stdout
+
+
+def test_step_hash_is_that_of_the_trajectory():
+    script = load_script()
+    item = script.workloads.generate("step_response", 0)[0]
+    ss = script.workloads.closed_loop(script.scenario_from_dict(item.doc).model,
+                                      item.attack_gain, item.droop_gain)
+    traj = script.simulate(ss, item.step, t_step=1.0, t_end=60.0, dt=None)
+    digest = hashlib.sha256(traj.states.tobytes()).hexdigest()
+    assert script.step_answer(item).endswith(f"samples={len(traj.times)}  states={digest}")

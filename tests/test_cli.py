@@ -94,6 +94,16 @@ class TestSimulate:
                      "--mode", "worst_case", "--t-end", "40"]) == 0
         assert len(calls) == 1
 
+    def test_zero_step_stays_at_the_pre_step_equilibrium(self, tmp_path):
+        desk = tmp_path / "desk.json"
+        desk.write_text(json.dumps(three_area_system()))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(desk), "--out", str(out),
+                     "--step-mw", "0", "--t-end", "10"]) == 0
+        rows = read_csv(out / "trajectory.csv")
+        samples = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
+        assert len(samples) > 100 and np.all(samples == samples[0])
+
     def test_rerun_writes_identical_trajectory(self, toy_path, tmp_path):
         blobs = []
         for name in ("r1", "r2"):
@@ -256,7 +266,10 @@ class TestExitCodes:
         (["--t-end", "nan"], "must be finite"),
         (["--step-area", "3"], "--step-area must name an area in [0, 2]"),
         (["--step-area", "-1"], "--step-area must name an area in [0, 2]"),
-    ], ids=["dt_zero", "dt_negative", "t_end_nan", "step_area_high", "step_area_negative"])
+        (["--step-mw", "nan"], "disturbance must hold 3 finite values"),
+        (["--step-mw", "inf"], "disturbance must hold 3 finite values"),
+    ], ids=["dt_zero", "dt_negative", "t_end_nan", "step_area_high", "step_area_negative",
+            "step_mw_nan", "step_mw_inf"])
     def test_bad_simulate_flag_is_input_error(self, tmp_path, capsys, flags, message):
         desk = tmp_path / "desk.json"
         desk.write_text(json.dumps(three_area_system()))

@@ -228,7 +228,7 @@ class TestToyInstance:
         tab = build_segment_table(sweep_loci(one_area_model, 0, 2.0, 0.01), 1, 0.02)
         stab = StabilityConstraintSet((tab,), robust_gains=[3.0])
         with pytest.raises(CoverageError):
-            build_cred_milp(scn, stab)
+            solve_cred(scn, stab)
 
     def test_power_balance_and_droop_band(self, one_area_model):
         scn = toy_scenario(one_area_model)
@@ -347,36 +347,38 @@ class TestDroopFloor:
         calls = record_solves(monkeypatch)  # its builds pass through assert_wind_in_band
         for doc in (three_area_with_storage(), three_area_storage_day()):
             run_workflow(WorkflowConfig(mode="worst_case"), bundle=scenario_from_dict(doc))
-        builds = [problem for call in calls for problem in call[3]]
-        assert len(builds) == 4 and all(p.droop.any() for p in builds[1::2])
+        builds = [build for call in calls for build in call[3]]
+        assert len(builds) == 4 and all(kc.any() for kc, _ in builds[1::2])
         for seed in range(40):
             scn, stab, allow_shed = multi_area_draw(seed)
             if not scn.storage:
                 continue
             try:
-                builds.append(build_cred_milp(scn, stab, allow_shed=allow_shed))
+                kc = dispatch._droop_floor(scn, stab)[0]
+                builds.append((kc, build_cred_milp(scn, kc, allow_shed=allow_shed)))
             except InfeasibleError:
                 continue
-            assert_wind_in_band(builds[-1])
+            assert_wind_in_band(scn, *builds[-1])
         assert len(builds) > 10
 
     @pytest.mark.parametrize("allow_shed", [False, True])
     def test_storage_droop_beyond_its_wind_names_the_period(self, one_area_model, allow_shed):
         stab = toy_stability(one_area_model)
         scn = toy_storage(one_area_model, [4.0, 4.0, 4.0])
-        kc = dispatch._droop_floor(scn, stab)[0][0, 0]
+        floor = dispatch._droop_floor(scn, stab)[0]
+        kc = floor[0, 0]
         assert kc > 0.0
         # 2*omega*kc exceeds period 1's wind: its band is empty
         scn = toy_storage(one_area_model, [4.0, 0.9 * kc, 4.0])
         message = "dispatch infeasible in period 1" + ("" if allow_shed else " (shedding disabled)")
-        for solve in (build_cred_milp, solve_cred):
+        for solve, pinned in ((build_cred_milp, floor), (solve_cred, stab)):
             with pytest.raises(InfeasibleError) as info:
-                solve(scn, stab, allow_shed=allow_shed)
+                solve(scn, pinned, allow_shed=allow_shed)
             assert str(info.value) == message
         # within the feasibility tolerance the band closes to one point
         scn = toy_storage(one_area_model, [4.0, 2.0 * 0.5 * kc - 5e-10, 4.0])
-        problem = build_cred_milp(scn, stab, allow_shed=allow_shed)
-        assert_wind_in_band(problem)
+        problem = build_cred_milp(scn, floor, allow_shed=allow_shed)
+        assert_wind_in_band(scn, floor, problem)
         lo, hi = problem.program.bounds[problem.index["pw"][(1, 0)]]
         assert lo == hi == 0.5 * kc
         assert solve_cred(scn, stab, allow_shed=allow_shed).wind_power[1, 0] == 0.5 * kc
@@ -402,22 +404,22 @@ def toy_storage(one_area_model, wind):
         attack_areas=(0,))
 
 
-def assert_wind_in_band(problem):
-    """Wind in a built dispatch LP: no cost, its droop band as bounds, and no row but its balance.
+def assert_wind_in_band(scn, kc, problem):
+    """Wind in scn's LP at droop kc: no cost, its droop band as bounds, no row but its balance.
 
     The pinned droop is optimal because wind has no cost, is held only by
     its band [omega*kc, avail - omega*kc], and enters its period's balance
     row with coefficient 1 and no other row (dispatch._merit_order); the
     LP has only balance, online-floor and state-of-charge rows.
     """
-    scn, lp, index = problem.scenario, problem.program, problem.index
+    lp, index = problem.program, problem.index
     assert set(index) <= {"pg", "pw", "ps", "pch", "pdis", "soc"}
     floor = bool(scn.min_online_fraction > 0.0 and scn.generators)
     n_stor = len(scn.storage)
     assert lp.n_rows == scn.n_periods * (1 + floor + n_stor) + n_stor
     omega = scn.model.omega_max
     for (t, a), j in index["pw"].items():
-        pres = omega * problem.droop[t, a]
+        pres = omega * kc[t, a]
         assert lp.objective[j] == 0.0
         assert tuple(lp.bounds[j]) == (pres, max(scn.wind_available[t, a] - pres, pres))
         (r,) = np.flatnonzero(lp.lhs[:, j])
@@ -526,12 +528,14 @@ class TestMeritOrder:
         except InfeasibleError as exc:
             sol, failure = None, str(exc)
         for t in range(t_len):
+            period = period_scenario(scn, t)
             try:
-                problem = build_cred_milp(period_scenario(scn, t), stab, allow_shed=allow_shed)
+                kc, held, _, _ = dispatch._droop_floor(period, stab)
+                problem = build_cred_milp(period, kc, allow_shed=allow_shed)
             except InfeasibleError:
                 status = "infeasible"  # the droop does not fit the period's wind
             else:
-                assert_wind_in_band(problem)
+                assert_wind_in_band(period, kc, problem)
                 ref = solve_lp(problem.program)
                 status, objective, _ = solve_with_highs(problem.program)
                 assert ref.status == status
@@ -545,10 +549,10 @@ class TestMeritOrder:
             assert sol.node_count == sol.simplex_iterations == 0
             for value in (ref.objective_value, objective):
                 assert sol.per_period_cost[t] == pytest.approx(value, rel=1e-9, abs=1e-9)
-            assert {(t, *key[1:]): sol.binaries[(t, *key[1:])] for key in problem.fixed_binaries} \
-                == {(t, *key[1:]): z for key, z in problem.fixed_binaries.items()}
-            assert np.array_equal(sol.droop[t], problem.droop[0])
-            assert np.array_equal(sol.wind_reserve[t], scn.model.omega_max * problem.droop[0])
+            assert {(t, *key[1:]): sol.binaries[(t, *key[1:])] for key in held} \
+                == {(t, *key[1:]): z for key, z in held.items()}
+            assert np.array_equal(sol.droop[t], kc[0])
+            assert np.array_equal(sol.wind_reserve[t], scn.model.omega_max * kc[0])
             if tied_moves(scn, sol, t, allow_shed):
                 continue  # an alternative optimum; the simplex may pick another
             for family, attr in dispatch._FAMILIES.items():
@@ -588,12 +592,12 @@ class TestPrecheck:
     def test_small_gain_stable(self, one_area_model):
         scn = toy_scenario(one_area_model)
         report = stability_precheck(scn, DroopSchedule.none(1), [1.0])
-        assert report.verdict.stable
+        assert report.stable
 
     def test_large_gain_unstable(self, one_area_model):
         scn = toy_scenario(one_area_model)
         report = stability_precheck(scn, DroopSchedule.none(1), [3.0])
-        assert not report.verdict.stable
+        assert not report.stable
 
     def test_matches_time_domain(self, one_area_model):
         from cred.simulate import classify_trajectory, simulate
@@ -605,7 +609,7 @@ class TestPrecheck:
             ss = build_state_space(scn.model, attack, DroopSchedule.none(1))
             traj = simulate(ss, np.array([0.5]), t_step=1.0, t_end=60.0, dt=0.01)
             label = classify_trajectory(traj)
-            assert (label == "decaying") == report.verdict.stable
+            assert (label == "decaying") == report.stable
 
 
 class TestValidate:
@@ -691,21 +695,19 @@ class TestValidate:
 
 
 class TestCostIncrement:
-    def test_identity(self, one_area_model):
-        scn = toy_scenario(one_area_model)
-        assert cost_increment(scn, 60.0, 60.0) == 0.0
+    def test_identity(self):
+        assert cost_increment(60.0, 60.0) == 0.0
 
     def test_toy_value(self, one_area_model):
         scn = toy_scenario(one_area_model)
         base = solve_cred(scn, None).total_cost
         cred = solve_cred(scn, toy_stability(one_area_model)).total_cost
         # 0.5 MW of wind deloaded, replaced by thermal at +10/MWh
-        assert cost_increment(scn, base, cred) == pytest.approx(5.0, abs=1e-4)
+        assert cost_increment(base, cred) == pytest.approx(5.0, abs=1e-4)
 
-    def test_negative_increment_rejected(self, one_area_model):
-        scn = toy_scenario(one_area_model)
+    def test_negative_increment_rejected(self):
         with pytest.raises(NumericalError):
-            cost_increment(scn, 60.0, 59.0)
+            cost_increment(60.0, 59.0)
 
 
 class TestDeskMonotonicity:
@@ -736,8 +738,9 @@ class TestRobustSubstitution:
             sweep_loci(one_area_model, 0, float(gains[0]), float(gains[0]) / 200.0), 1, 0.02)
         tab2 = build_segment_table(
             sweep_loci(one_area_model, 0, float(collapsed[0]), float(collapsed[0]) / 200.0), 1, 0.02)
-        p1 = build_cred_milp(scn, StabilityConstraintSet((tab1,), gains))
-        p2 = build_cred_milp(scn, StabilityConstraintSet((tab2,), collapsed))
+        p1, p2 = (build_cred_milp(scn, dispatch._droop_floor(scn, stab)[0])
+                  for stab in (StabilityConstraintSet((tab1,), gains),
+                               StabilityConstraintSet((tab2,), collapsed)))
         assert np.array_equal(p1.program.lhs, p2.program.lhs)
         assert np.array_equal(p1.program.rhs, p2.program.rhs)
         assert np.array_equal(p1.program.objective, p2.program.objective)
@@ -857,7 +860,7 @@ class TestStorage:
         )
         stab = toy_stability(one_area_model)
         stitched = solve_cred(scn, stab)
-        mono = solve_lp(build_cred_milp(scn, stab).program)
+        mono = solve_lp(build_cred_milp(scn, dispatch._droop_floor(scn, stab)[0]).program)
         assert mono.optimal
         assert mono.objective_value == pytest.approx(stitched.total_cost, abs=1e-6)
 
@@ -875,10 +878,11 @@ def record_solves(monkeypatch):
     """Every dispatch the workflow solves, with the LPs it solves.
 
     Returns a list that fills with [scn, stab, allow_shed, builds, programs,
-    sol] per solve_cred call: builds lists what its build_cred_milp calls
-    return, each checked by assert_wind_in_band, programs the LPs it hands
-    to solve_lp (the droop search's cell LPs, then the storage LP), and sol
-    is its solution, or None when it raised InfeasibleError.
+    sol] per solve_cred call: builds lists the droop and result (kc,
+    CredMilp) of its build_cred_milp calls, each checked by
+    assert_wind_in_band, programs the LPs it hands to solve_lp (the droop
+    search's cell LPs, then the storage LP), and sol is its solution, or
+    None when it raised InfeasibleError.
     """
     calls = []
     solve, build, lp_solve = workflow.solve_cred, dispatch.build_cred_milp, dispatch.solve_lp
@@ -888,10 +892,11 @@ def record_solves(monkeypatch):
         calls[-1][5] = solve(scn, stab, allow_shed=allow_shed)
         return calls[-1][5]
 
-    def building(*args, **kwargs):
-        calls[-1][3].append(build(*args, **kwargs))
-        assert_wind_in_band(calls[-1][3][-1])
-        return calls[-1][3][-1]
+    def building(scn, kc, allow_shed=False):
+        problem = build(scn, kc, allow_shed=allow_shed)
+        assert_wind_in_band(scn, kc, problem)
+        calls[-1][3].append((kc, problem))
+        return problem
 
     def lp_solving(lp):
         calls[-1][4].append(lp)
@@ -1187,7 +1192,7 @@ class TestCellSearch:
             base_power=1.0, attack_areas=(0, 1))
         bands = net_gain_bands(scn, stab)
         assert stab.net_gain_max(bands[0]) is not None and stab.net_gain_max(bands[1]) is None
-        for solve in (build_cred_milp, solve_cred):
+        for solve in (dispatch._droop_floor, solve_cred):
             with pytest.raises(InfeasibleError) as info:
                 solve(scn, stab)
             assert str(info.value) == ("dispatch infeasible in period 1: no droop within the "

@@ -65,6 +65,42 @@ class TestScenarioFromDict:
         with pytest.raises(ScenarioError):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["attack"].update(areas=[True]),
+         "attack area must be an integral number, got True"),
+        (lambda d: d["areas"][1].update(ibr_max_power="5000"),
+         "areas[1].ibr_max_power must be a number, got '5000'"),
+        (lambda d: d["dispatch"]["generators"][0].update(area=0.7),
+         "generators[0].area must be an integral number, got 0.7"),
+        (lambda d: d["dispatch"]["generators"][0].update(committed=["no", 0, "", 1]),
+         "generators[0].committed must hold only 0, 1, true or false"),
+        (lambda d: d["dispatch"]["generators"][0].update(committed=[1, 2, 1, 1]),
+         "generators[0].committed must hold only 0, 1, true or false"),
+        (lambda d: d["dispatch"]["periods"][0].update(demand=[1000.0, "1000", 1000.0]),
+         "demand must hold numbers, got '1000'"),
+        (lambda d: d["coupling"][0].__setitem__(1, False), "coupling must hold numbers, got False"),
+        (lambda d: d.update(omega_max="0.5"), "scenario.omega_max must be a number, got '0.5'"),
+        (lambda d: d["areas"][0].update(damping=10**400), "int too large to convert to float"),
+    ], ids=["area_true", "string_capacity", "fractional_area", "string_commitment",
+            "commitment_two", "string_demand", "boolean_coupling", "string_omega_max",
+            "huge_integer"])
+    def test_non_numbers_rejected(self, edit, message):
+        doc = three_area_system()
+        edit(doc)
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(doc)
+        assert str(info.value).startswith(f"malformed scenario: {message}")
+
+    def test_integral_numbers_and_boolean_commitments_accepted(self):
+        doc = three_area_system()
+        doc["attack"]["areas"] = [1.0]
+        doc["dispatch"]["generators"][0]["area"] = 0.0
+        doc["dispatch"]["generators"][0]["committed"] = [True, 1, 1.0, False]
+        bundle = scenario_from_dict(doc)
+        assert bundle.attack_areas == (1,)
+        gen = bundle.dispatch.generators[0]
+        assert gen.area == 0 and gen.committed == (1, 1, 1, 0)
+
 
 class TestFiles:
     def test_load_scenario_from_disk(self, tmp_path):
@@ -86,6 +122,19 @@ class TestFiles:
         path = tmp_path / "samples.json"
         path.write_text(json.dumps({"area": 0, "samples": [2.0, 3.0]}))
         assert load_samples(path, base_power=1.0) == {0: [2.0, 3.0]}
+
+    @pytest.mark.parametrize("record", [
+        {"area": True, "samples": [2.0]},
+        {"area": 0.5, "samples": [2.0]},
+        {"area": 0, "samples": [2.0, "3.0"]},
+        {"area": 0, "samples": [2.0, False]},
+        {"area": 0, "samples": [2.0, 10**400]},
+    ], ids=["area_true", "fractional_area", "string_sample", "boolean_sample", "huge_sample"])
+    def test_non_numbers_rejected(self, tmp_path, record):
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps([record]))
+        with pytest.raises(ScenarioError, match="is malformed"):
+            load_samples(path, base_power=1.0)
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ScenarioError):

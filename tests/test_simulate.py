@@ -161,6 +161,11 @@ class TestSimulate:
         with pytest.raises(ConfigurationError):
             simulate(ss, np.array([1.0]), t_step=5.0, t_end=4.0, dt=0.01)
 
+    @pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf])
+    def test_non_finite_disturbance(self, one_area_model, step):
+        with pytest.raises(ConfigurationError, match="disturbance must hold 1 finite values"):
+            simulate(_ss(one_area_model), np.array([step]), t_step=1.0, t_end=5.0, dt=0.01)
+
     def test_deviation_norm_monotone_after_last_peak(self, one_area_model):
         ss = _ss(one_area_model)
         traj = simulate(ss, np.array([1.0]), t_step=1.0, t_end=30.0, dt=0.01)

@@ -335,16 +335,23 @@ class TestSweeps:
 
     @pytest.mark.parametrize("axis, value, edit", [
         ("vulnerable_fraction", 0.3, lambda d: d["attack"].update(areas=[1.0])),
-        ("wind_capacity", 4000.0, lambda d: d["areas"][1].update(ibr_max_power="5000")),
     ])
     def test_numbers_read_as_the_parser_reads_them(self, axis, value, edit):
-        # the parser takes area 1.0 as 1 and "5000" as 5000.0; so does the axis
+        # the parser takes area 1.0 as 1; so does the axis
         doc = three_area_system()
         edit(doc)
         cfg = WorkflowConfig(mode="worst_case")
         rows = sweep_study(cfg, axis, [value], scenario_doc=doc)
         assert rows == sweep_study(cfg, axis, [value], scenario_doc=three_area_system())
         assert rows[0].error is None
+
+    def test_numeric_string_rejected_before_the_grid(self):
+        # the parser rejects "5000" as a number, so the sweep stops before its first point
+        doc = three_area_system()
+        doc["areas"][1]["ibr_max_power"] = "5000"
+        with pytest.raises(ScenarioError, match=r"areas\[1\]\.ibr_max_power must be a number"):
+            sweep_study(WorkflowConfig(mode="worst_case"), "wind_capacity", [4000.0],
+                        scenario_doc=doc)
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
