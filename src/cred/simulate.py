@@ -3,8 +3,10 @@
 xdot = S x + f starts at the pre-step equilibrium and the load step enters
 the piecewise-constant forcing at a chosen time, so samples are propagated
 exactly with Phi = expm(S dt) (zero-order hold; Van Loan, IEEE TAC 23(3),
-1978).  A trajectory whose state passes DIVERGENCE_NORM is cut short and
-flagged diverged rather than treated as an error.
+1978), expm being the degree-13 Pade approximant with scaling and squaring
+(Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).  A trajectory whose state
+passes DIVERGENCE_NORM is cut short and flagged diverged rather than treated
+as an error.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ import numpy as np
 from .errors import ClassificationError, ConfigurationError
 from .grid import StateSpace
 
-__all__ = ["Trajectory", "simulate", "classify_trajectory"]
+__all__ = ["Trajectory", "expm", "simulate", "classify_trajectory"]
 
 DIVERGENCE_NORM = 1e6
 
-#: samples propagated per matrix product
-BLOCK = 64
+#: most samples propagated by one matrix product
+BLOCK = 256
 
 #: |log-amplitude slope| below this is called marginal (1/s)
 CLASSIFY_TOL = 0.01
@@ -57,6 +59,42 @@ class Trajectory:
 
 def _equilibrium(ss: StateSpace, forcing: np.ndarray) -> np.ndarray:
     return np.linalg.solve(ss.state_matrix, -forcing)
+
+
+#: degree-13 Pade coefficients and the 1-norm up to which they need no
+#: scaling (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, Table 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by the degree-13 Pade approximant with scaling and squaring.
+
+    a is halved s times until its 1-norm is at most theta_13, the
+    approximant r = (V - U)^-1 (V + U) is formed from the even and odd
+    powers, and r is squared s times (Higham 2005, Algorithm 2.3, always
+    at degree 13).  The zero matrix gives exactly the identity.
+    """
+    ident = np.eye(len(a))
+    norm = float(np.abs(a).sum(axis=0).max())
+    if norm == 0.0:
+        return ident
+    s = max(0, int(np.ceil(np.log2(norm / _THETA13))))
+    a = a / 2.0**s
+    b = _PADE13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def simulate(
@@ -105,27 +143,37 @@ def simulate(
     states = np.empty((n_steps + 1, 2 * n))
     k = min(max(k_switch, 0), n_steps)
     states[: k + 1] = x_pre
-    # rows: deviation from eq_post over the next BLOCK samples, carried
-    # forward a whole block at a time by one product with Phi^BLOCK
-    from scipy.linalg import expm  # loaded on first call, off the package's import path
-    phi = expm(ss.state_matrix * dt)
-    rows = np.empty((BLOCK, 2 * n))
-    rows[0] = phi @ (x_pre - eq_post)
-    checked = 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, BLOCK):
-            rows[j] = phi @ rows[j - 1]
-        jump = np.linalg.matrix_power(phi, BLOCK).T
-        while True:
-            over = np.flatnonzero(np.abs(states[checked : k + 1]).max(axis=1) > DIVERGENCE_NORM)
-            if over.size or k == n_steps:
-                break
-            m = min(BLOCK, n_steps - k)
-            states[k + 1 : k + 1 + m] = eq_post + rows[:m]
-            rows = rows @ jump
-            checked, k = k + 1, k + m
-    diverged = bool(over.size)
-    last = checked + int(over[0]) if diverged else n_steps
+    # the deviation from eq_post is propagated in place after the step: each
+    # round appends up to `stride` rows as one product of earlier rows with
+    # Phi^stride, the stride doubling while it fits the rows filled and BLOCK
+    last, diverged, todo = n_steps, False, n_steps - k
+    if k and not np.abs(x_pre).max() <= DIVERGENCE_NORM:
+        last, diverged = 1, True
+    elif todo:
+        dev = states[k + 1 :]
+        power = expm(ss.state_matrix * dt).T
+        dev[0] = (x_pre - eq_post) @ power
+        # no row within `screen` of zero can put its sample past the bound
+        # (rounded down, so that the bound holds after rounding too)
+        screen = np.nextafter(DIVERGENCE_NORM - np.abs(eq_post).max(), -np.inf)
+        new, filled, stride = dev[:1], 1, 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                if not (new.max() <= screen and new.min() >= -screen):  # NaN trips it
+                    peak = np.abs(new + eq_post).max(axis=1)
+                    over = np.flatnonzero(~(peak <= DIVERGENCE_NORM))
+                    if over.size:
+                        last, diverged = k + 1 + filled - len(new) + int(over[0]), True
+                        break
+                if filled == todo:
+                    break
+                if 2 * stride <= min(filled, BLOCK):
+                    power, stride = power @ power, 2 * stride
+                m = min(stride, todo - filled)
+                new = np.matmul(dev[filled - stride : filled - stride + m], power,
+                                out=dev[filled : filled + m])
+                filled += m
+        states[k + 1 : last + 1] += eq_post
 
     times = np.arange(last + 1) * dt
     states = states[: last + 1]

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -6,16 +9,28 @@ from hypothesis import strategies as st
 
 from cred.errors import ClassificationError, ConfigurationError
 from cred.grid import AttackProfile, DroopSchedule, build_state_space
+from cred.scenario import scenario_from_dict
 from cred.simulate import (
     BLOCK,
     DIVERGENCE_NORM,
     Trajectory,
     classify_trajectory,
+    expm,
     simulate,
 )
 from cred.stability import eigen_decompose, is_stable
 
 from oracles import random_system_model
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+#: post-step sample counts at the edges of the propagation rounds: the
+#: stride doubles through 1, 2, 4, ... up to BLOCK, then each round is capped
+#: at BLOCK rows
+ROUND_EDGES = sorted(
+    {1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1}
+    | {2**j + d for j in range(BLOCK.bit_length()) for d in (0, 1) if 2**j <= BLOCK}
+)
 
 
 def _closed_form(ss, step, k_switch, n_steps, dt):
@@ -64,10 +79,20 @@ class TestSimulate:
         slope = np.polyfit(t[peaks], np.log(e[peaks]), 1)[0]
         assert slope == pytest.approx(-1.0, rel=0.05)
 
-    def test_zero_disturbance_stays_at_equilibrium(self, one_area_model):
+    def test_zero_disturbance_stays_at_equilibrium(self, one_area_model, desk_bundle):
+        # the deviation from the post-step equilibrium stays exactly zero
+        for model in (one_area_model, desk_bundle.model):
+            ss = _ss(model)
+            traj = simulate(ss, np.zeros(model.areas), t_step=1.0, t_end=10.0, dt=0.01)
+            assert len(traj.times) == 1001 and not traj.diverged
+            assert traj.states.tobytes() == np.tile(traj.states[0], (1001, 1)).tobytes()
+
+    def test_no_sample_after_the_step(self, one_area_model):
         ss = _ss(one_area_model)
-        traj = simulate(ss, np.array([0.0]), t_step=1.0, t_end=5.0, dt=0.01)
-        assert np.max(np.abs(traj.states - traj.states[0])) <= 1e-12
+        traj = simulate(ss, np.array([1.0]), t_step=1.0, t_end=1.004, dt=0.01)
+        x0 = np.linalg.solve(ss.state_matrix, -ss.forcing)
+        assert len(traj.times) == 101 and not traj.diverged
+        assert np.array_equal(traj.states, np.tile(x0, (101, 1)))
 
     def test_unstable_attack_diverges(self, one_area_model):
         # gain 3 flips the damping to -1: envelope grows like exp(t/2)
@@ -103,7 +128,7 @@ class TestSimulate:
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(0, 10_000),
-        st.one_of(st.sampled_from([BLOCK, 2 * BLOCK]), st.integers(1, 3 * BLOCK)),
+        st.one_of(st.sampled_from(ROUND_EDGES), st.integers(1, 3 * BLOCK)),
     )
     def test_block_propagation_matches_closed_form(self, seed, n_post):
         # stable and growing loops; steps up to 1e8 p.u. so that some
@@ -129,6 +154,33 @@ class TestSimulate:
         traj = simulate(ss, step, t_step=t_step, t_end=n_steps * dt, dt=dt)
         assert traj.diverged == bool(over.size)
         assert len(traj.times) == last + 1
+        assert _rel_error(traj.states, ref, scale) <= 1e-10
+
+    @pytest.mark.parametrize("first, end", [
+        (BLOCK // 4, BLOCK // 2),  # a doubling round
+        (BLOCK // 2, BLOCK),  # the last doubling round
+        (2 * BLOCK, 3 * BLOCK),  # a round capped at BLOCK rows
+    ])
+    def test_cut_inside_a_round(self, one_area_model, first, end):
+        # the post-step rows first..end-1 are appended by one product; a step
+        # sized between two successive records of the growing response's
+        # swing puts the first sample past the bound strictly inside them
+        ss = _ss(one_area_model, gain=3.0)
+        k_switch, n_steps, dt = 100, 100 + 3 * BLOCK, 0.01
+        unit, _ = _closed_form(ss, np.array([1.0]), k_switch, n_steps, dt)
+        swing = np.abs(unit[k_switch + 1 :] - unit[0]).max(axis=1)
+        before = np.maximum.accumulate(swing)[:-1]
+        records = [r for r in range(first + 1, end) if swing[r] > before[r - 1]]
+        assert records
+        r = records[len(records) // 2]
+        step = np.array([2.0 * DIVERGENCE_NORM / (swing[r] + before[r - 1])])
+        ref, scale = _closed_form(ss, step, k_switch, n_steps, dt)
+        over = np.flatnonzero(np.abs(ref[1:]).max(axis=1) > DIVERGENCE_NORM)
+        assert over[0] + 1 == k_switch + 1 + r
+
+        traj = simulate(ss, step, t_step=k_switch * dt, t_end=n_steps * dt, dt=dt)
+        assert traj.diverged
+        assert len(traj.times) == k_switch + 2 + r
         assert _rel_error(traj.states, ref, scale) <= 1e-10
 
     def test_resolution_guard(self, one_area_model):
@@ -174,6 +226,63 @@ class TestSimulate:
         peaks = np.flatnonzero((interior > e[:-2]) & (interior >= e[2:])) + 1
         tail = e[peaks[-1]:]
         assert np.all(np.diff(tail) <= 1e-12)
+
+
+def _damped_oscillators(rng, n, norm):
+    """n-state matrix of lightly damped modes with 1-norm near `norm`.
+
+    Eigenvalues min(1, c) rho +- i c omega, per mode rho in (-1, 0.1) and
+    omega in (0.2, 1), c scaling the 1-norm; a mildly non-normal similarity
+    hides the modes, as in a closed loop.
+    """
+    t = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    rot = np.zeros((n, n))
+    damp = np.zeros(n)
+    for j in range(0, n - 1, 2):
+        omega = rng.uniform(0.2, 1.0)
+        rot[j, j + 1], rot[j + 1, j] = omega, -omega
+        damp[j : j + 2] = rng.uniform(-1.0, 0.1)
+    if n % 2:
+        damp[-1] = rng.uniform(-1.0, 0.1)
+    t_inv = np.linalg.inv(t)
+    c = norm / np.abs(t @ rot @ t_inv).sum(axis=0).max()
+    return t @ (c * rot + min(1.0, c) * np.diag(damp)) @ t_inv
+
+
+def _expm_error(a):
+    """Distance of expm(a) from scipy.linalg.expm(a), relative to its size.
+
+    It is divided by max(1, ||a||_1) too: exp's relative condition number is
+    at least ||a|| (Van Loan, SIAM J. Numer. Anal. 14(6), 1977), so two
+    accurate routes may differ by about ||a|| eps.
+    """
+    ref = sla.expm(a)
+    norm = np.abs(a).sum(axis=0).max()
+    return np.abs(expm(a) - ref).max() / np.abs(ref).max() / max(1.0, norm)
+
+
+class TestExpm:
+    def test_zero_matrix_gives_the_identity(self):
+        for n in (1, 2, 6, 48):
+            assert np.array_equal(expm(np.zeros((n, n))), np.eye(n))
+
+    def test_matches_scipy_on_damped_oscillators(self):
+        rng = np.random.default_rng(0)
+        norms = []
+        for n in (2, 3, 6, 17, 48):
+            for norm in np.logspace(-3.0, 3.0, 13):
+                a = _damped_oscillators(rng, n, norm)
+                norms.append(np.abs(a).sum(axis=0).max())
+                assert _expm_error(a) <= 1e-13
+        # both sides of theta_13 = 5.37, where expm starts to scale and square
+        assert min(norms) < 2e-3 and max(norms) > 500.0
+
+    def test_matches_scipy_on_step_loops(self, desk_bundle):
+        ring = scenario_from_dict(json.loads((FIXTURES / "ring_seed0_op2.json").read_text()))
+        for model in (desk_bundle.model, ring.model):
+            ss = _ss(model)
+            lam_max = float(np.abs(np.linalg.eigvals(ss.state_matrix)).max())
+            assert _expm_error(ss.state_matrix * min(0.02, 1.0 / (12.0 * lam_max))) <= 1e-13
 
 
 class TestClassify:
