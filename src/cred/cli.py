@@ -20,7 +20,7 @@ from .errors import (
     ScenarioError,
     ValidationFailure,
 )
-from .grid import AttackProfile, DroopSchedule, build_state_space
+from .grid import AttackProfile, DroopSchedule, attack_from_gains, build_state_space
 from .linearize import build_segment_table, select_critical_pairs, sweep_loci
 from .scenario import load_samples, load_scenario
 from .simulate import classify_trajectory, simulate
@@ -167,9 +167,7 @@ def cmd_simulate(args) -> int:
         droop_gain = np.array(args.kc) / bundle.base_power
         if droop_gain.shape != (n,):
             raise ScenarioError(f"--kc must list {n} comma-separated MW/Hz values")
-    active = tuple(int(a) for a in np.flatnonzero(gains > 0))
-    attack = AttackProfile(gains, bundle.static_attack,
-                           tuple(sorted(set(active) | set(bundle.attack_areas))))
+    attack = attack_from_gains(gains, bundle.static_attack, bundle.attack_areas)
     ss = build_state_space(bundle.model, attack, DroopSchedule(droop_gain, np.zeros(n)))
 
     step = np.zeros(n)

@@ -22,10 +22,12 @@ best bound first.
 With the droop pinned, every storage-free period, the baseline's too, is an
 economic dispatch with one balance row, solved by merit order with no
 program built (_merit_order); with storage the horizon is one LP, which
-build_cred_milp assembles from the pinned droop.  Both see the droop only
-as the bounds of wind, which has no cost and enters no row but its
-period's balance, so the pinned droop is optimal by construction; the
-joint-MIP oracle tests check the argument end to end.
+build_cred_milp assembles from the pinned droop.  Both work on one column
+block per period (_columns), its costs and every period's bounds stated
+once (_blocks), and both see the droop only as the bounds of wind, which
+has no cost and enters no row but its period's balance, so the pinned
+droop is optimal by construction; the joint-MIP oracle tests check the
+argument end to end.
 
 Solutions are certified a posteriori by an exact eigenvalue check of every
 period's closed loop.
@@ -46,7 +48,7 @@ from .errors import (
     NumericalError,
     ValidationFailure,
 )
-from .grid import AttackProfile, DroopSchedule, build_state_space
+from .grid import DroopSchedule, attack_from_gains, build_state_space
 from .linearize import evaluate_piecewise
 from .milp import LinearProgram, solve_lp
 from .stability import StabilityVerdict, eigen_decompose, is_stable
@@ -378,10 +380,9 @@ def _cell_lp(areas: list, combo: list, held: dict, segs: dict, bounds: dict) -> 
 
 @dataclass(frozen=True, eq=False)
 class CredMilp:
-    """The storage horizon as an LP with the droop pinned, plus the variable index."""
+    """The storage horizon as an LP with the droop pinned; its columns are _columns' blocks."""
 
     program: LinearProgram
-    index: dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,102 +424,102 @@ class DispatchSolution:
     stability_certificate: StabilityCertificate | None = None
 
 
-class _Vars:
-    def __init__(self):
-        self.bounds = []
-        self.index = {}
+def _columns(scn: DispatchScenario) -> dict:
+    """Slice of each DispatchSolution array in one period's column block.
 
-    def add(self, family: str, key, lo: float, hi: float) -> int:
-        idx = len(self.bounds)
-        self.bounds.append((lo, hi))
-        self.index.setdefault(family, {})[key] = idx
-        return idx
+    The block holds each generator, then (wind, shed) per area, then
+    (charge, discharge, soc) per storage unit; the horizon's LP repeats it
+    once per period.
+    """
+    g, w = len(scn.generators), len(scn.generators) + 2 * scn.model.areas
+    return {"sg_power": slice(0, g), "wind_power": slice(g, w, 2), "shed": slice(g + 1, w, 2),
+            "storage_charge": slice(w, None, 3), "storage_discharge": slice(w + 1, None, 3),
+            "storage_soc": slice(w + 2, None, 3)}
 
-    def get(self, family: str, key) -> int:
-        return self.index[family][key]
+
+def _blocks(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool) -> tuple:
+    """(cost, lo, hi): the block's cost per column and every period's bounds, shape (T, width).
+
+    Wind is held in its droop band [pres, max(avail - pres, pres)],
+    pres = omega*kc, and has no cost; a unit off in period t is held at 0.
+    """
+    cols, gens, stor = _columns(scn), scn.generators, scn.storage
+    t_len, width = scn.n_periods, len(gens) + 2 * scn.model.areas + 3 * len(stor)
+    cost = np.zeros(width)
+    lo, hi = np.zeros((t_len, width)), np.zeros((t_len, width))
+    cost[cols["sg_power"]] = [(gen.marginal_cost * scn.base_power) * DELTA_T for gen in gens]
+    cost[cols["shed"]] = (scn.shed_cost * scn.base_power) * DELTA_T
+    online = np.array([gen.committed for gen in gens], dtype=float).reshape(len(gens), t_len).T
+    lo[:, cols["sg_power"]] = online * [gen.p_min for gen in gens]
+    hi[:, cols["sg_power"]] = online * [gen.p_max for gen in gens]
+    pres = scn.model.omega_max * kc
+    lo[:, cols["wind_power"]] = pres
+    hi[:, cols["wind_power"]] = np.maximum(scn.wind_available - pres, pres)
+    hi[:, cols["shed"]] = scn.demand if allow_shed else 0.0
+    hi[:, cols["storage_charge"]] = hi[:, cols["storage_discharge"]] = [s.power_limit for s in stor]
+    lo[:, cols["storage_soc"]] = [s.soc_min for s in stor]
+    hi[:, cols["storage_soc"]] = [s.soc_max for s in stor]
+    return cost, lo, hi
+
+
+def _empty_band(scn: DispatchScenario, kc: np.ndarray):
+    """The first period whose droop band is empty, or None.
+
+    A band is empty where 2*omega*kc - avail > _FEAS_TOL in an area;
+    within that tolerance it closes to the point omega*kc (_blocks).
+    """
+    empty = np.flatnonzero(np.any(
+        2.0 * (scn.model.omega_max * kc) - scn.wind_available > _FEAS_TOL, axis=1))
+    return int(empty[0]) if empty.size else None
 
 
 def build_cred_milp(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool = False) -> CredMilp:
     """Assemble the dispatch horizon as one LP, the droop pinned to kc (T, N).
 
-    The program sees the droop only as its wind bounds (_wind_band): wind
-    has no cost and enters only its period's balance row, with
-    coefficient 1, so the droop _droop_floor chose is optimal by
-    construction (argument in _merit_order).  Its rows are the balance,
-    the online floor and the storage recursion.  Raises InfeasibleError
-    naming the first period whose droop does not fit its wind.
+    Column t * width + j is column j of period t's block (_columns).  The
+    program sees the droop only as its wind bounds (_blocks): wind has no
+    cost and enters only its period's balance row, with coefficient 1, so
+    the droop _droop_floor chose is optimal by construction (argument in
+    _merit_order).  Its rows are, per period, the balance, the online
+    floor and each storage unit's recursion, the last period's followed
+    by its terminal state of charge.  Raises InfeasibleError naming the
+    first period whose droop does not fit its wind.
     """
-    n = scn.model.areas
-    last = scn.n_periods - 1
-    v = _Vars()
-    rows = []  # (coeff dict, rel, rhs)
-    obj = {}
-
-    for t in range(scn.n_periods):
-        pres, wind_hi = _wind_band(scn, kc, t, allow_shed)
-        for g_id, gen in enumerate(scn.generators):
-            u = gen.committed[t]
-            v.add("pg", (t, g_id), gen.p_min * u, gen.p_max * u)
-        for a in range(n):
-            v.add("pw", (t, a), pres[a], wind_hi[a])
-            shed_cap = float(scn.demand[t, a]) if allow_shed else 0.0
-            v.add("ps", (t, a), 0.0, shed_cap)
-        for s_id, stor in enumerate(scn.storage):
-            v.add("pch", (t, s_id), 0.0, stor.power_limit)
-            v.add("pdis", (t, s_id), 0.0, stor.power_limit)
-            v.add("soc", (t, s_id), stor.soc_min, stor.soc_max)
-
-        # system-wide power balance: generation + net storage + shed = demand
-        bal = {}
-        for g_id in range(len(scn.generators)):
-            bal[v.get("pg", (t, g_id))] = 1.0
-        for a in range(n):
-            bal[v.get("pw", (t, a))] = 1.0
-            bal[v.get("ps", (t, a))] = 1.0
-        for s_id in range(len(scn.storage)):
-            bal[v.get("pdis", (t, s_id))] = 1.0
-            bal[v.get("pch", (t, s_id))] = -1.0
-        rows.append((bal, "=", float(scn.demand[t].sum())))
-
-        if scn.min_online_fraction > 0.0 and scn.generators:
-            floor = {v.get("pg", (t, g_id)): 1.0 for g_id in range(len(scn.generators))}
-            rows.append((floor, ">=", scn.min_online_fraction * float(scn.demand[t].sum())))
-
-        for s_id, stor in enumerate(scn.storage):
+    empty = _empty_band(scn, kc)
+    if empty is not None:
+        raise _infeasible(f"period {empty}", allow_shed)
+    cols = _columns(scn)
+    cost, lo, hi = _blocks(scn, kc, allow_shed)
+    t_len, width = lo.shape
+    floor = bool(scn.min_online_fraction > 0.0 and scn.generators)
+    n_stor = len(scn.storage)
+    # generation + net storage + shed = demand; generation >= a share of demand
+    balance, generation = np.ones(width), np.zeros(width)
+    balance[cols["storage_charge"]], balance[cols["storage_soc"]] = -1.0, 0.0
+    generation[cols["sg_power"]] = 1.0
+    lhs = np.zeros((t_len * (1 + floor + n_stor) + n_stor, t_len * width))
+    rows = []  # (relation, rhs) of each row of lhs
+    for t in range(t_len):
+        at = t * width
+        demand = float(scn.demand[t].sum())
+        lhs[len(rows), at:at + width] = balance
+        rows.append(("=", demand))
+        if floor:
+            lhs[len(rows), at:at + width] = generation
+            rows.append((">=", scn.min_online_fraction * demand))
+        for soc, stor in zip(range(at, at + width)[cols["storage_soc"]], scn.storage):
             # soc_t = soc_{t-1} + (eff*pch - pdis/eff) * dt / energy
-            coeff = {
-                v.get("soc", (t, s_id)): 1.0,
-                v.get("pch", (t, s_id)): -stor.efficiency * DELTA_T / stor.energy,
-                v.get("pdis", (t, s_id)): DELTA_T / (stor.efficiency * stor.energy),
-            }
-            if t == 0:
-                rows.append((coeff, "=", stor.soc_initial))
-            else:
-                coeff[v.get("soc", (t - 1, s_id))] = -1.0
-                rows.append((coeff, "=", 0.0))
-            if t == last:
-                rows.append(({v.get("soc", (t, s_id)): 1.0}, "=", stor.soc_initial))
-
-        for g_id, gen in enumerate(scn.generators):
-            obj[v.get("pg", (t, g_id))] = gen.marginal_cost * scn.base_power * DELTA_T
-        for a in range(n):
-            obj[v.get("ps", (t, a))] = scn.shed_cost * scn.base_power * DELTA_T
-
-    return CredMilp(_program(v, rows, obj), v.index)
-
-
-def _program(v: _Vars, rows: list, obj: dict) -> LinearProgram:
-    """The LinearProgram of v's variables, (coeff dict, relation, rhs) rows and objective."""
-    c = np.zeros(len(v.bounds))
-    for j, val in obj.items():
-        c[j] = val
-    lhs = np.zeros((len(rows), len(v.bounds)))
-    for r, (coeffs, _, _) in enumerate(rows):
-        for j, val in coeffs.items():
-            lhs[r, j] = val
-    rhs = np.array([rhs for _, _, rhs in rows], dtype=float)
-    return LinearProgram(c, lhs, tuple(rel for _, rel, _ in rows), rhs,
-                         np.array(v.bounds, dtype=float))
+            lhs[len(rows), soc - 2:soc + 1] = (-stor.efficiency * DELTA_T / stor.energy,
+                                               DELTA_T / (stor.efficiency * stor.energy), 1.0)
+            if t > 0:
+                lhs[len(rows), soc - width] = -1.0
+            rows.append(("=", 0.0 if t > 0 else stor.soc_initial))
+            if t == t_len - 1:
+                lhs[len(rows), soc] = 1.0
+                rows.append(("=", stor.soc_initial))
+    relations, rhs = zip(*rows)
+    return CredMilp(LinearProgram(np.tile(cost, t_len), lhs, relations, np.array(rhs),
+                                  np.stack([lo.ravel(), hi.ravel()], axis=1)))
 
 
 def _droop_floor(scn: DispatchScenario, stab: StabilityConstraintSet | None) -> tuple:
@@ -581,17 +582,13 @@ def _droop_floor(scn: DispatchScenario, stab: StabilityConstraintSet | None) -> 
     return kc, held, lps, steps
 
 
-#: solution array of each variable family of a dispatch build
-_FAMILIES = {"pg": "sg_power", "pw": "wind_power", "ps": "shed", "pch": "storage_charge",
-             "pdis": "storage_discharge", "soc": "storage_soc"}
-
-
-def _period_cost(scn: DispatchScenario, sol: DispatchSolution, t: int) -> float:
-    cost = 0.0
-    for g_id, gen in enumerate(scn.generators):
-        cost += gen.marginal_cost * scn.base_power * DELTA_T * sol.sg_power[t, g_id]
-    cost += scn.shed_cost * scn.base_power * DELTA_T * sol.shed[t].sum()
-    return cost
+def _period_cost(cost: np.ndarray, cols: dict, x: np.ndarray) -> float:
+    """Cost of one period's block x: each generator in turn, then the total shed."""
+    total = 0.0
+    for c, p in zip(cost[cols["sg_power"]], x[cols["sg_power"]]):
+        total += c * p
+    total += cost[cols["shed"]][0] * x[cols["shed"]].sum()
+    return total
 
 
 #: primal feasibility tolerance of the merit order, the dual simplex's (milp._PIVOT_TOL)
@@ -599,15 +596,15 @@ _FEAS_TOL = 1e-9
 
 
 def _merit_order(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool,
-                 sol: DispatchSolution) -> None:
+                 blocks: tuple) -> np.ndarray:
     """Dispatch each period of a storage-free horizon by merit order, the droop pinned to kc (T, N).
 
     Why the pinned droop is optimal: wind costs nothing, its droop holds
     it in the band pres <= pw <= avail - pres with pres = omega*kc, and
     it enters no row but its period's balance, with coefficient 1.  Both
     dispatch paths state wind this way by construction: the merit order
-    here and the storage LP (build_cred_milp) take its bounds from
-    _wind_band and give it no other term; the joint-MIP oracle tests
+    here and the storage LP (build_cred_milp) take its cost and bounds
+    from _blocks and give it no other term; the joint-MIP oracle tests
     check the argument end to end.  While each area's band
     2*omega*kc[t, a] <= avail[t, a] holds, the total wind of period t
     can therefore be anything in [omega*S_t, W_t - omega*S_t],
@@ -628,61 +625,48 @@ def _merit_order(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool,
     sum pg >= min_online_fraction * demand, and bounded units.  Every unit
     starts at its lower bound; generators are raised, cheapest first,
     until the floor is met; the rest of the demand is filled in one merit
-    order keyed (objective coefficient, wind < generator < shed, index).
-    A prefix of the generators in cost order is optimal for any
-    generation total, so the floor's share is part of an optimum, and the
-    merit order fills the residual demand optimally.  On equal costs the
-    order above picks one of the optima; the simplex may pick another.
-    Values sit exactly on their bounds, except one marginal unit per
-    phase.
+    order keyed (cost, wind < generator < shed, index).  A prefix of the
+    generators in cost order is optimal for any generation total, so the
+    floor's share is part of an optimum, and the merit order fills the
+    residual demand optimally.  On equal costs the order above picks one
+    of the optima; the simplex may pick another.  Values sit exactly on
+    their bounds, except one marginal unit per phase.
 
-    Raises InfeasibleError for the first period where 2*pres > avail in
-    an area (_wind_band), the lower bounds (after the floor) exceed
-    demand, or the units cannot meet the floor or the demand, each beyond
-    _FEAS_TOL.
+    blocks is _blocks(scn, kc, allow_shed).  Returns the dispatch in
+    _columns' block, shape (T, width).  Raises InfeasibleError for the
+    first period whose droop band is empty (_empty_band), whose lower
+    bounds (after the floor) exceed demand, or whose units cannot meet
+    the floor or the demand, each beyond _FEAS_TOL.
     """
-    gens, n = scn.generators, scn.model.areas
-    gen_cost = [gen.marginal_cost * scn.base_power * DELTA_T for gen in gens]
-    shed_cost = scn.shed_cost * scn.base_power * DELTA_T
-    merit = sorted([(0.0, 0, a) for a in range(n)]
-                   + [(cost, 1, g_id) for g_id, cost in enumerate(gen_cost)]
-                   + [(shed_cost, 2, a) for a in range(n)])
-    cheapest = sorted(range(len(gens)), key=lambda g_id: (gen_cost[g_id], g_id))
-    online = scn.min_online_fraction if gens else 0.0
-    for t in range(scn.n_periods):
+    cols = _columns(scn)
+    gen, wind, shed = cols["sg_power"], cols["wind_power"], cols["shed"]
+    cost, lo, hi = blocks
+    column, cost = range(len(cost)), cost.tolist()
+    # a stable sort by cost keeps wind < generator < shed, then index, on ties
+    merit = sorted([*column[wind], *column[gen], *column[shed]], key=cost.__getitem__)
+    cheapest = sorted(column[gen], key=cost.__getitem__)
+    online = scn.min_online_fraction if scn.generators else 0.0
+    empty = _empty_band(scn, kc)
+    out = []
+    # the periods before the first empty band, all of them when there is none
+    for t, (x, top) in enumerate(zip(lo.tolist()[:empty], hi.tolist())):
         demand = float(scn.demand[t].sum())
-        pres, wind_hi = _wind_band(scn, kc, t, allow_shed)
-        lo = (pres.tolist(), [gen.p_min * gen.committed[t] for gen in gens], [0.0] * n)
-        hi = (wind_hi.tolist(), [gen.p_max * gen.committed[t] for gen in gens],
-              scn.demand[t].tolist() if allow_shed else [0.0] * n)
-        x = tuple(list(part) for part in lo)
-        need = online * demand - sum(x[1])
-        for g_id in cheapest:
+        need = online * demand - sum(x[gen])
+        for j in cheapest:
             if need <= 0.0:
                 break
-            need = _top_up(x[1], hi[1], g_id, need)
-        rest = demand - (sum(x[0]) + sum(x[1]))
-        for _, kind, j in merit:
+            need = _top_up(x, top, j, need)
+        rest = demand - (sum(x[wind]) + sum(x[gen]))
+        for j in merit:
             if rest <= 0.0:
                 break
-            rest = _top_up(x[kind], hi[kind], j, rest)
+            rest = _top_up(x, top, j, rest)
         if need > _FEAS_TOL or abs(rest) > _FEAS_TOL:
             raise _infeasible(f"period {t}", allow_shed)
-        sol.wind_power[t], sol.sg_power[t], sol.shed[t] = x
-
-
-def _wind_band(scn: DispatchScenario, kc: np.ndarray, t: int, allow_shed: bool) -> tuple:
-    """(pres, hi): the wind reserve omega*kc[t] of period t and the wind ceiling avail - pres.
-
-    The wind of each area may take any value in [pres, hi].  Raises
-    InfeasibleError naming period t where 2*pres - avail > _FEAS_TOL in
-    an area; within that tolerance hi is clamped to pres.
-    """
-    avail = scn.wind_available[t]
-    pres = scn.model.omega_max * kc[t]
-    if np.any(2.0 * pres - avail > _FEAS_TOL):
-        raise _infeasible(f"period {t}", allow_shed)
-    return pres, np.maximum(avail - pres, pres)
+        out.append(x)
+    if empty is not None:
+        raise _infeasible(f"period {empty}", allow_shed)
+    return np.array(out)
 
 
 def _top_up(x: list, hi: list, j: int, amount: float) -> float:
@@ -719,54 +703,35 @@ def solve_cred(
     NumericalError when the solver hits its budget.
     """
     kc, held, lps, steps = _droop_floor(scn, stab)
-    t_len, n = scn.n_periods, scn.model.areas
-    sol = DispatchSolution(
-        sg_power=np.zeros((t_len, len(scn.generators))),
-        wind_power=np.zeros((t_len, n)),
-        wind_reserve=scn.model.omega_max * kc,
-        droop=kc,
-        shed=np.zeros((t_len, n)),
-        storage_charge=np.zeros((t_len, len(scn.storage))),
-        storage_discharge=np.zeros((t_len, len(scn.storage))),
-        storage_soc=np.zeros((t_len, len(scn.storage))),
-        binaries=held,
-        per_period_cost=np.zeros(t_len),
-        total_cost=0.0,
-        node_count=lps,
-        simplex_iterations=steps,
-    )
+    blocks = _blocks(scn, kc, allow_shed)
     if scn.storage:
-        problem = build_cred_milp(scn, kc, allow_shed=allow_shed)
-        res = solve_lp(problem.program)
+        res = solve_lp(build_cred_milp(scn, kc, allow_shed=allow_shed).program)
         if res.status == "infeasible":
             raise _infeasible("horizon", allow_shed)
         if not res.optimal:
             raise NumericalError(f"dispatch solve ended with status {res.status}")
-        sol.node_count += 1
-        sol.simplex_iterations += res.iterations
-        for family, attr in _FAMILIES.items():
-            array = getattr(sol, attr)
-            for key, j in problem.index.get(family, {}).items():
-                array[key] = res.values[j]
+        x = res.values.reshape(scn.n_periods, -1)
+        lps, steps = lps + 1, steps + res.iterations
     else:
-        _merit_order(scn, kc, allow_shed, sol)
-    for t in range(t_len):
-        sol.per_period_cost[t] = _period_cost(scn, sol, t)
-    sol.total_cost = float(sol.per_period_cost.sum())
-    return sol
-
-
-def _attack_from_gains(scn: DispatchScenario, gains: np.ndarray) -> AttackProfile:
-    gains = np.asarray(gains, dtype=float)
-    active = set(int(a) for a in np.flatnonzero(gains > 0))
-    active |= set(int(a) for a in np.flatnonzero(scn.static_attack != 0.0))
-    active |= set(scn.attack_areas)
-    return AttackProfile(gains, scn.static_attack, tuple(sorted(active)))
+        x = _merit_order(scn, kc, allow_shed, blocks)
+    cols = _columns(scn)
+    per_period = np.array([_period_cost(blocks[0], cols, x_t) for x_t in x])
+    return DispatchSolution(
+        **{name: x[:, part] for name, part in cols.items()},
+        wind_reserve=scn.model.omega_max * kc,
+        droop=kc,
+        binaries=held,
+        per_period_cost=per_period,
+        total_cost=float(per_period.sum()),
+        node_count=lps,
+        simplex_iterations=steps,
+    )
 
 
 def stability_precheck(scn: DispatchScenario, droop: DroopSchedule, gains) -> StabilityVerdict:
     """Eigenvalue verdict on the current operating point under robust gains."""
-    ss = build_state_space(scn.model, _attack_from_gains(scn, np.asarray(gains, dtype=float)), droop)
+    ss = build_state_space(scn.model, attack_from_gains(gains, scn.static_attack, scn.attack_areas),
+                           droop)
     return is_stable(eigen_decompose(ss))
 
 
@@ -792,7 +757,7 @@ def validate_solution(
     worst_t, worst_eigs = 0, None
     discrepancy = None
     tables = stab.tables_by_pair() if stab is not None else {}
-    attack = _attack_from_gains(scn, gains)
+    attack = attack_from_gains(gains, scn.static_attack, scn.attack_areas)
     spectra = {}
     for t in range(t_len):
         droop = DroopSchedule(sol.droop[t], sol.wind_power[t])

@@ -21,6 +21,7 @@ from .errors import ConfigurationError
 __all__ = [
     "SystemModel",
     "AttackProfile",
+    "attack_from_gains",
     "DroopSchedule",
     "StateSpace",
     "build_state_space",
@@ -134,6 +135,14 @@ class AttackProfile:
     @classmethod
     def none(cls, n: int) -> "AttackProfile":
         return cls(np.zeros(n), np.zeros(n), ())
+
+
+def attack_from_gains(gains, static, attack_areas) -> AttackProfile:
+    """The attack of these gains and static steps on attack_areas and on every other area
+    with a positive gain or a nonzero static step."""
+    gains, static = np.asarray(gains, dtype=float), np.asarray(static, dtype=float)
+    active = set(np.flatnonzero(gains > 0).tolist()) | set(np.flatnonzero(static != 0.0).tolist())
+    return AttackProfile(gains, static, tuple(sorted(active | set(attack_areas))))
 
 
 @dataclass(frozen=True, eq=False)

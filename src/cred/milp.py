@@ -52,8 +52,6 @@ class LinearProgram:
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
         a = np.asarray(self.lhs, dtype=float)
-        if a.ndim != 2:
-            a = a.reshape(len(self.relations), c.size)
         b = np.asarray(self.rhs, dtype=float)
         bounds = np.asarray(self.bounds, dtype=float)
         n = c.size

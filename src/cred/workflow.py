@@ -37,7 +37,7 @@ from .dispatch import (
     stability_precheck,
     validate_solution,
 )
-from .errors import CredError, InfeasibleError, ScenarioError, ValidationFailure
+from .errors import ConfigurationError, CredError, InfeasibleError, ScenarioError, ValidationFailure
 from .grid import DroopSchedule
 from .linearize import build_segment_table, select_critical_pairs, sweep_loci
 from .scenario import ScenarioBundle, load_samples, load_scenario, scenario_from_dict
@@ -220,6 +220,8 @@ def run_workflow(cfg: WorkflowConfig, bundle: ScenarioBundle | None = None) -> W
 
     active = tuple(int(a) for a in np.flatnonzero(gains > 0))
     with _stage("screening"):
+        if not active:  # no gain moves the precheck's loop off the base system
+            raise ConfigurationError("base system is unstable; cannot anchor the sweep at 0")
         sweeps = {a: sweep_loci(scn.model, a, float(gains[a]), cfg.eps_phi) for a in active}
         pairs = select_critical_pairs(tuple(sweeps.values()), cfg.settle_margin)
 

@@ -150,6 +150,29 @@ class TestGainResolution:
         assert seen == [expected]
 
 
+    def test_a_static_step_outside_attack_areas_joins_the_attack(self, tmp_path, monkeypatch):
+        # every command attacks the named areas and those with a positive
+        # gain or a nonzero static step
+        from cred import dispatch
+
+        doc = three_area_system()
+        doc["attack"]["static"] = [50.0, 0.0, 0.0]
+        desk = tmp_path / "desk.json"
+        desk.write_text(json.dumps(doc))
+        seen = []
+
+        def spy(model, attack, droop):
+            seen.append((attack.attack_areas, tuple(attack.static_component.tolist())))
+            return build_state_space(model, attack, droop)
+
+        monkeypatch.setattr(dispatch, "build_state_space", spy)
+        monkeypatch.setattr(cli, "build_state_space", spy)
+        run_workflow(WorkflowConfig(scenario_path=str(desk), mode="worst_case"))
+        assert main(["simulate", "--scenario", str(desk), "--out", str(tmp_path / "sim"),
+                     "--mode", "worst_case", "--t-end", "10"]) == 0
+        assert len(seen) > 2 and set(seen) == {((0, 1), (0.05, 0.0, 0.0))}
+
+
 class TestWorkflow:
     def test_end_to_end_artifacts(self, toy_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -259,6 +282,18 @@ class TestExitCodes:
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("input error:") and message in err
+
+    def test_unstable_base_without_gain_is_input_error(self, tmp_path, capsys):
+        doc = single_area_toy()
+        doc["areas"][0].update(gov_proportional=0.0, damping=0.0, vulnerable_load=0.0)
+        toy = tmp_path / "unstable.json"
+        toy.write_text(json.dumps(doc))
+        code = main(["workflow", "--scenario", str(toy), "--out", str(tmp_path / "out"),
+                     "--mode", "worst_case"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert "[screening] base system is unstable; cannot anchor the sweep at 0" in err
 
     @pytest.mark.parametrize("flags, message", [
         (["--dt", "0"], "dt must be positive"),

@@ -379,7 +379,8 @@ class TestDroopFloor:
         scn = toy_storage(one_area_model, [4.0, 2.0 * 0.5 * kc - 5e-10, 4.0])
         problem = build_cred_milp(scn, floor, allow_shed=allow_shed)
         assert_wind_in_band(scn, floor, problem)
-        lo, hi = problem.program.bounds[problem.index["pw"][(1, 0)]]
+        wind = block_columns(scn, problem.program)[1, dispatch._columns(scn)["wind_power"]]
+        lo, hi = problem.program.bounds[wind[0]]
         assert lo == hi == 0.5 * kc
         assert solve_cred(scn, stab, allow_shed=allow_shed).wind_power[1, 0] == 0.5 * kc
 
@@ -412,23 +413,29 @@ def assert_wind_in_band(scn, kc, problem):
     row with coefficient 1 and no other row (dispatch._merit_order); the
     LP has only balance, online-floor and state-of-charge rows.
     """
-    lp, index = problem.program, problem.index
-    assert set(index) <= {"pg", "pw", "ps", "pch", "pdis", "soc"}
+    lp, cols = problem.program, dispatch._columns(scn)
     floor = bool(scn.min_online_fraction > 0.0 and scn.generators)
     n_stor = len(scn.storage)
+    assert lp.n_vars == scn.n_periods * (len(scn.generators) + 2 * scn.model.areas + 3 * n_stor)
     assert lp.n_rows == scn.n_periods * (1 + floor + n_stor) + n_stor
     omega = scn.model.omega_max
-    for (t, a), j in index["pw"].items():
-        pres = omega * kc[t, a]
-        assert lp.objective[j] == 0.0
-        assert tuple(lp.bounds[j]) == (pres, max(scn.wind_available[t, a] - pres, pres))
-        (r,) = np.flatnonzero(lp.lhs[:, j])
-        assert lp.lhs[r, j] == 1.0
-        assert lp.relations[r] == "=" and lp.rhs[r] == float(scn.demand[t].sum())
-        # period t's balance: its generators, wind, shed and storage, nothing else
-        own = {col for family in ("pg", "pw", "ps", "pch", "pdis")
-               for key, col in index.get(family, {}).items() if key[0] == t}
-        assert set(np.flatnonzero(lp.lhs[r])) == own
+    for t, block in enumerate(block_columns(scn, lp)):
+        for a, j in enumerate(block[cols["wind_power"]]):
+            pres = omega * kc[t, a]
+            assert lp.objective[j] == 0.0
+            assert tuple(lp.bounds[j]) == (pres, max(scn.wind_available[t, a] - pres, pres))
+            (r,) = np.flatnonzero(lp.lhs[:, j])
+            assert lp.lhs[r, j] == 1.0
+            assert lp.relations[r] == "=" and lp.rhs[r] == float(scn.demand[t].sum())
+            # period t's balance: its generators, wind, shed and storage, nothing else
+            own = {int(col) for name in ("sg_power", "wind_power", "shed", "storage_charge",
+                                         "storage_discharge") for col in block[cols[name]]}
+            assert set(np.flatnonzero(lp.lhs[r])) == own
+
+
+def block_columns(scn, lp) -> np.ndarray:
+    """(T, width): the LP column of each period's block column (dispatch._columns)."""
+    return np.arange(lp.n_vars).reshape(scn.n_periods, -1)
 
 
 def dispatch_model(n, omega_max=0.5):
@@ -555,10 +562,9 @@ class TestMeritOrder:
             assert np.array_equal(sol.wind_reserve[t], scn.model.omega_max * kc[0])
             if tied_moves(scn, sol, t, allow_shed):
                 continue  # an alternative optimum; the simplex may pick another
-            for family, attr in dispatch._FAMILIES.items():
-                for key, j in problem.index.get(family, {}).items():
-                    assert getattr(sol, attr)[(t, *key[1:])] == pytest.approx(ref.values[j],
-                                                                               abs=1e-9)
+            (values,) = ref.values[block_columns(period, problem.program)]
+            for name, part in dispatch._columns(period).items():
+                assert getattr(sol, name)[t] == pytest.approx(values[part], abs=1e-9)
         assert sol is not None
 
 

@@ -109,6 +109,9 @@ class TestSolveLp:
     def test_nan_rejected(self):
         with pytest.raises(BuildError):
             LinearProgram([np.nan], [[1.0]], ("<=",), [1.0], [[0.0, 1.0]])
+        # nor is a flat lhs read as a matrix of one row per relation
+        with pytest.raises(BuildError, match=r"^inconsistent LP dimensions: c\(1,\), A\(1,\)"):
+            LinearProgram([1.0], [1.0], ("<=",), [1.0], [[0.0, 1.0]])
 
     @pytest.mark.parametrize("objective, lhs, relation, rhs", [
         ([INF, 1.0], [1.0, 1.0], "=", 1.0),  # would solve "optimal" with a NaN objective value

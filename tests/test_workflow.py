@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cred.errors import ScenarioError
+from cred.errors import ConfigurationError, ScenarioError
 from cred.grid import AttackProfile, DroopSchedule, build_state_space
 from cred.scenario import scenario_from_dict
 from cred.simulate import classify_trajectory, simulate
@@ -189,6 +189,19 @@ class TestScreening:
         with pytest.raises(TrackingError, match=r"^\[screening\] area 19: .* at abscissa"):
             run_toy(doc)
         assert built == []
+
+
+    def test_unstable_base_without_gain_is_a_screening_error(self):
+        # no area has a positive gain, so the unstable precheck is the base
+        # system's, and no sweep can anchor at it
+        doc = single_area_toy()
+        doc["areas"][0].update(gov_proportional=0.0, damping=0.0, vulnerable_load=0.0)
+        message = "[screening] base system is unstable; cannot anchor the sweep at 0"
+        with pytest.raises(ConfigurationError) as info:
+            run_toy(doc)
+        assert str(info.value) == message
+        (row,) = sweep_study(WorkflowConfig(mode="worst_case"), "eta", [0.9], scenario_doc=doc)
+        assert row.error == message and row.branch is None
 
 
 class TestCertificateWork:
