@@ -9,7 +9,19 @@ line per op.  A workflow op prints
 
 the SHA-256 of ``report.to_dict()`` and of the solution dictionary written
 to ``solution.json``, each serialized as the workflow writes its JSON
-artifacts.  A ``step_response`` op simulates its closed loop with
+artifacts.  With ``--values`` a workflow op prints its numbers instead,
+
+    <op>  <branch>  final_cost=<repr>  droop_max=<repr>
+
+the report's ``final_cost`` and the largest droop of its dispatch, and
+``--against FILE`` (a ``--values`` output of another checkout) ends the
+output with one line
+
+    # against FILE: <n> ops, <m> answers differ, final_cost within <r> rel, droop_max within <a> abs
+
+where an answer differs when its branch, or an error's type and text,
+does, and the bounds are the largest differences over the other ops.
+A ``step_response`` op simulates its closed loop with
 ``simulate(..., dt=None)`` and prints
 
     <op>  <label>  diverged=<bool>  samples=<len(times)>  states=<sha256>
@@ -23,6 +35,12 @@ Two checkouts give the same answers on a pool exactly when their outputs
 are identical:
 
     python3 scripts/answer_hashes.py --workload desk_redispatch --seed 0 > after.txt
+
+and their answers' numbers are compared by
+
+    python3 scripts/answer_hashes.py --workload desk_redispatch --seed 0 --values > before.txt
+    python3 scripts/answer_hashes.py --workload desk_redispatch --seed 0 --values \
+        --against before.txt
 """
 
 import argparse
@@ -49,8 +67,8 @@ def digest(obj) -> str:
     return hashlib.sha256((json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()).hexdigest()
 
 
-def answer(item, samples_path) -> str:
-    """The fingerprint of one operation's answer (module docstring)."""
+def answer(item, samples_path, values=False) -> str:
+    """The fingerprint of one operation's answer, or its numbers (module docstring)."""
     try:
         bundle = scenario_from_dict(item.doc)
         cfg = WorkflowConfig(
@@ -63,6 +81,9 @@ def answer(item, samples_path) -> str:
         rep = run_workflow(cfg, bundle=bundle)
     except Exception as exc:  # an error is an answer too
         return f"error  {type(exc).__name__}: {exc}"
+    if values:
+        return (f"{rep.branch_taken}  final_cost={rep.final_cost!r}  "
+                f"droop_max={float(rep.solution.droop.max())!r}")
     return (f"{rep.branch_taken}  report={digest(rep.to_dict())}  "
             f"solution={digest(_solution_dict(bundle.require_dispatch(), rep.solution))}")
 
@@ -80,21 +101,61 @@ def step_answer(item) -> str:
             f"states={hashlib.sha256(traj.states.tobytes()).hexdigest()}")
 
 
+def _numbers(line: str) -> dict:
+    """The fields of one --values line: op, answer, and the two numbers if any."""
+    op, rest = line.split("  ", 1)
+    if rest.startswith("error  "):
+        return {"op": op, "answer": rest}
+    fields = dict(part.split("=", 1) for part in rest.split("  ")[1:])
+    return {"op": op, "answer": rest.split("  ")[0],
+            "final_cost": float(fields["final_cost"]), "droop_max": float(fields["droop_max"])}
+
+
+def against(lines: list, before: list) -> str:
+    """The summary line comparing this run's --values lines with before's."""
+    if len(lines) != len(before):
+        return f"{len(lines)} ops here, {len(before)} there"
+    differ, cost, droop = 0, 0.0, 0.0
+    for now, then in zip(map(_numbers, lines), map(_numbers, before)):
+        if now["op"] != then["op"] or now["answer"] != then["answer"]:
+            differ += 1
+        elif "final_cost" in now:
+            scale = max(abs(now["final_cost"]), abs(then["final_cost"]))
+            if scale:
+                cost = max(cost, abs(now["final_cost"] - then["final_cost"]) / scale)
+            droop = max(droop, abs(now["droop_max"] - then["droop_max"]))
+    return (f"{len(lines)} ops, {differ} answers differ, final_cost within {cost:.2g} rel, "
+            f"droop_max within {droop:.2g} abs")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKFLOW_LOADS + ("step_response",))
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--values", action="store_true",
+                        help="print each workflow op's final cost and largest droop")
+    parser.add_argument("--against", type=Path,
+                        help="with --values: compare with this earlier --values output")
     args = parser.parse_args(argv)
+    if args.workload == "step_response" and args.values:
+        parser.error("--values reads workflow answers; step_response has none")
+    if args.against is not None and not args.values:
+        parser.error("--against needs --values")
 
     items = workloads.generate(args.workload, args.seed)
     if args.workload == "step_response":
         for j, item in enumerate(items):
             print(f"{j}  {step_answer(item)}", flush=True)
         return 0
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         paths = workloads.write_samples(items, Path(tmp))
         for j, (item, path) in enumerate(zip(items, paths)):
-            print(f"{j}  {answer(item, path)}", flush=True)
+            lines.append(f"{j}  {answer(item, path, args.values)}")
+            print(lines[-1], flush=True)
+    if args.against is not None:
+        before = args.against.read_text().splitlines()
+        print(f"# against {args.against}: {against(lines, before)}")
     return 0
 
 

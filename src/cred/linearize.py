@@ -13,8 +13,28 @@ area feeds select_critical_pairs, which keeps the pairs whose loci reach
 the settling boundary, and build_segment_table: whenever the first-order
 estimate anchored at the latest linearization point drifts from the swept
 eigenvalue by more than eps_lim in real part, that grid point becomes a
-fresh anchor with its own full decomposition and sensitivity, so the table
-bounds the real-part error on every grid point by eps_lim.
+fresh anchor, so the table bounds the real-part error on every grid point
+by eps_lim.
+
+An anchor needs no decomposition of its own.  With S0 = V diag(lambda0)
+V^-1 the base loop and row = N + area, the loop at net gain k is the
+rank-one modification S0 + (k/M_a) e_row e_row^T, so an eigenvalue lambda
+of it that is no base eigenvalue is a root of the secular equation
+k h(lambda) = 1 (Golub, SIAM Review 15(2), 1973; Bunch, Nielsen &
+Sorensen, Numer. Math. 31, 1978), where
+
+    h(lambda) = sum_j rho_j / (lambda - lambda0_j),
+    rho_j = V[row, j] V^-1[j, row] / M_a,
+
+and rho_j is base eigenvalue j's own sensitivity dlambda_j/dk at k = 0.
+Differentiating, an anchor's slope is dlambda/dk = -1 / (k^2 h'(lambda)),
+h'(lambda) = -sum_j rho_j / (lambda - lambda0_j)^2.  The sweep keeps the
+base's pole-residue form (lambda0, rho) and every grid spectrum, and an
+anchor reads its eigenvalue off the locus.  Two guards stand in for a fresh
+decomposition: the eigenvalue must lie at least SIMPLE_TOL from every
+other point of its grid spectrum (DegenerateEigenvalueError), and the
+secular residual |k h(lambda) - 1| must be at most SECULAR_TOL
+(NumericalError).
 """
 
 from __future__ import annotations
@@ -31,7 +51,7 @@ from .errors import (
     TrackingError,
 )
 from .grid import AttackProfile, DroopSchedule, StateSpace, SystemModel, build_state_space
-from .stability import EigenSolution, eigen_decompose, is_stable, sensitivity
+from .stability import SIMPLE_TOL, eigen_decompose, is_stable
 
 __all__ = [
     "LinearizationPoint",
@@ -51,6 +71,9 @@ BLOCK = 256
 #: bytes per matrix entry to the stack's 8, so they stay below a block's stack
 TRACK = 64
 
+#: largest secular residual |k h(lambda) - 1| accepted at an anchor
+SECULAR_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class LinearizationPoint:
@@ -63,20 +86,22 @@ class LinearizationPoint:
 class LocusSweep:
     """Every base eigenvalue tracked along one area's net-gain grid.
 
-    loci[g, i] is where nearest-match tracking has taken base eigenvalue i
-    (base_eig.eigenvalues[i]) at grid[g]; the last grid point is always
-    range_end, whose full spectrum is end_spectrum.
+    base_eigenvalues are the base loop's, sorted as eigen_decompose sorts
+    them, and residues[j] is base eigenvalue j's sensitivity to k, the
+    residue of h at its pole (module docstring).  spectra[g] is the full
+    spectrum at grid[g], and loci[g, i] is where nearest-match tracking
+    has taken base eigenvalue i there; the last grid point is always
+    range_end.
     """
 
-    model: SystemModel
     area: int
     range_end: float
     step: float
-    base: StateSpace
-    base_eig: EigenSolution
+    base_eigenvalues: np.ndarray
+    residues: np.ndarray
     grid: np.ndarray
+    spectra: np.ndarray
     loci: np.ndarray
-    end_spectrum: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,12 +219,36 @@ def sweep_loci(model: SystemModel, area: int, range_end: float,
         pos[d:] = pos[rows[d:], pos[:-d]]
         d *= 2
     loci = spectra[rows, pos]
-    # eigvals returns a real block when every eigenvalue in it is real
-    end_spectrum = block[-1]
-    for arr in (grid, loci, end_spectrum):
+    # sensitivity's expression for every base eigenvalue at once
+    residues = -(eig0.left_vectors[row] * eig0.right_vectors[row])
+    for arr in (grid, spectra, loci, residues):
         arr.setflags(write=False)
-    return LocusSweep(model, int(area), float(range_end), float(eps_phi), ss0, eig0,
-                      grid, loci, end_spectrum)
+    return LocusSweep(int(area), float(range_end), float(eps_phi), eig0.eigenvalues, residues,
+                      grid, spectra, loci)
+
+
+def _check_simple(spectrum: np.ndarray, lam: complex, k: float) -> None:
+    """Raise DegenerateEigenvalueError if another point of spectrum lies within SIMPLE_TOL."""
+    gap = float(np.partition(np.abs(spectrum - lam), 1)[1])
+    if gap < SIMPLE_TOL:
+        raise DegenerateEigenvalueError(
+            f"at abscissa {k:g}: eigenvalue {lam} is repeated within {gap:.2e}; "
+            "sensitivity undefined"
+        )
+
+
+def _anchor_slope(sweep: LocusSweep, lam: complex, k: float) -> complex:
+    """dlambda/dk of the loop's eigenvalue lam at net gain k != 0 (module docstring)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = 1.0 / (lam - sweep.base_eigenvalues)
+        terms = sweep.residues * q
+        residual = abs(k * terms.sum() - 1.0)
+        if not residual <= SECULAR_TOL:  # NaN too
+            raise NumericalError(
+                f"area {sweep.area}: secular residual {residual:.3e} at abscissa {k:g} "
+                f"exceeds {SECULAR_TOL:g}"
+            )
+        return complex(1.0 / (k * k * (terms * q).sum()))
 
 
 def build_segment_table(sweep: LocusSweep, eigen_index: int, eps_lim: float) -> SegmentTable:
@@ -207,23 +256,27 @@ def build_segment_table(sweep: LocusSweep, eigen_index: int, eps_lim: float) -> 
 
     Each anchor's first-order estimate holds up to the first grid point
     where it misses the locus by more than eps_lim in real part, which
-    becomes the next anchor.  The eigenvalue must be simple at every anchor,
-    and no locus step may exceed the continuity gate of the anchor in force.
+    becomes the next anchor.  The base point's slope is residues[i]; every
+    later anchor takes its eigenvalue from the locus and its slope
+    -1 / (k^2 h'(lambda)) from the base pole-residue form (module
+    docstring), with no state space or decomposition of its own.  The
+    eigenvalue must be simple in its grid spectrum at every anchor
+    (DegenerateEigenvalueError), an anchor's secular residual
+    |k h(lambda) - 1| must be at most SECULAR_TOL (NumericalError), and no
+    locus step may exceed the continuity gate of the anchor in force
+    (TrackingError).
     """
     if not eps_lim > 0.0:  # NaN too
         raise ConfigurationError("eps_lim must be > 0")
-    eig0 = sweep.base_eig
-    if not 0 <= eigen_index < len(eig0):
+    lam0 = sweep.base_eigenvalues
+    if not 0 <= eigen_index < len(lam0):
         raise ConfigurationError(f"eigen index {eigen_index} out of range")
-    area, grid = sweep.area, sweep.grid
-    base_lambda = complex(eig0.eigenvalues[eigen_index])
-    try:
-        base_slope = sensitivity(sweep.base, eig0, eigen_index, area)
-    except DegenerateEigenvalueError as exc:
-        raise DegenerateEigenvalueError(f"at abscissa 0: {exc}") from exc
+    grid = sweep.grid
+    base_lambda = complex(lam0[eigen_index])
+    _check_simple(lam0, base_lambda, 0.0)
 
     locus = sweep.loci[:, eigen_index]
-    points = [LinearizationPoint(0.0, base_lambda, base_slope)]
+    points = [LinearizationPoint(0.0, base_lambda, complex(sweep.residues[eigen_index]))]
     errors = np.empty(len(grid))
     start, prev_lambda = 0, base_lambda
     while start < len(grid):
@@ -245,23 +298,16 @@ def build_segment_table(sweep: LocusSweep, eigen_index: int, eps_lim: float) -> 
         errors[start:stop] = err[:stop - start]
         if stop == len(grid):
             break
-        k = float(grid[stop])
-        ss_k = net_gain_state_space(sweep.model, area, k)
-        eig_k = eigen_decompose(ss_k)
-        idx = int(np.argmin(np.abs(eig_k.eigenvalues - locus[stop])))
-        try:
-            slope = sensitivity(ss_k, eig_k, idx, area)
-        except DegenerateEigenvalueError as exc:
-            raise DegenerateEigenvalueError(f"at abscissa {k:g}: {exc}") from exc
-        prev_lambda = complex(eig_k.eigenvalues[idx])
-        points.append(LinearizationPoint(k, prev_lambda, slope))
+        k, prev_lambda = float(grid[stop]), complex(locus[stop])
+        _check_simple(sweep.spectra[stop], prev_lambda, k)
+        points.append(LinearizationPoint(k, prev_lambda, _anchor_slope(sweep, prev_lambda, k)))
         errors[stop] = 0.0
         start = stop + 1
 
     errors.setflags(write=False)
     return SegmentTable(
         eigen_index=int(eigen_index),
-        area=int(area),
+        area=sweep.area,
         points=tuple(points),
         range_end=sweep.range_end,
         base_eigenvalue=base_lambda,
@@ -313,11 +359,11 @@ def select_critical_pairs(sweeps, settle_margin: float) -> tuple:
     locus has lost a branch (nearest match stops being one-to-one where a
     complex pair splits on the real axis) and raises TrackingError.
     """
-    base = sweeps[0].base_eig.eigenvalues
+    base = sweeps[0].base_eigenvalues
     upper = np.flatnonzero(base.imag >= -1e-12)
     worst = np.array([s.loci[:, upper].real.max(axis=0) for s in sweeps])
     for s, reach in zip(sweeps, worst):
-        end_max = float(s.end_spectrum.real.max())
+        end_max = float(s.spectra[-1].real.max())
         if end_max >= -settle_margin and reach.max() < -settle_margin:
             raise TrackingError(
                 f"area {s.area}: an eigenvalue with real part {end_max:.6g} at abscissa "

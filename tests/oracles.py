@@ -91,11 +91,12 @@ def eigen_decompose_scipy(ss):
     return values[order], vr[:, order], y[:, order]
 
 
-def fd_eigen_sensitivity(model, base_lambda: complex, area: int, h: float = 1e-5) -> complex:
-    """Central-difference derivative of the eigenvalue nearest base_lambda."""
+def fd_eigen_sensitivity(model, base_lambda: complex, area: int, h: float = 1e-5,
+                         at: float = 0.0) -> complex:
+    """Central-difference derivative at net gain `at` of the eigenvalue nearest base_lambda."""
     values = []
     for sign in (+1.0, -1.0):
-        ss = net_gain_state_space(model, area, sign * h)
+        ss = net_gain_state_space(model, area, at + sign * h)
         spectrum = np.linalg.eigvals(ss.state_matrix)
         values.append(spectrum[np.argmin(np.abs(spectrum - base_lambda))])
     return (values[0] - values[1]) / (2.0 * h)

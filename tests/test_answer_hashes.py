@@ -74,3 +74,41 @@ def test_step_hash_is_that_of_the_trajectory():
     traj = script.simulate(ss, item.step, t_step=1.0, t_end=60.0, dt=None)
     digest = hashlib.sha256(traj.states.tobytes()).hexdigest()
     assert script.step_answer(item).endswith(f"samples={len(traj.times)}  states={digest}")
+
+
+VALUE_LINE = re.compile(r"^(\d+)  (\w+)  final_cost=(\S+)  droop_max=(\S+)$")
+
+
+def test_values_are_the_reports_and_compare_against_an_earlier_run(tmp_path):
+    proc = run("--workload", "storage_horizon", "--seed", "0", "--values")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [VALUE_LINE.match(line).group(1, 2) for line in lines] == [(str(j), "cred_applied")
+                                                                     for j in range(5)]
+    script = load_script()
+    item = script.workloads.generate("storage_horizon", 0)[0]
+    rep = script.run_workflow(script.WorkflowConfig(
+        detection_score=item.detection_score,
+        detection_threshold=script.workloads.DETECTION_THRESHOLD,
+        eta=script.workloads.ETA, mode=item.mode), bundle=script.scenario_from_dict(item.doc))
+    cost, droop = VALUE_LINE.match(lines[0]).group(3, 4)
+    assert float(cost) == rep.final_cost and float(droop) == rep.solution.droop.max()
+    # the same run against itself, then against a copy with moved numbers and answers
+    before = tmp_path / "before.txt"
+    before.write_text(proc.stdout)
+    again = run("--workload", "storage_horizon", "--seed", "0", "--values", "--against", before)
+    assert again.stdout.splitlines() == lines + [
+        f"# against {before}: 5 ops, 0 answers differ, final_cost within 0 rel, "
+        "droop_max within 0 abs"]
+    moved = [f"0  cred_applied  final_cost={float(cost) * (1 + 1e-12)!r}  "
+             f"droop_max={float(droop) + 3e-13!r}",
+             "1  cred_infeasible_shed" + lines[1].split("cred_applied", 1)[1],
+             "2  error  TrackingError: lost"] + lines[3:]
+    assert script.against(lines, moved) == (
+        "5 ops, 2 answers differ, final_cost within 1e-12 rel, droop_max within 3e-13 abs")
+    assert script.against(lines, moved[:4]) == "5 ops here, 4 there"
+
+
+def test_values_need_a_workflow_load():
+    assert run("--workload", "step_response", "--values").returncode == 2
+    assert run("--workload", "storage_horizon", "--against", "x").returncode == 2

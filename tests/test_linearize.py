@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (
     critical_pairs_pointwise,
     exact_locus_pointwise,
+    fd_eigen_sensitivity,
     random_system_model,
     sweep_segment_table_pointwise,
 )
@@ -17,19 +18,21 @@ from cred.errors import (
     ConfigurationError,
     CoverageError,
     CredError,
+    DegenerateEigenvalueError,
     NumericalError,
     TrackingError,
 )
 from cred.grid import SystemModel
 from cred.linearize import (
     BLOCK,
+    SECULAR_TOL,
     build_segment_table,
     evaluate_piecewise,
     net_gain_state_space,
     select_critical_pairs,
     sweep_loci,
 )
-from cred.stability import eigen_decompose
+from cred.stability import eigen_decompose, sensitivity
 from cred.workflow import WorkflowConfig, run_workflow
 
 
@@ -86,7 +89,7 @@ class TestBuildSegmentTable:
 
     def test_base_point_matches_base_system(self, curved_two_area, one_area_ss):
         tab = build_segment_table(sweep_loci(curved_two_area, 1, 6.0, 0.03), 2, 0.02)
-        from cred.stability import eigen_decompose
+        from cred.stability import eigen_decompose, sensitivity
 
         eig0 = eigen_decompose(net_gain_state_space(curved_two_area, 1, 0.0))
         assert tab.points[0].eigenvalue == eig0.eigenvalues[2]
@@ -121,8 +124,21 @@ class TestBuildSegmentTable:
             build_segment_table(sweep_loci(one_area_model, 0, 4.0, 0.05), 1, 0.0)
 
 
+#: anchor slopes from the base pole-residue form against a fresh decomposition
+#: per anchor (relative), and the grid errors the two tables read (absolute)
+SLOPE_RTOL = 1e-9
+ERROR_ATOL = 1e-10
+
+
 def assert_matches_pointwise(model, eigen_index, area, range_end, eps_lim, eps_phi):
-    """The table equals the per-point reference sweep, or both raise the same type."""
+    """The table agrees with the per-point reference sweep, or both raise the same type.
+
+    Grid abscissas, anchor abscissas and anchor eigenvalues are equal, slopes
+    agree within SLOPE_RTOL and grid errors within ERROR_ATOL.  Where the
+    anchor lists part, the table that does not anchor at that grid point
+    misses the locus there by at least eps_lim - ERROR_ATOL, and nothing
+    past that point is compared.
+    """
     try:
         points, abscissas, errors = sweep_segment_table_pointwise(
             model, eigen_index, area, range_end, eps_lim, eps_phi)
@@ -131,9 +147,22 @@ def assert_matches_pointwise(model, eigen_index, area, range_end, eps_lim, eps_p
             build_segment_table(sweep_loci(model, area, range_end, eps_phi), eigen_index, eps_lim)
         return None
     tab = build_segment_table(sweep_loci(model, area, range_end, eps_phi), eigen_index, eps_lim)
-    assert tab.points == points
     assert np.array_equal(tab.grid_abscissas, abscissas)
-    assert np.array_equal(tab.grid_errors, errors)
+    same = 0
+    for ours, theirs in zip(tab.points, points):
+        if ours.abscissa != theirs.abscissa:
+            break
+        assert ours.eigenvalue == theirs.eigenvalue
+        assert abs(ours.slope - theirs.slope) <= SLOPE_RTOL * abs(theirs.slope)
+        same += 1
+    if same == len(tab.points) == len(points):
+        assert np.abs(tab.grid_errors - errors).max() <= ERROR_ATOL
+        return tab
+    # the anchor lists part at the first grid point where only one table anchors
+    parted = min(abs(t[same].abscissa) for t in (tab.points, points) if len(t) > same)
+    g = int(np.flatnonzero(np.abs(abscissas) == parted)[0])
+    assert np.abs(tab.grid_errors[:g] - errors[:g]).max(initial=0.0) <= ERROR_ATOL
+    assert max(tab.grid_errors[g], errors[g]) >= eps_lim - ERROR_ATOL
     return tab
 
 
@@ -177,30 +206,39 @@ class TestStackedSweep:
     def test_state_spaces_only_at_anchors(self, desk_bundle, monkeypatch, steps):
         rep = run_workflow(WorkflowConfig(mode="worst_case"), bundle=desk_bundle)
         assert rep.pairs
-        built, solves = [], []
+        built, decomposed, solves, anchors = [], [], [], 0
         original_state_space, original_eigvals = net_gain_state_space, np.linalg.eigvals
+        original_decompose = linearize.eigen_decompose
 
         def counting_state_space(model, area, k):
             built.append(k)
             return original_state_space(model, area, k)
+
+        def counting_decompose(ss):
+            decomposed.append(ss)
+            return original_decompose(ss)
 
         def counting_eigvals(a):
             solves.append(a.shape[0])
             return original_eigvals(a)
 
         monkeypatch.setattr(linearize, "net_gain_state_space", counting_state_space)
+        monkeypatch.setattr(linearize, "eigen_decompose", counting_decompose)
         monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
         for i, n in rep.pairs:
             gain = rep.robust_gains[n]
             built.clear()
+            decomposed.clear()
             solves.clear()
             tab = build_segment_table(sweep_loci(desk_bundle.model, n, gain, gain / steps), i,
                                       0.02)
-            # the base loop plus one state space per added anchor
-            assert built == [p.abscissa for p in tab.points]
+            # one state space and decomposition per sweep, the base's; none per anchor
+            assert built == [0.0] and len(decomposed) == 1
+            anchors += len(tab.points) - 1
             grid = len(tab.grid_abscissas)
             assert len(solves) == math.ceil(grid / BLOCK)
             assert sum(solves) == grid
+        assert anchors > 0
 
     def test_solver_failure_is_typed(self, curved_two_area, monkeypatch):
         original, calls = np.linalg.eigvals, []
@@ -219,6 +257,74 @@ class TestStackedSweep:
         assert "area 1" in message
         assert f"[{step * (BLOCK + 1):g}, {step * 2 * BLOCK:g}]" in message
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+class TestRankOneAnchors:
+    """Anchor slopes from the base pole-residue form, and its two guards."""
+
+    @settings(max_examples=40)
+    @given(data=st.data(), seed=st.integers(0, 2**31 - 1), n_areas=st.integers(1, 3),
+           magnitude=st.floats(0.5, 20.0), negative=st.booleans(),
+           steps=st.integers(20, 200), eps_lim=st.floats(1e-3, 0.05))
+    def test_slopes_match_fresh_decomposition(self, data, seed, n_areas, magnitude, negative,
+                                              steps, eps_lim):
+        model = random_system_model(np.random.RandomState(seed), n_areas)
+        eigen_index = data.draw(st.integers(0, 2 * n_areas - 1), label="eigen_index")
+        area = data.draw(st.integers(0, n_areas - 1), label="area")
+        range_end = -magnitude if negative else magnitude
+        try:
+            tab = build_segment_table(sweep_loci(model, area, range_end, magnitude / steps),
+                                      eigen_index, eps_lim)
+        except (TrackingError, DegenerateEigenvalueError):
+            return  # contracts tested elsewhere
+        for p in tab.points:
+            ss = net_gain_state_space(model, area, p.abscissa)
+            eig = eigen_decompose(ss)
+            idx = int(np.argmin(np.abs(eig.eigenvalues - p.eigenvalue)))
+            assert abs(eig.eigenvalues[idx] - p.eigenvalue) <= 1e-12 * max(abs(p.eigenvalue), 1.0)
+            assert abs(p.slope - sensitivity(ss, eig, idx, area)) <= SLOPE_RTOL * abs(p.slope)
+            if eig.min_gap(idx) >= 1e-3:  # finite differences blur near a collision
+                fd = fd_eigen_sensitivity(model, p.eigenvalue, area, at=p.abscissa)
+                assert abs(p.slope - fd) <= 1e-4 * max(abs(fd), 1e-5)
+
+    def test_collision_at_an_anchor_is_degenerate(self, curved_two_area):
+        # modes 2 and 3 meet on the real axis under droop near k = -8.11:
+        # bisect to the last float before their split and end the sweep there
+        def split(k):
+            ss = net_gain_state_space(curved_two_area, 1, k)
+            return np.count_nonzero(np.linalg.eigvals(ss.state_matrix).imag == 0.0) > 0
+
+        lo, hi = -8.0, -9.0
+        assert not split(lo) and split(hi)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (lo, mid) if split(mid) else (mid, hi)
+        sweep = sweep_loci(curved_two_area, 1, lo, abs(lo) / 50)
+        # a vanishing tolerance anchors every grid point, the collision too
+        with pytest.raises(DegenerateEigenvalueError,
+                           match=rf"^at abscissa {lo:g}: eigenvalue .* is repeated within "):
+            build_segment_table(sweep, 3, 1e-13)
+        with pytest.raises(DegenerateEigenvalueError):
+            sweep_segment_table_pointwise(curved_two_area, 3, 1, lo, 1e-13, abs(lo) / 50)
+        # a tolerance that anchors short of it builds the table
+        tab = build_segment_table(sweep, 3, 1e-3)
+        assert len(tab.points) > 1 and tab.points[-1].abscissa != lo
+
+    def test_secular_residual_is_checked(self, curved_two_area):
+        sweep = sweep_loci(curved_two_area, 1, 8.0, 0.04)
+        tab = build_segment_table(sweep, 0, 0.02)
+        assert len(tab.points) > 1
+        # the other poles' residues off by 1e-6 leave the base slope and the
+        # first anchor's place, and put the secular equation out by about 1e-6
+        scale = np.full(len(sweep.residues), 1.0 + 1e-6)
+        scale[0] = 1.0
+        bent = dataclasses.replace(sweep, residues=sweep.residues * scale)
+        with pytest.raises(NumericalError, match=(
+                rf"^area 1: secular residual \S+ at abscissa {tab.points[1].abscissa:g} "
+                rf"exceeds {SECULAR_TOL:g}$")):
+            build_segment_table(bent, 0, 0.02)
 
 
 class TestEvaluatePiecewise:
@@ -354,7 +460,7 @@ class TestSelectCriticalPairs:
         sweep = sweep_loci(one_area_model, 0, 4.0)
         # every locus stuck at its base value: the end spectrum's Re 1 lies on none
         stuck = dataclasses.replace(sweep, loci=np.broadcast_to(
-            sweep.base_eig.eigenvalues, sweep.loci.shape))
+            sweep.base_eigenvalues, sweep.loci.shape))
         with pytest.raises(TrackingError, match=r"area 0: .* at abscissa 4\b"):
             select_critical_pairs((stuck,), 0.05)
         assert select_critical_pairs((sweep,), 0.05) == ((1, 0),)
@@ -365,10 +471,10 @@ class TestSelectCriticalPairs:
         sweep = sweep_loci(curved_two_area, 1, 6.0)
         assert sweep.step == 6.0 / 200.0
         assert sweep.grid[-1] == 6.0 and len(sweep.grid) == 200
-        for i in range(len(sweep.base_eig)):
+        for i in range(len(sweep.base_eigenvalues)):
             assert np.array_equal(sweep.loci[:, i],
                                   exact_locus_pointwise(curved_two_area, i, 1, 6.0, sweep.step))
-        assert np.array_equal(np.sort_complex(sweep.end_spectrum), np.sort_complex(
+        assert np.array_equal(np.sort_complex(sweep.spectra[-1]), np.sort_complex(
             np.linalg.eigvals(net_gain_state_space(curved_two_area, 1, 6.0).state_matrix)))
 
 
@@ -386,7 +492,7 @@ class TestSplitPairTracking:
         sweep = sweep_loci(model, 1, 30.0, 30.0 / steps)
         if steps == 600:
             assert len(sweep.grid) > 2 * BLOCK
-        merged, previous = [], sweep.base_eig.eigenvalues
+        merged, previous = [], sweep.base_eigenvalues
         for g, k in enumerate(sweep.grid):
             spectrum = np.linalg.eigvals(net_gain_state_space(model, 1, k).state_matrix)
             step_map = np.argmin(np.abs(spectrum - previous[:, None]), axis=1)
@@ -397,7 +503,7 @@ class TestSplitPairTracking:
         assert 26.5 < sweep.grid[merged[0]] < 27.0
         assert sweep.loci[-1, 4] == sweep.loci[-1, 5]
         assert sweep.loci[-1, 5].imag == 0.0
-        assert sweep.end_spectrum.real.max() > sweep.loci[-1].real.max()
-        for i in range(len(sweep.base_eig)):
+        assert sweep.spectra[-1].real.max() > sweep.loci[-1].real.max()
+        for i in range(len(sweep.base_eigenvalues)):
             assert np.array_equal(sweep.loci[:, i],
                                   exact_locus_pointwise(model, i, 1, 30.0, sweep.step))

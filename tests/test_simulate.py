@@ -188,6 +188,30 @@ class TestSimulate:
         with pytest.raises(ConfigurationError):
             simulate(ss, np.array([1.0]), t_step=1.0, t_end=10.0, dt=0.1)
 
+    @pytest.mark.parametrize("dt, solves", [(0.01, 0), (0.03, 1)])
+    def test_guard_solves_only_past_the_norm_bound(self, one_area_model, monkeypatch, dt,
+                                                   solves):
+        # ||S||_1 = 5 passes dt <= 0.02 and max|lambda| = sqrt(5) dt <= 0.0447
+        ss = _ss(one_area_model)
+        assert np.abs(ss.state_matrix).sum(axis=0).max() == 5.0
+        calls, eigvals = [], np.linalg.eigvals
+
+        def counting(a):
+            calls.append(a)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        traj = simulate(ss, np.array([1.0]), t_step=1.0, t_end=10.0, dt=dt)
+        assert len(calls) == solves
+        assert len(traj.times) == round(10.0 / dt) + 1 and not traj.diverged
+        assert classify_trajectory(traj) == "decaying"
+
+    def test_guard_message_when_both_bounds_reject(self, one_area_model):
+        with pytest.raises(ConfigurationError, match=(
+                r"^dt=0\.1 too coarse for fastest mode \|lambda\|=2\.23607; "
+                r"need dt <= 0\.0447214$")):
+            simulate(_ss(one_area_model), np.array([1.0]), t_step=1.0, t_end=10.0, dt=0.1)
+
     @pytest.mark.parametrize("gain", [0.0, 40.0])
     def test_dt_none_picks_dt_from_one_eigensolve(self, one_area_model, monkeypatch, gain):
         ss = _ss(one_area_model, gain=gain)
