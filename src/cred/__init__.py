@@ -68,7 +68,6 @@ from .stability import (
 from .scenario import ScenarioBundle, load_samples, load_scenario, scenario_from_dict
 from .uncertainty import (
     AttackEstimate,
-    ConfidenceSpec,
     apply_budget_clamp,
     k_eta,
     moments_from_samples,

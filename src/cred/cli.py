@@ -24,7 +24,7 @@ from .grid import AttackProfile, DroopSchedule, attack_from_gains, build_state_s
 from .linearize import build_segment_table, select_critical_pairs, sweep_loci
 from .scenario import load_samples, load_scenario
 from .simulate import classify_trajectory, simulate
-from .stability import eigen_decompose, sensitivity
+from .stability import check_simple, eigen_decompose, sensitivity
 from .workflow import (
     MODES,
     SWEEP_AXES,
@@ -113,15 +113,16 @@ def cmd_analyze(args) -> int:
     write_csv(out / "eigenvalues.csv", ["index", "re", "im"],
               [[i, lam.real, lam.imag] for i, lam in enumerate(eig.eigenvalues)])
     areas = bundle.attack_areas or tuple(range(n))
+    derivs = [sensitivity(bundle.model, eig, a) for a in areas]
     rows = []
-    for i in range(len(eig)):
-        for a in areas:
-            try:
-                d = sensitivity(ss, eig, i, a)
-            except DegenerateEigenvalueError:
+    for i, lam in enumerate(eig.eigenvalues):
+        try:
+            check_simple(eig.eigenvalues, lam, 0.0)
+        except DegenerateEigenvalueError:
+            for _ in areas:
                 print(f"note: eigenvalue {i} repeated; sensitivity skipped", file=sys.stderr)
-                continue
-            rows.append([i, a, d.real, d.imag])
+            continue
+        rows += [[i, a, d[i].real, d[i].imag] for a, d in zip(areas, derivs)]
     write_csv(out / "sensitivities.csv", ["eigen_index", "area", "d_re", "d_im"], rows)
     print(f"wrote {out / 'eigenvalues.csv'} and {out / 'sensitivities.csv'}")
     return EXIT_OK

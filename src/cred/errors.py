@@ -26,7 +26,7 @@ class CoverageError(CredError):
 
 
 class ContractError(CredError):
-    """A required precomputed input (e.g. a sensitivity record) is missing."""
+    """An argument breaks a function's stated contract (e.g. eta outside (0, 1))."""
 
 
 class InsufficientDataError(CredError):

@@ -167,12 +167,12 @@ class DroopSchedule:
 class StateSpace:
     """Assembled closed-loop matrices.
 
-    descriptor_a is E = blockdiag(I, -M); feedback_b the feedback matrix;
-    state_matrix S = E^-1 B; forcing the constant term of xdot = S x + f.
+    descriptor_a is E = blockdiag(I, -M); state_matrix S = E^-1 B, with B
+    the feedback matrix of the module docstring; forcing the constant term
+    of xdot = S x + f.
     """
 
     descriptor_a: np.ndarray
-    feedback_b: np.ndarray
     state_matrix: np.ndarray
     forcing: np.ndarray
 
@@ -205,11 +205,6 @@ def build_state_space(model: SystemModel, attack: AttackProfile, droop: DroopSch
     descriptor[:n, :n] = eye
     descriptor[n:, n:] = -np.diag(m_total)
 
-    feedback = np.zeros((2 * n, 2 * n))
-    feedback[:n, n:] = eye
-    feedback[n:, :n] = stiff
-    feedback[n:, n:] = np.diag(damp)
-
     state = np.zeros((2 * n, 2 * n))
     state[:n, n:] = eye
     state[n:, :n] = -minv[:, None] * stiff
@@ -218,6 +213,6 @@ def build_state_space(model: SystemModel, attack: AttackProfile, droop: DroopSch
     net_load = model.secure_load + attack.static_component - droop.power_ref
     forcing = np.concatenate([np.zeros(n), -minv * net_load])
 
-    for arr in (descriptor, feedback, state, forcing):
+    for arr in (descriptor, state, forcing):
         arr.setflags(write=False)
-    return StateSpace(descriptor, feedback, state, forcing)
+    return StateSpace(descriptor, state, forcing)

@@ -26,8 +26,9 @@ Sorensen, Numer. Math. 31, 1978), where
     h(lambda) = sum_j rho_j / (lambda - lambda0_j),
     rho_j = V[row, j] V^-1[j, row] / M_a,
 
-and rho_j is base eigenvalue j's own sensitivity dlambda_j/dk at k = 0.
-Differentiating, an anchor's slope is dlambda/dk = -1 / (k^2 h'(lambda)),
+and rho_j is base eigenvalue j's own derivative dlambda_j/dk at k = 0
+(stability.sensitivity).  Differentiating, an anchor's slope is
+dlambda/dk = -1 / (k^2 h'(lambda)), with
 h'(lambda) = -sum_j rho_j / (lambda - lambda0_j)^2.  The sweep keeps the
 base's pole-residue form (lambda0, rho) and every grid spectrum, and an
 anchor reads its eigenvalue off the locus.  Two guards stand in for a fresh
@@ -43,15 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    CoverageError,
-    DegenerateEigenvalueError,
-    NumericalError,
-    TrackingError,
-)
+from .errors import ConfigurationError, CoverageError, NumericalError, TrackingError
 from .grid import AttackProfile, DroopSchedule, StateSpace, SystemModel, build_state_space
-from .stability import SIMPLE_TOL, eigen_decompose, is_stable
+from .stability import check_simple, eigen_decompose, is_stable, sensitivity
 
 __all__ = [
     "LinearizationPoint",
@@ -87,7 +82,8 @@ class LocusSweep:
     """Every base eigenvalue tracked along one area's net-gain grid.
 
     base_eigenvalues are the base loop's, sorted as eigen_decompose sorts
-    them, and residues[j] is base eigenvalue j's sensitivity to k, the
+    them, and residues is sensitivity(model, base decomposition, area):
+    residues[j] is base eigenvalue j's derivative with respect to k, the
     residue of h at its pole (module docstring).  spectra[g] is the full
     spectrum at grid[g], and loci[g, i] is where nearest-match tracking
     has taken base eigenvalue i there; the last grid point is always
@@ -121,7 +117,6 @@ class SegmentTable:
     points: tuple
     range_end: float
     base_eigenvalue: complex
-    tolerance: float
     step: float
     grid_abscissas: np.ndarray
     grid_errors: np.ndarray
@@ -219,22 +214,11 @@ def sweep_loci(model: SystemModel, area: int, range_end: float,
         pos[d:] = pos[rows[d:], pos[:-d]]
         d *= 2
     loci = spectra[rows, pos]
-    # sensitivity's expression for every base eigenvalue at once
-    residues = -(eig0.left_vectors[row] * eig0.right_vectors[row])
+    residues = sensitivity(model, eig0, area)
     for arr in (grid, spectra, loci, residues):
         arr.setflags(write=False)
     return LocusSweep(int(area), float(range_end), float(eps_phi), eig0.eigenvalues, residues,
                       grid, spectra, loci)
-
-
-def _check_simple(spectrum: np.ndarray, lam: complex, k: float) -> None:
-    """Raise DegenerateEigenvalueError if another point of spectrum lies within SIMPLE_TOL."""
-    gap = float(np.partition(np.abs(spectrum - lam), 1)[1])
-    if gap < SIMPLE_TOL:
-        raise DegenerateEigenvalueError(
-            f"at abscissa {k:g}: eigenvalue {lam} is repeated within {gap:.2e}; "
-            "sensitivity undefined"
-        )
 
 
 def _anchor_slope(sweep: LocusSweep, lam: complex, k: float) -> complex:
@@ -273,7 +257,7 @@ def build_segment_table(sweep: LocusSweep, eigen_index: int, eps_lim: float) -> 
         raise ConfigurationError(f"eigen index {eigen_index} out of range")
     grid = sweep.grid
     base_lambda = complex(lam0[eigen_index])
-    _check_simple(lam0, base_lambda, 0.0)
+    check_simple(lam0, base_lambda, 0.0)
 
     locus = sweep.loci[:, eigen_index]
     points = [LinearizationPoint(0.0, base_lambda, complex(sweep.residues[eigen_index]))]
@@ -299,7 +283,7 @@ def build_segment_table(sweep: LocusSweep, eigen_index: int, eps_lim: float) -> 
         if stop == len(grid):
             break
         k, prev_lambda = float(grid[stop]), complex(locus[stop])
-        _check_simple(sweep.spectra[stop], prev_lambda, k)
+        check_simple(sweep.spectra[stop], prev_lambda, k)
         points.append(LinearizationPoint(k, prev_lambda, _anchor_slope(sweep, prev_lambda, k)))
         errors[stop] = 0.0
         start = stop + 1
@@ -311,7 +295,6 @@ def build_segment_table(sweep: LocusSweep, eigen_index: int, eps_lim: float) -> 
         points=tuple(points),
         range_end=sweep.range_end,
         base_eigenvalue=base_lambda,
-        tolerance=float(eps_lim),
         step=sweep.step,
         grid_abscissas=grid,
         grid_errors=errors,

@@ -33,13 +33,13 @@ CLASSIFY_TOL = 0.01
 class Trajectory:
     """State history on a uniform time grid.
 
-    states[k] holds [angles, frequency deviations] at times[k]; the
-    trajectory ends early (diverged=True) if the state norm blows up.
+    states[k] holds [angles, frequency deviations] at times[k]; step_time
+    is t_step rounded up to the grid.  The trajectory ends early
+    (diverged=True) if the state norm blows up.
     """
 
     times: np.ndarray
     states: np.ndarray
-    disturbance: dict
     step_time: float
     equilibrium_post: np.ndarray
     diverged: bool
@@ -185,7 +185,6 @@ def simulate(
     return Trajectory(
         times=times,
         states=states,
-        disturbance={"step": disturbance.tolist(), "t_step": float(k_switch * dt)},
         step_time=float(k_switch * dt),
         equilibrium_post=eq_post,
         diverged=diverged,

@@ -1,15 +1,17 @@
 """Eigenvalue analysis of the closed-loop grid: spectra, sensitivities, verdicts.
 
-Left eigenvectors are normalized against the descriptor, y^T E z = 1, which
-makes the first-order eigenvalue derivative with respect to the attack gain
-in area n simply  -y[N+n] * z[N+n]  (the feedback matrix loses one unit of
-damping in that diagonal entry).  The sign convention is fixed by agreement
-with central finite differences of the spectrum.  sensitivity returns that
-derivative as a complex number; is_stable gives the strict Hurwitz verdict,
-Re(lambda) < 0 for every mode but a structural one at the origin.
+NumPy only: np.linalg.eig gives the spectrum and right vectors V of the
+state matrix S, and the rows of V^-1 the left vectors w, already scaled so
+that w_i^T v_i = 1.  The attack gain in area a enters S in one diagonal
+entry, S[row, row] = -(K_p + D - K_attack + K_droop) / M_a with row = N + a,
+so the first-order derivative of every eigenvalue with respect to it is
 
-NumPy only: np.linalg.eig gives the spectrum and right vectors V, and the
-rows of V^-1 the left vectors, already scaled so that w_i^T v_i = 1.
+    dlambda_i / dK = w_i[row] v_i[row] / M_a,
+
+which sensitivity returns for the whole spectrum at once; it is defined at
+a simple eigenvalue, which check_simple guards.  is_stable gives the strict
+Hurwitz verdict, Re(lambda) < 0 for every mode but a structural one at the
+origin.
 """
 
 from __future__ import annotations
@@ -18,14 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateEigenvalueError, NumericalError
-from .grid import StateSpace
+from .errors import DegenerateEigenvalueError, NumericalError
+from .grid import StateSpace, SystemModel
 
 __all__ = [
     "EigenSolution",
     "StabilityVerdict",
     "eigen_decompose",
     "sensitivity",
+    "check_simple",
     "is_stable",
 ]
 
@@ -41,8 +44,8 @@ class EigenSolution:
     """Full spectrum with bi-orthogonally normalized vector pairs.
 
     eigenvalues are sorted by (real, imag) ascending; column i of
-    right_vectors/left_vectors belongs to eigenvalues[i] and satisfies
-    y_i^T E z_i = 1 with E the descriptor matrix.
+    right_vectors (v_i) and of left_vectors (w_i, row i of V^-1) belongs
+    to eigenvalues[i], with w_i^T v_i = 1.
     """
 
     eigenvalues: np.ndarray
@@ -51,12 +54,6 @@ class EigenSolution:
 
     def __len__(self) -> int:
         return self.eigenvalues.shape[0]
-
-    def min_gap(self, i: int) -> float:
-        """Distance from eigenvalue i to the rest of the spectrum."""
-        gaps = np.abs(self.eigenvalues - self.eigenvalues[i])
-        gaps[i] = np.inf
-        return float(gaps.min())
 
 
 @dataclass(frozen=True)
@@ -75,9 +72,9 @@ def eigen_decompose(ss: StateSpace) -> EigenSolution:
     """Spectrum and left/right vectors of the closed-loop state matrix.
 
     The rows of V^-1 are the left vectors w of S (w_i^T S = lambda_i w_i^T)
-    with w_i^T v_i = 1; the pencil's are y = E^-1 w.  Both vector sets must
-    pass a residual check against S, and a failed LAPACK call, a singular V
-    or a failed check raises NumericalError.
+    with w_i^T v_i = 1.  Both vector sets must pass a residual check against
+    S, and a failed LAPACK call, a singular V or a failed check raises
+    NumericalError.
     """
     s = ss.state_matrix
     if not np.all(np.isfinite(s)):
@@ -91,8 +88,6 @@ def eigen_decompose(ss: StateSpace) -> EigenSolution:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigen solver failed on a {s.shape[0]}x{s.shape[1]} "
                              f"state matrix: {exc}") from exc
-    # map to pencil left vectors y = E^-1 w, so that y^T E z = w^T z = 1
-    y = np.linalg.solve(ss.descriptor_a, w_left)
 
     scale = max(np.linalg.norm(s, np.inf), 1.0)
     resid = np.linalg.norm(s @ vr - vr * values, axis=0)
@@ -104,31 +99,32 @@ def eigen_decompose(ss: StateSpace) -> EigenSolution:
     if np.any(resid > 1e-8 * scale):
         raise NumericalError(f"left eigenvector residual {resid.max():.3e} exceeds 1e-8*|S|")
 
-    for arr in (values, vr, y):
+    for arr in (values, vr, w_left):
         arr.setflags(write=False)
-    return EigenSolution(values, vr, y)
+    return EigenSolution(values, vr, w_left)
 
 
-def sensitivity(ss: StateSpace, eig: EigenSolution, i: int, n: int) -> complex:
-    """Analytic derivative d lambda_i / dK of eigenvalue i w.r.t. the attack gain in area n.
+def sensitivity(model: SystemModel, eig: EigenSolution, area: int) -> np.ndarray:
+    """d lambda / dK of every eigenvalue w.r.t. the attack gain in one area (module docstring).
 
-    Requires a simple eigenvalue; the droop-gain derivative is the exact
-    negation of the attack-gain derivative.
+    Entry i holds at a simple eigenvalue i only (check_simple); the
+    droop-gain derivative is the exact negation of the attack-gain one.
     """
-    if not 0 <= i < len(eig):
-        raise ContractError(f"eigen index {i} out of range")
-    n_areas = ss.n_areas
-    if not 0 <= n < n_areas:
-        raise ContractError(f"area {n} out of range")
-    gap = eig.min_gap(i)
+    row = model.areas + area
+    return (eig.left_vectors[row] / model.total_inertia[area]) * eig.right_vectors[row]
+
+
+def check_simple(spectrum: np.ndarray, lam: complex, k: float) -> None:
+    """Raise DegenerateEigenvalueError if another point of spectrum lies within SIMPLE_TOL of lam.
+
+    spectrum is the loop's at net gain k, lam one of its points.
+    """
+    gap = float(np.partition(np.abs(spectrum - lam), 1)[1])
     if gap < SIMPLE_TOL:
         raise DegenerateEigenvalueError(
-            f"eigenvalue {eig.eigenvalues[i]} is repeated within {gap:.2e}; "
+            f"at abscissa {k:g}: eigenvalue {lam} is repeated within {gap:.2e}; "
             "sensitivity undefined"
         )
-    k = n_areas + n
-    d_kl = -(eig.left_vectors[k, i] * eig.right_vectors[k, i])
-    return complex(d_kl)
 
 
 def is_stable(eig: EigenSolution) -> StabilityVerdict:

@@ -24,7 +24,6 @@ from .grid import SystemModel
 
 __all__ = [
     "AttackEstimate",
-    "ConfidenceSpec",
     "k_eta",
     "moments_from_samples",
     "robust_gain",
@@ -62,17 +61,6 @@ class AttackEstimate:
         object.__setattr__(self, "sample_count", count)
 
 
-@dataclass(frozen=True)
-class ConfidenceSpec:
-    """Operator confidence level, strictly inside (0, 1)."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not (0.0 < self.eta < 1.0):
-            raise ContractError(f"eta must lie in the open interval (0, 1), got {self.eta}")
-
-
 def k_eta(eta: float) -> float:
     """Safety multiplier sqrt(eta / (1 - eta)) of the two-moment ambiguity set."""
     if not (0.0 < eta < 1.0):
@@ -104,9 +92,9 @@ def moments_from_samples(samples, n_areas: int) -> AttackEstimate:
     return AttackEstimate(mean, std, count)
 
 
-def robust_gain(est: AttackEstimate, conf: ConfidenceSpec) -> np.ndarray:
-    """Deterministic gain covering the ambiguity set at confidence eta."""
-    return est.mean + k_eta(conf.eta) * est.std
+def robust_gain(est: AttackEstimate, eta: float) -> np.ndarray:
+    """Deterministic gain covering the ambiguity set at confidence eta (k_eta checks it)."""
+    return est.mean + k_eta(eta) * est.std
 
 
 def worst_case_gain(model: SystemModel, attack_areas, static_component=None) -> np.ndarray:

@@ -42,7 +42,6 @@ from .grid import DroopSchedule
 from .linearize import build_segment_table, select_critical_pairs, sweep_loci
 from .scenario import ScenarioBundle, load_samples, load_scenario, scenario_from_dict
 from .uncertainty import (
-    ConfidenceSpec,
     apply_budget_clamp,
     moments_from_samples,
     robust_gain,
@@ -143,7 +142,7 @@ def resolve_gains(cfg: WorkflowConfig, bundle: ScenarioBundle, samples: dict | N
     if cfg.mode == "mean_only":
         gains = np.array(est.mean, dtype=float)
     else:
-        gains = robust_gain(est, ConfidenceSpec(cfg.eta))
+        gains = robust_gain(est, cfg.eta)
     return apply_budget_clamp(model, areas, gains, static)
 
 

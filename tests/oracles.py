@@ -25,10 +25,15 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from cred.errors import ConfigurationError, NumericalError, TrackingError
+from cred.errors import (
+    ConfigurationError,
+    DegenerateEigenvalueError,
+    NumericalError,
+    TrackingError,
+)
 from cred.linearize import LinearizationPoint, net_gain_state_space
 from cred.milp import LinearProgram, solve_lp
-from cred.stability import eigen_decompose, is_stable, sensitivity
+from cred.stability import SIMPLE_TOL, eigen_decompose, is_stable, sensitivity
 
 
 def char_poly_coefficients(a: np.ndarray) -> np.ndarray:
@@ -75,7 +80,7 @@ def eigenvalues_by_char_poly(a: np.ndarray) -> np.ndarray:
 def eigen_decompose_scipy(ss):
     """eigen_decompose through scipy.linalg.eig: (values, right, left) vectors.
 
-    Same normalization y^T E z = 1 and (real, imag) sort as the library.
+    Same normalization w^T v = 1 and (real, imag) sort as the library.
     """
     s = ss.state_matrix
     if not np.all(np.isfinite(s)):
@@ -85,10 +90,25 @@ def eigen_decompose_scipy(ss):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigen solver did not converge: {exc}") from exc
     w_left = vl.conj()
-    norms = np.einsum("ij,ij->j", w_left, vr)
-    y = np.linalg.solve(ss.descriptor_a, w_left) / norms
+    w_left = w_left / np.einsum("ij,ij->j", w_left, vr)
     order = np.lexsort((values.imag, values.real))
-    return values[order], vr[:, order], y[:, order]
+    return values[order], vr[:, order], w_left[:, order]
+
+
+def spectral_gaps(values: np.ndarray) -> np.ndarray:
+    """Distance from each eigenvalue to the rest of the spectrum."""
+    gaps = np.abs(values[:, None] - values[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    return gaps.min(axis=1)
+
+
+def simple_sensitivity(model, eig, i: int, area: int) -> complex:
+    """sensitivity's entry i, refused (DegenerateEigenvalueError) at a repeated eigenvalue."""
+    gap = spectral_gaps(eig.eigenvalues)[i]
+    if gap < SIMPLE_TOL:
+        raise DegenerateEigenvalueError(
+            f"eigenvalue {eig.eigenvalues[i]} repeated within {gap:.2e}")
+    return complex(sensitivity(model, eig, area)[i])
 
 
 def fd_eigen_sensitivity(model, base_lambda: complex, area: int, h: float = 1e-5,
@@ -108,7 +128,7 @@ def sweep_segment_table_pointwise(model, eigen_index: int, area: int, range_end:
 
     Same grid, tracking gate and anchoring rule as build_segment_table;
     returns (points, grid_abscissas, grid_errors).  A repeated eigenvalue
-    at an anchor raises DegenerateEigenvalueError from sensitivity.
+    at an anchor raises DegenerateEigenvalueError (simple_sensitivity).
     """
     ss0 = net_gain_state_space(model, area, 0.0)
     eig0 = eigen_decompose(ss0)
@@ -116,7 +136,7 @@ def sweep_segment_table_pointwise(model, eigen_index: int, area: int, range_end:
         raise ConfigurationError("base system is unstable")
     base_lambda = complex(eig0.eigenvalues[eigen_index])
     points = [LinearizationPoint(0.0, base_lambda,
-                                 sensitivity(ss0, eig0, eigen_index, area))]
+                                 simple_sensitivity(model, eig0, eigen_index, area))]
 
     direction = 1.0 if range_end > 0 else -1.0
     n_steps = int(np.floor(abs(range_end) / eps_phi + 1e-9))
@@ -141,7 +161,7 @@ def sweep_segment_table_pointwise(model, eigen_index: int, area: int, range_end:
             idx = int(np.argmin(np.abs(eig_k.eigenvalues - lam_true)))
             lam_true = complex(eig_k.eigenvalues[idx])
             points.append(LinearizationPoint(
-                float(k), lam_true, sensitivity(ss_k, eig_k, idx, area)))
+                float(k), lam_true, simple_sensitivity(model, eig_k, idx, area)))
             err = 0.0
         abscissas.append(float(k))
         errors.append(err)

@@ -9,6 +9,9 @@ import pytest
 from cred import cli
 from cred.cli import main
 from cred.grid import build_state_space
+from cred.linearize import net_gain_state_space, sweep_loci
+from cred.scenario import scenario_from_dict
+from cred.stability import eigen_decompose, sensitivity
 from cred.systems import single_area_toy, synthesize_samples, three_area_system
 from cred.workflow import WorkflowConfig, run_workflow
 
@@ -38,6 +41,38 @@ class TestAnalyze:
         row = next(r for r in sens[1:] if r[0] == "1")
         assert float(row[2]) == pytest.approx(0.5, abs=1e-9)
         assert float(row[3]) == pytest.approx(0.25, abs=1e-9)
+
+    def test_repeated_eigenvalue_skipped_with_a_note(self, tmp_path, capsys):
+        doc = single_area_toy()
+        doc["areas"][0]["gov_integral"] = 1.0  # lambda^2 + 2 lambda + 1: a double root
+        path, out = tmp_path / "double.json", tmp_path / "out"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--scenario", str(path), "--out", str(out)]) == 0
+        assert read_csv(out / "sensitivities.csv") == [["eigen_index", "area", "d_re", "d_im"]]
+        assert capsys.readouterr().err.splitlines() == [
+            f"note: eigenvalue {i} repeated; sensitivity skipped" for i in (0, 1)]
+
+    def test_sweep_and_analyze_read_one_sensitivity(self, tmp_path, monkeypatch):
+        doc = three_area_system()
+        bundle = scenario_from_dict(doc)
+        (area,) = bundle.attack_areas
+        eig = eigen_decompose(net_gain_state_space(bundle.model, area, 0.0))
+        derivs = sensitivity(bundle.model, eig, area)
+        residues = sweep_loci(bundle.model, area, 5.0).residues
+        assert residues.tobytes() == derivs.tobytes()
+        written, write_csv = {}, cli.write_csv
+
+        def keep_rows(path, header, rows):
+            written[path.name] = rows
+            write_csv(path, header, rows)
+
+        monkeypatch.setattr(cli, "write_csv", keep_rows)
+        path, out = tmp_path / "desk.json", tmp_path / "out"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--scenario", str(path), "--out", str(out)]) == 0
+        # one area attacked: one row per eigenvalue, in order
+        assert written["sensitivities.csv"] == [[i, area, d.real, d.imag]
+                                                for i, d in enumerate(derivs)]
 
 
 class TestLinearize:

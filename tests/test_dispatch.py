@@ -40,7 +40,7 @@ from cred.milp import solve_lp
 from cred.scenario import scenario_from_dict
 from cred.stability import eigen_decompose, is_stable
 from cred.systems import three_area_storage_day, three_area_system, three_area_with_storage
-from cred.uncertainty import AttackEstimate, ConfidenceSpec, robust_gain
+from cred.uncertainty import AttackEstimate, robust_gain
 from cred.workflow import WorkflowConfig, run_workflow
 
 from oracles import (
@@ -101,7 +101,7 @@ def idle_table(tab, area=1):
     """One flat segment on the same eigenvalue: adds nothing to its row."""
     return SegmentTable(tab.eigen_index, area,
                         (LinearizationPoint(0.0, tab.base_eigenvalue, 0j),),
-                        tab.range_end, tab.base_eigenvalue, 0.02, tab.step,
+                        tab.range_end, tab.base_eigenvalue, tab.step,
                         np.zeros(0), np.zeros(0))
 
 
@@ -118,7 +118,7 @@ def random_table(rng, eigen_index, base, gain=3.0, area=0):
         )
         for m, phi in enumerate(phis)
     )
-    return SegmentTable(eigen_index, area, points, gain, base, 0.02, gain / 200.0,
+    return SegmentTable(eigen_index, area, points, gain, base, gain / 200.0,
                         np.zeros(0), np.zeros(0))
 
 
@@ -462,7 +462,7 @@ def ceiling_table(area, gain, knet_max, strict=1e-6):
     base = complex(-1.0, 2.0)
     slope = (1.0 - strict) / knet_max
     return SegmentTable(0, area, (LinearizationPoint(0.0, base, complex(slope, 0.0)),), gain,
-                        base, 0.02, gain / 200.0, np.zeros(0), np.zeros(0))
+                        base, gain / 200.0, np.zeros(0), np.zeros(0))
 
 
 def tied_moves(scn, sol, t, allow_shed):
@@ -658,7 +658,7 @@ class TestValidate:
         est = complex(b.real, a.imag)
         area = int(np.argmax(gains))
         tab = SegmentTable(0, area, (LinearizationPoint(0.0, est, 0j),), float(gains[area]),
-                           est, 0.02, 0.01, np.zeros(0), np.zeros(0))
+                           est, 0.01, np.zeros(0), np.zeros(0))
         cert = validate_solution(scn, sol, gains, StabilityConstraintSet((tab,), gains))
         assert cert.estimate_discrepancy == pytest.approx(abs(a.real - b.real), rel=1e-12)
         assert cert.estimate_discrepancy > 1e-3
@@ -737,8 +737,8 @@ class TestRobustSubstitution:
     def test_gain_replacement_is_pure(self, one_area_model):
         scn = toy_scenario(one_area_model)
         est = AttackEstimate([2.4], [0.1], [100])
-        gains = robust_gain(est, ConfidenceSpec(0.9))
-        collapsed = robust_gain(AttackEstimate(gains, [0.0], [100]), ConfidenceSpec(0.5))
+        gains = robust_gain(est, 0.9)
+        collapsed = robust_gain(AttackEstimate(gains, [0.0], [100]), 0.5)
         assert np.array_equal(gains, collapsed)
         tab1 = build_segment_table(
             sweep_loci(one_area_model, 0, float(gains[0]), float(gains[0]) / 200.0), 1, 0.02)
@@ -757,8 +757,7 @@ class TestOrdering:
     def test_worst_dr_mean_cost_ordering(self, one_area_model):
         scn = toy_scenario(one_area_model)
         mean, sigma = 2.5, 0.1
-        dr = float(robust_gain(AttackEstimate([mean], [sigma], [50]),
-                               ConfidenceSpec(0.95))[0])
+        dr = float(robust_gain(AttackEstimate([mean], [sigma], [50]), 0.95)[0])
         costs = {}
         for name, gain in (("worst", 3.0), ("dr", dr), ("mean", mean)):
             stab = toy_stability(one_area_model, gain=gain)
@@ -999,7 +998,7 @@ class TestSecondSolver:
             "assert not scipy_modules()\n"
             "e = np.diag([1.0, -1.0])\n"
             "s = np.array([[0.0, 1.0], [-5.0, -2.0]])\n"
-            "traj = simulate(StateSpace(e, e @ s, s, np.zeros(2)), np.array([0.1]), t_end=2.0)\n"
+            "traj = simulate(StateSpace(e, s, np.zeros(2)), np.array([0.1]), t_end=2.0)\n"
             "assert not scipy_modules() and not traj.diverged\n"
         )
         assert subprocess.run([sys.executable, "-c", probe], cwd=src).returncode == 0
@@ -1121,7 +1120,7 @@ def anchored_table(eigen_index, area, base, points, range_end):
     return SegmentTable(eigen_index, area,
                         tuple(LinearizationPoint(phi, base + shift, complex(slope, 0.0))
                               for phi, shift, slope in points),
-                        range_end, base, 0.02, range_end / 200.0, np.zeros(0), np.zeros(0))
+                        range_end, base, range_end / 200.0, np.zeros(0), np.zeros(0))
 
 
 class TestCellSearch:

@@ -49,7 +49,9 @@ class TestBuildStateSpace:
         )
         ss = build_state_space(model, AttackProfile.none(2), DroopSchedule.none(2))
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert np.array_equal(np.diag(model.gov_integral) + lap, ss.feedback_b[2:, :2])
+        # E S = B: the stiffness block of B is the governor's plus the Laplacian
+        assert np.array_equal(np.diag(model.gov_integral) + lap,
+                              (ss.descriptor_a @ ss.state_matrix)[2:, :2])
         expected = np.array(
             [
                 [0.0, 0.0, 1.0, 0.0],
@@ -105,8 +107,13 @@ class TestBuildStateSpace:
         model = _models(seed)
         n = model.areas
         ss = build_state_space(model, AttackProfile.none(n), DroopSchedule.none(n))
+        # the feedback matrix B of E xdot = B x + u, from the model itself
+        feedback = np.zeros((2 * n, 2 * n))
+        feedback[:n, n:] = np.eye(n)
+        feedback[n:, :n] = np.diag(model.gov_integral) + model.coupling_laplacian()
+        feedback[n:, n:] = np.diag(model.gov_proportional + model.damping)
         direct = np.linalg.eigvals(ss.state_matrix)
-        pencil = sla.eigvals(ss.feedback_b, ss.descriptor_a)
+        pencil = sla.eigvals(feedback, ss.descriptor_a)
         for lam in direct:
             assert np.min(np.abs(pencil - lam)) <= 1e-9
 
@@ -124,4 +131,3 @@ class TestBuildStateSpace:
         )
         clean = build_state_space(model, AttackProfile.none(n), DroopSchedule.none(n))
         assert np.array_equal(cancel.state_matrix, clean.state_matrix)
-        assert np.array_equal(cancel.feedback_b, clean.feedback_b)

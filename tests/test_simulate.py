@@ -315,15 +315,15 @@ class TestClassify:
         omega = np.exp(-0.5 * t) * np.sin(2.0 * t)
         states = np.column_stack([np.zeros_like(t), omega])
         traj = Trajectory(
-            times=t, states=states, disturbance={}, step_time=0.0,
+            times=t, states=states, step_time=0.0,
             equilibrium_post=np.zeros(2), diverged=False,
         )
         assert classify_trajectory(traj) == "decaying"
 
     def test_diverged_flag_shortcut(self):
         traj = Trajectory(
-            times=np.array([0.0, 0.01]), states=np.zeros((2, 2)), disturbance={},
-            step_time=0.0, equilibrium_post=np.zeros(2), diverged=True,
+            times=np.array([0.0, 0.01]), states=np.zeros((2, 2)), step_time=0.0,
+            equilibrium_post=np.zeros(2), diverged=True,
         )
         assert classify_trajectory(traj) == "growing"
 

@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from cred.errors import DegenerateEigenvalueError, NumericalError
 from cred.grid import AttackProfile, DroopSchedule, StateSpace, build_state_space
-from cred.stability import eigen_decompose, is_stable, sensitivity
+from cred.stability import check_simple, eigen_decompose, is_stable, sensitivity
 
 from oracles import (
     eigen_decompose_scipy,
     eigenvalues_by_char_poly,
     fd_eigen_sensitivity,
     random_system_model,
+    spectral_gaps,
 )
 
 
@@ -19,7 +20,7 @@ def _hand_state_space(s: np.ndarray) -> StateSpace:
     n = s.shape[0] // 2
     e = np.eye(2 * n)
     e[n:, n:] *= -1.0
-    return StateSpace(e, e @ s, s, np.zeros(2 * n))
+    return StateSpace(e, s, np.zeros(2 * n))
 
 
 class TestEigenDecompose:
@@ -51,10 +52,11 @@ class TestEigenDecompose:
         s = ss.state_matrix
         scale = np.linalg.norm(s, np.inf)
         for i in range(len(eig)):
-            z, y = eig.right_vectors[:, i], eig.left_vectors[:, i]
+            v, w = eig.right_vectors[:, i], eig.left_vectors[:, i]
             lam = eig.eigenvalues[i]
-            assert np.linalg.norm(s @ z - lam * z) <= 1e-8 * scale
-            assert abs(y @ ss.descriptor_a @ z - 1.0) <= 1e-8
+            assert np.linalg.norm(s @ v - lam * v) <= 1e-8 * scale
+            assert np.linalg.norm(w @ s - lam * w) <= 1e-8 * scale * np.linalg.norm(w)
+            assert abs(w @ v - 1.0) <= 1e-8
             if abs(lam.imag) > 1e-9:  # complex modes pair up
                 partner = np.min(np.abs(eig.eigenvalues - lam.conjugate()))
                 assert partner <= 1e-9 * max(scale, 1.0)
@@ -144,11 +146,12 @@ class TestDirectGeev:
 
 
 class TestSensitivity:
-    def test_one_area_exact_value(self, one_area_ss):
+    def test_one_area_exact_value(self, one_area_model, one_area_ss):
         eig = eigen_decompose(one_area_ss)
-        d = sensitivity(one_area_ss, eig, 1, 0)
+        d = sensitivity(one_area_model, eig, 0)
         # implicit differentiation of lam^2 + (2-k) lam + 5 at k=0, lam=-1+2j
-        assert abs(d - (0.5 + 0.25j)) <= 1e-10
+        assert abs(d[1] - (0.5 + 0.25j)) <= 1e-10
+        assert abs(d[0] - d[1].conjugate()) <= 1e-12
 
     def test_matches_finite_differences(self, rng):
         checked = 0
@@ -158,13 +161,11 @@ class TestSensitivity:
             ss = build_state_space(model, AttackProfile.none(n), DroopSchedule.none(n))
             eig = eigen_decompose(ss)
             area = rng.randint(0, n)
-            for i in range(len(eig)):
-                if eig.min_gap(i) < 1e-3:
-                    continue
-                d = sensitivity(ss, eig, i, area)
+            d = sensitivity(model, eig, area)
+            for i in np.flatnonzero(spectral_gaps(eig.eigenvalues) >= 1e-3):
                 fd = fd_eigen_sensitivity(model, eig.eigenvalues[i], area)
                 # small floor: near-zero sensitivities drown in FD noise
-                assert abs(d - fd) <= 1e-4 * max(abs(fd), 1e-5)
+                assert abs(d[i] - fd) <= 1e-4 * max(abs(fd), 1e-5)
                 checked += 1
         assert checked >= 300
 
@@ -176,19 +177,21 @@ class TestSensitivity:
         ss = build_state_space(model, AttackProfile.none(n), DroopSchedule.none(n))
         eig = eigen_decompose(ss)
         lam = eig.eigenvalues
+        d = sensitivity(model, eig, 0)
+        gaps = spectral_gaps(lam)
         for i in range(len(eig)):
-            if lam[i].imag <= 1e-9 or eig.min_gap(i) < 1e-6:
+            if lam[i].imag <= 1e-9 or gaps[i] < 1e-6:
                 continue
             j = int(np.argmin(np.abs(lam - lam[i].conjugate())))
-            si = sensitivity(ss, eig, i, 0)
-            sj = sensitivity(ss, eig, j, 0)
-            assert abs(si - sj.conjugate()) <= 1e-8
+            assert abs(d[i] - d[j].conjugate()) <= 1e-8
 
     def test_repeated_eigenvalue_rejected(self):
         ss = _hand_state_space(np.array([[0.0, 1.0], [-1.0, -2.0]]))
-        eig = eigen_decompose(ss)
-        with pytest.raises(DegenerateEigenvalueError):
-            sensitivity(ss, eig, 0, 0)
+        lam = eigen_decompose(ss).eigenvalues
+        with pytest.raises(DegenerateEigenvalueError,
+                           match=r"^at abscissa 0: eigenvalue .* is repeated within .*; "
+                                 r"sensitivity undefined$"):
+            check_simple(lam, lam[0], 0.0)
 
 
 class TestIsStable:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cred.errors import ContractError, InsufficientDataError
 from cred.uncertainty import (
     AttackEstimate,
-    ConfidenceSpec,
     apply_budget_clamp,
     k_eta,
     moments_from_samples,
@@ -56,24 +55,24 @@ class TestKEta:
         for eta in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ContractError):
                 k_eta(eta)
-            with pytest.raises(ContractError):
-                ConfidenceSpec(eta)
+            with pytest.raises(ContractError, match=r"^eta must lie in the open interval"):
+                robust_gain(AttackEstimate([1.0], [0.5], [10]), eta)
 
 
 class TestRobustGain:
     def test_half_confidence(self):
         est = AttackEstimate([10.0], [2.0], [100])
-        assert robust_gain(est, ConfidenceSpec(0.5))[0] == pytest.approx(12.0)
+        assert robust_gain(est, 0.5)[0] == pytest.approx(12.0)
 
     def test_table_case_one(self):
         est = AttackEstimate([17.59], [0.48], [1000])
         expected = 17.59 + math.sqrt(19.0) * 0.48
-        assert abs(robust_gain(est, ConfidenceSpec(0.95))[0] - expected) <= 1e-12
+        assert abs(robust_gain(est, 0.95)[0] - expected) <= 1e-12
 
     def test_degenerate_certainty(self):
         est = AttackEstimate([7.5], [0.0], [10])
         for eta in (0.1, 0.5, 0.99):
-            assert robust_gain(est, ConfidenceSpec(eta))[0] == 7.5
+            assert robust_gain(est, eta)[0] == 7.5
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -84,11 +83,11 @@ class TestRobustGain:
     )
     def test_monotone_in_eta_and_sigma(self, eta, d_eta, sigma, mean):
         est = AttackEstimate([mean], [sigma], [10])
-        lo = robust_gain(est, ConfidenceSpec(eta))[0]
-        hi = robust_gain(est, ConfidenceSpec(eta + d_eta))[0]
+        lo = robust_gain(est, eta)[0]
+        hi = robust_gain(est, eta + d_eta)[0]
         assert hi > lo
         wider = AttackEstimate([mean], [sigma * 1.5], [10])
-        assert robust_gain(wider, ConfidenceSpec(eta))[0] > lo
+        assert robust_gain(wider, eta)[0] > lo
 
 
 class TestWorstCase:
@@ -116,7 +115,7 @@ class TestWorstCase:
             est_mean[area], est_std[area] = mean, sigma
             est = AttackEstimate(est_mean, est_std, np.full(n, 10))
             robust = apply_budget_clamp(
-                model, (area,), robust_gain(est, ConfidenceSpec(0.95))
+                model, (area,), robust_gain(est, 0.95)
             )
             assert worst[area] >= robust[area] - 1e-12
             assert robust[area] >= mean - 1e-12
