@@ -11,8 +11,9 @@ eigenvalue's row, which is bounded by -(strict + settle) - Re(base).
 
 The cost depends on the droop only through each period's total droop, and
 never falls as it grows (_merit_order), so solve_cred chooses each
-period's droop once, from the stability rows alone, as the largest total
-net gain they admit (_droop_floor), and then dispatches with it pinned.
+period's droop once, from the stability rows and the period's wind band,
+as the largest total net gain they admit (_droop_floor), and then
+dispatches with it pinned.
 One exact search finds that net gain for one attacked area or several
 (StabilityConstraintSet.net_gain_max): the anchors of an area's tables cut
 its net gain into cells, inside each of which every pair holds one
@@ -48,7 +49,7 @@ from .errors import (
     NumericalError,
     ValidationFailure,
 )
-from .grid import DroopSchedule, attack_from_gains, build_state_space
+from .grid import AttackProfile, DroopSchedule, build_state_space
 from .linearize import evaluate_piecewise
 from .milp import LinearProgram, solve_lp
 from .stability import StabilityVerdict, eigen_decompose, is_stable
@@ -120,7 +121,12 @@ class StorageSpec:
 
 @dataclass(frozen=True, eq=False)
 class DispatchScenario:
-    """Dispatch horizon on top of a SystemModel, all powers in p.u."""
+    """Dispatch horizon on top of a SystemModel, all powers in p.u.
+
+    It holds no attack: the attack enters only the frequency dynamics, so
+    the caller passes its AttackProfile to stability_precheck and
+    validate_solution, and its robust gains to StabilityConstraintSet.
+    """
 
     model: SystemModel
     demand: np.ndarray  # (T, N)
@@ -130,8 +136,6 @@ class DispatchScenario:
     base_power: float = 1000.0  # MW per p.u.
     min_online_fraction: float = 0.0
     storage: tuple = ()
-    attack_areas: tuple = ()
-    static_attack: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.model.areas
@@ -159,21 +163,15 @@ class DispatchScenario:
         for s in stor:
             if not 0 <= s.area < n:
                 raise BuildError(f"storage area {s.area} out of range")
-        areas = tuple(sorted(int(a) for a in self.attack_areas))
-        static = np.zeros(n) if self.static_attack is None else np.asarray(self.static_attack, dtype=float)
-        if static.shape != (n,) or not np.all(np.isfinite(static)):
-            raise BuildError(f"static_attack must hold {n} finite values")
         if self.shed_cost < 0 or not (0.0 <= self.min_online_fraction <= 1.0):
             raise BuildError("shed_cost must be >= 0 and min_online_fraction within [0, 1]")
-        for arr in (dem, wind, static):
+        for arr in (dem, wind):
             arr.setflags(write=False)
         set_ = object.__setattr__
         set_(self, "demand", dem)
         set_(self, "wind_available", wind)
         set_(self, "generators", gens)
         set_(self, "storage", stor)
-        set_(self, "attack_areas", areas)
-        set_(self, "static_attack", static)
 
     @property
     def n_periods(self) -> int:
@@ -462,17 +460,6 @@ def _blocks(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool) -> tuple:
     return cost, lo, hi
 
 
-def _empty_band(scn: DispatchScenario, kc: np.ndarray):
-    """The first period whose droop band is empty, or None.
-
-    A band is empty where 2*omega*kc - avail > _FEAS_TOL in an area;
-    within that tolerance it closes to the point omega*kc (_blocks).
-    """
-    empty = np.flatnonzero(np.any(
-        2.0 * (scn.model.omega_max * kc) - scn.wind_available > _FEAS_TOL, axis=1))
-    return int(empty[0]) if empty.size else None
-
-
 def build_cred_milp(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool = False) -> CredMilp:
     """Assemble the dispatch horizon as one LP, the droop pinned to kc (T, N).
 
@@ -482,12 +469,15 @@ def build_cred_milp(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool = Fa
     the droop _droop_floor chose is optimal by construction (argument in
     _merit_order).  Its rows are, per period, the balance, the online
     floor and each storage unit's recursion, the last period's followed
-    by its terminal state of charge.  Raises InfeasibleError naming the
-    first period whose droop does not fit its wind.
+    by its terminal state of charge.  kc comes from the caller, so a band
+    2*omega*kc - avail beyond _FEAS_TOL in an area raises InfeasibleError
+    naming the first such period; within that tolerance the band closes to
+    the point omega*kc (_blocks).
     """
-    empty = _empty_band(scn, kc)
-    if empty is not None:
-        raise _infeasible(f"period {empty}", allow_shed)
+    empty = np.flatnonzero(np.any(
+        2.0 * (scn.model.omega_max * kc) - scn.wind_available > _FEAS_TOL, axis=1))
+    if empty.size:
+        raise _infeasible(f"period {empty[0]}", allow_shed)
     cols = _columns(scn)
     cost, lo, hi = _blocks(scn, kc, allow_shed)
     t_len, width = lo.shape
@@ -531,15 +521,13 @@ def _droop_floor(scn: DispatchScenario, stab: StabilityConstraintSet | None) -> 
     their simplex steps.  Every table must cover [0, robust_gain] of its
     area (CoverageError otherwise).  Areas without tables of a positive
     gain get a zero droop; the others get gain - k, k their net gains from
-    StabilityConstraintSet.net_gain_max.  With one such area the search
-    runs once, over [0, gain], and every period shares its droop; the wind
-    band is left to the dispatch, and InfeasibleError names the area when
-    no net gain meets the rows.  With several, each area's net gain is
-    held to [gain - avail[t]/(2 omega), gain], so that its droop fits the
-    wind band, and the search runs once per distinct set of these bounds:
-    periods with equal bounds share its result.  InfeasibleError then
-    names the first period whose bounds admit no point.  See _merit_order
-    for why this droop is optimal.
+    StabilityConstraintSet.net_gain_max.  Each area's net gain is held to
+    [gain - avail[t]/(2 omega), gain], so that its droop fits the wind
+    band, for one attacked area as for several, and the search runs once
+    per distinct set of these bounds: periods with equal bounds share its
+    result.  InfeasibleError names the first period whose bounds admit no
+    point, before any period is dispatched.  See _merit_order for why this
+    droop is optimal.
     """
     n, t_len = scn.model.areas, scn.n_periods
     tables = stab.tables_by_pair() if stab is not None else {}
@@ -564,13 +552,11 @@ def _droop_floor(scn: DispatchScenario, stab: StabilityConstraintSet | None) -> 
     held, lps, steps, solved = {}, 0, 0, {}
     band = np.clip(gains - scn.wind_available / (2.0 * scn.model.omega_max), 0.0, gains)
     for t in range(t_len):
-        key = tuple(band[t, areas]) if len(areas) > 1 else None
+        key = tuple(band[t, areas])
         if key not in solved:
-            solved[key] = stab.net_gain_max(None if key is None else band[t])
+            solved[key] = stab.net_gain_max(band[t])
             if solved[key] is None:
                 raise InfeasibleError(
-                    f"dispatch infeasible: no net gain in [0, {gains[areas[0]]:g}] of area "
-                    f"{areas[0]} meets every stability row" if key is None else
                     f"dispatch infeasible in period {t}: no droop within the wind band meets "
                     "every stability row")
             lps, steps = lps + solved[key][2], steps + solved[key][3]
@@ -614,9 +600,8 @@ def _merit_order(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool,
     The stability rows of period t constrain its droop alone, so the
     droop with the least S_t they admit within the bands, the largest
     total net gain (_droop_floor), is an optimum of the MIP, and the
-    dispatch is infeasible exactly when the MIP is.  With one attacked
-    area this is the floor gain - k_max; every area without tables of a
-    positive gain has a zero droop.
+    dispatch is infeasible exactly when the MIP is.  Every area without
+    tables of a positive gain has a zero droop.
 
     With kc fixed, wind is a free resource in [pres, avail - pres] per
     area, and a period is the linear-cost economic dispatch (equal
@@ -632,11 +617,11 @@ def _merit_order(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool,
     of the optima; the simplex may pick another.  Values sit exactly on
     their bounds, except one marginal unit per phase.
 
-    blocks is _blocks(scn, kc, allow_shed).  Returns the dispatch in
-    _columns' block, shape (T, width).  Raises InfeasibleError for the
-    first period whose droop band is empty (_empty_band), whose lower
-    bounds (after the floor) exceed demand, or whose units cannot meet
-    the floor or the demand, each beyond _FEAS_TOL.
+    kc comes from _droop_floor, so every band holds.  blocks is
+    _blocks(scn, kc, allow_shed).  Returns the dispatch in _columns'
+    block, shape (T, width).  Raises InfeasibleError for the first period
+    whose lower bounds (after the floor) exceed demand, or whose units
+    cannot meet the floor or the demand, each beyond _FEAS_TOL.
     """
     cols = _columns(scn)
     gen, wind, shed = cols["sg_power"], cols["wind_power"], cols["shed"]
@@ -646,10 +631,8 @@ def _merit_order(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool,
     merit = sorted([*column[wind], *column[gen], *column[shed]], key=cost.__getitem__)
     cheapest = sorted(column[gen], key=cost.__getitem__)
     online = scn.min_online_fraction if scn.generators else 0.0
-    empty = _empty_band(scn, kc)
     out = []
-    # the periods before the first empty band, all of them when there is none
-    for t, (x, top) in enumerate(zip(lo.tolist()[:empty], hi.tolist())):
+    for t, (x, top) in enumerate(zip(lo.tolist(), hi.tolist())):
         demand = float(scn.demand[t].sum())
         need = online * demand - sum(x[gen])
         for j in cheapest:
@@ -664,8 +647,6 @@ def _merit_order(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool,
         if need > _FEAS_TOL or abs(rest) > _FEAS_TOL:
             raise _infeasible(f"period {t}", allow_shed)
         out.append(x)
-    if empty is not None:
-        raise _infeasible(f"period {empty}", allow_shed)
     return np.array(out)
 
 
@@ -728,36 +709,36 @@ def solve_cred(
     )
 
 
-def stability_precheck(scn: DispatchScenario, droop: DroopSchedule, gains) -> StabilityVerdict:
-    """Eigenvalue verdict on the current operating point under robust gains."""
-    ss = build_state_space(scn.model, attack_from_gains(gains, scn.static_attack, scn.attack_areas),
-                           droop)
+def stability_precheck(scn: DispatchScenario, attack: AttackProfile) -> StabilityVerdict:
+    """Eigenvalue verdict on the current operating point, no droop yet, under the attack."""
+    ss = build_state_space(scn.model, attack, DroopSchedule.none(scn.model.areas))
     return is_stable(eigen_decompose(ss))
 
 
 def validate_solution(
     scn: DispatchScenario,
     sol: DispatchSolution,
-    gains,
+    attack: AttackProfile,
     stab: StabilityConstraintSet | None = None,
 ) -> StabilityCertificate:
     """Exact a-posteriori stability certificate for every period.
 
-    Rebuilds each period's closed loop with the solved droop gains and the
-    robust attack gains and demands a strictly negative spectral abscissa.
-    The power reference enters only the forcing, so periods with equal
-    state matrices share one eigendecomposition and verdict.
+    Rebuilds each period's closed loop under the attack, whose dynamic
+    gains are the robust ones, with the solved droop, and demands a
+    strictly negative spectral abscissa; area a's net gain is
+    attack.dyn_gain[a] - droop[t, a].  The power reference enters only the
+    forcing, so periods with equal state matrices share one
+    eigendecomposition and verdict.
     estimate_discrepancy is the largest real-part gap between a table's
     estimate and the exact eigenvalue nearest to it in the complex plane.
     Raises ValidationFailure naming the first offending period/eigenvalue.
     """
-    gains = np.asarray(gains, dtype=float)
+    gains = attack.dyn_gain
     t_len = scn.n_periods
     max_real = np.zeros(t_len)
     worst_t, worst_eigs = 0, None
     discrepancy = None
     tables = stab.tables_by_pair() if stab is not None else {}
-    attack = attack_from_gains(gains, scn.static_attack, scn.attack_areas)
     spectra = {}
     for t in range(t_len):
         droop = DroopSchedule(sol.droop[t], sol.wind_power[t])

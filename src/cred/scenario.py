@@ -153,6 +153,8 @@ def _bundle(raw: dict) -> ScenarioBundle:
                         dtype=float) / base
     if static.shape != (n,):
         raise ScenarioError(f"attack static must list {n} values")
+    if not np.all(np.isfinite(static)):
+        raise ScenarioError("attack static must be finite")
 
     dispatch = None
     if "dispatch" in raw:
@@ -203,8 +205,6 @@ def _bundle(raw: dict) -> ScenarioBundle:
                 base_power=base,
                 min_online_fraction=_number(d, "min_online_fraction", "dispatch", 0.0),
                 storage=tuple(storage),
-                attack_areas=attack_areas,
-                static_attack=static,
             )
         except Exception as exc:
             raise ScenarioError(f"invalid dispatch section: {exc}") from exc
@@ -233,8 +233,9 @@ def load_scenario(path) -> ScenarioBundle:
 def load_samples(path, base_power: float) -> dict:
     """Read detection samples: a list of {"area": n, "samples": [MW/Hz, ...]}.
 
-    Raises ScenarioError unless each area is an integral number and each
-    sample a number (a boolean or a numeric string is not).
+    Raises ScenarioError when the file holds no records, or unless each
+    area is an integral number and each sample a number (a boolean or a
+    numeric string is not).
     """
     path = Path(path)
     if not path.exists():
@@ -252,4 +253,6 @@ def load_samples(path, base_power: float) -> dict:
             out.setdefault(area, []).extend(values)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"samples file {path} is malformed: {exc}") from exc
+    if not out:
+        raise ScenarioError(f"samples file {path} holds no records")
     return out

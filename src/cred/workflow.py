@@ -10,11 +10,10 @@ attacked area screens the critical pairs and feeds their piecewise tables,
 the dispatch is solved (retrying with load shedding if needed), and the
 result certified by exact eigenvalue checks.  The dispatch chooses each
 period's droop from the stability rows first (one best-first search over
-breakpoint cells: once on one attacked area, once per distinct wind band
-on several), then dispatches each storage-free period by merit order, or
-a storage horizon as one LP.  One automatic table rebuild at half the
-error limit, from the same sweeps, absorbs borderline approximation
-failures.
+breakpoint cells per distinct wind band), then dispatches each
+storage-free period by merit order, or a storage horizon as one LP.  One
+automatic table rebuild at half the error limit, from the same sweeps,
+absorbs borderline approximation failures.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .dispatch import (
     validate_solution,
 )
 from .errors import ConfigurationError, CredError, InfeasibleError, ScenarioError, ValidationFailure
-from .grid import DroopSchedule
+from .grid import attack_from_gains
 from .linearize import build_segment_table, select_critical_pairs, sweep_loci
 from .scenario import ScenarioBundle, load_samples, load_scenario, scenario_from_dict
 from .uncertainty import (
@@ -213,7 +212,8 @@ def run_workflow(cfg: WorkflowConfig, bundle: ScenarioBundle | None = None) -> W
         gains = resolve_gains(cfg, bundle, samples)
 
     with _stage("precheck"):
-        pre = stability_precheck(scn, DroopSchedule.none(scn.model.areas), gains)
+        attack = attack_from_gains(gains, bundle.static_attack, bundle.attack_areas)
+        pre = stability_precheck(scn, attack)
     if pre.stable:
         return finish("precheck_stable", baseline, gains, precheck_max_real=pre.max_real)
 
@@ -228,16 +228,16 @@ def run_workflow(cfg: WorkflowConfig, bundle: ScenarioBundle | None = None) -> W
         """Tables, then the dispatch (shedding only if needed), then the certificate."""
         with _stage("tables"):
             tables = tuple(build_segment_table(sweeps[a], i, eps_lim) for i, a in pairs)
-        stab = StabilityConstraintSet(
-            tables, gains, strict_margin=cfg.eps_strict, settle_margin=cfg.settle_margin
-        )
         with _stage("dispatch"):
+            stab = StabilityConstraintSet(
+                tables, gains, strict_margin=cfg.eps_strict, settle_margin=cfg.settle_margin
+            )
             try:
                 sol, branch = solve_cred(scn, stab, allow_shed=False), "cred_applied"
             except InfeasibleError:
                 sol, branch = solve_cred(scn, stab, allow_shed=True), "cred_infeasible_shed"
         with _stage("validation"):
-            cert = validate_solution(scn, sol, gains, stab)
+            cert = validate_solution(scn, sol, attack, stab)
         return tables, sol, branch, cert
 
     try:
@@ -310,7 +310,6 @@ def _solution_dict(scn: DispatchScenario, sol: DispatchSolution) -> dict:
 
 def _write_artifacts(out: Path, scn: DispatchScenario, rep: WorkflowReport) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    sol = rep.solution
     # names kept relative so identical runs stay byte-identical anywhere
     rep.artifacts = {
         "report": "report.json",
@@ -318,21 +317,14 @@ def _write_artifacts(out: Path, scn: DispatchScenario, rep: WorkflowReport) -> N
         "summary": "summary.csv",
     }
     write_json(out / "report.json", rep.to_dict())
-    write_json(out / "solution.json", _solution_dict(scn, sol))
-    n = scn.model.areas
+    write_json(out / "solution.json", _solution_dict(scn, rep.solution))
     header = ["period", "cost"]
-    for a in range(n):
+    for a in range(scn.model.areas):
         header += [f"kc_pu_per_hz_{a}", f"pres_mw_{a}", f"shed_mw_{a}"]
-    rows = []
-    for t in range(scn.n_periods):
-        row = [t, sol.per_period_cost[t]]
-        for a in range(n):
-            row += [
-                sol.droop[t, a],
-                sol.wind_reserve[t, a] * scn.base_power,
-                sol.shed[t, a] * scn.base_power,
-            ]
-        rows.append(row)
+    rows = [[row["period"], row["cost"]]
+            + [x for area in zip(row["droop_pu_per_hz"], row["wind_reserve_mw"], row["shed_mw"])
+               for x in area]
+            for row in rep.per_period]
     write_csv(out / "summary.csv", header, rows)
 
 

@@ -20,7 +20,13 @@ from cred.dispatch import (
     validate_solution,
 )
 from cred.errors import ValidationFailure
-from cred.grid import AttackProfile, DroopSchedule, SystemModel, build_state_space
+from cred.grid import (
+    AttackProfile,
+    DroopSchedule,
+    SystemModel,
+    attack_from_gains,
+    build_state_space,
+)
 from cred.linearize import (
     build_segment_table,
     evaluate_piecewise,
@@ -160,7 +166,7 @@ def _toy_scenario(model, p_max=12.0):
     return DispatchScenario(
         model=model, demand=[[10.0]], wind_available=[[4.0]],
         generators=(GeneratorSpec(0, 10.0, 0.0, p_max, (1,)),),
-        shed_cost=1000.0, base_power=1.0, attack_areas=(0,),
+        shed_cost=1000.0, base_power=1.0,
     )
 
 
@@ -186,7 +192,7 @@ def test_criterion_4_milp_exactness():
             model=curved, demand=[[3.0, 3.0]], wind_available=[[0.0, 2.5]],
             generators=(GeneratorSpec(0, 20.0, 0.0, 8.0, (1,)),
                         GeneratorSpec(1, 40.0, 0.0, 3.0, (1,))),
-            shed_cost=1000.0, base_power=1.0, attack_areas=(1,),
+            shed_cost=1000.0, base_power=1.0,
         )
         tabs2 = tuple(build_segment_table(sweep_loci(curved, 1, 6.0, 0.04), i, 0.02)
                       for i in (0, 2))
@@ -202,7 +208,7 @@ def test_criterion_4_milp_exactness():
         )
         scn3 = DispatchScenario(
             model=windy, demand=[[3.0, 3.0]], wind_available=[[2.5, 2.5]],
-            generators=scn2.generators, shed_cost=1000.0, base_power=1.0, attack_areas=(0, 1),
+            generators=scn2.generators, shed_cost=1000.0, base_power=1.0,
         )
         gains3 = [4.0, 6.0]
         tabs3 = tuple(build_segment_table(sweep_loci(windy, a, gains3[a], gains3[a] / 150.0),
@@ -316,7 +322,8 @@ def test_criterion_9_certificate_soundness():
         sol = rep.solution
         sol.droop = sol.droop / 2.0
         with pytest.raises(ValidationFailure):
-            validate_solution(bundle.dispatch, sol, np.array(rep.robust_gains))
+            attack = attack_from_gains(rep.robust_gains, bundle.static_attack, bundle.attack_areas)
+            validate_solution(bundle.dispatch, sol, attack)
 
 
 def test_criterion_10_deterministic_reruns(tmp_path):

@@ -318,6 +318,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and message in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--eps-strict", "0"], "need strict_margin > 0 and settle_margin >= 0"),
+        (["--settle-margin", "nan"], "robust gains and margins must be finite"),
+    ], ids=["eps_strict", "settle_margin"])
+    def test_bad_margin_names_the_dispatch_stage(self, toy_path, tmp_path, capsys, flags,
+                                                 message):
+        code = main(["workflow", "--scenario", str(toy_path), "--out", str(tmp_path / "out"),
+                     "--mode", "worst_case", *flags])
+        assert code == 4
+        assert capsys.readouterr().err == f"input error: [dispatch] {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["workflow"],
+        ["workflow", "--mode", "mean_only"],
+        ["simulate", "--t-end", "10"],
+    ], ids=["workflow", "workflow_mean_only", "simulate"])
+    def test_sample_file_without_records_is_input_error(self, tmp_path, capsys, argv):
+        # without the check, workflow ran worst-case gains and mean_only asked for a file
+        desk, empty = tmp_path / "desk.json", tmp_path / "empty.json"
+        desk.write_text(json.dumps(three_area_system()))
+        empty.write_text("[]")
+        code = main([*argv, "--scenario", str(desk), "--out", str(tmp_path / "out"),
+                     "--samples", str(empty)])
+        assert code == 4
+        assert capsys.readouterr().err == f"input error: samples file {empty} holds no records\n"
+
     def test_unstable_base_without_gain_is_input_error(self, tmp_path, capsys):
         doc = single_area_toy()
         doc["areas"][0].update(gov_proportional=0.0, damping=0.0, vulnerable_load=0.0)

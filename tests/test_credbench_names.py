@@ -2,9 +2,10 @@
 
 The benchmark binds the program from outside: its tracer wraps functions by
 module and attribute name, and its step workload assembles the kick from
-StateSpace.descriptor_a.  A renamed or deleted name breaks `--trace 1` or
-the step set-up only when the benchmark runs, so these tests run both
-bindings in the tier-1 suite.
+StateSpace.descriptor_a.  A renamed or deleted name, or a probed function
+whose arguments or result changed shape, breaks `--trace 1` or the step
+set-up only when the benchmark runs, so these tests run both bindings, and
+read what the tracer counts, in the tier-1 suite.
 """
 
 from pathlib import Path
@@ -33,3 +34,27 @@ def test_step_workload_builds_its_loops(bench):
     _, workloads = bench
     ops = workloads.generate("step_response", 0)
     assert len(ops) == workloads.POOL_SIZES["step_response"]
+
+
+def test_tracer_reads_the_dispatch_layers(bench):
+    """Traced workflow runs read nonzero on the probes that wrap the dispatch layer.
+
+    The storage run builds and solves its horizon's LP; both runs precheck
+    and certify.  A probe whose function changed its arguments or result
+    would raise or read zero here.
+    """
+    tracing, _ = bench
+    from cred.scenario import scenario_from_dict
+    from cred.systems import three_area_system, three_area_with_storage
+    from cred.workflow import WorkflowConfig, run_workflow
+
+    tracer = tracing.Tracer()
+    for op, doc in enumerate((three_area_with_storage(), three_area_system())):
+        bundle = scenario_from_dict(doc)
+        with tracer.operation(op):
+            rep = run_workflow(WorkflowConfig(mode="worst_case"), bundle=bundle)
+        assert rep.branch_taken == "cred_applied"
+    metrics = tracer.per_op_metrics()
+    for name in ("dispatch.milp_rows", "milp.solve_lp.calls", "dispatch.validate_solution.calls",
+                 "dispatch.stability_precheck.s"):
+        assert metrics[name] > 0.0, name

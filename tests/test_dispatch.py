@@ -27,7 +27,7 @@ from cred.errors import (
     NumericalError,
     ValidationFailure,
 )
-from cred.grid import AttackProfile, DroopSchedule, build_state_space
+from cred.grid import AttackProfile, DroopSchedule, attack_from_gains, build_state_space
 from cred.linearize import (
     LinearizationPoint,
     SegmentTable,
@@ -61,8 +61,22 @@ def toy_scenario(one_area_model, p_max=12.0, shed_cost=1000.0):
         generators=(GeneratorSpec(0, 10.0, 0.0, p_max, (1,)),),
         shed_cost=shed_cost,
         base_power=1.0,
-        attack_areas=(0,),
     )
+
+
+#: the error of a period whose wind band holds no droop that meets the stability rows
+BAND_MESSAGE = ("dispatch infeasible in period {}: no droop within the wind band meets every "
+                "stability row")
+
+
+def toy_attack(gain=3.0):
+    """The toy's attack on its one area at this robust gain, with no static step."""
+    return AttackProfile([gain], [0.0], (0,))
+
+
+def desk_attack(bundle, gains):
+    """The attack of these robust gains on a bundle's attacked areas and static step."""
+    return attack_from_gains(gains, bundle.static_attack, bundle.attack_areas)
 
 
 def toy_stability(one_area_model, gain=3.0, eps_strict=1e-6, settle=0.0,
@@ -93,7 +107,6 @@ def two_area_toy(p_max=12.0):
         generators=(GeneratorSpec(0, 10.0, 0.0, p_max, (1,)),),
         shed_cost=1000.0,
         base_power=1.0,
-        attack_areas=(0, 1),
     )
 
 
@@ -176,7 +189,6 @@ class TestToyInstance:
                         GeneratorSpec(1, 40.0, 0.0, 3.0, (1,))),
             shed_cost=1000.0,
             base_power=1.0,
-            attack_areas=(1,),
         )
         gain = 6.0
         tabs = tuple(
@@ -368,21 +380,52 @@ class TestDroopFloor:
         floor = dispatch._droop_floor(scn, stab)[0]
         kc = floor[0, 0]
         assert kc > 0.0
-        # 2*omega*kc exceeds period 1's wind: its band is empty
+        # 2*omega*kc exceeds period 1's wind: its band is empty.  The droop
+        # search finds no droop within it before any period is dispatched;
+        # the LP, handed that droop, names the period as well
         scn = toy_storage(one_area_model, [4.0, 0.9 * kc, 4.0])
-        message = "dispatch infeasible in period 1" + ("" if allow_shed else " (shedding disabled)")
-        for solve, pinned in ((build_cred_milp, floor), (solve_cred, stab)):
-            with pytest.raises(InfeasibleError) as info:
-                solve(scn, pinned, allow_shed=allow_shed)
-            assert str(info.value) == message
-        # within the feasibility tolerance the band closes to one point
+        with pytest.raises(InfeasibleError) as info:
+            solve_cred(scn, stab, allow_shed=allow_shed)
+        assert str(info.value) == BAND_MESSAGE.format(1)
+        with pytest.raises(InfeasibleError) as info:
+            build_cred_milp(scn, floor, allow_shed=allow_shed)
+        assert str(info.value) == ("dispatch infeasible in period 1"
+                                   + ("" if allow_shed else " (shedding disabled)"))
+        # the LP closes a band within the feasibility tolerance to one point;
+        # the search admits only droops that fit the wind, here exactly
         scn = toy_storage(one_area_model, [4.0, 2.0 * 0.5 * kc - 5e-10, 4.0])
         problem = build_cred_milp(scn, floor, allow_shed=allow_shed)
         assert_wind_in_band(scn, floor, problem)
         wind = block_columns(scn, problem.program)[1, dispatch._columns(scn)["wind_power"]]
         lo, hi = problem.program.bounds[wind[0]]
         assert lo == hi == 0.5 * kc
+        with pytest.raises(InfeasibleError) as info:
+            solve_cred(scn, stab, allow_shed=allow_shed)
+        assert str(info.value) == BAND_MESSAGE.format(1)
+        scn = toy_storage(one_area_model, [4.0, 2.0 * 0.5 * kc, 4.0])
         assert solve_cred(scn, stab, allow_shed=allow_shed).wind_power[1, 0] == 0.5 * kc
+
+    @pytest.mark.parametrize("allow_shed", [False, True])
+    def test_one_area_droop_beyond_its_wind_names_the_period(self, one_area_model, allow_shed):
+        """One attacked area, no storage: the search is held to each period's wind band.
+
+        Period 2's wind is below 2*omega*kc, and period 0's demand exceeds
+        its units without shedding: the band fails first, before any period
+        is dispatched, with or without shedding.
+        """
+        stab = toy_stability(one_area_model)
+        kc = dispatch._droop_floor(toy_scenario(one_area_model), stab)[0][0, 0]
+        scn = DispatchScenario(
+            model=one_area_model, demand=[[20.0], [10.0], [10.0]],
+            wind_available=[[4.0], [4.0], [0.9 * kc]],
+            generators=(GeneratorSpec(0, 10.0, 0.0, 12.0, (1, 1, 1)),), shed_cost=1000.0,
+            base_power=1.0)
+        with pytest.raises(InfeasibleError) as info:
+            dispatch._droop_floor(scn, stab)
+        assert str(info.value) == BAND_MESSAGE.format(2)
+        with pytest.raises(InfeasibleError) as info:
+            solve_cred(scn, stab, allow_shed=allow_shed)
+        assert str(info.value) == BAND_MESSAGE.format(2)
 
 
 def assert_held_point(stab, lower, knet, held):
@@ -401,8 +444,7 @@ def toy_storage(one_area_model, wind):
     return DispatchScenario(
         model=one_area_model, demand=[[8.0], [12.0], [8.0]], wind_available=[[w] for w in wind],
         generators=(GeneratorSpec(0, 30.0, 0.0, 10.0, (1, 1, 1)),), shed_cost=1000.0,
-        base_power=1.0, storage=(StorageSpec(0, 0.1, 0.9, 0.9, 3.0, 6.0, soc_initial=0.5),),
-        attack_areas=(0,))
+        base_power=1.0, storage=(StorageSpec(0, 0.1, 0.9, 0.9, 3.0, 6.0, soc_initial=0.5),))
 
 
 def assert_wind_in_band(scn, kc, problem):
@@ -491,8 +533,7 @@ def period_scenario(scn, t):
     return DispatchScenario(
         model=scn.model, demand=scn.demand[t:t + 1], wind_available=scn.wind_available[t:t + 1],
         generators=gens, shed_cost=scn.shed_cost, base_power=scn.base_power,
-        min_online_fraction=scn.min_online_fraction, attack_areas=scn.attack_areas,
-        static_attack=scn.static_attack)
+        min_online_fraction=scn.min_online_fraction)
 
 
 class TestMeritOrder:
@@ -520,7 +561,6 @@ class TestMeritOrder:
             model=dispatch_model(n), demand=demand, wind_available=wind, generators=gens,
             shed_cost=float(rng.uniform(5.0, 40.0) if cheap_shed else 1000.0),
             base_power=float(rng.choice([1.0, 100.0])), min_online_fraction=online,
-            attack_areas=(0,) if attacked else (),
         )
         stab = None
         if attacked:
@@ -534,18 +574,23 @@ class TestMeritOrder:
             sol, failure = solve_cred(scn, stab, allow_shed=allow_shed), None
         except InfeasibleError as exc:
             sol, failure = None, str(exc)
+        floors = []  # (period's scenario, its droop, its segment indicators)
         for t in range(t_len):
             period = period_scenario(scn, t)
             try:
-                kc, held, _, _ = dispatch._droop_floor(period, stab)
-                problem = build_cred_milp(period, kc, allow_shed=allow_shed)
-            except InfeasibleError:
-                status = "infeasible"  # the droop does not fit the period's wind
-            else:
-                assert_wind_in_band(period, kc, problem)
-                ref = solve_lp(problem.program)
-                status, objective, _ = solve_with_highs(problem.program)
-                assert ref.status == status
+                floors.append((period, *dispatch._droop_floor(period, stab)[:2]))
+            except InfeasibleError as exc:
+                # no droop fits the period's wind: the droop search names the
+                # first such period before any period is dispatched
+                assert str(exc) == BAND_MESSAGE.format(0)
+                assert failure == BAND_MESSAGE.format(t)
+                return
+        for t, (period, kc, held) in enumerate(floors):
+            problem = build_cred_milp(period, kc, allow_shed=allow_shed)
+            assert_wind_in_band(period, kc, problem)
+            ref = solve_lp(problem.program)
+            status, objective, _ = solve_with_highs(problem.program)
+            assert ref.status == status
             if status == "infeasible":
                 # the merit order names the first infeasible period
                 assert failure == f"dispatch infeasible in period {t}" + (
@@ -575,19 +620,19 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("field", [
         "marginal_cost", "p_min", "p_max", "demand", "wind_available", "shed_cost", "base_power",
         "soc_min", "soc_max", "efficiency", "power_limit", "energy", "soc_initial",
-        "robust_gains", "strict_margin", "settle_margin", "static_attack",
+        "robust_gains", "strict_margin", "settle_margin",
     ])
     def test_rejected_at_construction(self, one_area_model, field, value):
         gen = dict(area=0, marginal_cost=10.0, p_min=0.0, p_max=12.0, committed=(1,))
         stor = dict(area=0, soc_min=0.1, soc_max=0.9, efficiency=0.9, power_limit=3.0,
                     energy=6.0, soc_initial=0.5)
         scn = dict(model=one_area_model, demand=[[10.0]], wind_available=[[4.0]],
-                   shed_cost=1000.0, base_power=1.0, static_attack=[0.0])
+                   shed_cost=1000.0, base_power=1.0)
         stab = dict(tables=(), robust_gains=[3.0], strict_margin=1e-6, settle_margin=0.0)
         for spec in (gen, stor, scn, stab):
             if field in spec:
                 spec[field] = {"demand": [[value]], "wind_available": [[value]],
-                               "robust_gains": [value], "static_attack": [value]}.get(field, value)
+                               "robust_gains": [value]}.get(field, value)
         with pytest.raises(BuildError):
             DispatchScenario(generators=(GeneratorSpec(**gen),), storage=(StorageSpec(**stor),),
                              **scn)
@@ -597,12 +642,12 @@ class TestNonFiniteInputs:
 class TestPrecheck:
     def test_small_gain_stable(self, one_area_model):
         scn = toy_scenario(one_area_model)
-        report = stability_precheck(scn, DroopSchedule.none(1), [1.0])
+        report = stability_precheck(scn, toy_attack(1.0))
         assert report.stable
 
     def test_large_gain_unstable(self, one_area_model):
         scn = toy_scenario(one_area_model)
-        report = stability_precheck(scn, DroopSchedule.none(1), [3.0])
+        report = stability_precheck(scn, toy_attack(3.0))
         assert not report.stable
 
     def test_matches_time_domain(self, one_area_model):
@@ -610,8 +655,8 @@ class TestPrecheck:
 
         scn = toy_scenario(one_area_model)
         for gain in (1.0, 3.0):
-            report = stability_precheck(scn, DroopSchedule.none(1), [gain])
-            attack = AttackProfile([gain], [0.0], (0,))
+            attack = toy_attack(gain)
+            report = stability_precheck(scn, attack)
             ss = build_state_space(scn.model, attack, DroopSchedule.none(1))
             traj = simulate(ss, np.array([0.5]), t_step=1.0, t_end=60.0, dt=0.01)
             label = classify_trajectory(traj)
@@ -623,7 +668,7 @@ class TestValidate:
         scn = toy_scenario(one_area_model)
         stab = toy_stability(one_area_model)
         sol = solve_cred(scn, stab)
-        cert = validate_solution(scn, sol, [3.0], stab)
+        cert = validate_solution(scn, sol, toy_attack(), stab)
         assert np.all(cert.max_real < -stab.strict_margin / 2.0)
         assert cert.estimate_discrepancy <= 0.02
 
@@ -633,14 +678,14 @@ class TestValidate:
         sol = solve_cred(scn, stab)
         sol.droop = sol.droop / 2.0
         with pytest.raises(ValidationFailure):
-            validate_solution(scn, sol, [3.0], stab)
+            validate_solution(scn, sol, toy_attack(), stab)
 
     def test_full_cancellation_recovers_base_margin(self, one_area_model):
         scn = toy_scenario(one_area_model)
         stab = toy_stability(one_area_model)
         sol = solve_cred(scn, stab)
         sol.droop = np.full_like(sol.droop, 3.0)
-        cert = validate_solution(scn, sol, [3.0], stab)
+        cert = validate_solution(scn, sol, toy_attack(), stab)
         base = build_state_space(scn.model, AttackProfile.none(1), DroopSchedule.none(1))
         base_margin = is_stable(eigen_decompose(base)).max_real
         assert cert.max_real[0] == base_margin
@@ -652,14 +697,15 @@ class TestValidate:
         bundle = scenario_from_dict(three_area_system())
         rep = run_workflow(WorkflowConfig(mode="worst_case"), bundle=bundle)
         scn, sol, gains = bundle.dispatch, rep.solution, np.array(rep.robust_gains)
-        eigs = validate_solution(scn, sol, gains).worst_eigenvalues
+        attack = desk_attack(bundle, gains)
+        eigs = validate_solution(scn, sol, attack).worst_eigenvalues
         a, b = next((a, b) for a in eigs for b in eigs if b.real != a.real
                     and eigs[np.argmin(np.abs(eigs - complex(b.real, a.imag)))] == a)
         est = complex(b.real, a.imag)
         area = int(np.argmax(gains))
         tab = SegmentTable(0, area, (LinearizationPoint(0.0, est, 0j),), float(gains[area]),
                            est, 0.01, np.zeros(0), np.zeros(0))
-        cert = validate_solution(scn, sol, gains, StabilityConstraintSet((tab,), gains))
+        cert = validate_solution(scn, sol, attack, StabilityConstraintSet((tab,), gains))
         assert cert.estimate_discrepancy == pytest.approx(abs(a.real - b.real), rel=1e-12)
         assert cert.estimate_discrepancy > 1e-3
 
@@ -667,14 +713,14 @@ class TestValidate:
         scn = toy_scenario(one_area_model)
         for settle in (0.0, 0.5):
             stab = toy_stability(one_area_model, settle=settle)
-            cert = validate_solution(scn, solve_cred(scn, stab), [3.0], stab)
+            cert = validate_solution(scn, solve_cred(scn, stab), toy_attack(), stab)
             assert cert.settle_shortfall == max(0.0, cert.max_real.max() + settle)
         # the toy's base margin is 1 and its eps_lim 0.02, so a 0.5 target is met
         assert cert.settle_shortfall == 0.0
         loose = toy_stability(one_area_model, settle=0.5)
         sol = solve_cred(scn, loose)
         sol.droop = sol.droop * 0.9
-        assert validate_solution(scn, sol, [3.0], loose).settle_shortfall > 0.0
+        assert validate_solution(scn, sol, toy_attack(), loose).settle_shortfall > 0.0
 
     def test_one_eigensolve_per_distinct_state_matrix(self, monkeypatch):
         bundle = scenario_from_dict(three_area_system())
@@ -688,13 +734,14 @@ class TestValidate:
             return eigen_decompose(ss)
 
         monkeypatch.setattr(dispatch, "eigen_decompose", counting)
-        shared = validate_solution(scn, sol, gains)
+        attack = desk_attack(bundle, gains)
+        shared = validate_solution(scn, sol, attack)
         assert len(calls) == 1
         assert np.all(shared.max_real == is_stable(eigen_decompose(calls[0])).max_real)
         # distinct droop rows get their own spectrum, equal to a per-period solve
         sol.droop = sol.droop * np.linspace(1.0, 1.3, scn.n_periods)[:, None]
         calls.clear()
-        cert = validate_solution(scn, sol, gains)
+        cert = validate_solution(scn, sol, attack)
         assert len(calls) == scn.n_periods
         for t, ss in enumerate(calls):
             assert cert.max_real[t] == is_stable(eigen_decompose(ss)).max_real
@@ -805,14 +852,13 @@ class TestRandomizedInstances:
                 ),
                 shed_cost=500.0,
                 base_power=1.0,
-                attack_areas=(area,),
             )
             stab = StabilityConstraintSet(tabs, gains, settle_margin=0.05)
             try:
                 sol = solve_cred(scn, stab, allow_shed=True)
             except InfeasibleError:
                 continue  # not enough wind headroom for the needed droop
-            cert = validate_solution(scn, sol, gains, stab)
+            cert = validate_solution(scn, sol, AttackProfile(gains, np.zeros(n), (area,)), stab)
             assert np.all(cert.max_real < 0.0)
             bal = (sol.sg_power[0].sum() + sol.wind_power[0].sum()
                    + sol.shed[0].sum() - scn.demand[0].sum())
@@ -861,7 +907,6 @@ class TestStorage:
             generators=(GeneratorSpec(0, 10.0, 0.0, 12.0, (1, 1)),),
             shed_cost=1000.0,
             base_power=1.0,
-            attack_areas=(0,),
         )
         stab = toy_stability(one_area_model)
         stitched = solve_cred(scn, stab)
@@ -922,14 +967,14 @@ def net_gain_bands(scn, stab) -> np.ndarray:
     """(T, N): per period, the lower net-gain bound of each area that fits its wind band.
 
     _droop_floor searches once per distinct row, restricted to the
-    attacked areas, on a multi-area attack.
+    attacked areas, on one attacked area as on several.
     """
     gains = stab.robust_gains
     return np.clip(gains - scn.wind_available / (2.0 * scn.model.omega_max), 0.0, gains)
 
 
 def distinct_bands(scn, stab) -> dict:
-    """{band of the attacked areas: its first period} over the periods of a multi-area attack."""
+    """{band of the attacked areas: its first period} over the periods of an attack."""
     areas = sorted({a for _, a in stab.live_tables()})
     out = {}
     for t, band in enumerate(net_gain_bands(scn, stab)):
@@ -1072,8 +1117,7 @@ def multi_area_draw(seed):
         model=dispatch_model(n), demand=rng.uniform(0.0, 6.0, (t_len, n)),
         wind_available=rng.uniform(0.0, 4.0, (t_len, n)), generators=gens,
         shed_cost=float(rng.choice([20.0, 1000.0])), base_power=1.0,
-        min_online_fraction=float(rng.choice([0.0, 0.3])), storage=storage,
-        attack_areas=tuple(attacked))
+        min_online_fraction=float(rng.choice([0.0, 0.3])), storage=storage)
     gains = np.zeros(n)
     gains[attacked] = rng.uniform(0.5, 4.0, len(attacked))
     bases = [complex(rng.uniform(-2.0, 0.1), 2.0 + i) for i in range(int(rng.randint(1, 4)))]
@@ -1196,14 +1240,13 @@ class TestCellSearch:
             model=dispatch_model(2), demand=[[1.0, 1.0], [1.0, 1.0]],
             wind_available=[[4.0, 4.0], [0.0 if no_cell else 1.0, 4.0]],
             generators=(GeneratorSpec(0, 10.0, 0.0, 10.0, (1, 1)),), shed_cost=1000.0,
-            base_power=1.0, attack_areas=(0, 1))
+            base_power=1.0)
         bands = net_gain_bands(scn, stab)
         assert stab.net_gain_max(bands[0]) is not None and stab.net_gain_max(bands[1]) is None
         for solve in (dispatch._droop_floor, solve_cred):
             with pytest.raises(InfeasibleError) as info:
                 solve(scn, stab)
-            assert str(info.value) == ("dispatch infeasible in period 1: no droop within the "
-                                       "wind band meets every stability row")
+            assert str(info.value) == BAND_MESSAGE.format(1)
 
     @pytest.mark.parametrize("settle", [0.05, 0.5])
     def test_three_attacked_desk_areas_match_highs(self, settle):

@@ -91,6 +91,17 @@ class TestScenarioFromDict:
             scenario_from_dict(doc)
         assert str(info.value).startswith(f"malformed scenario: {message}")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_attack_static_rejected(self, value):
+        # rejected where its shape is checked, with or without a dispatch section
+        doc = single_area_toy()
+        doc["attack"]["static"] = [value]
+        for keep_dispatch in (True, False):
+            if not keep_dispatch:
+                del doc["dispatch"]
+            with pytest.raises(ScenarioError, match="attack static must be finite"):
+                scenario_from_dict(doc)
+
     def test_integral_numbers_and_boolean_commitments_accepted(self):
         doc = three_area_system()
         doc["attack"]["areas"] = [1.0]
@@ -135,6 +146,13 @@ class TestFiles:
         path.write_text(json.dumps([record]))
         with pytest.raises(ScenarioError, match="is malformed"):
             load_samples(path, base_power=1.0)
+
+    def test_file_without_records_raises(self, tmp_path):
+        path = tmp_path / "samples.json"
+        path.write_text("[]")
+        with pytest.raises(ScenarioError) as info:
+            load_samples(path, base_power=1.0)
+        assert str(info.value) == f"samples file {path} holds no records"
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ScenarioError):

@@ -280,6 +280,31 @@ class TestValidationRetry:
         assert stacked == [1, 1]
         assert len(solves) == 1
 
+    def test_one_attack_per_run(self, monkeypatch):
+        """The precheck and both certificates of a retried run share the run's one attack."""
+        import cred.workflow as wf
+        from cred.systems import three_area_system
+
+        attacks, certified = [], []
+        make_attack, validate = wf.attack_from_gains, wf.validate_solution
+
+        def counting(*args):
+            attacks.append(make_attack(*args))
+            return attacks[-1]
+
+        def validating(scn, sol, attack, stab=None):
+            certified.append(attack)
+            return validate(scn, sol, attack, stab)
+
+        monkeypatch.setattr(wf, "attack_from_gains", counting)
+        monkeypatch.setattr(wf, "validate_solution", validating)
+        tolerances, _, _ = self._counting(monkeypatch)
+        rep = run_toy(three_area_system(), settle_margin=0.02, eps_lim=0.1)
+        assert tolerances == [0.1, 0.05] and rep.branch_taken == "cred_applied"
+        assert len(attacks) == 1 and len(certified) == 2
+        assert all(attack is attacks[0] for attack in certified)
+        assert attacks[0].dyn_gain.tolist() == rep.robust_gains
+
     def test_single_retry_then_surfaces_failure(self, monkeypatch):
         from cred.errors import ValidationFailure
         from cred.systems import three_area_system
