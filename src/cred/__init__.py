@@ -7,6 +7,7 @@ minimum cost under them, certifying small-signal stability.
 """
 
 from .errors import (
+    BandInfeasibleError,
     BuildError,
     ClassificationError,
     ConfigurationError,

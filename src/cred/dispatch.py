@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BandInfeasibleError,
     BuildError,
     CoverageError,
     InfeasibleError,
@@ -85,7 +86,7 @@ class GeneratorSpec:
     committed: tuple  # per-period 0/1
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.marginal_cost, self.p_min, self.p_max])):
+        if not np.isfinite([self.marginal_cost, self.p_min, self.p_max]).all():
             raise BuildError(f"generator in area {self.area}: cost and limits must be finite")
         if self.p_min < 0 or self.p_max < self.p_min:
             raise BuildError(f"generator in area {self.area}: need 0 <= p_min <= p_max")
@@ -107,7 +108,7 @@ class StorageSpec:
     def __post_init__(self):
         fields = (self.soc_min, self.soc_max, self.efficiency, self.power_limit, self.energy,
                   self.soc_initial)
-        if not np.all(np.isfinite(fields)):
+        if not np.isfinite(fields).all():
             raise BuildError(f"storage in area {self.area}: every field must be finite")
         if not (0.0 <= self.soc_min < self.soc_max <= 1.0):
             raise BuildError("storage needs 0 <= soc_min < soc_max <= 1")
@@ -145,12 +146,12 @@ class DispatchScenario:
             raise BuildError(f"demand must be (T, {n})")
         if wind.shape != dem.shape:
             raise BuildError("wind_available must match demand shape")
-        if not (np.all(np.isfinite(dem)) and np.all(np.isfinite(wind))
+        if not (np.isfinite(dem).all() and np.isfinite(wind).all()
                 and np.isfinite(self.shed_cost) and np.isfinite(self.base_power)):
             raise BuildError("demand, wind availability, shed_cost and base_power must be finite")
-        if np.any(dem < 0) or np.any(wind < -1e-12):
+        if (dem < 0).any() or (wind < -1e-12).any():
             raise BuildError("demand and wind availability must be >= 0")
-        if np.any(wind > self.model.ibr_max_power[None, :] + 1e-9):
+        if (wind > self.model.ibr_max_power[None, :] + 1e-9).any():
             raise BuildError("wind availability exceeds installed IBR capacity")
         t_len = dem.shape[0]
         gens = tuple(self.generators)
@@ -195,10 +196,10 @@ class StabilityConstraintSet:
 
     def __post_init__(self):
         gains = np.asarray(self.robust_gains, dtype=float)
-        if not (np.all(np.isfinite(gains)) and np.isfinite(self.strict_margin)
+        if not (np.isfinite(gains).all() and np.isfinite(self.strict_margin)
                 and np.isfinite(self.settle_margin)):
             raise BuildError("robust gains and margins must be finite")
-        if np.any(gains < 0):
+        if (gains < 0).any():
             raise BuildError("robust gains must be >= 0")
         if self.strict_margin <= 0 or self.settle_margin < 0:
             raise BuildError("need strict_margin > 0 and settle_margin >= 0")
@@ -474,8 +475,8 @@ def build_cred_milp(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool = Fa
     naming the first such period; within that tolerance the band closes to
     the point omega*kc (_blocks).
     """
-    empty = np.flatnonzero(np.any(
-        2.0 * (scn.model.omega_max * kc) - scn.wind_available > _FEAS_TOL, axis=1))
+    empty = np.flatnonzero(
+        (2.0 * (scn.model.omega_max * kc) - scn.wind_available > _FEAS_TOL).any(axis=1))
     if empty.size:
         raise _infeasible(f"period {empty[0]}", allow_shed)
     cols = _columns(scn)
@@ -525,9 +526,9 @@ def _droop_floor(scn: DispatchScenario, stab: StabilityConstraintSet | None) -> 
     [gain - avail[t]/(2 omega), gain], so that its droop fits the wind
     band, for one attacked area as for several, and the search runs once
     per distinct set of these bounds: periods with equal bounds share its
-    result.  InfeasibleError names the first period whose bounds admit no
-    point, before any period is dispatched.  See _merit_order for why this
-    droop is optimal.
+    result.  BandInfeasibleError names the first period whose bounds admit
+    no point, before any period is dispatched; shedding cannot mend it.
+    See _merit_order for why this droop is optimal.
     """
     n, t_len = scn.model.areas, scn.n_periods
     tables = stab.tables_by_pair() if stab is not None else {}
@@ -556,7 +557,7 @@ def _droop_floor(scn: DispatchScenario, stab: StabilityConstraintSet | None) -> 
         if key not in solved:
             solved[key] = stab.net_gain_max(band[t])
             if solved[key] is None:
-                raise InfeasibleError(
+                raise BandInfeasibleError(
                     f"dispatch infeasible in period {t}: no droop within the wind band meets "
                     "every stability row")
             lps, steps = lps + solved[key][2], steps + solved[key][3]
@@ -727,8 +728,9 @@ def validate_solution(
     gains are the robust ones, with the solved droop, and demands a
     strictly negative spectral abscissa; area a's net gain is
     attack.dyn_gain[a] - droop[t, a].  The power reference enters only the
-    forcing, so periods with equal state matrices share one
-    eigendecomposition and verdict.
+    forcing, so periods with an equal droop share one loop: one assembly,
+    eigendecomposition and verdict per distinct droop; every period's
+    droop and wind power still pass DroopSchedule's checks.
     estimate_discrepancy is the largest real-part gap between a table's
     estimate and the exact eigenvalue nearest to it in the complex plane.
     Raises ValidationFailure naming the first offending period/eigenvalue.
@@ -742,10 +744,9 @@ def validate_solution(
     spectra = {}
     for t in range(t_len):
         droop = DroopSchedule(sol.droop[t], sol.wind_power[t])
-        ss = build_state_space(scn.model, attack, droop)
-        key = ss.state_matrix.tobytes()
+        key = droop.droop_gain.tobytes()
         if key not in spectra:
-            eig = eigen_decompose(ss)
+            eig = eigen_decompose(build_state_space(scn.model, attack, droop))
             spectra[key] = eig, is_stable(eig)
         eig, verdict = spectra[key]
         max_real[t] = verdict.max_real

@@ -41,6 +41,10 @@ class InfeasibleError(CredError):
     """The optimization problem admits no feasible point."""
 
 
+class BandInfeasibleError(InfeasibleError):
+    """No droop within a period's wind band meets every stability row; shedding cannot mend it."""
+
+
 class ValidationFailure(CredError):
     """An exact a-posteriori stability check rejected a solved dispatch."""
 

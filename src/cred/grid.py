@@ -13,6 +13,7 @@ a common base; frequency deviations are in Hz, so gains are p.u./Hz.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -32,11 +33,11 @@ def _vector(value, n: int, name: str, min_value=None, strict_min=None) -> np.nda
     arr = np.asarray(value, dtype=float)
     if arr.shape != (n,):
         raise ConfigurationError(f"{name} must have shape ({n},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ConfigurationError(f"{name} contains non-finite entries")
-    if min_value is not None and np.any(arr < min_value):
+    if min_value is not None and (arr < min_value).any():
         raise ConfigurationError(f"{name} must be >= {min_value} elementwise")
-    if strict_min is not None and np.any(arr <= strict_min):
+    if strict_min is not None and (arr <= strict_min).any():
         raise ConfigurationError(f"{name} must be > {strict_min} elementwise")
     arr.setflags(write=False)
     return arr
@@ -72,7 +73,7 @@ class SystemModel:
         set_ = object.__setattr__
         set_(self, "inertia_sg", _vector(self.inertia_sg, n, "inertia_sg", min_value=0.0))
         set_(self, "inertia_ibr", _vector(self.inertia_ibr, n, "inertia_ibr", min_value=0.0))
-        if np.any(self.inertia_sg + self.inertia_ibr <= 0.0):
+        if (self.inertia_sg + self.inertia_ibr <= 0.0).any():
             raise ConfigurationError("total inertia must be > 0 in every area")
         set_(self, "damping", _vector(self.damping, n, "damping", min_value=0.0))
         set_(self, "gov_integral", _vector(self.gov_integral, n, "gov_integral", strict_min=0.0))
@@ -80,11 +81,11 @@ class SystemModel:
         sus = np.asarray(self.susceptance, dtype=float)
         if sus.shape != (n, n):
             raise ConfigurationError(f"susceptance must be {n}x{n}")
-        if not np.all(np.isfinite(sus)) or np.any(sus < 0.0):
+        if not np.isfinite(sus).all() or (sus < 0.0).any():
             raise ConfigurationError("susceptance entries must be finite and >= 0")
-        if not np.allclose(sus, sus.T, rtol=0.0, atol=0.0):
+        if not (sus == sus.T).all():
             raise ConfigurationError("susceptance must be symmetric")
-        if np.any(np.diag(sus) != 0.0):
+        if (np.diag(sus) != 0.0).any():
             raise ConfigurationError("susceptance diagonal must be zero")
         sus = sus.copy()
         sus.setflags(write=False)
@@ -129,11 +130,13 @@ class AttackProfile:
         outside = np.ones(n, dtype=bool)
         for a in areas:
             outside[a] = False
-        if np.any(self.dyn_gain[outside] != 0.0) or np.any(self.static_component[outside] != 0.0):
+        if (self.dyn_gain[outside] != 0.0).any() or (self.static_component[outside] != 0.0).any():
             raise ConfigurationError("attack gains must be zero outside attack_areas")
 
     @classmethod
+    @cache
     def none(cls, n: int) -> "AttackProfile":
+        """No attack on n areas; one shared, immutable profile per n."""
         return cls(np.zeros(n), np.zeros(n), ())
 
 
@@ -159,7 +162,9 @@ class DroopSchedule:
         set_(self, "power_ref", _vector(self.power_ref, n, "power_ref", min_value=0.0))
 
     @classmethod
+    @cache
     def none(cls, n: int) -> "DroopSchedule":
+        """No droop and no power reference on n areas; one shared, immutable schedule per n."""
         return cls(np.zeros(n), np.zeros(n))
 
 
@@ -181,38 +186,52 @@ class StateSpace:
         return self.state_matrix.shape[0] // 2
 
 
+@lru_cache(maxsize=4)
+def _loop_blocks(model: SystemModel) -> tuple:
+    """(1/M, K_p + D, E, S0): what every loop of the model shares.
+
+    S0 is the state matrix with its damping block left zero: the identity
+    block and -M^-1 (diag(K_I) + Laplacian) placed.  The blocks of the last
+    few models assembled are kept, so a run builds them once for all its
+    loops, while the models a caller keeps for later carry none.
+    """
+    m_total = model.total_inertia
+    if (m_total <= 0.0).any():
+        raise ConfigurationError("singular inertia matrix: zero total inertia in some area")
+    n = model.areas
+    minv = 1.0 / m_total
+    eye = np.eye(n)
+    descriptor = np.zeros((2 * n, 2 * n))
+    descriptor[:n, :n] = eye
+    descriptor[n:, n:] = -np.diag(m_total)
+    template = np.zeros((2 * n, 2 * n))
+    template[:n, n:] = eye
+    template[n:, :n] = -minv[:, None] * (np.diag(model.gov_integral) + model.coupling_laplacian())
+    blocks = (minv, model.gov_proportional + model.damping, descriptor, template)
+    for arr in blocks:
+        arr.setflags(write=False)
+    return blocks
+
+
 def build_state_space(model: SystemModel, attack: AttackProfile, droop: DroopSchedule) -> StateSpace:
     """Assemble the closed-loop state space for given attack and droop gains.
 
     The attack and droop gains enter only through their difference, so the
     damping block is computed from (droop - attack) first; equal gains cancel
-    bit-exactly.
+    bit-exactly.  E and the model's own blocks of S are built once per
+    model (_loop_blocks); a call copies them and writes the damping
+    diagonal and the forcing.
     """
     n = model.areas
     if attack.dyn_gain.shape != (n,) or droop.droop_gain.shape != (n,):
         raise ConfigurationError("attack/droop dimensioned for a different number of areas")
-    m_total = model.total_inertia
-    if np.any(m_total <= 0.0):
-        raise ConfigurationError("singular inertia matrix: zero total inertia in some area")
-    minv = 1.0 / m_total
+    minv, base_damp, descriptor, template = _loop_blocks(model)
+    state = template.copy()
+    np.fill_diagonal(state[n:, n:], -minv * (base_damp + (droop.droop_gain - attack.dyn_gain)))
 
-    stiff = np.diag(model.gov_integral) + model.coupling_laplacian()
-    net = droop.droop_gain - attack.dyn_gain
-    damp = model.gov_proportional + model.damping + net
+    forcing = np.zeros(2 * n)
+    forcing[n:] = -minv * (model.secure_load + attack.static_component - droop.power_ref)
 
-    eye = np.eye(n)
-    descriptor = np.zeros((2 * n, 2 * n))
-    descriptor[:n, :n] = eye
-    descriptor[n:, n:] = -np.diag(m_total)
-
-    state = np.zeros((2 * n, 2 * n))
-    state[:n, n:] = eye
-    state[n:, :n] = -minv[:, None] * stiff
-    state[n:, n:] = np.diag(-minv * damp)
-
-    net_load = model.secure_load + attack.static_component - droop.power_ref
-    forcing = np.concatenate([np.zeros(n), -minv * net_load])
-
-    for arr in (descriptor, state, forcing):
+    for arr in (state, forcing):
         arr.setflags(write=False)
     return StateSpace(descriptor, state, forcing)

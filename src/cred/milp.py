@@ -60,18 +60,18 @@ class LinearProgram:
             raise BuildError(
                 f"inconsistent LP dimensions: c{c.shape}, A{a.shape}, b{b.shape}, bounds{bounds.shape}"
             )
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
             raise BuildError("LP objective, matrix or right-hand sides not finite")
-        if np.any(np.isnan(bounds)):
+        if np.isnan(bounds).any():
             raise BuildError("LP bounds contain NaN")
         rels = tuple(self.relations)
         for r in rels:
             if r not in RELATIONS:
                 raise BuildError(f"unknown relation {r!r}")
-        if np.any(bounds[:, 0] > bounds[:, 1]):
+        if (bounds[:, 0] > bounds[:, 1]).any():
             raise BuildError("variable with lower bound above upper bound")
         # a lower bound of +inf or an upper bound of -inf admits no real value
-        if np.any(bounds[:, 0] == np.inf) or np.any(bounds[:, 1] == -np.inf):
+        if (bounds[:, 0] == np.inf).any() or (bounds[:, 1] == -np.inf).any():
             raise BuildError("variable bound admits no finite value ([inf, inf] or [-inf, -inf])")
         # with a finite bound in each cost's direction, objective @ x is
         # bounded below on the bounds alone, the slack basis is dual

@@ -153,7 +153,7 @@ def _bundle(raw: dict) -> ScenarioBundle:
                         dtype=float) / base
     if static.shape != (n,):
         raise ScenarioError(f"attack static must list {n} values")
-    if not np.all(np.isfinite(static)):
+    if not np.isfinite(static).all():
         raise ScenarioError("attack static must be finite")
 
     dispatch = None

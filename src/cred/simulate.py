@@ -119,7 +119,7 @@ def simulate(
     if not (np.isfinite(t_step) and np.isfinite(t_end) and (dt is None or dt > 0.0)):
         raise ConfigurationError("t_step and t_end must be finite and dt must be positive")
     disturbance = np.asarray(disturbance, dtype=float)
-    if disturbance.shape != (n,) or not np.all(np.isfinite(disturbance)):
+    if disturbance.shape != (n,) or not np.isfinite(disturbance).all():
         raise ConfigurationError(f"disturbance must hold {n} finite values")
     if t_end <= t_step:
         raise ConfigurationError("t_end must exceed t_step")
@@ -191,6 +191,17 @@ def simulate(
     )
 
 
+def _swing(omega: np.ndarray, eq: np.ndarray) -> np.ndarray:
+    """Per area, the largest deviation of the samples omega (rows) from eq.
+
+    The extremes are taken along one contiguous row per area, one pass
+    each, where the strided columns took one inner loop per sample; the
+    copy is freed on return, before the classifier copies a signal.
+    """
+    per_area = np.ascontiguousarray(omega.T)
+    return np.maximum(per_area.max(axis=1) - eq, eq - per_area.min(axis=1))
+
+
 def classify_trajectory(traj: Trajectory, area: int | None = None) -> str:
     """Label the post-step oscillation as decaying, growing, or marginal.
 
@@ -202,15 +213,13 @@ def classify_trajectory(traj: Trajectory, area: int | None = None) -> str:
     """
     if traj.diverged:
         return "growing"
-    # the grid is uniform, so the post-step samples are a suffix; views and
-    # per-area extremes keep the full state history from being copied
+    # the grid is uniform, so the post-step samples are a suffix, taken as views
     first = int(np.searchsorted(traj.times, traj.step_time))
     omega = traj.omega[first:]
     eq = traj.equilibrium_post[traj.n_areas:]
     times = traj.times[first:]
     if area is None:
-        swing = np.maximum(omega.max(axis=0) - eq, eq - omega.min(axis=0))
-        area = int(np.argmax(swing))
+        area = int(np.argmax(_swing(omega, eq)))
     signal = np.abs(omega[:, area] - eq[area])
     floor = max(signal.max() * 1e-9, 1e-300)
 

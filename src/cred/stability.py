@@ -77,7 +77,7 @@ def eigen_decompose(ss: StateSpace) -> EigenSolution:
     NumericalError.
     """
     s = ss.state_matrix
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise NumericalError("state matrix contains non-finite entries")
     try:
         values, vr = np.linalg.eig(s)
@@ -91,12 +91,12 @@ def eigen_decompose(ss: StateSpace) -> EigenSolution:
 
     scale = max(np.linalg.norm(s, np.inf), 1.0)
     resid = np.linalg.norm(s @ vr - vr * values, axis=0)
-    if np.any(resid > 1e-8 * scale):
+    if (resid > 1e-8 * scale).any():
         raise NumericalError(f"eigenpair residual {resid.max():.3e} exceeds 1e-8*|S|")
     # w is scaled by w^T v = 1, not to unit length: judge its direction
     resid = (np.linalg.norm(s.T @ w_left - w_left * values, axis=0)
              / np.linalg.norm(w_left, axis=0))
-    if np.any(resid > 1e-8 * scale):
+    if (resid > 1e-8 * scale).any():
         raise NumericalError(f"left eigenvector residual {resid.max():.3e} exceeds 1e-8*|S|")
 
     for arr in (values, vr, w_left):
@@ -134,11 +134,9 @@ def is_stable(eig: EigenSolution) -> StabilityVerdict:
     structural angle-reference mode and excluded from the verdict.
     """
     lam = eig.eigenvalues
-    excluded = tuple(int(j) for j in np.flatnonzero(np.abs(lam) <= ZERO_MODE_TOL))
-    keep = np.ones(len(lam), dtype=bool)
-    for j in excluded:
-        keep[j] = False
-    if not np.any(keep):
+    origin = np.abs(lam) <= ZERO_MODE_TOL
+    if origin.all():
         raise NumericalError("no eigenvalues left after zero-mode exclusion")
-    max_real = float(lam[keep].real.max())
+    excluded = tuple(np.flatnonzero(origin).tolist())
+    max_real = float(lam.real[~origin].max())
     return StabilityVerdict(stable=max_real < 0.0, max_real=max_real, excluded=excluded)

@@ -52,7 +52,7 @@ class AttackEstimate:
         count = np.asarray(self.sample_count, dtype=int)
         if mean.shape != std.shape or mean.shape != count.shape:
             raise ContractError("mean, std and sample_count must share a shape")
-        if np.any(std < 0.0):
+        if (std < 0.0).any():
             raise ContractError("std must be >= 0")
         for arr in (mean, std, count):
             arr.setflags(write=False)

@@ -7,13 +7,13 @@ the distributionally robust combination), the current operating point gets
 an exact eigenvalue precheck, and only an unstable verdict triggers the
 stability-constrained redispatch: one exact eigenvalue-locus sweep per
 attacked area screens the critical pairs and feeds their piecewise tables,
-the dispatch is solved (retrying with load shedding if needed), and the
-result certified by exact eigenvalue checks.  The dispatch chooses each
-period's droop from the stability rows first (one best-first search over
-breakpoint cells per distinct wind band), then dispatches each
-storage-free period by merit order, or a storage horizon as one LP.  One
-automatic table rebuild at half the error limit, from the same sweeps,
-absorbs borderline approximation failures.
+the dispatch is solved (retrying with load shedding if needed and if
+shedding can help), and the result certified by exact eigenvalue checks.
+The dispatch chooses each period's droop from the stability rows first
+(one best-first search over breakpoint cells per distinct wind band), then
+dispatches each storage-free period by merit order, or a storage horizon
+as one LP.  One automatic table rebuild at half the error limit, from the
+same sweeps, absorbs borderline approximation failures.
 """
 
 from __future__ import annotations
@@ -36,7 +36,14 @@ from .dispatch import (
     stability_precheck,
     validate_solution,
 )
-from .errors import ConfigurationError, CredError, InfeasibleError, ScenarioError, ValidationFailure
+from .errors import (
+    BandInfeasibleError,
+    ConfigurationError,
+    CredError,
+    InfeasibleError,
+    ScenarioError,
+    ValidationFailure,
+)
 from .grid import attack_from_gains
 from .linearize import build_segment_table, select_critical_pairs, sweep_loci
 from .scenario import ScenarioBundle, load_samples, load_scenario, scenario_from_dict
@@ -234,6 +241,8 @@ def run_workflow(cfg: WorkflowConfig, bundle: ScenarioBundle | None = None) -> W
             )
             try:
                 sol, branch = solve_cred(scn, stab, allow_shed=False), "cred_applied"
+            except BandInfeasibleError:  # the droop search ignores shedding
+                raise
             except InfeasibleError:
                 sol, branch = solve_cred(scn, stab, allow_shed=True), "cred_infeasible_shed"
         with _stage("validation"):

@@ -131,3 +131,43 @@ class TestBuildStateSpace:
         )
         clean = build_state_space(model, AttackProfile.none(n), DroopSchedule.none(n))
         assert np.array_equal(cancel.state_matrix, clean.state_matrix)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([1, 2, 3, 24]))
+    def test_matches_fresh_blockwise_assembly(self, seed, n):
+        """Every loop of a model equals, bit for bit, its blocks assembled afresh."""
+
+        def fresh(model, attack, droop):
+            m_total = model.total_inertia
+            minv = 1.0 / m_total
+            stiff = np.diag(model.gov_integral) + model.coupling_laplacian()
+            damp = model.gov_proportional + model.damping + (droop.droop_gain - attack.dyn_gain)
+            descriptor = np.zeros((2 * n, 2 * n))
+            descriptor[:n, :n] = np.eye(n)
+            descriptor[n:, n:] = -np.diag(m_total)
+            state = np.zeros((2 * n, 2 * n))
+            state[:n, n:] = np.eye(n)
+            state[n:, :n] = -minv[:, None] * stiff
+            state[n:, n:] = np.diag(-minv * damp)
+            net_load = model.secure_load + attack.static_component - droop.power_ref
+            return descriptor, state, np.concatenate([np.zeros(n), -minv * net_load])
+
+        rng = np.random.RandomState(seed)
+        model = random_system_model(rng, n)
+        built = []
+        for _ in range(3):  # the first call builds the model's blocks, the rest reuse them
+            areas = tuple(np.flatnonzero(rng.rand(n) < 0.5).tolist())
+            gains = np.zeros(n)
+            gains[list(areas)] = rng.uniform(0.0, 30.0, len(areas))
+            static = np.zeros(n)
+            static[list(areas)] = rng.uniform(-1.0, 1.0, len(areas))
+            attack = AttackProfile(gains, static, areas)
+            droop = DroopSchedule(rng.uniform(0.0, 30.0, n) * (rng.rand(n) < 0.7),
+                                  rng.uniform(0.0, 5.0, n))
+            ss = build_state_space(model, attack, droop)
+            expected = fresh(model, attack, droop)
+            for got, want in zip((ss.descriptor_a, ss.state_matrix, ss.forcing), expected):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+            built.append(ss)
+        assert not np.shares_memory(built[0].state_matrix, built[1].state_matrix)

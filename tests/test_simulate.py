@@ -396,8 +396,63 @@ class TestClassify:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one of the six state columns is copied, never the whole history
+        # at most the frequency half of the history is copied, never the whole
         assert peak < 0.75 * traj.states.nbytes
+
+    @staticmethod
+    def _axis0_area(traj):
+        """The area of largest swing by the axis-0 formula over the post-step samples."""
+        omega = traj.omega[traj.times >= traj.step_time]
+        eq = traj.equilibrium_post[traj.n_areas:]
+        swing = np.maximum(omega.max(axis=0) - eq, eq - omega.min(axis=0))
+        return swing, int(np.argmax(swing))
+
+    @staticmethod
+    def _outcome(traj, area=None):
+        try:
+            return classify_trajectory(traj, area)
+        except ClassificationError as exc:
+            return f"error: {exc}"
+
+    @pytest.mark.parametrize("n_areas", [3, 24])
+    def test_area_choice_matches_axis0_formula(self, rng, n_areas):
+        from cred.simulate import _swing
+
+        for _ in range(3):
+            model = random_system_model(rng, n_areas)
+            ss = _ss(model, gain=rng.uniform(0.0, 2.0 * model.gov_proportional[0]))
+            traj = simulate(ss, 0.01 * model.secure_load, t_step=1.0, t_end=20.0, dt=None)
+            swing, area = self._axis0_area(traj)
+            first = int(np.searchsorted(traj.times, traj.step_time))
+            ours = _swing(traj.omega[first:], traj.equilibrium_post[n_areas:])
+            assert ours.tobytes() == swing.tobytes()
+            assert self._outcome(traj) == self._outcome(traj, area)
+
+    def test_tie_goes_to_the_first_area(self):
+        # area 1 is area 0 run backwards: the same extremes, bit for bit, but
+        # growing, so the label tells which area the classifier fitted
+        t = np.arange(0.0, 20.0, 0.01)
+        decaying = np.exp(-0.5 * t) * np.sin(2.0 * t)
+        states = np.column_stack([np.zeros((len(t), 2)), decaying, decaying[::-1]])
+        traj = Trajectory(times=t, states=states, step_time=0.0,
+                          equilibrium_post=np.zeros(4), diverged=False)
+        swing, area = self._axis0_area(traj)
+        assert swing[0] == swing[1] and area == 0
+        assert classify_trajectory(traj) == "decaying"
+        assert classify_trajectory(traj, 1) == "growing"
+
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_nan_sample_picks_the_formula_area(self, rng, column):
+        model = random_system_model(rng, 3)
+        traj = simulate(_ss(model, gain=0.5 * model.gov_proportional[0]),
+                        0.01 * model.secure_load, t_step=1.0, t_end=20.0, dt=None)
+        states = traj.states.copy()
+        states[len(states) // 2, 3 + column] = np.nan
+        traj = Trajectory(times=traj.times, states=states, step_time=traj.step_time,
+                          equilibrium_post=traj.equilibrium_post, diverged=False)
+        swing, area = self._axis0_area(traj)
+        assert np.isnan(swing[column]) and area == column
+        assert self._outcome(traj) == self._outcome(traj, area)
 
     def test_agrees_with_eigen_verdict(self, rng):
         agreed = 0

@@ -73,6 +73,27 @@ class TestBranches:
         assert rep.cost_increment > 0.0
         assert max(rep.certificate["max_real_per_period"]) < 0.0
 
+    def test_band_failure_is_not_retried_with_shedding(self, monkeypatch):
+        """No droop fits period 0's wind: shedding cannot help, so the droop search runs
+        for the baseline and the no-shed dispatch only, and its error surfaces as is."""
+        import cred.dispatch as dispatch
+        from cred.errors import BandInfeasibleError
+
+        doc = single_area_toy()
+        doc["dispatch"]["periods"][0]["wind_available"] = [0.5]
+        searched, search = [], dispatch._droop_floor
+
+        def counting(scn, stab):
+            searched.append(stab is not None)
+            return search(scn, stab)
+
+        monkeypatch.setattr(dispatch, "_droop_floor", counting)
+        with pytest.raises(BandInfeasibleError) as raised:  # the stage keeps the type
+            run_toy(doc)
+        assert str(raised.value) == ("[dispatch] dispatch infeasible in period 0: no droop "
+                                     "within the wind band meets every stability row")
+        assert searched == [False, True]
+
     def test_mean_only_requires_samples(self):
         with pytest.raises(ScenarioError):
             run_toy(mode="mean_only")
@@ -204,45 +225,103 @@ class TestScreening:
         assert row.error == message and row.branch is None
 
 
+def _counting_calls(monkeypatch, modules, names):
+    """Patch each name in each module to record its results; returns {name: [result, ...]}."""
+    calls = {name: [] for name in names}
+    for module in modules:
+        for name in names:
+            if not hasattr(module, name):
+                continue
+
+            def wrapper(*args, _real=getattr(module, name), _name=name, **kwargs):
+                result = _real(*args, **kwargs)
+                calls[_name].append(result)
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _desk_certificate_inputs():
+    """A certified worst-case desk run, its scenario and its attack."""
+    from cred.grid import attack_from_gains
+    from cred.systems import three_area_system
+
+    rep = run_toy(three_area_system())
+    assert rep.branch_taken == "cred_applied"
+    bundle = scenario_from_dict(three_area_system())
+    attack = attack_from_gains(rep.robust_gains, bundle.static_attack, bundle.attack_areas)
+    sol = rep.solution
+    sol.droop, sol.wind_power = sol.droop.copy(), sol.wind_power.copy()
+    return bundle.require_dispatch(), sol, attack
+
+
 class TestCertificateWork:
+    LOOP = ("build_state_space", "eigen_decompose", "is_stable")
+
     def test_one_decomposition_and_verdict_per_distinct_loop(self, monkeypatch):
+        """One assembly, one decomposition and one verdict per distinct droop."""
         import cred.dispatch as dispatch
-        import cred.workflow as wf
+
+        scn, sol, attack = _desk_certificate_inputs()
+        # the desk's periods differ only in their power references: one loop
+        calls = _counting_calls(monkeypatch, [dispatch], self.LOOP)
+        dispatch.validate_solution(scn, sol, attack)
+        assert len({row.tobytes() for row in sol.droop}) == 1
+        assert [len(calls[name]) for name in self.LOOP] == [1, 1, 1]
+
+        # a horizon whose periods get two droops: period 2 holds more in reserve
+        sol.droop[2] *= 1.5
+        calls = _counting_calls(monkeypatch, [dispatch], self.LOOP)
+        cert = dispatch.validate_solution(scn, sol, attack)
+        assert [len(calls[name]) for name in self.LOOP] == [2, 2, 2]
+        assert len({ss.state_matrix.tobytes() for ss in calls["build_state_space"]}) == 2
+        for t in range(scn.n_periods):
+            own = build_state_space(scn.model, attack,
+                                    DroopSchedule(sol.droop[t], sol.wind_power[t]))
+            assert cert.max_real[t] == dispatch.is_stable(eigen_decompose(own)).max_real
+        assert cert.max_real[2] != cert.max_real[0]
+
+    def test_certified_desk_run_assembles_three_loops(self, monkeypatch):
+        """The precheck, the sweep's base and one certificate loop; nothing else."""
+        import cred.dispatch as dispatch
+        import cred.linearize as linearize
         from cred.systems import three_area_system
 
-        runs, active = [], []
-        original = {name: getattr(dispatch, name)
-                    for name in ("build_state_space", "eigen_decompose", "is_stable")}
-
-        def counting(name):
-            def wrapper(*args, **kwargs):
-                result = original[name](*args, **kwargs)
-                if active:
-                    runs[-1][name].append(result)
-                return result
-            return wrapper
-
-        def validating(*args, **kwargs):
-            runs.append({name: [] for name in original})
-            active.append(True)
-            try:
-                return validate(*args, **kwargs)
-            finally:
-                active.clear()
-
-        for name in original:
-            monkeypatch.setattr(dispatch, name, counting(name))
-        validate = wf.validate_solution
-        monkeypatch.setattr(wf, "validate_solution", validating)
+        calls = _counting_calls(monkeypatch, [dispatch, linearize],
+                                ("build_state_space", "eigen_decompose"))
         rep = run_toy(three_area_system())
         assert rep.branch_taken == "cred_applied"
-        assert runs
-        for run in runs:
-            loops = {ss.state_matrix.tobytes() for ss in run["build_state_space"]}
-            assert len(run["build_state_space"]) == 4  # one loop per period
-            assert len(run["eigen_decompose"]) == len(run["is_stable"]) == len(loops)
-        # the periods differ only in their power references, so they share one loop
-        assert len(loops) == 1
+        assert len(calls["build_state_space"]) == 3
+        assert len(calls["eigen_decompose"]) == 3
+
+    @pytest.mark.parametrize("field,value", [
+        ("wind_power", -1.0), ("wind_power", np.nan), ("wind_power", np.inf),
+        ("droop", -1.0), ("droop", np.nan), ("droop", -np.inf),
+    ])
+    def test_invalid_later_period_raises_its_schedule_error(self, field, value):
+        """A later period is checked as DroopSchedule checks it, even sharing period 0's loop."""
+        from cred.dispatch import validate_solution
+
+        scn, sol, attack = _desk_certificate_inputs()
+        getattr(sol, field)[2, 1] = value
+        if field == "wind_power":
+            assert sol.droop[2].tobytes() == sol.droop[0].tobytes()
+        with pytest.raises(ConfigurationError) as expected:
+            DroopSchedule(sol.droop[2], sol.wind_power[2])
+        with pytest.raises(ConfigurationError) as raised:
+            validate_solution(scn, sol, attack)
+        assert str(raised.value) == str(expected.value)
+
+    def test_earlier_unstable_period_is_named_first(self):
+        from cred.dispatch import validate_solution
+        from cred.errors import ValidationFailure
+
+        scn, sol, attack = _desk_certificate_inputs()
+        sol.droop[0] = 0.0  # the precheck's unstable loop
+        sol.wind_power[2, 1] = np.nan
+        with pytest.raises(ValidationFailure, match="^period 0: "):
+            validate_solution(scn, sol, attack)
 
 
 class TestValidationRetry:
