@@ -11,16 +11,20 @@ the SHA-256 of ``report.to_dict()`` and of the solution dictionary written
 to ``solution.json``, each serialized as the workflow writes its JSON
 artifacts.  With ``--values`` a workflow op prints its numbers instead,
 
-    <op>  <branch>  final_cost=<repr>  droop_max=<repr>
+    <op>  <branch>  final_cost=<repr>  droop_max=<repr>  pairs=<i:a,...>  anchors=<k,...;...>  worst_real=<repr>
 
-the report's ``final_cost`` and the largest droop of its dispatch, and
-``--against FILE`` (a ``--values`` output of another checkout) ends the
-output with one line
+the report's ``final_cost``, the largest droop of its dispatch, its
+critical pairs, the anchor abscissas of each pair's table (so each
+table's anchor count too; tables apart by ``;``) and the largest
+``critical_pair_worst_real`` (the last three empty when no pair was
+screened).  ``--against FILE`` (a ``--values`` output of another
+checkout) ends the output with one line
 
-    # against FILE: <n> ops, <m> answers differ, final_cost within <r> rel, droop_max within <a> abs
+    # against FILE: <n> ops, <m> answers differ, pairs or anchors differ on <p> ops [(<op>, ...)], final_cost within <r> rel, droop_max within <a> abs, worst_real within <w> abs
 
 where an answer differs when its branch, or an error's type and text,
-does, and the bounds are the largest differences over the other ops.
+does, and the bounds are the largest differences over the ops whose
+answers agree.
 A ``step_response`` op simulates its closed loop with
 ``simulate(..., dt=None)`` and prints
 
@@ -82,8 +86,12 @@ def answer(item, samples_path, values=False) -> str:
     except Exception as exc:  # an error is an answer too
         return f"error  {type(exc).__name__}: {exc}"
     if values:
+        pairs = ",".join(f"{i}:{a}" for i, a in rep.pairs)
+        anchors = ";".join(",".join(map(repr, tab["anchors"])) for tab in rep.tables)
+        worst = repr(max(rep.pair_worst_real)) if rep.pair_worst_real else ""
         return (f"{rep.branch_taken}  final_cost={rep.final_cost!r}  "
-                f"droop_max={float(rep.solution.droop.max())!r}")
+                f"droop_max={float(rep.solution.droop.max())!r}  pairs={pairs}  "
+                f"anchors={anchors}  worst_real={worst}")
     return (f"{rep.branch_taken}  report={digest(rep.to_dict())}  "
             f"solution={digest(_solution_dict(bundle.require_dispatch(), rep.solution))}")
 
@@ -102,30 +110,37 @@ def step_answer(item) -> str:
 
 
 def _numbers(line: str) -> dict:
-    """The fields of one --values line: op, answer, and the two numbers if any."""
+    """The fields of one --values line: op, answer, and the other fields if any."""
     op, rest = line.split("  ", 1)
     if rest.startswith("error  "):
         return {"op": op, "answer": rest}
-    fields = dict(part.split("=", 1) for part in rest.split("  ")[1:])
     return {"op": op, "answer": rest.split("  ")[0],
-            "final_cost": float(fields["final_cost"]), "droop_max": float(fields["droop_max"])}
+            **dict(part.split("=", 1) for part in rest.split("  ")[1:])}
 
 
 def against(lines: list, before: list) -> str:
     """The summary line comparing this run's --values lines with before's."""
     if len(lines) != len(before):
         return f"{len(lines)} ops here, {len(before)} there"
-    differ, cost, droop = 0, 0.0, 0.0
+    differ, moved, cost, droop, worst = 0, [], 0.0, 0.0, 0.0
     for now, then in zip(map(_numbers, lines), map(_numbers, before)):
         if now["op"] != then["op"] or now["answer"] != then["answer"]:
             differ += 1
-        elif "final_cost" in now:
-            scale = max(abs(now["final_cost"]), abs(then["final_cost"]))
-            if scale:
-                cost = max(cost, abs(now["final_cost"] - then["final_cost"]) / scale)
-            droop = max(droop, abs(now["droop_max"] - then["droop_max"]))
-    return (f"{len(lines)} ops, {differ} answers differ, final_cost within {cost:.2g} rel, "
-            f"droop_max within {droop:.2g} abs")
+            continue
+        if "final_cost" not in now:  # the same error
+            continue
+        if (now["pairs"], now["anchors"]) != (then["pairs"], then["anchors"]):
+            moved.append(now["op"])
+        a, b = float(now["final_cost"]), float(then["final_cost"])
+        if max(abs(a), abs(b)):
+            cost = max(cost, abs(a - b) / max(abs(a), abs(b)))
+        droop = max(droop, abs(float(now["droop_max"]) - float(then["droop_max"])))
+        if now["worst_real"] and then["worst_real"]:
+            worst = max(worst, abs(float(now["worst_real"]) - float(then["worst_real"])))
+    listed = f" ({', '.join(moved)})" if moved else ""
+    return (f"{len(lines)} ops, {differ} answers differ, pairs or anchors differ on "
+            f"{len(moved)} ops{listed}, final_cost within {cost:.2g} rel, "
+            f"droop_max within {droop:.2g} abs, worst_real within {worst:.2g} abs")
 
 
 def main(argv=None) -> int:
@@ -133,7 +148,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=WORKFLOW_LOADS + ("step_response",))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--values", action="store_true",
-                        help="print each workflow op's final cost and largest droop")
+                        help="print each workflow op's final cost, largest droop, critical "
+                             "pairs, table anchors and worst real part")
     parser.add_argument("--against", type=Path,
                         help="with --values: compare with this earlier --values output")
     args = parser.parse_args(argv)

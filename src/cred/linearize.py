@@ -16,6 +16,16 @@ eigenvalue by more than eps_lim in real part, that grid point becomes a
 fresh anchor, so the table bounds the real-part error on every grid point
 by eps_lim.
 
+The stacked loops are not the grid's state matrices but matrices similar
+to them, already in upper Hessenberg form, so the eigensolver's own
+reduction to that form has nothing left to do.  hessenberg_first moves the
+area's damping row to index 0 and reduces the base loop S0 once per sweep,
+H0 = Q^T P S0 P^T Q, with Householder reflectors that act on indices >= 1
+only (Golub & Van Loan, Matrix Computations, Sec. 7.4), so Q e_0 = e_0.  A
+grid loop differs from S0 in its damping entry alone, and
+Q^T P e_row = Q^T e_0 = e_0, so it is similar to H0 with its [0, 0] entry
+rewritten; that entry is written by the expression build_state_space uses.
+
 An anchor needs no decomposition of its own.  With S0 = V diag(lambda0)
 V^-1 the base loop and row = N + area, the loop at net gain k is the
 rank-one modification S0 + (k/M_a) e_row e_row^T, so an eigenvalue lambda
@@ -40,6 +50,7 @@ secular residual |k h(lambda) - 1| must be at most SECULAR_TOL
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +63,7 @@ __all__ = [
     "LinearizationPoint",
     "LocusSweep",
     "SegmentTable",
+    "hessenberg_first",
     "net_gain_state_space",
     "sweep_loci",
     "build_segment_table",
@@ -61,6 +73,10 @@ __all__ = [
 
 #: grid points per stacked eigensolve; bounds the stack's memory at fine steps
 BLOCK = 256
+
+#: largest grid points x states of one sweep; its spectra, maps and loci
+#: peak at about 60 bytes per entry, so a sweep stays below about 130 MB
+MAX_GRID_ENTRIES = 1 << 21
 
 #: grid points per nearest-match array op; its distance temporaries take 24
 #: bytes per matrix entry to the stack's 8, so they stay below a block's stack
@@ -146,6 +162,36 @@ def net_gain_state_space(model: SystemModel, area: int, k: float) -> StateSpace:
     )
 
 
+def hessenberg_first(s: np.ndarray, row: int) -> np.ndarray:
+    """Upper Hessenberg H = Q^T P s P^T Q, where P moves row to index 0 and Q e_0 = e_0.
+
+    Reflector j zeros column j below its subdiagonal and acts on indices
+    >= j + 1 only, so H[0, 0] is s[row, row] bit for bit; every entry below
+    the subdiagonal is an exact zero, and a column already zero there is
+    skipped.
+    """
+    n = len(s)
+    order = np.arange(n)  # row, then the other indices in their order
+    order[1:row + 1] -= 1
+    order[0] = row
+    h = s[order[:, None], order]
+    for j in range(n - 2):
+        x = h[j + 1:, j]
+        tail = math.sqrt(x[1:] @ x[1:])
+        if tail == 0.0:
+            continue
+        # I - u u^T with u^T u = 2 maps x to alpha e_0
+        alpha = -math.copysign(math.hypot(x[0], tail), x[0])
+        u = x.copy()
+        u[0] -= alpha
+        u *= math.sqrt(2.0 / (u @ u))
+        h[j + 1:, j + 1:] -= u[:, None] * (u @ h[j + 1:, j + 1:])
+        h[:, j + 1:] -= (h[:, j + 1:] @ u)[:, None] * u
+        h[j + 1, j] = alpha
+        h[j + 2:, j] = 0.0
+    return h
+
+
 def sweep_loci(model: SystemModel, area: int, range_end: float,
                eps_phi: float | None = None) -> LocusSweep:
     """Track every base eigenvalue by nearest match from net gain 0 to range_end.
@@ -158,14 +204,19 @@ def sweep_loci(model: SystemModel, area: int, range_end: float,
     Two loci share a position once a map is not one-to-one, as where a
     conjugate pair splits on the real axis.
     """
-    if range_end == 0.0:
-        raise ConfigurationError("range_end must be nonzero")
+    if not math.isfinite(range_end) or range_end == 0.0:
+        raise ConfigurationError(f"range_end must be finite and nonzero, not {range_end!r}")
     if eps_phi is None:
         eps_phi = abs(range_end) / 200.0
     if not eps_phi > 0.0:  # NaN too
         raise ConfigurationError("eps_phi must be > 0")
     if eps_phi > abs(range_end) / 4.0:
         raise ConfigurationError("eps_phi must be at most |range_end|/4")
+    points = abs(range_end) / eps_phi  # inf where the quotient overflows
+    if points * 2 * model.areas > MAX_GRID_ENTRIES:
+        raise ConfigurationError(
+            f"a sweep of {points:.3g} grid points of {2 * model.areas} states exceeds "
+            f"{MAX_GRID_ENTRIES} entries; take a coarser eps_phi")
 
     ss0 = net_gain_state_space(model, area, 0.0)
     eig0 = eigen_decompose(ss0)
@@ -178,18 +229,20 @@ def sweep_loci(model: SystemModel, area: int, range_end: float,
     if abs(grid[-1]) < abs(range_end) - 1e-12:
         grid = np.append(grid, range_end)
 
-    # each grid loop is ss0 with its area-row damping entry rewritten as
-    # build_state_space computes it, -(1/M) * (K_p + D + (-k)); x + (-k) and
-    # x - k are the same IEEE operation, so the matrices are bit-identical to
-    # net_gain_state_space(model, area, k).state_matrix
+    # each grid loop is h0 with its [0, 0] entry, the area-row damping entry,
+    # rewritten as build_state_space computes it, -(1/M) * (K_p + D + (-k));
+    # x + (-k) and x - k are the same IEEE operation, so the entry is
+    # net_gain_state_space(model, area, k).state_matrix[row, row] bit for bit,
+    # and the loop is similar to that state matrix (module docstring)
     row = model.areas + area
+    h0 = hessenberg_first(ss0.state_matrix, row)
     minv = 1.0 / model.total_inertia[area]
     base_damp = model.gov_proportional[area] + model.damping[area]
     spectra = np.empty((len(grid), len(eig0)), dtype=complex)
     for start in range(0, len(grid), BLOCK):
         ks = grid[start:start + BLOCK]
-        stack = np.repeat(ss0.state_matrix[None], len(ks), axis=0)
-        stack[:, row, row] = -minv * (base_damp - ks)
+        stack = np.repeat(h0[None], len(ks), axis=0)
+        stack[:, 0, 0] = -minv * (base_damp - ks)
         try:
             block = np.linalg.eigvals(stack)
         except np.linalg.LinAlgError as exc:

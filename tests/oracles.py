@@ -6,7 +6,9 @@ Durand-Kerner root finder), full decompositions from scipy.linalg.eig,
 sensitivities from central finite differences
 of a fresh decomposition, segment-table sweeps, eigenvalue loci and the
 critical-pair screen from a fresh state space and eigensolve at every grid
-point, MILP optima from exhaustive enumeration of the binary assignments or
+point (the reduced-form loci take the sweep's own Hessenberg form of the
+base loop, hessenberg_first, to check the stacking and tracking around it
+bit for bit; the reduction has tests of its own), MILP optima from exhaustive enumeration of the binary assignments or
 from HiGHS (scipy.optimize.milp, test-only), the droop search's net gains
 from the net-gain MIP, and the stability-constrained dispatch from the
 joint dispatch-plus-stability MIP, in which the droop is a decision beside
@@ -31,7 +33,7 @@ from cred.errors import (
     NumericalError,
     TrackingError,
 )
-from cred.linearize import LinearizationPoint, net_gain_state_space
+from cred.linearize import LinearizationPoint, hessenberg_first, net_gain_state_space
 from cred.milp import LinearProgram, solve_lp
 from cred.stability import SIMPLE_TOL, eigen_decompose, is_stable, sensitivity
 
@@ -169,12 +171,32 @@ def sweep_segment_table_pointwise(model, eigen_index: int, area: int, range_end:
     return tuple(points), np.array(abscissas), np.array(errors)
 
 
+#: dense and reduced-form loci agree within LOCUS_RTOL * max(1, |lambda|):
+#: the two loops are similar, and their spectra part by rounding only
+LOCUS_RTOL = 1e-12
+
+
+def grid_loop(model, area: int, k: float, reduced: bool = False) -> np.ndarray:
+    """The loop at net gain k: net_gain_state_space's state matrix, or its reduced form.
+
+    The reduced form is the sweep's: hessenberg_first of the base loop,
+    with its [0, 0] entry set to the state matrix's area-row damping entry.
+    """
+    s = net_gain_state_space(model, area, k).state_matrix
+    if not reduced:
+        return s
+    row = model.areas + area
+    h = hessenberg_first(net_gain_state_space(model, area, 0.0).state_matrix, row)
+    h[0, 0] = s[row, row]
+    return h
+
+
 def exact_locus_pointwise(model, eigen_index: int, area: int, range_end: float,
-                          eps_phi: float) -> np.ndarray:
+                          eps_phi: float, reduced: bool = False) -> np.ndarray:
     """Nearest-match locus of one base eigenvalue, with one eigensolve per grid point.
 
     Same grid as build_segment_table; returns the tracked eigenvalue at
-    every grid point.
+    every grid point, each solved from grid_loop(..., reduced).
     """
     base = eigen_decompose(net_gain_state_space(model, area, 0.0)).eigenvalues
     n_steps = int(np.floor(abs(range_end) / eps_phi + 1e-9))
@@ -184,10 +206,16 @@ def exact_locus_pointwise(model, eigen_index: int, area: int, range_end: float,
     lam = complex(base[eigen_index])
     locus = []
     for k in grid:
-        spectrum = np.linalg.eigvals(net_gain_state_space(model, area, k).state_matrix)
+        spectrum = np.linalg.eigvals(grid_loop(model, area, k, reduced))
         lam = complex(spectrum[np.argmin(np.abs(spectrum - lam))])
         locus.append(lam)
     return np.array(locus)
+
+
+def assert_loci_close(ours: np.ndarray, dense: np.ndarray) -> None:
+    """ours agrees with the dense per-point loci within LOCUS_RTOL * max(1, |lambda|)."""
+    assert ours.shape == dense.shape
+    assert (np.abs(ours - dense) <= LOCUS_RTOL * np.maximum(1.0, np.abs(dense))).all()
 
 
 def critical_pairs_pointwise(model, range_end: dict, settle_margin: float) -> tuple:

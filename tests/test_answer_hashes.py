@@ -76,7 +76,8 @@ def test_step_hash_is_that_of_the_trajectory():
     assert script.step_answer(item).endswith(f"samples={len(traj.times)}  states={digest}")
 
 
-VALUE_LINE = re.compile(r"^(\d+)  (\w+)  final_cost=(\S+)  droop_max=(\S+)$")
+VALUE_LINE = re.compile(r"^(\d+)  (\w+)  final_cost=(\S+)  droop_max=(\S+)  pairs=(\S*)  "
+                        r"anchors=(\S*)  worst_real=(\S*)$")
 
 
 def test_values_are_the_reports_and_compare_against_an_earlier_run(tmp_path):
@@ -91,21 +92,36 @@ def test_values_are_the_reports_and_compare_against_an_earlier_run(tmp_path):
         detection_score=item.detection_score,
         detection_threshold=script.workloads.DETECTION_THRESHOLD,
         eta=script.workloads.ETA, mode=item.mode), bundle=script.scenario_from_dict(item.doc))
-    cost, droop = VALUE_LINE.match(lines[0]).group(3, 4)
+    cost, droop, pairs, anchors, worst = VALUE_LINE.match(lines[0]).group(3, 4, 5, 6, 7)
     assert float(cost) == rep.final_cost and float(droop) == rep.solution.droop.max()
+    assert pairs == ",".join(f"{i}:{a}" for i, a in rep.pairs) and rep.pairs
+    assert [[float(k) for k in tab.split(",")] for tab in anchors.split(";")] == [
+        tab["anchors"] for tab in rep.tables]
+    assert float(worst) == max(rep.pair_worst_real)
     # the same run against itself, then against a copy with moved numbers and answers
     before = tmp_path / "before.txt"
     before.write_text(proc.stdout)
     again = run("--workload", "storage_horizon", "--seed", "0", "--values", "--against", before)
     assert again.stdout.splitlines() == lines + [
-        f"# against {before}: 5 ops, 0 answers differ, final_cost within 0 rel, "
-        "droop_max within 0 abs"]
-    moved = [f"0  cred_applied  final_cost={float(cost) * (1 + 1e-12)!r}  "
-             f"droop_max={float(droop) + 3e-13!r}",
+        f"# against {before}: 5 ops, 0 answers differ, pairs or anchors differ on 0 ops, "
+        "final_cost within 0 rel, droop_max within 0 abs, worst_real within 0 abs"]
+    head = f"final_cost={float(cost) * (1 + 1e-12)!r}  droop_max={float(droop) + 3e-13!r}"
+    tail = lines[3].split("  pairs=", 1)[1]
+    moved = [f"0  cred_applied  {head}  pairs={pairs}  anchors={anchors}  "
+             f"worst_real={float(worst) - 2e-14!r}",
              "1  cred_infeasible_shed" + lines[1].split("cred_applied", 1)[1],
-             "2  error  TrackingError: lost"] + lines[3:]
+             "2  error  TrackingError: lost",
+             lines[3].split("  pairs=")[0] + "  pairs=4:1," + tail,
+             lines[4].replace("anchors=0.0,", "anchors=0.0,1.0,")]
     assert script.against(lines, moved) == (
-        "5 ops, 2 answers differ, final_cost within 1e-12 rel, droop_max within 3e-13 abs")
+        "5 ops, 2 answers differ, pairs or anchors differ on 2 ops (3, 4), "
+        "final_cost within 1e-12 rel, droop_max within 3e-13 abs, worst_real within 2e-14 abs")
+    # ops without pairs print empty fields and compare as equal
+    bare = "0  precheck_stable  final_cost=1.0  droop_max=0.0  pairs=  anchors=  worst_real="
+    assert VALUE_LINE.match(bare)
+    assert script.against([bare], [bare]) == (
+        "1 ops, 0 answers differ, pairs or anchors differ on 0 ops, final_cost within 0 rel, "
+        "droop_max within 0 abs, worst_real within 0 abs")
     assert script.against(lines, moved[:4]) == "5 ops here, 4 there"
 
 

@@ -318,6 +318,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and message in err
 
+    @pytest.mark.parametrize("command, prefix", [("linearize", ""), ("workflow", "[screening] ")])
+    def test_grid_too_fine_to_allocate_is_input_error(self, tmp_path, capsys, command, prefix):
+        # 1e-300 once overflowed the grid size: a ValueError traceback, not exit 4
+        desk = tmp_path / "desk.json"
+        desk.write_text(json.dumps(three_area_system()))
+        code = main([command, "--scenario", str(desk), "--out", str(tmp_path / "out"),
+                     "--mode", "worst_case", "--eps-phi", "1e-300"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {prefix}a sweep of ") and "states exceeds" in err
+
     @pytest.mark.parametrize("flags, message", [
         (["--eps-strict", "0"], "need strict_margin > 0 and settle_margin >= 0"),
         (["--settle-margin", "nan"], "robust gains and margins must be finite"),

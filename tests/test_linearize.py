@@ -1,14 +1,20 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    LOCUS_RTOL,
+    assert_loci_close,
     critical_pairs_pointwise,
     exact_locus_pointwise,
     fd_eigen_sensitivity,
+    grid_loop,
     random_system_model,
     spectral_gaps,
     sweep_segment_table_pointwise,
@@ -26,15 +32,20 @@ from cred.errors import (
 from cred.grid import SystemModel
 from cred.linearize import (
     BLOCK,
+    MAX_GRID_ENTRIES,
     SECULAR_TOL,
     build_segment_table,
     evaluate_piecewise,
+    hessenberg_first,
     net_gain_state_space,
     select_critical_pairs,
     sweep_loci,
 )
+from cred.scenario import scenario_from_dict
 from cred.stability import eigen_decompose, sensitivity
 from cred.workflow import WorkflowConfig, run_workflow
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture
@@ -134,11 +145,13 @@ ERROR_ATOL = 1e-10
 def assert_matches_pointwise(model, eigen_index, area, range_end, eps_lim, eps_phi):
     """The table agrees with the per-point reference sweep, or both raise the same type.
 
-    Grid abscissas, anchor abscissas and anchor eigenvalues are equal, slopes
-    agree within SLOPE_RTOL and grid errors within ERROR_ATOL.  Where the
-    anchor lists part, the table that does not anchor at that grid point
-    misses the locus there by at least eps_lim - ERROR_ATOL, and nothing
-    past that point is compared.
+    The swept locus equals the reduced-form per-point locus bit for bit and
+    the dense one within LOCUS_RTOL.  Grid abscissas and anchor abscissas
+    are equal, anchor eigenvalues agree within LOCUS_RTOL, slopes within
+    SLOPE_RTOL and grid errors within ERROR_ATOL.  Where the anchor lists
+    part, the table that does not anchor at that grid point misses the
+    locus there by at least eps_lim - ERROR_ATOL, and nothing past that
+    point is compared.
     """
     try:
         points, abscissas, errors = sweep_segment_table_pointwise(
@@ -147,13 +160,19 @@ def assert_matches_pointwise(model, eigen_index, area, range_end, eps_lim, eps_p
         with pytest.raises(type(exc)):
             build_segment_table(sweep_loci(model, area, range_end, eps_phi), eigen_index, eps_lim)
         return None
-    tab = build_segment_table(sweep_loci(model, area, range_end, eps_phi), eigen_index, eps_lim)
+    sweep = sweep_loci(model, area, range_end, eps_phi)
+    locus = sweep.loci[:, eigen_index]
+    assert np.array_equal(locus, exact_locus_pointwise(model, eigen_index, area, range_end,
+                                                       eps_phi, reduced=True))
+    assert_loci_close(locus, exact_locus_pointwise(model, eigen_index, area, range_end, eps_phi))
+    tab = build_segment_table(sweep, eigen_index, eps_lim)
     assert np.array_equal(tab.grid_abscissas, abscissas)
     same = 0
     for ours, theirs in zip(tab.points, points):
         if ours.abscissa != theirs.abscissa:
             break
-        assert ours.eigenvalue == theirs.eigenvalue
+        gap = abs(ours.eigenvalue - theirs.eigenvalue)
+        assert gap <= LOCUS_RTOL * max(1.0, abs(theirs.eigenvalue))
         assert abs(ours.slope - theirs.slope) <= SLOPE_RTOL * abs(theirs.slope)
         same += 1
     if same == len(tab.points) == len(points):
@@ -258,6 +277,125 @@ class TestStackedSweep:
         assert "area 1" in message
         assert f"[{step * (BLOCK + 1):g}, {step * 2 * BLOCK:g}]" in message
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def ring_model():
+    """The 24-area ring of ring_tables seed 0, op 2 (48 states)."""
+    return scenario_from_dict(json.loads((FIXTURES / "ring_seed0_op2.json").read_text())).model
+
+
+def permuted(s, row):
+    """s with row and column `row` moved first, the others kept in order."""
+    order = [row] + [i for i in range(len(s)) if i != row]
+    return s[np.ix_(order, order)]
+
+
+def similarity_residual(s, row, h):
+    """||Q^T P s P^T Q - h||_F, with Q the orthogonal factor that reduces P s P^T to h.
+
+    Q is scipy.linalg.hessenberg's, which also fixes e_0; by the implicit Q
+    theorem (Golub & Van Loan, Matrix Computations, Sec. 7.4.5) an
+    unreduced h fixes Q up to the signs of its columns, matched here to
+    h's subdiagonal.
+    """
+    a = permuted(s, row)
+    ref, q = sla.hessenberg(a, calc_q=True)
+    signs = np.cumprod(np.r_[1.0, np.sign(np.diag(h, -1) / np.diag(ref, -1))])
+    q = q * signs
+    return np.linalg.norm(q.T @ a @ q - h)
+
+
+#: orthogonal-similarity residual of hessenberg_first, relative to ||s||_F
+HESSENBERG_RTOL = 1e-14
+
+
+class TestHessenbergFirst:
+    """The sweep's once-per-sweep reduction of the base loop."""
+
+    @pytest.mark.parametrize("seed, n_areas", [(None, 3)] + [(s, 1 + s % 4) for s in range(24)])
+    def test_orthogonal_reduction_keeps_the_damping_entry(self, desk_bundle, seed, n_areas):
+        model = (desk_bundle.model if seed is None
+                 else random_system_model(np.random.RandomState(seed), n_areas))
+        for area in range(model.areas):
+            s = net_gain_state_space(model, area, 0.0).state_matrix
+            row = model.areas + area
+            h = hessenberg_first(s, row)
+            assert not np.tril(h, -2).any()  # exact zeros
+            assert h[0, 0].tobytes() == s[row, row].tobytes()
+            assert similarity_residual(s, row, h) <= HESSENBERG_RTOL * np.linalg.norm(s)
+
+    def test_ring_form(self):
+        # at 48 states the reduced form is sensitive to rounding (it lies about
+        # 1e-12 from scipy's), so similarity_residual cannot resolve
+        # HESSENBERG_RTOL; the ring is checked for its form and for its norm,
+        # which an orthogonal similarity keeps
+        model = ring_model()
+        s = net_gain_state_space(model, 3, 0.0).state_matrix
+        h = hessenberg_first(s, model.areas + 3)
+        assert not np.tril(h, -2).any()
+        assert h[0, 0].tobytes() == s[model.areas + 3, model.areas + 3].tobytes()
+        assert abs(np.linalg.norm(h) - np.linalg.norm(s)) <= HESSENBERG_RTOL * np.linalg.norm(s)
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_one_area_needs_no_reflector(self, one_area_model, row):
+        s = net_gain_state_space(one_area_model, 0, 0.0).state_matrix
+        assert np.array_equal(hessenberg_first(s, row), permuted(s, row))
+
+    def test_reduced_column_is_skipped(self):
+        rng = np.random.RandomState(7)
+        a = rng.standard_normal((5, 5))
+        a[2:, 0] = 0.0  # column 0 is already zero below its subdiagonal
+        h = hessenberg_first(a, 0)
+        assert np.array_equal(h[:, 0], a[:, 0])
+        assert not np.tril(h, -2).any()
+        assert similarity_residual(a, 0, h) <= HESSENBERG_RTOL * np.linalg.norm(a)
+        # an upper Hessenberg input skips every column and comes back as it was
+        hess = np.triu(a, -1)
+        assert np.array_equal(hessenberg_first(hess, 0), hess)
+
+    @pytest.mark.parametrize("which, area", [("desk", 1), ("ring", 3)])
+    def test_stack_first_entry_is_the_state_matrix_entry(self, desk_bundle, monkeypatch,
+                                                         which, area):
+        model = desk_bundle.model if which == "desk" else ring_model()
+        original, stacks = np.linalg.eigvals, []
+
+        def keeping_eigvals(a):
+            stacks.append(a.copy())
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", keeping_eigvals)
+        sweep = sweep_loci(model, area, 5.0)
+        monkeypatch.undo()
+        row = model.areas + area
+        h0 = hessenberg_first(net_gain_state_space(model, area, 0.0).state_matrix, row)
+        (stack,) = stacks
+        assert stack[:, 0, 0].tobytes() == np.array(
+            [net_gain_state_space(model, area, k).state_matrix[row, row]
+             for k in sweep.grid]).tobytes()
+        rest = stack.copy()
+        rest[:, 0, 0] = h0[0, 0]
+        assert (rest == h0).all()
+
+
+class TestSweepRange:
+    """A range or step that no grid can cover is an input error, raised before any work."""
+
+    @pytest.mark.parametrize("range_end, eps_phi, message", [
+        (math.inf, None, "range_end must be finite and nonzero"),
+        (-math.inf, None, "range_end must be finite and nonzero"),
+        (math.nan, None, "range_end must be finite and nonzero"),
+        (math.inf, 1.0, "range_end must be finite and nonzero"),
+        (1e308, 1e-300, "grid points of 6 states exceeds"),
+        (1.0, 5.9 / MAX_GRID_ENTRIES, "grid points of 6 states exceeds"),
+    ])
+    def test_typed_error_before_the_base_loop(self, desk_bundle, monkeypatch, range_end,
+                                               eps_phi, message):
+        def no_base(*args):
+            raise AssertionError("the sweep built its base loop")
+
+        monkeypatch.setattr(linearize, "net_gain_state_space", no_base)
+        with pytest.raises(ConfigurationError, match=message):
+            sweep_loci(desk_bundle.model, 1, range_end, eps_phi)
 
 
 class TestRankOneAnchors:
@@ -474,9 +612,13 @@ class TestSelectCriticalPairs:
         assert sweep.step == 6.0 / 200.0
         assert sweep.grid[-1] == 6.0 and len(sweep.grid) == 200
         for i in range(len(sweep.base_eigenvalues)):
-            assert np.array_equal(sweep.loci[:, i],
-                                  exact_locus_pointwise(curved_two_area, i, 1, 6.0, sweep.step))
-        assert np.array_equal(np.sort_complex(sweep.spectra[-1]), np.sort_complex(
+            assert np.array_equal(sweep.loci[:, i], exact_locus_pointwise(
+                curved_two_area, i, 1, 6.0, sweep.step, reduced=True))
+            assert_loci_close(sweep.loci[:, i],
+                              exact_locus_pointwise(curved_two_area, i, 1, 6.0, sweep.step))
+        assert np.array_equal(sweep.spectra[-1],
+                              np.linalg.eigvals(grid_loop(curved_two_area, 1, 6.0, reduced=True)))
+        assert_loci_close(np.sort_complex(sweep.spectra[-1]), np.sort_complex(
             np.linalg.eigvals(net_gain_state_space(curved_two_area, 1, 6.0).state_matrix)))
 
 
@@ -508,4 +650,5 @@ class TestSplitPairTracking:
         assert sweep.spectra[-1].real.max() > sweep.loci[-1].real.max()
         for i in range(len(sweep.base_eigenvalues)):
             assert np.array_equal(sweep.loci[:, i],
-                                  exact_locus_pointwise(model, i, 1, 30.0, sweep.step))
+                                  exact_locus_pointwise(model, i, 1, 30.0, sweep.step, reduced=True))
+            assert_loci_close(sweep.loci[:, i], exact_locus_pointwise(model, i, 1, 30.0, sweep.step))

@@ -167,7 +167,7 @@ class TestScreening:
     def test_pairs_are_the_exact_loci_crossings(self):
         from cred.systems import three_area_system
 
-        from oracles import critical_pairs_pointwise, exact_locus_pointwise
+        from oracles import assert_loci_close, critical_pairs_pointwise, exact_locus_pointwise
 
         doc = three_area_system()
         rep = run_toy(doc)
@@ -175,9 +175,14 @@ class TestScreening:
         ranges = {n: rep.robust_gains[n] for n in doc["attack"]["areas"]}
         assert rep.pairs == list(critical_pairs_pointwise(model, ranges, 0.05)) == [(5, 1)]
         assert rep.pair_worst_real == [
-            exact_locus_pointwise(model, i, n, ranges[n], ranges[n] / 200.0).real.max()
+            exact_locus_pointwise(model, i, n, ranges[n], ranges[n] / 200.0,
+                                  reduced=True).real.max()
             for i, n in rep.pairs
         ]
+        assert_loci_close(np.array(rep.pair_worst_real), np.array([
+            exact_locus_pointwise(model, i, n, ranges[n], ranges[n] / 200.0).real.max()
+            for i, n in rep.pairs
+        ]))
         assert rep.pair_worst_real[0] >= -0.05
 
     def test_two_area_desk_keeps_one_mode_per_area(self):
@@ -223,6 +228,13 @@ class TestScreening:
         assert str(info.value) == message
         (row,) = sweep_study(WorkflowConfig(mode="worst_case"), "eta", [0.9], scenario_doc=doc)
         assert row.error == message and row.branch is None
+
+    def test_grid_too_fine_is_a_screening_row(self):
+        # a grid whose size overflows is a ConfigurationError, so the study records it
+        (row,) = sweep_study(WorkflowConfig(mode="worst_case", eps_phi=1e-300), "eta", [0.9],
+                             scenario_doc=three_area_system())
+        assert row.error.startswith("[screening] a sweep of 2.5e+301 grid points of 6 states")
+        assert row.branch is None
 
 
 def _counting_calls(monkeypatch, modules, names):
