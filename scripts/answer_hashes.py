@@ -31,7 +31,17 @@ A ``step_response`` op simulates its closed loop with
     <op>  <label>  diverged=<bool>  samples=<len(times)>  states=<sha256>
 
 the trajectory's class, its divergence flag, its sample count and the
-SHA-256 of ``states.tobytes()``.  An op that raises prints
+SHA-256 of ``states.tobytes()``; with ``--values`` it prints
+
+    <op>  <label>  diverged=<bool>  samples=<len(times)>  peak=<repr>  last=<repr>
+
+the largest |state| over the trajectory and the largest |state| of its
+last sample instead of the hash, and ``--against FILE`` ends the output
+with
+
+    # against FILE: <n> ops, <m> differ in label, diverged or samples [(<op>, ...)], peak within <p> rel, last within <l> rel
+
+the bounds taken over the ops that agree.  An op that raises prints
 
     <op>  error  <exception type>: <message>
 
@@ -96,8 +106,8 @@ def answer(item, samples_path, values=False) -> str:
             f"solution={digest(_solution_dict(bundle.require_dispatch(), rep.solution))}")
 
 
-def step_answer(item) -> str:
-    """The fingerprint of one step-response operation (module docstring)."""
+def step_answer(item, values=False) -> str:
+    """The fingerprint of one step-response operation, or its numbers (module docstring)."""
     try:
         ss = workloads.closed_loop(scenario_from_dict(item.doc).model, item.attack_gain,
                                    item.droop_gain)
@@ -105,8 +115,11 @@ def step_answer(item) -> str:
         label = classify_trajectory(traj)
     except Exception as exc:  # an error is an answer too
         return f"error  {type(exc).__name__}: {exc}"
-    return (f"{label}  diverged={traj.diverged}  samples={len(traj.times)}  "
-            f"states={hashlib.sha256(traj.states.tobytes()).hexdigest()}")
+    head = f"{label}  diverged={traj.diverged}  samples={len(traj.times)}"
+    if values:
+        return (f"{head}  peak={float(abs(traj.states).max())!r}  "
+                f"last={float(abs(traj.states[-1]).max())!r}")
+    return f"{head}  states={hashlib.sha256(traj.states.tobytes()).hexdigest()}"
 
 
 def _numbers(line: str) -> dict:
@@ -118,8 +131,30 @@ def _numbers(line: str) -> dict:
             **dict(part.split("=", 1) for part in rest.split("  ")[1:])}
 
 
+def _rel(a: str, b: str) -> float:
+    """Relative difference of two printed floats, 0 when both are zero."""
+    a, b = float(a), float(b)
+    return abs(a - b) / max(abs(a), abs(b)) if max(abs(a), abs(b)) else 0.0
+
+
+def step_against(lines: list, before: list) -> str:
+    """The summary line comparing this run's step --values lines with before's."""
+    if len(lines) != len(before):
+        return f"{len(lines)} ops here, {len(before)} there"
+    keys, differ, peak, last = ("op", "answer", "diverged", "samples"), [], 0.0, 0.0
+    for now, then in zip(map(_numbers, lines), map(_numbers, before)):
+        if [now.get(k) for k in keys] != [then.get(k) for k in keys]:
+            differ.append(now["op"])
+        elif "peak" in now:  # not the same error
+            peak = max(peak, _rel(now["peak"], then["peak"]))
+            last = max(last, _rel(now["last"], then["last"]))
+    listed = f" ({', '.join(differ)})" if differ else ""
+    return (f"{len(lines)} ops, {len(differ)} differ in label, diverged or samples{listed}, "
+            f"peak within {peak:.2g} rel, last within {last:.2g} rel")
+
+
 def against(lines: list, before: list) -> str:
-    """The summary line comparing this run's --values lines with before's."""
+    """The summary line comparing this run's workflow --values lines with before's."""
     if len(lines) != len(before):
         return f"{len(lines)} ops here, {len(before)} there"
     differ, moved, cost, droop, worst = 0, [], 0.0, 0.0, 0.0
@@ -131,9 +166,7 @@ def against(lines: list, before: list) -> str:
             continue
         if (now["pairs"], now["anchors"]) != (then["pairs"], then["anchors"]):
             moved.append(now["op"])
-        a, b = float(now["final_cost"]), float(then["final_cost"])
-        if max(abs(a), abs(b)):
-            cost = max(cost, abs(a - b) / max(abs(a), abs(b)))
+        cost = max(cost, _rel(now["final_cost"], then["final_cost"]))
         droop = max(droop, abs(float(now["droop_max"]) - float(then["droop_max"])))
         if now["worst_real"] and then["worst_real"]:
             worst = max(worst, abs(float(now["worst_real"]) - float(then["worst_real"])))
@@ -149,29 +182,31 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--values", action="store_true",
                         help="print each workflow op's final cost, largest droop, critical "
-                             "pairs, table anchors and worst real part")
+                             "pairs, table anchors and worst real part, or each step op's "
+                             "largest and last state")
     parser.add_argument("--against", type=Path,
                         help="with --values: compare with this earlier --values output")
     args = parser.parse_args(argv)
-    if args.workload == "step_response" and args.values:
-        parser.error("--values reads workflow answers; step_response has none")
     if args.against is not None and not args.values:
         parser.error("--against needs --values")
 
     items = workloads.generate(args.workload, args.seed)
+    lines = []
     if args.workload == "step_response":
         for j, item in enumerate(items):
-            print(f"{j}  {step_answer(item)}", flush=True)
-        return 0
-    lines = []
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = workloads.write_samples(items, Path(tmp))
-        for j, (item, path) in enumerate(zip(items, paths)):
-            lines.append(f"{j}  {answer(item, path, args.values)}")
+            lines.append(f"{j}  {step_answer(item, args.values)}")
             print(lines[-1], flush=True)
+        compare = step_against
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = workloads.write_samples(items, Path(tmp))
+            for j, (item, path) in enumerate(zip(items, paths)):
+                lines.append(f"{j}  {answer(item, path, args.values)}")
+                print(lines[-1], flush=True)
+        compare = against
     if args.against is not None:
         before = args.against.read_text().splitlines()
-        print(f"# against {args.against}: {against(lines, before)}")
+        print(f"# against {args.against}: {compare(lines, before)}")
     return 0
 
 

@@ -125,6 +125,47 @@ def test_values_are_the_reports_and_compare_against_an_earlier_run(tmp_path):
     assert script.against(lines, moved[:4]) == "5 ops here, 4 there"
 
 
-def test_values_need_a_workflow_load():
-    assert run("--workload", "step_response", "--values").returncode == 2
+STEP_VALUE_LINE = re.compile(r"^(\d+)  (decaying|growing|marginal)  diverged=(True|False)  "
+                             r"samples=(\d+)  peak=(\S+)  last=(\S+)$")
+
+
+def test_step_values_are_the_trajectorys_and_compare_against_an_earlier_run(tmp_path):
+    proc = run("--workload", "step_response", "--seed", "0", "--values")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    matches = [STEP_VALUE_LINE.match(line) for line in lines]
+    assert [int(m.group(1)) for m in matches] == list(range(100))
+    script = load_script()
+    item = script.workloads.generate("step_response", 0)[0]
+    ss = script.workloads.closed_loop(script.scenario_from_dict(item.doc).model,
+                                      item.attack_gain, item.droop_gain)
+    traj = script.simulate(ss, item.step, t_step=1.0, t_end=60.0, dt=None)
+    label, diverged, samples, peak, last = matches[0].group(2, 3, 4, 5, 6)
+    assert label == script.classify_trajectory(traj) and diverged == str(traj.diverged)
+    assert int(samples) == len(traj.times)
+    assert float(peak) == abs(traj.states).max() and float(last) == abs(traj.states[-1]).max()
+    # the same run against itself, then against a copy with moved numbers and answers
+    before = tmp_path / "before.txt"
+    before.write_text(proc.stdout)
+    again = run("--workload", "step_response", "--seed", "0", "--values", "--against", before)
+    assert again.stdout.splitlines() == lines + [
+        f"# against {before}: 100 ops, 0 differ in label, diverged or samples, "
+        "peak within 0 rel, last within 0 rel"]
+    head = [line.rsplit("  peak=", 1)[0] for line in lines[:5]]
+    moved = [f"{head[0]}  peak={float(peak) * (1 + 2e-13)!r}  last={float(last) * (1 - 3e-13)!r}",
+             lines[1].replace(matches[1].group(2), "marginal" if matches[1].group(2) != "marginal"
+                              else "growing", 1),
+             lines[2].replace(f"diverged={matches[2].group(3)}", "diverged=None"),
+             lines[3].replace(f"samples={matches[3].group(4)}", "samples=7"),
+             "4  error  ClassificationError: only 3 usable oscillation peaks; cannot classify"]
+    assert script.step_against(lines[:5], moved) == (
+        "5 ops, 4 differ in label, diverged or samples (1, 2, 3, 4), peak within 2e-13 rel, "
+        "last within 3e-13 rel")
+    assert script.step_against([moved[4]], [moved[4]]) == (
+        "1 ops, 0 differ in label, diverged or samples, peak within 0 rel, last within 0 rel")
+    assert script.step_against(lines, moved) == "100 ops here, 5 there"
+
+
+def test_against_needs_values():
     assert run("--workload", "storage_horizon", "--against", "x").returncode == 2
+    assert run("--workload", "step_response", "--against", "x").returncode == 2

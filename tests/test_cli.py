@@ -139,6 +139,19 @@ class TestSimulate:
         samples = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
         assert len(samples) > 100 and np.all(samples == samples[0])
 
+    def test_step_past_the_last_sample_is_indeterminate(self, tmp_path, capsys):
+        # the step is rounded up to 1.01 s, past the last sample at 1.00 s
+        desk = tmp_path / "desk.json"
+        desk.write_text(json.dumps(three_area_system()))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(desk), "--out", str(out),
+                     "--mode", "worst_case", "--t-step", "1.001", "--t-end", "1.004",
+                     "--dt", "0.01"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "trajectory: indeterminate (only 0 usable oscillation peaks; cannot classify); "
+            "diverged=False;")
+        assert len(read_csv(out / "trajectory.csv")) == 102
+
     def test_rerun_writes_identical_trajectory(self, toy_path, tmp_path):
         blobs = []
         for name in ("r1", "r2"):

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,13 @@ from cred.errors import ClassificationError, ConfigurationError
 from cred.grid import AttackProfile, DroopSchedule, build_state_space
 from cred.scenario import scenario_from_dict
 from cred.simulate import (
+    _PADE,
+    _THETA,
+    _THETA13,
     BLOCK,
     DIVERGENCE_NORM,
     Trajectory,
+    _slope,
     classify_trajectory,
     expm,
     simulate,
@@ -22,15 +27,15 @@ from cred.stability import eigen_decompose, is_stable
 
 from oracles import random_system_model
 
+#: the module, which the package's simulate function shadows
+simulate_module = sys.modules["cred.simulate"]
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
-#: post-step sample counts at the edges of the propagation rounds: the
-#: stride doubles through 1, 2, 4, ... up to BLOCK, then each round is capped
-#: at BLOCK rows
-ROUND_EDGES = sorted(
-    {1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1}
-    | {2**j + d for j in range(BLOCK.bit_length()) for d in (0, 1) if 2**j <= BLOCK}
-)
+#: post-step sample counts at the edges of the propagation rounds of a loop
+#: of at most 6 states, whose rounds are capped at BLOCK // 36 = 16384 rows:
+#: up to 2049 samples the stride doubles through 1, 2, 4, ..., 2048
+ROUND_EDGES = sorted({1, 2, 3} | {2**j + d for j in range(2, 12) for d in (-1, 0, 1)})
 
 
 def _closed_form(ss, step, k_switch, n_steps, dt):
@@ -94,6 +99,23 @@ class TestSimulate:
         assert len(traj.times) == 101 and not traj.diverged
         assert np.array_equal(traj.states, np.tile(x0, (101, 1)))
 
+    @pytest.mark.parametrize("t_step, t_end, step_time", [
+        (-0.5, 5.0, 0.0),  # the step enters at the first sample
+        (1.001, 1.004, 1.0),  # rounded up past the last sample, clamped to it
+    ])
+    def test_step_time_is_clamped_to_the_grid(self, one_area_model, t_step, t_end,
+                                              step_time):
+        traj = simulate(_ss(one_area_model), np.array([1.0]), t_step=t_step, t_end=t_end,
+                        dt=0.01)
+        assert traj.step_time == step_time
+        k = int(np.searchsorted(traj.times, traj.step_time))
+        assert traj.times[k] == step_time
+        assert np.all(traj.states[: k + 1] == traj.states[0])
+        assert np.all(traj.states[k + 1 :] != traj.states[0])
+        if k == len(traj.times) - 1:
+            with pytest.raises(ClassificationError, match="only 0 usable oscillation peaks"):
+                classify_trajectory(traj)
+
     def test_unstable_attack_diverges(self, one_area_model):
         # gain 3 flips the damping to -1: envelope grows like exp(t/2)
         ss = _ss(one_area_model, gain=3.0)
@@ -128,7 +150,7 @@ class TestSimulate:
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(0, 10_000),
-        st.one_of(st.sampled_from(ROUND_EDGES), st.integers(1, 3 * BLOCK)),
+        st.one_of(st.sampled_from(ROUND_EDGES), st.integers(1, ROUND_EDGES[-1])),
     )
     def test_block_propagation_matches_closed_form(self, seed, n_post):
         # stable and growing loops; steps up to 1e8 p.u. so that some
@@ -156,24 +178,24 @@ class TestSimulate:
         assert len(traj.times) == last + 1
         assert _rel_error(traj.states, ref, scale) <= 1e-10
 
-    @pytest.mark.parametrize("first, end", [
-        (BLOCK // 4, BLOCK // 2),  # a doubling round
-        (BLOCK // 2, BLOCK),  # the last doubling round
-        (2 * BLOCK, 3 * BLOCK),  # a round capped at BLOCK rows
-    ])
-    def test_cut_inside_a_round(self, one_area_model, first, end):
-        # the post-step rows first..end-1 are appended by one product; a step
-        # sized between two successive records of the growing response's
-        # swing puts the first sample past the bound strictly inside them
-        ss = _ss(one_area_model, gain=3.0)
-        k_switch, n_steps, dt = 100, 100 + 3 * BLOCK, 0.01
-        unit, _ = _closed_form(ss, np.array([1.0]), k_switch, n_steps, dt)
+    @staticmethod
+    def _cut_inside(ss, first, end, k_switch=100, n_post=768, dt=0.01):
+        """Simulate a step whose first sample past the bound is a post-step row
+        strictly between first and end.
+
+        A step sized between two successive records of the growing response's
+        swing puts the first sample past the bound at the later record.
+        """
+        n_steps = k_switch + n_post
+        unit_step = np.zeros(ss.n_areas)
+        unit_step[0] = 1.0
+        unit, _ = _closed_form(ss, unit_step, k_switch, n_steps, dt)
         swing = np.abs(unit[k_switch + 1 :] - unit[0]).max(axis=1)
         before = np.maximum.accumulate(swing)[:-1]
         records = [r for r in range(first + 1, end) if swing[r] > before[r - 1]]
         assert records
         r = records[len(records) // 2]
-        step = np.array([2.0 * DIVERGENCE_NORM / (swing[r] + before[r - 1])])
+        step = unit_step * 2.0 * DIVERGENCE_NORM / (swing[r] + before[r - 1])
         ref, scale = _closed_form(ss, step, k_switch, n_steps, dt)
         over = np.flatnonzero(np.abs(ref[1:]).max(axis=1) > DIVERGENCE_NORM)
         assert over[0] + 1 == k_switch + 1 + r
@@ -182,6 +204,53 @@ class TestSimulate:
         assert traj.diverged
         assert len(traj.times) == k_switch + 2 + r
         assert _rel_error(traj.states, ref, scale) <= 1e-10
+
+    @pytest.mark.parametrize("first, end", [
+        (64, 128),  # a doubling round
+        (128, 256),  # the doubling round that fills 256 rows
+        (512, 768),  # a doubling round past 256 rows, cut short by the horizon
+    ])
+    def test_cut_inside_a_round(self, one_area_model, first, end):
+        # a 2-state loop, whose rounds would be capped at BLOCK // 4 rows:
+        # the post-step rows first..end-1 are appended by one product
+        self._cut_inside(_ss(one_area_model, gain=3.0), first, end)
+
+    def test_cut_inside_a_capped_round(self):
+        # a growing 48-state loop, whose rounds are capped at 256 rows: the
+        # rows 512..767 are appended by one product of rows 256..511
+        ring = scenario_from_dict(json.loads((FIXTURES / "ring_seed0_op2.json").read_text()))
+        ss = _ss(ring.model, gain=30.0)
+        assert ss.state_matrix.shape == (48, 48) and BLOCK // 48**2 == 256
+        assert np.linalg.eigvals(ss.state_matrix).real.max() > 0.5
+        self._cut_inside(ss, 512, 768)
+
+    @pytest.mark.parametrize("scenario", ["desk", "ring"])
+    def test_no_product_exceeds_block(self, desk_bundle, monkeypatch, scenario):
+        # every propagation round multiplies rows x 2n by 2n x 2n, and the
+        # squarings of Phi are 2n x 2n products, (2n)^3 multiply-adds each
+        if scenario == "desk":
+            model = desk_bundle.model
+        else:
+            model = scenario_from_dict(
+                json.loads((FIXTURES / "ring_seed0_op2.json").read_text())).model
+        ss = _ss(model)
+        width = 2 * model.areas
+        assert width**3 <= BLOCK
+        rounds, matmul = [], np.matmul
+
+        def recording(a, b, **kwargs):
+            rounds.append(a.shape[0] * a.shape[1] * b.shape[1])
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        traj = simulate(ss, 0.01 * np.asarray(model.secure_load), t_step=1.0, t_end=60.0,
+                        dt=0.01)
+        assert not traj.diverged and len(traj.times) == 6001
+        assert rounds and max(rounds) <= BLOCK
+        if scenario == "desk":  # the 5899 rows after the first: 1, 2, 4, ..., 2048, 1804
+            assert width == 6 and len(rounds) == 13 and max(rounds) == 2048 * 36
+        else:  # 256-row rounds, each at the cap
+            assert width == 48 and max(rounds) == BLOCK
 
     def test_resolution_guard(self, one_area_model):
         ss = _ss(one_area_model)
@@ -301,6 +370,38 @@ class TestExpm:
         # both sides of theta_13 = 5.37, where expm starts to scale and square
         assert min(norms) < 2e-3 and max(norms) > 500.0
 
+    @staticmethod
+    def _with_norm(a, norm):
+        """a scaled below norm, then one entry of its largest column grown until
+        the 1-norm expm computes is norm exactly."""
+        a = a * (0.99 * norm / np.abs(a).sum(axis=0).max())
+        col = int(np.argmax(np.abs(a).sum(axis=0)))
+        a[-1, col] = abs(a[-1, col]) + norm - np.abs(a).sum(axis=0)[col]
+        while (got := float(np.abs(a).sum(axis=0).max())) != norm:
+            a[-1, col] = np.nextafter(a[-1, col], np.inf if got < norm else 0.0)
+        return a
+
+    @pytest.mark.parametrize("n", [6, 48])
+    def test_degree_follows_the_norm(self, monkeypatch, n):
+        # at theta_m expm takes degree m unscaled, one ulp past it the next
+        # degree
+        used = []
+
+        class Recording(dict):
+            def __getitem__(self, m):
+                used.append(m)
+                return super().__getitem__(m)
+
+        monkeypatch.setattr(simulate_module, "_PADE", Recording(_PADE))
+        rng = np.random.default_rng(n)
+        bounds = [*_THETA, (13, _THETA13)]
+        for (m, theta), (above, _) in zip(bounds, bounds[1:] + [(13, None)]):
+            for norm, degree in ((theta, m), (np.nextafter(theta, np.inf), above)):
+                a = self._with_norm(_damped_oscillators(rng, n, norm), norm)
+                used.clear()
+                assert _expm_error(a) <= 1e-13
+                assert used == [degree]
+
     def test_matches_scipy_on_step_loops(self, desk_bundle):
         ring = scenario_from_dict(json.loads((FIXTURES / "ring_seed0_op2.json").read_text()))
         for model in (desk_bundle.model, ring.model):
@@ -310,6 +411,22 @@ class TestExpm:
 
 
 class TestClassify:
+    def test_slope_matches_polyfit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            k = int(rng.integers(4, 300))
+            t = np.sort(rng.uniform(1.0, 61.0, size=k))
+            y = rng.uniform(-30.0, 5.0) + rng.uniform(-1.0, 1.0) * t + rng.normal(0, 0.1, k)
+            assert abs(_slope(t, y) - np.polyfit(t, y, 1)[0]) <= 1e-12
+
+    def test_no_sample_after_the_step_time(self):
+        # a step time past the last sample leaves nothing to classify
+        t = np.arange(0.0, 1.0, 0.01)
+        traj = Trajectory(times=t, states=np.zeros((len(t), 2)), step_time=1.0,
+                          equilibrium_post=np.zeros(2), diverged=False)
+        with pytest.raises(ClassificationError, match="no samples at or after the step"):
+            classify_trajectory(traj)
+
     def test_synthetic_decaying_signal(self):
         t = np.arange(0.0, 20.0, 0.01)
         omega = np.exp(-0.5 * t) * np.sin(2.0 * t)
@@ -341,8 +458,9 @@ class TestClassify:
         with pytest.raises(ClassificationError):
             classify_trajectory(traj)
 
-    def test_matches_masked_copy(self, rng):
+    def test_matches_masked_copy(self, rng, monkeypatch):
         # the classifier as written over a masked copy of the state history
+        # hands the line fit exactly the same peak times and log amplitudes
         def masked(traj, area):
             mask = traj.times >= traj.step_time
             omega = traj.omega[mask] - traj.equilibrium_post[traj.n_areas:]
@@ -354,15 +472,15 @@ class TestClassify:
                                    & (interior > max(signal.max() * 1e-9, 1e-300))) + 1
             if peaks.size < 4:
                 return "error"
-            return float(np.polyfit(traj.times[mask][peaks], np.log(signal[peaks]), 1)[0])
+            return traj.times[mask][peaks].tobytes(), np.log(signal[peaks]).tobytes()
 
         fits = []
-        real_polyfit = np.polyfit
 
-        def recording_polyfit(x, y, deg):
-            coef = real_polyfit(x, y, deg)
-            fits.append(float(coef[0]))
-            return coef
+        def recording_slope(t, y):
+            fits.append((t.tobytes(), y.tobytes()))
+            return _slope(t, y)
+
+        monkeypatch.setattr(simulate_module, "_slope", recording_slope)
 
         compared = 0
         for _ in range(20):
@@ -374,12 +492,10 @@ class TestClassify:
                 continue
             for area in [None, *range(model.areas)]:
                 fits.clear()
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(np, "polyfit", recording_polyfit)
-                    try:
-                        classify_trajectory(traj, area)
-                    except ClassificationError:
-                        fits.append("error")
+                try:
+                    classify_trajectory(traj, area)
+                except ClassificationError:
+                    fits.append("error")
                 assert fits == [masked(traj, area)]
                 compared += fits != ["error"]
         assert compared >= 20
