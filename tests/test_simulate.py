@@ -179,14 +179,14 @@ class TestSimulate:
         assert _rel_error(traj.states, ref, scale) <= 1e-10
 
     @staticmethod
-    def _cut_inside(ss, first, end, k_switch=100, n_post=768, dt=0.01):
+    def _cut_inside(ss, first, end):
         """Simulate a step whose first sample past the bound is a post-step row
         strictly between first and end.
 
         A step sized between two successive records of the growing response's
         swing puts the first sample past the bound at the later record.
         """
-        n_steps = k_switch + n_post
+        k_switch, n_steps, dt = 100, 100 + 768, 0.01
         unit_step = np.zeros(ss.n_areas)
         unit_step[0] = 1.0
         unit, _ = _closed_form(ss, unit_step, k_switch, n_steps, dt)
