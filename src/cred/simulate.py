@@ -7,6 +7,19 @@ exactly with Phi = expm(S dt) (zero-order hold; Van Loan, IEEE TAC 23(3),
 allows, with scaling and squaring past degree 13 (Higham, SIAM J. Matrix
 Anal. Appl. 26(4), 2005).  A trajectory whose state passes DIVERGENCE_NORM
 is cut short and flagged diverged rather than treated as an error.
+
+The samples are propagated in rounds, each one product of earlier rows with
+a power P of Phi.  A round is screened for divergence by a bound before its
+samples are: the computed rows of src @ P satisfy
+
+    max|src @ P| <= max|src| ||P||_1 (1 + gamma_2n),
+
+||P||_1 the largest column sum of |P| and gamma_2n = 2n u / (1 - 2n u) the
+dot products' rounding (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 2002, section 3.1), away from underflow.  Only a block
+whose bound exceeds the screen has its samples searched.  A sample past
+DIVERGENCE_NORM puts its block's bound past the screen, so the bound decides
+how much is searched, never which sample ends the trajectory.
 """
 
 from __future__ import annotations
@@ -26,6 +39,9 @@ DIVERGENCE_NORM = 1e6
 #: a 48-state loop, the largest product measured free of OpenBLAS stalls
 BLOCK = 256 * 48**2
 
+#: largest samples x states of one trajectory, 128 MiB of float64 states
+MAX_STATE_ENTRIES = 1 << 24
+
 #: |log-amplitude slope| below this is called marginal (1/s)
 CLASSIFY_TOL = 0.01
 
@@ -37,7 +53,9 @@ class Trajectory:
     states[k] holds [angles, frequency deviations] at times[k]; step_time
     is the grid time at which the step enters: t_step rounded up to the
     grid, clamped to its first and last times.  The trajectory ends early (diverged=True) if
-    the state norm blows up.
+    the state norm blows up.  simulate stores states area-major (column-
+    major), so that each state's history, such as omega[:, area], is
+    contiguous; states[k] is still sample k.
     """
 
     times: np.ndarray
@@ -111,6 +129,28 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
+def _growth(powers: np.ndarray) -> list:
+    """Per matrix P of the stack, a bound on max|src @ P| / max|src| for the
+    computed product.
+
+    ||P||_1, the largest column sum of |P|, times 1 + 4 (2n + 2) eps:
+    gamma_2n of the 2n-term dot products, the rounding of the column sums
+    and the two roundings of a bound formed from this one (module
+    docstring).
+    """
+    width = powers.shape[1]
+    norms = (np.ones(width) @ np.abs(powers)).max(axis=1)
+    return (norms * (1.0 + 4 * (width + 2) * np.finfo(float).eps)).tolist()
+
+
+def _screened(block: np.ndarray, bound: float, screen: float) -> float:
+    """A bound on max|block|: bound itself when within screen, else the block's
+    exact largest |entry|, NaN when the block holds a NaN."""
+    if bound <= screen:
+        return bound
+    return np.abs(block).max()
+
+
 def simulate(
     ss: StateSpace,
     disturbance: np.ndarray,
@@ -126,8 +166,10 @@ def simulate(
     sees every oscillation peak; a given dt with 10 dt ||S||_1 <= 1 passes
     without an eigensolve, since max|lambda| <= ||S||_1.  dt=None picks
     min(0.02, 1/(12 max|lambda|)) from the guard's eigensolve.  Raises
-    ConfigurationError unless t_step, t_end and the disturbance are finite
-    and dt, when given, is positive.
+    ConfigurationError unless t_step, t_end and the disturbance are finite,
+    t_end is nonnegative and past t_step, and dt, when given, is positive;
+    and, before any state is allocated, when the horizon's samples x states
+    exceed MAX_STATE_ENTRIES.
     """
     n = ss.n_areas
     if not (np.isfinite(t_step) and np.isfinite(t_end) and (dt is None or dt > 0.0)):
@@ -135,8 +177,8 @@ def simulate(
     disturbance = np.asarray(disturbance, dtype=float)
     if disturbance.shape != (n,) or not np.isfinite(disturbance).all():
         raise ConfigurationError(f"disturbance must hold {n} finite values")
-    if t_end <= t_step:
-        raise ConfigurationError("t_end must exceed t_step")
+    if t_end <= t_step or t_end < 0.0:  # the grid starts at time 0
+        raise ConfigurationError("t_end must exceed t_step and be nonnegative")
     # max|lambda| <= ||S||_1, so a dt within the norm's bound needs no eigensolve
     if dt is None or not 10.0 * dt * np.abs(ss.state_matrix).sum(axis=0).max() <= 1.0:
         lam_max = float(np.abs(np.linalg.eigvals(ss.state_matrix)).max())
@@ -147,6 +189,11 @@ def simulate(
                 f"dt={dt:g} too coarse for fastest mode |lambda|={lam_max:g}; "
                 f"need dt <= {1.0 / (10.0 * lam_max):g}"
             )
+    samples = t_end / dt + 1.0  # inf where the quotient overflows
+    if not samples * 2 * n <= MAX_STATE_ENTRIES:
+        raise ConfigurationError(
+            f"a horizon of {samples:.3g} samples of {2 * n} states exceeds "
+            f"{MAX_STATE_ENTRIES} entries; take a coarser dt or a shorter t_end")
 
     m_diag = -np.diag(ss.descriptor_a)[n:]
     extra = np.concatenate([np.zeros(n), -disturbance / m_diag])
@@ -157,7 +204,7 @@ def simulate(
 
     x_pre = _equilibrium(ss, ss.forcing)
     eq_post = _equilibrium(ss, f_post)
-    states = np.empty((n_steps + 1, 2 * n))
+    states = np.empty((n_steps + 1, 2 * n), order="F")
     k = min(max(k_switch, 0), n_steps)
     states[: k + 1] = x_pre
     # the deviation from eq_post is propagated in place after the step: each
@@ -169,29 +216,55 @@ def simulate(
         last, diverged = 1, True
     elif todo:
         dev = states[k + 1 :]
-        power = expm(ss.state_matrix * dt).T
-        dev[0] = (x_pre - eq_post) @ power
+        # Phi^T and its squares, one per doubling of the stride, in one stack;
+        # the products before the first doubling take phi itself, of which
+        # stack[0] is a C-ordered copy that serves only its bound
+        phi = expm(ss.state_matrix * dt).T
+        cap = BLOCK // (2 * n) ** 2
+        stack = np.empty((max(1, min(cap, todo - 1).bit_length()), 2 * n, 2 * n))
+        stack[0] = phi
+        powers = [phi]
+        for power in stack[1:]:
+            powers.append(np.matmul(powers[-1], powers[-1], out=power))
+        dev[0] = (x_pre - eq_post) @ phi
         # no row within `screen` of zero can put its sample past the bound
         # (rounded down, so that the bound holds after rounding too)
         screen = np.nextafter(DIVERGENCE_NORM - np.abs(eq_post).max(), -np.inf)
-        new, filled, stride, cap = dev[:1], 1, 1, BLOCK // (2 * n) ** 2
+        # `bound` bounds max|new| (module docstring), `running` every row so
+        # far; a doubling round's source is every row so far, a capped
+        # round's the block before, and row 0 is screened exactly
+        growth, bound, running = _growth(stack), np.inf, 0.0
+        new, filled, stride, level = dev[:1], 1, 1, 0
         with np.errstate(over="ignore", invalid="ignore"):
+            # NumPy copies a ufunc's operands through its buffer, 8192 elements
+            # by default, when their contiguous runs are at most a quarter of
+            # it; a block's runs are its rows, one run per state, so the
+            # screens and the add work in place through a small buffer
+            bufsize = np.setbufsize(64)
             while True:
-                if not (new.max() <= screen and new.min() >= -screen):  # NaN trips it
+                bound = _screened(new, bound, screen)
+                if not bound <= screen:  # NaN trips it
                     peak = np.abs(new + eq_post).max(axis=1)
                     over = np.flatnonzero(~(peak <= DIVERGENCE_NORM))
                     if over.size:
                         last, diverged = k + 1 + filled - len(new) + int(over[0]), True
                         break
+                running = max(running, bound)
                 if filled == todo:
                     break
                 if 2 * stride <= min(filled, cap):
-                    power, stride = power @ power, 2 * stride
+                    level, stride, bound = level + 1, 2 * stride, running
                 m = min(stride, todo - filled)
-                new = np.matmul(dev[filled - stride : filled - stride + m], power,
-                                out=dev[filled : filled + m])
+                src, new = dev[filled - stride : filled - stride + m], dev[filled : filled + m]
+                if m > 1:
+                    np.matmul(src, powers[level], out=new)
+                else:  # NumPy takes one strided row outside BLAS: multiply it
+                    # contiguous, as stored row-major, for the same bits
+                    new[:] = np.matmul(np.ascontiguousarray(src), powers[level])
                 filled += m
-        states[k + 1 : last + 1] += eq_post
+                bound *= growth[level]
+            states[k + 1 : last + 1] += eq_post
+            np.setbufsize(bufsize)
 
     times = np.arange(last + 1) * dt
     states = states[: last + 1]
@@ -209,11 +282,11 @@ def simulate(
 def _swing(omega: np.ndarray, eq: np.ndarray) -> np.ndarray:
     """Per area, the largest deviation of the samples omega (rows) from eq.
 
-    The extremes are taken along one contiguous row per area, one pass
-    each, where the strided columns took one inner loop per sample; the
-    copy is freed on return, before the classifier copies a signal.
+    The extremes are reduced over omega.T, one row per area: on simulate's
+    area-major states each row is one contiguous history, reduced where it
+    lies without a copy, and any other layout gives the same extremes.
     """
-    per_area = np.ascontiguousarray(omega.T)
+    per_area = omega.T
     return np.maximum(per_area.max(axis=1) - eq, eq - per_area.min(axis=1))
 
 
@@ -243,7 +316,8 @@ def classify_trajectory(traj: Trajectory, area: int | None = None) -> str:
     times = traj.times[first:]
     if area is None:
         area = int(np.argmax(_swing(omega, eq)))
-    signal = np.abs(omega[:, area] - eq[area])
+    signal = omega[:, area] - eq[area]
+    np.abs(signal, out=signal)
     floor = max(signal.max() * 1e-9, 1e-300)
 
     interior = signal[1:-1]

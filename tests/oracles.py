@@ -8,7 +8,10 @@ of a fresh decomposition, segment-table sweeps, eigenvalue loci and the
 critical-pair screen from a fresh state space and eigensolve at every grid
 point (the reduced-form loci take the sweep's own Hessenberg form of the
 base loop, hessenberg_first, to check the stacking and tracking around it
-bit for bit; the reduction has tests of its own), MILP optima from exhaustive enumeration of the binary assignments or
+bit for bit; the reduction has tests of its own), step responses from a
+row-major propagation that searches every round for divergence (taking
+simulate's own expm, to check the storage order and the bound screen
+around it bit for bit), MILP optima from exhaustive enumeration of the binary assignments or
 from HiGHS (scipy.optimize.milp, test-only), the droop search's net gains
 from the net-gain MIP, and the stability-constrained dispatch from the
 joint dispatch-plus-stability MIP, in which the droop is a decision beside
@@ -515,6 +518,54 @@ def joint_cred_milp(scn, stab, allow_shed: bool = False, periods=None):
             cost[col["ps"][(a,)]] = scn.shed_cost * scn.base_power
 
     return (_matrix(len(bounds), rows, cost, bounds), tuple(binaries)), index
+
+
+def propagation_reference(ss, disturbance, t_step: float, t_end: float, dt: float):
+    """simulate's states and divergence flag, from a row-major loop that
+    searches every round's samples for one past DIVERGENCE_NORM.
+
+    The same rounds as simulate's (the stride doubling up to BLOCK // (2n)^2
+    rows), each screened exactly by its largest and smallest entry; dt is
+    taken as given, without simulate's resolution guard.
+    """
+    from cred.simulate import BLOCK, DIVERGENCE_NORM, expm
+
+    n = ss.n_areas
+    kick = np.concatenate([np.zeros(n), -np.asarray(disturbance, float)
+                           / -np.diag(ss.descriptor_a)[n:]])
+    n_steps = int(round(t_end / dt))
+    k = min(max(int(np.ceil(t_step / dt - 1e-12)), 0), n_steps)
+    x_pre = np.linalg.solve(ss.state_matrix, -ss.forcing)
+    eq_post = np.linalg.solve(ss.state_matrix, -(ss.forcing + kick))
+    states = np.empty((n_steps + 1, 2 * n))
+    states[: k + 1] = x_pre
+    last, diverged, todo = n_steps, False, n_steps - k
+    if k and not np.abs(x_pre).max() <= DIVERGENCE_NORM:
+        last, diverged = 1, True
+    elif todo:
+        dev = states[k + 1 :]
+        power = expm(ss.state_matrix * dt).T
+        dev[0] = (x_pre - eq_post) @ power
+        screen = np.nextafter(DIVERGENCE_NORM - np.abs(eq_post).max(), -np.inf)
+        new, filled, stride, cap = dev[:1], 1, 1, BLOCK // (2 * n) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                if not (new.max() <= screen and new.min() >= -screen):
+                    peak = np.abs(new + eq_post).max(axis=1)
+                    over = np.flatnonzero(~(peak <= DIVERGENCE_NORM))
+                    if over.size:
+                        last, diverged = k + 1 + filled - len(new) + int(over[0]), True
+                        break
+                if filled == todo:
+                    break
+                if 2 * stride <= min(filled, cap):
+                    power, stride = power @ power, 2 * stride
+                m = min(stride, todo - filled)
+                new = np.matmul(dev[filled - stride : filled - stride + m], power,
+                                out=dev[filled : filled + m])
+                filled += m
+            states[k + 1 : last + 1] += eq_post
+    return states[: last + 1], diverged
 
 
 def random_system_model(rng: np.random.RandomState, n_areas: int | None = None):

@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "answer_hashes.py"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 LINE = re.compile(r"^(\d+)  (\w+)  report=([0-9a-f]{64})  solution=([0-9a-f]{64})$")
 
 
@@ -169,3 +172,24 @@ def test_step_values_are_the_trajectorys_and_compare_against_an_earlier_run(tmp_
 def test_against_needs_values():
     assert run("--workload", "storage_horizon", "--against", "x").returncode == 2
     assert run("--workload", "step_response", "--against", "x").returncode == 2
+
+
+@pytest.mark.parametrize("seed", [0, 20261017])
+def test_step_pool_answers_match_the_pinned_values(seed):
+    # the step pools' --values output, checked in under tests/fixtures: labels,
+    # divergence flags and sample counts exactly, the largest and last |state|
+    # within 1e-12 relative, so that another BLAS build can pass.  A change
+    # meant to move an answer checks in the new output in the same commit
+    # (answer_hashes.py --workload step_response --seed SEED --values) and
+    # lists each moved op in CHANGES.md
+    script = load_script()
+    pinned = (FIXTURES / f"step_values_seed{seed}.txt").read_text().splitlines()
+    items = script.workloads.generate("step_response", seed)
+    lines = [f"{j}  {script.step_answer(item, values=True)}" for j, item in enumerate(items)]
+    assert len(lines) == len(pinned) == 100
+    keys = ("op", "answer", "diverged", "samples")
+    for now, then in zip(map(script._numbers, lines), map(script._numbers, pinned)):
+        assert [now.get(k) for k in keys] == [then.get(k) for k in keys]
+        if "peak" in then:
+            assert script._rel(now["peak"], then["peak"]) <= 1e-12, now["op"]
+            assert script._rel(now["last"], then["last"]) <= 1e-12, now["op"]

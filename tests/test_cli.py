@@ -388,8 +388,14 @@ class TestExitCodes:
         (["--step-area", "-1"], "--step-area must name an area in [0, 2]"),
         (["--step-mw", "nan"], "disturbance must hold 3 finite values"),
         (["--step-mw", "inf"], "disturbance must hold 3 finite values"),
+        # horizons past MAX_STATE_ENTRIES ended in OverflowError or MemoryError
+        (["--dt", "1e-320"], "a horizon of inf samples of 6 states exceeds"),
+        (["--t-end", "1e15"], "a horizon of 5e+16 samples of 6 states exceeds"),
+        (["--dt", "1e-12"], "a horizon of 4e+13 samples of 6 states exceeds"),
+        (["--t-step", "-5", "--t-end", "-1"], "t_end must exceed t_step and be nonnegative"),
     ], ids=["dt_zero", "dt_negative", "t_end_nan", "step_area_high", "step_area_negative",
-            "step_mw_nan", "step_mw_inf"])
+            "step_mw_nan", "step_mw_inf", "dt_underflow", "t_end_huge", "dt_tiny",
+            "t_end_negative"])
     def test_bad_simulate_flag_is_input_error(self, tmp_path, capsys, flags, message):
         desk = tmp_path / "desk.json"
         desk.write_text(json.dumps(three_area_system()))

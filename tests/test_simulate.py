@@ -17,15 +17,18 @@ from cred.simulate import (
     _THETA13,
     BLOCK,
     DIVERGENCE_NORM,
+    MAX_STATE_ENTRIES,
     Trajectory,
+    _growth,
     _slope,
+    _swing,
     classify_trajectory,
     expm,
     simulate,
 )
 from cred.stability import eigen_decompose, is_stable
 
-from oracles import random_system_model
+from oracles import propagation_reference, random_system_model
 
 #: the module, which the package's simulate function shadows
 simulate_module = sys.modules["cred.simulate"]
@@ -36,6 +39,18 @@ FIXTURES = Path(__file__).parent / "fixtures"
 #: of at most 6 states, whose rounds are capped at BLOCK // 36 = 16384 rows:
 #: up to 2049 samples the stride doubles through 1, 2, 4, ..., 2048
 ROUND_EDGES = sorted({1, 2, 3} | {2**j + d for j in range(2, 12) for d in (-1, 0, 1)})
+
+#: post-step sample counts at the edges of the rounds of a 48-state loop,
+#: whose rounds are capped at BLOCK // 48**2 = 256 rows past 512 samples
+CAPPED_EDGES = sorted({256 * j + d for j in range(2, 6) for d in (-1, 0, 1)})
+
+
+def _assert_same_bits(traj, reference):
+    """traj holds the reference's states, bit for bit, and its divergence flag."""
+    states, diverged = reference
+    assert traj.diverged == diverged
+    assert traj.states.shape == states.shape
+    assert np.ascontiguousarray(traj.states).tobytes() == states.tobytes()
 
 
 def _closed_form(ss, step, k_switch, n_steps, dt):
@@ -204,6 +219,8 @@ class TestSimulate:
         assert traj.diverged
         assert len(traj.times) == k_switch + 2 + r
         assert _rel_error(traj.states, ref, scale) <= 1e-10
+        _assert_same_bits(traj, propagation_reference(ss, step, k_switch * dt,
+                                                      n_steps * dt, dt))
 
     @pytest.mark.parametrize("first, end", [
         (64, 128),  # a doubling round
@@ -236,21 +253,148 @@ class TestSimulate:
         ss = _ss(model)
         width = 2 * model.areas
         assert width**3 <= BLOCK
-        rounds, matmul = [], np.matmul
+        products, matmul = [], np.matmul
 
         def recording(a, b, **kwargs):
-            rounds.append(a.shape[0] * a.shape[1] * b.shape[1])
+            products.append((a.shape[0] * a.shape[1] * b.shape[1], a is b))
             return matmul(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", recording)
         traj = simulate(ss, 0.01 * np.asarray(model.secure_load), t_step=1.0, t_end=60.0,
                         dt=0.01)
         assert not traj.diverged and len(traj.times) == 6001
+        rounds = [size for size, squaring in products if not squaring]
+        squarings = [size for size, squaring in products if squaring]
         assert rounds and max(rounds) <= BLOCK
         if scenario == "desk":  # the 5899 rows after the first: 1, 2, 4, ..., 2048, 1804
             assert width == 6 and len(rounds) == 13 and max(rounds) == 2048 * 36
+            assert squarings == [6**3] * 12  # strides 2, 4, ..., 4096
         else:  # 256-row rounds, each at the cap
             assert width == 48 and max(rounds) == BLOCK
+            assert squarings == [48**3] * 8  # strides 2, 4, ..., 256
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from([1, 2, 3, 12, 24]),
+        st.one_of(st.sampled_from(ROUND_EDGES + CAPPED_EDGES),
+                  st.integers(1, CAPPED_EDGES[-1])),
+    )
+    def test_propagation_matches_the_row_major_reference(self, seed, n_areas, n_post):
+        # stable and growing loops of 2 to 48 states, with steps up to 1e8
+        # p.u. so that some responses are cut, in a doubling or a capped round
+        rng = np.random.RandomState(seed)
+        model = random_system_model(rng, n_areas)
+        worst = model.vulnerable_load[0] / (2.0 * model.omega_max)
+        ss = _ss(model, gain=rng.uniform(0.0, 3.0) * (model.gov_proportional[0] + worst))
+        step = 10.0 ** rng.uniform(0.0, 8.0) * rng.uniform(-1.0, 1.0, size=n_areas)
+        t_step = rng.uniform(0.0, 2.0)
+        lam_max = float(np.abs(np.linalg.eigvals(ss.state_matrix)).max())
+        dt = rng.uniform(0.1, 1.0) / (10.0 * lam_max)
+        t_end = (int(np.ceil(t_step / dt - 1e-12)) + n_post) * dt
+        traj = simulate(ss, step, t_step=t_step, t_end=t_end, dt=dt)
+        _assert_same_bits(traj, propagation_reference(ss, step, t_step, t_end, dt))
+
+    @pytest.mark.parametrize("width", [2, 6, 12, 48])
+    def test_growth_bounds_sign_aligned_rows(self, width):
+        # row j of src holds +-s with the signs of column j of p, so that the
+        # exact (src @ p)[j, j] is s times that column's sum; the computed one
+        # may round past s ||p||_1, and the slack must cover that
+        rng = np.random.default_rng(width)
+        worst = 0.0
+        for _ in range(300):
+            p = rng.standard_normal((width, width)) * 10.0 ** rng.uniform(-2.0, 2.0,
+                                                                          (width, width))
+            p[:, rng.integers(width)] *= 10.0  # a column sum above every row sum
+            s = rng.uniform(0.5, 2.0) * 10.0 ** rng.uniform(-6.0, 6.0)
+            src = s * np.where(p.T < 0.0, -1.0, 1.0)
+            bound = s * _growth(p[None])[0]
+            worst = max(worst, float(np.abs(src @ p).max()) / bound)
+            assert np.abs(src @ p).max() <= bound
+        assert worst > 1.0 - 1e-13  # sign-aligned rows reach the bound
+
+    @pytest.mark.parametrize("case", ["decaying", "growing", "desk", "ring"])
+    def test_every_block_is_within_its_bound(self, one_area_model, desk_bundle, monkeypatch,
+                                             case):
+        # the bound handed to the screen never falls below the block's largest
+        # |entry|, in doubling rounds (the source: every row so far) and in
+        # capped ones (the block before); a block within the screen is not
+        # searched
+        if case in ("decaying", "growing"):
+            model, gain, step = one_area_model, 3.0 * (case == "growing"), 1.0
+        elif case == "desk":
+            model, gain, step = desk_bundle.model, 0.0, 0.01
+        else:
+            model = scenario_from_dict(
+                json.loads((FIXTURES / "ring_seed0_op2.json").read_text())).model
+            gain, step = 0.0, 0.01
+        ss = _ss(model, gain=gain)
+        calls, screened = [], simulate_module._screened
+
+        def recording(block, bound, screen):
+            calls.append((float(np.abs(block).max()), bound, screen))
+            return screened(block, bound, screen)
+
+        monkeypatch.setattr(simulate_module, "_screened", recording)
+        traj = simulate(ss, step * np.asarray(model.secure_load), t_step=1.0, t_end=60.0,
+                        dt=0.01)
+        assert traj.diverged == (case == "growing")
+        assert len(calls) > 10
+        assert all(largest <= bound for largest, bound, _ in calls[1:])
+        searched = [not bound <= screen for _, bound, screen in calls]
+        if case == "growing":  # searched from some round on, up to the cut
+            assert searched[-1] and not all(searched)
+        else:  # row 0 only
+            assert searched == [True] + [False] * (len(calls) - 1)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(dt=1e-320),  # t_end / dt overflows
+        dict(t_end=1e15),
+        dict(dt=1e-12),
+        dict(dt=0.01, t_end=MAX_STATE_ENTRIES // 2 * 0.01),  # one sample too many
+    ])
+    def test_horizon_past_the_state_entries(self, one_area_model, monkeypatch, kwargs):
+        def no_states(*args, **kw):
+            raise AssertionError("the states were allocated")
+
+        monkeypatch.setattr(np, "empty", no_states)
+        kwargs = dict(t_step=1.0, t_end=30.0, dt=0.01) | kwargs
+        with pytest.raises(ConfigurationError, match=(
+                r"^a horizon of \S+ samples of 2 states exceeds 16777216 entries; "
+                r"take a coarser dt or a shorter t_end$")):
+            simulate(_ss(one_area_model), np.array([1.0]), **kwargs)
+
+    def test_horizon_at_the_state_entries_passes(self, one_area_model, monkeypatch):
+        allocated = []
+
+        def recording(shape, **kwargs):
+            allocated.append(shape)
+            raise MemoryError
+
+        monkeypatch.setattr(np, "empty", recording)
+        with pytest.raises(MemoryError):
+            simulate(_ss(one_area_model), np.array([1.0]), t_step=1.0,
+                     t_end=(MAX_STATE_ENTRIES // 2 - 1) * 0.01, dt=0.01)
+        assert allocated == [(MAX_STATE_ENTRIES // 2, 2)]
+
+    @pytest.mark.parametrize("t_step, t_end", [(-5.0, -1.0), (-1.0, -0.5)])
+    def test_negative_horizon(self, one_area_model, t_step, t_end):
+        # the grid starts at time 0, so no sample lies before a negative t_end
+        with pytest.raises(ConfigurationError, match="t_end must exceed t_step and be "
+                                                     "nonnegative"):
+            simulate(_ss(one_area_model), np.array([1.0]), t_step=t_step, t_end=t_end,
+                     dt=0.01)
+
+    def test_ufunc_buffer_is_handed_back(self, one_area_model):
+        # the propagation works through a small ufunc buffer of its own and
+        # leaves the caller's size as it found it, on a cut trajectory too
+        with np.errstate():
+            np.setbufsize(1024)
+            for gain, step in ((0.0, 1.0), (3.0, 5.0)):
+                traj = simulate(_ss(one_area_model, gain=gain), np.array([step]), t_step=1.0,
+                                t_end=30.0, dt=0.01)
+                assert traj.diverged == (gain > 0.0)
+                assert np.getbufsize() == 1024
 
     def test_resolution_guard(self, one_area_model):
         ss = _ss(one_area_model)
@@ -512,8 +656,11 @@ class TestClassify:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # at most the frequency half of the history is copied, never the whole
-        assert peak < 0.75 * traj.states.nbytes
+        # the one rectified signal and its peak masks, below 1.5 columns of
+        # the history: the area choice reduces the columns in place, and no
+        # state column is copied
+        column = traj.states.nbytes // traj.states.shape[1]
+        assert peak < 1.5 * column
 
     @staticmethod
     def _axis0_area(traj):
@@ -532,8 +679,6 @@ class TestClassify:
 
     @pytest.mark.parametrize("n_areas", [3, 24])
     def test_area_choice_matches_axis0_formula(self, rng, n_areas):
-        from cred.simulate import _swing
-
         for _ in range(3):
             model = random_system_model(rng, n_areas)
             ss = _ss(model, gain=rng.uniform(0.0, 2.0 * model.gov_proportional[0]))
@@ -543,6 +688,27 @@ class TestClassify:
             ours = _swing(traj.omega[first:], traj.equilibrium_post[n_areas:])
             assert ours.tobytes() == swing.tobytes()
             assert self._outcome(traj) == self._outcome(traj, area)
+
+    def test_row_major_states_give_the_same_answer(self, rng, desk_bundle):
+        # the classifier reads simulate's area-major states in place; a
+        # row-major copy of them picks the same area and label
+        models = [desk_bundle.model, random_system_model(rng, 3), random_system_model(rng, 24)]
+        labels = set()
+        for model in models:
+            for gain in (0.0, 1.5 * model.gov_proportional[0]):
+                traj = simulate(_ss(model, gain=gain), 0.01 * np.asarray(model.secure_load),
+                                t_step=1.0, t_end=20.0, dt=None)
+                assert traj.states.flags.f_contiguous
+                copy = Trajectory(times=traj.times, states=np.ascontiguousarray(traj.states),
+                                  step_time=traj.step_time,
+                                  equilibrium_post=traj.equilibrium_post, diverged=False)
+                first = int(np.searchsorted(traj.times, traj.step_time))
+                eq = traj.equilibrium_post[model.areas:]
+                assert (_swing(copy.omega[first:], eq).tobytes()
+                        == _swing(traj.omega[first:], eq).tobytes())
+                assert self._outcome(copy) == self._outcome(traj)
+                labels.add(self._outcome(traj))
+        assert len(labels) >= 2
 
     def test_tie_goes_to_the_first_area(self):
         # area 1 is area 0 run backwards: the same extremes, bit for bit, but
