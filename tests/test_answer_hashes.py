@@ -193,3 +193,41 @@ def test_step_pool_answers_match_the_pinned_values(seed):
         if "peak" in then:
             assert script._rel(now["peak"], then["peak"]) <= 1e-12, now["op"]
             assert script._rel(now["last"], then["last"]) <= 1e-12, now["op"]
+
+
+#: the ops of each pinned workflow pool that end in an error, kept with their text
+POOL_ERRORS = {"ring_tables": ["16", "20"]}
+
+
+@pytest.mark.parametrize("workload, seed", [("desk_redispatch", 0), ("desk_redispatch", 20261017),
+                                            ("storage_horizon", 0), ("ring_tables", 0)])
+def test_workflow_pool_answers_match_the_pinned_values(workload, seed, tmp_path):
+    """Each workflow pool's --values output matches the one checked in under tests/fixtures.
+
+    The rules are against's: each op's branch, or its error's type and
+    text, and its critical pairs and anchors exactly; final_cost within
+    1e-13 relative, droop_max within 1e-12 and the worst real part within
+    1e-13 absolute, so that another BLAS build can pass.  A change meant
+    to move an answer checks in the new output in the same commit
+    (answer_hashes.py --workload WORKLOAD --seed SEED --values) and lists
+    every changed op in CHANGES.md.
+    """
+    script = load_script()
+    pinned = (FIXTURES / f"{workload}_values_seed{seed}.txt").read_text().splitlines()
+    items = script.workloads.generate(workload, seed)
+    paths = script.workloads.write_samples(items, tmp_path)
+    lines = [f"{j}  {script.answer(item, path, values=True)}"
+             for j, (item, path) in enumerate(zip(items, paths))]
+    assert len(lines) == len(pinned) == len(items)
+    errors = []
+    for now, then in zip(map(script._numbers, lines), map(script._numbers, pinned)):
+        assert (now["op"], now["answer"]) == (then["op"], then["answer"])
+        if "final_cost" not in then:
+            errors.append(then["op"])
+            continue
+        assert (now["pairs"], now["anchors"]) == (then["pairs"], then["anchors"]), now["op"]
+        assert script._rel(now["final_cost"], then["final_cost"]) <= 1e-13, now["op"]
+        assert abs(float(now["droop_max"]) - float(then["droop_max"])) <= 1e-12, now["op"]
+        if then["worst_real"]:
+            assert abs(float(now["worst_real"]) - float(then["worst_real"])) <= 1e-13, now["op"]
+    assert errors == POOL_ERRORS.get(workload, [])
