@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -52,22 +53,29 @@ def _float_list(text: str) -> list:
     return values
 
 
+# A flag that sets a run setting stores it under its WorkflowConfig field's
+# name (metavar keeps the flag's own), with that field's default; --out
+# keeps its own default.
 def _io_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", required=True, help="scenario JSON file")
-    parser.add_argument("--out", default="out", help="output directory")
+    parser.add_argument("--scenario", dest="scenario_path", metavar="SCENARIO", required=True,
+                        help="scenario JSON file")
+    parser.add_argument("--out", dest="output_dir", metavar="OUT", default="out",
+                        help="output directory")
 
 
 def _gain_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--samples", default=None, help="detection-sample JSON file")
-    parser.add_argument("--eta", type=float, default=0.95, help="confidence level in (0,1)")
-    parser.add_argument("--mode", choices=MODES, default="auto",
+    parser.add_argument("--samples", dest="samples_path", metavar="SAMPLES",
+                        default=WorkflowConfig.samples_path, help="detection-sample JSON file")
+    parser.add_argument("--eta", type=float, default=WorkflowConfig.eta,
+                        help="confidence level in (0,1)")
+    parser.add_argument("--mode", choices=MODES, default=WorkflowConfig.mode,
                         help="attack knowledge; auto is worst case without --samples")
 
 
 def _table_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eps-lim", type=float, default=0.02,
+    parser.add_argument("--eps-lim", type=float, default=WorkflowConfig.eps_lim,
                         help="linearization error limit on Re(lambda)")
-    parser.add_argument("--eps-phi", type=float, default=None,
+    parser.add_argument("--eps-phi", type=float, default=WorkflowConfig.eps_phi,
                         help="sweep grid step (default |range|/200)")
 
 
@@ -75,41 +83,28 @@ def _workflow_flags(parser: argparse.ArgumentParser) -> None:
     _io_flags(parser)
     _gain_flags(parser)
     _table_flags(parser)
-    parser.add_argument("--eps-strict", type=float, default=1e-6,
+    parser.add_argument("--eps-strict", type=float, default=WorkflowConfig.eps_strict,
                         help="softening of strict inequalities")
-    parser.add_argument("--settle-margin", type=float, default=0.05,
+    parser.add_argument("--settle-margin", type=float, default=WorkflowConfig.settle_margin,
                         help="extra left shift of the stability boundary")
-    parser.add_argument("--r", type=float, default=1.0, help="detection score")
-    parser.add_argument("--r0", type=float, default=0.0, help="detection threshold")
-
-
-#: parsed flag -> WorkflowConfig field, for the flags a subcommand has
-_CONFIG_FIELDS = {
-    "scenario": "scenario_path",
-    "samples": "samples_path",
-    "r": "detection_score",
-    "r0": "detection_threshold",
-    "eta": "eta",
-    "mode": "mode",
-    "out": "output_dir",
-    "eps_lim": "eps_lim",
-    "eps_phi": "eps_phi",
-    "eps_strict": "eps_strict",
-    "settle_margin": "settle_margin",
-}
+    parser.add_argument("--r", dest="detection_score", metavar="R", type=float,
+                        default=WorkflowConfig.detection_score, help="detection score")
+    parser.add_argument("--r0", dest="detection_threshold", metavar="R0", type=float,
+                        default=WorkflowConfig.detection_threshold, help="detection threshold")
 
 
 def _config_from_args(args) -> WorkflowConfig:
     given = vars(args)
-    return WorkflowConfig(**{f: given[a] for a, f in _CONFIG_FIELDS.items() if a in given})
+    return WorkflowConfig(**{f.name: given[f.name] for f in fields(WorkflowConfig)
+                             if f.name in given})
 
 
 def cmd_analyze(args) -> int:
-    bundle = load_scenario(args.scenario)
+    bundle = load_scenario(args.scenario_path)
     n = bundle.model.areas
     ss = build_state_space(bundle.model, AttackProfile.none(n), DroopSchedule.none(n))
     eig = eigen_decompose(ss)
-    out = Path(args.out)
+    out = Path(args.output_dir)
     write_csv(out / "eigenvalues.csv", ["index", "re", "im"],
               [[i, lam.real, lam.imag] for i, lam in enumerate(eig.eigenvalues)])
     areas = bundle.attack_areas or tuple(range(n))
@@ -129,8 +124,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_linearize(args) -> int:
-    bundle = load_scenario(args.scenario)
-    samples = load_samples(args.samples, bundle.base_power) if args.samples else None
+    bundle = load_scenario(args.scenario_path)
+    samples = load_samples(args.samples_path, bundle.base_power) if args.samples_path else None
     cfg = _config_from_args(args)
     gains = resolve_gains(cfg, bundle, samples)
     active = tuple(int(a) for a in np.flatnonzero(gains > 0))
@@ -146,7 +141,7 @@ def cmd_linearize(args) -> int:
                              p.slope.real, p.slope.imag])
         for k, err in zip(tab.grid_abscissas, tab.grid_errors):
             audit_rows.append([i, a, k, err])
-    out = Path(args.out)
+    out = Path(args.output_dir)
     write_csv(out / "segments.csv",
               ["eigen_index", "area", "abscissa", "eig_re", "eig_im", "slope_re", "slope_im"],
               seg_rows)
@@ -157,11 +152,11 @@ def cmd_linearize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    bundle = load_scenario(args.scenario)
+    bundle = load_scenario(args.scenario_path)
     n = bundle.model.areas
     gains = np.zeros(n)
-    if args.mode != "auto" or args.samples:
-        samples = load_samples(args.samples, bundle.base_power) if args.samples else None
+    if args.mode != "auto" or args.samples_path:
+        samples = load_samples(args.samples_path, bundle.base_power) if args.samples_path else None
         gains = resolve_gains(_config_from_args(args), bundle, samples)
     droop_gain = np.zeros(n)
     if args.kc is not None:
@@ -181,7 +176,7 @@ def cmd_simulate(args) -> int:
     step[area] = 0.01 * load if args.step_mw is None else args.step_mw / bundle.base_power
 
     traj = simulate(ss, step, t_step=args.t_step, t_end=args.t_end, dt=args.dt)
-    out = Path(args.out)
+    out = Path(args.output_dir)
     header = ["t"] + [f"omega_{a}" for a in range(n)] + [f"delta_{a}" for a in range(n)]
     rows = [
         [traj.times[k]] + list(traj.omega[k]) + list(traj.delta[k])

@@ -8,6 +8,8 @@ k = robust_gain - K.  Segment m of a critical (eigenvalue, area) pair
 holds k in [phi_m, hi_m], where hi_m = phi_{m+1} - strict_margin, or the
 robust gain on the last segment, and adds slope_m k + offset_m to its
 eigenvalue's row, which is bounded by -(strict + settle) - Re(base).
+StabilityConstraintSet states these rows once: it checks its tables and
+derives each live pair's segments and each row's bound when it is built.
 
 The cost depends on the droop only through each period's total droop, and
 never falls as it grows (_merit_order), so solve_cred chooses each
@@ -18,7 +20,8 @@ One exact search finds that net gain for one attacked area or several
 (StabilityConstraintSet.net_gain_max): the anchors of an area's tables cut
 its net gain into cells, inside each of which every pair holds one
 segment and every row is linear, and the search visits one cell per area,
-best bound first.
+best bound first.  The segment each live pair holds in each period reaches
+the solution as an index (DispatchSolution.held_segments).
 
 With the droop pinned, every storage-free period, the baseline's too, is an
 economic dispatch with one balance row, solved by merit order with no
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -187,12 +190,25 @@ class StabilityConstraintSet:
     at phi_{m+1} - strict_margin and keeps the eigenvalue estimate strictly
     left of the stability boundary; settle_margin additionally shifts that
     boundary left of the imaginary axis.
+
+    The rows are stated here once.  Construction checks the tables: one
+    per (eigenvalue, area) pair (BuildError otherwise), each with its first
+    anchor at abscissa 0 (BuildError) and covering [0, robust gain] of its
+    area (CoverageError).  It derives what the dispatch reads: by_pair, the
+    tables keyed and sorted by pair; segments, the (phi_m, hi_m, slope_m,
+    offset_m) of each segment of each live pair, a pair whose area has a
+    positive robust gain (only these get stability rows); and bounds, the
+    right-hand side -(strict + settle) - Re(base) of each live
+    eigenvalue's row.
     """
 
     tables: tuple
     robust_gains: np.ndarray
     strict_margin: float = 1e-6
     settle_margin: float = 0.0
+    by_pair: dict = field(init=False, repr=False)
+    segments: dict = field(init=False, repr=False)
+    bounds: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         gains = np.asarray(self.robust_gains, dtype=float)
@@ -204,41 +220,38 @@ class StabilityConstraintSet:
         if self.strict_margin <= 0 or self.settle_margin < 0:
             raise BuildError("need strict_margin > 0 and settle_margin >= 0")
         gains.setflags(write=False)
-        object.__setattr__(self, "robust_gains", gains)
-        object.__setattr__(self, "tables", tuple(self.tables))
-
-    def tables_by_pair(self) -> dict:
-        out = {}
-        for tab in self.tables:
-            key = (tab.eigen_index, tab.area)
-            if key in out:
-                raise BuildError(f"duplicate segment table for pair {key}")
-            out[key] = tab
-        return dict(sorted(out.items()))
-
-    def live_tables(self) -> dict:
-        """Tables of areas with a positive robust gain; only these get stability rows."""
-        return {pair: tab for pair, tab in self.tables_by_pair().items()
-                if self.robust_gains[pair[1]] > 0.0}
-
-    def segments(self, tab) -> list:
-        """(phi_m, hi_m, slope_m, offset_m) of each segment of one table."""
-        gain = float(self.robust_gains[tab.area])
-        pts = tab.points
-        out = []
-        for m, point in enumerate(pts):
-            hi = pts[m + 1].abscissa - self.strict_margin if m + 1 < len(pts) else gain
-            slope = point.slope.real
-            offset = (point.eigenvalue - tab.base_eigenvalue).real - slope * point.abscissa
-            out.append((point.abscissa, hi, slope, offset))
-        return out
-
-    def row_bounds(self) -> dict:
-        """Right-hand side -(strict + settle) - Re(base) of each eigenvalue's row."""
-        out = {}
-        for (i, _), tab in self.tables_by_pair().items():
-            out.setdefault(i, -(self.strict_margin + self.settle_margin) - tab.base_eigenvalue.real)
-        return out
+        tables, by_pair = tuple(self.tables), {}
+        for tab in tables:
+            i, a = pair = (tab.eigen_index, tab.area)
+            if pair in by_pair:
+                raise BuildError(f"duplicate segment table for pair {pair}")
+            if not tab.points or tab.points[0].abscissa != 0.0:
+                raise BuildError(f"table for pair ({i},{a}) has no first anchor at abscissa 0")
+            if tab.range_end < 0:
+                raise CoverageError(f"table for pair ({i},{a}) sweeps negative gains; "
+                                    "dispatch needs [0, gain]")
+            if gains[a] > tab.range_end + 1e-12:
+                raise CoverageError(f"table for pair ({i},{a}) covers [0, {tab.range_end:g}] "
+                                    f"but robust gain is {gains[a]:g}")
+            by_pair[pair] = tab
+        by_pair = dict(sorted(by_pair.items()))
+        segments, bounds, edge = {}, {}, -(self.strict_margin + self.settle_margin)
+        for (i, a), tab in by_pair.items():
+            if gains[a] <= 0.0:
+                continue
+            pts = tab.points
+            tops = [p.abscissa - self.strict_margin for p in pts[1:]] + [float(gains[a])]
+            segments[(i, a)] = [
+                (p.abscissa, hi, p.slope.real,
+                 (p.eigenvalue - tab.base_eigenvalue).real - p.slope.real * p.abscissa)
+                for p, hi in zip(pts, tops)]
+            bounds.setdefault(i, edge - tab.base_eigenvalue.real)
+        set_ = object.__setattr__
+        set_(self, "robust_gains", gains)
+        set_(self, "tables", tables)
+        set_(self, "by_pair", by_pair)
+        set_(self, "segments", segments)
+        set_(self, "bounds", bounds)
 
     def net_gain_max(self, lower=None):
         """Largest total net gain of the attacked areas that meets every stability row.
@@ -267,14 +280,12 @@ class StabilityConstraintSet:
         NumericalError when a cell LP hits its iteration limit or the
         search needs more than _CELL_LP_CAP of them.
         """
-        segs = {pair: self.segments(tab) for pair, tab in self.live_tables().items()}
+        segs, bounds = self.segments, self.bounds
         areas = sorted({a for _, a in segs})
         if not areas:
             return {}, {}, 0, 0
         lower = np.zeros(len(self.robust_gains)) if lower is None else lower
-        bounds = self.row_bounds()
-        cells = _tighten(areas, [self._cells(segs, a, float(lower[a])) for a in areas],
-                         segs, bounds)
+        cells = _tighten(areas, [self._cells(a, float(lower[a])) for a in areas], segs, bounds)
         if not all(cells):
             return None
         best, best_total, lps, steps = None, -np.inf, 0, 0
@@ -302,17 +313,16 @@ class StabilityConstraintSet:
                     heapq.heappush(heap, (-sum(c[j][0] for c, j in zip(cells, nxt)), nxt))
         return None if best is None else (*best, lps, steps)
 
-    def _cells(self, segs: dict, area: int, lower: float) -> list:
+    def _cells(self, area: int, lower: float) -> list:
         """(top, lo, {pair: segment}) of each non-empty cell of one area, by anchor."""
         gain = float(self.robust_gains[area])
-        own = {pair: pair_segs for pair, pair_segs in segs.items() if pair[1] == area}
+        own = {pair: pair_segs for pair, pair_segs in self.segments.items() if pair[1] == area}
         anchors = {pair: [seg[0] for seg in pair_segs] for pair, pair_segs in own.items()}
         cells = []
         for p in sorted({phi for pair_anchors in anchors.values() for phi in pair_anchors}):
+            # every table's first anchor is 0, so each pair holds a segment at p >= 0
             held = {pair: bisect_right(pair_anchors, p) - 1
                     for pair, pair_anchors in anchors.items()}
-            if min(held.values()) < 0:
-                continue  # a pair whose first anchor lies above p
             top = min([gain] + [own[pair][m][1] for pair, m in held.items()])
             lo = max(p, lower)
             if lo <= top:
@@ -411,12 +421,14 @@ class DispatchSolution:
     storage_charge: np.ndarray  # (T, S)
     storage_discharge: np.ndarray  # (T, S)
     storage_soc: np.ndarray  # (T, S)
-    binaries: dict
+    #: the segment m holding the net gain of each live pair (eigenvalue i,
+    #: area a) in period t, keyed (t, i, a)
+    held_segments: dict
     per_period_cost: np.ndarray  # currency
     total_cost: float
     #: LPs solved: one per cell the droop search of a multi-area attack
     #: visits, plus one for the storage horizon's LP
-    node_count: int
+    lp_count: int
     #: simplex steps over those LPs; both read 0 on a storage-free dispatch
     #: of at most one attacked area
     simplex_iterations: int = 0
@@ -516,37 +528,24 @@ def build_cred_milp(scn: DispatchScenario, kc: np.ndarray, allow_shed: bool = Fa
 def _droop_floor(scn: DispatchScenario, stab: StabilityConstraintSet | None) -> tuple:
     """(kc, held, lps, steps): the least droop the stability rows admit.
 
-    kc is the droop of each period and area, shape (T, N); held the
-    indicator of every live segment, keyed (t, i, a, m), 1 for the one
-    holding the net gain; lps and steps count the search's cell LPs and
-    their simplex steps.  Every table must cover [0, robust_gain] of its
-    area (CoverageError otherwise).  Areas without tables of a positive
-    gain get a zero droop; the others get gain - k, k their net gains from
-    StabilityConstraintSet.net_gain_max.  Each area's net gain is held to
-    [gain - avail[t]/(2 omega), gain], so that its droop fits the wind
-    band, for one attacked area as for several, and the search runs once
-    per distinct set of these bounds: periods with equal bounds share its
-    result.  BandInfeasibleError names the first period whose bounds admit
-    no point, before any period is dispatched; shedding cannot mend it.
-    See _merit_order for why this droop is optimal.
+    kc is the droop of each period and area, shape (T, N); held maps
+    (t, i, a) to the segment m that holds live pair (i, a)'s net gain in
+    period t, as StabilityConstraintSet.net_gain_max found it; lps and
+    steps count the search's cell LPs and their simplex steps.  Areas
+    without tables of a positive gain get a zero droop; the others get
+    gain - k, k their net gains from net_gain_max.  Each area's net gain
+    is held to [gain - avail[t]/(2 omega), gain], so that its droop fits
+    the wind band, for one attacked area as for several, and the search
+    runs once per distinct set of these bounds: periods with equal bounds
+    share its result.  BandInfeasibleError names the first period whose
+    bounds admit no point, before any period is dispatched; shedding
+    cannot mend it.  See _merit_order for why this droop is optimal.
     """
     n, t_len = scn.model.areas, scn.n_periods
-    tables = stab.tables_by_pair() if stab is not None else {}
     gains = stab.robust_gains if stab is not None else np.zeros(n)
     if gains.shape != (n,):
         raise BuildError(f"robust_gains must have shape ({n},)")
-    for (i, a), tab in tables.items():
-        if tab.range_end < 0:
-            raise CoverageError(
-                f"table for pair ({i},{a}) sweeps negative gains; dispatch needs [0, gain]"
-            )
-        if gains[a] > tab.range_end + 1e-12:
-            raise CoverageError(
-                f"table for pair ({i},{a}) covers [0, {tab.range_end:g}] "
-                f"but robust gain is {gains[a]:g}"
-            )
-    live = stab.live_tables() if stab is not None else {}
-    areas = sorted({a for _, a in live})
+    areas = sorted({a for _, a in stab.segments}) if stab is not None else []
     kc = np.zeros((t_len, n))
     if not areas:
         return kc, {}, 0, 0
@@ -564,8 +563,7 @@ def _droop_floor(scn: DispatchScenario, stab: StabilityConstraintSet | None) -> 
         knet, segment = solved[key][:2]
         for a, k in knet.items():
             kc[t, a] = gains[a] - k
-        held.update({(t, i, a, m_id): float(m_id == segment[(i, a)])
-                     for (i, a), tab in live.items() for m_id in range(len(tab.points))})
+        held.update({(t, i, a): m for (i, a), m in segment.items()})
     return kc, held, lps, steps
 
 
@@ -677,10 +675,12 @@ def solve_cred(
     order (_merit_order): no dispatch program is built.  With storage the
     horizon is built and solved as one LP, the droop entering it only as
     the wind bounds (build_cred_milp).  Either way the pinned droop is
-    optimal by construction, as _merit_order argues.  node_count counts
-    the LPs solved, the droop search's cell LPs of a multi-area attack and
-    the storage LP, and simplex_iterations their simplex steps, so both
-    read 0 on a storage-free dispatch of at most one attacked area.
+    optimal by construction, as _merit_order argues.  held_segments maps
+    each (t, i, a) to the segment the search holds (_droop_floor).
+    lp_count counts the LPs solved, the droop search's cell LPs of a
+    multi-area attack and the storage LP, and simplex_iterations their
+    simplex steps, so both read 0 on a storage-free dispatch of at most
+    one attacked area.
     Raises InfeasibleError when any period admits no feasible point and
     NumericalError when the solver hits its budget.
     """
@@ -702,10 +702,10 @@ def solve_cred(
         **{name: x[:, part] for name, part in cols.items()},
         wind_reserve=scn.model.omega_max * kc,
         droop=kc,
-        binaries=held,
+        held_segments=held,
         per_period_cost=per_period,
         total_cost=float(per_period.sum()),
-        node_count=lps,
+        lp_count=lps,
         simplex_iterations=steps,
     )
 
@@ -740,7 +740,7 @@ def validate_solution(
     max_real = np.zeros(t_len)
     worst_t, worst_eigs = 0, None
     discrepancy = None
-    tables = stab.tables_by_pair() if stab is not None else {}
+    tables = stab.by_pair if stab is not None else {}
     spectra = {}
     for t in range(t_len):
         droop = DroopSchedule(sol.droop[t], sol.wind_power[t])

@@ -112,8 +112,8 @@ def scenario_from_dict(raw: dict) -> ScenarioBundle:
 
 def _bundle(raw: dict) -> ScenarioBundle:
     base = _number(raw, "base_power", "scenario", 1000.0)
-    if base <= 0:
-        raise ScenarioError("base_power must be positive")
+    if not 0.0 < base < np.inf:
+        raise ScenarioError(f"base_power must be positive and finite, got {base!r}")
     areas = _get(raw, "areas", "scenario")
     if not isinstance(areas, list) or not areas:
         raise ScenarioError("areas must be a non-empty list")
@@ -234,8 +234,8 @@ def load_samples(path, base_power: float) -> dict:
     """Read detection samples: a list of {"area": n, "samples": [MW/Hz, ...]}.
 
     Raises ScenarioError when the file holds no records, or unless each
-    area is an integral number and each sample a number (a boolean or a
-    numeric string is not).
+    area is an integral number and each sample a finite number (a boolean
+    or a numeric string is not; JSON's NaN and Infinity are not finite).
     """
     path = Path(path)
     if not path.exists():
@@ -250,6 +250,8 @@ def load_samples(path, base_power: float) -> dict:
             area = _index(_get(rec, "area", "sample record"), "sample area")
             values = [float(x) / base_power
                       for x in _numbers(_get(rec, "samples", "sample record"), "sample")]
+            if not np.isfinite(values).all():
+                raise ScenarioError(f"samples file {path} holds a non-finite sample in area {area}")
             out.setdefault(area, []).extend(values)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"samples file {path} is malformed: {exc}") from exc

@@ -308,8 +308,9 @@ def _solution_dict(scn: DispatchScenario, sol: DispatchSolution) -> dict:
         "storage_charge_mw": (sol.storage_charge * base).tolist(),
         "storage_discharge_mw": (sol.storage_discharge * base).tolist(),
         "storage_soc": sol.storage_soc.tolist(),
-        "binaries": {f"{t},{i},{a},{m}": v for (t, i, a, m), v in sorted(sol.binaries.items())},
-        "node_count": sol.node_count,
+        "held_segments": {f"{t},{i},{a}": m
+                          for (t, i, a), m in sorted(sol.held_segments.items())},
+        "lp_count": sol.lp_count,
         "simplex_iterations": sol.simplex_iterations,
         "stability_certificate": None
         if sol.stability_certificate is None
@@ -351,7 +352,9 @@ class SweepRow:
 def _apply_axis(doc: dict, attack_areas: tuple, axis: str, value: float) -> dict:
     """A copy of doc, a document scenario_from_dict accepts, with one axis set.
 
-    The parser has checked that its values are numbers; they are read with float().
+    The parser has checked that its values are numbers; they are read with
+    float().  axis is one of SWEEP_AXES (sweep_study checks it); eta
+    leaves the document as it is.
     """
     doc = copy.deepcopy(doc)
     if axis == "vulnerable_fraction":
@@ -373,8 +376,6 @@ def _apply_axis(doc: dict, attack_areas: tuple, axis: str, value: float) -> dict
             area["ibr_max_power"] = value
             for p in doc.get("dispatch", {}).get("periods", []):
                 p["wind_available"][a] = float(p["wind_available"][a]) * factor
-    elif axis != "eta":
-        raise ScenarioError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     return doc
 
 

@@ -222,7 +222,7 @@ def test_criterion_4_milp_exactness():
             assert status == "optimal"
             sol = solve_cred(scn_k, stab_k, allow_shed=allow_shed)
             assert sol.total_cost == pytest.approx(obj, abs=1e-6)
-        assert np.all(sol.droop > 0.0) and sol.node_count > 0
+        assert np.all(sol.droop > 0.0) and sol.lp_count > 0
 
         sol = solve_cred(cases[0][0], stab)
         assert sol.droop[0, 0] == pytest.approx(1.0 + 2e-6, abs=1e-6)

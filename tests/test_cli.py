@@ -255,6 +255,20 @@ class TestWorkflow:
         report = json.loads((out / "report.json").read_text())
         assert 2.5 < report["robust_gains_pu_per_hz"][0] < 3.0
 
+    def test_flags_are_the_config_fields(self):
+        # each run setting's flag takes its WorkflowConfig field's default; --out keeps "out"
+        parse = cli.build_parser().parse_args
+        assert cli._config_from_args(parse(["workflow", "--scenario", "x.json"])) == \
+            WorkflowConfig(scenario_path="x.json", output_dir="out")
+        args = parse(["sweep", "--scenario", "x.json", "--out", "o", "--samples", "s.json",
+                      "--eta", "0.9", "--mode", "mean_only", "--eps-lim", "0.01",
+                      "--eps-phi", "0.1", "--eps-strict", "1e-5", "--settle-margin", "0.1",
+                      "--r", "2", "--r0", "1", "--axis", "eta", "--grid", "0.9"])
+        assert cli._config_from_args(args) == WorkflowConfig(
+            scenario_path="x.json", samples_path="s.json", detection_score=2.0,
+            detection_threshold=1.0, eta=0.9, mode="mean_only", output_dir="o", eps_lim=0.01,
+            eps_phi=0.1, eps_strict=1e-5, settle_margin=0.1)
+
     def test_prints_summary(self, toy_path, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["workflow", "--scenario", str(toy_path), "--out", str(out),
@@ -367,6 +381,37 @@ class TestExitCodes:
                      "--samples", str(empty)])
         assert code == 4
         assert capsys.readouterr().err == f"input error: samples file {empty} holds no records\n"
+
+    def test_short_table_names_the_dispatch_stage(self, toy_path, tmp_path, capsys,
+                                                  monkeypatch):
+        # the stability set checks coverage when it is built, inside the dispatch stage
+        from dataclasses import replace
+
+        from cred import workflow
+
+        build = workflow.build_segment_table
+        monkeypatch.setattr(workflow, "build_segment_table",
+                            lambda *args: replace(build(*args), range_end=1.0))
+        code = main(["workflow", "--scenario", str(toy_path), "--out", str(tmp_path / "out"),
+                     "--mode", "worst_case"])
+        assert code == 4
+        assert capsys.readouterr().err == ("input error: [dispatch] table for pair (1,0) "
+                                           "covers [0, 1] but robust gain is 3\n")
+
+    @pytest.mark.parametrize("text, mode", [
+        ("NaN", "auto"), ("Infinity", "mean_only"), ("Infinity", "auto"),
+    ], ids=["nan_auto", "inf_mean_only", "inf_auto"])
+    def test_non_finite_sample_is_input_error(self, tmp_path, capsys, text, mode):
+        # NaN once failed at the precheck, and infinity with mean_only was
+        # clamped to the physical budget and exited 0
+        desk, samples = tmp_path / "desk.json", tmp_path / "samples.json"
+        desk.write_text(json.dumps(three_area_system()))
+        samples.write_text(f'[{{"area": 1, "samples": [2000.0, {text}]}}]')
+        code = main(["workflow", "--scenario", str(desk), "--out", str(tmp_path / "out"),
+                     "--samples", str(samples), "--mode", mode])
+        assert code == 4
+        assert capsys.readouterr().err == (f"input error: samples file {samples} holds a "
+                                           "non-finite sample in area 1\n")
 
     def test_unstable_base_without_gain_is_input_error(self, tmp_path, capsys):
         doc = single_area_toy()

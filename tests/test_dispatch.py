@@ -197,18 +197,14 @@ class TestToyInstance:
         assert any(len(t.points) >= 2 for t in tabs)
         stab = StabilityConstraintSet(tabs, robust_gains=[0.0, gain])
         sol = solve_cred(scn, stab)
-        assert sol.binaries
+        # one held segment per period and live pair
+        assert set(sol.held_segments) == {(0, i, 1) for i in (0, 2)}
         k = gain - sol.droop[0, 1]
-        by_pair = {}
-        for (t, i, a, m), v in sol.binaries.items():
-            by_pair.setdefault((t, i, a), []).append((m, v))
         shift_by_eig = {}
-        for (t, i, a), entries in by_pair.items():
-            active = [m for m, v in entries if v > 0.5]
-            assert len(active) == 1
+        for (t, i, a), m in sol.held_segments.items():
             tab = next(tb for tb in tabs if tb.eigen_index == i and tb.area == a)
             pts = tab.points
-            m = active[0]
+            assert 0 <= m < len(pts)
             lo = pts[m].abscissa
             hi = pts[m + 1].abscissa if m + 1 < len(pts) else tab.range_end
             assert lo - 1e-9 <= k <= hi + 1e-9
@@ -238,9 +234,8 @@ class TestToyInstance:
     def test_coverage_error_when_table_short(self, one_area_model):
         scn = toy_scenario(one_area_model)
         tab = build_segment_table(sweep_loci(one_area_model, 0, 2.0, 0.01), 1, 0.02)
-        stab = StabilityConstraintSet((tab,), robust_gains=[3.0])
         with pytest.raises(CoverageError):
-            solve_cred(scn, stab)
+            solve_cred(scn, StabilityConstraintSet((tab,), robust_gains=[3.0]))
 
     def test_power_balance_and_droop_band(self, one_area_model):
         scn = toy_scenario(one_area_model)
@@ -316,7 +311,7 @@ class TestDroopFloor:
             assert status == "infeasible"
             return
         assert status == "optimal"
-        assert sol.node_count == sol.simplex_iterations == 0  # merit order, no simplex
+        assert sol.lp_count == sol.simplex_iterations == 0  # merit order, no simplex
         assert sol.total_cost == pytest.approx(objective, rel=1e-9)
         # the floor is the least droop the MIP admits, and the rows hold there
         kc = sol.droop[0, 0]
@@ -324,8 +319,8 @@ class TestDroopFloor:
         k = gain - kc
         bound = -(one.strict_margin + one.settle_margin) - base.real
         for tab in tabs:
-            (m,) = [m for (_, i, _, m), z in sol.binaries.items() if i == tab.eigen_index and z]
-            lo, hi, _, _ = one.segments(tab)[m]
+            m = sol.held_segments[(0, tab.eigen_index, 0)]
+            lo, hi, _, _ = one.segments[(tab.eigen_index, 0)][m]
             assert lo - 1e-9 <= k <= hi + 1e-9
             assert evaluate_piecewise(tab, k).real <= bound + 1e-9
 
@@ -431,12 +426,11 @@ class TestDroopFloor:
 def assert_held_point(stab, lower, knet, held):
     """Each net gain lies in [lower, gain] and in every held segment, exactly; every row holds."""
     shift = {}
-    for (i, a), tab in stab.live_tables().items():
-        phi, hi, slope, offset = stab.segments(tab)[held[(i, a)]]
+    for (i, a), segs in stab.segments.items():
+        phi, hi, slope, offset = segs[held[(i, a)]]
         assert max(phi, lower[a]) <= knet[a] <= min(hi, stab.robust_gains[a])
         shift[i] = shift.get(i, 0.0) + slope * knet[a] + offset
-    bounds = stab.row_bounds()
-    assert all(value <= bounds[i] + 1e-9 for i, value in shift.items())
+    assert all(value <= stab.bounds[i] + 1e-9 for i, value in shift.items())
 
 
 def toy_storage(one_area_model, wind):
@@ -574,7 +568,7 @@ class TestMeritOrder:
             sol, failure = solve_cred(scn, stab, allow_shed=allow_shed), None
         except InfeasibleError as exc:
             sol, failure = None, str(exc)
-        floors = []  # (period's scenario, its droop, its segment indicators)
+        floors = []  # (period's scenario, its droop, its held segments)
         for t in range(t_len):
             period = period_scenario(scn, t)
             try:
@@ -598,11 +592,11 @@ class TestMeritOrder:
                 return
             if sol is None:
                 continue  # a later period is infeasible
-            assert sol.node_count == sol.simplex_iterations == 0
+            assert sol.lp_count == sol.simplex_iterations == 0
             for value in (ref.objective_value, objective):
                 assert sol.per_period_cost[t] == pytest.approx(value, rel=1e-9, abs=1e-9)
-            assert {(t, *key[1:]): sol.binaries[(t, *key[1:])] for key in held} \
-                == {(t, *key[1:]): z for key, z in held.items()}
+            assert {(t, *key[1:]): sol.held_segments[(t, *key[1:])] for key in held} \
+                == {(t, *key[1:]): m for key, m in held.items()}
             assert np.array_equal(sol.droop[t], kc[0])
             assert np.array_equal(sol.wind_reserve[t], scn.model.omega_max * kc[0])
             if tied_moves(scn, sol, t, allow_shed):
@@ -637,6 +631,55 @@ class TestNonFiniteInputs:
             DispatchScenario(generators=(GeneratorSpec(**gen),), storage=(StorageSpec(**stor),),
                              **scn)
             StabilityConstraintSet(**stab)
+
+
+class TestStabilityConstraintSet:
+    """The stability rows are checked and derived once, when the set is built."""
+
+    def test_checks_each_table(self):
+        base = complex(-1.0, 2.0)
+        tab = anchored_table(0, 1, base, [(0.0, 0.0, 0.5), (1.0, 0.2, -0.5)], 2.0)
+        with pytest.raises(BuildError, match=r"^duplicate segment table for pair \(0, 1\)$"):
+            StabilityConstraintSet((tab, tab), [0.0, 2.0])
+        late = anchored_table(0, 1, base, [(0.5, 0.0, 0.5)], 2.0)
+        with pytest.raises(BuildError) as info:
+            StabilityConstraintSet((late,), [0.0, 2.0])
+        assert str(info.value) == "table for pair (0,1) has no first anchor at abscissa 0"
+        negative = anchored_table(0, 1, base, [(0.0, 0.0, 0.5)], -2.0)
+        with pytest.raises(CoverageError) as info:
+            StabilityConstraintSet((negative,), [0.0, 0.0])
+        assert str(info.value) == ("table for pair (0,1) sweeps negative gains; dispatch needs "
+                                   "[0, gain]")
+        with pytest.raises(CoverageError) as info:
+            StabilityConstraintSet((tab,), [0.0, 2.5])
+        assert str(info.value) == "table for pair (0,1) covers [0, 2] but robust gain is 2.5"
+        # a table covers its gain to 1e-12, and a gainless area's table is kept but not live
+        StabilityConstraintSet((tab,), [0.0, 2.0 + 1e-13])
+        assert StabilityConstraintSet((tab,), [0.0, 0.0]).segments == {}
+
+    def test_derives_the_rows(self):
+        rng = np.random.RandomState(3)
+        gain, strict, settle = 3.0, 1e-3, 0.1
+        tabs = (random_table(rng, 2, complex(-0.5, 1.0), gain, area=1),
+                random_table(rng, 0, complex(-1.0, 2.0), gain, area=1),
+                idle_table(random_table(rng, 0, complex(-1.0, 2.0), gain), area=0),
+                random_table(rng, 0, complex(-1.0, 2.0), gain, area=2))
+        stab = StabilityConstraintSet(tabs, [0.0, gain, gain], strict_margin=strict,
+                                      settle_margin=settle)
+        assert list(stab.by_pair) == [(0, 0), (0, 1), (0, 2), (2, 1)]
+        assert all(stab.by_pair[(tab.eigen_index, tab.area)] is tab for tab in tabs)
+        assert list(stab.segments) == [(0, 1), (0, 2), (2, 1)]  # area 0 has no gain
+        for (i, a), segs in stab.segments.items():
+            pts = stab.by_pair[(i, a)].points
+            assert [seg[0] for seg in segs] == [p.abscissa for p in pts]
+            assert [seg[1] for seg in segs] == [p.abscissa - strict for p in pts[1:]] + [gain]
+            for (phi, _, slope, offset), p in zip(segs, pts):
+                # the row's shift on the segment is the table's estimate
+                k = phi + 0.25 * rng.rand()
+                assert slope * k + offset == pytest.approx(
+                    (p.slope * (k - phi) + p.eigenvalue).real - pts[0].eigenvalue.real,
+                    abs=1e-12)
+        assert stab.bounds == {0: -(strict + settle) + 1.0, 2: -(strict + settle) + 0.5}
 
 
 class TestPrecheck:
@@ -960,7 +1003,7 @@ def record_solves(monkeypatch):
 
 def multi_area(stab) -> bool:
     """Whether tables of a positive gain cover two or more areas: the droop search then solves LPs."""
-    return stab is not None and len({a for _, a in stab.live_tables()}) > 1
+    return stab is not None and len({a for _, a in stab.segments}) > 1
 
 
 def net_gain_bands(scn, stab) -> np.ndarray:
@@ -975,7 +1018,7 @@ def net_gain_bands(scn, stab) -> np.ndarray:
 
 def distinct_bands(scn, stab) -> dict:
     """{band of the attacked areas: its first period} over the periods of an attack."""
-    areas = sorted({a for _, a in stab.live_tables()})
+    areas = sorted({a for _, a in stab.segments})
     out = {}
     for t, band in enumerate(net_gain_bands(scn, stab)):
         out.setdefault(tuple(band[areas]), t)
@@ -1017,9 +1060,9 @@ class TestSecondSolver:
             # the droop search's cell LPs, one variable per attacked area, then the storage LP
             cells = programs[:len(programs) - len(builds)]
             assert bool(cells) == multi_area(stab)
-            assert all(lp.n_vars == len({a for _, a in stab.live_tables()}) for lp in cells)
+            assert all(lp.n_vars == len({a for _, a in stab.segments}) for lp in cells)
             if sol is not None:
-                assert sol.node_count == len(programs)
+                assert sol.lp_count == len(programs)
             for program in programs:
                 mine = solve_lp(program)
                 status, objective, _ = solve_with_highs(program)
@@ -1078,18 +1121,17 @@ class TestPeriodPrograms:
                 assert not programs
                 continue
             assert case == "desk_two_area"
-            # the search over period t's band sets its droop and segment indicators
+            # the search over period t's band sets its droop and held segments
             firsts = distinct_bands(scn, stab).values()
             assert len(firsts) < scn.n_periods
             n_cells = len(programs)  # before the searches below add theirs
             searches = [stab.net_gain_max(band) for band in net_gain_bands(scn, stab)]
-            assert n_cells == sol.node_count == sum(searches[t][2] for t in firsts)
+            assert n_cells == sol.lp_count == sum(searches[t][2] for t in firsts)
             for t, (knet, held, _, _) in enumerate(searches):
                 for a, k in knet.items():
                     assert sol.droop[t, a] == stab.robust_gains[a] - k
-                for (i, a), tab in stab.live_tables().items():
-                    for m in range(len(tab.points)):
-                        assert sol.binaries[(t, i, a, m)] == float(m == held[(i, a)])
+                assert {(i, a): m for (s, i, a), m in sol.held_segments.items() if s == t} \
+                    == held and set(held) == set(stab.segments)
 
 
 def multi_area_draw(seed):
@@ -1143,12 +1185,11 @@ class TestMultiAreaDispatch:
             # the chosen droop fits each area's wind band and meets every stability row
             assert np.all(2.0 * scn.model.omega_max * sol.droop
                           <= scn.wind_available + 1e-9)
-            bounds = stab.row_bounds()
             for t in range(scn.n_periods):
                 shift = {}
-                for (i, a), tab in stab.live_tables().items():
-                    (m,) = [m for m in range(len(tab.points)) if sol.binaries[(t, i, a, m)] > 0.5]
-                    lo, hi, slope, offset = stab.segments(tab)[m]
+                for (i, a), segs in stab.segments.items():
+                    tab = stab.by_pair[(i, a)]
+                    lo, hi, slope, offset = segs[sol.held_segments[(t, i, a)]]
                     k = gains[a] - sol.droop[t, a]
                     assert lo - 1e-9 <= k <= hi + 1e-9
                     shift[i] = shift.get(i, 0.0) + slope * k + offset
@@ -1156,7 +1197,7 @@ class TestMultiAreaDispatch:
                     # lies a round-off below its anchor (seed 72: 3e-16)
                     assert evaluate_piecewise(tab, k).real == pytest.approx(slope * k + offset,
                                                                             abs=1e-9)
-                assert all(value <= bounds[i] + 1e-9 for i, value in shift.items())
+                assert all(value <= stab.bounds[i] + 1e-9 for i, value in shift.items())
 
 
 def anchored_table(eigen_index, area, base, points, range_end):
@@ -1296,8 +1337,9 @@ class TestCellSearch:
         for band in net_gain_bands(scn, stab):
             knet, held, _, _ = stab.net_gain_max(band)
             assert_held_point(stab, band, knet, held)
-            for (i, a), tab in stab.live_tables().items():
-                phi, _, slope, offset = stab.segments(tab)[held[(i, a)]]
+            for (i, a), segs in stab.segments.items():
+                tab = stab.by_pair[(i, a)]
+                phi, _, slope, offset = segs[held[(i, a)]]
                 on_anchor += knet[a] == phi
                 assert evaluate_piecewise(tab, knet[a]).real == pytest.approx(
                     slope * knet[a] + offset, abs=1e-12)

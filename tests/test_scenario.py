@@ -102,6 +102,15 @@ class TestScenarioFromDict:
             with pytest.raises(ScenarioError, match="attack static must be finite"):
                 scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -5.0])
+    def test_base_power_must_be_positive_and_finite(self, value):
+        # NaN once read as a non-finite inertia, and infinity as a zero total inertia
+        doc = single_area_toy()
+        doc["base_power"] = value
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(doc)
+        assert str(info.value) == f"base_power must be positive and finite, got {value!r}"
+
     def test_integral_numbers_and_boolean_commitments_accepted(self):
         doc = three_area_system()
         doc["attack"]["areas"] = [1.0]
@@ -146,6 +155,16 @@ class TestFiles:
         path.write_text(json.dumps([record]))
         with pytest.raises(ScenarioError, match="is malformed"):
             load_samples(path, base_power=1.0)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_samples_rejected(self, tmp_path, text):
+        # Python's json reads NaN and Infinity, and 1e400 as infinity
+        path = tmp_path / "samples.json"
+        path.write_text(f'[{{"area": 0, "samples": [2.0]}}, '
+                        f'{{"area": 1, "samples": [2.0, {text}]}}]')
+        with pytest.raises(ScenarioError) as info:
+            load_samples(path, base_power=1.0)
+        assert str(info.value) == f"samples file {path} holds a non-finite sample in area 1"
 
     def test_file_without_records_raises(self, tmp_path):
         path = tmp_path / "samples.json"

@@ -139,6 +139,24 @@ class TestSimulate:
         assert traj.times[-1] < 30.0
         assert classify_trajectory(traj) == "growing"
 
+    def test_pre_step_state_past_the_bound_ends_the_trajectory(self):
+        # the desk's governor integrals scaled by 1e-8 put the pre-step
+        # equilibrium at 3.3e7: the trajectory is cut at its second sample
+        from cred.systems import three_area_system
+
+        doc = three_area_system()
+        for area in doc["areas"]:
+            area["gov_integral"] *= 1e-8
+        model = scenario_from_dict(doc).model
+        ss = _ss(model)
+        x_pre = np.linalg.solve(ss.state_matrix, -ss.forcing)
+        assert 3e7 < np.abs(x_pre).max() < 4e7
+        step = 0.01 * np.asarray(model.secure_load)
+        traj = simulate(ss, step, t_step=1.0, t_end=60.0, dt=None)
+        assert traj.diverged and len(traj.times) == 2
+        assert classify_trajectory(traj) == "growing"
+        _assert_same_bits(traj, propagation_reference(ss, step, 1.0, 60.0, traj.times[1]))
+
     def test_unstable_envelope_growth_rate(self, one_area_model):
         ss = _ss(one_area_model, gain=3.0)
         traj = simulate(ss, np.array([1.0]), t_step=1.0, t_end=20.0, dt=0.01)

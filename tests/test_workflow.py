@@ -130,7 +130,7 @@ class TestBranches:
         rep = run_toy(three_area_storage_day())
         assert rep.branch_taken == "cred_applied"
         # one LP over the whole day, certified period by period
-        assert rep.solution.node_count == 1
+        assert rep.solution.lp_count == 1
         assert len(rep.certificate["max_real_per_period"]) == 24
         assert max(rep.certificate["max_real_per_period"]) < 0.0
         soc = rep.solution.storage_soc
@@ -430,8 +430,11 @@ class TestArtifacts:
         solution = json.loads((out / "solution.json").read_text())
         assert solution["wind_power_mw"][0][0] == pytest.approx(4.0 - 0.550001, abs=1e-6)
         # the toy dispatches by merit order: no program is solved
-        assert solution["simplex_iterations"] == solution["node_count"] == 0
-        assert rep.solution.simplex_iterations == rep.solution.node_count == 0
+        assert solution["simplex_iterations"] == solution["lp_count"] == 0
+        assert rep.solution.simplex_iterations == rep.solution.lp_count == 0
+        # the segment the toy's one pair holds, keyed "t,i,a"
+        assert list(solution["held_segments"]) == ["0,1,0"]
+        assert solution["held_segments"]["0,1,0"] == rep.solution.held_segments[(0, 1, 0)]
         summary = (out / "summary.csv").read_text().splitlines()
         assert summary[0].startswith("period,cost")
         assert len(summary) == 2
@@ -473,6 +476,31 @@ class TestSweeps:
         rows = sweep_study(cfg, axis, [value], scenario_doc=doc)
         assert rows == sweep_study(cfg, axis, [value], scenario_doc=three_area_system())
         assert rows[0].error is None
+
+    def test_wind_capacity_scales_the_wind(self, monkeypatch):
+        # each point rescales every wind area's capacity and availability;
+        # the document's own 5000 MW reproduces the unswept run
+        import cred.workflow as workflow
+
+        doc, bundles, run = three_area_system(), [], workflow.run_workflow
+
+        def recording(cfg, bundle):
+            bundles.append(bundle)
+            return run(cfg, bundle=bundle)
+
+        monkeypatch.setattr(workflow, "run_workflow", recording)
+        cfg = WorkflowConfig(mode="worst_case")
+        rows = sweep_study(cfg, "wind_capacity", [3000.0, 5000.0, 8000.0], scenario_doc=doc)
+        assert [r.branch for r in rows] == ["cred_infeasible_shed", "cred_applied",
+                                           "cred_applied"]
+        unswept = run(cfg, bundle=scenario_from_dict(doc))
+        assert rows[1].total_increment == unswept.cost_increment
+        assert rows[1].avg_increment == unswept.cost_increment / len(unswept.per_period)
+        wind = scenario_from_dict(doc).dispatch.wind_available
+        for value, bundle in zip([3000.0, 5000.0, 8000.0], bundles):
+            assert bundle.model.ibr_max_power.tolist() == [0.0, value / 1000.0, 0.0]
+            assert np.allclose(bundle.dispatch.wind_available, wind * value / 5000.0,
+                               rtol=1e-15, atol=0.0)
 
     def test_numeric_string_rejected_before_the_grid(self):
         # the parser rejects "5000" as a number, so the sweep stops before its first point
