@@ -192,9 +192,10 @@ class StabilityConstraintSet:
     boundary left of the imaginary axis.
 
     The rows are stated here once.  Construction checks the tables: one
-    per (eigenvalue, area) pair (BuildError otherwise), each with its first
-    anchor at abscissa 0 (BuildError) and covering [0, robust gain] of its
-    area (CoverageError).  It derives what the dispatch reads: by_pair, the
+    per (eigenvalue, area) pair (BuildError otherwise), each for an area
+    that indexes robust_gains (BuildError), with its first anchor at
+    abscissa 0 (BuildError) and covering [0, robust gain] of its area
+    (CoverageError).  It derives what the dispatch reads: by_pair, the
     tables keyed and sorted by pair; segments, the (phi_m, hi_m, slope_m,
     offset_m) of each segment of each live pair, a pair whose area has a
     positive robust gain (only these get stability rows); and bounds, the
@@ -225,6 +226,9 @@ class StabilityConstraintSet:
             i, a = pair = (tab.eigen_index, tab.area)
             if pair in by_pair:
                 raise BuildError(f"duplicate segment table for pair {pair}")
+            if not 0 <= a < len(gains):
+                raise BuildError(f"table for pair ({i},{a}) names no area of the "
+                                 f"{len(gains)} robust gains")
             if not tab.points or tab.points[0].abscissa != 0.0:
                 raise BuildError(f"table for pair ({i},{a}) has no first anchor at abscissa 0")
             if tab.range_end < 0:

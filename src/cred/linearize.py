@@ -26,6 +26,18 @@ grid loop differs from S0 in its damping entry alone, and
 Q^T P e_row = Q^T e_0 = e_0, so it is similar to H0 with its [0, 0] entry
 rewritten; that entry is written by the expression build_state_space uses.
 
+A sweep's base work depends on the grid's dynamics alone (inertia,
+damping, governor gains, coupling), which a re-dispatch keeps from one
+interval to the next while the loads, the wind and the attack estimate
+change.  So _sweep_base keeps the eigen_decompose, the is_stable verdict
+and the hessenberg_first of the last few zero-gain loops, keyed on the
+bytes of S0 and on row = N + area: a sweep of an area whose loop is
+bit-equal to one kept decomposes nothing, and any other sweep computes
+them as it did before.  The key holds the state matrix, not the model;
+sensitivity still gives the residues on every sweep.  The precheck and the
+certificate (cred.dispatch) share none of this and decompose their loops
+on every call, so the certificate stays independent of the sweep it checks.
+
 An anchor needs no decomposition of its own.  With S0 = V diag(lambda0)
 V^-1 the base loop and row = N + area, the loop at net gain k is the
 rank-one modification S0 + (k/M_a) e_row e_row^T, so an eigenvalue lambda
@@ -52,6 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -149,6 +162,8 @@ class SegmentTable:
 def net_gain_state_space(model: SystemModel, area: int, k: float) -> StateSpace:
     """Closed loop with net gain k in one area: attack if k > 0, droop if k < 0."""
     n = model.areas
+    if k == 0.0:
+        return build_state_space(model, AttackProfile.none(n), DroopSchedule.none(n))
     gain = np.zeros(n)
     droop = np.zeros(n)
     if k >= 0.0:
@@ -192,13 +207,42 @@ def hessenberg_first(s: np.ndarray, row: int) -> np.ndarray:
     return h
 
 
+class _ZeroGainLoop:
+    """An area's zero-gain loop, equal to another by the bytes of S0 and by row."""
+
+    __slots__ = ("ss", "row", "key")
+
+    def __init__(self, ss: StateSpace, row: int):
+        self.ss, self.row, self.key = ss, row, (ss.state_matrix.tobytes(), row)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+
+#: a run sweeps each attacked area once and the next run of the same grid
+#: sweeps the same areas, so a few loops serve every repeat; a 48-state
+#: entry holds about 0.15 MB, so four keep the cache small
+@lru_cache(maxsize=4)
+def _sweep_base(loop: _ZeroGainLoop) -> tuple:
+    """(eigen_decompose(S0), is_stable verdict, hessenberg_first(S0, row)) of one loop."""
+    eig0 = eigen_decompose(loop.ss)
+    h0 = hessenberg_first(loop.ss.state_matrix, loop.row)
+    h0.setflags(write=False)
+    return eig0, is_stable(eig0), h0
+
+
 def sweep_loci(model: SystemModel, area: int, range_end: float,
                eps_phi: float | None = None) -> LocusSweep:
     """Track every base eigenvalue by nearest match from net gain 0 to range_end.
 
     range_end may have either sign; eps_phi is the (positive) grid step,
     |range_end|/200 by default.  The base system (net gain zero) must be
-    stable.  Grid point g maps spectrum position p of point g-1 (of the
+    stable, or ConfigurationError is raised, also when its decomposition
+    comes from the cache of zero-gain loops keyed on S0's bytes and the
+    row (module docstring).  Grid point g maps spectrum position p of point g-1 (of the
     base for g = 0) to the nearest position of its own spectrum, the first
     one on a tie; loci[g] is spectra[g] at the composition of maps 0..g.
     Two loci share a position once a map is not one-to-one, as where a
@@ -218,9 +262,9 @@ def sweep_loci(model: SystemModel, area: int, range_end: float,
             f"a sweep of {points:.3g} grid points of {2 * model.areas} states exceeds "
             f"{MAX_GRID_ENTRIES} entries; take a coarser eps_phi")
 
-    ss0 = net_gain_state_space(model, area, 0.0)
-    eig0 = eigen_decompose(ss0)
-    if not is_stable(eig0):
+    row = model.areas + area
+    eig0, verdict, h0 = _sweep_base(_ZeroGainLoop(net_gain_state_space(model, area, 0.0), row))
+    if not verdict:
         raise ConfigurationError("base system is unstable; cannot anchor the sweep at 0")
 
     direction = 1.0 if range_end > 0 else -1.0
@@ -234,8 +278,6 @@ def sweep_loci(model: SystemModel, area: int, range_end: float,
     # x + (-k) and x - k are the same IEEE operation, so the entry is
     # net_gain_state_space(model, area, k).state_matrix[row, row] bit for bit,
     # and the loop is similar to that state matrix (module docstring)
-    row = model.areas + area
-    h0 = hessenberg_first(ss0.state_matrix, row)
     minv = 1.0 / model.total_inertia[area]
     base_damp = model.gov_proportional[area] + model.damping[area]
     spectra = np.empty((len(grid), len(eig0)), dtype=complex)

@@ -653,6 +653,13 @@ class TestStabilityConstraintSet:
         with pytest.raises(CoverageError) as info:
             StabilityConstraintSet((tab,), [0.0, 2.5])
         assert str(info.value) == "table for pair (0,1) covers [0, 2] but robust gain is 2.5"
+        # an area outside the robust gains is no area: not an IndexError, nor the last area
+        for area in (3, -1):
+            stray = anchored_table(0, area, base, [(0.0, 0.0, 0.5)], 2.0)
+            with pytest.raises(BuildError) as info:
+                StabilityConstraintSet((stray,), [0.0, 1.0])
+            assert str(info.value) == (f"table for pair (0,{area}) names no area of the 2 "
+                                       "robust gains")
         # a table covers its gain to 1e-12, and a gainless area's table is kept but not live
         StabilityConstraintSet((tab,), [0.0, 2.0 + 1e-13])
         assert StabilityConstraintSet((tab,), [0.0, 0.0]).segments == {}

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from oracles import (
     sweep_segment_table_pointwise,
 )
 
-from cred import linearize
+from cred import grid, linearize
 from cred.errors import (
     ConfigurationError,
     CoverageError,
@@ -43,6 +45,7 @@ from cred.linearize import (
 )
 from cred.scenario import scenario_from_dict
 from cred.stability import eigen_decompose, sensitivity
+from cred.systems import single_area_toy, three_area_system
 from cred.workflow import WorkflowConfig, run_workflow
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -250,9 +253,10 @@ class TestStackedSweep:
             built.clear()
             decomposed.clear()
             solves.clear()
+            linearize._sweep_base.cache_clear()
             tab = build_segment_table(sweep_loci(desk_bundle.model, n, gain, gain / steps), i,
                                       0.02)
-            # one state space and decomposition per sweep, the base's; none per anchor
+            # one state space and decomposition per cold sweep, the base's; none per anchor
             assert built == [0.0] and len(decomposed) == 1
             anchors += len(tab.points) - 1
             grid = len(tab.grid_abscissas)
@@ -396,6 +400,104 @@ class TestSweepRange:
         monkeypatch.setattr(linearize, "net_gain_state_space", no_base)
         with pytest.raises(ConfigurationError, match=message):
             sweep_loci(desk_bundle.model, 1, range_end, eps_phi)
+
+
+def sweep_bytes(sweep):
+    """Every field of a LocusSweep, its arrays as bytes."""
+    return [v.tobytes() if isinstance(v, np.ndarray) else v
+            for v in dataclasses.astuple(sweep)]
+
+
+def counting_base_work(monkeypatch):
+    """Record each eigen_decompose and hessenberg_first call the sweep makes."""
+    calls = []
+    for name in ("eigen_decompose", "hessenberg_first"):
+        def wrapper(*args, _real=getattr(linearize, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(linearize, name, wrapper)
+    return calls
+
+
+class TestSweepBaseCache:
+    """The zero-gain loop's decomposition, verdict and reduction, shared by content."""
+
+    @pytest.mark.parametrize("which, area, range_end", [
+        ("desk", 1, 5.0), ("desk", 0, -3.0), ("ring", 3, 5.0)])
+    def test_hit_equals_a_cold_sweep(self, which, area, range_end):
+        model = scenario_from_dict(three_area_system()).model if which == "desk" else ring_model()
+        linearize._sweep_base.cache_clear()
+        sweep_loci(model, area, range_end)
+        hit = sweep_loci(model, area, range_end)
+        assert linearize._sweep_base.cache_info().hits == 1
+        linearize._sweep_base.cache_clear()
+        cold = sweep_loci(model, area, range_end)
+        assert sweep_bytes(hit) == sweep_bytes(cold)
+        assert hit.residues is not cold.residues  # sensitivity runs on every sweep
+
+    def test_second_parse_does_no_base_work(self, monkeypatch):
+        doc = three_area_system()
+        linearize._sweep_base.cache_clear()
+        first = sweep_loci(scenario_from_dict(doc).model, 1, 5.0)
+        calls = counting_base_work(monkeypatch)
+        again = sweep_loci(scenario_from_dict(doc).model, 1, 5.0)
+        assert calls == []
+        assert sweep_bytes(again) == sweep_bytes(first)
+        # another area of the same grid is another row, so another reduction
+        sweep_loci(scenario_from_dict(doc).model, 0, 5.0)
+        assert calls == ["eigen_decompose", "hessenberg_first"]
+
+    @pytest.mark.parametrize("field, value", [("damping", 30.0), ("inertia_sg", 6500.0)])
+    def test_edited_dynamics_miss(self, monkeypatch, field, value):
+        doc = three_area_system()
+        linearize._sweep_base.cache_clear()
+        first = sweep_loci(scenario_from_dict(doc).model, 1, 5.0)
+        doc["areas"][1][field] = value
+        calls = counting_base_work(monkeypatch)
+        edited = sweep_loci(scenario_from_dict(doc).model, 1, 5.0)
+        assert calls == ["eigen_decompose", "hessenberg_first"]
+        assert not np.array_equal(edited.loci, first.loci)
+        assert not np.array_equal(edited.base_eigenvalues, first.base_eigenvalues)
+
+    def test_unstable_base_raises_on_a_hit(self):
+        doc = single_area_toy()
+        doc["areas"][0].update(gov_proportional=0.0, damping=0.0, vulnerable_load=0.0)
+        model = scenario_from_dict(doc).model
+        linearize._sweep_base.cache_clear()
+        for hits in (0, 1):
+            with pytest.raises(ConfigurationError, match="^base system is unstable; cannot "
+                                                         "anchor the sweep at 0$"):
+                sweep_loci(model, 0, 1.0)
+            assert linearize._sweep_base.cache_info().hits == hits
+
+    def test_failed_decomposition_is_not_kept(self, desk_bundle, monkeypatch):
+        real, calls = linearize.eigen_decompose, []
+
+        def failing_first(ss):
+            calls.append(ss)
+            if len(calls) == 1:
+                raise NumericalError("eigen solver failed")
+            return real(ss)
+
+        monkeypatch.setattr(linearize, "eigen_decompose", failing_first)
+        linearize._sweep_base.cache_clear()
+        with pytest.raises(NumericalError, match="^eigen solver failed$"):
+            sweep_loci(desk_bundle.model, 1, 5.0)
+        sweep_loci(desk_bundle.model, 1, 5.0)
+        assert len(calls) == 2
+        assert linearize._sweep_base.cache_info().currsize == 1
+
+    def test_keeps_no_model(self):
+        model = scenario_from_dict(three_area_system()).model
+        ref = weakref.ref(model)
+        linearize._sweep_base.cache_clear()
+        sweep = sweep_loci(model, 1, 5.0)
+        del model, sweep
+        grid._loop_blocks.cache_clear()  # that cache keeps its last few models by design
+        gc.collect()
+        assert ref() is None
+        assert linearize._sweep_base.cache_info().currsize == 1
 
 
 class TestRankOneAnchors:

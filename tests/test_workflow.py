@@ -295,17 +295,32 @@ class TestCertificateWork:
         assert cert.max_real[2] != cert.max_real[0]
 
     def test_certified_desk_run_assembles_three_loops(self, monkeypatch):
-        """The precheck, the sweep's base and one certificate loop; nothing else."""
+        """The precheck, the sweep's base and one certificate loop; nothing else.
+
+        A rerun of an equal document shares the sweep's base decomposition,
+        while the precheck and the certificate decompose their loops again.
+        """
         import cred.dispatch as dispatch
         import cred.linearize as linearize
         from cred.systems import three_area_system
 
+        linearize._sweep_base.cache_clear()
         calls = _counting_calls(monkeypatch, [dispatch, linearize],
                                 ("build_state_space", "eigen_decompose"))
         rep = run_toy(three_area_system())
         assert rep.branch_taken == "cred_applied"
         assert len(calls["build_state_space"]) == 3
         assert len(calls["eigen_decompose"]) == 3
+
+        precheck, _, certificate = (e.eigenvalues.tobytes() for e in calls["eigen_decompose"])
+        for name in calls:
+            calls[name].clear()
+        again = run_toy(three_area_system())
+        assert again.branch_taken == "cred_applied"
+        assert len(calls["build_state_space"]) == 3  # the base's state space keys the cache
+        assert [e.eigenvalues.tobytes() for e in calls["eigen_decompose"]] == [precheck,
+                                                                              certificate]
+        assert linearize._sweep_base.cache_info().hits == 1
 
     @pytest.mark.parametrize("field,value", [
         ("wind_power", -1.0), ("wind_power", np.nan), ("wind_power", np.inf),
