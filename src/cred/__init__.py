@@ -49,7 +49,6 @@ from .linearize import (
     SegmentTable,
     build_segment_table,
     evaluate_piecewise,
-    net_gain_state_space,
     select_critical_pairs,
     sweep_loci,
 )

@@ -231,9 +231,6 @@ class StabilityConstraintSet:
                                  f"{len(gains)} robust gains")
             if not tab.points or tab.points[0].abscissa != 0.0:
                 raise BuildError(f"table for pair ({i},{a}) has no first anchor at abscissa 0")
-            if tab.range_end < 0:
-                raise CoverageError(f"table for pair ({i},{a}) sweeps negative gains; "
-                                    "dispatch needs [0, gain]")
             if gains[a] > tab.range_end + 1e-12:
                 raise CoverageError(f"table for pair ({i},{a}) covers [0, {tab.range_end:g}] "
                                     f"but robust gain is {gains[a]:g}")

@@ -186,19 +186,40 @@ class StateSpace:
         return self.state_matrix.shape[0] // 2
 
 
+class ContentKey:
+    """A cache argument that carries value and equals another by the bytes of parts.
+
+    parts are arrays, compared by their bytes, and plain hashables.  An
+    lru_cache keyed on it shares its work between equal contents and keeps
+    value alive, so value holds arrays, never a model.
+    """
+
+    __slots__ = ("value", "key")
+
+    def __init__(self, value, *parts):
+        self.value = value
+        self.key = tuple(p.tobytes() if isinstance(p, np.ndarray) else p for p in parts)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+
 @lru_cache(maxsize=4)
-def _loop_blocks(model: SystemModel) -> tuple:
-    """(1/M, K_p + D, E, S0): what every loop of the model shares.
+def _loop_blocks(dynamics: ContentKey) -> tuple:
+    """(1/M, K_p + D, E, S0) of dynamics.value = (M, K_p + D, K_I, susceptance).
 
     S0 is the state matrix with its damping block left zero: the identity
-    block and -M^-1 (diag(K_I) + Laplacian) placed.  The blocks of the last
-    few models assembled are kept, so a run builds them once for all its
-    loops, while the models a caller keeps for later carry none.
+    block and -M^-1 (diag(K_I) + Laplacian) placed.  Every loop of a grid
+    shares them, and the blocks of the last few grids are kept by their
+    bytes, so a re-parsed model with the same dynamics builds none.
     """
-    m_total = model.total_inertia
+    m_total, base_damp, gov_integral, sus = dynamics.value
     if (m_total <= 0.0).any():
         raise ConfigurationError("singular inertia matrix: zero total inertia in some area")
-    n = model.areas
+    n = len(m_total)
     minv = 1.0 / m_total
     eye = np.eye(n)
     descriptor = np.zeros((2 * n, 2 * n))
@@ -206,8 +227,8 @@ def _loop_blocks(model: SystemModel) -> tuple:
     descriptor[n:, n:] = -np.diag(m_total)
     template = np.zeros((2 * n, 2 * n))
     template[:n, n:] = eye
-    template[n:, :n] = -minv[:, None] * (np.diag(model.gov_integral) + model.coupling_laplacian())
-    blocks = (minv, model.gov_proportional + model.damping, descriptor, template)
+    template[n:, :n] = -minv[:, None] * (np.diag(gov_integral) + (np.diag(sus.sum(axis=1)) - sus))
+    blocks = (minv, base_damp, descriptor, template)
     for arr in blocks:
         arr.setflags(write=False)
     return blocks
@@ -218,14 +239,16 @@ def build_state_space(model: SystemModel, attack: AttackProfile, droop: DroopSch
 
     The attack and droop gains enter only through their difference, so the
     damping block is computed from (droop - attack) first; equal gains cancel
-    bit-exactly.  E and the model's own blocks of S are built once per
-    model (_loop_blocks); a call copies them and writes the damping
+    bit-exactly.  E and the grid's own blocks of S are built once per grid
+    dynamics (_loop_blocks); a call copies them and writes the damping
     diagonal and the forcing.
     """
     n = model.areas
     if attack.dyn_gain.shape != (n,) or droop.droop_gain.shape != (n,):
         raise ConfigurationError("attack/droop dimensioned for a different number of areas")
-    minv, base_damp, descriptor, template = _loop_blocks(model)
+    dynamics = (model.total_inertia, model.gov_proportional + model.damping,
+                model.gov_integral, model.susceptance)
+    minv, base_damp, descriptor, template = _loop_blocks(ContentKey(dynamics, *dynamics))
     state = template.copy()
     np.fill_diagonal(state[n:, n:], -minv * (base_damp + (droop.droop_gain - attack.dyn_gain)))
 

@@ -1,20 +1,21 @@
 """Exact eigenvalue loci along a net-gain sweep, screened and linearized.
 
 The abscissa is the net destabilizing gain k = K_attack - K_droop in one
-area.  sweep_loci tracks every base eigenvalue by nearest match on a fixed
-grid from k = 0 toward a signed range end; grid points differ from the base
-loop in one diagonal entry of the state matrix, so their spectra come from
-one stacked eigensolve per block of BLOCK points.  Nearest match from one
-grid point to the next is a neighbour map of spectrum positions, computed
-for TRACK grid points per array op; a prefix scan composes the maps, so the
-loci are read off the spectra by index, bit-equal to a point-by-point
-tracking loop (also where a map is not one-to-one).  One sweep per attacked
-area feeds select_critical_pairs, which keeps the pairs whose loci reach
-the settling boundary, and build_segment_table: whenever the first-order
-estimate anchored at the latest linearization point drifts from the swept
-eigenvalue by more than eps_lim in real part, that grid point becomes a
-fresh anchor, so the table bounds the real-part error on every grid point
-by eps_lim.
+area, which the dispatch holds in [0, robust gain]: droop never exceeds the
+attack gain it answers.  sweep_loci tracks every base eigenvalue by nearest
+match on a fixed grid from k = 0 up to a positive range end; grid points
+differ from the base loop in one diagonal entry of the state matrix, so
+their spectra come from one stacked eigensolve per block of BLOCK points.
+Nearest match from one grid point to the next is a neighbour map of
+spectrum positions, computed for TRACK grid points per array op; a prefix
+scan composes the maps, so the loci are read off the spectra by index,
+bit-equal to a point-by-point tracking loop (also where a map is not
+one-to-one).  One sweep per attacked area feeds select_critical_pairs,
+which keeps the pairs whose loci reach the settling boundary, and
+build_segment_table: whenever the first-order estimate anchored at the
+latest linearization point drifts from the swept eigenvalue by more than
+eps_lim in real part, that grid point becomes a fresh anchor, so the table
+bounds the real-part error on every grid point by eps_lim.
 
 The stacked loops are not the grid's state matrices but matrices similar
 to them, already in upper Hessenberg form, so the eigensolver's own
@@ -69,7 +70,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, CoverageError, NumericalError, TrackingError
-from .grid import AttackProfile, DroopSchedule, StateSpace, SystemModel, build_state_space
+from .grid import AttackProfile, ContentKey, DroopSchedule, SystemModel, build_state_space
 from .stability import check_simple, eigen_decompose, is_stable, sensitivity
 
 __all__ = [
@@ -77,7 +78,6 @@ __all__ = [
     "LocusSweep",
     "SegmentTable",
     "hessenberg_first",
-    "net_gain_state_space",
     "sweep_loci",
     "build_segment_table",
     "evaluate_piecewise",
@@ -108,7 +108,7 @@ class LinearizationPoint:
 
 @dataclass(frozen=True, eq=False)
 class LocusSweep:
-    """Every base eigenvalue tracked along one area's net-gain grid.
+    """Every base eigenvalue tracked along one area's net-gain grid, from 0 up to range_end.
 
     base_eigenvalues are the base loop's, sorted as eigen_decompose sorts
     them, and residues is sensitivity(model, base decomposition, area):
@@ -134,11 +134,11 @@ class SegmentTable:
     """Linearization points for one (eigenvalue, area) pair.
 
     points[0] is always the base point at abscissa 0 with the base
-    eigenvalue; abscissas move strictly monotonically toward range_end.
-    Each point anchors the half-open interval extending away from zero up
-    to (but excluding) the next point; the last point's interval is closed
-    at range_end.  grid_abscissas/grid_errors record, for every grid point
-    visited during construction, the real-part error of the final table.
+    eigenvalue; abscissas increase strictly up to range_end > 0.  Each
+    point anchors the half-open interval from itself up to (but excluding)
+    the next point; the last point's interval is closed at range_end.
+    grid_abscissas/grid_errors record, for every grid point visited during
+    construction, the real-part error of the final table.
     """
 
     eigen_index: int
@@ -146,7 +146,6 @@ class SegmentTable:
     points: tuple
     range_end: float
     base_eigenvalue: complex
-    step: float
     grid_abscissas: np.ndarray
     grid_errors: np.ndarray
 
@@ -157,24 +156,6 @@ class SegmentTable:
     @property
     def abscissas(self) -> np.ndarray:
         return np.array([p.abscissa for p in self.points])
-
-
-def net_gain_state_space(model: SystemModel, area: int, k: float) -> StateSpace:
-    """Closed loop with net gain k in one area: attack if k > 0, droop if k < 0."""
-    n = model.areas
-    if k == 0.0:
-        return build_state_space(model, AttackProfile.none(n), DroopSchedule.none(n))
-    gain = np.zeros(n)
-    droop = np.zeros(n)
-    if k >= 0.0:
-        gain[area] = k
-    else:
-        droop[area] = -k
-    return build_state_space(
-        model,
-        AttackProfile(gain, np.zeros(n), (area,) if k > 0 else ()),
-        DroopSchedule(droop, np.zeros(n)),
-    )
 
 
 def hessenberg_first(s: np.ndarray, row: int) -> np.ndarray:
@@ -207,77 +188,66 @@ def hessenberg_first(s: np.ndarray, row: int) -> np.ndarray:
     return h
 
 
-class _ZeroGainLoop:
-    """An area's zero-gain loop, equal to another by the bytes of S0 and by row."""
-
-    __slots__ = ("ss", "row", "key")
-
-    def __init__(self, ss: StateSpace, row: int):
-        self.ss, self.row, self.key = ss, row, (ss.state_matrix.tobytes(), row)
-
-    def __eq__(self, other):
-        return self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-
 #: a run sweeps each attacked area once and the next run of the same grid
 #: sweeps the same areas, so a few loops serve every repeat; a 48-state
 #: entry holds about 0.15 MB, so four keep the cache small
 @lru_cache(maxsize=4)
-def _sweep_base(loop: _ZeroGainLoop) -> tuple:
-    """(eigen_decompose(S0), is_stable verdict, hessenberg_first(S0, row)) of one loop."""
-    eig0 = eigen_decompose(loop.ss)
-    h0 = hessenberg_first(loop.ss.state_matrix, loop.row)
+def _sweep_base(loop: ContentKey) -> tuple:
+    """(eigen_decompose(S0), is_stable verdict, hessenberg_first(S0, row)) of one loop.
+
+    loop.value is (ss, row): the loop's state space, S0 its state matrix.
+    """
+    ss, row = loop.value
+    eig0 = eigen_decompose(ss)
+    h0 = hessenberg_first(ss.state_matrix, row)
     h0.setflags(write=False)
     return eig0, is_stable(eig0), h0
 
 
 def sweep_loci(model: SystemModel, area: int, range_end: float,
                eps_phi: float | None = None) -> LocusSweep:
-    """Track every base eigenvalue by nearest match from net gain 0 to range_end.
+    """Track every base eigenvalue by nearest match from net gain 0 up to range_end > 0.
 
-    range_end may have either sign; eps_phi is the (positive) grid step,
-    |range_end|/200 by default.  The base system (net gain zero) must be
-    stable, or ConfigurationError is raised, also when its decomposition
-    comes from the cache of zero-gain loops keyed on S0's bytes and the
-    row (module docstring).  Grid point g maps spectrum position p of point g-1 (of the
-    base for g = 0) to the nearest position of its own spectrum, the first
-    one on a tie; loci[g] is spectra[g] at the composition of maps 0..g.
-    Two loci share a position once a map is not one-to-one, as where a
-    conjugate pair splits on the real axis.
+    eps_phi is the (positive) grid step, range_end/200 by default.  The
+    base system (net gain zero) must be stable, or ConfigurationError is
+    raised, also when its decomposition comes from the cache of zero-gain
+    loops keyed on S0's bytes and the row (module docstring).  Grid point g
+    maps spectrum position p of point g-1 (of the base for g = 0) to the
+    nearest position of its own spectrum, the first one on a tie; loci[g]
+    is spectra[g] at the composition of maps 0..g.  Two loci share a
+    position once a map is not one-to-one, as where a conjugate pair
+    splits on the real axis.
     """
-    if not math.isfinite(range_end) or range_end == 0.0:
-        raise ConfigurationError(f"range_end must be finite and nonzero, not {range_end!r}")
+    if not 0.0 < range_end < math.inf:  # NaN too
+        raise ConfigurationError(f"range_end must be positive and finite, not {range_end!r}")
     if eps_phi is None:
-        eps_phi = abs(range_end) / 200.0
+        eps_phi = range_end / 200.0
     if not eps_phi > 0.0:  # NaN too
         raise ConfigurationError("eps_phi must be > 0")
-    if eps_phi > abs(range_end) / 4.0:
-        raise ConfigurationError("eps_phi must be at most |range_end|/4")
-    points = abs(range_end) / eps_phi  # inf where the quotient overflows
+    if eps_phi > range_end / 4.0:
+        raise ConfigurationError("eps_phi must be at most range_end/4")
+    points = range_end / eps_phi  # inf where the quotient overflows
     if points * 2 * model.areas > MAX_GRID_ENTRIES:
         raise ConfigurationError(
             f"a sweep of {points:.3g} grid points of {2 * model.areas} states exceeds "
             f"{MAX_GRID_ENTRIES} entries; take a coarser eps_phi")
 
-    row = model.areas + area
-    eig0, verdict, h0 = _sweep_base(_ZeroGainLoop(net_gain_state_space(model, area, 0.0), row))
+    n, row = model.areas, model.areas + area
+    ss0 = build_state_space(model, AttackProfile.none(n), DroopSchedule.none(n))
+    eig0, verdict, h0 = _sweep_base(ContentKey((ss0, row), ss0.state_matrix, row))
     if not verdict:
         raise ConfigurationError("base system is unstable; cannot anchor the sweep at 0")
 
-    direction = 1.0 if range_end > 0 else -1.0
-    n_steps = int(np.floor(abs(range_end) / eps_phi + 1e-9))
-    grid = direction * eps_phi * np.arange(1, n_steps + 1, dtype=float)
-    if abs(grid[-1]) < abs(range_end) - 1e-12:
+    n_steps = int(np.floor(points + 1e-9))
+    grid = eps_phi * np.arange(1, n_steps + 1, dtype=float)
+    if grid[-1] < range_end - 1e-12:
         grid = np.append(grid, range_end)
 
     # each grid loop is h0 with its [0, 0] entry, the area-row damping entry,
-    # rewritten as build_state_space computes it, -(1/M) * (K_p + D + (-k));
-    # x + (-k) and x - k are the same IEEE operation, so the entry is
-    # net_gain_state_space(model, area, k).state_matrix[row, row] bit for bit,
-    # and the loop is similar to that state matrix (module docstring)
+    # rewritten as build_state_space computes it, -(1/M) * (K_p + D + (0 - k));
+    # x + (0 - k) and x - k are the same IEEE operation, so the entry is that
+    # of the state matrix with attack gain k in the area bit for bit, and the
+    # loop is similar to that state matrix (module docstring)
     minv = 1.0 / model.total_inertia[area]
     base_damp = model.gov_proportional[area] + model.damping[area]
     spectra = np.empty((len(grid), len(eig0)), dtype=complex)
@@ -390,7 +360,6 @@ def build_segment_table(sweep: LocusSweep, eigen_index: int, eps_lim: float) -> 
         points=tuple(points),
         range_end=sweep.range_end,
         base_eigenvalue=base_lambda,
-        step=sweep.step,
         grid_abscissas=grid,
         grid_errors=errors,
     )
@@ -403,23 +372,21 @@ _ROUND_OFF = 1e-12
 def evaluate_piecewise(table: SegmentTable, k_lc: float) -> complex:
     """Estimated eigenvalue shift at net gain k_lc, relative to the base value.
 
-    Selects the anchor whose interval contains k_lc (the nearest anchor on
-    the zero side, with the anchor abscissa itself belonging to its own
+    Selects the anchor whose interval contains k_lc (the last anchor at or
+    below it, with the anchor abscissa itself belonging to its own
     segment) and returns slope*(k_lc - anchor) + (anchor_eig - base_eig).
     A net gain within _ROUND_OFF below an anchor, the slack allowed at
     the range ends, counts as that anchor's: a solver's round-off on a
     segment's first point must not jump back a segment.  No
-    extrapolation outside [0, range_end] (in the signed sense).
+    extrapolation outside [0, range_end].
     """
-    d = 1.0 if table.range_end > 0 else -1.0
-    pos = k_lc * d
-    if pos < -_ROUND_OFF or pos > abs(table.range_end) + _ROUND_OFF:
+    if k_lc < -_ROUND_OFF or k_lc > table.range_end + _ROUND_OFF:
         raise CoverageError(
             f"net gain {k_lc:g} outside swept range [0, {table.range_end:g}]"
         )
     chosen = table.points[0]
     for p in table.points:
-        if p.abscissa * d <= pos + _ROUND_OFF:
+        if p.abscissa <= k_lc + _ROUND_OFF:
             chosen = p
         else:
             break

@@ -111,16 +111,19 @@ def worst_case_gain(model: SystemModel, attack_areas, static_component=None) -> 
     return out
 
 
-def apply_budget_clamp(model: SystemModel, attack_areas, gains, static_component=None) -> np.ndarray:
-    """Clamp per-area gains to the physical budget, warning when active."""
-    ceiling = worst_case_gain(model, attack_areas, static_component)
+def apply_budget_clamp(model: SystemModel, gains, static_component=None) -> np.ndarray:
+    """Clamp every area's gain to its own physical budget, warning when active.
+
+    attack_from_gains attacks every area with a positive gain, declared or
+    not, so each area is held to the budget worst_case_gain gives it as an
+    attacked area.
+    """
+    ceiling = worst_case_gain(model, range(model.areas), static_component)
     gains = np.asarray(gains, dtype=float).copy()
-    for n in attack_areas:
-        n = int(n)
-        if gains[n] > ceiling[n]:
-            log.warning(
-                "robust gain %.6g in area %d exceeds the physical budget %.6g; clamping",
-                gains[n], n, ceiling[n],
-            )
-            gains[n] = ceiling[n]
+    for n in np.flatnonzero(gains > ceiling):
+        log.warning(
+            "robust gain %.6g in area %d exceeds the physical budget %.6g; clamping",
+            gains[n], n, ceiling[n],
+        )
+        gains[n] = ceiling[n]
     return gains

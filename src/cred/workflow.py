@@ -67,8 +67,6 @@ def _stage(name: str):
     try:
         yield
     except CredError as exc:
-        if str(exc).startswith(f"[{name}]"):
-            raise
         raise type(exc)(f"[{name}] {exc}") from exc
 
 
@@ -84,7 +82,7 @@ class WorkflowConfig:
     mode: str = "auto"
     output_dir: str | None = None
     eps_lim: float = 0.02
-    eps_phi: float | None = None  # default: |range| / 200
+    eps_phi: float | None = None  # default: range / 200
     eps_strict: float = 1e-6
     settle_margin: float = 0.05
 
@@ -149,7 +147,7 @@ def resolve_gains(cfg: WorkflowConfig, bundle: ScenarioBundle, samples: dict | N
         gains = np.array(est.mean, dtype=float)
     else:
         gains = robust_gain(est, cfg.eta)
-    return apply_budget_clamp(model, areas, gains, static)
+    return apply_budget_clamp(model, gains, static)
 
 
 def _per_period_rows(scn: DispatchScenario, sol: DispatchSolution) -> list:

@@ -36,7 +36,8 @@ from cred.errors import (
     NumericalError,
     TrackingError,
 )
-from cred.linearize import LinearizationPoint, hessenberg_first, net_gain_state_space
+from cred.grid import AttackProfile, DroopSchedule, StateSpace, build_state_space
+from cred.linearize import LinearizationPoint, hessenberg_first
 from cred.milp import LinearProgram, solve_lp
 from cred.stability import SIMPLE_TOL, eigen_decompose, is_stable, sensitivity
 
@@ -116,6 +117,22 @@ def simple_sensitivity(model, eig, i: int, area: int) -> complex:
     return complex(sensitivity(model, eig, area)[i])
 
 
+def net_gain_state_space(model, area: int, k: float) -> StateSpace:
+    """The loop with net gain k in one area: attack if k > 0, droop if k < 0.
+
+    The reference for the sweep's grid loops, which are stated for k > 0;
+    both signs, as the finite differences below step to at - h.
+    """
+    n = model.areas
+    gain, droop = np.zeros(n), np.zeros(n)
+    if k > 0.0:
+        gain[area] = k
+    elif k < 0.0:
+        droop[area] = -k
+    return build_state_space(model, AttackProfile(gain, np.zeros(n), (area,) if k > 0 else ()),
+                             DroopSchedule(droop, np.zeros(n)))
+
+
 def fd_eigen_sensitivity(model, base_lambda: complex, area: int, h: float = 1e-5,
                          at: float = 0.0) -> complex:
     """Central-difference derivative at net gain `at` of the eigenvalue nearest base_lambda."""
@@ -143,10 +160,9 @@ def sweep_segment_table_pointwise(model, eigen_index: int, area: int, range_end:
     points = [LinearizationPoint(0.0, base_lambda,
                                  simple_sensitivity(model, eig0, eigen_index, area))]
 
-    direction = 1.0 if range_end > 0 else -1.0
-    n_steps = int(np.floor(abs(range_end) / eps_phi + 1e-9))
-    grid = [direction * eps_phi * j for j in range(1, n_steps + 1)]
-    if not grid or abs(grid[-1]) < abs(range_end) - 1e-12:
+    n_steps = int(np.floor(range_end / eps_phi + 1e-9))
+    grid = [eps_phi * j for j in range(1, n_steps + 1)]
+    if not grid or grid[-1] < range_end - 1e-12:
         grid.append(range_end)
 
     prev_lambda = base_lambda
@@ -202,9 +218,9 @@ def exact_locus_pointwise(model, eigen_index: int, area: int, range_end: float,
     every grid point, each solved from grid_loop(..., reduced).
     """
     base = eigen_decompose(net_gain_state_space(model, area, 0.0)).eigenvalues
-    n_steps = int(np.floor(abs(range_end) / eps_phi + 1e-9))
-    grid = [np.sign(range_end) * eps_phi * j for j in range(1, n_steps + 1)]
-    if abs(grid[-1]) < abs(range_end) - 1e-12:
+    n_steps = int(np.floor(range_end / eps_phi + 1e-9))
+    grid = [eps_phi * j for j in range(1, n_steps + 1)]
+    if grid[-1] < range_end - 1e-12:
         grid.append(range_end)
     lam = complex(base[eigen_index])
     locus = []
@@ -225,7 +241,7 @@ def critical_pairs_pointwise(model, range_end: dict, settle_margin: float) -> tu
     """Reference screen: pairs whose per-point exact loci reach -settle_margin.
 
     range_end maps each attacked area to its sweep end (grid step
-    |end|/200).  Eigenvalue i (nonnegative imaginary part) is critical when
+    end/200).  Eigenvalue i (nonnegative imaginary part) is critical when
     its base real part plus every area's positive rise of the locus real
     part reaches -settle_margin; each area with a positive rise is a pair.
     """
@@ -234,7 +250,7 @@ def critical_pairs_pointwise(model, range_end: dict, settle_margin: float) -> tu
     for i, lam in enumerate(base):
         if lam.imag < -1e-12:
             continue
-        rise = {a: exact_locus_pointwise(model, i, a, end, abs(end) / 200.0).real.max() - lam.real
+        rise = {a: exact_locus_pointwise(model, i, a, end, end / 200.0).real.max() - lam.real
                 for a, end in range_end.items()}
         if lam.real + sum(max(r, 0.0) for r in rise.values()) >= -settle_margin:
             pairs.extend((i, a) for a, r in rise.items() if r > 0.0)

@@ -30,7 +30,6 @@ from cred.grid import (
 from cred.linearize import (
     build_segment_table,
     evaluate_piecewise,
-    net_gain_state_space,
     sweep_loci,
 )
 from cred.scenario import scenario_from_dict
@@ -49,6 +48,7 @@ from oracles import (
     enumerate_milp,
     fd_eigen_sensitivity,
     joint_cred_milp,
+    net_gain_state_space,
     random_system_model,
     spectral_gaps,
 )

@@ -9,11 +9,13 @@ import pytest
 from cred import cli
 from cred.cli import main
 from cred.grid import build_state_space
-from cred.linearize import net_gain_state_space, sweep_loci
+from cred.linearize import sweep_loci
 from cred.scenario import scenario_from_dict
 from cred.stability import eigen_decompose, sensitivity
 from cred.systems import single_area_toy, synthesize_samples, three_area_system
 from cred.workflow import WorkflowConfig, run_workflow
+
+from oracles import net_gain_state_space
 
 
 @pytest.fixture

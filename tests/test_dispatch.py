@@ -114,8 +114,7 @@ def idle_table(tab, area=1):
     """One flat segment on the same eigenvalue: adds nothing to its row."""
     return SegmentTable(tab.eigen_index, area,
                         (LinearizationPoint(0.0, tab.base_eigenvalue, 0j),),
-                        tab.range_end, tab.base_eigenvalue, tab.step,
-                        np.zeros(0), np.zeros(0))
+                        tab.range_end, tab.base_eigenvalue, np.zeros(0), np.zeros(0))
 
 
 def random_table(rng, eigen_index, base, gain=3.0, area=0):
@@ -131,8 +130,7 @@ def random_table(rng, eigen_index, base, gain=3.0, area=0):
         )
         for m, phi in enumerate(phis)
     )
-    return SegmentTable(eigen_index, area, points, gain, base, gain / 200.0,
-                        np.zeros(0), np.zeros(0))
+    return SegmentTable(eigen_index, area, points, gain, base, np.zeros(0), np.zeros(0))
 
 
 class TestToyInstance:
@@ -498,7 +496,7 @@ def ceiling_table(area, gain, knet_max, strict=1e-6):
     base = complex(-1.0, 2.0)
     slope = (1.0 - strict) / knet_max
     return SegmentTable(0, area, (LinearizationPoint(0.0, base, complex(slope, 0.0)),), gain,
-                        base, gain / 200.0, np.zeros(0), np.zeros(0))
+                        base, np.zeros(0), np.zeros(0))
 
 
 def tied_moves(scn, sol, t, allow_shed):
@@ -645,11 +643,11 @@ class TestStabilityConstraintSet:
         with pytest.raises(BuildError) as info:
             StabilityConstraintSet((late,), [0.0, 2.0])
         assert str(info.value) == "table for pair (0,1) has no first anchor at abscissa 0"
+        # a negative range covers no robust gain, a zero one included
         negative = anchored_table(0, 1, base, [(0.0, 0.0, 0.5)], -2.0)
         with pytest.raises(CoverageError) as info:
             StabilityConstraintSet((negative,), [0.0, 0.0])
-        assert str(info.value) == ("table for pair (0,1) sweeps negative gains; dispatch needs "
-                                   "[0, gain]")
+        assert str(info.value) == "table for pair (0,1) covers [0, -2] but robust gain is 0"
         with pytest.raises(CoverageError) as info:
             StabilityConstraintSet((tab,), [0.0, 2.5])
         assert str(info.value) == "table for pair (0,1) covers [0, 2] but robust gain is 2.5"
@@ -754,7 +752,7 @@ class TestValidate:
         est = complex(b.real, a.imag)
         area = int(np.argmax(gains))
         tab = SegmentTable(0, area, (LinearizationPoint(0.0, est, 0j),), float(gains[area]),
-                           est, 0.01, np.zeros(0), np.zeros(0))
+                           est, np.zeros(0), np.zeros(0))
         cert = validate_solution(scn, sol, attack, StabilityConstraintSet((tab,), gains))
         assert cert.estimate_discrepancy == pytest.approx(abs(a.real - b.real), rel=1e-12)
         assert cert.estimate_discrepancy > 1e-3
@@ -1212,7 +1210,7 @@ def anchored_table(eigen_index, area, base, points, range_end):
     return SegmentTable(eigen_index, area,
                         tuple(LinearizationPoint(phi, base + shift, complex(slope, 0.0))
                               for phi, shift, slope in points),
-                        range_end, base, range_end / 200.0, np.zeros(0), np.zeros(0))
+                        range_end, base, np.zeros(0), np.zeros(0))
 
 
 class TestCellSearch:

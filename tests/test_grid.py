@@ -1,9 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cred import grid
 from cred.errors import ConfigurationError
 from cred.grid import (
     AttackProfile,
@@ -11,12 +15,69 @@ from cred.grid import (
     SystemModel,
     build_state_space,
 )
+from cred.scenario import scenario_from_dict
+from cred.systems import three_area_system
 
 from oracles import random_system_model
 
 
 def _models(seed):
     return random_system_model(np.random.RandomState(seed))
+
+
+class TestLoopBlocksCache:
+    """The blocks every loop of a grid shares, kept by the bytes of its dynamics."""
+
+    @staticmethod
+    def loop(model):
+        n = model.areas
+        return build_state_space(model, AttackProfile.none(n), DroopSchedule.none(n))
+
+    def test_reparsed_model_hits(self):
+        doc = three_area_system()
+        grid._loop_blocks.cache_clear()
+        first = self.loop(scenario_from_dict(doc).model)
+        again = self.loop(scenario_from_dict(doc).model)
+        assert grid._loop_blocks.cache_info()[:2] == (1, 1)  # hits, misses
+        assert again.state_matrix.tobytes() == first.state_matrix.tobytes()
+        assert again.descriptor_a.tobytes() == first.descriptor_a.tobytes()
+        # a load is no dynamics: the next interval's grid hits and gets its own forcing
+        doc["areas"][1]["secure_load"] = 3000.0
+        loaded = self.loop(scenario_from_dict(doc).model)
+        assert grid._loop_blocks.cache_info()[:2] == (2, 1)
+        assert loaded.state_matrix.tobytes() == first.state_matrix.tobytes()
+        assert not np.array_equal(loaded.forcing, first.forcing)
+
+    @pytest.mark.parametrize("field, value", [
+        ("inertia_sg", 6500.0), ("damping", 30.0), ("gov_proportional", 9000.0),
+        ("gov_integral", 7000.0)])
+    def test_edited_dynamics_miss(self, field, value):
+        doc = three_area_system()
+        grid._loop_blocks.cache_clear()
+        first = self.loop(scenario_from_dict(doc).model)
+        doc["areas"][1][field] = value
+        edited = self.loop(scenario_from_dict(doc).model)
+        assert grid._loop_blocks.cache_info()[:2] == (0, 2)
+        assert not np.array_equal(edited.state_matrix, first.state_matrix)
+
+    def test_edited_coupling_misses(self):
+        doc = three_area_system()
+        grid._loop_blocks.cache_clear()
+        first = self.loop(scenario_from_dict(doc).model)
+        doc["coupling"][0][2] = doc["coupling"][2][0] = 2500.0
+        edited = self.loop(scenario_from_dict(doc).model)
+        assert grid._loop_blocks.cache_info()[:2] == (0, 2)
+        assert not np.array_equal(edited.state_matrix, first.state_matrix)
+
+    def test_keeps_no_model(self):
+        model = scenario_from_dict(three_area_system()).model
+        ref = weakref.ref(model)
+        grid._loop_blocks.cache_clear()
+        self.loop(model)
+        del model
+        gc.collect()
+        assert ref() is None
+        assert grid._loop_blocks.cache_info().currsize == 1
 
 
 class TestBuildStateSpace:

@@ -17,12 +17,13 @@ from oracles import (
     exact_locus_pointwise,
     fd_eigen_sensitivity,
     grid_loop,
+    net_gain_state_space,
     random_system_model,
     spectral_gaps,
     sweep_segment_table_pointwise,
 )
 
-from cred import grid, linearize
+from cred import linearize
 from cred.errors import (
     ConfigurationError,
     CoverageError,
@@ -31,7 +32,7 @@ from cred.errors import (
     NumericalError,
     TrackingError,
 )
-from cred.grid import SystemModel
+from cred.grid import AttackProfile, DroopSchedule, SystemModel
 from cred.linearize import (
     BLOCK,
     MAX_GRID_ENTRIES,
@@ -39,7 +40,6 @@ from cred.linearize import (
     build_segment_table,
     evaluate_piecewise,
     hessenberg_first,
-    net_gain_state_space,
     select_critical_pairs,
     sweep_loci,
 )
@@ -122,14 +122,6 @@ class TestBuildSegmentTable:
             counts.append(len(tab.points))
         assert counts == sorted(counts)
 
-    def test_negative_direction_sweep(self, curved_two_area):
-        # droop direction: pure damping gain, sweep is still audited
-        tab = build_segment_table(sweep_loci(curved_two_area, 1, -6.0, 0.03), 0, 0.02)
-        assert tab.points[0].abscissa == 0.0
-        assert np.all(np.diff(tab.abscissas) < 0)
-        assert tab.max_error <= 0.02
-        assert resweep_max_error(curved_two_area, tab) <= 0.02 + 1e-9
-
     def test_step_too_coarse_rejected(self, one_area_model):
         with pytest.raises(ConfigurationError):
             build_segment_table(sweep_loci(one_area_model, 0, 4.0, 1.5), 1, 0.05)
@@ -182,8 +174,8 @@ def assert_matches_pointwise(model, eigen_index, area, range_end, eps_lim, eps_p
         assert np.abs(tab.grid_errors - errors).max() <= ERROR_ATOL
         return tab
     # the anchor lists part at the first grid point where only one table anchors
-    parted = min(abs(t[same].abscissa) for t in (tab.points, points) if len(t) > same)
-    g = int(np.flatnonzero(np.abs(abscissas) == parted)[0])
+    parted = min(t[same].abscissa for t in (tab.points, points) if len(t) > same)
+    g = int(np.flatnonzero(abscissas == parted)[0])
     assert np.abs(tab.grid_errors[:g] - errors[:g]).max(initial=0.0) <= ERROR_ATOL
     assert max(tab.grid_errors[g], errors[g]) >= eps_lim - ERROR_ATOL
     return tab
@@ -194,26 +186,24 @@ class TestStackedSweep:
 
     @settings(max_examples=60)
     @given(data=st.data(), seed=st.integers(0, 2**31 - 1), n_areas=st.integers(1, 3),
-           magnitude=st.floats(0.5, 20.0), negative=st.booleans(),
-           steps=st.integers(4, 300), divides=st.booleans(),
-           eps_lim=st.floats(1e-4, 0.1))
-    def test_matches_pointwise_sweep(self, data, seed, n_areas, magnitude, negative,
-                                     steps, divides, eps_lim):
+           magnitude=st.floats(0.5, 20.0), steps=st.integers(4, 300),
+           divides=st.booleans(), eps_lim=st.floats(1e-4, 0.1))
+    def test_matches_pointwise_sweep(self, data, seed, n_areas, magnitude, steps, divides,
+                                     eps_lim):
         model = random_system_model(np.random.RandomState(seed), n_areas)
         eigen_index = data.draw(st.integers(0, 2 * n_areas - 1), label="eigen_index")
         area = data.draw(st.integers(0, n_areas - 1), label="area")
         eps_phi = magnitude / (steps if divides else steps + 0.37)
-        assert_matches_pointwise(model, eigen_index, area, -magnitude if negative else magnitude,
-                                 eps_lim, eps_phi)
+        assert_matches_pointwise(model, eigen_index, area, magnitude, eps_lim, eps_phi)
 
     @pytest.mark.parametrize("seed, n_areas, eigen_index, area, range_end, eps_lim, steps", [
-        (1917413219, 3, 1, 2, -17.5, 0.1, 167),
+        (2129335774, 3, 5, 1, 18.0, 0.1, 150),
         (73165354, 2, 2, 0, 40.0, 0.09, 30),
     ])
     def test_tracking_failure_matches_pointwise(self, seed, n_areas, eigen_index, area,
                                                 range_end, eps_lim, steps):
         model = random_system_model(np.random.RandomState(seed), n_areas)
-        eps_phi = abs(range_end) / steps
+        eps_phi = range_end / steps
         with pytest.raises(TrackingError):
             sweep_segment_table_pointwise(model, eigen_index, area, range_end, eps_lim, eps_phi)
         assert_matches_pointwise(model, eigen_index, area, range_end, eps_lim, eps_phi) is None
@@ -230,12 +220,12 @@ class TestStackedSweep:
         rep = run_workflow(WorkflowConfig(mode="worst_case"), bundle=desk_bundle)
         assert rep.pairs
         built, decomposed, solves, anchors = [], [], [], 0
-        original_state_space, original_eigvals = net_gain_state_space, np.linalg.eigvals
+        original_state_space, original_eigvals = linearize.build_state_space, np.linalg.eigvals
         original_decompose = linearize.eigen_decompose
 
-        def counting_state_space(model, area, k):
-            built.append(k)
-            return original_state_space(model, area, k)
+        def counting_state_space(model, attack, droop):
+            built.append((attack, droop))
+            return original_state_space(model, attack, droop)
 
         def counting_decompose(ss):
             decomposed.append(ss)
@@ -245,7 +235,7 @@ class TestStackedSweep:
             solves.append(a.shape[0])
             return original_eigvals(a)
 
-        monkeypatch.setattr(linearize, "net_gain_state_space", counting_state_space)
+        monkeypatch.setattr(linearize, "build_state_space", counting_state_space)
         monkeypatch.setattr(linearize, "eigen_decompose", counting_decompose)
         monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
         for i, n in rep.pairs:
@@ -257,7 +247,9 @@ class TestStackedSweep:
             tab = build_segment_table(sweep_loci(desk_bundle.model, n, gain, gain / steps), i,
                                       0.02)
             # one state space and decomposition per cold sweep, the base's; none per anchor
-            assert built == [0.0] and len(decomposed) == 1
+            n = desk_bundle.model.areas
+            assert built == [(AttackProfile.none(n), DroopSchedule.none(n))]
+            assert len(decomposed) == 1
             anchors += len(tab.points) - 1
             grid = len(tab.grid_abscissas)
             assert len(solves) == math.ceil(grid / BLOCK)
@@ -385,10 +377,12 @@ class TestSweepRange:
     """A range or step that no grid can cover is an input error, raised before any work."""
 
     @pytest.mark.parametrize("range_end, eps_phi, message", [
-        (math.inf, None, "range_end must be finite and nonzero"),
-        (-math.inf, None, "range_end must be finite and nonzero"),
-        (math.nan, None, "range_end must be finite and nonzero"),
-        (math.inf, 1.0, "range_end must be finite and nonzero"),
+        (math.inf, None, "range_end must be positive and finite, not inf"),
+        (-math.inf, None, "range_end must be positive and finite, not -inf"),
+        (math.nan, None, "range_end must be positive and finite, not nan"),
+        (math.inf, 1.0, "range_end must be positive and finite, not inf"),
+        (0.0, None, "range_end must be positive and finite, not 0.0"),
+        (-1.0, 0.01, "range_end must be positive and finite, not -1.0"),
         (1e308, 1e-300, "grid points of 6 states exceeds"),
         (1.0, 5.9 / MAX_GRID_ENTRIES, "grid points of 6 states exceeds"),
     ])
@@ -397,7 +391,7 @@ class TestSweepRange:
         def no_base(*args):
             raise AssertionError("the sweep built its base loop")
 
-        monkeypatch.setattr(linearize, "net_gain_state_space", no_base)
+        monkeypatch.setattr(linearize, "build_state_space", no_base)
         with pytest.raises(ConfigurationError, match=message):
             sweep_loci(desk_bundle.model, 1, range_end, eps_phi)
 
@@ -424,7 +418,7 @@ class TestSweepBaseCache:
     """The zero-gain loop's decomposition, verdict and reduction, shared by content."""
 
     @pytest.mark.parametrize("which, area, range_end", [
-        ("desk", 1, 5.0), ("desk", 0, -3.0), ("ring", 3, 5.0)])
+        ("desk", 1, 5.0), ("desk", 0, 3.0), ("ring", 3, 5.0)])
     def test_hit_equals_a_cold_sweep(self, which, area, range_end):
         model = scenario_from_dict(three_area_system()).model if which == "desk" else ring_model()
         linearize._sweep_base.cache_clear()
@@ -494,7 +488,6 @@ class TestSweepBaseCache:
         linearize._sweep_base.cache_clear()
         sweep = sweep_loci(model, 1, 5.0)
         del model, sweep
-        grid._loop_blocks.cache_clear()  # that cache keeps its last few models by design
         gc.collect()
         assert ref() is None
         assert linearize._sweep_base.cache_info().currsize == 1
@@ -505,16 +498,15 @@ class TestRankOneAnchors:
 
     @settings(max_examples=40)
     @given(data=st.data(), seed=st.integers(0, 2**31 - 1), n_areas=st.integers(1, 3),
-           magnitude=st.floats(0.5, 20.0), negative=st.booleans(),
-           steps=st.integers(20, 200), eps_lim=st.floats(1e-3, 0.05))
-    def test_slopes_match_fresh_decomposition(self, data, seed, n_areas, magnitude, negative,
-                                              steps, eps_lim):
+           magnitude=st.floats(0.5, 20.0), steps=st.integers(20, 200),
+           eps_lim=st.floats(1e-3, 0.05))
+    def test_slopes_match_fresh_decomposition(self, data, seed, n_areas, magnitude, steps,
+                                              eps_lim):
         model = random_system_model(np.random.RandomState(seed), n_areas)
         eigen_index = data.draw(st.integers(0, 2 * n_areas - 1), label="eigen_index")
         area = data.draw(st.integers(0, n_areas - 1), label="area")
-        range_end = -magnitude if negative else magnitude
         try:
-            tab = build_segment_table(sweep_loci(model, area, range_end, magnitude / steps),
+            tab = build_segment_table(sweep_loci(model, area, magnitude, magnitude / steps),
                                       eigen_index, eps_lim)
         except (TrackingError, DegenerateEigenvalueError):
             return  # contracts tested elsewhere
@@ -530,28 +522,29 @@ class TestRankOneAnchors:
                 assert abs(p.slope - fd) <= 1e-4 * max(abs(fd), 1e-5)
 
     def test_collision_at_an_anchor_is_degenerate(self, curved_two_area):
-        # modes 2 and 3 meet on the real axis under droop near k = -8.11:
-        # bisect to the last float before their split and end the sweep there
+        # modes 0 and 1 meet on the real axis as the attack on area 0 takes
+        # out damping, near k = 10.97: bisect to the last float before their
+        # split and end the sweep there
         def split(k):
-            ss = net_gain_state_space(curved_two_area, 1, k)
+            ss = net_gain_state_space(curved_two_area, 0, k)
             return np.count_nonzero(np.linalg.eigvals(ss.state_matrix).imag == 0.0) > 0
 
-        lo, hi = -8.0, -9.0
+        lo, hi = 10.9, 11.0
         assert not split(lo) and split(hi)
         while True:
             mid = 0.5 * (lo + hi)
             if mid in (lo, hi):
                 break
             lo, hi = (lo, mid) if split(mid) else (mid, hi)
-        sweep = sweep_loci(curved_two_area, 1, lo, abs(lo) / 50)
+        sweep = sweep_loci(curved_two_area, 0, lo, lo / 50)
         # a vanishing tolerance anchors every grid point, the collision too
         with pytest.raises(DegenerateEigenvalueError,
                            match=rf"^at abscissa {lo:g}: eigenvalue .* is repeated within "):
-            build_segment_table(sweep, 3, 1e-13)
+            build_segment_table(sweep, 1, 1e-13)
         with pytest.raises(DegenerateEigenvalueError):
-            sweep_segment_table_pointwise(curved_two_area, 3, 1, lo, 1e-13, abs(lo) / 50)
+            sweep_segment_table_pointwise(curved_two_area, 1, 0, lo, 1e-13, lo / 50)
         # a tolerance that anchors short of it builds the table
-        tab = build_segment_table(sweep, 3, 1e-3)
+        tab = build_segment_table(sweep, 1, 1e-3)
         assert len(tab.points) > 1 and tab.points[-1].abscissa != lo
 
     def test_secular_residual_is_checked(self, curved_two_area):
@@ -593,7 +586,7 @@ class TestEvaluatePiecewise:
         tab = linearize.SegmentTable(
             0, 1, (linearize.LinearizationPoint(0.0, base, 2.0 + 0j),
                    linearize.LinearizationPoint(anchor, base + 0.5, -1.0 + 0j)),
-            3.0, base, 0.015, np.zeros(0), np.zeros(0))
+            3.0, base, np.zeros(0), np.zeros(0))
         k = anchor - 3e-16
         assert k < anchor
         assert evaluate_piecewise(tab, k) == pytest.approx(0.5, abs=1e-12)

@@ -114,9 +114,7 @@ class TestWorstCase:
             est_std = np.zeros(n)
             est_mean[area], est_std[area] = mean, sigma
             est = AttackEstimate(est_mean, est_std, np.full(n, 10))
-            robust = apply_budget_clamp(
-                model, (area,), robust_gain(est, 0.95)
-            )
+            robust = apply_budget_clamp(model, robust_gain(est, 0.95))
             assert worst[area] >= robust[area] - 1e-12
             assert robust[area] >= mean - 1e-12
 
@@ -124,12 +122,12 @@ class TestWorstCase:
 class TestClamp:
     def test_clamp_warns_and_caps(self, one_area_model, caplog):
         with caplog.at_level(logging.WARNING, logger="cred.uncertainty"):
-            out = apply_budget_clamp(one_area_model, (0,), [10.0])
+            out = apply_budget_clamp(one_area_model, [10.0])
         assert out[0] == pytest.approx(3.0)
         assert any("clamping" in rec.message for rec in caplog.records)
 
     def test_no_clamp_below_budget(self, one_area_model, caplog):
         with caplog.at_level(logging.WARNING, logger="cred.uncertainty"):
-            out = apply_budget_clamp(one_area_model, (0,), [2.5])
+            out = apply_budget_clamp(one_area_model, [2.5])
         assert out[0] == 2.5
         assert not caplog.records

@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -453,6 +454,28 @@ class TestArtifacts:
         summary = (out / "summary.csv").read_text().splitlines()
         assert summary[0].startswith("period,cost")
         assert len(summary) == 2
+
+
+class TestBudgetClamp:
+    """Every area's robust gain is held to its own budget, declared attacked or not."""
+
+    @pytest.mark.parametrize("mode", ["mean_only", "auto"])
+    def test_undeclared_area_is_clamped(self, tmp_path, caplog, mode):
+        # the desk declares area 1 only; area 0 holds no vulnerable load, so
+        # its budget is 0 and samples of about 50 p.u./Hz there attack nothing
+        area1 = synthesize_samples(15000.0, 500.0, 1, seed=3)
+        both, only = tmp_path / "both.json", tmp_path / "only.json"
+        both.write_text(json.dumps(synthesize_samples(50000.0, 100.0, 0, seed=1) + area1))
+        only.write_text(json.dumps(area1))
+        with caplog.at_level(logging.WARNING, logger="cred.uncertainty"):
+            rep = run_toy(three_area_system(), samples_path=str(both), mode=mode)
+        (record,) = caplog.records
+        assert record.getMessage().endswith(" in area 0 exceeds the physical budget 0; clamping")
+        ref = run_toy(three_area_system(), samples_path=str(only), mode=mode)
+        assert rep.branch_taken == ref.branch_taken == "cred_applied"
+        assert rep.robust_gains == ref.robust_gains
+        assert rep.robust_gains[0] == 0.0
+        assert rep.to_dict() == ref.to_dict()
 
 
 class TestSweeps:
