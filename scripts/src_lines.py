@@ -7,12 +7,15 @@ made of string literals alone, such as a docstring, counts as no code; a
 string inside any other statement counts on every line it spans.  Blank
 lines and lines holding only a comment count as no code.
 
-    python3 scripts/src_lines.py [ROOT]
+    python3 scripts/src_lines.py [ROOT] [--against OTHER_ROOT]
 
 ROOT is a checkout (default: the one holding this script); the modules are
-ROOT/src/cred/*.py.
+ROOT/src/cred/*.py.  With --against, each row gives the module's code lines
+in ROOT, in OTHER_ROOT and their difference ROOT - OTHER_ROOT, a module
+present in one tree only reading "-" in the other and counting 0 there.
 """
 
+import argparse
 import sys
 import tokenize
 from pathlib import Path
@@ -39,20 +42,32 @@ def code_lines(path: Path) -> int:
     return len(lines)
 
 
+def module_lines(root: Path) -> dict:
+    """Code lines of each module under root/src/cred, by file name."""
+    modules = sorted(root.joinpath("src", "cred").glob("*.py"))
+    return {path.name: code_lines(path) for path in modules}
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) > 1:
-        print("usage: src_lines.py [ROOT]", file=sys.stderr)
-        return 2
-    modules = sorted((Path(argv[0]) if argv else HERE).joinpath("src", "cred").glob("*.py"))
-    if not modules:
-        print("error: no modules under ROOT/src/cred", file=sys.stderr)
-        return 2
-    counts = {path.name: code_lines(path) for path in modules}
-    width = max(map(len, counts))
-    for name, count in counts.items():
-        print(f"{name:<{width}}  {count:>5}")
-    print(f"{'total':<{width}}  {sum(counts.values()):>5}")
+    parser = argparse.ArgumentParser(description="Print the code lines of each src/cred module.")
+    parser.add_argument("root", nargs="?", type=Path, default=HERE)
+    parser.add_argument("--against", type=Path, metavar="OTHER_ROOT")
+    args = parser.parse_args(argv)
+    roots = [args.root] + ([args.against] if args.against else [])
+    trees = [module_lines(root) for root in roots]
+    for root, tree in zip(roots, trees):
+        if not tree:
+            print(f"error: no modules under {root}/src/cred", file=sys.stderr)
+            return 2
+    names = sorted(set().union(*trees))
+    rows = [(name, [tree.get(name) for tree in trees]) for name in names]
+    rows.append(("total", [sum(tree.values()) for tree in trees]))
+    width = max(map(len, names))
+    for name, counts in rows:
+        cells = [f"{'-' if count is None else count:>5}" for count in counts]
+        if args.against:
+            cells.append(f"{(counts[0] or 0) - (counts[1] or 0):>+6}")
+        print(f"{name:<{width}}  " + "  ".join(cells))
     return 0
 
 

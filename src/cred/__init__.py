@@ -28,7 +28,6 @@ from .dispatch import (
     DispatchSolution,
     GeneratorSpec,
     StabilityCertificate,
-    StabilityConstraintSet,
     StorageSpec,
     build_cred_milp,
     cost_increment,
@@ -57,6 +56,7 @@ from .milp import (
     SolveResult,
     solve_lp,
 )
+from .rows import StabilityConstraintSet
 from .simulate import Trajectory, classify_trajectory, simulate
 from .stability import (
     EigenSolution,

@@ -30,7 +30,6 @@ import numpy as np
 from .dispatch import (
     DispatchScenario,
     DispatchSolution,
-    StabilityConstraintSet,
     cost_increment,
     solve_cred,
     stability_precheck,
@@ -46,6 +45,7 @@ from .errors import (
 )
 from .grid import attack_from_gains
 from .linearize import build_segment_table, select_critical_pairs, sweep_loci
+from .rows import StabilityConstraintSet
 from .scenario import ScenarioBundle, load_samples, load_scenario, scenario_from_dict
 from .uncertainty import (
     apply_budget_clamp,

@@ -15,7 +15,6 @@ import pytest
 from cred.dispatch import (
     DispatchScenario,
     GeneratorSpec,
-    StabilityConstraintSet,
     solve_cred,
     validate_solution,
 )
@@ -32,6 +31,7 @@ from cred.linearize import (
     evaluate_piecewise,
     sweep_loci,
 )
+from cred.rows import StabilityConstraintSet
 from cred.scenario import scenario_from_dict
 from cred.simulate import classify_trajectory, simulate
 from cred.stability import eigen_decompose, is_stable, sensitivity

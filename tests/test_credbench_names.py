@@ -58,3 +58,25 @@ def test_tracer_reads_the_dispatch_layers(bench):
     for name in ("dispatch.milp_rows", "milp.solve_lp.calls", "dispatch.validate_solution.calls",
                  "dispatch.stability_precheck.s"):
         assert metrics[name] > 0.0, name
+
+
+def test_tracer_counts_the_droop_search_cell_lps(bench):
+    """The tracer counts every LP a traced run solves, the droop search's cell LPs too.
+
+    With areas 0 and 1 attacked the search solves its cells as LPs in
+    cred.rows, a binding of solve_lp apart from cred.milp's and
+    cred.dispatch's; the storage-free desk solves no other LP.
+    """
+    tracing, _ = bench
+    from test_dispatch import two_area_desk
+
+    from cred.scenario import scenario_from_dict
+    from cred.workflow import WorkflowConfig, run_workflow
+
+    tracer = tracing.Tracer()
+    with tracer.operation(0):
+        rep = run_workflow(WorkflowConfig(mode="worst_case"),
+                           bundle=scenario_from_dict(two_area_desk()))
+    assert rep.branch_taken == "cred_applied"
+    calls = tracer.per_op_metrics()["milp.solve_lp.calls"]
+    assert calls == rep.solution.lp_count > 0

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cred import dispatch, workflow
+from cred import dispatch, rows, workflow
 from cred.dispatch import (
     DispatchScenario,
     GeneratorSpec,
-    StabilityConstraintSet,
     StorageSpec,
     build_cred_milp,
     cost_increment,
@@ -37,6 +36,7 @@ from cred.linearize import (
     sweep_loci,
 )
 from cred.milp import solve_lp
+from cred.rows import StabilityConstraintSet
 from cred.scenario import scenario_from_dict
 from cred.stability import eigen_decompose, is_stable
 from cred.systems import three_area_storage_day, three_area_system, three_area_with_storage
@@ -1003,6 +1003,7 @@ def record_solves(monkeypatch):
     monkeypatch.setattr(workflow, "solve_cred", solving)
     monkeypatch.setattr(dispatch, "build_cred_milp", building)
     monkeypatch.setattr(dispatch, "solve_lp", lp_solving)
+    monkeypatch.setattr(rows, "solve_lp", lp_solving)
     return calls
 
 
@@ -1321,7 +1322,7 @@ class TestCellSearch:
         stab = StabilityConstraintSet((ceiling_table(0, 3.0, 1.0), ceiling_table(1, 3.0, 1.0)),
                                       [3.0, 3.0])
         assert stab.net_gain_max()[2] == 1
-        monkeypatch.setattr(dispatch, "_CELL_LP_CAP", 0)
+        monkeypatch.setattr(rows, "_CELL_LP_CAP", 0)
         with pytest.raises(NumericalError, match="more than 0 cell LPs"):
             stab.net_gain_max()
 

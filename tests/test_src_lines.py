@@ -42,6 +42,28 @@ def test_counts_code_lines_of_each_module(tmp_path):
                     ["total", str(len(CODE))]]
 
 
+def test_against_gives_both_trees_and_the_difference(tmp_path):
+    """A module in one tree only reads "-" in the other and counts 0 there."""
+    trees = {"new": {"sample.py": SAMPLE, "moved.py": "X = 1\n"},
+             "old": {"sample.py": SAMPLE + "Y = 2\n", "gone.py": "Z = (1,\n     2)\n"}}
+    for tree, modules in trees.items():
+        pkg = tmp_path / tree / "src" / "cred"
+        pkg.mkdir(parents=True)
+        for name, text in modules.items():
+            (pkg / name).write_text(text)
+    proc = run(tmp_path / "new", "--against", tmp_path / "old")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    n = len(CODE)
+    assert rows == [["gone.py", "-", "2", "-2"], ["moved.py", "1", "-", "+1"],
+                    ["sample.py", str(n), str(n + 1), "-1"],
+                    ["total", str(n + 1), str(n + 3), "-2"]]
+
+
 def test_missing_modules_and_extra_arguments_fail(tmp_path):
     assert run(tmp_path).returncode == 2
     assert run(tmp_path, tmp_path).returncode == 2
+    pkg = tmp_path / "tree" / "src" / "cred"
+    pkg.mkdir(parents=True)
+    (pkg / "sample.py").write_text(SAMPLE)
+    assert run(tmp_path / "tree", "--against", tmp_path).returncode == 2
