@@ -32,8 +32,7 @@ def main() -> None:
     rows = sweep_study(cfg, "vulnerable_fraction", grid,
                        scenario_doc=three_area_no_wind())
     for r in rows:
-        table.append([0.0, r.value, r.avg_increment, r.shed_mwh,
-                      r.branch or "", r.error or ""])
+        table.append([0.0, r.value, r.avg_increment, r.shed_mwh, r.branch, r.error])
         print(f"wind 0 MW, f={r.value:.2f}: increment {r.avg_increment}, {r.branch}")
 
     for cap in (float(x) for x in args.capacities_mw.split(",")):
@@ -41,13 +40,11 @@ def main() -> None:
         rows = sweep_study(cfg, "vulnerable_fraction", grid, scenario_doc=doc)
         for r in rows:
             inc = "failed" if r.avg_increment is None else f"{r.avg_increment:,.0f}"
-            table.append([cap, r.value, r.avg_increment, r.shed_mwh,
-                          r.branch or "", r.error or ""])
+            table.append([cap, r.value, r.avg_increment, r.shed_mwh, r.branch, r.error])
             print(f"wind {cap:.0f} MW, f={r.value:.2f}: increment {inc}, "
                   f"shed {r.shed_mwh}, {r.branch or r.error}")
 
-    write_csv(out / "penetration_sweep.csv", table[0],
-              [[c if c is not None else "" for c in row] for row in table[1:]])
+    write_csv(out / "penetration_sweep.csv", table[0], table[1:])
     print(f"wrote {out / 'penetration_sweep.csv'}")
 
 

@@ -22,7 +22,7 @@ from .errors import (
     ValidationFailure,
 )
 from .grid import AttackProfile, DroopSchedule, attack_from_gains, build_state_space
-from .linearize import build_segment_table, select_critical_pairs, sweep_loci
+from .linearize import build_segment_table
 from .scenario import load_samples, load_scenario
 from .simulate import classify_trajectory, simulate
 from .stability import check_simple, eigen_decompose, sensitivity
@@ -32,6 +32,7 @@ from .workflow import (
     WorkflowConfig,
     resolve_gains,
     run_workflow,
+    screen,
     sweep_study,
     write_csv,
 )
@@ -76,7 +77,7 @@ def _table_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eps-lim", type=float, default=WorkflowConfig.eps_lim,
                         help="linearization error limit on Re(lambda)")
     parser.add_argument("--eps-phi", type=float, default=WorkflowConfig.eps_phi,
-                        help="sweep grid step (default |range|/200)")
+                        help="sweep grid step (default: the swept gain / 200)")
 
 
 def _workflow_flags(parser: argparse.ArgumentParser) -> None:
@@ -128,11 +129,9 @@ def cmd_linearize(args) -> int:
     samples = load_samples(args.samples_path, bundle.base_power) if args.samples_path else None
     cfg = _config_from_args(args)
     gains = resolve_gains(cfg, bundle, samples)
-    active = tuple(int(a) for a in np.flatnonzero(gains > 0))
-    if not active:
+    if not (gains > 0).any():
         raise ScenarioError("no attacked area with a positive gain to sweep")
-    sweeps = {a: sweep_loci(bundle.model, a, float(gains[a]), cfg.eps_phi) for a in active}
-    pairs = select_critical_pairs(tuple(sweeps.values()), cfg.settle_margin)
+    sweeps, pairs = screen(bundle.model, gains, cfg)
     seg_rows, audit_rows = [], []
     for i, a in pairs:
         tab = build_segment_table(sweeps[a], i, cfg.eps_lim)
@@ -272,7 +271,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (CredError, FileNotFoundError) as exc:
+    except (CredError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -42,7 +42,7 @@ from .errors import (
     NumericalError,
     ValidationFailure,
 )
-from .grid import AttackProfile, DroopSchedule, build_state_space
+from .grid import AttackProfile, DroopSchedule, SystemModel, build_state_space
 from .linearize import evaluate_piecewise
 from .milp import LinearProgram, solve_lp
 from .rows import StabilityConstraintSet

@@ -17,7 +17,7 @@ from .dispatch import DispatchScenario, GeneratorSpec, StorageSpec
 from .errors import ScenarioError
 from .grid import SystemModel
 
-__all__ = ["ScenarioBundle", "scenario_from_dict", "load_scenario", "load_samples"]
+__all__ = ["ScenarioBundle", "scenario_from_dict", "read_json", "load_scenario", "load_samples"]
 
 _AREA_FIELDS = (
     "inertia_sg",
@@ -128,19 +128,7 @@ def _bundle(raw: dict) -> ScenarioBundle:
     omega_max = _number(raw, "omega_max", "scenario")
 
     try:
-        model = SystemModel(
-            areas=n,
-            inertia_sg=cols["inertia_sg"],
-            inertia_ibr=cols["inertia_ibr"],
-            damping=cols["damping"],
-            gov_integral=cols["gov_integral"],
-            gov_proportional=cols["gov_proportional"],
-            susceptance=coupling,
-            secure_load=cols["secure_load"],
-            vulnerable_load=cols["vulnerable_load"],
-            ibr_max_power=cols["ibr_max_power"],
-            omega_max=omega_max,
-        )
+        model = SystemModel(areas=n, susceptance=coupling, omega_max=omega_max, **cols)
     except Exception as exc:
         raise ScenarioError(f"invalid physical model: {exc}") from exc
 
@@ -219,15 +207,25 @@ def _bundle(raw: dict) -> ScenarioBundle:
     )
 
 
-def load_scenario(path) -> ScenarioBundle:
+def read_json(path, kind: str):
+    """The JSON document in the file at path; kind ("scenario", "samples") names the file.
+
+    Raises ScenarioError when the file is missing, cannot be read (a
+    directory, say, or bytes that are not UTF-8) or is not valid JSON.
+    """
     path = Path(path)
-    if not path.exists():
-        raise ScenarioError(f"scenario file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise ScenarioError(f"{kind} file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"{kind} file {path} cannot be read: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
-    return scenario_from_dict(raw)
+        raise ScenarioError(f"{kind} file {path} is not valid JSON: {exc}") from exc
+
+
+def load_scenario(path) -> ScenarioBundle:
+    return scenario_from_dict(read_json(path, "scenario"))
 
 
 def load_samples(path, base_power: float) -> dict:
@@ -238,12 +236,7 @@ def load_samples(path, base_power: float) -> dict:
     or a numeric string is not; JSON's NaN and Infinity are not finite).
     """
     path = Path(path)
-    if not path.exists():
-        raise ScenarioError(f"samples file not found: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"samples file {path} is not valid JSON: {exc}") from exc
+    raw = read_json(path, "samples")
     out = {}
     try:
         for rec in [raw] if isinstance(raw, dict) else raw:

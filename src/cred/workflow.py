@@ -22,12 +22,13 @@ import copy
 import csv
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .dispatch import (
+    DELTA_T,
     DispatchScenario,
     DispatchSolution,
     cost_increment,
@@ -43,10 +44,10 @@ from .errors import (
     ScenarioError,
     ValidationFailure,
 )
-from .grid import attack_from_gains
+from .grid import SystemModel, attack_from_gains
 from .linearize import build_segment_table, select_critical_pairs, sweep_loci
 from .rows import StabilityConstraintSet
-from .scenario import ScenarioBundle, load_samples, load_scenario, scenario_from_dict
+from .scenario import ScenarioBundle, load_samples, load_scenario, read_json, scenario_from_dict
 from .uncertainty import (
     apply_budget_clamp,
     moments_from_samples,
@@ -54,8 +55,8 @@ from .uncertainty import (
     worst_case_gain,
 )
 
-__all__ = ["WorkflowConfig", "WorkflowReport", "resolve_gains", "run_workflow", "sweep_study",
-           "SWEEP_AXES"]
+__all__ = ["WorkflowConfig", "WorkflowReport", "resolve_gains", "screen", "run_workflow",
+           "sweep_study", "SWEEP_AXES"]
 
 MODES = ("auto", "worst_case", "mean_only")
 SWEEP_AXES = ("vulnerable_fraction", "wind_capacity", "eta")
@@ -82,7 +83,7 @@ class WorkflowConfig:
     mode: str = "auto"
     output_dir: str | None = None
     eps_lim: float = 0.02
-    eps_phi: float | None = None  # default: range / 200
+    eps_phi: float | None = None  # default: the swept gain / 200
     eps_strict: float = 1e-6
     settle_margin: float = 0.05
 
@@ -148,6 +149,17 @@ def resolve_gains(cfg: WorkflowConfig, bundle: ScenarioBundle, samples: dict | N
     else:
         gains = robust_gain(est, cfg.eta)
     return apply_budget_clamp(model, gains, static)
+
+
+def screen(model: SystemModel, gains: np.ndarray, cfg: WorkflowConfig) -> tuple:
+    """The screening stage: (sweeps, pairs).
+
+    sweeps maps each area with a positive gain to its exact eigenvalue-locus
+    sweep; pairs are the critical (eigenvalue, area) pairs they select.
+    """
+    sweeps = {a: sweep_loci(model, a, float(gains[a]), cfg.eps_phi)
+              for a in map(int, np.flatnonzero(gains > 0))}
+    return sweeps, select_critical_pairs(tuple(sweeps.values()), cfg.settle_margin)
 
 
 def _per_period_rows(scn: DispatchScenario, sol: DispatchSolution) -> list:
@@ -222,12 +234,10 @@ def run_workflow(cfg: WorkflowConfig, bundle: ScenarioBundle | None = None) -> W
     if pre.stable:
         return finish("precheck_stable", baseline, gains, precheck_max_real=pre.max_real)
 
-    active = tuple(int(a) for a in np.flatnonzero(gains > 0))
     with _stage("screening"):
-        if not active:  # no gain moves the precheck's loop off the base system
+        if not (gains > 0).any():  # no gain moves the precheck's loop off the base system
             raise ConfigurationError("base system is unstable; cannot anchor the sweep at 0")
-        sweeps = {a: sweep_loci(scn.model, a, float(gains[a]), cfg.eps_phi) for a in active}
-        pairs = select_critical_pairs(tuple(sweeps.values()), cfg.settle_margin)
+        sweeps, pairs = screen(scn.model, gains, cfg)
 
     def attempt(eps_lim):
         """Tables, then the dispatch (shedding only if needed), then the certificate."""
@@ -289,7 +299,8 @@ def write_csv(path: Path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([x if isinstance(x, str) else _fmt(x) for x in row])
+            writer.writerow(["" if x is None else x if isinstance(x, str) else _fmt(x)
+                             for x in row])
 
 
 def _solution_dict(scn: DispatchScenario, sol: DispatchSolution) -> dict:
@@ -317,7 +328,6 @@ def _solution_dict(scn: DispatchScenario, sol: DispatchSolution) -> dict:
 
 
 def _write_artifacts(out: Path, scn: DispatchScenario, rep: WorkflowReport) -> None:
-    out.mkdir(parents=True, exist_ok=True)
     # names kept relative so identical runs stay byte-identical anywhere
     rep.artifacts = {
         "report": "report.json",
@@ -380,7 +390,9 @@ def _apply_axis(doc: dict, attack_areas: tuple, axis: str, value: float) -> dict
 def sweep_study(cfg: WorkflowConfig, axis: str, grid, scenario_doc: dict | None = None) -> list:
     """Run the workflow across a parameter grid; a CredError becomes a row.
 
-    Any other exception is a programming bug and propagates.
+    A scenario or samples file that cannot be read or parsed raises
+    ScenarioError before the first point.  Any other exception is a
+    programming bug and propagates.
 
     Cost increments are reported averaged over the horizon's periods.
     """
@@ -389,9 +401,11 @@ def sweep_study(cfg: WorkflowConfig, axis: str, grid, scenario_doc: dict | None 
     if scenario_doc is None:
         if cfg.scenario_path is None:
             raise ScenarioError("a scenario path or document is required")
-        scenario_doc = json.loads(Path(cfg.scenario_path).read_text())
+        scenario_doc = read_json(cfg.scenario_path, "scenario")
     # a malformed document raises ScenarioError here, before _apply_axis reads it
     base = scenario_from_dict(scenario_doc)
+    if cfg.samples_path is not None:  # so does a bad samples file, which every point reads
+        load_samples(cfg.samples_path, base.base_power)
     rows = []
     for value in grid:
         value = float(value)
@@ -406,7 +420,7 @@ def sweep_study(cfg: WorkflowConfig, axis: str, grid, scenario_doc: dict | None 
                     _apply_axis(scenario_doc, base.attack_areas, axis, value))
             rep = run_workflow(point_cfg, bundle=bundle)
             t_len = bundle.dispatch.n_periods
-            shed = float(rep.solution.shed.sum() * bundle.base_power * 1.0)
+            shed = float(rep.solution.shed.sum() * bundle.base_power * DELTA_T)
             rows.append(
                 SweepRow(axis, value, rep.cost_increment / t_len, rep.cost_increment,
                          shed, rep.branch_taken)
@@ -414,17 +428,6 @@ def sweep_study(cfg: WorkflowConfig, axis: str, grid, scenario_doc: dict | None 
         except CredError as exc:  # record and continue
             rows.append(SweepRow(axis, value, None, None, None, None, error=str(exc)))
     if cfg.output_dir is not None:
-        out = Path(cfg.output_dir)
-        write_csv(
-            out / "sweep.csv",
-            ["axis", "value", "avg_increment", "total_increment", "shed_mwh", "branch", "error"],
-            [
-                [r.axis, r.value,
-                 "" if r.avg_increment is None else r.avg_increment,
-                 "" if r.total_increment is None else r.total_increment,
-                 "" if r.shed_mwh is None else r.shed_mwh,
-                 r.branch or "", r.error or ""]
-                for r in rows
-            ],
-        )
+        write_csv(Path(cfg.output_dir) / "sweep.csv", [f.name for f in fields(SweepRow)],
+                  map(astuple, rows))
     return rows

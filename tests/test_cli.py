@@ -25,6 +25,30 @@ def toy_path(tmp_path):
     return path
 
 
+#: every subcommand, with what it needs besides its input files
+COMMANDS = (["analyze"], ["linearize"], ["simulate"], ["workflow"],
+            ["sweep", "--axis", "eta", "--grid", "0.9"])
+
+
+def input_error(capsys, argv, *flags) -> str:
+    """The stderr of a run of argv with flags; it must exit 4 with an input error."""
+    code = main([*argv, *map(str, flags)])
+    err = capsys.readouterr().err
+    assert code == 4, (argv, err)
+    assert err.startswith("input error:") and "Traceback" not in err, (argv, err)
+    return err
+
+
+def unreadable(tmp_path, kind):
+    """A path that exists but holds no readable text: a directory or non-UTF-8 bytes."""
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"base_power": "\xff"}')
+    return path
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -326,14 +350,54 @@ class TestExitCodes:
         assert main(["workflow", "-h"]) == 0
         assert "--mode" in capsys.readouterr().out
 
-    def test_missing_scenario_is_input_error(self, tmp_path):
-        assert main(["analyze", "--scenario", str(tmp_path / "nope.json"),
-                     "--out", str(tmp_path)]) == 4
+    def test_missing_scenario_is_input_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        for argv in COMMANDS:
+            err = input_error(capsys, argv, "--scenario", missing, "--out", tmp_path / "out")
+            assert err == f"input error: scenario file not found: {missing}\n", argv
 
-    def test_malformed_scenario_is_input_error(self, tmp_path):
+    def test_malformed_scenario_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert main(["analyze", "--scenario", str(bad), "--out", str(tmp_path)]) == 4
+        for argv in COMMANDS:
+            err = input_error(capsys, argv, "--scenario", bad, "--out", tmp_path / "out")
+            assert err.startswith(f"input error: scenario file {bad} is not valid JSON: "), argv
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_scenario_is_input_error(self, tmp_path, capsys, kind):
+        # a directory and non-UTF-8 bytes once ended in a traceback (exit 1)
+        bad = unreadable(tmp_path, kind)
+        for argv in COMMANDS:
+            err = input_error(capsys, argv, "--scenario", bad, "--out", tmp_path / "out")
+            assert err.startswith(f"input error: scenario file {bad} cannot be read: "), argv
+
+    @pytest.mark.parametrize("kind, message", [
+        ("missing", "samples file not found: {}"),
+        ("malformed", "samples file {} is not valid JSON: "),
+        ("directory", "samples file {} cannot be read: "),
+        ("not_utf8", "samples file {} cannot be read: "),
+    ], ids=["missing", "malformed", "directory", "not_utf8"])
+    def test_bad_samples_file_is_input_error(self, toy_path, tmp_path, capsys, kind, message):
+        # the sweep once made each point a failed row, or a traceback for a directory
+        if kind == "missing":
+            bad = tmp_path / "nope.json"
+        elif kind == "malformed":
+            bad = tmp_path / "bad.json"
+            bad.write_text("[{")
+        else:
+            bad = unreadable(tmp_path, kind)
+        for argv in COMMANDS[1:]:
+            err = input_error(capsys, argv, "--scenario", toy_path, "--out", tmp_path / "out",
+                              "--samples", bad)
+            assert err.startswith("input error: " + message.format(bad)), argv
+
+    def test_out_naming_a_file_is_input_error(self, toy_path, tmp_path, capsys):
+        # the output directory could not be made: FileExistsError, exit 1
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for argv in COMMANDS:
+            err = input_error(capsys, argv, "--scenario", toy_path, "--out", taken)
+            assert "File exists" in err, argv
 
     @pytest.mark.parametrize("flags, message", [
         (["--eps-phi", "nan"], "eps_phi must be > 0"),

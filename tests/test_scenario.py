@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cred.errors import ScenarioError
-from cred.scenario import load_samples, load_scenario, scenario_from_dict
+from cred.scenario import load_samples, load_scenario, read_json, scenario_from_dict
 from cred.systems import single_area_toy, three_area_system
 
 
@@ -174,7 +174,37 @@ class TestFiles:
         assert str(info.value) == f"samples file {path} holds no records"
 
     def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match="^scenario file not found: "):
             load_scenario(tmp_path / "absent.json")
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match="^samples file not found: "):
             load_samples(tmp_path / "absent.json", 1.0)
+
+
+class TestReadJson:
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(ScenarioError) as info:
+            read_json(path, "scenario")
+        assert str(info.value) == f"scenario file not found: {path}"
+
+    def test_invalid_json(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        with pytest.raises(ScenarioError) as info:
+            read_json(str(path), "samples")
+        assert str(info.value) == (f"samples file {path} is not valid JSON: Expecting property "
+                                   "name enclosed in double quotes: line 1 column 2 (char 1)")
+
+    @pytest.mark.parametrize("kind, cause", [
+        ("directory", IsADirectoryError), ("not_utf8", UnicodeDecodeError),
+    ])
+    def test_unreadable_file(self, tmp_path, kind, cause):
+        path = tmp_path / kind
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"base_power": "\xff"}')
+        with pytest.raises(ScenarioError) as info:
+            read_json(path, "scenario")
+        assert isinstance(info.value.__cause__, cause)
+        assert str(info.value) == f"scenario file {path} cannot be read: {info.value.__cause__}"
