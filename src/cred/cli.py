@@ -2,14 +2,16 @@
 
 Subcommands: analyze, linearize, simulate, workflow, sweep.
 Exit codes: 0 success, 2 validation failure, 3 infeasible, 4 input error
-(a command-line usage error included).
+(a command-line usage error included).  The command reads --scenario and
+writes into --out, which it creates before any work; the computations
+themselves take parsed documents and write no files.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,17 +25,19 @@ from .errors import (
 )
 from .grid import AttackProfile, DroopSchedule, attack_from_gains, build_state_space
 from .linearize import build_segment_table
-from .scenario import load_samples, load_scenario
+from .scenario import load_samples, load_scenario, read_json
 from .simulate import classify_trajectory, simulate
 from .stability import check_simple, eigen_decompose, sensitivity
 from .workflow import (
     MODES,
     SWEEP_AXES,
+    SweepRow,
     WorkflowConfig,
     resolve_gains,
     run_workflow,
     screen,
     sweep_study,
+    write_artifacts,
     write_csv,
 )
 
@@ -55,8 +59,9 @@ def _float_list(text: str) -> list:
 
 
 # A flag that sets a run setting stores it under its WorkflowConfig field's
-# name (metavar keeps the flag's own), with that field's default; --out
-# keeps its own default.
+# name (metavar keeps the flag's own), with that field's default.  The file
+# flags --scenario and --out are the command's own: WorkflowConfig has no
+# field for either, and --out defaults to "out".
 def _io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", dest="scenario_path", metavar="SCENARIO", required=True,
                         help="scenario JSON file")
@@ -115,8 +120,7 @@ def cmd_analyze(args) -> int:
         try:
             check_simple(eig.eigenvalues, lam, 0.0)
         except DegenerateEigenvalueError:
-            for _ in areas:
-                print(f"note: eigenvalue {i} repeated; sensitivity skipped", file=sys.stderr)
+            print(f"note: eigenvalue {i} repeated; sensitivity skipped", file=sys.stderr)
             continue
         rows += [[i, a, d[i].real, d[i].imag] for a, d in zip(areas, derivs)]
     write_csv(out / "sensitivities.csv", ["eigen_index", "area", "d_re", "d_im"], rows)
@@ -191,8 +195,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_workflow(args) -> int:
-    cfg = _config_from_args(args)
-    rep = run_workflow(cfg)
+    bundle = load_scenario(args.scenario_path)
+    rep = run_workflow(_config_from_args(args), bundle)
+    write_artifacts(Path(args.output_dir), bundle.dispatch, rep)
     print(f"branch: {rep.branch_taken}")
     print(f"baseline cost: {rep.baseline_cost:.2f}")
     print(f"final cost:    {rep.final_cost:.2f}")
@@ -204,15 +209,17 @@ def cmd_workflow(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config_from_args(args)
-    rows = sweep_study(cfg, args.axis, args.grid)
+    doc = read_json(args.scenario_path, "scenario")
+    rows = sweep_study(_config_from_args(args), args.axis, args.grid, doc)
+    path = Path(args.output_dir) / "sweep.csv"
+    write_csv(path, [f.name for f in fields(SweepRow)], map(astuple, rows))
     for r in rows:
         if r.error:
             print(f"{r.axis}={r.value:g}: FAILED ({r.error})")
         else:
             print(f"{r.axis}={r.value:g}: avg increment {r.avg_increment:.2f}, "
                   f"shed {r.shed_mwh:.1f} MWh, branch {r.branch}")
-    print(f"wrote {Path(cfg.output_dir) / 'sweep.csv'}")
+    print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -264,6 +271,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse: -h exits 0, a usage error 2
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
+        Path(args.output_dir).mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except ValidationFailure as exc:
         print(f"validation failure: {exc}", file=sys.stderr)

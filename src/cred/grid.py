@@ -216,9 +216,7 @@ def _loop_blocks(dynamics: ContentKey) -> tuple:
     shares them, and the blocks of the last few grids are kept by their
     bytes, so a re-parsed model with the same dynamics builds none.
     """
-    m_total, base_damp, gov_integral, sus = dynamics.value
-    if (m_total <= 0.0).any():
-        raise ConfigurationError("singular inertia matrix: zero total inertia in some area")
+    m_total, base_damp, gov_integral, sus = dynamics.value  # SystemModel: m_total > 0
     n = len(m_total)
     minv = 1.0 / m_total
     eye = np.eye(n)

@@ -22,7 +22,7 @@ import copy
 import csv
 import json
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,7 @@ from .errors import (
 from .grid import SystemModel, attack_from_gains
 from .linearize import build_segment_table, select_critical_pairs, sweep_loci
 from .rows import StabilityConstraintSet
-from .scenario import ScenarioBundle, load_samples, load_scenario, read_json, scenario_from_dict
+from .scenario import ScenarioBundle, load_samples, scenario_from_dict
 from .uncertainty import (
     apply_budget_clamp,
     moments_from_samples,
@@ -56,7 +56,7 @@ from .uncertainty import (
 )
 
 __all__ = ["WorkflowConfig", "WorkflowReport", "resolve_gains", "screen", "run_workflow",
-           "sweep_study", "SWEEP_AXES"]
+           "write_artifacts", "sweep_study", "SWEEP_AXES"]
 
 MODES = ("auto", "worst_case", "mean_only")
 SWEEP_AXES = ("vulnerable_fraction", "wind_capacity", "eta")
@@ -75,13 +75,11 @@ def _stage(name: str):
 class WorkflowConfig:
     """Run parameters; tolerances default to the shipped study settings."""
 
-    scenario_path: str | None = None
     samples_path: str | None = None
     detection_score: float = 1.0
     detection_threshold: float = 0.0
     eta: float = 0.95
     mode: str = "auto"
-    output_dir: str | None = None
     eps_lim: float = 0.02
     eps_phi: float | None = None  # default: the swept gain / 200
     eps_strict: float = 1e-6
@@ -190,12 +188,8 @@ def _certificate_dict(cert) -> dict:
     }
 
 
-def run_workflow(cfg: WorkflowConfig, bundle: ScenarioBundle | None = None) -> WorkflowReport:
-    """Execute the full detection-to-certificate pipeline."""
-    if bundle is None:
-        if cfg.scenario_path is None:
-            raise ScenarioError("a scenario path or preloaded bundle is required")
-        bundle = load_scenario(cfg.scenario_path)
+def run_workflow(cfg: WorkflowConfig, bundle: ScenarioBundle) -> WorkflowReport:
+    """Execute the full detection-to-certificate pipeline; write_artifacts saves the report."""
     scn = bundle.require_dispatch()
     samples = None
     if cfg.samples_path is not None:
@@ -205,7 +199,7 @@ def run_workflow(cfg: WorkflowConfig, bundle: ScenarioBundle | None = None) -> W
         baseline = solve_cred(scn, None, allow_shed=True)
 
     def finish(branch, sol, gains, **kw):
-        rep = WorkflowReport(
+        return WorkflowReport(
             branch_taken=branch,
             baseline_cost=baseline.total_cost,
             final_cost=sol.total_cost,
@@ -218,9 +212,6 @@ def run_workflow(cfg: WorkflowConfig, bundle: ScenarioBundle | None = None) -> W
             baseline_solution=baseline,
             **kw,
         )
-        if cfg.output_dir is not None:
-            _write_artifacts(Path(cfg.output_dir), scn, rep)
-        return rep
 
     if cfg.detection_score <= cfg.detection_threshold:
         return finish("no_attack", baseline, np.zeros(scn.model.areas))
@@ -327,7 +318,8 @@ def _solution_dict(scn: DispatchScenario, sol: DispatchSolution) -> dict:
     }
 
 
-def _write_artifacts(out: Path, scn: DispatchScenario, rep: WorkflowReport) -> None:
+def write_artifacts(out: Path, scn: DispatchScenario, rep: WorkflowReport) -> None:
+    """Write rep to report.json, solution.json and summary.csv in out."""
     # names kept relative so identical runs stay byte-identical anywhere
     rep.artifacts = {
         "report": "report.json",
@@ -360,19 +352,16 @@ class SweepRow:
 def _apply_axis(doc: dict, attack_areas: tuple, axis: str, value: float) -> dict:
     """A copy of doc, a document scenario_from_dict accepts, with one axis set.
 
-    The parser has checked that its values are numbers; they are read with
-    float().  axis is one of SWEEP_AXES (sweep_study checks it); eta
-    leaves the document as it is.
+    The parser has checked that its values are numbers and that it has a
+    dispatch section; the values are read with float().  axis is one of
+    SWEEP_AXES (sweep_study checks it); eta leaves the document as it is.
     """
     doc = copy.deepcopy(doc)
+    periods = doc["dispatch"]["periods"]
     if axis == "vulnerable_fraction":
-        periods = doc.get("dispatch", {}).get("periods", [])
         for a in attack_areas:
             area = doc["areas"][a]
-            if periods:
-                ref = float(np.mean([float(p["demand"][a]) for p in periods]))
-            else:
-                ref = float(area["secure_load"]) + float(area["vulnerable_load"])
+            ref = float(np.mean([float(p["demand"][a]) for p in periods]))
             area["vulnerable_load"] = value * ref
             area["secure_load"] = (1.0 - value) * ref
     elif axis == "wind_capacity":
@@ -382,41 +371,36 @@ def _apply_axis(doc: dict, attack_areas: tuple, axis: str, value: float) -> dict
                 continue
             factor = value / cap
             area["ibr_max_power"] = value
-            for p in doc.get("dispatch", {}).get("periods", []):
+            for p in periods:
                 p["wind_available"][a] = float(p["wind_available"][a]) * factor
     return doc
 
 
-def sweep_study(cfg: WorkflowConfig, axis: str, grid, scenario_doc: dict | None = None) -> list:
+def sweep_study(cfg: WorkflowConfig, axis: str, grid, scenario_doc: dict) -> list:
     """Run the workflow across a parameter grid; a CredError becomes a row.
 
-    A scenario or samples file that cannot be read or parsed raises
-    ScenarioError before the first point.  Any other exception is a
-    programming bug and propagates.
+    A scenario document that cannot be parsed or has no dispatch section,
+    and a samples file that cannot be read or parsed, raise ScenarioError
+    before the first point.  Any other exception is a programming bug and
+    propagates.
 
     Cost increments are reported averaged over the horizon's periods.
     """
     if axis not in SWEEP_AXES:
         raise ScenarioError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
-    if scenario_doc is None:
-        if cfg.scenario_path is None:
-            raise ScenarioError("a scenario path or document is required")
-        scenario_doc = read_json(cfg.scenario_path, "scenario")
     # a malformed document raises ScenarioError here, before _apply_axis reads it
     base = scenario_from_dict(scenario_doc)
+    base.require_dispatch()
     if cfg.samples_path is not None:  # so does a bad samples file, which every point reads
         load_samples(cfg.samples_path, base.base_power)
     rows = []
     for value in grid:
         value = float(value)
-        point_cfg = copy.copy(cfg)
-        point_cfg.output_dir = None
         try:
             if axis == "eta":
-                point_cfg.eta = value
-                bundle = base
+                point_cfg, bundle = replace(cfg, eta=value), base
             else:
-                bundle = scenario_from_dict(
+                point_cfg, bundle = cfg, scenario_from_dict(
                     _apply_axis(scenario_doc, base.attack_areas, axis, value))
             rep = run_workflow(point_cfg, bundle=bundle)
             t_len = bundle.dispatch.n_periods
@@ -427,7 +411,4 @@ def sweep_study(cfg: WorkflowConfig, axis: str, grid, scenario_doc: dict | None 
             )
         except CredError as exc:  # record and continue
             rows.append(SweepRow(axis, value, None, None, None, None, error=str(exc)))
-    if cfg.output_dir is not None:
-        write_csv(Path(cfg.output_dir) / "sweep.csv", [f.name for f in fields(SweepRow)],
-                  map(astuple, rows))
     return rows

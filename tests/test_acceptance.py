@@ -32,7 +32,7 @@ from cred.linearize import (
     sweep_loci,
 )
 from cred.rows import StabilityConstraintSet
-from cred.scenario import scenario_from_dict
+from cred.scenario import load_scenario, scenario_from_dict
 from cred.simulate import classify_trajectory, simulate
 from cred.stability import eigen_decompose, is_stable, sensitivity
 from cred.systems import (
@@ -42,7 +42,7 @@ from cred.systems import (
     three_area_system,
 )
 from cred.uncertainty import AttackEstimate, k_eta, robust_gain
-from cred.workflow import WorkflowConfig, run_workflow, sweep_study
+from cred.workflow import WorkflowConfig, run_workflow, sweep_study, write_artifacts
 
 from oracles import (
     enumerate_milp,
@@ -333,9 +333,9 @@ def test_criterion_10_deterministic_reruns(tmp_path):
         blobs = []
         for name in ("first", "second"):
             out = tmp_path / name
-            cfg = WorkflowConfig(scenario_path=str(doc), mode="worst_case",
-                                 output_dir=str(out))
-            run_workflow(cfg)
+            bundle = load_scenario(doc)
+            rep = run_workflow(WorkflowConfig(mode="worst_case"), bundle)
+            write_artifacts(out, bundle.dispatch, rep)
             blobs.append(tuple(
                 (out / f).read_bytes()
                 for f in ("report.json", "solution.json", "summary.csv")

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from cred.workflow import write_artifacts
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "answer_hashes.py"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 LINE = re.compile(r"^(\d+)  (\w+)  report=([0-9a-f]{64})  solution=([0-9a-f]{64})$")
@@ -44,8 +46,9 @@ def test_solution_hash_is_that_of_the_written_artifact(tmp_path):
     cfg = script.WorkflowConfig(samples_path=str(paths[j]), mode=items[j].mode,
                                 detection_score=items[j].detection_score,
                                 detection_threshold=script.workloads.DETECTION_THRESHOLD,
-                                eta=script.workloads.ETA, output_dir=str(tmp_path / "out"))
-    script.run_workflow(cfg, bundle=script.scenario_from_dict(items[j].doc))
+                                eta=script.workloads.ETA)
+    bundle = script.scenario_from_dict(items[j].doc)
+    write_artifacts(tmp_path / "out", bundle.dispatch, script.run_workflow(cfg, bundle=bundle))
     written = (tmp_path / "out" / "solution.json").read_bytes()
     assert hashlib.sha256(written).hexdigest() == match.group(4)
 

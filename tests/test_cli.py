@@ -10,7 +10,7 @@ from cred import cli
 from cred.cli import main
 from cred.grid import build_state_space
 from cred.linearize import sweep_loci
-from cred.scenario import scenario_from_dict
+from cred.scenario import load_scenario, scenario_from_dict
 from cred.stability import eigen_decompose, sensitivity
 from cred.systems import single_area_toy, synthesize_samples, three_area_system
 from cred.workflow import WorkflowConfig, run_workflow
@@ -69,14 +69,22 @@ class TestAnalyze:
         assert float(row[3]) == pytest.approx(0.25, abs=1e-9)
 
     def test_repeated_eigenvalue_skipped_with_a_note(self, tmp_path, capsys):
-        doc = single_area_toy()
-        doc["areas"][0]["gov_integral"] = 1.0  # lambda^2 + 2 lambda + 1: a double root
-        path, out = tmp_path / "double.json", tmp_path / "out"
-        path.write_text(json.dumps(doc))
-        assert main(["analyze", "--scenario", str(path), "--out", str(out)]) == 0
-        assert read_csv(out / "sensitivities.csv") == [["eigen_index", "area", "d_re", "d_im"]]
-        assert capsys.readouterr().err.splitlines() == [
-            f"note: eigenvalue {i} repeated; sensitivity skipped" for i in (0, 1)]
+        double = single_area_toy()
+        double["areas"][0]["gov_integral"] = 1.0  # lambda^2 + 2 lambda + 1: a double root
+        # two uncoupled toys, both attacked: each eigenvalue twice, once per area
+        twin = single_area_toy()
+        twin["areas"].append(dict(twin["areas"][0], name="A2"))
+        twin["coupling"] = [[0.0, 0.0], [0.0, 0.0]]
+        twin["attack"] = {"areas": [0, 1], "static": [0.0, 0.0]}
+        del twin["dispatch"]
+        for doc, repeated in ((double, (0, 1)), (twin, (0, 1, 2, 3))):
+            # one note per eigenvalue, however many areas are attacked
+            path, out = tmp_path / "double.json", tmp_path / "out"
+            path.write_text(json.dumps(doc))
+            assert main(["analyze", "--scenario", str(path), "--out", str(out)]) == 0
+            assert read_csv(out / "sensitivities.csv") == [["eigen_index", "area", "d_re", "d_im"]]
+            assert capsys.readouterr().err.splitlines() == [
+                f"note: eigenvalue {i} repeated; sensitivity skipped" for i in repeated]
 
     def test_sweep_and_analyze_read_one_sensitivity(self, tmp_path, monkeypatch):
         doc = three_area_system()
@@ -203,10 +211,9 @@ class TestGainResolution:
         if "--mode" in flags:
             args += ["--mode", mode]
         expected = run_workflow(WorkflowConfig(
-            scenario_path=str(toy_path),
             samples_path=str(samples) if with_samples else None,
             mode=mode,
-        )).robust_gains
+        ), load_scenario(toy_path)).robust_gains
 
         out = tmp_path / "lin"
         assert main(["linearize", "--out", str(out)] + args) == 0
@@ -241,7 +248,7 @@ class TestGainResolution:
 
         monkeypatch.setattr(dispatch, "build_state_space", spy)
         monkeypatch.setattr(cli, "build_state_space", spy)
-        run_workflow(WorkflowConfig(scenario_path=str(desk), mode="worst_case"))
+        run_workflow(WorkflowConfig(mode="worst_case"), load_scenario(desk))
         assert main(["simulate", "--scenario", str(desk), "--out", str(tmp_path / "sim"),
                      "--mode", "worst_case", "--t-end", "10"]) == 0
         assert len(seen) > 2 and set(seen) == {((0, 1), (0.05, 0.0, 0.0))}
@@ -282,18 +289,19 @@ class TestWorkflow:
         assert 2.5 < report["robust_gains_pu_per_hz"][0] < 3.0
 
     def test_flags_are_the_config_fields(self):
-        # each run setting's flag takes its WorkflowConfig field's default; --out keeps "out"
+        # each run setting's flag takes its WorkflowConfig field's default; the file
+        # flags set no field, and --out keeps "out"
         parse = cli.build_parser().parse_args
-        assert cli._config_from_args(parse(["workflow", "--scenario", "x.json"])) == \
-            WorkflowConfig(scenario_path="x.json", output_dir="out")
+        args = parse(["workflow", "--scenario", "x.json"])
+        assert cli._config_from_args(args) == WorkflowConfig()
+        assert (args.scenario_path, args.output_dir) == ("x.json", "out")
         args = parse(["sweep", "--scenario", "x.json", "--out", "o", "--samples", "s.json",
                       "--eta", "0.9", "--mode", "mean_only", "--eps-lim", "0.01",
                       "--eps-phi", "0.1", "--eps-strict", "1e-5", "--settle-margin", "0.1",
                       "--r", "2", "--r0", "1", "--axis", "eta", "--grid", "0.9"])
         assert cli._config_from_args(args) == WorkflowConfig(
-            scenario_path="x.json", samples_path="s.json", detection_score=2.0,
-            detection_threshold=1.0, eta=0.9, mode="mean_only", output_dir="o", eps_lim=0.01,
-            eps_phi=0.1, eps_strict=1e-5, settle_margin=0.1)
+            samples_path="s.json", detection_score=2.0, detection_threshold=1.0, eta=0.9,
+            mode="mean_only", eps_lim=0.01, eps_phi=0.1, eps_strict=1e-5, settle_margin=0.1)
 
     def test_prints_summary(self, toy_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -316,13 +324,25 @@ class TestSweepCommand:
         assert rows[0][0] == "axis"
         assert len(rows) == 3
 
+    def test_failed_point_is_a_printed_row(self, toy_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(toy_path), "--out", str(out), "--mode",
+                     "worst_case", "--axis", "vulnerable_fraction", "--grid", "2.0"]) == 0
+        (line, wrote) = capsys.readouterr().out.splitlines()
+        assert wrote == f"wrote {out / 'sweep.csv'}"
+        (row,) = read_csv(out / "sweep.csv")[1:]
+        assert row[:6] == ["vulnerable_fraction", "2", "", "", "", ""]
+        assert row[6].startswith("invalid physical model: secure_load must be >= 0")
+        assert line == f"vulnerable_fraction=2: FAILED ({row[6]})"
+
     @pytest.mark.parametrize("axis, edit, message", [
         ("vulnerable_fraction", lambda d: d["attack"].update(areas=[7]),
          "attack area 7 out of range"),
         ("vulnerable_fraction", lambda d: d["attack"].update(areas=["x"]), "malformed scenario"),
         ("wind_capacity", lambda d: d["areas"][1].pop("ibr_max_power"),
          "missing key 'ibr_max_power'"),
-    ], ids=["area_out_of_range", "area_not_a_number", "missing_ibr_max_power"])
+        ("eta", lambda d: d.pop("dispatch"), "input error: scenario file has no dispatch section"),
+    ], ids=["area_out_of_range", "area_not_a_number", "missing_ibr_max_power", "no_dispatch"])
     def test_malformed_document_is_input_error(self, tmp_path, capsys, axis, edit, message):
         doc = three_area_system()
         edit(doc)
@@ -345,6 +365,25 @@ class TestExitCodes:
     def test_usage_error_is_input_error(self, argv, capsys):
         assert main(argv) == 4
         assert "usage:" in capsys.readouterr().err
+
+    def test_empty_number_list_is_a_usage_error(self, capsys):
+        assert main(["sweep", "--scenario", "toy.json", "--axis", "eta", "--grid", ","]) == 4
+        assert "error: argument --grid: must list at least one value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, edit, message", [
+        (["linearize", "--mode", "worst_case"],
+         lambda d: d["areas"][0].update(vulnerable_load=0.0),
+         "no attacked area with a positive gain to sweep"),
+        (["simulate", "--kc", "1,2", "--t-end", "1"], lambda d: None,
+         "--kc must list 1 comma-separated MW/Hz values"),
+    ], ids=["linearize_no_gain", "kc_length"])
+    def test_command_check_is_input_error(self, tmp_path, capsys, argv, edit, message):
+        doc = single_area_toy()
+        edit(doc)
+        path = tmp_path / "toy.json"
+        path.write_text(json.dumps(doc))
+        err = input_error(capsys, argv, "--scenario", path, "--out", tmp_path / "out")
+        assert err == f"input error: {message}\n"
 
     def test_help_exits_zero(self, capsys):
         assert main(["workflow", "-h"]) == 0
@@ -391,13 +430,19 @@ class TestExitCodes:
                               "--samples", bad)
             assert err.startswith("input error: " + message.format(bad)), argv
 
-    def test_out_naming_a_file_is_input_error(self, toy_path, tmp_path, capsys):
-        # the output directory could not be made: FileExistsError, exit 1
+    def test_out_naming_a_file_is_input_error(self, toy_path, tmp_path, capsys, monkeypatch):
+        # the output directory could not be made: FileExistsError, exit 1; it
+        # is made before any work, so no subcommand reaches its computation
         taken = tmp_path / "taken"
         taken.write_text("")
+        called = []
+        for name in ("load_scenario", "read_json", "build_state_space", "screen", "simulate",
+                     "run_workflow", "sweep_study"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: called.append(name))
         for argv in COMMANDS:
             err = input_error(capsys, argv, "--scenario", toy_path, "--out", taken)
             assert "File exists" in err, argv
+        assert called == []
 
     @pytest.mark.parametrize("flags, message", [
         (["--eps-phi", "nan"], "eps_phi must be > 0"),

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -629,6 +630,46 @@ class TestNonFiniteInputs:
             DispatchScenario(generators=(GeneratorSpec(**gen),), storage=(StorageSpec(**stor),),
                              **scn)
             StabilityConstraintSet(**stab)
+
+
+class TestSpecChecks:
+    """Each construction check of a dispatch spec raises BuildError with its own text."""
+
+    @pytest.mark.parametrize("spec, edit, message", [
+        ("gen", dict(p_min=-1.0), "generator in area 0: need 0 <= p_min <= p_max"),
+        ("gen", dict(p_min=13.0), "generator in area 0: need 0 <= p_min <= p_max"),
+        ("stor", dict(soc_max=0.1), "storage needs 0 <= soc_min < soc_max <= 1"),
+        ("stor", dict(efficiency=0.0), "storage efficiency must lie in (0, 1]"),
+        ("stor", dict(energy=0.0), "storage power/energy limits must be positive"),
+        ("stor", dict(soc_initial=0.95), "soc_initial outside [soc_min, soc_max]"),
+        ("scn", dict(demand=[10.0]), "demand must be (T, 1)"),
+        ("scn", dict(wind_available=[[4.0], [4.0]]), "wind_available must match demand shape"),
+        ("scn", dict(demand=[[-1.0]]), "demand and wind availability must be >= 0"),
+        ("gen", dict(area=1), "generator area 1 out of range"),
+        ("stor", dict(area=-1), "storage area -1 out of range"),
+        ("scn", dict(shed_cost=-1.0),
+         "shed_cost must be >= 0 and min_online_fraction within [0, 1]"),
+        ("scn", dict(min_online_fraction=1.5),
+         "shed_cost must be >= 0 and min_online_fraction within [0, 1]"),
+    ], ids=["p_min_negative", "p_min_above_p_max", "soc_range", "efficiency", "energy",
+            "soc_initial", "demand_shape", "wind_shape", "demand_negative", "generator_area",
+            "storage_area", "shed_cost", "min_online_fraction"])
+    def test_each_check_names_its_fault(self, one_area_model, spec, edit, message):
+        specs = dict(
+            gen=dict(area=0, marginal_cost=10.0, p_min=0.0, p_max=12.0, committed=(1,)),
+            stor=dict(area=0, soc_min=0.1, soc_max=0.9, efficiency=0.9, power_limit=3.0,
+                      energy=6.0, soc_initial=0.5),
+            scn=dict(model=one_area_model, demand=[[10.0]], wind_available=[[4.0]],
+                     shed_cost=1000.0, base_power=1.0))
+        specs[spec].update(edit)
+        with pytest.raises(BuildError, match=f"^{re.escape(message)}$"):
+            DispatchScenario(generators=(GeneratorSpec(**specs["gen"]),),
+                             storage=(StorageSpec(**specs["stor"]),), **specs["scn"])
+
+    def test_droop_floor_needs_a_gain_per_area(self, one_area_model):
+        stab = StabilityConstraintSet((), [3.0, 0.0])
+        with pytest.raises(BuildError, match=r"^robust_gains must have shape \(1,\)$"):
+            solve_cred(toy_scenario(one_area_model), stab)
 
 
 class TestStabilityConstraintSet:

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -152,6 +153,36 @@ class TestBuildStateSpace:
     def test_attack_outside_declared_areas_rejected(self):
         with pytest.raises(ConfigurationError):
             AttackProfile([1.0, 0.0], [0.0, 0.0], (1,))
+
+    @pytest.mark.parametrize("edit, message", [
+        (dict(areas=0), "areas must be >= 1"),
+        (dict(damping=[0.0]), "damping must have shape (2,), got (1,)"),
+        (dict(gov_integral=[5.0, 0.0]), "gov_integral must be > 0.0 elementwise"),
+        (dict(susceptance=[[0.0, 1.0]]), "susceptance must be 2x2"),
+        (dict(susceptance=[[0.0, -1.0], [-1.0, 0.0]]),
+         "susceptance entries must be finite and >= 0"),
+        (dict(susceptance=[[0.0, 1.0], [2.0, 0.0]]), "susceptance must be symmetric"),
+        (dict(susceptance=[[1.0, 1.0], [1.0, 1.0]]), "susceptance diagonal must be zero"),
+        (dict(omega_max=float("nan")), "omega_max must be a positive number"),
+        (dict(omega_max=0.0), "omega_max must be a positive number"),
+    ], ids=["no_areas", "shape", "strict_min", "susceptance_shape", "susceptance_sign",
+            "susceptance_symmetry", "susceptance_diagonal", "omega_max_nan", "omega_max_zero"])
+    def test_model_check_names_its_field(self, edit, message):
+        kw = dict(areas=2, inertia_sg=[1.0, 1.0], inertia_ibr=[0.0, 0.0], damping=[0.0, 0.0],
+                  gov_integral=[5.0, 5.0], gov_proportional=[2.0, 2.0],
+                  susceptance=[[0.0, 1.0], [1.0, 0.0]], secure_load=[1.0, 1.0],
+                  vulnerable_load=[0.0, 0.0], ibr_max_power=[0.0, 0.0], omega_max=0.5)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            SystemModel(**dict(kw, **edit))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: AttackProfile([1.0, 0.0], [0.0, 0.0], (0, 2)), "attack_areas out of range"),
+        (lambda: build_state_space(_models(0), AttackProfile.none(9), DroopSchedule.none(9)),
+         "attack/droop dimensioned for a different number of areas"),
+    ], ids=["attack_areas", "dimension_mismatch"])
+    def test_profile_checks(self, make, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            make()
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +161,16 @@ class TestSolveLp:
 
 #: variable kinds of the random LPs: (lower, upper) relative to a point x0
 KINDS = ("free", "fixed", "lower", "upper", "boxed")
+
+
+@pytest.mark.parametrize("relations, bounds, message", [
+    (("<=",), [[np.nan, 1.0]], "LP bounds contain NaN"),
+    (("<",), [[0.0, 1.0]], "unknown relation '<'"),
+    (("<=",), [[2.0, 1.0]], "variable with lower bound above upper bound"),
+], ids=["nan_bound", "unknown_relation", "crossed_bounds"])
+def test_each_check_names_its_fault(relations, bounds, message):
+    with pytest.raises(BuildError, match=f"^{re.escape(message)}$"):
+        solve_lp(LinearProgram([1.0], [[1.0]], relations, [1.0], bounds))
 
 
 def priced_by_slack_basis(c: np.ndarray, bounds: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,17 @@ class TestScenarioFromDict:
         gen = bundle.dispatch.generators[0]
         assert gen.p_max == pytest.approx(4.0)
         assert gen.marginal_cost == 28.0  # currency per MWh, not converted
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: [d], "scenario document must be a JSON object"),
+        (lambda d: dict(d, attack={"areas": [0], "static": [0.0, 0.0]}),
+         "attack static must list 1 values"),
+        (lambda d: dict(d, dispatch=dict(d["dispatch"], periods=[])),
+         "dispatch.periods must be non-empty"),
+    ], ids=["not_an_object", "static_length", "no_periods"])
+    def test_each_check_names_its_fault(self, edit, message):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            scenario_from_dict(edit(single_area_toy()))
 
     def test_missing_area_field_rejected(self):
         doc = single_area_toy()

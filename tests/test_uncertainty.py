@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,17 @@ class TestMoments:
     def test_too_few_samples_rejected(self):
         with pytest.raises(InsufficientDataError):
             moments_from_samples({0: [1.0]}, 1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: AttackEstimate([1.0, 2.0], [0.1], [3, 3]),
+     "mean, std and sample_count must share a shape"),
+    (lambda: AttackEstimate([1.0], [-0.1], [3]), "std must be >= 0"),
+    (lambda: moments_from_samples({2: [1.0, 2.0]}, 2), "sample area 2 out of range"),
+], ids=["shape", "negative_std", "sample_area"])
+def test_each_contract_check_names_its_fault(make, message):
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 class TestKEta:

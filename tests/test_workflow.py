@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +13,22 @@ from cred.simulate import classify_trajectory, simulate
 from cred.stability import eigen_decompose
 from cred.systems import (single_area_toy, synthesize_samples, three_area_no_wind,
                           three_area_system)
-from cred.workflow import WorkflowConfig, run_workflow, sweep_study
+from cred.workflow import WorkflowConfig, run_workflow, sweep_study, write_artifacts
 
 
 def run_toy(doc=None, **cfg_kw):
     doc = doc if doc is not None else single_area_toy()
     cfg = WorkflowConfig(mode=cfg_kw.pop("mode", "worst_case"), **cfg_kw)
     return run_workflow(cfg, bundle=scenario_from_dict(doc))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (dict(detection_threshold=-1.0), "detection threshold must be >= 0"),
+    (dict(mode="robust"), "mode must be one of ('auto', 'worst_case', 'mean_only')"),
+], ids=["threshold", "mode"])
+def test_config_check_names_its_fault(edit, message):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        WorkflowConfig(**edit)
 
 
 class TestBranches:
@@ -430,13 +440,14 @@ class TestArtifacts:
         blobs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            run_toy(output_dir=str(out))
+            write_artifacts(out, scenario_from_dict(single_area_toy()).dispatch, run_toy())
             blobs.append(tuple((out / f).read_bytes() for f in files))
         assert blobs[0] == blobs[1]
 
     def test_report_contents(self, tmp_path):
         out = tmp_path / "run"
-        rep = run_toy(output_dir=str(out))
+        rep = run_toy()
+        write_artifacts(out, scenario_from_dict(single_area_toy()).dispatch, rep)
         report = json.loads((out / "report.json").read_text())
         assert report["branch_taken"] == "cred_applied"
         assert report["robust_gains_pu_per_hz"] == [3.0]
@@ -547,6 +558,16 @@ class TestSweeps:
         with pytest.raises(ScenarioError, match=r"areas\[1\]\.ibr_max_power must be a number"):
             sweep_study(WorkflowConfig(mode="worst_case"), "wind_capacity", [4000.0],
                         scenario_doc=doc)
+
+    @pytest.mark.parametrize("axis", ["vulnerable_fraction", "wind_capacity", "eta"])
+    def test_document_without_dispatch_rejected_before_the_grid(self, monkeypatch, axis):
+        calls = []
+        monkeypatch.setattr("cred.workflow.run_workflow", lambda *a, **k: calls.append(a))
+        doc = single_area_toy()
+        del doc["dispatch"]
+        with pytest.raises(ScenarioError, match=r"^scenario file has no dispatch section$"):
+            sweep_study(WorkflowConfig(mode="worst_case"), axis, [0.3, 0.5], scenario_doc=doc)
+        assert calls == []
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
