@@ -3,13 +3,14 @@
 
 Runs each operation of one seeded ``credbench`` pool once, as the
 benchmark runs it (``credbench/workloads.py``, read only), and prints one
-line per op.  A workflow op prints
+line per op.  A workflow op runs as ``Bench.operation`` runs it
+(``credbench/harness.py``, read only) and prints
 
     <op>  <branch>  report=<sha256>  solution=<sha256>
 
-the SHA-256 of ``report.to_dict()`` and of the solution dictionary written
-to ``solution.json``, each serialized as the workflow writes its JSON
-artifacts.  With ``--values`` a workflow op prints its numbers instead,
+the SHA-256 of the ``report.json`` and ``solution.json`` that
+``write_artifacts`` writes for it, as ``cred workflow`` does.  With
+``--values`` a workflow op prints its numbers instead,
 
     <op>  <branch>  final_cost=<repr>  droop_max=<repr>  pairs=<i:a,...>  anchors=<k,...;...>  worst_real=<repr>
 
@@ -59,7 +60,6 @@ and their answers' numbers are compared by
 
 import argparse
 import hashlib
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -67,32 +67,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "credbench")]
 
+import harness  # noqa: E402
 import workloads  # noqa: E402
 from cred.scenario import scenario_from_dict  # noqa: E402
 from cred.simulate import classify_trajectory, simulate  # noqa: E402
-from cred.workflow import WorkflowConfig, _solution_dict, run_workflow  # noqa: E402
+from cred.workflow import write_artifacts  # noqa: E402
 
 #: the workloads whose operations are run_workflow calls
 WORKFLOW_LOADS = ("desk_redispatch", "ring_tables", "storage_horizon")
 
 
-def digest(obj) -> str:
-    """SHA-256 of obj serialized as the workflow's JSON artifacts are."""
-    return hashlib.sha256((json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()).hexdigest()
-
-
-def answer(item, samples_path, values=False) -> str:
-    """The fingerprint of one operation's answer, or its numbers (module docstring)."""
+def answer(bench, j: int, values=False) -> str:
+    """The fingerprint of bench's operation j's answer, or its numbers (module docstring)."""
     try:
-        bundle = scenario_from_dict(item.doc)
-        cfg = WorkflowConfig(
-            samples_path=None if samples_path is None else str(samples_path),
-            detection_score=item.detection_score,
-            detection_threshold=workloads.DETECTION_THRESHOLD,
-            eta=workloads.ETA,
-            mode=item.mode,
-        )
-        rep = run_workflow(cfg, bundle=bundle)
+        rep = bench.operation(j)
     except Exception as exc:  # an error is an answer too
         return f"error  {type(exc).__name__}: {exc}"
     if values:
@@ -102,8 +90,11 @@ def answer(item, samples_path, values=False) -> str:
         return (f"{rep.branch_taken}  final_cost={rep.final_cost!r}  "
                 f"droop_max={float(rep.solution.droop.max())!r}  pairs={pairs}  "
                 f"anchors={anchors}  worst_real={worst}")
-    return (f"{rep.branch_taken}  report={digest(rep.to_dict())}  "
-            f"solution={digest(_solution_dict(bundle.require_dispatch(), rep.solution))}")
+    with tempfile.TemporaryDirectory() as tmp:
+        write_artifacts(Path(tmp), bench.bundles[j].dispatch, rep)
+        report, solution = (hashlib.sha256((Path(tmp) / name).read_bytes()).hexdigest()
+                            for name in ("report.json", "solution.json"))
+    return f"{rep.branch_taken}  report={report}  solution={solution}"
 
 
 def step_answer(item, values=False) -> str:
@@ -190,18 +181,17 @@ def main(argv=None) -> int:
     if args.against is not None and not args.values:
         parser.error("--against needs --values")
 
-    items = workloads.generate(args.workload, args.seed)
     lines = []
     if args.workload == "step_response":
-        for j, item in enumerate(items):
+        for j, item in enumerate(workloads.generate(args.workload, args.seed)):
             lines.append(f"{j}  {step_answer(item, args.values)}")
             print(lines[-1], flush=True)
         compare = step_against
     else:
         with tempfile.TemporaryDirectory() as tmp:
-            paths = workloads.write_samples(items, Path(tmp))
-            for j, (item, path) in enumerate(zip(items, paths)):
-                lines.append(f"{j}  {answer(item, path, args.values)}")
+            bench = harness.Bench(args.workload, args.seed, Path(tmp))
+            for j in range(len(bench.items)):
+                lines.append(f"{j}  {answer(bench, j, args.values)}")
                 print(lines[-1], flush=True)
         compare = against
     if args.against is not None:

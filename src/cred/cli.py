@@ -105,6 +105,13 @@ def _config_from_args(args) -> WorkflowConfig:
                              if f.name in given})
 
 
+def _gains(args, bundle) -> np.ndarray:
+    """resolve_gains on the command's flags and its --samples file, when one is given."""
+    path = args.samples_path
+    samples = None if path is None else load_samples(path, bundle.base_power)
+    return resolve_gains(_config_from_args(args), bundle, samples)
+
+
 def cmd_analyze(args) -> int:
     bundle = load_scenario(args.scenario_path)
     n = bundle.model.areas
@@ -130,9 +137,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_linearize(args) -> int:
     bundle = load_scenario(args.scenario_path)
-    samples = load_samples(args.samples_path, bundle.base_power) if args.samples_path else None
     cfg = _config_from_args(args)
-    gains = resolve_gains(cfg, bundle, samples)
+    gains = _gains(args, bundle)
     if not (gains > 0).any():
         raise ScenarioError("no attacked area with a positive gain to sweep")
     sweeps, pairs = screen(bundle.model, gains, cfg)
@@ -158,9 +164,8 @@ def cmd_simulate(args) -> int:
     bundle = load_scenario(args.scenario_path)
     n = bundle.model.areas
     gains = np.zeros(n)
-    if args.mode != "auto" or args.samples_path:
-        samples = load_samples(args.samples_path, bundle.base_power) if args.samples_path else None
-        gains = resolve_gains(_config_from_args(args), bundle, samples)
+    if args.mode != "auto" or args.samples_path is not None:
+        gains = _gains(args, bundle)
     droop_gain = np.zeros(n)
     if args.kc is not None:
         droop_gain = np.array(args.kc) / bundle.base_power

@@ -214,7 +214,6 @@ class DispatchSolution:
     #: simplex steps over those LPs; both read 0 on a storage-free dispatch
     #: of at most one attacked area
     simplex_iterations: int = 0
-    stability_certificate: StabilityCertificate | None = None
 
 
 def _columns(scn: DispatchScenario) -> dict:

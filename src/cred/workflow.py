@@ -103,17 +103,17 @@ class WorkflowReport:
     robust_gains: list
     mode: str
     eta: float
+    solution: DispatchSolution
+    baseline_solution: DispatchSolution
     precheck_max_real: float | None = None
     pairs: list = field(default_factory=list)
     pair_worst_real: list = field(default_factory=list)
     tables: list = field(default_factory=list)
     per_period: list = field(default_factory=list)
     certificate: dict | None = None
-    artifacts: dict = field(default_factory=dict)
-    solution: DispatchSolution | None = None
-    baseline_solution: DispatchSolution | None = None
 
     def to_dict(self) -> dict:
+        """The document write_artifacts writes to report.json."""
         return {
             "branch_taken": self.branch_taken,
             "baseline_cost": self.baseline_cost,
@@ -128,17 +128,21 @@ class WorkflowReport:
             "tables": self.tables,
             "per_period": self.per_period,
             "certificate": self.certificate,
-            "artifacts": {k: str(v) for k, v in self.artifacts.items()},
+            # names kept relative so identical runs stay byte-identical anywhere
+            "artifacts": {"report": "report.json", "solution": "solution.json",
+                          "summary": "summary.csv"},
         }
 
 
 def resolve_gains(cfg: WorkflowConfig, bundle: ScenarioBundle, samples: dict | None) -> np.ndarray:
-    """Robust attack gains (p.u./Hz) for cfg.mode; auto without samples is worst case."""
+    """Robust attack gains (p.u./Hz) for cfg.mode; auto without samples is worst case.
+
+    An estimated gain below zero raises ScenarioError naming its area.
+    """
     model = bundle.model
-    areas = bundle.attack_areas
     static = bundle.static_attack
     if cfg.mode == "worst_case" or (cfg.mode == "auto" and not samples):
-        return worst_case_gain(model, areas, static)
+        return worst_case_gain(model, bundle.attack_areas, static)
     if not samples:
         raise ScenarioError(f"mode {cfg.mode!r} needs a detection-sample file")
     est = moments_from_samples(samples, model.areas)
@@ -146,6 +150,9 @@ def resolve_gains(cfg: WorkflowConfig, bundle: ScenarioBundle, samples: dict | N
         gains = np.array(est.mean, dtype=float)
     else:
         gains = robust_gain(est, cfg.eta)
+    for a in np.flatnonzero(gains < 0):  # the first such area
+        raise ScenarioError(f"area {a}: estimated attack gain {gains[a] * bundle.base_power:.6g} "
+                            "MW/Hz is negative")
     return apply_budget_clamp(model, gains, static)
 
 
@@ -253,7 +260,6 @@ def run_workflow(cfg: WorkflowConfig, bundle: ScenarioBundle) -> WorkflowReport:
     except ValidationFailure:
         tables, sol, branch, cert = attempt(cfg.eps_lim / 2.0)
 
-    sol.stability_certificate = cert
     return finish(
         branch,
         sol,
@@ -294,7 +300,7 @@ def write_csv(path: Path, header, rows) -> None:
                              for x in row])
 
 
-def _solution_dict(scn: DispatchScenario, sol: DispatchSolution) -> dict:
+def _solution_dict(scn: DispatchScenario, sol: DispatchSolution, certificate: dict | None) -> dict:
     base = scn.base_power
     return {
         "total_cost": sol.total_cost,
@@ -312,22 +318,14 @@ def _solution_dict(scn: DispatchScenario, sol: DispatchSolution) -> dict:
                           for (t, i, a), m in sorted(sol.held_segments.items())},
         "lp_count": sol.lp_count,
         "simplex_iterations": sol.simplex_iterations,
-        "stability_certificate": None
-        if sol.stability_certificate is None
-        else _certificate_dict(sol.stability_certificate),
+        "stability_certificate": certificate,
     }
 
 
 def write_artifacts(out: Path, scn: DispatchScenario, rep: WorkflowReport) -> None:
     """Write rep to report.json, solution.json and summary.csv in out."""
-    # names kept relative so identical runs stay byte-identical anywhere
-    rep.artifacts = {
-        "report": "report.json",
-        "solution": "solution.json",
-        "summary": "summary.csv",
-    }
     write_json(out / "report.json", rep.to_dict())
-    write_json(out / "solution.json", _solution_dict(scn, rep.solution))
+    write_json(out / "solution.json", _solution_dict(scn, rep.solution, rep.certificate))
     header = ["period", "cost"]
     for a in range(scn.model.areas):
         header += [f"kc_pu_per_hz_{a}", f"pres_mw_{a}", f"shed_mw_{a}"]

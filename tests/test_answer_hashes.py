@@ -35,28 +35,41 @@ def test_one_line_per_op_and_the_same_on_a_rerun():
     assert run("--workload", "storage_horizon", "--seed", "0").stdout == proc.stdout
 
 
-def test_solution_hash_is_that_of_the_written_artifact(tmp_path):
+def written_desk_op(tmp_path) -> tuple:
+    """(answer line match, report.json bytes, solution.json bytes) of a desk op with samples.
+
+    The files are those write_artifacts writes for the op, run as the
+    benchmark runs it.
+    """
     script = load_script()
-    # a desk op with a detection-sample file
-    items = script.workloads.generate("desk_redispatch", 0)
-    paths = script.workloads.write_samples(items, tmp_path)
-    j = next(j for j, item in enumerate(items) if item.samples and item.mode != "worst_case")
-    match = LINE.match(f"{j}  {script.answer(items[j], paths[j])}")
+    bench = script.harness.Bench("desk_redispatch", 0, tmp_path)
+    j = next(j for j, item in enumerate(bench.items)
+             if item.samples and item.mode != "worst_case")
+    assert bench.sample_paths[j] is not None
+    match = LINE.match(f"{j}  {script.answer(bench, j)}")
     assert match.group(2) == "cred_applied"
-    cfg = script.WorkflowConfig(samples_path=str(paths[j]), mode=items[j].mode,
-                                detection_score=items[j].detection_score,
-                                detection_threshold=script.workloads.DETECTION_THRESHOLD,
-                                eta=script.workloads.ETA)
-    bundle = script.scenario_from_dict(items[j].doc)
-    write_artifacts(tmp_path / "out", bundle.dispatch, script.run_workflow(cfg, bundle=bundle))
-    written = (tmp_path / "out" / "solution.json").read_bytes()
-    assert hashlib.sha256(written).hexdigest() == match.group(4)
+    write_artifacts(tmp_path / "out", bench.bundles[j].dispatch, bench.operation(j))
+    return match, *((tmp_path / "out" / name).read_bytes()
+                    for name in ("report.json", "solution.json"))
 
 
-def test_an_error_is_its_type_and_text():
+def test_solution_hash_is_that_of_the_written_artifact(tmp_path):
+    match, _, solution = written_desk_op(tmp_path)
+    assert hashlib.sha256(solution).hexdigest() == match.group(4)
+
+
+def test_both_hashes_are_those_of_the_written_artifacts(tmp_path):
+    # the report hash was once that of a report never written, with no artifact names
+    match, report, solution = written_desk_op(tmp_path)
+    assert hashlib.sha256(report).hexdigest() == match.group(3)
+    assert hashlib.sha256(solution).hexdigest() == match.group(4)
+
+
+def test_an_error_is_its_type_and_text(tmp_path):
     script = load_script()
-    item = script.workloads.WorkflowInput({"areas": "none"}, "worst_case", 1.0)
-    assert re.fullmatch(r"error  ScenarioError: .+", script.answer(item, None))
+    bench = script.harness.Bench("storage_horizon", 0, tmp_path)
+    bench.items[0] = script.workloads.WorkflowInput({"areas": "none"}, "worst_case", 1.0)
+    assert re.fullmatch(r"error  ScenarioError: .+", script.answer(bench, 0))
 
 
 STEP_LINE = re.compile(r"^(\d+)  (decaying|growing|marginal)  diverged=(True|False)  "
@@ -93,11 +106,7 @@ def test_values_are_the_reports_and_compare_against_an_earlier_run(tmp_path):
     assert [VALUE_LINE.match(line).group(1, 2) for line in lines] == [(str(j), "cred_applied")
                                                                      for j in range(5)]
     script = load_script()
-    item = script.workloads.generate("storage_horizon", 0)[0]
-    rep = script.run_workflow(script.WorkflowConfig(
-        detection_score=item.detection_score,
-        detection_threshold=script.workloads.DETECTION_THRESHOLD,
-        eta=script.workloads.ETA, mode=item.mode), bundle=script.scenario_from_dict(item.doc))
+    rep = script.harness.Bench("storage_horizon", 0, tmp_path).operation(0)
     cost, droop, pairs, anchors, worst = VALUE_LINE.match(lines[0]).group(3, 4, 5, 6, 7)
     assert float(cost) == rep.final_cost and float(droop) == rep.solution.droop.max()
     assert pairs == ",".join(f"{i}:{a}" for i, a in rep.pairs) and rep.pairs
@@ -217,11 +226,9 @@ def test_workflow_pool_answers_match_the_pinned_values(workload, seed, tmp_path)
     """
     script = load_script()
     pinned = (FIXTURES / f"{workload}_values_seed{seed}.txt").read_text().splitlines()
-    items = script.workloads.generate(workload, seed)
-    paths = script.workloads.write_samples(items, tmp_path)
-    lines = [f"{j}  {script.answer(item, path, values=True)}"
-             for j, (item, path) in enumerate(zip(items, paths))]
-    assert len(lines) == len(pinned) == len(items)
+    bench = script.harness.Bench(workload, seed, tmp_path)
+    lines = [f"{j}  {script.answer(bench, j, values=True)}" for j in range(len(bench.items))]
+    assert len(lines) == len(pinned) == len(bench.items)
     errors = []
     for now, then in zip(map(script._numbers, lines), map(script._numbers, pinned)):
         assert (now["op"], now["answer"]) == (then["op"], then["answer"])

@@ -49,6 +49,14 @@ def unreadable(tmp_path, kind):
     return path
 
 
+def negative_samples(tmp_path) -> tuple:
+    """(desk scenario, samples file): area 1's estimates average -450 MW/Hz, std 50."""
+    desk, samples = tmp_path / "desk.json", tmp_path / "negative.json"
+    desk.write_text(json.dumps(three_area_system()))
+    samples.write_text(json.dumps([{"area": 1, "samples": [-500.0, -400.0, -450.0]}]))
+    return desk, samples
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -253,6 +261,28 @@ class TestGainResolution:
                      "--mode", "worst_case", "--t-end", "10"]) == 0
         assert len(seen) > 2 and set(seen) == {((0, 1), (0.05, 0.0, 0.0))}
 
+    @pytest.mark.parametrize("command", ["workflow", "linearize", "simulate"])
+    @pytest.mark.parametrize("mode, value", [("auto", "-232.055"), ("mean_only", "-450")])
+    def test_negative_estimated_gain_is_input_error(self, tmp_path, capsys, command, mode,
+                                                    value):
+        # it was once blamed on the precheck, on no gain to sweep or on dyn_gain
+        desk, samples = negative_samples(tmp_path)
+        err = input_error(capsys, [command], "--scenario", desk, "--out", tmp_path / "out",
+                          "--samples", samples, "--mode", mode)
+        stage = "[gain-estimation] " if command == "workflow" else ""
+        assert err == (f"input error: {stage}area 1: estimated attack gain {value} MW/Hz "
+                       "is negative\n")
+
+    def test_negative_estimated_gain_is_a_failed_sweep_row(self, tmp_path, capsys):
+        desk, samples = negative_samples(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(desk), "--out", str(out), "--samples",
+                     str(samples), "--axis", "eta", "--grid", "0.9"]) == 0
+        (row,) = read_csv(out / "sweep.csv")[1:]
+        # mean -450 MW/Hz, std 50, and k_eta(0.9) = 3
+        assert row[6] == "[gain-estimation] area 1: estimated attack gain -300 MW/Hz is negative"
+        assert capsys.readouterr().out.splitlines()[0] == f"eta=0.9: FAILED ({row[6]})"
+
 
 class TestWorkflow:
     def test_end_to_end_artifacts(self, toy_path, tmp_path, capsys):
@@ -415,10 +445,14 @@ class TestExitCodes:
         ("malformed", "samples file {} is not valid JSON: "),
         ("directory", "samples file {} cannot be read: "),
         ("not_utf8", "samples file {} cannot be read: "),
-    ], ids=["missing", "malformed", "directory", "not_utf8"])
+        ("empty", "samples file . cannot be read: "),
+    ], ids=["missing", "malformed", "directory", "not_utf8", "empty"])
     def test_bad_samples_file_is_input_error(self, toy_path, tmp_path, capsys, kind, message):
-        # the sweep once made each point a failed row, or a traceback for a directory
-        if kind == "missing":
+        # the sweep once made each point a failed row, or a traceback for a
+        # directory; linearize and simulate once ran an empty path as no file
+        if kind == "empty":
+            bad = ""
+        elif kind == "missing":
             bad = tmp_path / "nope.json"
         elif kind == "malformed":
             bad = tmp_path / "bad.json"

@@ -36,7 +36,7 @@ from cred.linearize import (
     select_critical_pairs,
     sweep_loci,
 )
-from cred.milp import solve_lp
+from cred.milp import SolveResult, solve_lp
 from cred.rows import StabilityConstraintSet
 from cred.scenario import scenario_from_dict
 from cred.stability import eigen_decompose, is_stable
@@ -702,6 +702,10 @@ class TestStabilityConstraintSet:
         # a table covers its gain to 1e-12, and a gainless area's table is kept but not live
         StabilityConstraintSet((tab,), [0.0, 2.0 + 1e-13])
         assert StabilityConstraintSet((tab,), [0.0, 0.0]).segments == {}
+        # a robust gain is never negative, however slightly
+        with pytest.raises(BuildError) as info:
+            StabilityConstraintSet((tab,), [-1e-12, 2.0])
+        assert str(info.value) == "robust gains must be >= 0"
 
     def test_derives_the_rows(self):
         rng = np.random.RandomState(3)
@@ -797,6 +801,18 @@ class TestValidate:
         cert = validate_solution(scn, sol, attack, StabilityConstraintSet((tab,), gains))
         assert cert.estimate_discrepancy == pytest.approx(abs(a.real - b.real), rel=1e-12)
         assert cert.estimate_discrepancy > 1e-3
+
+    def test_droop_above_the_robust_gain_skips_the_estimate(self, one_area_model):
+        # the net gain 3 - droop lies in the table at droop 3, below it at 3.5
+        scn = toy_scenario(one_area_model)
+        stab = toy_stability(one_area_model)
+        sol = solve_cred(scn, stab)
+        sol.droop = np.full_like(sol.droop, 3.0)
+        assert validate_solution(scn, sol, toy_attack(), stab).estimate_discrepancy is not None
+        sol.droop = np.full_like(sol.droop, 3.5)
+        cert = validate_solution(scn, sol, toy_attack(), stab)
+        assert cert.estimate_discrepancy is None
+        assert cert.max_real[0] < 0.0
 
     def test_settle_shortfall(self, one_area_model):
         scn = toy_scenario(one_area_model)
@@ -987,6 +1003,13 @@ class TestStorage:
                    - sol.storage_charge[t, 0] - scn.demand[t].sum())
             assert abs(bal) <= 1e-9
         assert sol.storage_soc[2, 0] == pytest.approx(0.5, abs=1e-9)
+
+    def test_storage_solve_that_stops_short_raises(self, monkeypatch):
+        scn = scenario_from_dict(three_area_with_storage()).dispatch
+        monkeypatch.setattr(dispatch, "solve_lp", lambda lp: SolveResult("iteration_limit"))
+        with pytest.raises(NumericalError) as info:
+            solve_cred(scn, None, allow_shed=True)
+        assert str(info.value) == "dispatch solve ended with status iteration_limit"
 
     def test_monolithic_matches_per_period_without_storage(self, one_area_model):
         scn = DispatchScenario(
@@ -1366,6 +1389,22 @@ class TestCellSearch:
         monkeypatch.setattr(rows, "_CELL_LP_CAP", 0)
         with pytest.raises(NumericalError, match="more than 0 cell LPs"):
             stab.net_gain_max()
+
+    def test_cell_lp_at_its_iteration_limit_raises(self, monkeypatch):
+        stab = StabilityConstraintSet((ceiling_table(0, 3.0, 1.0), ceiling_table(1, 3.0, 1.0)),
+                                      [3.0, 3.0])
+        monkeypatch.setattr(rows, "solve_lp", lambda lp: SolveResult("iteration_limit"))
+        with pytest.raises(NumericalError) as info:
+            stab.net_gain_max()
+        assert str(info.value) == "a droop-search cell LP hit its iteration limit"
+
+    def test_flat_segment_beyond_its_row_admits_no_net_gain(self):
+        """A zero-slope segment whose row fails at every net gain clips its cell away."""
+        flat = anchored_table(0, 0, complex(-1.0, 2.0), [(0.0, 0.0, 0.0)], 2.0)
+        # the row reads 0 <= 1 - strict - settle: met at settle 0.5, at no k at 1.5
+        assert StabilityConstraintSet((flat,), [2.0], settle_margin=0.5).net_gain_max() == (
+            {0: 2.0}, {(0, 0): 0}, 0, 0)
+        assert StabilityConstraintSet((flat,), [2.0], settle_margin=1.5).net_gain_max() is None
 
     def test_no_attacked_area_needs_no_search(self):
         """Without live tables the search returns no net gains and solves nothing."""

@@ -130,6 +130,13 @@ class TestBuildSegmentTable:
         with pytest.raises(ConfigurationError):
             build_segment_table(sweep_loci(one_area_model, 0, 4.0, 0.05), 1, 0.0)
 
+    @pytest.mark.parametrize("eigen_index", [-1, 2])
+    def test_eigen_index_out_of_range_rejected(self, one_area_model, eigen_index):
+        sweep = sweep_loci(one_area_model, 0, 4.0, 0.05)
+        with pytest.raises(ConfigurationError) as info:
+            build_segment_table(sweep, eigen_index, 0.05)
+        assert str(info.value) == f"eigen index {eigen_index} out of range"
+
 
 #: anchor slopes from the base pole-residue form against a fresh decomposition
 #: per anchor (relative), and the grid errors the two tables read (absolute)

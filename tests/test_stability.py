@@ -132,6 +132,23 @@ class TestDirectGeev:
                                                  "Eigenvalues did not converge"):
             eigen_decompose(one_area_ss)
 
+    def test_non_finite_state_matrix_is_typed(self):
+        ss = _hand_state_space(np.array([[0.0, 1.0], [np.nan, -1.0]]))
+        with pytest.raises(NumericalError) as info:
+            eigen_decompose(ss)
+        assert str(info.value) == "state matrix contains non-finite entries"
+
+    def test_inaccurate_right_vectors_are_typed(self, one_area_ss, monkeypatch):
+        eig = np.linalg.eig
+
+        def swapped(a):
+            values, vr = eig(a)
+            return values, vr[:, ::-1]  # each vector paired with the other eigenvalue
+
+        monkeypatch.setattr(np.linalg, "eig", swapped)
+        with pytest.raises(NumericalError, match=r"^eigenpair residual \S+ exceeds 1e-8\*\|S\|$"):
+            eigen_decompose(one_area_ss)
+
     def test_inaccurate_left_vectors_are_typed(self, one_area_ss, monkeypatch):
         inv = np.linalg.inv
 
@@ -214,6 +231,11 @@ class TestIsStable:
             )
             verdict = is_stable(eigen_decompose(ss))
             assert verdict.stable == (gain < 2.0 + droop_gain)
+
+    def test_origin_modes_alone_leave_no_verdict(self):
+        with pytest.raises(NumericalError) as info:
+            is_stable(eigen_decompose(_hand_state_space(np.zeros((2, 2)))))
+        assert str(info.value) == "no eigenvalues left after zero-mode exclusion"
 
     def test_zero_mode_excluded_and_flagged(self):
         # no governor integral action: one structural mode at the origin

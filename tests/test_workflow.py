@@ -466,6 +466,19 @@ class TestArtifacts:
         assert summary[0].startswith("period,cost")
         assert len(summary) == 2
 
+    def test_report_json_is_to_dict_and_writing_edits_nothing(self, tmp_path):
+        # write_artifacts once set the artifact names on the report it wrote,
+        # so a report never written read "artifacts": {}
+        rep = run_toy()
+        before = json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n"
+        write_artifacts(tmp_path, scenario_from_dict(single_area_toy()).dispatch, rep)
+        assert (tmp_path / "report.json").read_text() == before
+        assert json.loads(before)["artifacts"] == {
+            "report": "report.json", "solution": "solution.json", "summary": "summary.csv"}
+        solution = json.loads((tmp_path / "solution.json").read_text())
+        assert rep.certificate is not None
+        assert solution["stability_certificate"] == rep.certificate
+
 
 class TestBudgetClamp:
     """Every area's robust gain is held to its own budget, declared attacked or not."""
