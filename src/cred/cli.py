@@ -25,7 +25,7 @@ from .errors import (
 )
 from .grid import AttackProfile, DroopSchedule, attack_from_gains, build_state_space
 from .linearize import build_segment_table
-from .scenario import load_samples, load_scenario, read_json
+from .scenario import load_scenario, read_json
 from .simulate import classify_trajectory, simulate
 from .stability import check_simple, eigen_decompose, sensitivity
 from .workflow import (
@@ -105,13 +105,6 @@ def _config_from_args(args) -> WorkflowConfig:
                              if f.name in given})
 
 
-def _gains(args, bundle) -> np.ndarray:
-    """resolve_gains on the command's flags and its --samples file, when one is given."""
-    path = args.samples_path
-    samples = None if path is None else load_samples(path, bundle.base_power)
-    return resolve_gains(_config_from_args(args), bundle, samples)
-
-
 def cmd_analyze(args) -> int:
     bundle = load_scenario(args.scenario_path)
     n = bundle.model.areas
@@ -138,7 +131,7 @@ def cmd_analyze(args) -> int:
 def cmd_linearize(args) -> int:
     bundle = load_scenario(args.scenario_path)
     cfg = _config_from_args(args)
-    gains = _gains(args, bundle)
+    gains = resolve_gains(cfg, bundle, cfg.read_samples(bundle.base_power))
     if not (gains > 0).any():
         raise ScenarioError("no attacked area with a positive gain to sweep")
     sweeps, pairs = screen(bundle.model, gains, cfg)
@@ -163,9 +156,9 @@ def cmd_linearize(args) -> int:
 def cmd_simulate(args) -> int:
     bundle = load_scenario(args.scenario_path)
     n = bundle.model.areas
-    gains = np.zeros(n)
-    if args.mode != "auto" or args.samples_path is not None:
-        gains = _gains(args, bundle)
+    cfg, gains = _config_from_args(args), np.zeros(n)
+    if cfg.mode != "auto" or cfg.samples_path is not None:
+        gains = resolve_gains(cfg, bundle, cfg.read_samples(bundle.base_power))
     droop_gain = np.zeros(n)
     if args.kc is not None:
         droop_gain = np.array(args.kc) / bundle.base_power

@@ -100,7 +100,9 @@ def scenario_from_dict(raw: dict) -> ScenarioBundle:
     Raises ScenarioError for a malformed document: a missing key, a record
     that is not a JSON object, a value that is not a number (a boolean or
     a numeric string is not) or is too large for a float, an area index
-    that is not integral, or a commitment other than 0, 1, true or false.
+    that is not integral, or a commitment other than 0, 1, true or false;
+    and for values the physical or dispatch model rejects ("invalid
+    dispatch section: ..." for a generator's p_min above its p_max, say).
     """
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a JSON object")
@@ -156,43 +158,38 @@ def _bundle(raw: dict) -> ScenarioBundle:
             [_numbers(p.get("wind_available", [0.0] * n), "wind_available") for p in periods],
             dtype=float,
         ) / base
-        gens = []
+        gens = []  # keyword arguments; the specs check their values below
         for k, g in enumerate(_get(d, "generators", "dispatch")):
             where = f"generators[{k}]"
-            gens.append(
-                GeneratorSpec(
-                    area=_index(_get(g, "area", where), f"{where}.area"),
-                    marginal_cost=_number(g, "marginal_cost", where),
-                    p_min=_number(g, "p_min", where) / base,
-                    p_max=_number(g, "p_max", where) / base,
-                    committed=_flags(g.get("committed", [1] * len(periods)),
-                                     f"{where}.committed"),
-                )
-            )
+            gens.append(dict(
+                area=_index(_get(g, "area", where), f"{where}.area"),
+                marginal_cost=_number(g, "marginal_cost", where),
+                p_min=_number(g, "p_min", where) / base,
+                p_max=_number(g, "p_max", where) / base,
+                committed=_flags(g.get("committed", [1] * len(periods)), f"{where}.committed"),
+            ))
         storage = []
         for k, s in enumerate(d.get("storage", ())):
             where = f"storage[{k}]"
-            storage.append(
-                StorageSpec(
-                    area=_index(_get(s, "area", where), f"{where}.area"),
-                    soc_min=_number(s, "soc_min", where),
-                    soc_max=_number(s, "soc_max", where),
-                    efficiency=_number(s, "efficiency", where),
-                    power_limit=_number(s, "power_limit", where) / base,
-                    energy=_number(s, "energy", where) / base,
-                    soc_initial=_number(s, "soc_initial", where, 0.5),
-                )
-            )
+            storage.append(dict(
+                area=_index(_get(s, "area", where), f"{where}.area"),
+                soc_min=_number(s, "soc_min", where),
+                soc_max=_number(s, "soc_max", where),
+                efficiency=_number(s, "efficiency", where),
+                power_limit=_number(s, "power_limit", where) / base,
+                energy=_number(s, "energy", where) / base,
+                soc_initial=_number(s, "soc_initial", where, 0.5),
+            ))
         try:
             dispatch = DispatchScenario(
                 model=model,
                 demand=demand,
                 wind_available=wind,
-                generators=tuple(gens),
+                generators=tuple(GeneratorSpec(**g) for g in gens),
                 shed_cost=_number(d, "shed_cost", "dispatch", 300.0),
                 base_power=base,
                 min_online_fraction=_number(d, "min_online_fraction", "dispatch", 0.0),
-                storage=tuple(storage),
+                storage=tuple(StorageSpec(**s) for s in storage),
             )
         except Exception as exc:
             raise ScenarioError(f"invalid dispatch section: {exc}") from exc

@@ -21,6 +21,7 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -73,7 +74,13 @@ def _stage(name: str):
 
 @dataclass
 class WorkflowConfig:
-    """Run parameters; tolerances default to the shipped study settings."""
+    """Run parameters; tolerances default to the shipped study settings.
+
+    A setting out of range raises ScenarioError naming it when the config
+    is built, before any stage runs: an unknown mode, eta outside (0, 1),
+    eps_lim, eps_strict or a given eps_phi not positive, settle_margin or
+    the detection threshold negative, or a number that is not finite.
+    """
 
     samples_path: str | None = None
     detection_score: float = 1.0
@@ -86,12 +93,25 @@ class WorkflowConfig:
     settle_margin: float = 0.05
 
     def __post_init__(self):
-        if not (np.isfinite(self.detection_score) and np.isfinite(self.detection_threshold)):
+        if not (math.isfinite(self.detection_score) and math.isfinite(self.detection_threshold)):
             raise ScenarioError("detection score and threshold must be finite")
         if self.detection_threshold < 0:
             raise ScenarioError("detection threshold must be >= 0")
         if self.mode not in MODES:
             raise ScenarioError(f"mode must be one of {MODES}")
+        if not 0.0 < self.eta < 1.0:  # NaN fails too
+            raise ScenarioError(f"eta must be in (0, 1), got {self.eta!r}")
+        for name in ("eps_lim", "eps_strict", "eps_phi"):
+            value = getattr(self, name)
+            if value is not None and not (value > 0.0 and math.isfinite(value)):
+                raise ScenarioError(f"{name} must be > 0 and finite, got {value!r}")
+        margin = self.settle_margin
+        if not (margin >= 0.0 and math.isfinite(margin)):
+            raise ScenarioError(f"settle_margin must be >= 0 and finite, got {margin!r}")
+
+    def read_samples(self, base_power: float) -> dict | None:
+        """The samples of samples_path in per unit of base_power (MW); None without a file."""
+        return None if self.samples_path is None else load_samples(self.samples_path, base_power)
 
 
 @dataclass
@@ -196,12 +216,18 @@ def _certificate_dict(cert) -> dict:
 
 
 def run_workflow(cfg: WorkflowConfig, bundle: ScenarioBundle) -> WorkflowReport:
-    """Execute the full detection-to-certificate pipeline; write_artifacts saves the report."""
-    scn = bundle.require_dispatch()
-    samples = None
-    if cfg.samples_path is not None:
-        samples = load_samples(cfg.samples_path, bundle.base_power)
+    """Read cfg.samples_path, then run the detection-to-certificate pipeline on bundle.
 
+    A bundle without a dispatch section raises ScenarioError before the
+    samples file is read.  write_artifacts saves the report.
+    """
+    bundle.require_dispatch()
+    return _run(cfg, bundle, cfg.read_samples(bundle.base_power))
+
+
+def _run(cfg: WorkflowConfig, bundle: ScenarioBundle, samples: dict | None) -> WorkflowReport:
+    """run_workflow on samples already read (per unit); bundle has a dispatch section."""
+    scn = bundle.dispatch
     with _stage("baseline-dispatch"):
         baseline = solve_cred(scn, None, allow_shed=True)
 
@@ -377,10 +403,13 @@ def _apply_axis(doc: dict, attack_areas: tuple, axis: str, value: float) -> dict
 def sweep_study(cfg: WorkflowConfig, axis: str, grid, scenario_doc: dict) -> list:
     """Run the workflow across a parameter grid; a CredError becomes a row.
 
-    A scenario document that cannot be parsed or has no dispatch section,
-    and a samples file that cannot be read or parsed, raise ScenarioError
-    before the first point.  Any other exception is a programming bug and
-    propagates.
+    The samples file is read once, before the first point, and every point
+    runs on those samples: no axis edits base_power, so their per-unit
+    values are the same at each point.  A scenario document that cannot be
+    parsed or has no dispatch section, and a samples file that cannot be
+    read or parsed, raise ScenarioError before the first point.  An eta
+    point outside (0, 1) is a failed row.  Any other exception is a
+    programming bug and propagates.
 
     Cost increments are reported averaged over the horizon's periods.
     """
@@ -389,8 +418,7 @@ def sweep_study(cfg: WorkflowConfig, axis: str, grid, scenario_doc: dict) -> lis
     # a malformed document raises ScenarioError here, before _apply_axis reads it
     base = scenario_from_dict(scenario_doc)
     base.require_dispatch()
-    if cfg.samples_path is not None:  # so does a bad samples file, which every point reads
-        load_samples(cfg.samples_path, base.base_power)
+    samples = cfg.read_samples(base.base_power)  # so does a bad samples file
     rows = []
     for value in grid:
         value = float(value)
@@ -400,7 +428,7 @@ def sweep_study(cfg: WorkflowConfig, axis: str, grid, scenario_doc: dict) -> lis
             else:
                 point_cfg, bundle = cfg, scenario_from_dict(
                     _apply_axis(scenario_doc, base.attack_areas, axis, value))
-            rep = run_workflow(point_cfg, bundle=bundle)
+            rep = _run(point_cfg, bundle, samples)
             t_len = bundle.dispatch.n_periods
             shed = float(rep.solution.shed.sum() * bundle.base_power * DELTA_T)
             rows.append(

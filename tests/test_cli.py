@@ -354,6 +354,16 @@ class TestSweepCommand:
         assert rows[0][0] == "axis"
         assert len(rows) == 3
 
+    def test_eta_out_of_range_is_a_failed_row(self, toy_path, tmp_path, capsys):
+        # the config check makes a bad eta point a row, not an exit, even in worst case
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(toy_path), "--out", str(out), "--mode",
+                     "worst_case", "--axis", "eta", "--grid", "0.9,1.5"]) == 0
+        good, bad = read_csv(out / "sweep.csv")[1:]
+        assert good[5] == "cred_applied" and good[6] == ""
+        assert bad[:6] == ["eta", "1.5", "", "", "", ""]
+        assert bad[6] == "eta must be in (0, 1), got 1.5"
+
     def test_failed_point_is_a_printed_row(self, toy_path, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["sweep", "--scenario", str(toy_path), "--out", str(out), "--mode",
@@ -372,7 +382,14 @@ class TestSweepCommand:
         ("wind_capacity", lambda d: d["areas"][1].pop("ibr_max_power"),
          "missing key 'ibr_max_power'"),
         ("eta", lambda d: d.pop("dispatch"), "input error: scenario file has no dispatch section"),
-    ], ids=["area_out_of_range", "area_not_a_number", "missing_ibr_max_power", "no_dispatch"])
+        ("eta", lambda d: d["dispatch"]["generators"][0].update(p_min=900.0, p_max=800.0),
+         "input error: invalid dispatch section: generator in area 0: need 0 <= p_min <= p_max"),
+        ("eta", lambda d: d["dispatch"].update(storage=[
+            {"area": 0, "soc_min": 0.1, "soc_max": 0.9, "efficiency": 2.0,
+             "power_limit": 100.0, "energy": 400.0}]),
+         "input error: invalid dispatch section: storage efficiency must lie in (0, 1]"),
+    ], ids=["area_out_of_range", "area_not_a_number", "missing_ibr_max_power", "no_dispatch",
+            "p_min_above_p_max", "storage_efficiency"])
     def test_malformed_document_is_input_error(self, tmp_path, capsys, axis, edit, message):
         doc = three_area_system()
         edit(doc)
@@ -502,15 +519,35 @@ class TestExitCodes:
         assert err.startswith(f"input error: {prefix}a sweep of ") and "states exceeds" in err
 
     @pytest.mark.parametrize("flags, message", [
-        (["--eps-strict", "0"], "need strict_margin > 0 and settle_margin >= 0"),
-        (["--settle-margin", "nan"], "robust gains and margins must be finite"),
-    ], ids=["eps_strict", "settle_margin"])
-    def test_bad_margin_names_the_dispatch_stage(self, toy_path, tmp_path, capsys, flags,
-                                                 message):
-        code = main(["workflow", "--scenario", str(toy_path), "--out", str(tmp_path / "out"),
-                     "--mode", "worst_case", *flags])
-        assert code == 4
-        assert capsys.readouterr().err == f"input error: [dispatch] {message}\n"
+        (["--eta", "1.5"], "eta must be in (0, 1), got 1.5"),
+        (["--eta", "0"], "eta must be in (0, 1), got 0.0"),
+        (["--eta", "nan"], "eta must be in (0, 1), got nan"),
+        (["--eps-lim", "-1"], "eps_lim must be > 0 and finite, got -1.0"),
+        (["--eps-lim", "inf"], "eps_lim must be > 0 and finite, got inf"),
+        (["--eps-strict", "0"], "eps_strict must be > 0 and finite, got 0.0"),
+        (["--eps-phi", "-0.1"], "eps_phi must be > 0 and finite, got -0.1"),
+        (["--settle-margin", "nan"], "settle_margin must be >= 0 and finite, got nan"),
+        (["--settle-margin", "-1"], "settle_margin must be >= 0 and finite, got -1.0"),
+        (["--r", "inf"], "detection score and threshold must be finite"),
+    ], ids=["eta_high", "eta_zero", "eta_nan", "eps_lim", "eps_lim_inf", "eps_strict", "eps_phi",
+            "settle_margin", "settle_margin_negative", "r_inf"])
+    def test_bad_setting_is_input_error_before_any_stage(self, toy_path, tmp_path, capsys,
+                                                         monkeypatch, flags, message):
+        # a negative eps_lim once exited 0 on a no_attack run and failed at
+        # [tables] after the sweep on a worst-case one; a negative settle
+        # margin screened, then failed at [dispatch]; eta 1.5 ran worst case
+        from cred import workflow
+
+        dispatched = []
+        monkeypatch.setattr(workflow, "solve_cred", lambda *a, **k: dispatched.append(a))
+        runs = (["workflow", "--r", "0", "--r0", "0.5"], ["workflow", "--mode", "worst_case"],
+                ["sweep", "--mode", "worst_case", "--axis", "vulnerable_fraction",
+                 "--grid", "0.5"])
+        for argv in runs:
+            err = input_error(capsys, argv, "--scenario", toy_path, "--out", tmp_path / "out",
+                              *flags)
+            assert err == f"input error: {message}\n", argv
+        assert dispatched == []
 
     @pytest.mark.parametrize("argv", [
         ["workflow"],
@@ -583,9 +620,11 @@ class TestExitCodes:
         (["--t-end", "1e15"], "a horizon of 5e+16 samples of 6 states exceeds"),
         (["--dt", "1e-12"], "a horizon of 4e+13 samples of 6 states exceeds"),
         (["--t-step", "-5", "--t-end", "-1"], "t_end must exceed t_step and be nonnegative"),
+        # checked with the other settings, though auto without samples reads no eta
+        (["--eta", "1.5"], "eta must be in (0, 1), got 1.5"),
     ], ids=["dt_zero", "dt_negative", "t_end_nan", "step_area_high", "step_area_negative",
             "step_mw_nan", "step_mw_inf", "dt_underflow", "t_end_huge", "dt_tiny",
-            "t_end_negative"])
+            "t_end_negative", "eta_high"])
     def test_bad_simulate_flag_is_input_error(self, tmp_path, capsys, flags, message):
         desk = tmp_path / "desk.json"
         desk.write_text(json.dumps(three_area_system()))

@@ -706,6 +706,11 @@ class TestStabilityConstraintSet:
         with pytest.raises(BuildError) as info:
             StabilityConstraintSet((tab,), [-1e-12, 2.0])
         assert str(info.value) == "robust gains must be >= 0"
+        # the margins a WorkflowConfig rejects first stay checked for direct callers
+        for margins in (dict(strict_margin=0.0), dict(settle_margin=-0.01)):
+            with pytest.raises(BuildError) as info:
+                StabilityConstraintSet((tab,), [0.0, 2.0], **margins)
+            assert str(info.value) == "need strict_margin > 0 and settle_margin >= 0"
 
     def test_derives_the_rows(self):
         rng = np.random.RandomState(3)

@@ -392,6 +392,8 @@ class TestSweepRange:
         (-1.0, 0.01, "range_end must be positive and finite, not -1.0"),
         (1e308, 1e-300, "grid points of 6 states exceeds"),
         (1.0, 5.9 / MAX_GRID_ENTRIES, "grid points of 6 states exceeds"),
+        (1.0, 0.0, "eps_phi must be > 0"),
+        (1.0, math.nan, "eps_phi must be > 0"),
     ])
     def test_typed_error_before_the_base_loop(self, desk_bundle, monkeypatch, range_end,
                                                eps_phi, message):

@@ -34,7 +34,16 @@ class TestScenarioFromDict:
          "attack static must list 1 values"),
         (lambda d: dict(d, dispatch=dict(d["dispatch"], periods=[])),
          "dispatch.periods must be non-empty"),
-    ], ids=["not_an_object", "static_length", "no_periods"])
+        # the generator and storage checks once escaped as a BuildError
+        (lambda d: dict(d, dispatch=dict(d["dispatch"], generators=[
+            dict(d["dispatch"]["generators"][0], p_min=5.0, p_max=4.0)])),
+         "invalid dispatch section: generator in area 0: need 0 <= p_min <= p_max"),
+        (lambda d: dict(d, dispatch=dict(d["dispatch"], storage=[
+            {"area": 0, "soc_min": 0.1, "soc_max": 0.9, "efficiency": 2.0,
+             "power_limit": 1.0, "energy": 4.0}])),
+         "invalid dispatch section: storage efficiency must lie in (0, 1]"),
+    ], ids=["not_an_object", "static_length", "no_periods", "p_min_above_p_max",
+            "storage_efficiency"])
     def test_each_check_names_its_fault(self, edit, message):
         with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             scenario_from_dict(edit(single_area_toy()))

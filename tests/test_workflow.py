@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import re
 from pathlib import Path
 
@@ -25,7 +26,19 @@ def run_toy(doc=None, **cfg_kw):
 @pytest.mark.parametrize("edit, message", [
     (dict(detection_threshold=-1.0), "detection threshold must be >= 0"),
     (dict(mode="robust"), "mode must be one of ('auto', 'worst_case', 'mean_only')"),
-], ids=["threshold", "mode"])
+    (dict(detection_score=math.nan), "detection score and threshold must be finite"),
+    (dict(eta=1.0), "eta must be in (0, 1), got 1.0"),
+    (dict(eta=-0.5), "eta must be in (0, 1), got -0.5"),
+    (dict(eta=math.inf), "eta must be in (0, 1), got inf"),
+    (dict(eps_lim=0.0), "eps_lim must be > 0 and finite, got 0.0"),
+    (dict(eps_strict=-1e-6), "eps_strict must be > 0 and finite, got -1e-06"),
+    (dict(eps_phi=0.0), "eps_phi must be > 0 and finite, got 0.0"),
+    (dict(eps_phi=math.inf), "eps_phi must be > 0 and finite, got inf"),
+    (dict(settle_margin=-0.01), "settle_margin must be >= 0 and finite, got -0.01"),
+    (dict(settle_margin=math.inf), "settle_margin must be >= 0 and finite, got inf"),
+], ids=["threshold", "mode", "score_nan", "eta_one", "eta_negative", "eta_inf", "eps_lim_zero",
+        "eps_strict_negative", "eps_phi_zero", "eps_phi_inf", "settle_margin_negative",
+        "settle_margin_inf"])
 def test_config_check_names_its_fault(edit, message):
     with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
         WorkflowConfig(**edit)
@@ -544,18 +557,18 @@ class TestSweeps:
         # the document's own 5000 MW reproduces the unswept run
         import cred.workflow as workflow
 
-        doc, bundles, run = three_area_system(), [], workflow.run_workflow
+        doc, bundles, run = three_area_system(), [], workflow._run
 
-        def recording(cfg, bundle):
+        def recording(cfg, bundle, samples):
             bundles.append(bundle)
-            return run(cfg, bundle=bundle)
+            return run(cfg, bundle, samples)
 
-        monkeypatch.setattr(workflow, "run_workflow", recording)
+        monkeypatch.setattr(workflow, "_run", recording)
         cfg = WorkflowConfig(mode="worst_case")
         rows = sweep_study(cfg, "wind_capacity", [3000.0, 5000.0, 8000.0], scenario_doc=doc)
         assert [r.branch for r in rows] == ["cred_infeasible_shed", "cred_applied",
                                            "cred_applied"]
-        unswept = run(cfg, bundle=scenario_from_dict(doc))
+        unswept = run_workflow(cfg, bundle=scenario_from_dict(doc))
         assert rows[1].total_increment == unswept.cost_increment
         assert rows[1].avg_increment == unswept.cost_increment / len(unswept.per_period)
         wind = scenario_from_dict(doc).dispatch.wind_available
@@ -563,6 +576,42 @@ class TestSweeps:
             assert bundle.model.ibr_max_power.tolist() == [0.0, value / 1000.0, 0.0]
             assert np.allclose(bundle.dispatch.wind_available, wind * value / 5000.0,
                                rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("axis, grid", [("eta", [0.5, 0.9, 0.95]),
+                                            ("wind_capacity", [3000.0, 5000.0, 8000.0])])
+    def test_samples_read_once_and_rows_match_single_runs(self, tmp_path, monkeypatch, axis,
+                                                          grid):
+        # every point once re-read the file: four reads for three points
+        from dataclasses import replace
+
+        import cred.scenario as scenario
+        import cred.workflow as workflow
+        from cred.dispatch import DELTA_T
+        from cred.systems import TABLE_GAIN_CASES
+
+        case = TABLE_GAIN_CASES["case1"]
+        samples = tmp_path / "samples_case1.json"
+        samples.write_text(json.dumps(synthesize_samples(case["mean"] * 1000.0,
+                                                         case["std"] * 1000.0, area=1)))
+        cfg, doc = WorkflowConfig(samples_path=str(samples)), three_area_system()
+        kinds, read = [], scenario.read_json
+        monkeypatch.setattr(scenario, "read_json",
+                            lambda path, kind: kinds.append(kind) or read(path, kind))
+        rows = sweep_study(cfg, axis, grid, scenario_doc=doc)
+        assert kinds == ["samples"]
+
+        base = scenario_from_dict(doc)
+        for row, value in zip(rows, grid):
+            if axis == "eta":
+                rep = run_workflow(replace(cfg, eta=value), base)
+            else:
+                rep = run_workflow(cfg, scenario_from_dict(
+                    workflow._apply_axis(doc, base.attack_areas, axis, value)))
+            shed = float(rep.solution.shed.sum() * base.base_power * DELTA_T)
+            assert row == workflow.SweepRow(axis, value, rep.cost_increment / len(rep.per_period),
+                                            rep.cost_increment, shed, rep.branch_taken)
+        assert kinds == ["samples"] * 4
+        assert {row.branch for row in rows} <= {"cred_applied", "cred_infeasible_shed"}
 
     def test_numeric_string_rejected_before_the_grid(self):
         # the parser rejects "5000" as a number, so the sweep stops before its first point
@@ -575,7 +624,7 @@ class TestSweeps:
     @pytest.mark.parametrize("axis", ["vulnerable_fraction", "wind_capacity", "eta"])
     def test_document_without_dispatch_rejected_before_the_grid(self, monkeypatch, axis):
         calls = []
-        monkeypatch.setattr("cred.workflow.run_workflow", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr("cred.workflow._run", lambda *a, **k: calls.append(a))
         doc = single_area_toy()
         del doc["dispatch"]
         with pytest.raises(ScenarioError, match=r"^scenario file has no dispatch section$"):
@@ -586,7 +635,7 @@ class TestSweeps:
         def broken(*args, **kwargs):
             raise TypeError("bug")
 
-        monkeypatch.setattr("cred.workflow.run_workflow", broken)
+        monkeypatch.setattr("cred.workflow._run", broken)
         with pytest.raises(TypeError):
             sweep_study(WorkflowConfig(mode="worst_case"), "vulnerable_fraction", [0.3],
                         scenario_doc=single_area_toy())
